@@ -21,15 +21,18 @@ rejected on read.
 from __future__ import annotations
 
 import io
+import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import BinaryIO, Sequence, Union
 
 import numpy as np
 
 from .grids import (CHANNELS, N_CHANNELS, GridSpec, StateSet, Var,
-                    channel_name, flat_channel_index, state_channel_index)
+                    channel_name, flat_channel_index)
+
+log = logging.getLogger(__name__)
 
 MAGIC = b"NWPSTAT1"
 VERSION = 1
@@ -93,11 +96,9 @@ def _read_exact(src: BinaryIO, n: int, what: str) -> bytes:
     return buf
 
 
-def read_archive(src: Union[BinaryIO, str]) -> StateSet:
-    """Exact inverse of write_archive."""
-    if isinstance(src, (str, bytes)):
-        with open(src, "rb") as fh:
-            return read_archive(fh)
+def _read_head(src: BinaryIO) -> tuple[GridSpec, datetime, str]:
+    """Parse and check the header: magic, version and the canonical
+    channel list. Returns (grid, valid_time, source_label)."""
     head = _read_exact(src, _FIXED_HEAD.size, "header")
     magic, version, nlat, nlon, lat_start, dlat, lon_start, dlon, epoch = \
         _FIXED_HEAD.unpack(head)
@@ -115,41 +116,35 @@ def read_archive(src: Union[BinaryIO, str]) -> StateSet:
         raise UnsupportedLayoutError("channel list is not the canonical 69-channel order")
     grid = GridSpec(nlat=nlat, nlon=nlon, lat_start=lat_start, dlat=dlat,
                     lon_start=lon_start, dlon=dlon)
-    plane_bytes = nlat * nlon * 4
-    raw = src.read(n_channels * plane_bytes)
-    if len(raw) != n_channels * plane_bytes:
-        bad = len(raw) // plane_bytes
-        var, lvl = CHANNELS[min(bad, n_channels - 1)]
+    return grid, datetime.fromtimestamp(epoch, tz=timezone.utc), label
+
+
+def read_archive(src: Union[BinaryIO, str]) -> StateSet:
+    """Exact inverse of write_archive."""
+    if isinstance(src, (str, bytes)):
+        with open(src, "rb") as fh:
+            return read_archive(fh)
+    grid, valid_time, label = _read_head(src)
+    plane_bytes = grid.nlat * grid.nlon * 4
+    raw = src.read(N_CHANNELS * plane_bytes)
+    if len(raw) != N_CHANNELS * plane_bytes:
+        var, lvl = CHANNELS[min(len(raw) // plane_bytes, N_CHANNELS - 1)]
         raise TruncationError(
             f"payload truncated in channel {channel_name(var, lvl)} "
-            f"({len(raw)} of {n_channels * plane_bytes} bytes)")
-    data = np.frombuffer(raw, dtype="<f4").reshape(n_channels, nlat, nlon)
-    return StateSet(valid_time=datetime.fromtimestamp(epoch, tz=timezone.utc),
-                    source_label=label, grid=grid, data=data.copy())
+            f"({len(raw)} of {N_CHANNELS * plane_bytes} bytes)")
+    data = np.frombuffer(raw, dtype="<f4").reshape(N_CHANNELS, grid.nlat, grid.nlon)
+    return StateSet(valid_time=valid_time, source_label=label, grid=grid,
+                    data=data.copy())
 
 
 def read_header(src: Union[BinaryIO, str]) -> dict:
-    """Parse only the header; used by the CLI `inspect` subcommand."""
+    """Parse and check only the header; used by the CLI `inspect` subcommand."""
     if isinstance(src, (str, bytes)):
         with open(src, "rb") as fh:
             return read_header(fh)
-    head = _read_exact(src, _FIXED_HEAD.size, "header")
-    magic, version, nlat, nlon, lat_start, dlat, lon_start, dlon, epoch = \
-        _FIXED_HEAD.unpack(head)
-    if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r}")
-    (label_len,) = _U16.unpack(_read_exact(src, 2, "label length"))
-    label = _read_exact(src, label_len, "source label").decode("utf-8")
-    (n_channels,) = _U32.unpack(_read_exact(src, 4, "channel count"))
-    return {
-        "version": version,
-        "nlat": nlat, "nlon": nlon,
-        "lat_start": lat_start, "dlat": dlat,
-        "lon_start": lon_start, "dlon": dlon,
-        "valid_time": datetime.fromtimestamp(epoch, tz=timezone.utc),
-        "source_label": label,
-        "n_channels": n_channels,
-    }
+    grid, valid_time, label = _read_head(src)
+    return {"version": VERSION, **asdict(grid), "valid_time": valid_time,
+            "source_label": label, "n_channels": N_CHANNELS}
 
 
 ChannelList = Sequence[tuple[Var, int]]
@@ -176,7 +171,7 @@ class RawDumpLayout:
         else:
             order = tuple(self.channel_order)
             for var, lvl in order:
-                state_channel_index(var, lvl)
+                flat_channel_index(var, lvl)
             if len(set(order)) != N_CHANNELS:
                 raise ValueError("explicit channel order must cover all 69 channels once")
             object.__setattr__(self, "channel_order", order)
@@ -214,8 +209,7 @@ def ingest_raw(path: str, grid: GridSpec, layout: RawDumpLayout,
     if not np.isfinite(data).all():
         if nan_policy == "error":
             raise DataError(f"{path}: payload contains NaN/Inf")
-        import logging
-        logging.getLogger(__name__).warning("%s: payload contains NaN/Inf", path)
+        log.warning("%s: payload contains NaN/Inf", path)
     return StateSet(valid_time=valid_time, source_label=source_label,
                     grid=grid, data=np.ascontiguousarray(data))
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import logging
+import re
 import sys
 from datetime import timedelta
 from pathlib import Path
@@ -16,12 +17,13 @@ from pathlib import Path
 from . import __version__
 from .archive import (ArchiveError, RawDumpLayout, ingest_raw, read_archive,
                       read_header, write_archive)
-from .experiment import (ConfigError, _parse_time, load_config, parse_channel,
-                         run_experiment, write_metric_csv)
-from .grids import EAST_ASIA, GLOBAL, GridSpec, RegionBox, validate_state
+from .experiment import (DEFAULT_REGIONS, ConfigError, _parse_box, _parse_time,
+                         load_config, parse_channel, run_experiment,
+                         write_metric_csv)
+from .grids import GridSpec, validate_state
 from .plots import PlotInputError, emit_plots
 from .regrid import regrid_state
-from .rollout import BackendSpec, RolloutError, run_rollout, schedule_steps
+from .rollout import BackendSpec, RolloutError, plan_for_leads, run_rollout
 from .splice import SpliceSpec, splice_states
 from .verify import evaluate_run
 
@@ -29,9 +31,6 @@ log = logging.getLogger(__name__)
 
 USAGE_ERROR = 2
 RUN_ERROR = 1
-
-
-import re
 
 _NEGATIVE_VALUE = re.compile(r"^-\d+(\.\d+)?([,]-?\d+(\.\d+)?)*$")
 
@@ -69,14 +68,6 @@ def _grid_arg(s: str) -> GridSpec:
                     dlat=parts[3], lon_start=parts[4], dlon=parts[5])
 
 
-def _box_arg(s: str) -> RegionBox:
-    parts = [float(x) for x in s.split(",")]
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("box must be lat_min,lat_max,lon_min,lon_max")
-    return RegionBox(lat_min=parts[0], lat_max=parts[1],
-                     lon_min=parts[2], lon_max=parts[3])
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="nwpeval",
                 description="Forecast compatibility harness: ingest, regrid, "
@@ -110,8 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("splice", help="splice a donor box into a base state")
     sp.add_argument("--base", required=True)
     sp.add_argument("--donor", required=True)
-    sp.add_argument("--box", type=_box_arg, required=True,
-                    help="lat_min,lat_max,lon_min,lon_max")
+    sp.add_argument("--box", required=True, help="lat_min,lat_max,lon_min,lon_max")
     sp.add_argument("--out", required=True)
     sp.add_argument("--scope", choices=["upper-only", "all-channels"],
                     default="upper-only")
@@ -190,10 +180,10 @@ def _cmd_regrid(args) -> int:
 
 
 def _cmd_splice(args) -> int:
+    spec = SpliceSpec(region=_parse_box(args.box.split(",")),
+                      variable_scope=args.scope, blend_width=args.blend_width)
     base = read_archive(args.base)
     donor = read_archive(args.donor)
-    spec = SpliceSpec(region=args.box, variable_scope=args.scope,
-                      blend_width=args.blend_width)
     out = splice_states(base, donor, spec,
                         allow_time_mismatch=args.allow_time_mismatch)
     write_archive(out, args.out)
@@ -204,13 +194,7 @@ def _cmd_rollout(args) -> int:
     ic = read_archive(args.infile)
     backend = _parse_backend(args)
     emit = list(range(args.emit_every, args.lead + 1, args.emit_every))
-    steps = []
-    prev = 0
-    for lead in emit:
-        steps.extend(schedule_steps(lead - prev, backend.horizons).steps)
-        prev = lead
-    from .rollout import RolloutPlan
-    plan = RolloutPlan(steps=tuple(steps))
+    plan = plan_for_leads(emit, backend.horizons)
     series = run_rollout(ic, backend, plan, emit_leads=emit,
                          verify_determinism=args.verify_determinism)
     outdir = Path(args.out_dir)
@@ -224,22 +208,19 @@ def _cmd_rollout(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     leads = [int(h) for h in args.leads.split(",")]
+    regions = {name: _parse_box(box.split(","))
+               for name, _, box in (spec.partition("=") for spec in args.region)}
+    channels = None
+    if args.channels:
+        channels = [parse_channel(c) for c in args.channels.split(",")]
     forecasts = {}
     truths = {}
     for lead in leads:
         forecasts[lead] = read_archive(args.forecast_pattern.format(lead=lead))
         truths[lead] = read_archive(args.truth_pattern.format(lead=lead))
     clim = read_archive(args.climatology)
-    regions = {"global": GLOBAL, "east_asia": EAST_ASIA}
-    if args.region:
-        regions = {}
-        for spec in args.region:
-            name, _, box = spec.partition("=")
-            regions[name] = _box_arg(box)
-    channels = None
-    if args.channels:
-        channels = [parse_channel(c) for c in args.channels.split(",")]
-    records, errors = evaluate_run(forecasts, truths, clim, regions, channels)
+    records, errors = evaluate_run(forecasts, truths, clim,
+                                   regions or DEFAULT_REGIONS, channels)
     for e in errors:
         log.warning("%s", e)
     write_metric_csv(records, Path(args.out))

@@ -22,11 +22,11 @@ from typing import Optional
 import yaml
 
 from .archive import RawDumpLayout, ingest_raw, read_archive
-from .grids import (EAST_ASIA, GLOBAL, GridSpec, RegionBox, StateSet, Var,
-                    channel_name)
+from .grids import (CHANNEL_INDEX, EAST_ASIA, GLOBAL, GridSpec, RegionBox,
+                    StateSet, Var)
 from .plots import CSV_COLUMNS, emit_plots
 from .regrid import regrid_state
-from .rollout import BackendSpec, RolloutPlan, run_rollout, schedule_steps
+from .rollout import BackendSpec, plan_for_leads, run_rollout
 from .splice import SpliceSpec, splice_states
 from .verify import DEFAULT_REPORT_CHANNELS, MetricRecord, evaluate_run
 
@@ -35,7 +35,6 @@ log = logging.getLogger(__name__)
 CONFIG_VERSION = 1
 DEFAULT_LEADS = tuple(range(24, 241, 24))
 DEFAULT_REGIONS = {"global": GLOBAL, "east_asia": EAST_ASIA}
-WORKERS_ENV = "NWPEVAL_WORKERS"
 
 
 class ConfigError(ValueError):
@@ -72,7 +71,7 @@ class ExperimentConfig:
     splice_scenarios: tuple[SpliceScenario, ...] = ()
     report_channels: tuple = DEFAULT_REPORT_CHANNELS
     model_grid: GridSpec = field(default_factory=GridSpec.canonical)
-    workers: Optional[int] = None
+    workers: Optional[int] = None         # default: min(runs, CPU count)
     snapshot_bytes: bytes = b""            # raw config file, for provenance
 
     def validate(self) -> None:
@@ -92,14 +91,12 @@ class ExperimentConfig:
             raise ConfigError("truth pattern must contain a {lead} placeholder")
         if not self.lead_hours:
             raise ConfigError("lead_hours must not be empty")
-        import math
-        g = 0
-        for h in self.backend.horizons:
-            g = math.gcd(g, h)
-        for lead in self.lead_hours:
-            if lead % g != 0:
-                raise ConfigError(f"lead {lead} not divisible by backend "
-                                  f"horizon gcd {g}")
+        try:
+            plan_for_leads(self.lead_hours, self.backend.horizons)
+        except ValueError as exc:
+            raise ConfigError(f"lead_hours {sorted(set(self.lead_hours))}: {exc}") from None
+        if self.workers is not None and self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         for src in self.ic_sources:
             if not os.path.exists(src.path):
                 raise ConfigError(f"source {src.label!r}: missing file {src.path}")
@@ -126,20 +123,28 @@ def _parse_grid(d: dict) -> GridSpec:
 
 
 def parse_channel(name: str) -> tuple[Var, int]:
-    """'MSLP' -> (MSLP, 0); 'Z500' -> (Z, 500)."""
+    """'MSLP' -> (MSLP, 0); 'Z500' -> (Z, 500). A name off the canonical
+    channel list (e.g. 'Z501') is a ConfigError."""
     for var in Var:
         if var.is_surface:
             if name == var.name:
                 return var, 0
         elif name.startswith(var.name) and name[len(var.name):].isdigit():
-            return var, int(name[len(var.name):])
+            level = int(name[len(var.name):])
+            if (var, level) in CHANNEL_INDEX:
+                return var, level
     raise ConfigError(f"unknown channel {name!r}")
 
 
 def _parse_box(v) -> RegionBox:
-    lat_min, lat_max, lon_min, lon_max = (float(x) for x in v)
-    return RegionBox(lat_min=lat_min, lat_max=lat_max,
-                     lon_min=lon_min, lon_max=lon_max)
+    """[lat_min, lat_max, lon_min, lon_max] -> RegionBox; ConfigError if
+    the four bounds are missing or invalid."""
+    try:
+        lat_min, lat_max, lon_min, lon_max = (float(x) for x in v)
+        return RegionBox(lat_min=lat_min, lat_max=lat_max,
+                         lon_min=lon_min, lon_max=lon_max)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad box {v!r}: {exc}") from None
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -151,15 +156,15 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"{path}: not valid YAML: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a mapping")
-    version = int(doc.get("config_version", CONFIG_VERSION))
-    if version != CONFIG_VERSION:
-        raise ConfigError(f"unsupported config_version {version}")
     base = Path(path).parent
 
     def resolve(p: str) -> str:
         return str((base / p) if not os.path.isabs(p) else Path(p))
 
     try:
+        version = int(doc.get("config_version", CONFIG_VERSION))
+        if version != CONFIG_VERSION:
+            raise ConfigError(f"unsupported config_version {version}")
         sources = []
         for s in doc["ic_sources"] or []:
             layout = None
@@ -210,6 +215,9 @@ def load_config(path: str) -> ExperimentConfig:
             snapshot_bytes=raw_bytes)
     except KeyError as exc:
         raise ConfigError(f"{path}: missing required key {exc}")
+    except (AttributeError, TypeError, ValueError) as exc:
+        # schema errors raised while building the config objects
+        raise ConfigError(f"{path}: {exc}") from None
     cfg.validate()
     return cfg
 
@@ -294,14 +302,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         except Exception as exc:
             failures[sc.label] = f"splice failed: {exc}"
 
-    # chain greedy segments between consecutive requested leads so every
-    # emit lead lies on the plan even for multi-horizon backends
-    steps: list[int] = []
-    prev = 0
-    for lead in sorted(set(config.lead_hours)):
-        steps.extend(schedule_steps(lead - prev, config.backend.horizons).steps)
-        prev = lead
-    plan = RolloutPlan(steps=tuple(steps))
+    plan = plan_for_leads(config.lead_hours, config.backend.horizons)
     run_errors: dict[str, list[str]] = {}
 
     def one_run(label: str, ic: StateSet) -> list[MetricRecord]:
@@ -313,12 +314,9 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             run_errors[label] = errs
         return recs
 
-    workers = config.workers
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "4"))
-    workers = max(1, min(workers, len(runs) or 1))
     records: list[MetricRecord] = []
     if runs:
+        workers = min(config.workers or os.cpu_count() or 1, len(runs))
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = {label: pool.submit(one_run, label, ic) for label, ic in runs}
         for label, fut in futures.items():

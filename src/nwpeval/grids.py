@@ -50,6 +50,7 @@ CHANNELS: tuple[tuple[Var, int], ...] = tuple(
 N_SURFACE = len(SURFACE_VARS)
 N_UPPER = len(UPPER_VARS) * len(LEVELS)
 N_CHANNELS = N_SURFACE + N_UPPER  # 69
+CHANNEL_INDEX: dict[tuple[Var, int], int] = {ch: k for k, ch in enumerate(CHANNELS)}
 
 
 class InvalidChannelError(ValueError):
@@ -60,25 +61,16 @@ class GridMismatchError(ValueError):
     """Raised when two objects that must share a grid do not."""
 
 
-def state_channel_index(variable: Var, level: int) -> tuple[str, int]:
-    """Map a (variable, level) pair to its (block, index) position.
+def flat_channel_index(variable: Var, level: int) -> int:
+    """Position of a channel in the flat canonical 0..68 order.
 
     Surface variables live at level 0; upper-air variables at one of the
-    13 pressure levels. The mapping is a bijection over the 69 channels.
+    13 pressure levels. Any other pair raises InvalidChannelError.
     """
-    if variable.is_surface:
-        if level != SURFACE_LEVEL:
-            raise InvalidChannelError(f"{variable.name} is surface-only, got level {level}")
-        return "surface", SURFACE_VARS.index(variable)
-    if level not in LEVELS:
-        raise InvalidChannelError(f"{variable.name} requires a pressure level, got {level}")
-    return "upper", UPPER_VARS.index(variable) * len(LEVELS) + LEVELS.index(level)
-
-
-def flat_channel_index(variable: Var, level: int) -> int:
-    """Position of a channel in the flat canonical 0..68 order."""
-    block, idx = state_channel_index(variable, level)
-    return idx if block == "surface" else N_SURFACE + idx
+    try:
+        return CHANNEL_INDEX[(variable, level)]
+    except KeyError:
+        raise InvalidChannelError(f"no channel ({variable}, {level})") from None
 
 
 def channel_name(variable: Var, level: int) -> str:
@@ -136,10 +128,6 @@ class GridSpec:
         return abs(self.nlon * self.dlon - 360.0) <= 1e-6
 
 
-def grid_coords(grid: GridSpec, i: int, j: int) -> tuple[float, float]:
-    return grid.coords(i, j)
-
-
 @dataclass(frozen=True)
 class RegionBox:
     """Inclusive lat/lon rectangle. No dateline-crossing boxes."""
@@ -170,7 +158,7 @@ class Field:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        state_channel_index(self.variable, self.level)  # legality check
+        flat_channel_index(self.variable, self.level)  # legality check
         vals = np.ascontiguousarray(self.values, dtype=np.float32)
         if vals.shape != self.grid.shape:
             raise ValueError(f"values shape {vals.shape} != grid shape {self.grid.shape}")
@@ -202,21 +190,6 @@ class StateSet:
         if d.ndim != 3 or d.shape[1:] != self.grid.shape:
             raise ValueError(f"data shape {d.shape} incompatible with grid {self.grid.shape}")
         object.__setattr__(self, "data", d)
-
-    @classmethod
-    def from_fields(cls, valid_time: datetime, source_label: str,
-                    fields: list[Field]) -> "StateSet":
-        """Assemble from the 69 Fields; every Field must share one grid."""
-        if len(fields) != N_CHANNELS:
-            raise ValueError(f"expected {N_CHANNELS} fields, got {len(fields)}")
-        grid = fields[0].grid
-        data = np.empty((N_CHANNELS, grid.nlat, grid.nlon), dtype=np.float32)
-        for f in fields:
-            if f.grid != grid:
-                raise GridMismatchError(
-                    f"field {channel_name(f.variable, f.level)} is on a different grid")
-            data[flat_channel_index(f.variable, f.level)] = f.values
-        return cls(valid_time=valid_time, source_label=source_label, grid=grid, data=data)
 
     def channel(self, variable: Var, level: int = SURFACE_LEVEL) -> np.ndarray:
         return self.data[flat_channel_index(variable, level)]

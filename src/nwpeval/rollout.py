@@ -48,10 +48,6 @@ class RolloutPlan:
 
     steps: tuple[int, ...]
 
-    @property
-    def lead_hours(self) -> int:
-        return sum(self.steps)
-
     def cumulative_leads(self) -> tuple[int, ...]:
         out, acc = [], 0
         for s in self.steps:
@@ -82,36 +78,49 @@ class BackendSpec:
             raise ValueError(f"unknown builtin backend {self.builtin!r}")
         if self.kind == "external-command" and not self.command:
             raise ValueError("external backend requires a command")
-        if not self.horizons:
-            raise ValueError("backend must declare at least one horizon")
         object.__setattr__(self, "horizons", frozenset(int(h) for h in self.horizons))
+        if not self.horizons or min(self.horizons) < 1:
+            raise ValueError("backend horizons must be one or more positive hours")
 
 
 def schedule_steps(lead: int, horizons) -> RolloutPlan:
-    """Greedy largest-first decomposition of the lead into horizons.
+    """Fewest-step decomposition of the lead into horizons.
 
-    Minimizes the step count for divisor-chain horizon sets such as
-    {24, 6, 3, 1}.
+    Dynamic programming over 0..lead hours; among the minimal plans the
+    larger step goes first, so steps never increase: 31 h over
+    {24, 6, 3, 1} gives (24, 6, 1) and 8 h over {6, 4} gives (4, 4).
     """
     horizons = sorted({int(h) for h in horizons}, reverse=True)
     if not horizons:
         raise ValueError("horizons must be nonempty")
     if lead < 0:
-        raise ValueError("lead must be >= 0")
-    g = 0
-    for h in horizons:
-        g = math.gcd(g, h)
-    if lead % g != 0:
-        raise UnreachableLeadError(f"lead {lead} not divisible by gcd {g} of horizons")
+        raise ValueError(f"lead {lead} must be >= 0")
+    # fewest[n]: the least number of steps summing to n hours
+    fewest = [0] + [math.inf] * lead
+    for n in range(1, lead + 1):
+        fewest[n] = 1 + min((fewest[n - h] for h in horizons if h <= n),
+                            default=math.inf)
+    if fewest[lead] == math.inf:
+        raise UnreachableLeadError(
+            f"{lead} h is not divisible into steps of the horizons {horizons}")
     steps = []
     remaining = lead
     while remaining > 0:
-        step = next((h for h in horizons if h <= remaining), None)
-        if step is None:
-            raise UnreachableLeadError(
-                f"no decomposition of lead {lead} into horizons {horizons}")
+        step = next(h for h in horizons
+                    if h <= remaining and fewest[remaining - h] == fewest[remaining] - 1)
         steps.append(step)
         remaining -= step
+    return RolloutPlan(steps=tuple(steps))
+
+
+def plan_for_leads(leads, horizons) -> RolloutPlan:
+    """One plan through every requested lead: schedule_steps chained over
+    the sorted, de-duplicated leads, so each lead is a cumulative step."""
+    steps: list[int] = []
+    prev = 0
+    for lead in sorted({int(h) for h in leads}):
+        steps.extend(schedule_steps(lead - prev, horizons).steps)
+        prev = lead
     return RolloutPlan(steps=tuple(steps))
 
 

@@ -53,11 +53,14 @@ def region_mask(grid: GridSpec, box: RegionBox) -> np.ndarray:
 
 def _box_distance(grid: GridSpec, box: RegionBox) -> np.ndarray:
     """Rectangular-degree distance to the box: max of the latitude and
-    longitude excursions, 0 inside."""
+    longitude excursions, 0 inside. Longitude distance goes the short way
+    round the circle, so the seam at 0/360 degrees is no edge."""
     lats = grid.latitudes()
     lons = grid.longitudes()
     dlat = np.maximum(np.maximum(box.lat_min - lats, lats - box.lat_max), 0.0)
-    dlon = np.maximum(np.maximum(box.lon_min - lons, lons - box.lon_max), 0.0)
+    inside = (lons >= box.lon_min) & (lons <= box.lon_max)
+    dlon = np.where(inside, 0.0, np.minimum((box.lon_min - lons) % 360.0,
+                                            (lons - box.lon_max) % 360.0))
     return np.maximum(dlat[:, np.newaxis], dlon[np.newaxis, :])
 
 

@@ -14,8 +14,8 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from .grids import (Field, GridMismatchError, GridSpec, RegionBox, StateSet,
-                    Var, channel_name)
+from .grids import (GridMismatchError, GridSpec, RegionBox, StateSet, Var,
+                    channel_name)
 from .splice import region_mask
 
 # The paper-style report set: 4 surface channels plus the 500 hPa levels.
@@ -77,32 +77,24 @@ def lat_weights(grid: GridSpec, mask: np.ndarray) -> np.ndarray:
     return w / total
 
 
-def _values(f) -> np.ndarray:
-    return f.values if isinstance(f, Field) else np.asarray(f)
-
-
-def _check_shapes(*fields) -> None:
-    grids = [f.grid for f in fields if isinstance(f, Field)]
-    if grids and any(g != grids[0] for g in grids):
-        raise GridMismatchError("fields are on different grids")
-    shapes = {_values(f).shape for f in fields}
-    if len(shapes) != 1:
-        raise GridMismatchError(f"shape mismatch: {shapes}")
-
-
-def rmse_weighted(forecast, truth, weights: np.ndarray) -> float:
+def rmse_weighted(forecast: np.ndarray, truth: np.ndarray,
+                  weights: np.ndarray) -> float:
     """sqrt(sum(w * (f - o)^2)) with float64 accumulation."""
-    _check_shapes(forecast, truth)
-    diff = _values(forecast).astype(np.float64) - _values(truth).astype(np.float64)
+    if forecast.shape != truth.shape:
+        raise GridMismatchError(f"shape mismatch: {forecast.shape} vs {truth.shape}")
+    diff = forecast.astype(np.float64) - truth.astype(np.float64)
     return float(math.sqrt(np.sum(weights * diff * diff)))
 
 
-def acc_weighted(forecast, truth, clim, weights: np.ndarray) -> float:
+def acc_weighted(forecast: np.ndarray, truth: np.ndarray, clim: np.ndarray,
+                 weights: np.ndarray) -> float:
     """Weighted correlation of forecast and truth anomalies from clim."""
-    _check_shapes(forecast, truth, clim)
-    c = _values(clim).astype(np.float64)
-    af = _values(forecast).astype(np.float64) - c
-    ao = _values(truth).astype(np.float64) - c
+    if not forecast.shape == truth.shape == clim.shape:
+        raise GridMismatchError(f"shape mismatch: {forecast.shape}, "
+                                f"{truth.shape}, {clim.shape}")
+    c = clim.astype(np.float64)
+    af = forecast.astype(np.float64) - c
+    ao = truth.astype(np.float64) - c
     var_f = float(np.sum(weights * af * af))
     var_o = float(np.sum(weights * ao * ao))
     if var_f < ANOMALY_VARIANCE_FLOOR or var_o < ANOMALY_VARIANCE_FLOOR:

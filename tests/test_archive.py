@@ -171,3 +171,14 @@ def test_read_header(tmp_path, small_grid):
     assert h["source_label"] == "hdr-test"
     assert h["n_channels"] == N_CHANNELS
     assert h["valid_time"] == s.valid_time
+
+
+def test_read_header_checks_version_and_channels(small_grid):
+    raw = bytearray(archive_bytes(random_state(small_grid, seed=16)))
+    raw[8:12] = struct.pack("<I", 2)
+    with pytest.raises(FormatError, match="version 2"):
+        read_header(io.BytesIO(bytes(raw)))
+    raw = bytearray(archive_bytes(random_state(small_grid, seed=16, label="")))
+    raw[66:70], raw[70:74] = raw[70:74], raw[66:70]
+    with pytest.raises(UnsupportedLayoutError):
+        read_header(io.BytesIO(bytes(raw)))

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 import yaml
@@ -26,6 +28,12 @@ class TestInspect:
 
     def test_missing_file(self, tmp_path):
         assert main(["inspect", str(tmp_path / "nope.nws")]) == 2
+
+    def test_unsupported_version(self, archive_path):
+        raw = bytearray(archive_path.read_bytes())
+        raw[8:12] = struct.pack("<I", 2)
+        archive_path.write_bytes(bytes(raw))
+        assert main(["inspect", str(archive_path)]) == 1
 
 
 class TestUsageErrors:
@@ -119,25 +127,81 @@ class TestRolloutEvaluatePlot:
         assert len(list(pdir.glob("*.svg"))) == 9 * 2 * 2
 
 
+def run_doc(grid, labels, overrides=()):
+    doc = {
+        "name": "cli-run",
+        "init_time": "2023-06-06T00:00:00Z",
+        "grid": {"nlat": grid.nlat, "nlon": grid.nlon,
+                 "lat_start": grid.lat_start, "dlat": grid.dlat,
+                 "lon_start": grid.lon_start, "dlon": grid.dlon},
+        "ic_sources": [{"label": lb, "path": f"{lb}.nws"} for lb in labels],
+        "truth": "truth_{lead}.nws",
+        "climatology": "clim.nws",
+        "lead_hours": [24, 48],
+        "output_dir": "out",
+        "workers": 1,
+    }
+    doc.update(overrides)
+    return doc
+
+
+def scenario(**overrides):
+    return [dict({"label": "pad", "base_source": "src0", "donor_source": "src1",
+                  "box": [-10, 60, 60, 150]}, **overrides)]
+
+
+# Each breaks one schema rule; every one must be a config error (exit 2)
+# raised by load_config, before any run writes run.log.
+BAD_CONFIGS = {
+    "backend-kind": {"backend": {"kind": "magic"}},
+    "box-3-elements": {"splice_scenarios": scenario(box=[-10, 60, 60])},
+    "region-box-bounds": {"regions": {"bad": [10, -10, 0, 90]}},
+    "splice-scope": {"splice_scenarios": scenario(scope="everything")},
+    "scan-order": {"ic_sources": [{"label": "raw", "path": "raw.bin",
+                                   "grid": {"nlat": 9, "nlon": 16, "dlat": 22.5,
+                                            "dlon": 22.5},
+                                   "layout": {"scan": "sideways"}}]},
+    "zero-row-grid": {"grid": {"nlat": 0, "nlon": 16}},
+    "sources-not-a-list": {"ic_sources": "a.nws"},
+    "unknown-level": {"report_channels": ["Z501"]},
+    "unreachable-lead": {"backend": {"horizons": [24, 6]}, "lead_hours": [25]},
+    "negative-lead": {"lead_hours": [-24]},
+    "negative-horizon": {"backend": {"horizons": [24, -6]}, "lead_hours": [30]},
+    "regions-not-a-mapping": {"regions": [[-90, 90, 0, 360]]},
+    "zero-workers": {"workers": 0},
+}
+
+
 class TestRunSubcommand:
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+    def test_schema_errors_exit_2_before_running(self, tmp_path, small_grid,
+                                                 capsys, case):
+        from tests.test_experiment import build_inputs
+        labels = build_inputs(tmp_path, small_grid)
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels, BAD_CONFIGS[case])))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert not (tmp_path / "out" / "run.log").exists()
+        assert "nwpeval:" in capsys.readouterr().err
+
+    def test_lead_needing_smaller_steps_runs(self, tmp_path, small_grid):
+        # {24, 18}: 36 h is 18 + 18; a largest-first split dead-ends at 12 h
+        from tests.test_experiment import build_inputs
+        labels = build_inputs(tmp_path, small_grid)
+        doc = run_doc(small_grid, labels, {"backend": {"horizons": [24, 18]},
+                                           "lead_hours": [36, 72]})
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert main(["run", "--config", str(cfg)]) == 0
+        log = (tmp_path / "out" / "run.log").read_text()
+        assert "lead 36: missing truth file" in log
+        assert ",72,RMSE," in (tmp_path / "out" / "metrics.csv").read_text()
+
     def test_full_run(self, tmp_path, small_grid, capsys):
         from tests.test_experiment import build_inputs
         labels = build_inputs(tmp_path, small_grid)
-        doc = {
-            "name": "cli-run",
-            "init_time": "2023-06-06T00:00:00Z",
-            "grid": {"nlat": small_grid.nlat, "nlon": small_grid.nlon,
-                     "lat_start": small_grid.lat_start, "dlat": small_grid.dlat,
-                     "lon_start": small_grid.lon_start, "dlon": small_grid.dlon},
-            "ic_sources": [{"label": lb, "path": f"{lb}.nws"} for lb in labels],
-            "truth": "truth_{lead}.nws",
-            "climatology": "clim.nws",
-            "lead_hours": [24, 48],
-            "output_dir": "out",
-            "workers": 1,
-        }
         cfg = tmp_path / "exp.yaml"
-        cfg.write_text(yaml.safe_dump(doc))
+        cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels)))
         assert main(["run", "--config", str(cfg)]) == 0
         assert (tmp_path / "out" / "metrics.csv").exists()
         out = capsys.readouterr().out

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from nwpeval.grids import (CHANNELS, LEVELS, N_CHANNELS, SURFACE_VARS,
-                           UPPER_VARS, Field, GridMismatchError, GridSpec,
+import nwpeval
+from nwpeval.grids import (CHANNELS, N_CHANNELS, Field, GridSpec,
                            InvalidChannelError, RegionBox, StateSet, Var,
-                           channel_name, flat_channel_index, grid_coords,
-                           state_channel_index, validate_state)
-from nwpeval.synthetic import default_time, make_state
+                           channel_name, flat_channel_index, validate_state)
+from nwpeval.synthetic import default_time
 
 
 def enumerate_channels():
@@ -22,23 +21,19 @@ def enumerate_channels():
 
 class TestChannelIndex:
     def test_mslp_is_first_surface(self):
-        assert state_channel_index(Var.MSLP, 0) == ("surface", 0)
+        assert flat_channel_index(Var.MSLP, 0) == 0
 
     def test_q1000(self):
-        # enumeration oracle: Q is the 2nd upper variable, 1000 the 1st level
-        assert state_channel_index(Var.Q, 1000) == ("upper", 13)
+        # enumeration oracle: 4 surface channels, then Z over 13 levels,
+        # then Q from 1000 hPa
+        assert flat_channel_index(Var.Q, 1000) == 17
 
     def test_v50_is_last(self):
-        assert state_channel_index(Var.V, 50) == ("upper", 64)
+        assert flat_channel_index(Var.V, 50) == 68
 
     def test_bijection_over_enumeration(self):
-        seen = set()
-        for var, lvl in enumerate_channels():
-            block, idx = state_channel_index(var, lvl)
-            seen.add((block, idx))
-        assert len(seen) == N_CHANNELS
-        assert seen == {("surface", i) for i in range(4)} | \
-                       {("upper", i) for i in range(65)}
+        seen = {flat_channel_index(var, lvl) for var, lvl in enumerate_channels()}
+        assert seen == set(range(N_CHANNELS))
 
     def test_flat_index_matches_enumeration(self):
         for k, (var, lvl) in enumerate(enumerate_channels()):
@@ -50,7 +45,7 @@ class TestChannelIndex:
     ])
     def test_illegal_combinations(self, var, lvl):
         with pytest.raises(InvalidChannelError):
-            state_channel_index(var, lvl)
+            flat_channel_index(var, lvl)
 
 
 class TestGridSpec:
@@ -60,17 +55,17 @@ class TestGridSpec:
         assert (g.lat_start, g.dlat, g.lon_start, g.dlon) == (90.0, 0.25, 0.0, 0.25)
 
     def test_coords_origin(self):
-        assert grid_coords(GridSpec.canonical(), 0, 0) == (90.0, 0.0)
+        assert GridSpec.canonical().coords(0, 0) == (90.0, 0.0)
 
     def test_coords_south_pole(self):
-        assert grid_coords(GridSpec.canonical(), 720, 0) == (-90.0, 0.0)
+        assert GridSpec.canonical().coords(720, 0) == (-90.0, 0.0)
 
     def test_coords_equator(self):
-        assert grid_coords(GridSpec.canonical(), 360, 240) == (0.0, 60.0)
+        assert GridSpec.canonical().coords(360, 240) == (0.0, 60.0)
 
     def test_coords_out_of_range(self):
         with pytest.raises(IndexError):
-            grid_coords(GridSpec.canonical(), 721, 0)
+            GridSpec.canonical().coords(721, 0)
 
     def test_coords_round_trip_canonical(self):
         g = GridSpec.canonical()
@@ -100,22 +95,6 @@ class TestRegionBox:
 
 
 class TestStateSet:
-    def test_from_fields_rejects_mixed_grids(self, small_grid):
-        other = GridSpec(nlat=5, nlon=8, lat_start=90, dlat=45, lon_start=0, dlon=45)
-        fields = [Field(variable=v, level=lvl, grid=small_grid,
-                        values=np.zeros(small_grid.shape, np.float32))
-                  for v, lvl in CHANNELS]
-        fields[10] = Field(variable=CHANNELS[10][0], level=CHANNELS[10][1],
-                           grid=other, values=np.zeros(other.shape, np.float32))
-        with pytest.raises(GridMismatchError):
-            StateSet.from_fields(default_time(), "x", fields)
-
-    def test_from_fields_wrong_count(self, small_grid):
-        fields = [Field(variable=Var.MSLP, level=0, grid=small_grid,
-                        values=np.zeros(small_grid.shape, np.float32))]
-        with pytest.raises(ValueError):
-            StateSet.from_fields(default_time(), "x", fields)
-
     def test_field_legality_checked(self, small_grid):
         with pytest.raises(InvalidChannelError):
             Field(variable=Var.T2, level=500, grid=small_grid,
@@ -161,3 +140,8 @@ class TestValidateState:
 def test_channel_names():
     assert channel_name(Var.MSLP, 0) == "MSLP"
     assert channel_name(Var.Z, 500) == "Z500"
+
+
+def test_public_names_resolve():
+    for name in nwpeval.__all__:
+        assert getattr(nwpeval, name) is not None, name

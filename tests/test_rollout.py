@@ -6,11 +6,13 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nwpeval.grids import GridSpec
 from nwpeval.rollout import (BackendSpec, RolloutError, RolloutPlan,
-                             UnreachableLeadError, builtin_step, run_rollout,
-                             schedule_steps)
+                             UnreachableLeadError, builtin_step, plan_for_leads,
+                             run_rollout, schedule_steps)
 from tests.conftest import random_state
 
 
@@ -47,13 +49,62 @@ class TestScheduleSteps:
             schedule_steps(25, {24, 6})
 
     def test_greedy_dead_end_is_an_error(self):
-        # gcd(5,3)=1 divides 4 but greedy reaches remainder 1 (via 3)
+        # gcd(5,3)=1 divides 4, yet no sum of 5s and 3s makes 4
         with pytest.raises(UnreachableLeadError):
             schedule_steps(4, {5, 3})
+
+    @pytest.mark.parametrize("lead,horizons,steps", [
+        (8, {6, 4}, (4, 4)), (36, {24, 18}, (18, 18)), (6, {5, 3}, (3, 3)),
+        (11, {5, 3}, (5, 3, 3)), (31, {24, 6, 3, 1}, (24, 6, 1)),
+    ])
+    def test_minimal_where_greedy_is_not(self, lead, horizons, steps):
+        assert schedule_steps(lead, horizons).steps == steps
+
+    def test_negative_lead(self):
+        with pytest.raises(ValueError):
+            schedule_steps(-6, {6})
+
+    @settings(max_examples=200, deadline=None)
+    @given(lead=st.integers(0, 60),
+           horizons=st.sets(st.integers(1, 30), min_size=1, max_size=4))
+    def test_minimal_against_exhaustive_oracle(self, lead, horizons):
+        best = min_steps_exhaustive(lead, horizons)
+        try:
+            steps = schedule_steps(lead, horizons).steps
+        except UnreachableLeadError:
+            assert best is None
+            return
+        assert sum(steps) == lead and set(steps) <= horizons
+        assert list(steps) == sorted(steps, reverse=True)
+        if best is None:
+            assert len(steps) > 8   # beyond the oracle's search cap
+            return
+        assert len(steps) == best
+        # ties go to the larger first step
+        for h in horizons:
+            if steps and steps[0] < h <= lead:
+                assert min_steps_exhaustive(lead - h, horizons) != best - 1
 
     def test_cumulative_leads(self):
         plan = RolloutPlan(steps=(24, 6, 1))
         assert plan.cumulative_leads() == (24, 30, 31)
+
+
+class TestPlanForLeads:
+    def test_every_lead_is_on_the_plan(self):
+        plan = plan_for_leads([48, 6, 24, 24], {24, 6})
+        assert plan.steps == (6, 6, 6, 6, 24)
+        assert {6, 24, 48} <= set(plan.cumulative_leads())
+
+    def test_segments_use_minimal_steps(self):
+        assert plan_for_leads([8, 16], {6, 4}).steps == (4, 4, 4, 4)
+
+    def test_unreachable_segment(self):
+        with pytest.raises(UnreachableLeadError):
+            plan_for_leads([24, 25], {24, 6})
+
+    def test_no_leads(self):
+        assert plan_for_leads([], {24}).steps == ()
 
 
 class TestBuiltinStep:

@@ -123,6 +123,20 @@ class TestSpliceStates:
         np.testing.assert_allclose(out.data[k, i_eq, j_box + 1],
                                    base.data[k, i_eq, j_box + 1] + 5.0, rtol=1e-6)
 
+    def test_blend_is_symmetric_across_the_dateline_seam(self):
+        g = GridSpec(nlat=3, nlon=360, lat_start=10, dlat=10, lon_start=0, dlon=1)
+        base = random_state(g, seed=31, label="a").replace(
+            data=np.zeros((69, 3, 360), np.float32))
+        donor = base.replace(data=np.ones((69, 3, 360), np.float32), source_label="b")
+        spec = SpliceSpec(region=RegionBox(lat_min=-10, lat_max=10, lon_min=0, lon_max=10),
+                          blend_width=5.0, variable_scope="all-channels")
+        out = splice_states(base, donor, spec)
+        # 359 E is 1 degree west of the box, 11 E 1 degree east: alpha 0.8 both
+        np.testing.assert_allclose(out.data[:, :, 11], 0.8, rtol=1e-6)
+        np.testing.assert_array_equal(out.data[:, :, 359], out.data[:, :, 11])
+        np.testing.assert_allclose(out.data[:, :, 356], 0.2, rtol=1e-5)
+        assert (out.data[:, :, 180] == 0.0).all()
+
     def test_source_label(self, pair):
         base, donor = pair
         out = splice_states(base, donor, SpliceSpec(region=EAST_ASIA))
