@@ -6,10 +6,10 @@ __version__ = "0.1.0"
 
 from .grids import (CHANNELS, EAST_ASIA, GLOBAL, N_CHANNELS, Field, GridSpec,
                     RegionBox, StateSet, Var, channel_name, flat_channel_index,
-                    validate_state)
+                    region_mask, validate_state)
 from .archive import RawDumpLayout, ingest_raw, read_archive, write_archive
 from .regrid import RegridPlan, apply_plan, build_plan, regrid_state
-from .splice import SpliceSpec, region_mask, splice_states
+from .splice import SpliceSpec, splice_states
 from .verify import (MetricRecord, acc_weighted, evaluate_run, lat_weights,
                      rmse_weighted)
 from .rollout import (BackendSpec, RolloutPlan, builtin_step, plan_for_leads,

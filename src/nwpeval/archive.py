@@ -61,9 +61,9 @@ class UnsupportedLayoutError(ArchiveError):
     """Channel list is not the canonical order."""
 
 
-def payload_size(grid: GridSpec, n_channels: int = N_CHANNELS) -> int:
+def payload_size(grid: GridSpec) -> int:
     """Byte size of the channel planes following the header."""
-    return n_channels * grid.nlat * grid.nlon * 4
+    return N_CHANNELS * grid.nlat * grid.nlon * 4
 
 
 def write_archive(state: StateSet, dest: Union[BinaryIO, str]) -> None:
@@ -125,16 +125,14 @@ def read_archive(src: Union[BinaryIO, str]) -> StateSet:
         with open(src, "rb") as fh:
             return read_archive(fh)
     grid, valid_time, label = _read_head(src)
-    plane_bytes = grid.nlat * grid.nlon * 4
-    raw = src.read(N_CHANNELS * plane_bytes)
-    if len(raw) != N_CHANNELS * plane_bytes:
-        var, lvl = CHANNELS[min(len(raw) // plane_bytes, N_CHANNELS - 1)]
+    data = np.empty((N_CHANNELS, grid.nlat, grid.nlon), dtype="<f4")
+    got = src.readinto(data)   # like read(n): short only at end of file
+    if got != data.nbytes:
+        var, lvl = CHANNELS[got * N_CHANNELS // data.nbytes]
         raise TruncationError(
             f"payload truncated in channel {channel_name(var, lvl)} "
-            f"({len(raw)} of {N_CHANNELS * plane_bytes} bytes)")
-    data = np.frombuffer(raw, dtype="<f4").reshape(N_CHANNELS, grid.nlat, grid.nlon)
-    return StateSet(valid_time=valid_time, source_label=label, grid=grid,
-                    data=data.copy())
+            f"({got} of {data.nbytes} bytes)")
+    return StateSet(valid_time=valid_time, source_label=label, grid=grid, data=data)
 
 
 def read_header(src: Union[BinaryIO, str]) -> dict:

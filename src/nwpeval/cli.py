@@ -11,17 +11,16 @@ import difflib
 import logging
 import re
 import sys
-from datetime import timedelta
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
 from .archive import (ArchiveError, RawDumpLayout, ingest_raw, read_archive,
                       read_header, write_archive)
-from .experiment import (DEFAULT_REGIONS, ConfigError, _parse_box, _parse_time,
-                         load_config, parse_channel, run_experiment,
-                         write_metric_csv)
-from .grids import GridSpec, validate_state
-from .plots import PlotInputError, emit_plots
+from .experiment import (ConfigError, _parse_box, _parse_time, load_config,
+                         parse_channel, run_experiment)
+from .grids import DEFAULT_REGIONS, GridSpec, validate_state
+from .plots import PlotInputError, emit_plots, write_metric_csv
 from .regrid import regrid_state
 from .rollout import BackendSpec, RolloutError, plan_for_leads, run_rollout
 from .splice import SpliceSpec, splice_states
@@ -142,6 +141,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@contextmanager
+def _usage():
+    """Turn a TypeError/ValueError raised while building specs from flag
+    values into a ConfigError (exit 2), as load_config does for configs."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _parse_backend(args) -> BackendSpec:
     horizons = frozenset(int(h) for h in args.horizons.split(","))
     if args.backend.startswith("cmd:"):
@@ -160,9 +169,10 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    layout = RawDumpLayout(scan=args.scan)
-    state = ingest_raw(args.infile, args.grid, layout,
-                       valid_time=_parse_time(args.valid_time),
+    with _usage():
+        layout = RawDumpLayout(scan=args.scan)
+        valid_time = _parse_time(args.valid_time)
+    state = ingest_raw(args.infile, args.grid, layout, valid_time=valid_time,
                        source_label=args.label, nan_policy=args.nan)
     if not args.skip_validation:
         problems = validate_state(state)
@@ -180,8 +190,9 @@ def _cmd_regrid(args) -> int:
 
 
 def _cmd_splice(args) -> int:
-    spec = SpliceSpec(region=_parse_box(args.box.split(",")),
-                      variable_scope=args.scope, blend_width=args.blend_width)
+    with _usage():
+        spec = SpliceSpec(region=_parse_box(args.box.split(",")),
+                          variable_scope=args.scope, blend_width=args.blend_width)
     base = read_archive(args.base)
     donor = read_archive(args.donor)
     out = splice_states(base, donor, spec,
@@ -191,10 +202,14 @@ def _cmd_splice(args) -> int:
 
 
 def _cmd_rollout(args) -> int:
+    with _usage():
+        backend = _parse_backend(args)
+        if args.lead < 1 or args.emit_every < 1:
+            raise ValueError("--lead and --emit-every must be >= 1")
+        # every multiple of --emit-every short of --lead, then --lead itself
+        emit = [*range(args.emit_every, args.lead, args.emit_every), args.lead]
+        plan = plan_for_leads(emit, backend.horizons)
     ic = read_archive(args.infile)
-    backend = _parse_backend(args)
-    emit = list(range(args.emit_every, args.lead + 1, args.emit_every))
-    plan = plan_for_leads(emit, backend.horizons)
     series = run_rollout(ic, backend, plan, emit_leads=emit,
                          verify_determinism=args.verify_determinism)
     outdir = Path(args.out_dir)
@@ -207,12 +222,13 @@ def _cmd_rollout(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    leads = [int(h) for h in args.leads.split(",")]
-    regions = {name: _parse_box(box.split(","))
-               for name, _, box in (spec.partition("=") for spec in args.region)}
-    channels = None
-    if args.channels:
-        channels = [parse_channel(c) for c in args.channels.split(",")]
+    with _usage():
+        leads = [int(h) for h in args.leads.split(",")]
+        regions = {name: _parse_box(box.split(","))
+                   for name, _, box in (spec.partition("=") for spec in args.region)}
+        channels = None
+        if args.channels:
+            channels = [parse_channel(c) for c in args.channels.split(",")]
     forecasts = {}
     truths = {}
     for lead in leads:

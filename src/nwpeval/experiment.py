@@ -22,9 +22,9 @@ from typing import Optional
 import yaml
 
 from .archive import RawDumpLayout, ingest_raw, read_archive
-from .grids import (CHANNEL_INDEX, EAST_ASIA, GLOBAL, GridSpec, RegionBox,
+from .grids import (CHANNEL_INDEX, DEFAULT_REGIONS, GridSpec, RegionBox,
                     StateSet, Var)
-from .plots import CSV_COLUMNS, emit_plots
+from .plots import emit_plots, write_metric_csv
 from .regrid import regrid_state
 from .rollout import BackendSpec, plan_for_leads, run_rollout
 from .splice import SpliceSpec, splice_states
@@ -34,7 +34,6 @@ log = logging.getLogger(__name__)
 
 CONFIG_VERSION = 1
 DEFAULT_LEADS = tuple(range(24, 241, 24))
-DEFAULT_REGIONS = {"global": GLOBAL, "east_asia": EAST_ASIA}
 
 
 class ConfigError(ValueError):
@@ -240,23 +239,6 @@ def _load_source(src: ICSource, init_time: datetime,
         state = ingest_raw(src.path, src.grid, src.layout,
                            valid_time=init_time, source_label=src.label)
     return regrid_state(state, model_grid)
-
-
-def write_metric_csv(records: list[MetricRecord], path: Path) -> None:
-    """Fixed column order; values at 9 significant digits."""
-    lines = [",".join(CSV_COLUMNS)]
-    for r in sorted(records, key=MetricRecord.sort_key):
-        lines.append(",".join([
-            r.init_time.strftime("%Y-%m-%dT%H:%M:%SZ"),
-            r.source_label,
-            r.variable.name,
-            str(r.level),
-            r.region,
-            str(r.lead_hours),
-            r.metric,
-            f"{r.value:.9g}",
-        ]))
-    path.write_text("\n".join(lines) + "\n")
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:

@@ -146,6 +146,28 @@ class RegionBox:
 
 EAST_ASIA = RegionBox(lat_min=-10.0, lat_max=60.0, lon_min=60.0, lon_max=150.0)
 GLOBAL = RegionBox(lat_min=-90.0, lat_max=90.0, lon_min=0.0, lon_max=360.0)
+DEFAULT_REGIONS = {"global": GLOBAL, "east_asia": EAST_ASIA}
+
+_EPS = 1e-9
+
+
+def box_distance(grid: GridSpec, box: RegionBox) -> np.ndarray:
+    """Rectangular-degree distance to the box: max of the latitude and
+    longitude excursions, 0 inside. Longitude distance goes the short way
+    round the circle, so the seam at 0/360 degrees is no edge."""
+    lats = grid.latitudes()
+    lons = grid.longitudes()
+    dlat = np.maximum(np.maximum(box.lat_min - lats, lats - box.lat_max), 0.0)
+    inside = (lons >= box.lon_min) & (lons <= box.lon_max)
+    dlon = np.where(inside, 0.0, np.minimum((box.lon_min - lons) % 360.0,
+                                            (lons - box.lon_max) % 360.0))
+    return np.maximum(dlat[:, np.newaxis], dlon[np.newaxis, :])
+
+
+def region_mask(grid: GridSpec, box: RegionBox) -> np.ndarray:
+    """Boolean (nlat, nlon) mask, true iff the point lies inside the box,
+    bounds inclusive to 1e-9 degrees; lon_max 360 takes in 0 degrees."""
+    return box_distance(grid, box) <= _EPS
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Static SVG line plots of the metric table.
+"""The metric table (CSV) and static SVG line plots of it.
 
 One SVG per (report channel, region, metric): lead hours on the x axis,
 metric value on the y axis, one polyline per source/scenario label. The
@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
+
+from .verify import MetricRecord
 
 CSV_COLUMNS = ["init_time", "source", "variable", "level", "region",
                "lead_hours", "metric", "value"]
@@ -57,6 +59,23 @@ def read_metric_csv(path: str) -> list[dict]:
                                      f"{rec['metric']!r}")
             rows.append(rec)
     return rows
+
+
+def write_metric_csv(records: list[MetricRecord], path: Path) -> None:
+    """Fixed column order; values at 9 significant digits."""
+    lines = [",".join(CSV_COLUMNS)]
+    for r in sorted(records, key=MetricRecord.sort_key):
+        lines.append(",".join([
+            r.init_time.strftime("%Y-%m-%dT%H:%M:%SZ"),
+            r.source_label,
+            r.variable.name,
+            str(r.level),
+            r.region,
+            str(r.lead_hours),
+            r.metric,
+            f"{r.value:.9g}",
+        ]))
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:

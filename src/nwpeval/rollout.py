@@ -14,6 +14,7 @@ for lead H as an archive on the same grid, and exits 0.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import logging
 import math
 import shlex
@@ -49,11 +50,7 @@ class RolloutPlan:
     steps: tuple[int, ...]
 
     def cumulative_leads(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for s in self.steps:
-            acc += s
-            out.append(acc)
-        return tuple(out)
+        return tuple(itertools.accumulate(self.steps))
 
 
 @dataclass(frozen=True)
@@ -135,18 +132,20 @@ def builtin_step(state: StateSet, backend: BackendSpec, step_hours: int) -> Stat
 
 def _external_step(state: StateSet, backend: BackendSpec, step_hours: int,
                    workdir: Path, step_no: int) -> StateSet:
-    workdir.mkdir(parents=True, exist_ok=True)
     in_path = workdir / f"step{step_no:03d}_in.nws"
     out_path = workdir / f"step{step_no:03d}_out.nws"
     write_archive(state, str(in_path))
     cmd = shlex.split(backend.command) + [
         "--in", str(in_path), "--out", str(out_path), "--step-hours", str(step_hours)]
     proc = subprocess.run(cmd, capture_output=True, text=True)
-    if proc.stderr:
-        log.info("backend step %d stderr: %s", step_no, proc.stderr.strip())
+    stderr = proc.stderr.strip()
+    if stderr:
+        log.info("backend step %d stderr: %s", step_no, stderr)
     if proc.returncode != 0:
+        tail = " | ".join(stderr.splitlines()[-20:])
         raise RolloutError(f"backend failed at step {step_no} "
-                           f"(+{step_hours}h): exit {proc.returncode}")
+                           f"(+{step_hours}h): exit {proc.returncode}"
+                           + (f"; stderr: {tail}" if tail else ""))
     try:
         out = read_archive(str(out_path))
     except Exception as exc:
@@ -157,8 +156,7 @@ def _external_step(state: StateSet, backend: BackendSpec, step_hours: int,
 
 
 def run_rollout(ic: StateSet, backend: BackendSpec, plan: RolloutPlan,
-                emit_leads, verify_determinism: bool = False,
-                workdir: Optional[str] = None) -> list[tuple[int, StateSet]]:
+                emit_leads, verify_determinism: bool = False) -> list[tuple[int, StateSet]]:
     """Drive the backend along the plan; return [(lead_hours, state), ...]
     for the requested leads in increasing order.
 
@@ -167,8 +165,7 @@ def run_rollout(ic: StateSet, backend: BackendSpec, plan: RolloutPlan,
     """
     emit_leads = set(int(h) for h in emit_leads)
     cumulative = plan.cumulative_leads()
-    reachable = set(cumulative) | {0}
-    bad = emit_leads - reachable
+    bad = emit_leads - set(cumulative) - {0}
     if bad:
         raise ValueError(f"emit leads {sorted(bad)} are not on the plan {plan.steps}")
     if backend.kind == "external-command" and ic.grid != GridSpec.canonical():
@@ -177,39 +174,26 @@ def run_rollout(ic: StateSet, backend: BackendSpec, plan: RolloutPlan,
     series: list[tuple[int, StateSet]] = []
     if 0 in emit_leads:
         series.append((0, ic))
-    tmp = None
-    work = None
-    if backend.kind == "external-command":
-        if workdir is None:
-            tmp = tempfile.TemporaryDirectory(prefix="nwpeval-rollout-")
-            work = Path(tmp.name)
-        else:
-            work = Path(workdir)
-            work.mkdir(parents=True, exist_ok=True)
-    try:
-        state = ic
-        for n, (step, lead) in enumerate(zip(plan.steps, cumulative), start=1):
+    with tempfile.TemporaryDirectory(prefix="nwpeval-rollout-") as work:
+
+        def step(state: StateSet, hours: int, n: int) -> StateSet:
             if backend.kind == "builtin":
-                state = builtin_step(state, backend, step)
-            else:
-                state = _external_step(state, backend, step, work, n)
+                return builtin_step(state, backend, hours)
+            return _external_step(state, backend, hours, Path(work), n)
+
+        state = ic
+        for n, (hours, lead) in enumerate(zip(plan.steps, cumulative), start=1):
+            state = step(state, hours, n)
             if verify_determinism and n == 1:
-                if backend.kind == "builtin":
-                    repeat = builtin_step(ic, backend, step)
-                else:
-                    repeat = _external_step(ic, backend, step, work / "redo", 1)
                 h1 = hashlib.sha256(archive_bytes(state)).hexdigest()
-                h2 = hashlib.sha256(archive_bytes(repeat)).hexdigest()
+                h2 = hashlib.sha256(archive_bytes(step(ic, hours, n))).hexdigest()
                 if h1 != h2:
                     log.warning("backend is not deterministic: step-1 hashes "
                                 "%s vs %s", h1, h2)
             if not np.isfinite(state.data).all():
-                raise RolloutError(f"backend produced NaN/Inf at step {n} (+{step}h)")
+                raise RolloutError(f"backend produced NaN/Inf at step {n} (+{hours}h)")
             if lead in emit_leads:
                 series.append((lead, state.replace(
                     valid_time=ic.valid_time + timedelta(hours=lead),
                     source_label=ic.source_label)))
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
     return series

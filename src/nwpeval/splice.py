@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (N_CHANNELS, N_SURFACE, GridMismatchError, GridSpec,
-                    RegionBox, StateSet)
-
-_EPS = 1e-9
+from .grids import (N_CHANNELS, N_SURFACE, GridMismatchError, RegionBox,
+                    StateSet, box_distance, region_mask)
 
 
 class SpliceError(ValueError):
@@ -39,31 +37,6 @@ class SpliceSpec:
             raise ValueError("blend_width must be >= 0")
 
 
-def region_mask(grid: GridSpec, box: RegionBox) -> np.ndarray:
-    """Boolean (nlat, nlon) mask, true iff the point lies inside the box
-    (inclusive bounds)."""
-    lats = grid.latitudes()
-    lons = grid.longitudes()
-    lat_in = (lats >= box.lat_min - _EPS) & (lats <= box.lat_max + _EPS)
-    lon_in = (lons >= box.lon_min - _EPS) & (lons <= box.lon_max + _EPS)
-    if box.lon_max >= 360.0 - _EPS:
-        lon_in |= lons <= (box.lon_max - 360.0) + _EPS
-    return lat_in[:, np.newaxis] & lon_in[np.newaxis, :]
-
-
-def _box_distance(grid: GridSpec, box: RegionBox) -> np.ndarray:
-    """Rectangular-degree distance to the box: max of the latitude and
-    longitude excursions, 0 inside. Longitude distance goes the short way
-    round the circle, so the seam at 0/360 degrees is no edge."""
-    lats = grid.latitudes()
-    lons = grid.longitudes()
-    dlat = np.maximum(np.maximum(box.lat_min - lats, lats - box.lat_max), 0.0)
-    inside = (lons >= box.lon_min) & (lons <= box.lon_max)
-    dlon = np.where(inside, 0.0, np.minimum((box.lon_min - lons) % 360.0,
-                                            (lons - box.lon_max) % 360.0))
-    return np.maximum(dlat[:, np.newaxis], dlon[np.newaxis, :])
-
-
 def splice_states(base: StateSet, donor: StateSet, spec: SpliceSpec,
                   allow_time_mismatch: bool = False) -> StateSet:
     """Splice the donor's in-scope channels into the base within the box.
@@ -84,7 +57,7 @@ def splice_states(base: StateSet, donor: StateSet, spec: SpliceSpec,
         for k in range(first, N_CHANNELS):
             np.copyto(out[k], donor.data[k], where=mask)
     else:
-        alpha = np.clip(1.0 - _box_distance(base.grid, spec.region) / spec.blend_width,
+        alpha = np.clip(1.0 - box_distance(base.grid, spec.region) / spec.blend_width,
                         0.0, 1.0)
         seam = alpha > 0.0
         for k in range(first, N_CHANNELS):

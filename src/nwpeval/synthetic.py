@@ -54,7 +54,8 @@ def make_state(grid: GridSpec, seed: int = 0, source_label: str = "synthetic",
 
 
 def make_climatology(grid: GridSpec, seed: int = 99) -> StateSet:
-    """Time-invariant climatology: a smooth state with no noise term."""
+    """Time-invariant climatology: a make_state draw (waves plus the same
+    small noise) under its own seed and the label "climatology"."""
     state = make_state(grid, seed=seed, source_label="climatology")
     return state
 

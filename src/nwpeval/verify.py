@@ -15,8 +15,7 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from .grids import (GridMismatchError, GridSpec, RegionBox, StateSet, Var,
-                    channel_name)
-from .splice import region_mask
+                    channel_name, region_mask)
 
 # The paper-style report set: 4 surface channels plus the 500 hPa levels.
 DEFAULT_REPORT_CHANNELS: tuple[tuple[Var, int], ...] = (

@@ -51,6 +51,27 @@ class TestUsageErrors:
     def test_run_missing_config(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["splice", "--base", "{a}", "--donor", "{a}", "--box", "-10,60,60,150",
+         "--out", "{out}", "--blend-width", "-1"],
+        ["rollout", "--in", "{a}", "--out-dir", "{out}", "--lead", "48",
+         "--horizons", "24,x"],
+        ["rollout", "--in", "{a}", "--out-dir", "{out}", "--lead", "48",
+         "--horizons", "0"],
+        ["rollout", "--in", "{a}", "--out-dir", "{out}", "--lead", "48",
+         "--emit-every", "0"],
+        ["rollout", "--in", "{a}", "--out-dir", "{out}", "--lead", "0"],
+        ["ingest", "--in", "{a}", "--out", "{out}", "--grid", "9,16,90,22.5,0,22.5",
+         "--valid-time", "notatime", "--label", "x"],
+        ["evaluate", "--forecast-pattern", "{a}", "--truth-pattern", "{a}",
+         "--climatology", "{a}", "--leads", "24,x", "--out", "{out}"],
+    ], ids=["blend-width", "horizons-x", "horizons-0", "emit-every-0", "lead-0",
+            "valid-time", "leads-x"])
+    def test_bad_flag_value_exits_2_without_output(self, archive_path, tmp_path, argv):
+        out = tmp_path / "out"
+        assert main([a.format(a=archive_path, out=out) for a in argv]) == 2
+        assert not out.exists()
+
 
 class TestIngestRegrid:
     def test_ingest_then_inspect(self, tmp_path, small_grid, capsys):
@@ -125,6 +146,16 @@ class TestRolloutEvaluatePlot:
         pdir = tmp_path / "plots"
         assert main(["plot", "--csv", str(csv), "--out-dir", str(pdir)]) == 0
         assert len(list(pdir.glob("*.svg"))) == 9 * 2 * 2
+
+    @pytest.mark.parametrize("lead,files", [
+        ("12", ["forecast_012h.nws"]),
+        ("30", ["forecast_024h.nws", "forecast_030h.nws"]),
+    ])
+    def test_rollout_emits_the_final_lead(self, archive_path, tmp_path, lead, files):
+        fdir = tmp_path / "fc"
+        assert main(["rollout", "--in", str(archive_path), "--out-dir", str(fdir),
+                     "--lead", lead, "--emit-every", "24", "--horizons", "24,6"]) == 0
+        assert sorted(p.name for p in fdir.iterdir()) == files
 
 
 def run_doc(grid, labels, overrides=()):

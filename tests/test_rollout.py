@@ -224,7 +224,7 @@ class TestExternalBackend:
         be = BackendSpec(kind="external-command",
                          command=f"{sys.executable} {script}", horizons={24})
         series = run_rollout(canonical_like_state, be, RolloutPlan(steps=(24, 24)),
-                             emit_leads=[24, 48], workdir=str(tmp_path / "work"))
+                             emit_leads=[24, 48])
         assert series[0][1].data[0, 0, 0] == 1.0
         assert series[1][1].data[0, 0, 0] == 2.0
         assert (series[1][1].valid_time
@@ -237,13 +237,14 @@ class TestExternalBackend:
 
     def test_nonzero_exit_names_step(self, tmp_path, canonical_like_state):
         script = tmp_path / "backend.py"
-        script.write_text(f"#!{sys.executable}\nimport sys; sys.exit(3)\n")
+        script.write_text(f"#!{sys.executable}\nimport sys\n"
+                          "print('boom', file=sys.stderr); sys.exit(3)\n")
         script.chmod(script.stat().st_mode | stat.S_IEXEC)
         be = BackendSpec(kind="external-command",
                          command=f"{sys.executable} {script}", horizons={24})
-        with pytest.raises(RolloutError, match="step 1"):
+        with pytest.raises(RolloutError, match="step 1 .*exit 3; stderr: boom"):
             run_rollout(canonical_like_state, be, RolloutPlan(steps=(24,)),
-                        emit_leads=[24], workdir=str(tmp_path / "work"))
+                        emit_leads=[24])
 
     def test_malformed_output_archive(self, tmp_path, canonical_like_state):
         script = tmp_path / "backend.py"
@@ -261,7 +262,7 @@ class TestExternalBackend:
                          command=f"{sys.executable} {script}", horizons={24})
         with pytest.raises(RolloutError, match="malformed"):
             run_rollout(canonical_like_state, be, RolloutPlan(steps=(24,)),
-                        emit_leads=[24], workdir=str(tmp_path / "work"))
+                        emit_leads=[24])
 
     def test_nan_output_rejected(self, tmp_path, canonical_like_state):
         script = tmp_path / "backend.py"
@@ -272,7 +273,7 @@ class TestExternalBackend:
                          command=f"{sys.executable} {script}", horizons={24})
         with pytest.raises(RolloutError, match="NaN"):
             run_rollout(canonical_like_state, be, RolloutPlan(steps=(24,)),
-                        emit_leads=[24], workdir=str(tmp_path / "work"))
+                        emit_leads=[24])
 
 
 class TestBackendSpec:

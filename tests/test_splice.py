@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nwpeval.grids import (EAST_ASIA, N_SURFACE, GridMismatchError, GridSpec,
                            RegionBox, Var, flat_channel_index)
@@ -18,7 +20,57 @@ def mask_count_oracle(grid, box):
     return n
 
 
+def member_oracle(grid, box, eps=1e-9):
+    """Point-by-point membership, bounds inclusive to eps. A longitude is
+    tried as itself and one turn either way, so 360 counts as 0."""
+    mask = np.zeros(grid.shape, dtype=bool)
+    for i in range(grid.nlat):
+        for j in range(grid.nlon):
+            lat, lon = grid.coords(i, j)
+            mask[i, j] = (box.lat_min - eps <= lat <= box.lat_max + eps
+                          and any(box.lon_min - eps <= x <= box.lon_max + eps
+                                  for x in (lon - 360.0, lon, lon + 360.0)))
+    return mask
+
+
+@st.composite
+def grid_and_box(draw):
+    """A grid with any lon_start, and a box whose bounds are half degrees,
+    the seam (0 or 360) or grid coordinates rounded to 6 decimals, which
+    a grid point may miss by a few ulps either way."""
+    dlat = draw(st.sampled_from([0.1, 0.3, 2.5, 7.5, 22.5]))
+    lat_start = round(draw(st.integers(0, 1800)) * 0.1 - 90.0, 1)
+    nlat = draw(st.integers(1, min(8, int((lat_start + 90.0) / dlat) + 1)))
+    dlon = draw(st.sampled_from([0.1, 0.3, 0.7, 2.5, 7.5, 22.5, 45.0]))
+    nlon = draw(st.integers(1, min(24, int(360.0 / dlon + 1e-6))))
+    lon_start = round(draw(st.integers(0, 3599)) * 0.1, 1)
+    grid = GridSpec(nlat=nlat, nlon=nlon, lat_start=lat_start, dlat=dlat,
+                    lon_start=lon_start, dlon=dlon)
+    lat_bound = st.one_of(st.integers(-180, 180).map(lambda k: k * 0.5),
+                          st.sampled_from([round(x, 6) for x in grid.latitudes()]))
+    lon_bound = st.one_of(st.integers(0, 720).map(lambda k: k * 0.5),
+                          st.sampled_from([0.0, 360.0]),
+                          st.sampled_from([round(x, 6) for x in grid.longitudes()]))
+
+    def bounds(strategy):
+        lo = draw(strategy)
+        return sorted((lo, draw(st.one_of(st.just(lo), strategy))))
+
+    lats, lons = bounds(lat_bound), bounds(lon_bound)
+    box = RegionBox(lat_min=lats[0], lat_max=lats[1], lon_min=lons[0], lon_max=lons[1])
+    return grid, box
+
+
 class TestRegionMask:
+    @settings(max_examples=200, deadline=None)
+    @given(grid_and_box())
+    @example((GridSpec(nlat=1, nlon=24, lat_start=0.0, dlat=1.0, lon_start=0.0, dlon=0.1),
+              RegionBox(lat_min=0.0, lat_max=0.0, lon_min=0.3, lon_max=0.3)))
+    def test_matches_membership_oracle(self, case):
+        # in the example, 3 * 0.1 lies a few ulps east of the box's 0.3
+        grid, box = case
+        np.testing.assert_array_equal(region_mask(grid, box), member_oracle(grid, box))
+
     def test_east_asia_on_canonical_grid(self):
         g = GridSpec.canonical()
         mask = region_mask(g, EAST_ASIA)
@@ -136,6 +188,30 @@ class TestSpliceStates:
         np.testing.assert_array_equal(out.data[:, :, 359], out.data[:, :, 11])
         np.testing.assert_allclose(out.data[:, :, 356], 0.2, rtol=1e-5)
         assert (out.data[:, :, 180] == 0.0).all()
+
+    @pytest.mark.parametrize("shift", [1, 7, 20, 33])
+    def test_blend_is_invariant_under_rotation(self, shift):
+        # at shift 33 the box is [330, 360], so its blend zone crosses 0 degrees
+        def grid(lon_start):
+            return GridSpec(nlat=5, nlon=36, lat_start=40, dlat=20,
+                            lon_start=lon_start, dlon=10)
+
+        def spec(lon_min):
+            box = RegionBox(lat_min=-20, lat_max=20, lon_min=lon_min, lon_max=lon_min + 30)
+            return SpliceSpec(region=box, blend_width=25.0, variable_scope="all-channels")
+
+        base = random_state(grid(0), seed=32, label="a")
+        donor = random_state(grid(0), seed=33, label="b")
+        out = splice_states(base, donor, spec(0)).data
+        assert not np.array_equal(out, base.data)
+        rot = 10 * shift
+        # fields and box rotated east on the same grid: the output rolls with them
+        rolled = [s.replace(data=np.roll(s.data, shift, axis=2)) for s in (base, donor)]
+        np.testing.assert_array_equal(splice_states(*rolled, spec(rot)).data,
+                                      np.roll(out, shift, axis=2))
+        # grid origin and box rotated, each point keeping its value: no change
+        moved = [s.replace(grid=grid(rot)) for s in (base, donor)]
+        np.testing.assert_array_equal(splice_states(*moved, spec(rot)).data, out)
 
     def test_source_label(self, pair):
         base, donor = pair
