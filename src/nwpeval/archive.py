@@ -12,7 +12,7 @@ Archive layout (all multi-byte values little-endian):
     n_channels   u32
     per channel: var_code u16, level u16 (hPa, 0 = surface)
     payload:     n_channels planes of f32-le, each nlat*nlon row-major,
-                 row 0 = northmost latitude
+                 row 0 = northmost latitude; nothing may follow it
 
 The channel list must be the canonical 69-channel order; anything else is
 rejected on read.
@@ -132,6 +132,8 @@ def read_archive(src: Union[BinaryIO, str]) -> StateSet:
         raise TruncationError(
             f"payload truncated in channel {channel_name(var, lvl)} "
             f"({got} of {data.nbytes} bytes)")
+    if src.read(1):
+        raise FormatError("bytes follow the payload")
     return StateSet(valid_time=valid_time, source_label=label, grid=grid, data=data)
 
 

@@ -208,10 +208,9 @@ def _cmd_rollout(args) -> int:
             raise ValueError("--lead and --emit-every must be >= 1")
         # every multiple of --emit-every short of --lead, then --lead itself
         emit = [*range(args.emit_every, args.lead, args.emit_every), args.lead]
-        plan = plan_for_leads(emit, backend.horizons)
+        plan_for_leads(emit, backend.horizons)   # unreachable lead: exit 2 before any read
     ic = read_archive(args.infile)
-    series = run_rollout(ic, backend, plan, emit_leads=emit,
-                         verify_determinism=args.verify_determinism)
+    series = run_rollout(ic, backend, emit, verify_determinism=args.verify_determinism)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     for lead, state in series:

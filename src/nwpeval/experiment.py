@@ -23,7 +23,7 @@ import yaml
 
 from .archive import RawDumpLayout, ingest_raw, read_archive
 from .grids import (CHANNEL_INDEX, DEFAULT_REGIONS, GridSpec, RegionBox,
-                    StateSet, Var)
+                    StateSet, Var, region_mask)
 from .plots import emit_plots, write_metric_csv
 from .regrid import regrid_state
 from .rollout import BackendSpec, plan_for_leads, run_rollout
@@ -96,6 +96,9 @@ class ExperimentConfig:
             raise ConfigError(f"lead_hours {sorted(set(self.lead_hours))}: {exc}") from None
         if self.workers is not None and self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        for name, box in self.regions.items():
+            if not region_mask(self.model_grid, box).any():
+                raise ConfigError(f"region {name!r} selects no model-grid point")
         for src in self.ic_sources:
             if not os.path.exists(src.path):
                 raise ConfigError(f"source {src.label!r}: missing file {src.path}")
@@ -169,9 +172,11 @@ def load_config(path: str) -> ExperimentConfig:
             layout = None
             if "layout" in s:
                 ld = s["layout"] or {}
-                layout = RawDumpLayout(
-                    channel_order=ld.get("channel_order", "canonical"),
-                    scan=ld.get("scan", "north-first"))
+                order = ld.get("channel_order", "canonical")
+                if isinstance(order, list):
+                    order = [parse_channel(str(c)) for c in order]
+                layout = RawDumpLayout(channel_order=order,
+                                       scan=ld.get("scan", "north-first"))
             sources.append(ICSource(
                 label=str(s["label"]), path=resolve(str(s["path"])),
                 grid=_parse_grid(s["grid"]) if "grid" in s else None,
@@ -269,10 +274,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         except Exception as exc:
             failures[src.label] = f"ingest failed: {exc}"
 
-    runs: list[tuple[str, StateSet]] = []
-    for src in config.ic_sources:
-        if src.label in ics:
-            runs.append((src.label, ics[src.label]))
+    runs: list[tuple[str, StateSet]] = list(ics.items())   # in config order
     for sc in config.splice_scenarios:
         if sc.base_source not in ics or sc.donor_source not in ics:
             failures[sc.label] = "base or donor source failed to load"
@@ -284,11 +286,10 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         except Exception as exc:
             failures[sc.label] = f"splice failed: {exc}"
 
-    plan = plan_for_leads(config.lead_hours, config.backend.horizons)
     run_errors: dict[str, list[str]] = {}
 
     def one_run(label: str, ic: StateSet) -> list[MetricRecord]:
-        series = run_rollout(ic, config.backend, plan, emit_leads=config.lead_hours)
+        series = run_rollout(ic, config.backend, config.lead_hours)
         forecasts = dict(series)
         recs, errs = evaluate_run(forecasts, truths, climatology,
                                   config.regions, config.report_channels)

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .archive import archive_bytes, read_archive, write_archive
+from .archive import read_archive, write_archive
 from .grids import GridSpec, StateSet
 
 log = logging.getLogger(__name__)
@@ -48,9 +48,6 @@ class RolloutPlan:
     """Ordered step sizes in hours; they sum to the requested lead."""
 
     steps: tuple[int, ...]
-
-    def cumulative_leads(self) -> tuple[int, ...]:
-        return tuple(itertools.accumulate(self.steps))
 
 
 @dataclass(frozen=True)
@@ -130,11 +127,8 @@ def builtin_step(state: StateSet, backend: BackendSpec, step_hours: int) -> Stat
     return state.replace(valid_time=t, data=data)
 
 
-def _external_step(state: StateSet, backend: BackendSpec, step_hours: int,
-                   workdir: Path, step_no: int) -> StateSet:
-    in_path = workdir / f"step{step_no:03d}_in.nws"
-    out_path = workdir / f"step{step_no:03d}_out.nws"
-    write_archive(state, str(in_path))
+def _external_step(in_path: Path, out_path: Path, backend: BackendSpec,
+                   step_hours: int, step_no: int) -> StateSet:
     cmd = shlex.split(backend.command) + [
         "--in", str(in_path), "--out", str(out_path), "--step-hours", str(step_hours)]
     proc = subprocess.run(cmd, capture_output=True, text=True)
@@ -150,49 +144,53 @@ def _external_step(state: StateSet, backend: BackendSpec, step_hours: int,
         out = read_archive(str(out_path))
     except Exception as exc:
         raise RolloutError(f"backend wrote a malformed archive at step {step_no}: {exc}")
-    if out.grid != state.grid:
+    if out.grid != GridSpec.canonical():
         raise RolloutError(f"backend changed the grid at step {step_no}")
     return out
 
 
-def run_rollout(ic: StateSet, backend: BackendSpec, plan: RolloutPlan,
-                emit_leads, verify_determinism: bool = False) -> list[tuple[int, StateSet]]:
-    """Drive the backend along the plan; return [(lead_hours, state), ...]
-    for the requested leads in increasing order.
+def run_rollout(ic: StateSet, backend: BackendSpec, leads,
+                verify_determinism: bool = False) -> list[tuple[int, StateSet]]:
+    """Drive the backend through the fewest steps that reach every lead;
+    return [(lead_hours, state), ...] in increasing order (lead 0 is the IC).
 
-    External backends require the canonical 721x1440 grid. Every emitted
-    state is checked for NaN/Inf.
+    External backends require the canonical 721x1440 grid. The IC is
+    written once, to step000.nws; step n reads step{n-1} and writes step{n},
+    and step{n-1} is deleted once step n's output has been read and checked.
+    Every state is checked for NaN/Inf before the next step starts.
     """
-    emit_leads = set(int(h) for h in emit_leads)
-    cumulative = plan.cumulative_leads()
-    bad = emit_leads - set(cumulative) - {0}
-    if bad:
-        raise ValueError(f"emit leads {sorted(bad)} are not on the plan {plan.steps}")
-    if backend.kind == "external-command" and ic.grid != GridSpec.canonical():
+    emit = {int(h) for h in leads}
+    plan = plan_for_leads(emit, backend.horizons)
+    external = backend.kind == "external-command"
+    if external and ic.grid != GridSpec.canonical():
         raise RolloutError("external backends require the canonical 721x1440 grid")
 
-    series: list[tuple[int, StateSet]] = []
-    if 0 in emit_leads:
-        series.append((0, ic))
+    series: list[tuple[int, StateSet]] = [(0, ic)] if 0 in emit else []
     with tempfile.TemporaryDirectory(prefix="nwpeval-rollout-") as work:
-
-        def step(state: StateSet, hours: int, n: int) -> StateSet:
-            if backend.kind == "builtin":
-                return builtin_step(state, backend, hours)
-            return _external_step(state, backend, hours, Path(work), n)
-
+        files = [Path(work) / f"step{n:03d}.nws" for n in range(len(plan.steps) + 1)]
+        if external and plan.steps:
+            write_archive(ic, str(files[0]))
         state = ic
+        cumulative = itertools.accumulate(plan.steps)
         for n, (hours, lead) in enumerate(zip(plan.steps, cumulative), start=1):
-            state = step(state, hours, n)
-            if verify_determinism and n == 1:
-                h1 = hashlib.sha256(archive_bytes(state)).hexdigest()
-                h2 = hashlib.sha256(archive_bytes(step(ic, hours, n))).hexdigest()
-                if h1 != h2:
-                    log.warning("backend is not deterministic: step-1 hashes "
-                                "%s vs %s", h1, h2)
+            if not external:
+                state = builtin_step(state, backend, hours)
+            else:
+                state = _external_step(files[n - 1], files[n], backend, hours, n)
+                if verify_determinism and n == 1:
+                    # repeat into its own file: step 2 reads step001.nws
+                    repeat = Path(work) / "repeat001.nws"
+                    _external_step(files[0], repeat, backend, hours, n)
+                    h1, h2 = (hashlib.sha256(f.read_bytes()).hexdigest()
+                              for f in (files[1], repeat))
+                    if h1 != h2:
+                        log.warning("backend is not deterministic: step-1 hashes "
+                                    "%s vs %s", h1, h2)
+                    repeat.unlink()
+                files[n - 1].unlink(missing_ok=True)
             if not np.isfinite(state.data).all():
                 raise RolloutError(f"backend produced NaN/Inf at step {n} (+{hours}h)")
-            if lead in emit_leads:
+            if lead in emit:
                 series.append((lead, state.replace(
                     valid_time=ic.valid_time + timedelta(hours=lead),
                     source_label=ic.source_label)))

@@ -116,8 +116,8 @@ def evaluate_run(forecasts: dict[int, StateSet], truths: dict[int, StateSet],
     """Score a forecast series against a truth series.
 
     forecasts/truths map lead hours to states on one common grid. Returns
-    (records, errors); a missing or mismatched truth at a lead is recorded
-    as an error and the run continues.
+    (records, errors); a missing or mismatched truth at a lead, or a
+    non-finite RMSE or ACC, is an error, not a row; the run continues.
     """
     if report_channels is None:
         report_channels = DEFAULT_REPORT_CHANNELS
@@ -146,20 +146,19 @@ def evaluate_run(forecasts: dict[int, StateSet], truths: dict[int, StateSet],
             o = tr.channel(var, level)
             c = climatology.channel(var, level)
             for name, w in weights.items():
-                rmse = rmse_weighted(f, o, w)
-                records.append(MetricRecord(
-                    init_time=init_time, source_label=fc.source_label,
-                    variable=var, level=level, region=name, lead_hours=lead,
-                    metric="RMSE", value=_report_value(var, "RMSE", rmse)))
+                where = f"lead {lead} {channel_name(var, level)} {name}"
+                values = {"RMSE": rmse_weighted(f, o, w)}
                 try:
-                    acc = acc_weighted(f, o, c, w)
+                    values["ACC"] = acc_weighted(f, o, c, w)
                 except DegenerateAnomalyError as exc:
-                    errors.append(f"lead {lead} {channel_name(var, level)} "
-                                  f"{name}: {exc}")
-                    continue
-                records.append(MetricRecord(
-                    init_time=init_time, source_label=fc.source_label,
-                    variable=var, level=level, region=name, lead_hours=lead,
-                    metric="ACC", value=acc))
+                    errors.append(f"{where}: {exc}")
+                for metric, value in values.items():
+                    if not math.isfinite(value):
+                        errors.append(f"{where}: {metric} is not finite ({value})")
+                        continue
+                    records.append(MetricRecord(
+                        init_time=init_time, source_label=fc.source_label,
+                        variable=var, level=level, region=name, lead_hours=lead,
+                        metric=metric, value=_report_value(var, metric, value)))
     records.sort(key=MetricRecord.sort_key)
     return records, errors

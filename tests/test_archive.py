@@ -101,6 +101,11 @@ class TestErrors:
         with pytest.raises(FormatError):
             read_archive(io.BytesIO(bytes(raw)))
 
+    def test_bytes_after_payload(self, small_grid):
+        raw = archive_bytes(random_state(small_grid, seed=9)) + b"\0"
+        with pytest.raises(FormatError, match="follow the payload"):
+            read_archive(io.BytesIO(raw))
+
 
 class TestIngestRaw:
     def _payload(self, state) -> bytes:

@@ -200,6 +200,7 @@ BAD_CONFIGS = {
     "negative-horizon": {"backend": {"horizons": [24, -6]}, "lead_hours": [30]},
     "regions-not-a-mapping": {"regions": [[-90, 90, 0, 360]]},
     "zero-workers": {"workers": 0},
+    "empty-region": {"regions": {"tiny": [12, 14, 22, 24]}},
 }
 
 
@@ -227,6 +228,26 @@ class TestRunSubcommand:
         log = (tmp_path / "out" / "run.log").read_text()
         assert "lead 36: missing truth file" in log
         assert ",72,RMSE," in (tmp_path / "out" / "metrics.csv").read_text()
+
+    def test_nan_truth_is_an_error_not_a_row(self, tmp_path, small_grid):
+        from tests.test_experiment import build_inputs
+        labels = build_inputs(tmp_path, small_grid)
+        truth = read_archive(str(tmp_path / "truth_48.nws"))
+        data = truth.data.copy()
+        data[0, 0, 0] = np.nan   # MSLP at the north pole, outside east_asia
+        write_archive(truth.replace(data=data), str(tmp_path / "truth_48.nws"))
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels)))
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert "nan" not in (tmp_path / "out" / "metrics.csv").read_text().lower()
+        log = (tmp_path / "out" / "run.log").read_text()
+        assert "lead 48 MSLP global: RMSE is not finite" in log
+        assert ",24,RMSE," in (tmp_path / "out" / "metrics.csv").read_text()
+        assert main(["evaluate", "--forecast-pattern", str(tmp_path / "src0.nws"),
+                     "--truth-pattern", str(tmp_path / "truth_{lead}.nws"),
+                     "--climatology", str(tmp_path / "clim.nws"), "--leads", "24,48",
+                     "--out", str(tmp_path / "eval.csv")]) == 1
+        assert "nan" not in (tmp_path / "eval.csv").read_text().lower()
 
     def test_full_run(self, tmp_path, small_grid, capsys):
         from tests.test_experiment import build_inputs

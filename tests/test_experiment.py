@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 import yaml
 
-from nwpeval.archive import write_archive
+from nwpeval.archive import ingest_raw, write_archive
 from nwpeval.experiment import (ConfigError, ExperimentConfig, ICSource,
                                 SpliceScenario, load_config, parse_channel,
                                 run_experiment, write_metric_csv)
-from nwpeval.grids import EAST_ASIA, GLOBAL, GridSpec, Var
+from nwpeval.grids import CHANNELS, EAST_ASIA, GLOBAL, GridSpec, Var, channel_name
 from nwpeval.plots import PlotInputError, read_metric_csv
 from nwpeval.rollout import BackendSpec
 from nwpeval.splice import SpliceSpec
@@ -183,6 +183,27 @@ class TestYamlConfig:
         assert report.config_hash == hashlib.sha256(cfg.snapshot_bytes).hexdigest()
         snapshot = (tmp_path / "out" / "config_snapshot").read_bytes()
         assert snapshot == cfg_path.read_bytes()
+
+    def test_channel_order_by_name(self, tmp_path, small_grid):
+        # a raw dump stored in reversed channel order with south-first rows
+        state = make_state(small_grid, seed=3, source_label="raw")
+        (tmp_path / "raw.bin").write_bytes(
+            np.ascontiguousarray(state.data[::-1, ::-1, :], dtype="<f4").tobytes())
+        build_inputs(tmp_path, small_grid, n_sources=0)
+        grid = {"nlat": small_grid.nlat, "nlon": small_grid.nlon,
+                "dlat": small_grid.dlat, "dlon": small_grid.dlon}
+        doc = {"init_time": "2023-06-06T00:00:00Z", "grid": grid,
+               "ic_sources": [{"label": "raw", "path": "raw.bin", "grid": grid,
+                               "layout": {"scan": "south-first", "channel_order": [
+                                   channel_name(v, lvl) for v, lvl in CHANNELS[::-1]]}}],
+               "truth": "truth_{lead}.nws", "climatology": "clim.nws",
+               "lead_hours": [24], "output_dir": "out"}
+        cfg_path = tmp_path / "exp.yaml"
+        cfg_path.write_text(yaml.safe_dump(doc))
+        src = load_config(str(cfg_path)).ic_sources[0]
+        out = ingest_raw(src.path, src.grid, src.layout,
+                         valid_time=state.valid_time, source_label="raw")
+        assert np.array_equal(out.data, state.data)
 
     def test_missing_key(self, tmp_path):
         p = tmp_path / "bad.yaml"

@@ -1,5 +1,8 @@
 import itertools
+import json
+import logging
 import os
+import re
 import stat
 import sys
 import textwrap
@@ -10,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nwpeval.grids import GridSpec
-from nwpeval.rollout import (BackendSpec, RolloutError, RolloutPlan,
-                             UnreachableLeadError, builtin_step, plan_for_leads,
-                             run_rollout, schedule_steps)
+from nwpeval.rollout import (BackendSpec, RolloutError, UnreachableLeadError,
+                             builtin_step, plan_for_leads, run_rollout,
+                             schedule_steps)
 from tests.conftest import random_state
 
 
@@ -85,16 +88,12 @@ class TestScheduleSteps:
             if steps and steps[0] < h <= lead:
                 assert min_steps_exhaustive(lead - h, horizons) != best - 1
 
-    def test_cumulative_leads(self):
-        plan = RolloutPlan(steps=(24, 6, 1))
-        assert plan.cumulative_leads() == (24, 30, 31)
-
 
 class TestPlanForLeads:
     def test_every_lead_is_on_the_plan(self):
         plan = plan_for_leads([48, 6, 24, 24], {24, 6})
         assert plan.steps == (6, 6, 6, 6, 24)
-        assert {6, 24, 48} <= set(plan.cumulative_leads())
+        assert {6, 24, 48} <= set(itertools.accumulate(plan.steps))
 
     def test_segments_use_minimal_steps(self):
         assert plan_for_leads([8, 16], {6, 4}).steps == (4, 4, 4, 4)
@@ -131,9 +130,8 @@ class TestBuiltinStep:
 
 class TestRunRollout:
     def test_persistence_series_bitwise(self, small_state):
-        plan = schedule_steps(240, {24})
         series = run_rollout(small_state, BackendSpec(builtin="persistence"),
-                             plan, emit_leads=range(24, 241, 24))
+                             range(24, 241, 24))
         assert [lead for lead, _ in series] == list(range(24, 241, 24))
         for lead, s in series:
             assert np.array_equal(s.data, small_state.data)
@@ -141,43 +139,36 @@ class TestRunRollout:
             assert (s.valid_time - small_state.valid_time).total_seconds() == lead * 3600
 
     def test_empty_plan(self, small_state):
-        series = run_rollout(small_state, BackendSpec(), RolloutPlan(steps=()),
-                             emit_leads=[])
+        series = run_rollout(small_state, BackendSpec(), [])
         assert series == []
 
     def test_advection_returns_after_full_cycle(self, small_grid):
         s = random_state(small_grid, seed=1)
         k, nlon = 4, small_grid.nlon
         steps = nlon // k  # 4 steps of 4 cells on 16 columns
-        plan = RolloutPlan(steps=(24,) * steps)
         be = BackendSpec(builtin="advection", advection_cells=k)
-        series = run_rollout(s, be, plan, emit_leads=[24 * steps])
+        series = run_rollout(s, be, [24 * steps])
         assert np.array_equal(series[-1][1].data, s.data)
 
     def test_composition_two_steps_equal_double_shift(self, small_state):
         be1 = BackendSpec(builtin="advection", advection_cells=3)
-        two = run_rollout(small_state, be1, RolloutPlan(steps=(24, 24)),
-                          emit_leads=[48])[0][1]
-        be2 = BackendSpec(builtin="advection", advection_cells=6)
-        one = run_rollout(small_state, be2, RolloutPlan(steps=(48,)),
-                          emit_leads=[48])[0][1]
+        two = run_rollout(small_state, be1, [48])[0][1]
+        be2 = BackendSpec(builtin="advection", advection_cells=6, horizons={48})
+        one = run_rollout(small_state, be2, [48])[0][1]
         assert np.array_equal(two.data, one.data)
 
     def test_emit_lead_zero(self, small_state):
-        series = run_rollout(small_state, BackendSpec(),
-                             RolloutPlan(steps=(24,)), emit_leads=[0, 24])
+        series = run_rollout(small_state, BackendSpec(), [0, 24])
         assert series[0] == (0, small_state)
 
     def test_off_plan_emit_rejected(self, small_state):
-        with pytest.raises(ValueError):
-            run_rollout(small_state, BackendSpec(), RolloutPlan(steps=(24,)),
-                        emit_leads=[12])
+        with pytest.raises(UnreachableLeadError):
+            run_rollout(small_state, BackendSpec(), [12])
 
     def test_determinism_hashes(self, small_state, caplog):
         import logging
         with caplog.at_level(logging.WARNING):
-            run_rollout(small_state, BackendSpec(), RolloutPlan(steps=(24,)),
-                        emit_leads=[24], verify_determinism=True)
+            run_rollout(small_state, BackendSpec(), [24], verify_determinism=True)
         assert not any("not deterministic" in r.message for r in caplog.records)
 
 
@@ -202,6 +193,25 @@ def write_backend_script(path, body):
     path.chmod(path.stat().st_mode | stat.S_IEXEC)
 
 
+def write_copy_backend(path, body=""):
+    """A backend that copies --in to --out (persistence that leaves the
+    valid time as it is), then runs one line of body."""
+    path.write_text(textwrap.dedent(f"""\
+        #!{sys.executable}
+        import argparse, json, os, random, shutil, struct
+        p = argparse.ArgumentParser()
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--step-hours", type=int, required=True)
+        a = p.parse_args()
+        shutil.copyfile(a.infile, a.out)
+        {body}
+        """))
+    path.chmod(path.stat().st_mode | stat.S_IEXEC)
+    return BackendSpec(kind="external-command", command=f"{sys.executable} {path}",
+                       horizons={24})
+
+
 class TestExternalBackend:
     """Exercises the subprocess protocol the real inference wrapper uses."""
 
@@ -223,8 +233,7 @@ class TestExternalBackend:
             "valid_time=state.valid_time + timedelta(hours=a.step_hours))")
         be = BackendSpec(kind="external-command",
                          command=f"{sys.executable} {script}", horizons={24})
-        series = run_rollout(canonical_like_state, be, RolloutPlan(steps=(24, 24)),
-                             emit_leads=[24, 48])
+        series = run_rollout(canonical_like_state, be, [24, 48])
         assert series[0][1].data[0, 0, 0] == 1.0
         assert series[1][1].data[0, 0, 0] == 2.0
         assert (series[1][1].valid_time
@@ -233,7 +242,7 @@ class TestExternalBackend:
     def test_external_requires_canonical_grid(self, tmp_path, small_state):
         be = BackendSpec(kind="external-command", command="true", horizons={24})
         with pytest.raises(RolloutError):
-            run_rollout(small_state, be, RolloutPlan(steps=(24,)), emit_leads=[24])
+            run_rollout(small_state, be, [24])
 
     def test_nonzero_exit_names_step(self, tmp_path, canonical_like_state):
         script = tmp_path / "backend.py"
@@ -243,8 +252,7 @@ class TestExternalBackend:
         be = BackendSpec(kind="external-command",
                          command=f"{sys.executable} {script}", horizons={24})
         with pytest.raises(RolloutError, match="step 1 .*exit 3; stderr: boom"):
-            run_rollout(canonical_like_state, be, RolloutPlan(steps=(24,)),
-                        emit_leads=[24])
+            run_rollout(canonical_like_state, be, [24])
 
     def test_malformed_output_archive(self, tmp_path, canonical_like_state):
         script = tmp_path / "backend.py"
@@ -261,8 +269,7 @@ class TestExternalBackend:
         be = BackendSpec(kind="external-command",
                          command=f"{sys.executable} {script}", horizons={24})
         with pytest.raises(RolloutError, match="malformed"):
-            run_rollout(canonical_like_state, be, RolloutPlan(steps=(24,)),
-                        emit_leads=[24])
+            run_rollout(canonical_like_state, be, [24])
 
     def test_nan_output_rejected(self, tmp_path, canonical_like_state):
         script = tmp_path / "backend.py"
@@ -272,8 +279,51 @@ class TestExternalBackend:
         be = BackendSpec(kind="external-command",
                          command=f"{sys.executable} {script}", horizons={24})
         with pytest.raises(RolloutError, match="NaN"):
-            run_rollout(canonical_like_state, be, RolloutPlan(steps=(24,)),
-                        emit_leads=[24])
+            run_rollout(canonical_like_state, be, [24])
+
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_steps_chain_their_files(self, tmp_path, canonical_like_state, caplog,
+                                     verify):
+        # each step logs [--in, --out, number of .nws files beside --out]
+        calls = tmp_path / "calls.jsonl"
+        be = write_copy_backend(
+            tmp_path / "backend.py",
+            f"open({str(calls)!r}, 'a').write(json.dumps([a.infile, a.out, "
+            "sum(f.endswith('.nws') for f in os.listdir(os.path.dirname(a.out)))]) + '\\n')")
+        with caplog.at_level(logging.WARNING):
+            series = run_rollout(canonical_like_state, be, [24, 48, 72],
+                                 verify_determinism=verify)
+        assert [lead for lead, _ in series] == [24, 48, 72]
+        assert not any("not deterministic" in r.message for r in caplog.records)
+        steps = [json.loads(line) for line in calls.read_text().splitlines()]
+        if verify:
+            repeat_in, repeat_out, repeat_files = steps.pop(1)
+            assert repeat_in == steps[0][0] and repeat_out != steps[0][1]
+            assert repeat_files == 3
+        assert len(steps) == 3
+        for (_, prev_out, _), (cur_in, _, _) in zip(steps, steps[1:]):
+            assert cur_in == prev_out
+        assert max(files for _, _, files in steps) == 2
+        assert not os.path.exists(os.path.dirname(steps[0][0]))
+
+    def test_noisy_backend_fails_determinism_check(self, tmp_path,
+                                                   canonical_like_state, caplog):
+        # overwrites the last value of each output with a random one
+        be = write_copy_backend(
+            tmp_path / "backend.py",
+            "f = open(a.out, 'r+b'); f.seek(-4, 2); "
+            "f.write(struct.pack('<f', random.random())); f.close()")
+        with caplog.at_level(logging.WARNING):
+            run_rollout(canonical_like_state, be, [24], verify_determinism=True)
+        (msg,) = [r.message for r in caplog.records if "not deterministic" in r.message]
+        h1, h2 = re.findall(r"\b[0-9a-f]{64}\b", msg)
+        assert h1 != h2
+
+    def test_bytes_after_the_output_archive(self, tmp_path, canonical_like_state):
+        be = write_copy_backend(tmp_path / "backend.py",
+                                "open(a.out, 'ab').write(b'garbage')")
+        with pytest.raises(RolloutError, match="malformed"):
+            run_rollout(canonical_like_state, be, [24])
 
 
 class TestBackendSpec:
