@@ -19,12 +19,12 @@ from .archive import (ArchiveError, RawDumpLayout, ingest_raw, read_archive,
                       read_header, write_archive)
 from .experiment import (ConfigError, _parse_box, _parse_time, load_config,
                          parse_channel, run_experiment)
-from .grids import DEFAULT_REGIONS, GridSpec, validate_state
+from .grids import DEFAULT_REGIONS, GridMismatchError, GridSpec, validate_state
 from .plots import PlotInputError, emit_plots, write_metric_csv
 from .regrid import regrid_state
 from .rollout import BackendSpec, RolloutError, plan_for_leads, run_rollout
 from .splice import SpliceSpec, splice_states
-from .verify import evaluate_run
+from .verify import evaluate_run, report_planes
 
 log = logging.getLogger(__name__)
 
@@ -210,13 +210,15 @@ def _cmd_rollout(args) -> int:
         emit = [*range(args.emit_every, args.lead, args.emit_every), args.lead]
         plan_for_leads(emit, backend.horizons)   # unreachable lead: exit 2 before any read
     ic = read_archive(args.infile)
-    series = run_rollout(ic, backend, emit, verify_determinism=args.verify_determinism)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for lead, state in series:
+
+    def write(lead, state):
         path = outdir / f"forecast_{lead:03d}h.nws"
         write_archive(state, str(path))
         print(f"lead {lead:4d}h -> {path}")
+
+    run_rollout(ic, backend, emit, write, verify_determinism=args.verify_determinism)
     return 0
 
 
@@ -224,18 +226,28 @@ def _cmd_evaluate(args) -> int:
     with _usage():
         leads = [int(h) for h in args.leads.split(",")]
         regions = {name: _parse_box(box.split(","))
-                   for name, _, box in (spec.partition("=") for spec in args.region)}
+                   for name, _, box in (spec.partition("=") for spec in args.region)
+                   } or DEFAULT_REGIONS
         channels = None
         if args.channels:
             channels = [parse_channel(c) for c in args.channels.split(",")]
-    forecasts = {}
-    truths = {}
-    for lead in leads:
-        forecasts[lead] = read_archive(args.forecast_pattern.format(lead=lead))
-        truths[lead] = read_archive(args.truth_pattern.format(lead=lead))
     clim = read_archive(args.climatology)
-    records, errors = evaluate_run(forecasts, truths, clim,
-                                   regions or DEFAULT_REGIONS, channels)
+    grid = clim.grid
+    clim = report_planes(clim, grid, channels)
+    records, errors = [], []
+    for lead in leads:
+        fc = read_archive(args.forecast_pattern.format(lead=lead))
+        if fc.grid != grid:
+            raise GridMismatchError("climatology grid does not match forecast grid")
+        try:
+            truth = report_planes(read_archive(args.truth_pattern.format(lead=lead)),
+                                  grid, channels)
+        except GridMismatchError as exc:
+            errors.append(f"lead {lead}: truth {exc}")
+            continue
+        r, e = evaluate_run({lead: fc}, {lead: truth}, clim, regions, channels)
+        records.extend(r)
+        errors.extend(e)
     for e in errors:
         log.warning("%s", e)
     write_metric_csv(records, Path(args.out))

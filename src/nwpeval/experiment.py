@@ -19,16 +19,18 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
 import yaml
 
 from .archive import RawDumpLayout, ingest_raw, read_archive
-from .grids import (CHANNEL_INDEX, DEFAULT_REGIONS, GridSpec, RegionBox,
-                    StateSet, Var, region_mask)
+from .grids import (CHANNEL_INDEX, DEFAULT_REGIONS, GridMismatchError,
+                    GridSpec, RegionBox, StateSet, Var, region_mask)
 from .plots import emit_plots, write_metric_csv
 from .regrid import regrid_state
 from .rollout import BackendSpec, plan_for_leads, run_rollout
 from .splice import SpliceSpec, splice_states
-from .verify import DEFAULT_REPORT_CHANNELS, MetricRecord, evaluate_run
+from .verify import (DEFAULT_REPORT_CHANNELS, MetricRecord, evaluate_run,
+                     report_planes)
 
 log = logging.getLogger(__name__)
 
@@ -249,6 +251,8 @@ def _load_source(src: ICSource, init_time: datetime,
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Execute every run in the matrix and assemble the report.
 
+    Each lead is scored as the rollout reaches it, against the report
+    planes of its truth, so a run holds one forecast state at a time.
     Per-run failures are logged and recorded without aborting the other
     runs; config validation failures abort before any run starts.
     """
@@ -256,15 +260,19 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    truths: dict[int, StateSet] = {}
+    grid, channels = config.model_grid, config.report_channels
+    truths: dict[int, np.ndarray] = {}
     truth_errors: list[str] = []
     for lead in config.lead_hours:
         p = config.truth_pattern.format(lead=lead)
-        if os.path.exists(p):
-            truths[lead] = read_archive(p)
-        else:
+        if not os.path.exists(p):
             truth_errors.append(f"lead {lead}: missing truth file {p}")
-    climatology = read_archive(config.climatology_path)
+            continue
+        try:
+            truths[lead] = report_planes(read_archive(p), grid, channels)
+        except GridMismatchError as exc:
+            truth_errors.append(f"lead {lead}: truth {exc}")
+    climatology = report_planes(read_archive(config.climatology_path), grid, channels)
 
     ics: dict[str, StateSet] = {}
     failures: dict[str, str] = {}
@@ -280,19 +288,25 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             failures[sc.label] = "base or donor source failed to load"
             continue
         try:
-            spliced = splice_states(ics[sc.base_source], ics[sc.donor_source],
-                                    sc.spec, allow_time_mismatch=True)
-            runs.append((sc.label, spliced.replace(source_label=sc.label)))
+            runs.append((sc.label, splice_states(
+                ics[sc.base_source], ics[sc.donor_source], sc.spec,
+                allow_time_mismatch=True).replace(source_label=sc.label)))
         except Exception as exc:
             failures[sc.label] = f"splice failed: {exc}"
 
     run_errors: dict[str, list[str]] = {}
 
     def one_run(label: str, ic: StateSet) -> list[MetricRecord]:
-        series = run_rollout(ic, config.backend, config.lead_hours)
-        forecasts = dict(series)
-        recs, errs = evaluate_run(forecasts, truths, climatology,
-                                  config.regions, config.report_channels)
+        recs: list[MetricRecord] = []
+        errs: list[str] = []
+
+        def score(lead: int, state: StateSet) -> None:
+            r, e = evaluate_run({lead: state}, truths, climatology,
+                                config.regions, channels)
+            recs.extend(r)
+            errs.extend(e)
+
+        run_rollout(ic, config.backend, config.lead_hours, score)
         if errs:
             run_errors[label] = errs
         return recs
@@ -307,6 +321,8 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
                 records.extend(fut.result())
             except Exception as exc:
                 failures[label] = f"run failed: {exc}"
+    labels = [label for label, _ in runs]
+    del truths, climatology, ics, runs   # scored: free the inputs before output
 
     csv_path = outdir / "metrics.csv"
     write_metric_csv(records, csv_path)
@@ -318,7 +334,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
 
     log_lines = [f"experiment: {config.name}",
                  f"config sha256: {config_hash}",
-                 f"runs: {', '.join(label for label, _ in runs) or '(none)'}"]
+                 f"runs: {', '.join(labels) or '(none)'}"]
     for msg in truth_errors:
         log_lines.append(f"truth: {msg}")
     for label, errs in sorted(run_errors.items()):

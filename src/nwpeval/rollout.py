@@ -1,9 +1,10 @@
 """Autoregressive forecast driver.
 
 Decomposes a requested lead time into backend step sizes, invokes the
-backend once per step, and collects the emitted states. Backends are
-either builtin desk-scale surrogates (persistence, eastward advection)
-or an external command speaking the subprocess protocol:
+backend once per step, and hands each requested lead to a callback as
+soon as it is reached. Backends are either builtin desk-scale surrogates
+(persistence, eastward advection) or an external command speaking the
+subprocess protocol:
 
     <command> --in <state.nws> --out <state.nws> --step-hours <H>
 
@@ -149,23 +150,28 @@ def _external_step(in_path: Path, out_path: Path, backend: BackendSpec,
     return out
 
 
-def run_rollout(ic: StateSet, backend: BackendSpec, leads,
-                verify_determinism: bool = False) -> list[tuple[int, StateSet]]:
-    """Drive the backend through the fewest steps that reach every lead;
-    return [(lead_hours, state), ...] in increasing order (lead 0 is the IC).
+def run_rollout(ic: StateSet, backend: BackendSpec, leads, emit,
+                verify_determinism: bool = False) -> None:
+    """Drive the backend through the fewest steps that reach every lead and
+    call emit(lead_hours, state) for each requested lead as soon as it is
+    reached, in increasing order (lead 0 is the IC). The rollout keeps no
+    emitted state, so emit copies out whatever it needs.
 
-    External backends require the canonical 721x1440 grid. The IC is
-    written once, to step000.nws; step n reads step{n-1} and writes step{n},
-    and step{n-1} is deleted once step n's output has been read and checked.
-    Every state is checked for NaN/Inf before the next step starts.
+    An unreachable lead, or an IC off the canonical 721x1440 grid that
+    external backends require, is raised before any step or emit. The IC is
+    written once, to step000.nws; step n reads step{n-1} and writes
+    step{n}, and step{n-1} is deleted once step n's output has been read
+    and checked. Every state is checked for NaN/Inf before it is emitted
+    and before the next step starts.
     """
-    emit = {int(h) for h in leads}
-    plan = plan_for_leads(emit, backend.horizons)
+    wanted = {int(h) for h in leads}
+    plan = plan_for_leads(wanted, backend.horizons)
     external = backend.kind == "external-command"
     if external and ic.grid != GridSpec.canonical():
         raise RolloutError("external backends require the canonical 721x1440 grid")
 
-    series: list[tuple[int, StateSet]] = [(0, ic)] if 0 in emit else []
+    if 0 in wanted:
+        emit(0, ic)
     with tempfile.TemporaryDirectory(prefix="nwpeval-rollout-") as work:
         files = [Path(work) / f"step{n:03d}.nws" for n in range(len(plan.steps) + 1)]
         if external and plan.steps:
@@ -176,6 +182,7 @@ def run_rollout(ic: StateSet, backend: BackendSpec, leads,
             if not external:
                 state = builtin_step(state, backend, hours)
             else:
+                del state   # it is on disk: hold one state while reading the next
                 state = _external_step(files[n - 1], files[n], backend, hours, n)
                 if verify_determinism and n == 1:
                     # repeat into its own file: step 2 reads step001.nws
@@ -190,8 +197,7 @@ def run_rollout(ic: StateSet, backend: BackendSpec, leads,
                 files[n - 1].unlink(missing_ok=True)
             if not np.isfinite(state.data).all():
                 raise RolloutError(f"backend produced NaN/Inf at step {n} (+{hours}h)")
-            if lead in emit:
-                series.append((lead, state.replace(
+            if lead in wanted:
+                emit(lead, state.replace(
                     valid_time=ic.valid_time + timedelta(hours=lead),
-                    source_label=ic.source_label)))
-    return series
+                    source_label=ic.source_label))

@@ -3,11 +3,14 @@
 Weights are cos(latitude) over the evaluation mask, normalized to sum to
 one, so the RMSE of a constant offset equals the offset. All accumulation
 is in float64 regardless of field precision. The ACC correlates forecast
-and truth departures from a supplied climatology.
+and truth departures from a supplied climatology. Each region is scored
+on its own (rows, cols) block of the grid, so a value outside the region
+cannot reach its scores.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -110,14 +113,42 @@ def _report_value(var: Var, metric: str, value: float) -> float:
     return value
 
 
-def evaluate_run(forecasts: dict[int, StateSet], truths: dict[int, StateSet],
-                 climatology: StateSet, regions: dict[str, RegionBox],
-                 report_channels=None) -> tuple[list[MetricRecord], list[str]]:
-    """Score a forecast series against a truth series.
+def report_planes(state: StateSet, grid: GridSpec, report_channels=None) -> np.ndarray:
+    """Copy of the report-channel planes of a state on `grid`, shape
+    (len(report_channels), nlat, nlon) in report_channels order, so the
+    69-channel state need not be kept."""
+    if state.grid != grid:
+        raise GridMismatchError(f"{state.source_label} grid does not match "
+                                "the forecast grid")
+    return np.stack([state.channel(var, level)
+                     for var, level in report_channels or DEFAULT_REPORT_CHANNELS])
 
-    forecasts/truths map lead hours to states on one common grid. Returns
-    (records, errors); a missing or mismatched truth at a lead, or a
-    non-finite RMSE or ACC, is an error, not a row; the run continues.
+
+@functools.lru_cache(maxsize=64)
+def _region_block(grid: GridSpec, box: RegionBox):
+    """(index, weights) of the box's block of rows and columns. region_mask
+    is a Cartesian product of rows and columns, so the block holds exactly
+    the region's points and lat_weights over the mask, cut to the block,
+    are its normalized weights. A whole-grid block indexes to a view."""
+    mask = region_mask(grid, box)
+    block = ((slice(None), slice(None)) if mask.all()
+             else np.ix_(mask.any(axis=1), mask.any(axis=0)))
+    weights = lat_weights(grid, mask)[block]
+    weights.flags.writeable = False
+    return block, weights
+
+
+def evaluate_run(forecasts: dict[int, StateSet], truths: dict[int, np.ndarray],
+                 climatology: np.ndarray, regions: dict[str, RegionBox],
+                 report_channels=None) -> tuple[list[MetricRecord], list[str]]:
+    """Score forecasts against truths.
+
+    forecasts maps lead hours to states on one common grid; truths maps
+    lead hours, and climatology is, the report_planes of that grid in
+    report_channels order. Returns (records, errors); a missing or
+    mismatched truth at a lead, or a non-finite RMSE or ACC, is an error,
+    not a row; the run continues. Region blocks and weights are built once
+    per (grid, box), not once per call.
     """
     if report_channels is None:
         report_channels = DEFAULT_REPORT_CHANNELS
@@ -127,10 +158,11 @@ def evaluate_run(forecasts: dict[int, StateSet], truths: dict[int, StateSet],
     if not leads:
         return records, errors
     grid = forecasts[leads[0]].grid
-    if climatology.grid != grid:
-        raise GridMismatchError("climatology grid does not match forecast grid")
-    weights = {name: lat_weights(grid, region_mask(grid, box))
-               for name, box in regions.items()}
+    shape = (len(report_channels),) + grid.shape
+    if climatology.shape != shape:
+        raise GridMismatchError("climatology planes do not match the forecast "
+                                "grid and report channels")
+    blocks = {name: _region_block(grid, box) for name, box in regions.items()}
     for lead in leads:
         fc = forecasts[lead]
         init_time = fc.valid_time - timedelta(hours=lead)
@@ -138,18 +170,17 @@ def evaluate_run(forecasts: dict[int, StateSet], truths: dict[int, StateSet],
             errors.append(f"lead {lead}: no truth state")
             continue
         tr = truths[lead]
-        if tr.grid != grid:
+        if tr.shape != shape:
             errors.append(f"lead {lead}: truth grid mismatch")
             continue
-        for var, level in report_channels:
-            f = fc.channel(var, level)
-            o = tr.channel(var, level)
-            c = climatology.channel(var, level)
-            for name, w in weights.items():
+        for k, (var, level) in enumerate(report_channels):
+            f, o, c = fc.channel(var, level), tr[k], climatology[k]
+            for name, (block, w) in blocks.items():
                 where = f"lead {lead} {channel_name(var, level)} {name}"
-                values = {"RMSE": rmse_weighted(f, o, w)}
+                fb, ob = f[block], o[block]
+                values = {"RMSE": rmse_weighted(fb, ob, w)}
                 try:
-                    values["ACC"] = acc_weighted(f, o, c, w)
+                    values["ACC"] = acc_weighted(fb, ob, c[block], w)
                 except DegenerateAnomalyError as exc:
                     errors.append(f"{where}: {exc}")
                 for metric, value in values.items():

@@ -1,3 +1,4 @@
+import logging
 import struct
 
 import numpy as np
@@ -7,7 +8,8 @@ import yaml
 from nwpeval.archive import read_archive, read_header, write_archive
 from nwpeval.cli import main
 from nwpeval.grids import GridSpec
-from nwpeval.synthetic import make_state
+from nwpeval.plots import read_metric_csv
+from nwpeval.synthetic import make_climatology, make_state
 from tests.conftest import random_state
 
 
@@ -147,6 +149,29 @@ class TestRolloutEvaluatePlot:
         assert main(["plot", "--csv", str(csv), "--out-dir", str(pdir)]) == 0
         assert len(list(pdir.glob("*.svg"))) == 9 * 2 * 2
 
+    def test_evaluate_grid_mismatches(self, tmp_path, small_grid, coarse_grid, caplog):
+        for lead in (24, 48):
+            write_archive(make_state(small_grid, seed=55, source_label="gfs"),
+                          str(tmp_path / f"fc_{lead}.nws"))
+        write_archive(make_state(small_grid, seed=56, source_label="era5"),
+                      str(tmp_path / "truth_24.nws"))
+        write_archive(make_state(coarse_grid, seed=56, source_label="era5"),
+                      str(tmp_path / "truth_48.nws"))
+        write_archive(make_climatology(small_grid), str(tmp_path / "clim.nws"))
+        csv = tmp_path / "metrics.csv"
+        argv = ["evaluate", "--forecast-pattern", str(tmp_path / "fc_{lead}.nws"),
+                "--truth-pattern", str(tmp_path / "truth_{lead}.nws"),
+                "--climatology", str(tmp_path / "clim.nws"), "--leads", "24,48",
+                "--out", str(csv)]
+        with caplog.at_level(logging.WARNING):
+            assert main(argv) == 1
+        assert {r["lead_hours"] for r in read_metric_csv(str(csv))} == {"24"}
+        assert "lead 48: truth era5 grid does not match the forecast grid" in caplog.text
+        # a climatology off the forecast grid stops the command before any output
+        csv.unlink()
+        write_archive(make_climatology(coarse_grid), str(tmp_path / "clim.nws"))
+        assert main(argv) == 1 and not csv.exists()
+
     @pytest.mark.parametrize("lead,files", [
         ("12", ["forecast_012h.nws"]),
         ("30", ["forecast_024h.nws", "forecast_030h.nws"]),
@@ -242,7 +267,9 @@ class TestRunSubcommand:
         assert "nan" not in (tmp_path / "out" / "metrics.csv").read_text().lower()
         log = (tmp_path / "out" / "run.log").read_text()
         assert "lead 48 MSLP global: RMSE is not finite" in log
-        assert ",24,RMSE," in (tmp_path / "out" / "metrics.csv").read_text()
+        csv = (tmp_path / "out" / "metrics.csv").read_text()
+        assert ",24,RMSE," in csv
+        assert "MSLP,0,east_asia,48,RMSE," in csv and "MSLP,0,global,48," not in csv
         assert main(["evaluate", "--forecast-pattern", str(tmp_path / "src0.nws"),
                      "--truth-pattern", str(tmp_path / "truth_{lead}.nws"),
                      "--climatology", str(tmp_path / "clim.nws"), "--leads", "24,48",

@@ -1,3 +1,7 @@
+import dataclasses
+import sys
+import textwrap
+import tracemalloc
 from datetime import timedelta
 
 import numpy as np
@@ -111,6 +115,56 @@ class TestRunExperiment:
         assert labels[1] in report.failures
         rows = read_metric_csv(str(report.csv_path))
         assert {r["source"] for r in rows} == {labels[0]}
+
+    def test_failed_external_step_gives_no_rows(self, tmp_path, small_grid,
+                                                 monkeypatch):
+        # src1's backend fails at step 2, after lead 24 was emitted and scored
+        monkeypatch.setattr(GridSpec, "canonical", classmethod(lambda cls: small_grid))
+        labels = build_inputs(tmp_path, small_grid)
+        script = tmp_path / "backend.py"
+        script.write_text(textwrap.dedent(f"""\
+            import argparse, shutil, sys
+            from nwpeval.archive import read_header
+            p = argparse.ArgumentParser()
+            p.add_argument("--in", dest="infile"); p.add_argument("--out")
+            p.add_argument("--step-hours")
+            a = p.parse_args()
+            if read_header(a.infile)["source_label"] == "src1" and \\
+                    a.infile.endswith("step001.nws"):
+                sys.exit("no step 2 for src1")
+            shutil.copyfile(a.infile, a.out)
+            """))
+        backend = BackendSpec(kind="external-command",
+                              command=f"{sys.executable} {script}", horizons={24})
+        cfg = dataclasses.replace(make_config(tmp_path, small_grid, labels,
+                                              leads=(24, 48, 72)), backend=backend)
+        report = run_experiment(cfg)
+        assert list(report.failures) == ["src1"]
+        assert "step 2" in report.failures["src1"]
+        rows = read_metric_csv(str(report.csv_path))
+        assert {r["source"] for r in rows} == {"src0"}
+        assert len(rows) == 9 * 2 * 3 * 2
+
+
+class TestMemory:
+    def test_peak_does_not_grow_a_state_per_lead(self, tmp_path):
+        # tracemalloc sees numpy buffers; one 37x72 state is 0.70 MiB
+        grid = GridSpec(nlat=37, nlon=72, lat_start=90.0, dlat=5.0,
+                        lon_start=0.0, dlon=5.0)
+        labels = build_inputs(tmp_path, grid)
+        state_bytes = len(CHANNELS) * grid.nlat * grid.nlon * 4
+        peaks = {}
+        for n in (2, 10):
+            cfg = dataclasses.replace(make_config(tmp_path, grid, labels, leads=LEADS[:n]),
+                                      output_dir=str(tmp_path / f"out{n}"), workers=1)
+            tracemalloc.start()
+            try:
+                report = run_experiment(cfg)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.failures == {}
+        assert peaks[10] - peaks[2] < 2 * state_bytes
 
 
 class TestConfigValidation:

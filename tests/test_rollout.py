@@ -12,11 +12,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nwpeval import rollout
 from nwpeval.grids import GridSpec
 from nwpeval.rollout import (BackendSpec, RolloutError, UnreachableLeadError,
                              builtin_step, plan_for_leads, run_rollout,
                              schedule_steps)
 from tests.conftest import random_state
+
+
+def rollout_series(ic, backend, leads, **kwargs):
+    """The (lead, state) pairs run_rollout emits, in emit order."""
+    series = []
+    run_rollout(ic, backend, leads, lambda lead, state: series.append((lead, state)),
+                **kwargs)
+    return series
 
 
 def min_steps_exhaustive(lead, horizons, cap=8):
@@ -130,8 +139,8 @@ class TestBuiltinStep:
 
 class TestRunRollout:
     def test_persistence_series_bitwise(self, small_state):
-        series = run_rollout(small_state, BackendSpec(builtin="persistence"),
-                             range(24, 241, 24))
+        series = rollout_series(small_state, BackendSpec(builtin="persistence"),
+                                range(24, 241, 24))
         assert [lead for lead, _ in series] == list(range(24, 241, 24))
         for lead, s in series:
             assert np.array_equal(s.data, small_state.data)
@@ -139,7 +148,7 @@ class TestRunRollout:
             assert (s.valid_time - small_state.valid_time).total_seconds() == lead * 3600
 
     def test_empty_plan(self, small_state):
-        series = run_rollout(small_state, BackendSpec(), [])
+        series = rollout_series(small_state, BackendSpec(), [])
         assert series == []
 
     def test_advection_returns_after_full_cycle(self, small_grid):
@@ -147,28 +156,46 @@ class TestRunRollout:
         k, nlon = 4, small_grid.nlon
         steps = nlon // k  # 4 steps of 4 cells on 16 columns
         be = BackendSpec(builtin="advection", advection_cells=k)
-        series = run_rollout(s, be, [24 * steps])
+        series = rollout_series(s, be, [24 * steps])
         assert np.array_equal(series[-1][1].data, s.data)
 
     def test_composition_two_steps_equal_double_shift(self, small_state):
         be1 = BackendSpec(builtin="advection", advection_cells=3)
-        two = run_rollout(small_state, be1, [48])[0][1]
+        two = rollout_series(small_state, be1, [48])[0][1]
         be2 = BackendSpec(builtin="advection", advection_cells=6, horizons={48})
-        one = run_rollout(small_state, be2, [48])[0][1]
+        one = rollout_series(small_state, be2, [48])[0][1]
         assert np.array_equal(two.data, one.data)
 
     def test_emit_lead_zero(self, small_state):
-        series = run_rollout(small_state, BackendSpec(), [0, 24])
+        series = rollout_series(small_state, BackendSpec(), [0, 24])
         assert series[0] == (0, small_state)
+
+    def test_emits_in_increasing_lead_order(self, small_state):
+        series = []
+        result = run_rollout(small_state, BackendSpec(horizons={24, 6}),
+                             [72, 0, 30, 6, 30],
+                             lambda lead, state: series.append((lead, state)))
+        assert result is None
+        assert [lead for lead, _ in series] == [0, 6, 30, 72]
+        assert series[0][1] is small_state
+
+    def test_unreachable_lead_raised_before_any_step_or_emit(self, small_state,
+                                                             monkeypatch):
+        steps, emitted = [], []
+        monkeypatch.setattr(rollout, "builtin_step", lambda *a: steps.append(a))
+        with pytest.raises(UnreachableLeadError):
+            run_rollout(small_state, BackendSpec(), [0, 24, 36],
+                        lambda *a: emitted.append(a))
+        assert steps == [] and emitted == []
 
     def test_off_plan_emit_rejected(self, small_state):
         with pytest.raises(UnreachableLeadError):
-            run_rollout(small_state, BackendSpec(), [12])
+            rollout_series(small_state, BackendSpec(), [12])
 
     def test_determinism_hashes(self, small_state, caplog):
         import logging
         with caplog.at_level(logging.WARNING):
-            run_rollout(small_state, BackendSpec(), [24], verify_determinism=True)
+            rollout_series(small_state, BackendSpec(), [24], verify_determinism=True)
         assert not any("not deterministic" in r.message for r in caplog.records)
 
 
@@ -233,7 +260,7 @@ class TestExternalBackend:
             "valid_time=state.valid_time + timedelta(hours=a.step_hours))")
         be = BackendSpec(kind="external-command",
                          command=f"{sys.executable} {script}", horizons={24})
-        series = run_rollout(canonical_like_state, be, [24, 48])
+        series = rollout_series(canonical_like_state, be, [24, 48])
         assert series[0][1].data[0, 0, 0] == 1.0
         assert series[1][1].data[0, 0, 0] == 2.0
         assert (series[1][1].valid_time
@@ -242,7 +269,16 @@ class TestExternalBackend:
     def test_external_requires_canonical_grid(self, tmp_path, small_state):
         be = BackendSpec(kind="external-command", command="true", horizons={24})
         with pytest.raises(RolloutError):
-            run_rollout(small_state, be, [24])
+            rollout_series(small_state, be, [24])
+
+    def test_off_grid_ic_raised_before_any_step_or_emit(self, tmp_path, small_state):
+        calls = tmp_path / "calls"
+        be = write_copy_backend(tmp_path / "backend.py",
+                                f"open({str(calls)!r}, 'a').write('step')")
+        emitted = []
+        with pytest.raises(RolloutError, match="canonical"):
+            run_rollout(small_state, be, [0, 24], lambda *a: emitted.append(a))
+        assert emitted == [] and not calls.exists()
 
     def test_nonzero_exit_names_step(self, tmp_path, canonical_like_state):
         script = tmp_path / "backend.py"
@@ -252,7 +288,7 @@ class TestExternalBackend:
         be = BackendSpec(kind="external-command",
                          command=f"{sys.executable} {script}", horizons={24})
         with pytest.raises(RolloutError, match="step 1 .*exit 3; stderr: boom"):
-            run_rollout(canonical_like_state, be, [24])
+            rollout_series(canonical_like_state, be, [24])
 
     def test_malformed_output_archive(self, tmp_path, canonical_like_state):
         script = tmp_path / "backend.py"
@@ -269,7 +305,7 @@ class TestExternalBackend:
         be = BackendSpec(kind="external-command",
                          command=f"{sys.executable} {script}", horizons={24})
         with pytest.raises(RolloutError, match="malformed"):
-            run_rollout(canonical_like_state, be, [24])
+            rollout_series(canonical_like_state, be, [24])
 
     def test_nan_output_rejected(self, tmp_path, canonical_like_state):
         script = tmp_path / "backend.py"
@@ -279,7 +315,7 @@ class TestExternalBackend:
         be = BackendSpec(kind="external-command",
                          command=f"{sys.executable} {script}", horizons={24})
         with pytest.raises(RolloutError, match="NaN"):
-            run_rollout(canonical_like_state, be, [24])
+            rollout_series(canonical_like_state, be, [24])
 
     @pytest.mark.parametrize("verify", [False, True])
     def test_steps_chain_their_files(self, tmp_path, canonical_like_state, caplog,
@@ -291,8 +327,8 @@ class TestExternalBackend:
             f"open({str(calls)!r}, 'a').write(json.dumps([a.infile, a.out, "
             "sum(f.endswith('.nws') for f in os.listdir(os.path.dirname(a.out)))]) + '\\n')")
         with caplog.at_level(logging.WARNING):
-            series = run_rollout(canonical_like_state, be, [24, 48, 72],
-                                 verify_determinism=verify)
+            series = rollout_series(canonical_like_state, be, [24, 48, 72],
+                                    verify_determinism=verify)
         assert [lead for lead, _ in series] == [24, 48, 72]
         assert not any("not deterministic" in r.message for r in caplog.records)
         steps = [json.loads(line) for line in calls.read_text().splitlines()]
@@ -314,7 +350,7 @@ class TestExternalBackend:
             "f = open(a.out, 'r+b'); f.seek(-4, 2); "
             "f.write(struct.pack('<f', random.random())); f.close()")
         with caplog.at_level(logging.WARNING):
-            run_rollout(canonical_like_state, be, [24], verify_determinism=True)
+            rollout_series(canonical_like_state, be, [24], verify_determinism=True)
         (msg,) = [r.message for r in caplog.records if "not deterministic" in r.message]
         h1, h2 = re.findall(r"\b[0-9a-f]{64}\b", msg)
         assert h1 != h2
@@ -323,7 +359,7 @@ class TestExternalBackend:
         be = write_copy_backend(tmp_path / "backend.py",
                                 "open(a.out, 'ab').write(b'garbage')")
         with pytest.raises(RolloutError, match="malformed"):
-            run_rollout(canonical_like_state, be, [24])
+            rollout_series(canonical_like_state, be, [24])
 
 
 class TestBackendSpec:

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from nwpeval.grids import (EAST_ASIA, GLOBAL, GridSpec, RegionBox, Var,
-                           flat_channel_index)
+from nwpeval import verify
+from nwpeval.grids import (EAST_ASIA, GLOBAL, GridMismatchError, GridSpec,
+                           RegionBox, Var, flat_channel_index)
 from nwpeval.splice import region_mask
 from nwpeval.synthetic import make_climatology, make_state
-from nwpeval.verify import (DegenerateAnomalyError, EmptyMaskError,
-                            acc_weighted, evaluate_run, lat_weights,
-                            rmse_weighted)
+from nwpeval.verify import (DEFAULT_REPORT_CHANNELS, DegenerateAnomalyError,
+                            EmptyMaskError, acc_weighted, evaluate_run,
+                            lat_weights, report_planes, rmse_weighted)
 from tests.conftest import random_state
 
 
@@ -44,6 +45,12 @@ def brute_force_acc(f, o, c, grid, mask):
                 vf += w * af * af
                 vo += w * ao * ao
     return cov / math.sqrt(vf * vo)
+
+
+def planes(truths, clim):
+    """evaluate_run's truth and climatology arguments: report planes."""
+    return ({lead: report_planes(s, clim.grid) for lead, s in truths.items()},
+            report_planes(clim, clim.grid))
 
 
 def random_grid(rng):
@@ -214,7 +221,7 @@ class TestEvaluateRun:
         tr = self._series(small_grid, [s + 100 for s in seeds], label="truth")
         clim = make_climatology(small_grid)
         regions = {"global": GLOBAL, "east_asia": EAST_ASIA}
-        records, errors = evaluate_run(fc, tr, clim, regions)
+        records, errors = evaluate_run(fc, *planes(tr, clim), regions)
         assert errors == []
         assert len(records) == 9 * 2 * 10 * 2
 
@@ -223,7 +230,7 @@ class TestEvaluateRun:
         fc = self._series(small_grid, seeds)
         tr = {lead: s.replace(source_label="truth") for lead, s in fc.items()}
         clim = make_climatology(small_grid)
-        records, errors = evaluate_run(fc, tr, clim, {"global": GLOBAL})
+        records, errors = evaluate_run(fc, *planes(tr, clim), {"global": GLOBAL})
         assert errors == []
         for r in records:
             if r.metric == "RMSE":
@@ -236,7 +243,7 @@ class TestEvaluateRun:
         tr = {24: fc[24].replace(data=fc[24].data + np.float32(2.0),
                                  source_label="truth")}
         clim = make_climatology(small_grid)
-        records, _ = evaluate_run(fc, tr, clim, {"global": GLOBAL})
+        records, _ = evaluate_run(fc, *planes(tr, clim), {"global": GLOBAL})
         for r in records:
             if r.metric == "RMSE" and r.variable is not Var.Q:
                 np.testing.assert_allclose(r.value, 2.0, rtol=1e-5)
@@ -246,7 +253,7 @@ class TestEvaluateRun:
         tr = {24: fc[24].replace(data=fc[24].data + np.float32(0.001),
                                  source_label="truth")}
         clim = make_climatology(small_grid)
-        records, _ = evaluate_run(fc, tr, clim, {"global": GLOBAL})
+        records, _ = evaluate_run(fc, *planes(tr, clim), {"global": GLOBAL})
         q = [r for r in records if r.variable is Var.Q and r.metric == "RMSE"]
         assert len(q) == 1
         np.testing.assert_allclose(q[0].value, 1.0, rtol=1e-4)  # 0.001 kg/kg = 1 g/kg
@@ -256,7 +263,7 @@ class TestEvaluateRun:
         tr = self._series(small_grid, [90, 91], label="truth")
         del tr[48]
         clim = make_climatology(small_grid)
-        records, errors = evaluate_run(fc, tr, clim, {"global": GLOBAL})
+        records, errors = evaluate_run(fc, *planes(tr, clim), {"global": GLOBAL})
         assert len(errors) == 1 and "48" in errors[0]
         assert {r.lead_hours for r in records} == {24}
 
@@ -264,7 +271,88 @@ class TestEvaluateRun:
         fc = self._series(small_grid, [85, 86])
         tr = self._series(small_grid, [95, 96], label="truth")
         clim = make_climatology(small_grid)
-        records, _ = evaluate_run(fc, tr, clim,
+        records, _ = evaluate_run(fc, *planes(tr, clim),
                                   {"global": GLOBAL, "east_asia": EAST_ASIA})
         keys = [r.sort_key() for r in records]
         assert keys == sorted(keys)
+
+    def test_nan_outside_a_region_spares_its_scores(self, small_grid):
+        fc = self._series(small_grid, [87])
+        tr = self._series(small_grid, [97], label="truth")
+        tr[24].channel(Var.MSLP)[0, 3] = np.nan   # north pole, outside east_asia
+        clim = make_climatology(small_grid)
+        records, errors = evaluate_run(fc, *planes(tr, clim),
+                                       {"global": GLOBAL, "east_asia": EAST_ASIA})
+        mslp = {(r.region, r.metric) for r in records if r.variable is Var.MSLP}
+        assert mslp == {("east_asia", "RMSE"), ("east_asia", "ACC")}
+        assert sorted(errors) == ["lead 24 MSLP global: ACC is not finite (nan)",
+                                  "lead 24 MSLP global: RMSE is not finite (nan)"]
+        assert len(records) == 9 * 2 * 2 - 2
+
+    def test_region_scores_match_mask_oracle(self):
+        # boxes on grids that do not start at 0 degrees, some taking in 0
+        # degrees through lon_max 360, so a block's columns need not be adjacent
+        rng = np.random.default_rng(12)
+        mslp = ((Var.MSLP, 0),)
+        for trial in range(25):
+            g = random_grid(rng)
+            g = GridSpec(nlat=g.nlat, nlon=g.nlon, lat_start=g.lat_start, dlat=g.dlat,
+                         lon_start=float(rng.choice([0.0, g.dlon / 2, 200.0])),
+                         dlon=g.dlon)
+            lat = np.sort(rng.uniform(-90, 90, 2))
+            lon_min = float(rng.uniform(0, 300))
+            lon_max = 360.0 if trial % 3 == 0 else float(rng.uniform(lon_min, 360))
+            box = RegionBox(lat_min=lat[0], lat_max=lat[1], lon_min=lon_min,
+                            lon_max=lon_max)
+            mask = region_mask(g, box)
+            if not mask.any():
+                continue
+            states = [make_state(g, seed=200 + 3 * trial + k) for k in range(3)]
+            f, o, c = (s.channel(Var.MSLP) for s in states)
+            records, errors = evaluate_run(
+                {24: states[0]}, {24: report_planes(states[1], g, mslp)},
+                report_planes(states[2], g, mslp), {"box": box}, mslp)
+            assert errors == []
+            got = {r.metric: r.value for r in records}
+            want = {"RMSE": brute_force_rmse(f, o, g, mask),
+                    "ACC": brute_force_acc(f, o, c, g, mask)}
+            for metric in want:
+                assert abs(got[metric] - want[metric]) <= 1e-12 * max(abs(want[metric]), 1.0)
+
+    def test_regions_weighted_once_per_grid(self, monkeypatch):
+        calls = []
+        original = verify.lat_weights
+        monkeypatch.setattr(verify, "lat_weights",
+                            lambda *a: calls.append(a) or original(*a))
+        g = GridSpec(nlat=7, nlon=12, lat_start=90, dlat=30, lon_start=15, dlon=30)
+        fc = self._series(g, [110, 111, 112])
+        tr, clim = planes(self._series(g, [120, 121, 122], label="truth"),
+                          make_climatology(g))
+        regions = {"global": GLOBAL, "east_asia": EAST_ASIA}
+        for lead in fc:
+            records, errors = evaluate_run({lead: fc[lead]}, tr, clim, regions)
+            assert errors == [] and len(records) == 9 * 2 * 2
+        assert len(calls) == 2
+
+    def test_truth_grid_mismatch_is_an_error(self, small_grid, coarse_grid):
+        fc = self._series(small_grid, [88])
+        clim = make_climatology(small_grid)
+        tr = {24: report_planes(make_state(coarse_grid), coarse_grid)}
+        records, errors = evaluate_run(fc, tr, report_planes(clim, small_grid),
+                                       {"global": GLOBAL})
+        assert records == [] and errors == ["lead 24: truth grid mismatch"]
+
+
+class TestReportPlanes:
+    def test_copies_the_channels_in_report_order(self, small_state, small_grid):
+        channels = ((Var.Z, 500), (Var.MSLP, 0))
+        p = report_planes(small_state, small_grid, channels)
+        assert p.shape == (2,) + small_grid.shape
+        assert np.array_equal(p[0], small_state.channel(Var.Z, 500))
+        assert np.array_equal(p[1], small_state.channel(Var.MSLP))
+        assert not np.shares_memory(p, small_state.data)
+        assert report_planes(small_state, small_grid).shape[0] == len(DEFAULT_REPORT_CHANNELS)
+
+    def test_other_grid_rejected(self, small_state, coarse_grid):
+        with pytest.raises(GridMismatchError):
+            report_planes(small_state, coarse_grid)
