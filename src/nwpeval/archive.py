@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import io
 import logging
+import os
 import struct
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -30,7 +31,7 @@ from typing import BinaryIO, Sequence, Union
 import numpy as np
 
 from .grids import (CHANNELS, N_CHANNELS, GridSpec, StateSet, Var,
-                    channel_name, flat_channel_index)
+                    all_finite, channel_name, flat_channel_index)
 
 log = logging.getLogger(__name__)
 
@@ -85,8 +86,7 @@ def write_archive(state: StateSet, dest: Union[BinaryIO, str]) -> None:
     dest.write(_U32.pack(N_CHANNELS))
     for code, lvl in _CANONICAL_CODES:
         dest.write(_CHAN.pack(code, lvl))
-    data = np.ascontiguousarray(state.data, dtype="<f4")
-    dest.write(data.tobytes())
+    dest.write(np.ascontiguousarray(state.data, dtype="<f4"))   # no bytes copy
 
 
 def _read_exact(src: BinaryIO, n: int, what: str) -> bytes:
@@ -138,12 +138,14 @@ def read_archive(src: Union[BinaryIO, str]) -> StateSet:
 
 
 def read_header(src: Union[BinaryIO, str]) -> dict:
-    """Parse and check only the header; used by the CLI `inspect` subcommand."""
+    """Parse and check only the header; used by the CLI `inspect` subcommand
+    and by config validation. Holds the grid's fields and the GridSpec
+    itself under "grid"."""
     if isinstance(src, (str, bytes)):
         with open(src, "rb") as fh:
             return read_header(fh)
     grid, valid_time, label = _read_head(src)
-    return {"version": VERSION, **asdict(grid), "valid_time": valid_time,
+    return {"version": VERSION, "grid": grid, **asdict(grid), "valid_time": valid_time,
             "source_label": label, "n_channels": N_CHANNELS}
 
 
@@ -191,31 +193,33 @@ def ingest_raw(path: str, grid: GridSpec, layout: RawDumpLayout,
     """Load a raw dump into a canonical-order, north-first state.
 
     nan_policy: "error" raises on NaN in the payload, "warn" only logs.
+    The dump is read plane by plane into the state array, each plane into
+    its canonical slot, so no second copy of the state is made.
     """
+    data = np.empty((N_CHANNELS, grid.nlat, grid.nlon), dtype="<f4")
+    order = (CHANNELS if layout.channel_order == "canonical"
+             else layout.channel_order)
     with open(path, "rb") as fh:
-        raw = fh.read()
-    expected = payload_size(grid)
-    if len(raw) != expected:
-        raise LayoutError(f"{path}: payload is {len(raw)} bytes, "
-                          f"layout requires {expected}")
-    data = np.frombuffer(raw, dtype="<f4").reshape(N_CHANNELS, grid.nlat, grid.nlon)
-    if layout.channel_order != "canonical":
-        perm = np.empty(N_CHANNELS, dtype=np.intp)
-        for pos, (var, lvl) in enumerate(layout.channel_order):
-            perm[flat_channel_index(var, lvl)] = pos
-        data = data[perm]
-    if layout.scan == "south-first":
-        data = data[:, ::-1, :]
-    if not np.isfinite(data).all():
+        size = os.fstat(fh.fileno()).st_size
+        if size != data.nbytes:
+            raise LayoutError(f"{path}: payload is {size} bytes, "
+                              f"layout requires {data.nbytes}")
+        for var, lvl in order:
+            plane = data[flat_channel_index(var, lvl)]
+            if fh.readinto(plane) != plane.nbytes:
+                raise LayoutError(f"{path}: file shrank while being read")
+            if layout.scan == "south-first":
+                plane[:] = plane[::-1]
+    if not all_finite(data):
         if nan_policy == "error":
             raise DataError(f"{path}: payload contains NaN/Inf")
         log.warning("%s: payload contains NaN/Inf", path)
     return StateSet(valid_time=valid_time, source_label=source_label,
-                    grid=grid, data=np.ascontiguousarray(data))
+                    grid=grid, data=data)
 
 
 def archive_bytes(state: StateSet) -> bytes:
-    """Serialize to bytes in memory (used for determinism hashing)."""
+    """Serialize to bytes in memory; the tests compare archives with it."""
     buf = io.BytesIO()
     write_archive(state, buf)
     return buf.getvalue()

@@ -209,16 +209,17 @@ def _cmd_rollout(args) -> int:
         # every multiple of --emit-every short of --lead, then --lead itself
         emit = [*range(args.emit_every, args.lead, args.emit_every), args.lead]
         plan_for_leads(emit, backend.horizons)   # unreachable lead: exit 2 before any read
-    ic = read_archive(args.infile)
     outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     def write(lead, state):
+        outdir.mkdir(parents=True, exist_ok=True)
         path = outdir / f"forecast_{lead:03d}h.nws"
         write_archive(state, str(path))
         print(f"lead {lead:4d}h -> {path}")
 
-    run_rollout(ic, backend, emit, write, verify_determinism=args.verify_determinism)
+    # the IC goes straight to run_rollout, which lets go of it after step 1
+    run_rollout(read_archive(args.infile), backend, emit, write,
+                verify_determinism=args.verify_determinism)
     return 0
 
 

@@ -22,7 +22,8 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .archive import RawDumpLayout, ingest_raw, read_archive
+from .archive import (ArchiveError, RawDumpLayout, ingest_raw, read_archive,
+                      read_header)
 from .grids import (CHANNEL_INDEX, DEFAULT_REGIONS, GridMismatchError,
                     GridSpec, RegionBox, StateSet, Var, region_mask)
 from .plots import emit_plots, write_metric_csv
@@ -109,6 +110,13 @@ class ExperimentConfig:
                                   "grid and layout")
         if not os.path.exists(self.climatology_path):
             raise ConfigError(f"missing climatology {self.climatology_path}")
+        try:
+            clim_grid = read_header(self.climatology_path)["grid"]
+        except ArchiveError as exc:
+            raise ConfigError(f"climatology {self.climatology_path}: {exc}") from None
+        if clim_grid != self.model_grid:
+            raise ConfigError(f"climatology {self.climatology_path} is off the model "
+                              f"grid: {clim_grid} vs {self.model_grid}")
 
 
 def _parse_time(s: str) -> datetime:
@@ -282,21 +290,23 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         except Exception as exc:
             failures[src.label] = f"ingest failed: {exc}"
 
-    runs: list[tuple[str, StateSet]] = list(ics.items())   # in config order
+    runs: dict[str, StateSet] = dict(ics)   # in config order
     for sc in config.splice_scenarios:
         if sc.base_source not in ics or sc.donor_source not in ics:
             failures[sc.label] = "base or donor source failed to load"
             continue
         try:
-            runs.append((sc.label, splice_states(
+            runs[sc.label] = splice_states(
                 ics[sc.base_source], ics[sc.donor_source], sc.spec,
-                allow_time_mismatch=True).replace(source_label=sc.label)))
+                allow_time_mismatch=True).replace(source_label=sc.label)
         except Exception as exc:
             failures[sc.label] = f"splice failed: {exc}"
+    ics.clear()   # `runs` holds the only reference to each IC
+    labels = list(runs)
 
     run_errors: dict[str, list[str]] = {}
 
-    def one_run(label: str, ic: StateSet) -> list[MetricRecord]:
+    def one_run(label: str) -> list[MetricRecord]:
         recs: list[MetricRecord] = []
         errs: list[str] = []
 
@@ -306,23 +316,23 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             recs.extend(r)
             errs.extend(e)
 
-        run_rollout(ic, config.backend, config.lead_hours, score)
+        # hand the IC over: run_rollout lets go of it after the first step
+        run_rollout(runs.pop(label), config.backend, config.lead_hours, score)
         if errs:
             run_errors[label] = errs
         return recs
 
     records: list[MetricRecord] = []
-    if runs:
-        workers = min(config.workers or os.cpu_count() or 1, len(runs))
+    if labels:
+        workers = min(config.workers or os.cpu_count() or 1, len(labels))
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {label: pool.submit(one_run, label, ic) for label, ic in runs}
+            futures = {label: pool.submit(one_run, label) for label in labels}
         for label, fut in futures.items():
             try:
                 records.extend(fut.result())
             except Exception as exc:
                 failures[label] = f"run failed: {exc}"
-    labels = [label for label, _ in runs]
-    del truths, climatology, ics, runs   # scored: free the inputs before output
+    del truths, climatology   # scored: free the inputs before output
 
     csv_path = outdir / "metrics.csv"
     write_metric_csv(records, csv_path)

@@ -240,6 +240,12 @@ RANGE_CHECKS: dict[Var, tuple[float, float]] = {
 }
 
 
+def all_finite(data: np.ndarray) -> bool:
+    """True iff every value is finite. Checked plane by plane, so the
+    temporary is one plane of bools, not a bool array as large as the state."""
+    return all(np.isfinite(plane).all() for plane in data)
+
+
 def validate_state(state: StateSet, check_ranges: bool = True) -> list[str]:
     """Return a list of violation messages; empty means the state is clean.
 

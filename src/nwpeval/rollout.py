@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .archive import read_archive, write_archive
-from .grids import GridSpec, StateSet
+from .grids import GridSpec, StateSet, all_finite
 
 log = logging.getLogger(__name__)
 
@@ -150,6 +150,15 @@ def _external_step(in_path: Path, out_path: Path, backend: BackendSpec,
     return out
 
 
+def _sha256(path: Path) -> str:
+    """Hex SHA-256 of a file, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def run_rollout(ic: StateSet, backend: BackendSpec, leads, emit,
                 verify_determinism: bool = False) -> None:
     """Drive the backend through the fewest steps that reach every lead and
@@ -162,7 +171,9 @@ def run_rollout(ic: StateSet, backend: BackendSpec, leads, emit,
     written once, to step000.nws; step n reads step{n-1} and writes
     step{n}, and step{n-1} is deleted once step n's output has been read
     and checked. Every state is checked for NaN/Inf before it is emitted
-    and before the next step starts.
+    and before the next step starts. Of the IC only valid_time and
+    source_label are kept past step000.nws or the first builtin step, so
+    a caller holding no reference of its own gets its memory back then.
     """
     wanted = {int(h) for h in leads}
     plan = plan_for_leads(wanted, backend.horizons)
@@ -172,11 +183,13 @@ def run_rollout(ic: StateSet, backend: BackendSpec, leads, emit,
 
     if 0 in wanted:
         emit(0, ic)
+    init_time, label = ic.valid_time, ic.source_label
     with tempfile.TemporaryDirectory(prefix="nwpeval-rollout-") as work:
         files = [Path(work) / f"step{n:03d}.nws" for n in range(len(plan.steps) + 1)]
         if external and plan.steps:
             write_archive(ic, str(files[0]))
         state = ic
+        del ic   # `state` is the only reference left; the first step drops it
         cumulative = itertools.accumulate(plan.steps)
         for n, (hours, lead) in enumerate(zip(plan.steps, cumulative), start=1):
             if not external:
@@ -188,16 +201,15 @@ def run_rollout(ic: StateSet, backend: BackendSpec, leads, emit,
                     # repeat into its own file: step 2 reads step001.nws
                     repeat = Path(work) / "repeat001.nws"
                     _external_step(files[0], repeat, backend, hours, n)
-                    h1, h2 = (hashlib.sha256(f.read_bytes()).hexdigest()
-                              for f in (files[1], repeat))
+                    h1, h2 = _sha256(files[1]), _sha256(repeat)
                     if h1 != h2:
                         log.warning("backend is not deterministic: step-1 hashes "
                                     "%s vs %s", h1, h2)
                     repeat.unlink()
                 files[n - 1].unlink(missing_ok=True)
-            if not np.isfinite(state.data).all():
+            if not all_finite(state.data):
                 raise RolloutError(f"backend produced NaN/Inf at step {n} (+{hours}h)")
             if lead in wanted:
                 emit(lead, state.replace(
-                    valid_time=ic.valid_time + timedelta(hours=lead),
-                    source_label=ic.source_label))
+                    valid_time=init_time + timedelta(hours=lead),
+                    source_label=label))

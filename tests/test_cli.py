@@ -241,6 +241,23 @@ class TestRunSubcommand:
         assert not (tmp_path / "out" / "run.log").exists()
         assert "nwpeval:" in capsys.readouterr().err
 
+    def test_climatology_off_the_model_grid_exits_2(self, tmp_path, small_grid,
+                                                     coarse_grid, monkeypatch, capsys):
+        from nwpeval import experiment
+        from tests.test_experiment import build_inputs
+        labels = build_inputs(tmp_path, small_grid)
+        write_archive(make_climatology(coarse_grid), str(tmp_path / "clim.nws"))
+        payload_reads = []
+        for name in ("read_archive", "ingest_raw"):
+            monkeypatch.setattr(experiment, name,
+                                lambda *a, _name=name, **k: payload_reads.append(_name))
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels)))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert payload_reads == []
+        assert not (tmp_path / "out" / "run.log").exists()
+        assert "off the model grid" in capsys.readouterr().err
+
     def test_lead_needing_smaller_steps_runs(self, tmp_path, small_grid):
         # {24, 18}: 36 h is 18 + 18; a largest-first split dead-ends at 12 h
         from tests.test_experiment import build_inputs

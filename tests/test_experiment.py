@@ -166,6 +166,40 @@ class TestMemory:
             assert report.failures == {}
         assert peaks[10] - peaks[2] < 2 * state_bytes
 
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="Python 3.10 keeps a call's arguments referenced by "
+                               "the caller until it returns, so the IC outlives step 1")
+    def test_external_run_holds_under_two_states(self, tmp_path, monkeypatch):
+        # IC handed over and dropped once on disk, archive written from the
+        # array, finiteness checked plane by plane: one 91x180 state is 4.3 MiB
+        grid = GridSpec(nlat=91, nlon=180, lat_start=90.0, dlat=2.0,
+                        lon_start=0.0, dlon=2.0)
+        monkeypatch.setattr(GridSpec, "canonical", classmethod(lambda cls: grid))
+        labels = build_inputs(tmp_path, grid, n_sources=1)
+        script = tmp_path / "backend.py"
+        script.write_text(textwrap.dedent("""\
+            import argparse, shutil
+            p = argparse.ArgumentParser()
+            p.add_argument("--in", dest="infile"); p.add_argument("--out")
+            p.add_argument("--step-hours")
+            a = p.parse_args()
+            shutil.copyfile(a.infile, a.out)
+            """))
+        backend = BackendSpec(kind="external-command",
+                              command=f"{sys.executable} {script}", horizons={24})
+        cfg = dataclasses.replace(make_config(tmp_path, grid, labels, leads=(24, 48, 72)),
+                                  backend=backend, workers=1)
+        state_bytes = len(CHANNELS) * grid.nlat * grid.nlon * 4
+        tracemalloc.start()
+        try:
+            report = run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.failures == {}
+        assert len(read_metric_csv(str(report.csv_path))) == 9 * 2 * 3 * 2
+        assert peak < 2 * state_bytes
+
 
 class TestConfigValidation:
     def test_empty_sources_rejected(self, tmp_path, small_grid):
@@ -198,6 +232,12 @@ class TestConfigValidation:
         cfg = make_config(tmp_path, small_grid, ["ghost"])
         with pytest.raises(ConfigError, match="missing file"):
             cfg.validate()
+
+    def test_malformed_climatology_header(self, tmp_path, small_grid):
+        labels = build_inputs(tmp_path, small_grid)
+        (tmp_path / "clim.nws").write_bytes(b"NWPSTAT1")
+        with pytest.raises(ConfigError, match="climatology"):
+            make_config(tmp_path, small_grid, labels).validate()
 
 
 class TestYamlConfig:

@@ -4,7 +4,8 @@ import pytest
 import nwpeval
 from nwpeval.grids import (CHANNELS, N_CHANNELS, Field, GridSpec,
                            InvalidChannelError, RegionBox, StateSet, Var,
-                           channel_name, flat_channel_index, validate_state)
+                           all_finite, channel_name, flat_channel_index,
+                           validate_state)
 from nwpeval.synthetic import default_time
 
 
@@ -145,3 +146,12 @@ def test_channel_names():
 def test_public_names_resolve():
     for name in nwpeval.__all__:
         assert getattr(nwpeval, name) is not None, name
+
+
+@pytest.mark.parametrize("plane, value", [(None, 0.0), (0, np.inf), (N_CHANNELS - 1, np.nan),
+                                          (N_CHANNELS // 2, -np.inf)])
+def test_all_finite_looks_at_every_plane(plane, value):
+    data = np.zeros((N_CHANNELS, 3, 4), np.float32)
+    if plane is not None:
+        data[plane, 2, 3] = value
+    assert all_finite(data) == (plane is None)

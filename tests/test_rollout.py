@@ -6,6 +6,7 @@ import re
 import stat
 import sys
 import textwrap
+import weakref
 
 import numpy as np
 import pytest
@@ -197,6 +198,24 @@ class TestRunRollout:
         with caplog.at_level(logging.WARNING):
             rollout_series(small_state, BackendSpec(), [24], verify_determinism=True)
         assert not any("not deterministic" in r.message for r in caplog.records)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="Python 3.10 keeps a call's arguments referenced by "
+                               "the caller until it returns")
+    @pytest.mark.parametrize("kind", ["persistence", "advection", "external"])
+    def test_ic_released_after_the_first_step(self, tmp_path, small_grid,
+                                              monkeypatch, kind):
+        monkeypatch.setattr(GridSpec, "canonical", classmethod(lambda cls: small_grid))
+        if kind == "external":
+            be = write_copy_backend(tmp_path / "backend.py")
+        else:
+            be = BackendSpec(builtin=kind, horizons={24})
+        ics = [random_state(small_grid, seed=3)]   # pop() hands over the only reference
+        ic = weakref.ref(ics[0])
+        alive = []
+        run_rollout(ics.pop(), be, [0, 24, 48],
+                    lambda lead, state: alive.append((lead, ic() is not None)))
+        assert alive == [(0, True), (24, False), (48, False)]
 
 
 def write_backend_script(path, body):
