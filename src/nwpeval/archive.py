@@ -15,7 +15,10 @@ Archive layout (all multi-byte values little-endian):
                  row 0 = northmost latitude; nothing may follow it
 
 The channel list must be the canonical 69-channel order; anything else is
-rejected on read.
+rejected on read. Each plane therefore sits at a fixed offset, so
+`read_archive(src, channels)` reads only the requested planes, one seek
+and `readinto` each. The result holds those planes alone, in the order
+asked for; `StateSet.channel()` and `write_archive` refuse such a state.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import os
 import struct
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from typing import BinaryIO, Sequence, Union
+from typing import BinaryIO, Optional, Sequence, Union
 
 import numpy as np
 
@@ -44,6 +47,8 @@ _U32 = struct.Struct("<I")
 _CHAN = struct.Struct("<HH")
 
 _CANONICAL_CODES = tuple((v.value, lvl) for v, lvl in CHANNELS)
+
+ChannelList = Sequence[tuple[Var, int]]
 
 
 class ArchiveError(Exception):
@@ -69,7 +74,11 @@ def payload_size(grid: GridSpec) -> int:
 
 def write_archive(state: StateSet, dest: Union[BinaryIO, str]) -> None:
     """Serialize a state to an archive. Byte output is a pure function of
-    the state: identical inputs give identical files."""
+    the state: identical inputs give identical files. A state that does not
+    hold all 69 planes is a ValueError, raised before any byte is written."""
+    if state.data.shape[0] != N_CHANNELS:
+        raise ValueError(f"state holds {state.data.shape[0]} planes; an archive "
+                         f"holds all {N_CHANNELS}")
     if isinstance(dest, (str, bytes)):
         with open(dest, "wb") as fh:
             write_archive(state, fh)
@@ -119,21 +128,33 @@ def _read_head(src: BinaryIO) -> tuple[GridSpec, datetime, str]:
     return grid, datetime.fromtimestamp(epoch, tz=timezone.utc), label
 
 
-def read_archive(src: Union[BinaryIO, str]) -> StateSet:
-    """Exact inverse of write_archive."""
+def read_archive(src: Union[BinaryIO, str],
+                 channels: Optional[ChannelList] = None) -> StateSet:
+    """Exact inverse of write_archive. With `channels`, a list of
+    (variable, level), only those planes are read, one seek and readinto
+    each, and the state's data holds them in that order. Either way the
+    payload's size is checked against the end of the file first."""
     if isinstance(src, (str, bytes)):
         with open(src, "rb") as fh:
-            return read_archive(fh)
+            return read_archive(fh, channels)
     grid, valid_time, label = _read_head(src)
-    data = np.empty((N_CHANNELS, grid.nlat, grid.nlon), dtype="<f4")
-    got = src.readinto(data)   # like read(n): short only at end of file
-    if got != data.nbytes:
-        var, lvl = CHANNELS[got * N_CHANNELS // data.nbytes]
-        raise TruncationError(
-            f"payload truncated in channel {channel_name(var, lvl)} "
-            f"({got} of {data.nbytes} bytes)")
-    if src.read(1):
+    start, expected = src.tell(), payload_size(grid)
+    size = src.seek(0, os.SEEK_END) - start
+    if size < expected:
+        var, lvl = CHANNELS[size * N_CHANNELS // expected]
+        raise TruncationError(f"payload truncated in channel {channel_name(var, lvl)} "
+                              f"({size} of {expected} bytes)")
+    if size > expected:
         raise FormatError("bytes follow the payload")
+    data = np.empty((N_CHANNELS if channels is None else len(channels),
+                     grid.nlat, grid.nlon), dtype="<f4")
+    reads = [(start, data)] if channels is None else [
+        (start + flat_channel_index(var, lvl) * plane.nbytes, plane)
+        for plane, (var, lvl) in zip(data, channels)]
+    for offset, buf in reads:
+        src.seek(offset)
+        if src.readinto(buf) != buf.nbytes:
+            raise TruncationError("file shrank while being read")
     return StateSet(valid_time=valid_time, source_label=label, grid=grid, data=data)
 
 
@@ -147,9 +168,6 @@ def read_header(src: Union[BinaryIO, str]) -> dict:
     grid, valid_time, label = _read_head(src)
     return {"version": VERSION, "grid": grid, **asdict(grid), "valid_time": valid_time,
             "source_label": label, "n_channels": N_CHANNELS}
-
-
-ChannelList = Sequence[tuple[Var, int]]
 
 
 @dataclass(frozen=True)

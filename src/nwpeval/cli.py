@@ -24,7 +24,7 @@ from .plots import PlotInputError, emit_plots, write_metric_csv
 from .regrid import regrid_state
 from .rollout import BackendSpec, RolloutError, plan_for_leads, run_rollout
 from .splice import SpliceSpec, splice_states
-from .verify import evaluate_run, report_planes
+from .verify import DEFAULT_REPORT_CHANNELS, evaluate_run
 
 log = logging.getLogger(__name__)
 
@@ -229,24 +229,22 @@ def _cmd_evaluate(args) -> int:
         regions = {name: _parse_box(box.split(","))
                    for name, _, box in (spec.partition("=") for spec in args.region)
                    } or DEFAULT_REGIONS
-        channels = None
+        channels = DEFAULT_REPORT_CHANNELS
         if args.channels:
             channels = [parse_channel(c) for c in args.channels.split(",")]
-    clim = read_archive(args.climatology)
-    grid = clim.grid
-    clim = report_planes(clim, grid, channels)
+    clim = read_archive(args.climatology, channels)   # the report planes only
+    grid, clim = clim.grid, clim.data
     records, errors = [], []
     for lead in leads:
         fc = read_archive(args.forecast_pattern.format(lead=lead))
         if fc.grid != grid:
             raise GridMismatchError("climatology grid does not match forecast grid")
-        try:
-            truth = report_planes(read_archive(args.truth_pattern.format(lead=lead)),
-                                  grid, channels)
-        except GridMismatchError as exc:
-            errors.append(f"lead {lead}: truth {exc}")
+        truth = read_archive(args.truth_pattern.format(lead=lead), channels)
+        if truth.grid != grid:
+            errors.append(f"lead {lead}: truth {truth.source_label} grid "
+                          "does not match the forecast grid")
             continue
-        r, e = evaluate_run({lead: fc}, {lead: truth}, clim, regions, channels)
+        r, e = evaluate_run({lead: fc}, {lead: truth.data}, clim, regions, channels)
         records.extend(r)
         errors.extend(e)
     for e in errors:

@@ -24,14 +24,13 @@ import yaml
 
 from .archive import (ArchiveError, RawDumpLayout, ingest_raw, read_archive,
                       read_header)
-from .grids import (CHANNEL_INDEX, DEFAULT_REGIONS, GridMismatchError,
-                    GridSpec, RegionBox, StateSet, Var, region_mask)
+from .grids import (CHANNEL_INDEX, DEFAULT_REGIONS, GridSpec, RegionBox,
+                    StateSet, Var, region_mask)
 from .plots import emit_plots, write_metric_csv
 from .regrid import regrid_state
 from .rollout import BackendSpec, plan_for_leads, run_rollout
 from .splice import SpliceSpec, splice_states
-from .verify import (DEFAULT_REPORT_CHANNELS, MetricRecord, evaluate_run,
-                     report_planes)
+from .verify import DEFAULT_REPORT_CHANNELS, MetricRecord, evaluate_run
 
 log = logging.getLogger(__name__)
 
@@ -276,11 +275,14 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         if not os.path.exists(p):
             truth_errors.append(f"lead {lead}: missing truth file {p}")
             continue
-        try:
-            truths[lead] = report_planes(read_archive(p), grid, channels)
-        except GridMismatchError as exc:
-            truth_errors.append(f"lead {lead}: truth {exc}")
-    climatology = report_planes(read_archive(config.climatology_path), grid, channels)
+        truth = read_archive(p, channels)   # the report planes only
+        if truth.grid != grid:
+            truth_errors.append(f"lead {lead}: truth {truth.source_label} grid "
+                                "does not match the forecast grid")
+            continue
+        truths[lead] = truth.data
+    # validate() has checked the climatology's grid
+    climatology = read_archive(config.climatology_path, channels).data
 
     ics: dict[str, StateSet] = {}
     failures: dict[str, str] = {}

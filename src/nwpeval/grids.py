@@ -198,7 +198,9 @@ class StateSet:
     """One timestamped 69-channel global state.
 
     Channels are stored as a single (69, nlat, nlon) float32 array in the
-    canonical order; `field()` exposes individual planes.
+    canonical order; `field()` exposes individual planes. A subset read
+    (`read_archive(src, channels)`) gives a state whose data holds only
+    the planes asked for, in that order.
     """
 
     valid_time: datetime
@@ -214,6 +216,9 @@ class StateSet:
         object.__setattr__(self, "data", d)
 
     def channel(self, variable: Var, level: int = SURFACE_LEVEL) -> np.ndarray:
+        if self.data.shape[0] != N_CHANNELS:
+            raise ValueError(f"state holds {self.data.shape[0]} planes, not the "
+                             f"canonical {N_CHANNELS}; index its data directly")
         return self.data[flat_channel_index(variable, level)]
 
     def field(self, variable: Var, level: int = SURFACE_LEVEL) -> Field:

@@ -81,32 +81,53 @@ def build_plan(src: GridSpec, dst: GridSpec) -> RegridPlan:
                       cols0=cols0, cols1=cols1, wlon=wlon)
 
 
-def _apply_plane(plan: RegridPlan, values: np.ndarray) -> np.ndarray:
-    v = values.astype(np.float64)
-    top = v[plan.rows0]
-    bot = v[plan.rows1]
-    wx = plan.wlon[np.newaxis, :]
-    row_top = wx * top[:, plan.cols0] + (1.0 - wx) * top[:, plan.cols1]
-    row_bot = wx * bot[:, plan.cols0] + (1.0 - wx) * bot[:, plan.cols1]
-    out = plan.wlat[:, np.newaxis] * row_top + (1.0 - plan.wlat[:, np.newaxis]) * row_bot
-    return out.astype(np.float32)
+def _apply_planes(plan: RegridPlan, planes: np.ndarray) -> np.ndarray:
+    """Interpolate a stack of planes, each through the same float64 work
+    buffers, allocated once. Per plane the operations and their order are
+    those of
+
+        v = plane.astype(float64); top, bot = v[rows0], v[rows1]
+        row_top = wx * top[:, cols0] + (1 - wx) * top[:, cols1]  (bot alike)
+        out = (wy * row_top + (1 - wy) * row_bot).astype(float32)
+
+    so the result is bitwise that expression's. take() runs with
+    mode="clip" because mode="raise" copies into a temporary first;
+    build_plan's indices are in range, so clipping changes nothing."""
+    src, dst = plan.source, plan.destination
+    out = np.empty((len(planes),) + dst.shape, dtype=np.float32)
+    v = np.empty(src.shape)
+    top, bot = np.empty((2, dst.nlat, src.nlon))
+    row_top, row_bot, tmp = np.empty((3,) + dst.shape)
+    wx, wy = plan.wlon, plan.wlat[:, np.newaxis]
+    wx1, wy1 = 1.0 - wx, 1.0 - wy
+    for plane, res in zip(planes, out):
+        v[...] = plane
+        np.take(v, plan.rows0, axis=0, out=top, mode="clip")
+        np.take(v, plan.rows1, axis=0, out=bot, mode="clip")
+        for rows, acc in ((top, row_top), (bot, row_bot)):
+            np.take(rows, plan.cols0, axis=1, out=acc, mode="clip")
+            np.multiply(wx, acc, out=acc)
+            np.take(rows, plan.cols1, axis=1, out=tmp, mode="clip")
+            np.multiply(wx1, tmp, out=tmp)
+            np.add(acc, tmp, out=acc)
+        np.multiply(wy, row_top, out=row_top)
+        np.multiply(wy1, row_bot, out=row_bot)
+        np.add(row_top, row_bot, out=row_top)
+        res[...] = row_top
+    return out
 
 
 def apply_plan(plan: RegridPlan, fld: Field) -> Field:
     """Interpolate one field onto the plan's destination grid."""
     if fld.grid != plan.source:
         raise GridMismatchError("field grid does not match the plan's source grid")
-    return Field(variable=fld.variable, level=fld.level,
-                 grid=plan.destination, values=_apply_plane(plan, fld.values))
+    return Field(variable=fld.variable, level=fld.level, grid=plan.destination,
+                 values=_apply_planes(plan, fld.values[np.newaxis])[0])
 
 
 def regrid_state(state: StateSet, dst: GridSpec) -> StateSet:
-    """Regrid all 69 channels with one shared plan; metadata preserved."""
+    """Regrid all planes with one shared plan; metadata preserved."""
     if state.grid == dst:
         return state
-    plan = build_plan(state.grid, dst)
-    out = np.empty((state.data.shape[0], dst.nlat, dst.nlon), dtype=np.float32)
-    for k in range(state.data.shape[0]):
-        out[k] = _apply_plane(plan, state.data[k])
     return StateSet(valid_time=state.valid_time, source_label=state.source_label,
-                    grid=dst, data=out)
+                    grid=dst, data=_apply_planes(build_plan(state.grid, dst), state.data))

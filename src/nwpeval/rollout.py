@@ -128,8 +128,10 @@ def builtin_step(state: StateSet, backend: BackendSpec, step_hours: int) -> Stat
     return state.replace(valid_time=t, data=data)
 
 
-def _external_step(in_path: Path, out_path: Path, backend: BackendSpec,
-                   step_hours: int, step_no: int) -> StateSet:
+def _run_backend(in_path: Path, out_path: Path, backend: BackendSpec,
+                 step_hours: int, step_no: int) -> None:
+    """Run the external command for one step; RolloutError with the exit
+    code and stderr tail if it fails."""
     cmd = shlex.split(backend.command) + [
         "--in", str(in_path), "--out", str(out_path), "--step-hours", str(step_hours)]
     proc = subprocess.run(cmd, capture_output=True, text=True)
@@ -141,6 +143,10 @@ def _external_step(in_path: Path, out_path: Path, backend: BackendSpec,
         raise RolloutError(f"backend failed at step {step_no} "
                            f"(+{step_hours}h): exit {proc.returncode}"
                            + (f"; stderr: {tail}" if tail else ""))
+
+
+def _read_step(out_path: Path, step_no: int) -> StateSet:
+    """Read and check one step's output archive."""
     try:
         out = read_archive(str(out_path))
     except Exception as exc:
@@ -151,11 +157,12 @@ def _external_step(in_path: Path, out_path: Path, backend: BackendSpec,
 
 
 def _sha256(path: Path) -> str:
-    """Hex SHA-256 of a file, read in 1 MiB chunks."""
+    """Hex SHA-256 of a file, read into one reused 256 KiB buffer."""
     digest = hashlib.sha256()
+    buf = memoryview(bytearray(1 << 18))
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+        while n := fh.readinto(buf):
+            digest.update(buf[:n])
     return digest.hexdigest()
 
 
@@ -174,6 +181,8 @@ def run_rollout(ic: StateSet, backend: BackendSpec, leads, emit,
     and before the next step starts. Of the IC only valid_time and
     source_label are kept past step000.nws or the first builtin step, so
     a caller holding no reference of its own gets its memory back then.
+    verify_determinism runs step 1 again into a file of its own and compares
+    the two files' SHA-256, without reading the repeat as a state.
     """
     wanted = {int(h) for h in leads}
     plan = plan_for_leads(wanted, backend.horizons)
@@ -196,11 +205,13 @@ def run_rollout(ic: StateSet, backend: BackendSpec, leads, emit,
                 state = builtin_step(state, backend, hours)
             else:
                 del state   # it is on disk: hold one state while reading the next
-                state = _external_step(files[n - 1], files[n], backend, hours, n)
+                _run_backend(files[n - 1], files[n], backend, hours, n)
+                state = _read_step(files[n], n)
                 if verify_determinism and n == 1:
-                    # repeat into its own file: step 2 reads step001.nws
+                    # repeat into its own file (step 2 reads step001.nws);
+                    # hashed, never read: equal hashes mean checked bytes
                     repeat = Path(work) / "repeat001.nws"
-                    _external_step(files[0], repeat, backend, hours, n)
+                    _run_backend(files[0], repeat, backend, hours, n)
                     h1, h2 = _sha256(files[1]), _sha256(repeat)
                     if h1 != h2:
                         log.warning("backend is not deterministic: step-1 hashes "

@@ -113,17 +113,6 @@ def _report_value(var: Var, metric: str, value: float) -> float:
     return value
 
 
-def report_planes(state: StateSet, grid: GridSpec, report_channels=None) -> np.ndarray:
-    """Copy of the report-channel planes of a state on `grid`, shape
-    (len(report_channels), nlat, nlon) in report_channels order, so the
-    69-channel state need not be kept."""
-    if state.grid != grid:
-        raise GridMismatchError(f"{state.source_label} grid does not match "
-                                "the forecast grid")
-    return np.stack([state.channel(var, level)
-                     for var, level in report_channels or DEFAULT_REPORT_CHANNELS])
-
-
 @functools.lru_cache(maxsize=64)
 def _region_block(grid: GridSpec, box: RegionBox):
     """(index, weights) of the box's block of rows and columns. region_mask
@@ -144,11 +133,12 @@ def evaluate_run(forecasts: dict[int, StateSet], truths: dict[int, np.ndarray],
     """Score forecasts against truths.
 
     forecasts maps lead hours to states on one common grid; truths maps
-    lead hours, and climatology is, the report_planes of that grid in
-    report_channels order. Returns (records, errors); a missing or
-    mismatched truth at a lead, or a non-finite RMSE or ACC, is an error,
-    not a row; the run continues. Region blocks and weights are built once
-    per (grid, box), not once per call.
+    lead hours, and climatology is, the report-channel planes of that grid
+    in report_channels order, as `read_archive(path, report_channels).data`
+    gives them. Returns (records, errors); a missing or mismatched truth at
+    a lead, or a non-finite RMSE or ACC, is an error, not a row; the run
+    continues. Region blocks and weights are built once per (grid, box),
+    not once per call.
     """
     if report_channels is None:
         report_channels = DEFAULT_REPORT_CHANNELS

@@ -11,7 +11,8 @@ from nwpeval.archive import (DataError, FormatError, LayoutError,
                              UnsupportedLayoutError, archive_bytes,
                              ingest_raw, payload_size, read_archive,
                              read_header, write_archive)
-from nwpeval.grids import CHANNELS, N_CHANNELS, GridSpec, Var
+from nwpeval.grids import (CHANNELS, N_CHANNELS, GridSpec, StateSet, Var,
+                           flat_channel_index)
 from tests.conftest import random_state
 
 
@@ -121,6 +122,74 @@ class TestErrors:
         raw = archive_bytes(random_state(small_grid, seed=9)) + b"\0"
         with pytest.raises(FormatError, match="follow the payload"):
             read_archive(io.BytesIO(raw))
+
+
+class TestSubsetRead:
+    @settings(max_examples=40, deadline=None)
+    @given(nlat=st.integers(2, 8), nlon=st.integers(2, 12),
+           seed=st.integers(0, 10_000),
+           channels=st.lists(st.sampled_from(CHANNELS), min_size=1, max_size=12,
+                             unique=True))
+    def test_planes_equal_the_full_read(self, nlat, nlon, seed, channels):
+        grid = GridSpec(nlat=nlat, nlon=nlon, lat_start=90.0,
+                        dlat=min(10.0, 180.0 / nlat),
+                        lon_start=0.0, dlon=360.0 / max(nlon, 2) / 2)
+        raw = archive_bytes(random_state(grid, seed=seed, label="sub"))
+        full = read_archive(io.BytesIO(raw))
+        sub = read_archive(io.BytesIO(raw), channels)
+        assert (sub.grid, sub.valid_time, sub.source_label) == \
+            (full.grid, full.valid_time, full.source_label)
+        want = full.data[[flat_channel_index(v, lvl) for v, lvl in channels]]
+        assert sub.data.tobytes() == want.tobytes()
+
+    def test_from_a_path(self, tmp_path, small_grid):
+        s = random_state(small_grid, seed=11)
+        path = tmp_path / "state.nws"
+        write_archive(s, str(path))
+        sub = read_archive(str(path), [(Var.Z, 500), (Var.MSLP, 0)])
+        assert np.array_equal(sub.data[0], s.channel(Var.Z, 500))
+        assert np.array_equal(sub.data[1], s.channel(Var.MSLP))
+
+    @pytest.mark.parametrize("cut", ["header", "first-plane", "mid-payload",
+                                     "last-byte"])
+    def test_truncated_raises_as_a_full_read(self, small_grid, cut):
+        raw = archive_bytes(random_state(small_grid, seed=12))
+        plane = small_grid.nlat * small_grid.nlon * 4
+        header = len(raw) - payload_size(small_grid)
+        keep = {"header": header - 3, "first-plane": header + plane // 2,
+                "mid-payload": header + 30 * plane + 5, "last-byte": len(raw) - 1}[cut]
+        with pytest.raises(TruncationError) as full:
+            read_archive(io.BytesIO(raw[:keep]))
+        # the subset asks only for a plane the short file still holds
+        with pytest.raises(TruncationError) as sub:
+            read_archive(io.BytesIO(raw[:keep]), [CHANNELS[0]])
+        assert str(sub.value) == str(full.value)
+
+    def test_bytes_after_payload(self, small_grid):
+        raw = archive_bytes(random_state(small_grid, seed=13)) + b"\0"
+        with pytest.raises(FormatError, match="follow the payload"):
+            read_archive(io.BytesIO(raw), [(Var.T2, 0)])
+
+    def test_subset_state_has_no_canonical_index(self, small_grid):
+        raw = archive_bytes(random_state(small_grid, seed=14))
+        sub = read_archive(io.BytesIO(raw), [(Var.Z, 500)])
+        with pytest.raises(ValueError, match="1 planes"):
+            sub.channel(Var.Z, 500)
+        with pytest.raises(ValueError):
+            sub.field(Var.MSLP)
+
+    def test_write_rejects_a_subset_state(self, tmp_path, small_grid):
+        s = random_state(small_grid, seed=15)
+        sub = StateSet(valid_time=s.valid_time, source_label=s.source_label,
+                       grid=small_grid, data=s.data[:9])
+        buf = io.BytesIO()
+        with pytest.raises(ValueError, match="9 planes"):
+            write_archive(sub, buf)
+        assert buf.getvalue() == b""
+        path = tmp_path / "sub.nws"
+        with pytest.raises(ValueError):
+            write_archive(sub, str(path))
+        assert not path.exists()
 
 
 class TestIngestRaw:

@@ -3,11 +3,13 @@ import sys
 import textwrap
 import tracemalloc
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from nwpeval import experiment
 from nwpeval.archive import ingest_raw, write_archive
 from nwpeval.experiment import (ConfigError, ExperimentConfig, ICSource,
                                 SpliceScenario, load_config, parse_channel,
@@ -100,6 +102,28 @@ class TestRunExperiment:
         assert {r["source"] for r in rows} == set(labels) | {"donorpadbase"}
         assert len(rows) == 3 * 9 * 2 * 10 * 2
 
+    def test_truths_and_climatology_read_as_report_planes(self, tmp_path, small_grid,
+                                                          monkeypatch):
+        labels = build_inputs(tmp_path, small_grid)
+        channels = ((Var.Z, 500), (Var.T2, 0))
+        cfg = dataclasses.replace(make_config(tmp_path, small_grid, labels, leads=(24, 48)),
+                                  report_channels=channels)
+        reads = []
+        read_archive = experiment.read_archive
+
+        def spy(path, channels=None):
+            state = read_archive(path, channels)
+            reads.append((Path(path).name, channels, state.data.shape[0]))
+            return state
+
+        monkeypatch.setattr(experiment, "read_archive", spy)
+        report = run_experiment(cfg)
+        assert report.failures == {}
+        assert len(read_metric_csv(str(report.csv_path))) == 2 * 2 * 2 * 2 * 2
+        assert reads == [("truth_24.nws", channels, 2), ("truth_48.nws", channels, 2),
+                         ("clim.nws", channels, 2),
+                         ("src0.nws", None, 69), ("src1.nws", None, 69)]
+
     def test_missing_truth_is_per_lead_not_fatal(self, tmp_path, small_grid):
         labels = build_inputs(tmp_path, small_grid)
         (tmp_path / "truth_48.nws").unlink()
@@ -107,6 +131,19 @@ class TestRunExperiment:
         rows = read_metric_csv(str(report.csv_path))
         assert {int(r["lead_hours"]) for r in rows} == set(LEADS) - {48}
         assert "lead 48" in report.log_path.read_text()
+
+    def test_truth_off_the_grid_is_logged_per_lead(self, tmp_path, small_grid,
+                                                   coarse_grid):
+        labels = build_inputs(tmp_path, small_grid)
+        write_archive(make_state(coarse_grid, seed=1, source_label="era5"),
+                      str(tmp_path / "truth_48.nws"))
+        report = run_experiment(make_config(tmp_path, small_grid, labels, leads=(24, 48)))
+        assert report.failures == {}
+        rows = read_metric_csv(str(report.csv_path))
+        assert {int(r["lead_hours"]) for r in rows} == {24}
+        log = report.log_path.read_text()
+        assert "truth: lead 48: truth era5 grid does not match the forecast grid" in log
+        assert f"{labels[0]}: lead 48: no truth state" in log
 
     def test_broken_source_does_not_abort_others(self, tmp_path, small_grid):
         labels = build_inputs(tmp_path, small_grid)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nwpeval.grids import Field, GridMismatchError, GridSpec, Var
+from nwpeval.grids import (Field, GridMismatchError, GridSpec, Var,
+                           flat_channel_index)
 from nwpeval.regrid import apply_plan, build_plan, regrid_state
 from nwpeval.synthetic import make_state
 from tests.conftest import random_state
@@ -126,3 +127,36 @@ class TestRegridState:
         out = regrid_state(s, GridSpec(nlat=9, nlon=16, lat_start=90, dlat=22.5,
                                        lon_start=0, dlon=22.5))
         assert np.isfinite(out.data).all()
+
+
+def per_plane_expression(plan, values):
+    """The per-plane expression regrid_state evaluated before it kept its
+    work buffers, one temporary per step: the bitwise oracle."""
+    v = values.astype(np.float64)
+    top = v[plan.rows0]
+    bot = v[plan.rows1]
+    wx = plan.wlon[np.newaxis, :]
+    row_top = wx * top[:, plan.cols0] + (1.0 - wx) * top[:, plan.cols1]
+    row_bot = wx * bot[:, plan.cols0] + (1.0 - wx) * bot[:, plan.cols1]
+    out = plan.wlat[:, np.newaxis] * row_top + (1.0 - plan.wlat[:, np.newaxis]) * row_bot
+    return out.astype(np.float32)
+
+
+@pytest.mark.parametrize("src,dst", [
+    # full circle, destination columns crossing the 0/360 seam
+    (GridSpec(nlat=37, nlon=72, lat_start=90, dlat=5, lon_start=0, dlon=5),
+     GridSpec(nlat=46, nlon=97, lat_start=88, dlat=3.9, lon_start=357.5, dlon=3.7)),
+    # a regional source: columns clamp at both edges
+    (GridSpec(nlat=20, nlon=30, lat_start=60, dlat=2, lon_start=60, dlon=3),
+     GridSpec(nlat=33, nlon=61, lat_start=64, dlat=1.5, lon_start=50, dlon=1.8)),
+    # a source without pole rows: polar destination rows clamp
+    (GridSpec(nlat=72, nlon=144, lat_start=88.75, dlat=2.5, lon_start=1.25, dlon=2.5),
+     GridSpec(nlat=91, nlon=180, lat_start=90, dlat=2, lon_start=0, dlon=2)),
+], ids=["cyclic", "non-cyclic", "pole-clamped"])
+def test_bitwise_equal_to_the_per_plane_expression(src, dst):
+    state = random_state(src, seed=21)
+    plan = build_plan(src, dst)
+    want = np.stack([per_plane_expression(plan, plane) for plane in state.data])
+    assert regrid_state(state, dst).data.tobytes() == want.tobytes()
+    fld = apply_plan(plan, state.field(Var.Z, 500))
+    assert fld.values.tobytes() == want[flat_channel_index(Var.Z, 500)].tobytes()

@@ -6,6 +6,7 @@ import re
 import stat
 import sys
 import textwrap
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -373,6 +374,26 @@ class TestExternalBackend:
         (msg,) = [r.message for r in caplog.records if "not deterministic" in r.message]
         h1, h2 = re.findall(r"\b[0-9a-f]{64}\b", msg)
         assert h1 != h2
+
+    def test_determinism_repeat_is_hashed_not_read(self, tmp_path, monkeypatch):
+        # one 91x180 state is 4.3 MiB; the IC is allocated before tracing starts
+        grid = GridSpec(nlat=91, nlon=180, lat_start=90.0, dlat=2.0,
+                        lon_start=0.0, dlon=2.0)
+        monkeypatch.setattr(GridSpec, "canonical", classmethod(lambda cls: grid))
+        be = write_copy_backend(tmp_path / "backend.py")
+        ic = random_state(grid, seed=6)
+        state_bytes = ic.data.nbytes
+        leads = []
+        tracemalloc.start()
+        try:
+            run_rollout(ic, be, [24, 48], lambda lead, state: leads.append(lead),
+                        verify_determinism=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert leads == [24, 48]
+        # reading the repeat as a state would make this 2 states
+        assert peak < 1.25 * state_bytes
 
     def test_bytes_after_the_output_archive(self, tmp_path, canonical_like_state):
         be = write_copy_backend(tmp_path / "backend.py",

@@ -1,16 +1,18 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
 from nwpeval import verify
+from nwpeval.archive import archive_bytes, read_archive
 from nwpeval.grids import (EAST_ASIA, GLOBAL, GridMismatchError, GridSpec,
                            RegionBox, Var, flat_channel_index)
 from nwpeval.splice import region_mask
 from nwpeval.synthetic import make_climatology, make_state
 from nwpeval.verify import (DEFAULT_REPORT_CHANNELS, DegenerateAnomalyError,
                             EmptyMaskError, acc_weighted, evaluate_run,
-                            lat_weights, report_planes, rmse_weighted)
+                            lat_weights, rmse_weighted)
 from tests.conftest import random_state
 
 
@@ -47,10 +49,15 @@ def brute_force_acc(f, o, c, grid, mask):
     return cov / math.sqrt(vf * vo)
 
 
+def subset_read(state, channels=DEFAULT_REPORT_CHANNELS):
+    """The planes a subset read of the state's archive gives, as run_experiment
+    and `nwpeval evaluate` read truths and the climatology."""
+    return read_archive(io.BytesIO(archive_bytes(state)), channels).data
+
+
 def planes(truths, clim):
     """evaluate_run's truth and climatology arguments: report planes."""
-    return ({lead: report_planes(s, clim.grid) for lead, s in truths.items()},
-            report_planes(clim, clim.grid))
+    return {lead: subset_read(s) for lead, s in truths.items()}, subset_read(clim)
 
 
 def random_grid(rng):
@@ -310,8 +317,8 @@ class TestEvaluateRun:
             states = [make_state(g, seed=200 + 3 * trial + k) for k in range(3)]
             f, o, c = (s.channel(Var.MSLP) for s in states)
             records, errors = evaluate_run(
-                {24: states[0]}, {24: report_planes(states[1], g, mslp)},
-                report_planes(states[2], g, mslp), {"box": box}, mslp)
+                {24: states[0]}, {24: subset_read(states[1], mslp)},
+                subset_read(states[2], mslp), {"box": box}, mslp)
             assert errors == []
             got = {r.metric: r.value for r in records}
             want = {"RMSE": brute_force_rmse(f, o, g, mask),
@@ -337,22 +344,25 @@ class TestEvaluateRun:
     def test_truth_grid_mismatch_is_an_error(self, small_grid, coarse_grid):
         fc = self._series(small_grid, [88])
         clim = make_climatology(small_grid)
-        tr = {24: report_planes(make_state(coarse_grid), coarse_grid)}
-        records, errors = evaluate_run(fc, tr, report_planes(clim, small_grid),
-                                       {"global": GLOBAL})
+        tr = {24: subset_read(make_state(coarse_grid))}
+        records, errors = evaluate_run(fc, tr, subset_read(clim), {"global": GLOBAL})
         assert records == [] and errors == ["lead 24: truth grid mismatch"]
 
 
 class TestReportPlanes:
+    """Truths and the climatology reach evaluate_run as a subset read."""
+
     def test_copies_the_channels_in_report_order(self, small_state, small_grid):
         channels = ((Var.Z, 500), (Var.MSLP, 0))
-        p = report_planes(small_state, small_grid, channels)
+        p = subset_read(small_state, channels)
         assert p.shape == (2,) + small_grid.shape
         assert np.array_equal(p[0], small_state.channel(Var.Z, 500))
         assert np.array_equal(p[1], small_state.channel(Var.MSLP))
-        assert not np.shares_memory(p, small_state.data)
-        assert report_planes(small_state, small_grid).shape[0] == len(DEFAULT_REPORT_CHANNELS)
+        assert subset_read(small_state).shape[0] == len(DEFAULT_REPORT_CHANNELS)
 
-    def test_other_grid_rejected(self, small_state, coarse_grid):
-        with pytest.raises(GridMismatchError):
-            report_planes(small_state, coarse_grid)
+    def test_other_grid_rejected(self, small_grid, coarse_grid):
+        fc = {24: make_state(small_grid, seed=5)}
+        tr = {24: subset_read(make_state(small_grid, seed=6))}
+        with pytest.raises(GridMismatchError, match="climatology planes"):
+            evaluate_run(fc, tr, subset_read(make_climatology(coarse_grid)),
+                         {"global": GLOBAL})
