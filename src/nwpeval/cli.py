@@ -17,8 +17,8 @@ from pathlib import Path
 from . import __version__
 from .archive import (ArchiveError, RawDumpLayout, ingest_raw, read_archive,
                       read_header, write_archive)
-from .experiment import (ConfigError, _parse_box, _parse_time, load_config,
-                         parse_channel, run_experiment)
+from .experiment import (ConfigError, TruthError, _parse_box, _parse_time,
+                         load_config, parse_channel, read_truth, run_experiment)
 from .grids import DEFAULT_REGIONS, GridMismatchError, GridSpec, validate_state
 from .plots import PlotInputError, emit_plots, write_metric_csv
 from .regrid import regrid_state
@@ -239,12 +239,12 @@ def _cmd_evaluate(args) -> int:
         fc = read_archive(args.forecast_pattern.format(lead=lead))
         if fc.grid != grid:
             raise GridMismatchError("climatology grid does not match forecast grid")
-        truth = read_archive(args.truth_pattern.format(lead=lead), channels)
-        if truth.grid != grid:
-            errors.append(f"lead {lead}: truth {truth.source_label} grid "
-                          "does not match the forecast grid")
+        try:
+            truth = read_truth(args.truth_pattern, lead, grid, channels)
+        except TruthError as exc:
+            errors.append(str(exc))
             continue
-        r, e = evaluate_run({lead: fc}, {lead: truth.data}, clim, regions, channels)
+        r, e = evaluate_run(lead, fc, truth, clim, regions, channels)
         records.extend(r)
         errors.extend(e)
     for e in errors:

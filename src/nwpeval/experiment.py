@@ -25,12 +25,13 @@ import yaml
 from .archive import (ArchiveError, RawDumpLayout, ingest_raw, read_archive,
                       read_header)
 from .grids import (CHANNEL_INDEX, DEFAULT_REGIONS, GridSpec, RegionBox,
-                    StateSet, Var, region_mask)
+                    StateSet, Var)
 from .plots import emit_plots, write_metric_csv
 from .regrid import regrid_state
 from .rollout import BackendSpec, plan_for_leads, run_rollout
 from .splice import SpliceSpec, splice_states
-from .verify import DEFAULT_REPORT_CHANNELS, MetricRecord, evaluate_run
+from .verify import (DEFAULT_REPORT_CHANNELS, EmptyMaskError, MetricRecord,
+                     evaluate_run, region_block)
 
 log = logging.getLogger(__name__)
 
@@ -40,6 +41,10 @@ DEFAULT_LEADS = tuple(range(24, 241, 24))
 
 class ConfigError(ValueError):
     """The experiment config is invalid."""
+
+
+class TruthError(ValueError):
+    """A lead's truth file is missing or off the forecast grid."""
 
 
 @dataclass(frozen=True)
@@ -99,8 +104,10 @@ class ExperimentConfig:
         if self.workers is not None and self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         for name, box in self.regions.items():
-            if not region_mask(self.model_grid, box).any():
-                raise ConfigError(f"region {name!r} selects no model-grid point")
+            try:
+                region_block(self.model_grid, box)   # built once, reused to score
+            except EmptyMaskError:
+                raise ConfigError(f"region {name!r} selects no model-grid point") from None
         for src in self.ic_sources:
             if not os.path.exists(src.path):
                 raise ConfigError(f"source {src.label!r}: missing file {src.path}")
@@ -159,7 +166,7 @@ def _parse_box(v) -> RegionBox:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Parse and validate a YAML experiment config."""
+    """Parse a YAML experiment config; run_experiment validates it."""
     raw_bytes = Path(path).read_bytes()
     try:
         doc = yaml.safe_load(raw_bytes)
@@ -231,7 +238,6 @@ def load_config(path: str) -> ExperimentConfig:
     except (AttributeError, TypeError, ValueError) as exc:
         # schema errors raised while building the config objects
         raise ConfigError(f"{path}: {exc}") from None
-    cfg.validate()
     return cfg
 
 
@@ -255,13 +261,26 @@ def _load_source(src: ICSource, init_time: datetime,
     return regrid_state(state, model_grid)
 
 
+def read_truth(pattern: str, lead: int, grid: GridSpec, channels) -> np.ndarray:
+    """The report planes of the truth at `lead`, read as a subset;
+    TruthError if its file is missing or it is not on `grid`."""
+    path = pattern.format(lead=lead)
+    if not os.path.exists(path):
+        raise TruthError(f"lead {lead}: missing truth file {path}")
+    truth = read_archive(path, channels)   # the report planes only
+    if truth.grid != grid:
+        raise TruthError(f"lead {lead}: truth {truth.source_label} grid "
+                         "does not match the forecast grid")
+    return truth.data
+
+
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Execute every run in the matrix and assemble the report.
 
     Each lead is scored as the rollout reaches it, against the report
     planes of its truth, so a run holds one forecast state at a time.
     Per-run failures are logged and recorded without aborting the other
-    runs; config validation failures abort before any run starts.
+    runs; an invalid config aborts before any input is read.
     """
     config.validate()
     outdir = Path(config.output_dir)
@@ -271,16 +290,10 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     truths: dict[int, np.ndarray] = {}
     truth_errors: list[str] = []
     for lead in config.lead_hours:
-        p = config.truth_pattern.format(lead=lead)
-        if not os.path.exists(p):
-            truth_errors.append(f"lead {lead}: missing truth file {p}")
-            continue
-        truth = read_archive(p, channels)   # the report planes only
-        if truth.grid != grid:
-            truth_errors.append(f"lead {lead}: truth {truth.source_label} grid "
-                                "does not match the forecast grid")
-            continue
-        truths[lead] = truth.data
+        try:
+            truths[lead] = read_truth(config.truth_pattern, lead, grid, channels)
+        except TruthError as exc:
+            truth_errors.append(str(exc))
     # validate() has checked the climatology's grid
     climatology = read_archive(config.climatology_path, channels).data
 
@@ -313,7 +326,10 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         errs: list[str] = []
 
         def score(lead: int, state: StateSet) -> None:
-            r, e = evaluate_run({lead: state}, truths, climatology,
+            if lead not in truths:
+                errs.append(f"lead {lead}: no truth state")
+                return
+            r, e = evaluate_run(lead, state, truths[lead], climatology,
                                 config.regions, channels)
             recs.extend(r)
             errs.extend(e)

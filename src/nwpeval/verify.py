@@ -51,10 +51,6 @@ class MetricRecord:
     metric: str   # "RMSE" | "ACC"
     value: float
 
-    @property
-    def channel(self) -> str:
-        return channel_name(self.variable, self.level)
-
     def sort_key(self):
         return (self.source_label, self.variable.name, self.level,
                 self.region, self.lead_hours, self.metric)
@@ -114,11 +110,12 @@ def _report_value(var: Var, metric: str, value: float) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def _region_block(grid: GridSpec, box: RegionBox):
+def region_block(grid: GridSpec, box: RegionBox):
     """(index, weights) of the box's block of rows and columns. region_mask
     is a Cartesian product of rows and columns, so the block holds exactly
     the region's points and lat_weights over the mask, cut to the block,
-    are its normalized weights. A whole-grid block indexes to a view."""
+    are its normalized weights. A whole-grid block indexes to a view.
+    EmptyMaskError if the box selects no grid point."""
     mask = region_mask(grid, box)
     block = ((slice(None), slice(None)) if mask.all()
              else np.ix_(mask.any(axis=1), mask.any(axis=0)))
@@ -127,59 +124,43 @@ def _region_block(grid: GridSpec, box: RegionBox):
     return block, weights
 
 
-def evaluate_run(forecasts: dict[int, StateSet], truths: dict[int, np.ndarray],
+def evaluate_run(lead: int, forecast: StateSet, truth: np.ndarray,
                  climatology: np.ndarray, regions: dict[str, RegionBox],
-                 report_channels=None) -> tuple[list[MetricRecord], list[str]]:
-    """Score forecasts against truths.
+                 report_channels=DEFAULT_REPORT_CHANNELS
+                 ) -> tuple[list[MetricRecord], list[str]]:
+    """Score the forecast at one lead against its truth.
 
-    forecasts maps lead hours to states on one common grid; truths maps
-    lead hours, and climatology is, the report-channel planes of that grid
-    in report_channels order, as `read_archive(path, report_channels).data`
-    gives them. Returns (records, errors); a missing or mismatched truth at
-    a lead, or a non-finite RMSE or ACC, is an error, not a row; the run
-    continues. Region blocks and weights are built once per (grid, box),
-    not once per call.
+    truth and climatology are the report-channel planes of the forecast's
+    grid in report_channels order, as `read_archive(path, report_channels).data`
+    gives them; GridMismatchError if either has another shape. Returns
+    (records, errors); a non-finite RMSE or ACC is an error, not a row.
+    Region blocks and weights are built once per (grid, box), not once per
+    call.
     """
-    if report_channels is None:
-        report_channels = DEFAULT_REPORT_CHANNELS
+    shape = (len(report_channels),) + forecast.grid.shape
+    if truth.shape != shape or climatology.shape != shape:
+        raise GridMismatchError("truth or climatology planes do not match the "
+                                "forecast grid and report channels")
+    init_time = forecast.valid_time - timedelta(hours=lead)
+    blocks = {name: region_block(forecast.grid, box) for name, box in regions.items()}
     records: list[MetricRecord] = []
     errors: list[str] = []
-    leads = sorted(forecasts)
-    if not leads:
-        return records, errors
-    grid = forecasts[leads[0]].grid
-    shape = (len(report_channels),) + grid.shape
-    if climatology.shape != shape:
-        raise GridMismatchError("climatology planes do not match the forecast "
-                                "grid and report channels")
-    blocks = {name: _region_block(grid, box) for name, box in regions.items()}
-    for lead in leads:
-        fc = forecasts[lead]
-        init_time = fc.valid_time - timedelta(hours=lead)
-        if lead not in truths:
-            errors.append(f"lead {lead}: no truth state")
-            continue
-        tr = truths[lead]
-        if tr.shape != shape:
-            errors.append(f"lead {lead}: truth grid mismatch")
-            continue
-        for k, (var, level) in enumerate(report_channels):
-            f, o, c = fc.channel(var, level), tr[k], climatology[k]
-            for name, (block, w) in blocks.items():
-                where = f"lead {lead} {channel_name(var, level)} {name}"
-                fb, ob = f[block], o[block]
-                values = {"RMSE": rmse_weighted(fb, ob, w)}
-                try:
-                    values["ACC"] = acc_weighted(fb, ob, c[block], w)
-                except DegenerateAnomalyError as exc:
-                    errors.append(f"{where}: {exc}")
-                for metric, value in values.items():
-                    if not math.isfinite(value):
-                        errors.append(f"{where}: {metric} is not finite ({value})")
-                        continue
-                    records.append(MetricRecord(
-                        init_time=init_time, source_label=fc.source_label,
-                        variable=var, level=level, region=name, lead_hours=lead,
-                        metric=metric, value=_report_value(var, metric, value)))
-    records.sort(key=MetricRecord.sort_key)
+    for k, (var, level) in enumerate(report_channels):
+        f, o, c = forecast.channel(var, level), truth[k], climatology[k]
+        for name, (block, w) in blocks.items():
+            where = f"lead {lead} {channel_name(var, level)} {name}"
+            fb, ob = f[block], o[block]
+            values = {"RMSE": rmse_weighted(fb, ob, w)}
+            try:
+                values["ACC"] = acc_weighted(fb, ob, c[block], w)
+            except DegenerateAnomalyError as exc:
+                errors.append(f"{where}: {exc}")
+            for metric, value in values.items():
+                if not math.isfinite(value):
+                    errors.append(f"{where}: {metric} is not finite ({value})")
+                    continue
+                records.append(MetricRecord(
+                    init_time=init_time, source_label=forecast.source_label,
+                    variable=var, level=level, region=name, lead_hours=lead,
+                    metric=metric, value=_report_value(var, metric, value)))
     return records, errors

@@ -172,6 +172,24 @@ class TestRolloutEvaluatePlot:
         write_archive(make_climatology(coarse_grid), str(tmp_path / "clim.nws"))
         assert main(argv) == 1 and not csv.exists()
 
+    def test_evaluate_missing_truth_is_per_lead(self, tmp_path, small_grid, caplog):
+        # as in `nwpeval run`: a warning for that lead, the others scored, exit 1
+        for lead in (24, 48):
+            write_archive(make_state(small_grid, seed=57, source_label="gfs"),
+                          str(tmp_path / f"fc_{lead}.nws"))
+        write_archive(make_state(small_grid, seed=58, source_label="era5"),
+                      str(tmp_path / "truth_24.nws"))
+        write_archive(make_climatology(small_grid), str(tmp_path / "clim.nws"))
+        csv = tmp_path / "metrics.csv"
+        with caplog.at_level(logging.WARNING):
+            assert main(["evaluate", "--forecast-pattern", str(tmp_path / "fc_{lead}.nws"),
+                         "--truth-pattern", str(tmp_path / "truth_{lead}.nws"),
+                         "--climatology", str(tmp_path / "clim.nws"),
+                         "--leads", "24,48", "--out", str(csv)]) == 1
+        assert f"lead 48: missing truth file {tmp_path / 'truth_48.nws'}" in caplog.text
+        rows = read_metric_csv(str(csv))
+        assert len(rows) == 9 * 2 * 2 and {r["lead_hours"] for r in rows} == {"24"}
+
     @pytest.mark.parametrize("lead,files", [
         ("12", ["forecast_012h.nws"]),
         ("30", ["forecast_024h.nws", "forecast_030h.nws"]),
@@ -207,7 +225,7 @@ def scenario(**overrides):
 
 
 # Each breaks one schema rule; every one must be a config error (exit 2)
-# raised by load_config, before any run writes run.log.
+# raised by load_config or validate, before any run writes run.log.
 BAD_CONFIGS = {
     "backend-kind": {"backend": {"kind": "magic"}},
     "box-3-elements": {"splice_scenarios": scenario(box=[-10, 60, 60])},
@@ -257,6 +275,23 @@ class TestRunSubcommand:
         assert payload_reads == []
         assert not (tmp_path / "out" / "run.log").exists()
         assert "off the model grid" in capsys.readouterr().err
+
+    def test_config_validated_once_per_run(self, tmp_path, small_grid, monkeypatch):
+        # one climatology header read; each region mask built once, for
+        # validate and scoring both
+        from nwpeval import experiment, verify
+        from tests.test_experiment import build_inputs
+        labels = build_inputs(tmp_path, small_grid)
+        calls = []
+        for module, name in ((experiment, "read_header"), (verify, "region_mask")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _name=name, _f=original:
+                                calls.append(_name) or _f(*a))
+        verify.region_block.cache_clear()
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels)))
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert sorted(calls) == ["read_header", "region_mask", "region_mask"]
 
     def test_lead_needing_smaller_steps_runs(self, tmp_path, small_grid):
         # {24, 18}: 36 h is 18 + 18; a largest-first split dead-ends at 12 h

@@ -1,8 +1,14 @@
+import itertools
+import random
 import re
 
 import pytest
 
-from nwpeval.plots import PlotInputError, emit_plots, read_metric_csv
+from nwpeval.grids import Var
+from nwpeval.plots import (PlotInputError, emit_plots, read_metric_csv,
+                           write_metric_csv)
+from nwpeval.synthetic import default_time
+from nwpeval.verify import MetricRecord
 
 HEADER = "init_time,source,variable,level,region,lead_hours,metric,value\n"
 
@@ -16,6 +22,23 @@ def write_csv(path, rows):
 
 def row(source, var, level, region, lead, metric, value):
     return ("2023-06-06T00:00:00Z", source, var, level, region, lead, metric, value)
+
+
+class TestWriteMetricCsv:
+    def test_records_sorted_canonically(self, tmp_path):
+        # levels and leads whose text order differs from their numeric order
+        records = [MetricRecord(init_time=default_time(), source_label=src,
+                                variable=var, level=level, region=region,
+                                lead_hours=lead, metric=metric, value=1.0)
+                   for src, (var, level), region, lead, metric in itertools.product(
+                       ("ifs", "gfs"), ((Var.Z, 100), (Var.T2, 0), (Var.Z, 50)),
+                       ("global", "east_asia"), (120, 24, 48), ("RMSE", "ACC"))]
+        random.Random(3).shuffle(records)
+        p = tmp_path / "m.csv"
+        write_metric_csv(records, p)
+        got = [(r["source"], r["variable"], int(r["level"]), r["region"],
+                int(r["lead_hours"]), r["metric"]) for r in read_metric_csv(str(p))]
+        assert got == sorted(r.sort_key() for r in records)
 
 
 class TestReadMetricCsv:
