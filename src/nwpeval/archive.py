@@ -17,8 +17,8 @@ Archive layout (all multi-byte values little-endian):
 The channel list must be the canonical 69-channel order; anything else is
 rejected on read. Each plane therefore sits at a fixed offset, so
 `read_archive(src, channels)` reads only the requested planes, one seek
-and `readinto` each. The result holds those planes alone, in the order
-asked for; `StateSet.channel()` and `write_archive` refuse such a state.
+and `readinto` each. The result is a state of those planes alone, in the
+order asked for, named in its `channels`; `write_archive` refuses it.
 """
 
 from __future__ import annotations
@@ -75,10 +75,10 @@ def payload_size(grid: GridSpec) -> int:
 def write_archive(state: StateSet, dest: Union[BinaryIO, str]) -> None:
     """Serialize a state to an archive. Byte output is a pure function of
     the state: identical inputs give identical files. A state that does not
-    hold all 69 planes is a ValueError, raised before any byte is written."""
-    if state.data.shape[0] != N_CHANNELS:
-        raise ValueError(f"state holds {state.data.shape[0]} planes; an archive "
-                         f"holds all {N_CHANNELS}")
+    hold all 69 channels in order is a ValueError, raised before any byte is written."""
+    if state.channels != CHANNELS:
+        raise ValueError(f"state holds {len(state.channels)} planes; an archive "
+                         f"holds all {N_CHANNELS} in the canonical order")
     if isinstance(dest, (str, bytes)):
         with open(dest, "wb") as fh:
             write_archive(state, fh)
@@ -132,8 +132,8 @@ def read_archive(src: Union[BinaryIO, str],
                  channels: Optional[ChannelList] = None) -> StateSet:
     """Exact inverse of write_archive. With `channels`, a list of
     (variable, level), only those planes are read, one seek and readinto
-    each, and the state's data holds them in that order. Either way the
-    payload's size is checked against the end of the file first."""
+    each, and the state holds them in that order. Either way the payload's
+    size is checked against the end of the file first."""
     if isinstance(src, (str, bytes)):
         with open(src, "rb") as fh:
             return read_archive(fh, channels)
@@ -146,16 +146,17 @@ def read_archive(src: Union[BinaryIO, str],
                               f"({size} of {expected} bytes)")
     if size > expected:
         raise FormatError("bytes follow the payload")
-    data = np.empty((N_CHANNELS if channels is None else len(channels),
-                     grid.nlat, grid.nlon), dtype="<f4")
-    reads = [(start, data)] if channels is None else [
+    channels = CHANNELS if channels is None else tuple(channels)
+    data = np.empty((len(channels), grid.nlat, grid.nlon), dtype="<f4")
+    reads = [(start, data)] if channels == CHANNELS else [
         (start + flat_channel_index(var, lvl) * plane.nbytes, plane)
         for plane, (var, lvl) in zip(data, channels)]
     for offset, buf in reads:
         src.seek(offset)
         if src.readinto(buf) != buf.nbytes:
             raise TruncationError("file shrank while being read")
-    return StateSet(valid_time=valid_time, source_label=label, grid=grid, data=data)
+    return StateSet(valid_time=valid_time, source_label=label, grid=grid, data=data,
+                    channels=channels)
 
 
 def read_header(src: Union[BinaryIO, str]) -> dict:
@@ -174,27 +175,26 @@ def read_header(src: Union[BinaryIO, str]) -> dict:
 class RawDumpLayout:
     """Layout of a headerless f32-le dump.
 
-    channel_order: "canonical" or an explicit (variable, level) sequence
-    covering all 69 channels. scan: "north-first" rows as stored, or
-    "south-first" rows to be reversed on ingest.
+    channel_order: the (variable, level) sequence the dump stores, all 69
+    channels once, or "canonical" for CHANNELS. scan: "north-first" rows as
+    stored, or "south-first" rows to be reversed on ingest.
     """
 
-    channel_order: Union[str, ChannelList] = "canonical"
+    channel_order: Union[str, ChannelList] = CHANNELS
     scan: str = "north-first"
 
     def __post_init__(self):
         if self.scan not in ("north-first", "south-first"):
             raise ValueError(f"unknown scan order {self.scan!r}")
-        if isinstance(self.channel_order, str):
-            if self.channel_order != "canonical":
-                raise ValueError(f"unknown channel order {self.channel_order!r}")
-        else:
-            order = tuple(self.channel_order)
-            for var, lvl in order:
-                flat_channel_index(var, lvl)
-            if len(set(order)) != N_CHANNELS:
-                raise ValueError("explicit channel order must cover all 69 channels once")
-            object.__setattr__(self, "channel_order", order)
+        order = CHANNELS if self.channel_order == "canonical" else self.channel_order
+        if isinstance(order, str):
+            raise ValueError(f"unknown channel order {order!r}")
+        order = tuple(order)
+        for var, lvl in order:
+            flat_channel_index(var, lvl)
+        if len(set(order)) != N_CHANNELS:
+            raise ValueError("explicit channel order must cover all 69 channels once")
+        object.__setattr__(self, "channel_order", order)
 
 
 class LayoutError(ArchiveError):
@@ -215,14 +215,12 @@ def ingest_raw(path: str, grid: GridSpec, layout: RawDumpLayout,
     its canonical slot, so no second copy of the state is made.
     """
     data = np.empty((N_CHANNELS, grid.nlat, grid.nlon), dtype="<f4")
-    order = (CHANNELS if layout.channel_order == "canonical"
-             else layout.channel_order)
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size != data.nbytes:
             raise LayoutError(f"{path}: payload is {size} bytes, "
                               f"layout requires {data.nbytes}")
-        for var, lvl in order:
+        for var, lvl in layout.channel_order:
             plane = data[flat_channel_index(var, lvl)]
             if fh.readinto(plane) != plane.nbytes:
                 raise LayoutError(f"{path}: file shrank while being read")

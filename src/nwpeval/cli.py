@@ -18,8 +18,9 @@ from . import __version__
 from .archive import (ArchiveError, RawDumpLayout, ingest_raw, read_archive,
                       read_header, write_archive)
 from .experiment import (ConfigError, TruthError, _parse_box, _parse_time,
-                         load_config, parse_channel, read_truth, run_experiment)
-from .grids import DEFAULT_REGIONS, GridMismatchError, GridSpec, validate_state
+                         load_config, no_repeats, parse_channel, read_truth,
+                         run_experiment)
+from .grids import DEFAULT_REGIONS, GridSpec, channel_name, validate_state
 from .plots import PlotInputError, emit_plots, write_metric_csv
 from .regrid import regrid_state
 from .rollout import BackendSpec, RolloutError, plan_for_leads, run_rollout
@@ -232,15 +233,14 @@ def _cmd_evaluate(args) -> int:
         channels = DEFAULT_REPORT_CHANNELS
         if args.channels:
             channels = [parse_channel(c) for c in args.channels.split(",")]
+        no_repeats("--leads", leads)
+        no_repeats("--channels", [channel_name(*c) for c in channels])
     clim = read_archive(args.climatology, channels)   # the report planes only
-    grid, clim = clim.grid, clim.data
     records, errors = [], []
     for lead in leads:
-        fc = read_archive(args.forecast_pattern.format(lead=lead))
-        if fc.grid != grid:
-            raise GridMismatchError("climatology grid does not match forecast grid")
+        fc = read_archive(args.forecast_pattern.format(lead=lead), channels)
         try:
-            truth = read_truth(args.truth_pattern, lead, grid, channels)
+            truth = read_truth(args.truth_pattern, lead, fc.grid, channels)
         except TruthError as exc:
             errors.append(str(exc))
             continue

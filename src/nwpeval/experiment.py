@@ -19,13 +19,12 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
 import yaml
 
 from .archive import (ArchiveError, RawDumpLayout, ingest_raw, read_archive,
                       read_header)
 from .grids import (CHANNEL_INDEX, DEFAULT_REGIONS, GridSpec, RegionBox,
-                    StateSet, Var)
+                    StateSet, Var, channel_name)
 from .plots import emit_plots, write_metric_csv
 from .regrid import regrid_state
 from .rollout import BackendSpec, plan_for_leads, run_rollout
@@ -97,6 +96,8 @@ class ExperimentConfig:
             raise ConfigError("truth pattern must contain a {lead} placeholder")
         if not self.lead_hours:
             raise ConfigError("lead_hours must not be empty")
+        no_repeats("lead_hours", self.lead_hours)
+        no_repeats("report_channels", [channel_name(*c) for c in self.report_channels])
         try:
             plan_for_leads(self.lead_hours, self.backend.horizons)
         except ValueError as exc:
@@ -123,6 +124,12 @@ class ExperimentConfig:
         if clim_grid != self.model_grid:
             raise ConfigError(f"climatology {self.climatology_path} is off the model "
                               f"grid: {clim_grid} vs {self.model_grid}")
+
+
+def no_repeats(what: str, values) -> None:
+    """ConfigError if a lead or channel repeats: it would be scored twice."""
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{what} repeats an entry: {', '.join(map(str, values))}")
 
 
 def _parse_time(s: str) -> datetime:
@@ -261,8 +268,8 @@ def _load_source(src: ICSource, init_time: datetime,
     return regrid_state(state, model_grid)
 
 
-def read_truth(pattern: str, lead: int, grid: GridSpec, channels) -> np.ndarray:
-    """The report planes of the truth at `lead`, read as a subset;
+def read_truth(pattern: str, lead: int, grid: GridSpec, channels) -> StateSet:
+    """The truth at `lead`, read as a subset state of `channels`;
     TruthError if its file is missing or it is not on `grid`."""
     path = pattern.format(lead=lead)
     if not os.path.exists(path):
@@ -271,7 +278,7 @@ def read_truth(pattern: str, lead: int, grid: GridSpec, channels) -> np.ndarray:
     if truth.grid != grid:
         raise TruthError(f"lead {lead}: truth {truth.source_label} grid "
                          "does not match the forecast grid")
-    return truth.data
+    return truth
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
@@ -287,7 +294,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     outdir.mkdir(parents=True, exist_ok=True)
 
     grid, channels = config.model_grid, config.report_channels
-    truths: dict[int, np.ndarray] = {}
+    truths: dict[int, StateSet] = {}
     truth_errors: list[str] = []
     for lead in config.lead_hours:
         try:
@@ -295,7 +302,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         except TruthError as exc:
             truth_errors.append(str(exc))
     # validate() has checked the climatology's grid
-    climatology = read_archive(config.climatology_path, channels).data
+    climatology = read_archive(config.climatology_path, channels)
 
     ics: dict[str, StateSet] = {}
     failures: dict[str, str] = {}

@@ -10,6 +10,7 @@ lon_start, increasing eastward.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -195,41 +196,42 @@ def _as_utc(t: datetime) -> datetime:
 
 @dataclass(frozen=True)
 class StateSet:
-    """One timestamped 69-channel global state.
+    """One timestamped global state.
 
-    Channels are stored as a single (69, nlat, nlon) float32 array in the
-    canonical order; `field()` exposes individual planes. A subset read
-    (`read_archive(src, channels)`) gives a state whose data holds only
-    the planes asked for, in that order.
+    `data` is a (len(channels), nlat, nlon) float32 array of the planes of
+    `channels`, in that order: all 69 canonical channels by default, or those
+    a subset read (`read_archive(src, channels)`) asked for. `channel()` and
+    `field()` look a plane up by its channel; asked for one it lacks, they fail.
     """
 
     valid_time: datetime
     source_label: str
     grid: GridSpec
     data: np.ndarray = field(repr=False)
+    channels: tuple[tuple[Var, int], ...] = CHANNELS
 
     def __post_init__(self):
         object.__setattr__(self, "valid_time", _as_utc(self.valid_time))
+        object.__setattr__(self, "channels", tuple(self.channels))
         d = np.ascontiguousarray(self.data, dtype=np.float32)
-        if d.ndim != 3 or d.shape[1:] != self.grid.shape:
-            raise ValueError(f"data shape {d.shape} incompatible with grid {self.grid.shape}")
+        if d.shape != (len(self.channels),) + self.grid.shape:
+            raise ValueError(f"data shape {d.shape} does not hold {len(self.channels)} "
+                             f"channels on grid {self.grid.shape}")
         object.__setattr__(self, "data", d)
 
     def channel(self, variable: Var, level: int = SURFACE_LEVEL) -> np.ndarray:
-        if self.data.shape[0] != N_CHANNELS:
-            raise ValueError(f"state holds {self.data.shape[0]} planes, not the "
-                             f"canonical {N_CHANNELS}; index its data directly")
-        return self.data[flat_channel_index(variable, level)]
+        try:
+            return self.data[self.channels.index((variable, level))]
+        except ValueError:
+            flat_channel_index(variable, level)   # InvalidChannelError if illegal
+            raise ValueError(f"state holds no {channel_name(variable, level)} plane") from None
 
     def field(self, variable: Var, level: int = SURFACE_LEVEL) -> Field:
         return Field(variable=variable, level=level, grid=self.grid,
                      values=self.channel(variable, level))
 
     def replace(self, **kwargs) -> "StateSet":
-        args = dict(valid_time=self.valid_time, source_label=self.source_label,
-                    grid=self.grid, data=self.data)
-        args.update(kwargs)
-        return StateSet(**args)
+        return dataclasses.replace(self, **kwargs)
 
 
 # Sanity gates applied at ingestion (harness-chosen, not physical constants).
@@ -254,20 +256,12 @@ def all_finite(data: np.ndarray) -> bool:
 def validate_state(state: StateSet, check_ranges: bool = True) -> list[str]:
     """Return a list of violation messages; empty means the state is clean.
 
-    Checks channel count, grid consistency, NaN/Inf, and per-channel
-    physical ranges. Range checks can be disabled (e.g. for raw backend
-    outputs).
+    Checks NaN/Inf and per-channel physical ranges, plane by plane over
+    the state's channels. Range checks can be disabled (e.g. for raw
+    backend outputs).
     """
     problems: list[str] = []
-    if state.data.shape[0] != N_CHANNELS:
-        problems.append(f"channel-count: expected {N_CHANNELS}, got {state.data.shape[0]}")
-        return problems
-    if state.data.shape[1:] != state.grid.shape:
-        problems.append(f"grid-consistency: data shape {state.data.shape[1:]} "
-                        f"!= grid shape {state.grid.shape}")
-        return problems
-    for k, (var, level) in enumerate(CHANNELS):
-        plane = state.data[k]
+    for (var, level), plane in zip(state.channels, state.data):
         name = channel_name(var, level)
         if not np.isfinite(plane).all():
             problems.append(f"non-finite: {name} contains NaN/Inf")

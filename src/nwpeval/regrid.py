@@ -126,8 +126,8 @@ def apply_plan(plan: RegridPlan, fld: Field) -> Field:
 
 
 def regrid_state(state: StateSet, dst: GridSpec) -> StateSet:
-    """Regrid all planes with one shared plan; metadata preserved."""
+    """Regrid all planes with one shared plan; metadata and channels preserved."""
     if state.grid == dst:
         return state
-    return StateSet(valid_time=state.valid_time, source_label=state.source_label,
-                    grid=dst, data=_apply_planes(build_plan(state.grid, dst), state.data))
+    return state.replace(grid=dst,
+                         data=_apply_planes(build_plan(state.grid, dst), state.data))

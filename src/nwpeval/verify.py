@@ -124,29 +124,28 @@ def region_block(grid: GridSpec, box: RegionBox):
     return block, weights
 
 
-def evaluate_run(lead: int, forecast: StateSet, truth: np.ndarray,
-                 climatology: np.ndarray, regions: dict[str, RegionBox],
+def evaluate_run(lead: int, forecast: StateSet, truth: StateSet,
+                 climatology: StateSet, regions: dict[str, RegionBox],
                  report_channels=DEFAULT_REPORT_CHANNELS
                  ) -> tuple[list[MetricRecord], list[str]]:
     """Score the forecast at one lead against its truth.
 
-    truth and climatology are the report-channel planes of the forecast's
-    grid in report_channels order, as `read_archive(path, report_channels).data`
-    gives them; GridMismatchError if either has another shape. Returns
-    (records, errors); a non-finite RMSE or ACC is an error, not a row.
-    Region blocks and weights are built once per (grid, box), not once per
-    call.
+    forecast, truth and climatology are states, full or subset reads,
+    that hold every report channel; each plane is looked up by its
+    channel. GridMismatchError if the truth or the climatology is off the
+    forecast grid. Returns (records, errors); a non-finite RMSE or ACC is
+    an error, not a row. Region blocks and weights are built once per
+    (grid, box), not once per call.
     """
-    shape = (len(report_channels),) + forecast.grid.shape
-    if truth.shape != shape or climatology.shape != shape:
-        raise GridMismatchError("truth or climatology planes do not match the "
-                                "forecast grid and report channels")
+    if truth.grid != forecast.grid or climatology.grid != forecast.grid:
+        raise GridMismatchError("truth or climatology grid does not match the "
+                                "forecast grid")
     init_time = forecast.valid_time - timedelta(hours=lead)
     blocks = {name: region_block(forecast.grid, box) for name, box in regions.items()}
     records: list[MetricRecord] = []
     errors: list[str] = []
-    for k, (var, level) in enumerate(report_channels):
-        f, o, c = forecast.channel(var, level), truth[k], climatology[k]
+    for var, level in report_channels:
+        f, o, c = (s.channel(var, level) for s in (forecast, truth, climatology))
         for name, (block, w) in blocks.items():
             where = f"lead {lead} {channel_name(var, level)} {name}"
             fb, ob = f[block], o[block]

@@ -11,8 +11,8 @@ from nwpeval.archive import (DataError, FormatError, LayoutError,
                              UnsupportedLayoutError, archive_bytes,
                              ingest_raw, payload_size, read_archive,
                              read_header, write_archive)
-from nwpeval.grids import (CHANNELS, N_CHANNELS, GridSpec, StateSet, Var,
-                           flat_channel_index)
+from nwpeval.grids import (CHANNELS, N_CHANNELS, GridSpec, InvalidChannelError,
+                           StateSet, Var, flat_channel_index)
 from tests.conftest import random_state
 
 
@@ -141,6 +141,9 @@ class TestSubsetRead:
             (full.grid, full.valid_time, full.source_label)
         want = full.data[[flat_channel_index(v, lvl) for v, lvl in channels]]
         assert sub.data.tobytes() == want.tobytes()
+        assert sub.channels == tuple(channels)
+        for var, lvl in channels:
+            assert sub.channel(var, lvl).tobytes() == full.channel(var, lvl).tobytes()
 
     def test_from_a_path(self, tmp_path, small_grid):
         s = random_state(small_grid, seed=11)
@@ -170,18 +173,20 @@ class TestSubsetRead:
         with pytest.raises(FormatError, match="follow the payload"):
             read_archive(io.BytesIO(raw), [(Var.T2, 0)])
 
-    def test_subset_state_has_no_canonical_index(self, small_grid):
-        raw = archive_bytes(random_state(small_grid, seed=14))
-        sub = read_archive(io.BytesIO(raw), [(Var.Z, 500)])
-        with pytest.raises(ValueError, match="1 planes"):
-            sub.channel(Var.Z, 500)
-        with pytest.raises(ValueError):
+    def test_subset_state_looks_up_its_channels(self, small_grid):
+        s = random_state(small_grid, seed=14)
+        sub = read_archive(io.BytesIO(archive_bytes(s)), [(Var.Z, 500), (Var.T2, 0)])
+        assert np.array_equal(sub.channel(Var.Z, 500), s.channel(Var.Z, 500))
+        assert np.array_equal(sub.field(Var.T2).values, s.channel(Var.T2))
+        with pytest.raises(ValueError, match="holds no MSLP plane"):
             sub.field(Var.MSLP)
+        with pytest.raises(InvalidChannelError):
+            sub.channel(Var.Z, 501)
 
     def test_write_rejects_a_subset_state(self, tmp_path, small_grid):
         s = random_state(small_grid, seed=15)
         sub = StateSet(valid_time=s.valid_time, source_label=s.source_label,
-                       grid=small_grid, data=s.data[:9])
+                       grid=small_grid, data=s.data[:9], channels=CHANNELS[:9])
         buf = io.BytesIO()
         with pytest.raises(ValueError, match="9 planes"):
             write_archive(sub, buf)
@@ -203,6 +208,10 @@ class TestIngestRaw:
         out = ingest_raw(str(path), small_grid, RawDumpLayout(),
                          valid_time=s.valid_time, source_label="raw")
         assert states_equal(out, s)
+        # "canonical" is stored as the channel tuple; no other name is known
+        assert RawDumpLayout(channel_order="canonical").channel_order == CHANNELS
+        with pytest.raises(ValueError, match="unknown channel order"):
+            RawDumpLayout(channel_order="natural")
 
     def test_south_first_rows_reversed(self, tmp_path):
         grid = GridSpec(nlat=3, nlon=4, lat_start=90, dlat=45, lon_start=0, dlon=90)

@@ -1,5 +1,6 @@
 import logging
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import yaml
 
 from nwpeval.archive import read_archive, read_header, write_archive
 from nwpeval.cli import main
-from nwpeval.grids import GridSpec
+from nwpeval.grids import GridSpec, Var
 from nwpeval.plots import read_metric_csv
 from nwpeval.synthetic import make_climatology, make_state
 from tests.conftest import random_state
@@ -67,8 +68,13 @@ class TestUsageErrors:
          "--valid-time", "notatime", "--label", "x"],
         ["evaluate", "--forecast-pattern", "{a}", "--truth-pattern", "{a}",
          "--climatology", "{a}", "--leads", "24,x", "--out", "{out}"],
+        ["evaluate", "--forecast-pattern", "{a}", "--truth-pattern", "{a}",
+         "--climatology", "{a}", "--leads", "24,48,24", "--out", "{out}"],
+        ["evaluate", "--forecast-pattern", "{a}", "--truth-pattern", "{a}",
+         "--climatology", "{a}", "--leads", "24", "--channels", "Z500,MSLP,Z500",
+         "--out", "{out}"],
     ], ids=["blend-width", "horizons-x", "horizons-0", "emit-every-0", "lead-0",
-            "valid-time", "leads-x"])
+            "valid-time", "leads-x", "leads-repeated", "channels-repeated"])
     def test_bad_flag_value_exits_2_without_output(self, archive_path, tmp_path, argv):
         out = tmp_path / "out"
         assert main([a.format(a=archive_path, out=out) for a in argv]) == 2
@@ -172,6 +178,31 @@ class TestRolloutEvaluatePlot:
         write_archive(make_climatology(coarse_grid), str(tmp_path / "clim.nws"))
         assert main(argv) == 1 and not csv.exists()
 
+    def test_evaluate_reads_only_the_report_planes(self, tmp_path, small_grid,
+                                                   monkeypatch):
+        from nwpeval import cli, experiment
+        for lead in (24, 48):
+            write_archive(make_state(small_grid, seed=59, source_label="gfs"),
+                          str(tmp_path / f"fc_{lead}.nws"))
+            write_archive(make_state(small_grid, seed=60, source_label="era5"),
+                          str(tmp_path / f"truth_{lead}.nws"))
+        write_archive(make_climatology(small_grid), str(tmp_path / "clim.nws"))
+        reads = []
+        for module in (cli, experiment):
+            monkeypatch.setattr(module, "read_archive",
+                                lambda path, channels=None, _f=module.read_archive:
+                                reads.append((Path(path).name, tuple(channels or ())))
+                                or _f(path, channels))
+        csv = tmp_path / "metrics.csv"
+        assert main(["evaluate", "--forecast-pattern", str(tmp_path / "fc_{lead}.nws"),
+                     "--truth-pattern", str(tmp_path / "truth_{lead}.nws"),
+                     "--climatology", str(tmp_path / "clim.nws"), "--leads", "24,48",
+                     "--channels", "Z500,MSLP", "--out", str(csv)]) == 0
+        assert len(read_metric_csv(str(csv))) == 2 * 2 * 2 * 2
+        report = ((Var.Z, 500), (Var.MSLP, 0))
+        assert sorted(reads) == sorted((name, report) for name in (
+            "clim.nws", "fc_24.nws", "fc_48.nws", "truth_24.nws", "truth_48.nws"))
+
     def test_evaluate_missing_truth_is_per_lead(self, tmp_path, small_grid, caplog):
         # as in `nwpeval run`: a warning for that lead, the others scored, exit 1
         for lead in (24, 48):
@@ -244,6 +275,8 @@ BAD_CONFIGS = {
     "regions-not-a-mapping": {"regions": [[-90, 90, 0, 360]]},
     "zero-workers": {"workers": 0},
     "empty-region": {"regions": {"tiny": [12, 14, 22, 24]}},
+    "repeated-lead": {"lead_hours": [24, 48, 24]},
+    "repeated-channel": {"report_channels": ["MSLP", "Z500", "MSLP"]},
 }
 
 

@@ -119,11 +119,10 @@ class TestValidateState:
         assert any("T2" in msg and msg.startswith("range") for msg in report)
 
     def test_channel_count_violation(self, small_grid):
-        short = StateSet(valid_time=default_time(), source_label="x",
-                         grid=small_grid,
-                         data=np.zeros((68,) + small_grid.shape, np.float32))
-        report = validate_state(short)
-        assert any(msg.startswith("channel-count") for msg in report)
+        # a 68-plane array under the canonical 69-channel list is refused
+        with pytest.raises(ValueError, match="does not hold 69 channels"):
+            StateSet(valid_time=default_time(), source_label="x", grid=small_grid,
+                     data=np.zeros((68,) + small_grid.shape, np.float32))
 
     def test_nan_flagged(self, small_state):
         data = small_state.data.copy()

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nwpeval import verify
 from nwpeval.archive import archive_bytes, read_archive
-from nwpeval.grids import (EAST_ASIA, GLOBAL, GridMismatchError, GridSpec,
-                           RegionBox, Var, flat_channel_index)
+from nwpeval.grids import (CHANNELS, EAST_ASIA, GLOBAL, GridMismatchError,
+                           GridSpec, RegionBox, Var)
 from nwpeval.splice import region_mask
 from nwpeval.synthetic import make_climatology, make_state
 from nwpeval.verify import (DEFAULT_REPORT_CHANNELS, DegenerateAnomalyError,
@@ -50,9 +52,9 @@ def brute_force_acc(f, o, c, grid, mask):
 
 
 def subset_read(state, channels=DEFAULT_REPORT_CHANNELS):
-    """The planes a subset read of the state's archive gives, as run_experiment
-    and `nwpeval evaluate` read truths and the climatology."""
-    return read_archive(io.BytesIO(archive_bytes(state)), channels).data
+    """The subset state a read of the state's archive gives, as run_experiment
+    reads truths and the climatology and `nwpeval evaluate` reads all three."""
+    return read_archive(io.BytesIO(archive_bytes(state)), channels)
 
 
 def score_series(forecasts, truths, clim, regions):
@@ -338,10 +340,28 @@ class TestReportPlanes:
     def test_copies_the_channels_in_report_order(self, small_state, small_grid):
         channels = ((Var.Z, 500), (Var.MSLP, 0))
         p = subset_read(small_state, channels)
-        assert p.shape == (2,) + small_grid.shape
-        assert np.array_equal(p[0], small_state.channel(Var.Z, 500))
-        assert np.array_equal(p[1], small_state.channel(Var.MSLP))
-        assert subset_read(small_state).shape[0] == len(DEFAULT_REPORT_CHANNELS)
+        assert p.channels == channels and p.data.shape == (2,) + small_grid.shape
+        assert np.array_equal(p.channel(Var.Z, 500), small_state.channel(Var.Z, 500))
+        assert np.array_equal(p.channel(Var.MSLP), small_state.channel(Var.MSLP))
+        assert subset_read(small_state).channels == DEFAULT_REPORT_CHANNELS
+
+    @settings(max_examples=30, deadline=None)
+    @given(nlat=st.integers(2, 9), nlon=st.integers(2, 16), seed=st.integers(0, 10_000),
+           full=st.tuples(st.booleans(), st.booleans(), st.booleans()), data=st.data())
+    def test_full_and_subset_states_score_alike(self, nlat, nlon, seed, full, data):
+        # each state read in full or as a subset holding the report channels
+        # and perhaps others, in any order
+        grid = GridSpec(nlat=nlat, nlon=nlon, lat_start=90.0, dlat=180.0 / nlat,
+                        lon_start=0.0, dlon=360.0 / nlon)
+        held = data.draw(st.lists(st.sampled_from(CHANNELS), min_size=1, max_size=12,
+                                  unique=True))
+        report = data.draw(st.permutations(held))[:data.draw(st.integers(1, len(held)))]
+        regions = {"global": GLOBAL, "north": RegionBox(0.0, 90.0, 0.0, 360.0)}
+        states = [random_state(grid, seed=seed + k, label=f"s{k}") for k in range(3)]
+        want = evaluate_run(24, *states, regions, report)
+        assert len(want[0]) + len(want[1]) == 2 * 2 * len(report)
+        mixed = [s if keep else subset_read(s, held) for s, keep in zip(states, full)]
+        assert evaluate_run(24, *mixed, regions, report) == want
 
     @pytest.mark.parametrize("which", ["truth", "climatology"])
     def test_other_grid_rejected(self, small_grid, coarse_grid, which):
@@ -349,6 +369,7 @@ class TestReportPlanes:
         planes = {"truth": subset_read(make_state(small_grid, seed=6)),
                   "climatology": subset_read(make_climatology(small_grid))}
         planes[which] = subset_read(make_state(coarse_grid, seed=7))
-        with pytest.raises(GridMismatchError, match="planes do not match"):
+        with pytest.raises(GridMismatchError, match="climatology grid does not match "
+                                                    "the forecast grid"):
             evaluate_run(24, fc, planes["truth"], planes["climatology"],
                          {"global": GLOBAL})
