@@ -67,6 +67,10 @@ class UnsupportedLayoutError(ArchiveError):
     """Channel list is not the canonical order."""
 
 
+class DataError(ArchiveError):
+    """A payload contains non-finite values."""
+
+
 def payload_size(grid: GridSpec) -> int:
     """Byte size of the channel planes following the header."""
     return N_CHANNELS * grid.nlat * grid.nlon * 4
@@ -129,14 +133,19 @@ def _read_head(src: BinaryIO) -> tuple[GridSpec, datetime, str]:
 
 
 def read_archive(src: Union[BinaryIO, str],
-                 channels: Optional[ChannelList] = None) -> StateSet:
+                 channels: Optional[ChannelList] = None,
+                 finite: bool = False) -> StateSet:
     """Exact inverse of write_archive. With `channels`, a list of
-    (variable, level), only those planes are read, one seek and readinto
-    each, and the state holds them in that order. Either way the payload's
-    size is checked against the end of the file first."""
+    (variable, level), only those planes are kept, in that order. Either
+    way the payload's size is checked against the end of the file first.
+
+    Without `finite`, the kept planes alone are read, one seek and readinto
+    each. With `finite`, every plane is read in one pass, those not kept
+    through one reused plane buffer, and a plane holding NaN/Inf raises
+    DataError naming it."""
     if isinstance(src, (str, bytes)):
         with open(src, "rb") as fh:
-            return read_archive(fh, channels)
+            return read_archive(fh, channels, finite)
     grid, valid_time, label = _read_head(src)
     start, expected = src.tell(), payload_size(grid)
     size = src.seek(0, os.SEEK_END) - start
@@ -148,15 +157,39 @@ def read_archive(src: Union[BinaryIO, str],
         raise FormatError("bytes follow the payload")
     channels = CHANNELS if channels is None else tuple(channels)
     data = np.empty((len(channels), grid.nlat, grid.nlon), dtype="<f4")
-    reads = [(start, data)] if channels == CHANNELS else [
-        (start + flat_channel_index(var, lvl) * plane.nbytes, plane)
-        for plane, (var, lvl) in zip(data, channels)]
-    for offset, buf in reads:
-        src.seek(offset)
-        if src.readinto(buf) != buf.nbytes:
-            raise TruncationError("file shrank while being read")
+    if finite:
+        _read_checked(src, start, data, channels)
+    else:
+        reads = [(start, data)] if channels == CHANNELS else [
+            (start + flat_channel_index(var, lvl) * plane.nbytes, plane)
+            for plane, (var, lvl) in zip(data, channels)]
+        for offset, buf in reads:
+            src.seek(offset)
+            if src.readinto(buf) != buf.nbytes:
+                raise TruncationError("file shrank while being read")
     return StateSet(valid_time=valid_time, source_label=label, grid=grid, data=data,
                     channels=channels)
+
+
+def _read_checked(src: BinaryIO, start: int, data: np.ndarray,
+                  channels: tuple) -> None:
+    """Read all 69 planes in file order, each into its slot of `data` or,
+    if not kept, into one spare plane; DataError on the first plane that
+    is not finite."""
+    slot = {}
+    for k, ch in enumerate(channels):
+        slot.setdefault(ch, k)
+    spare = np.empty(data.shape[1:], dtype="<f4") if len(slot) < N_CHANNELS else None
+    src.seek(start)
+    for ch in CHANNELS:
+        buf = data[slot[ch]] if ch in slot else spare
+        if src.readinto(buf) != buf.nbytes:
+            raise TruncationError("file shrank while being read")
+        if not np.isfinite(buf).all():
+            raise DataError(f"plane {channel_name(*ch)} contains NaN/Inf")
+    for k, ch in enumerate(channels):
+        if slot[ch] != k:   # asked for twice: copy the plane read
+            data[k] = data[slot[ch]]
 
 
 def read_header(src: Union[BinaryIO, str]) -> dict:
@@ -192,17 +225,13 @@ class RawDumpLayout:
         order = tuple(order)
         for var, lvl in order:
             flat_channel_index(var, lvl)
-        if len(set(order)) != N_CHANNELS:
+        if not len(order) == len(set(order)) == N_CHANNELS:
             raise ValueError("explicit channel order must cover all 69 channels once")
         object.__setattr__(self, "channel_order", order)
 
 
 class LayoutError(ArchiveError):
     """Raw dump size does not match the declared layout."""
-
-
-class DataError(ArchiveError):
-    """Raw dump contains non-finite values."""
 
 
 def ingest_raw(path: str, grid: GridSpec, layout: RawDumpLayout,

@@ -155,8 +155,10 @@ def _usage():
 def _parse_backend(args) -> BackendSpec:
     horizons = frozenset(int(h) for h in args.horizons.split(","))
     if args.backend.startswith("cmd:"):
-        return BackendSpec(kind="external-command", command=args.backend[4:],
-                           horizons=horizons)
+        backend = BackendSpec(kind="external-command", command=args.backend[4:],
+                              horizons=horizons)
+        backend.check_command()
+        return backend
     return BackendSpec(kind="builtin", builtin=args.backend,
                        advection_cells=args.advection_cells, horizons=horizons)
 

@@ -102,6 +102,10 @@ class ExperimentConfig:
             plan_for_leads(self.lead_hours, self.backend.horizons)
         except ValueError as exc:
             raise ConfigError(f"lead_hours {sorted(set(self.lead_hours))}: {exc}") from None
+        try:
+            self.backend.check_command()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.workers is not None and self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         for name, box in self.regions.items():
@@ -342,7 +346,8 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             errs.extend(e)
 
         # hand the IC over: run_rollout lets go of it after the first step
-        run_rollout(runs.pop(label), config.backend, config.lead_hours, score)
+        run_rollout(runs.pop(label), config.backend, config.lead_hours, score,
+                    channels=channels)
         if errs:
             run_errors[label] = errs
         return recs

@@ -8,7 +8,7 @@ import yaml
 
 from nwpeval.archive import read_archive, read_header, write_archive
 from nwpeval.cli import main
-from nwpeval.grids import GridSpec, Var
+from nwpeval.grids import CHANNELS, GridSpec, Var, channel_name
 from nwpeval.plots import read_metric_csv
 from nwpeval.synthetic import make_climatology, make_state
 from tests.conftest import random_state
@@ -64,6 +64,10 @@ class TestUsageErrors:
         ["rollout", "--in", "{a}", "--out-dir", "{out}", "--lead", "48",
          "--emit-every", "0"],
         ["rollout", "--in", "{a}", "--out-dir", "{out}", "--lead", "0"],
+        ["rollout", "--in", "{a}", "--out-dir", "{out}", "--lead", "24",
+         "--backend", "cmd:   "],
+        ["rollout", "--in", "{a}", "--out-dir", "{out}", "--lead", "24",
+         "--backend", "cmd:no-such-nwpeval-backend --flag"],
         ["ingest", "--in", "{a}", "--out", "{out}", "--grid", "9,16,90,22.5,0,22.5",
          "--valid-time", "notatime", "--label", "x"],
         ["evaluate", "--forecast-pattern", "{a}", "--truth-pattern", "{a}",
@@ -74,6 +78,7 @@ class TestUsageErrors:
          "--climatology", "{a}", "--leads", "24", "--channels", "Z500,MSLP,Z500",
          "--out", "{out}"],
     ], ids=["blend-width", "horizons-x", "horizons-0", "emit-every-0", "lead-0",
+            "blank-command", "missing-command",
             "valid-time", "leads-x", "leads-repeated", "channels-repeated"])
     def test_bad_flag_value_exits_2_without_output(self, archive_path, tmp_path, argv):
         out = tmp_path / "out"
@@ -266,6 +271,9 @@ BAD_CONFIGS = {
                                    "grid": {"nlat": 9, "nlon": 16, "dlat": 22.5,
                                             "dlon": 22.5},
                                    "layout": {"scan": "sideways"}}]},
+    "blank-command": {"backend": {"kind": "external-command", "command": "   "}},
+    "missing-command": {"backend": {"kind": "external-command",
+                                    "command": "no-such-nwpeval-backend --flag"}},
     "zero-row-grid": {"grid": {"nlat": 0, "nlon": 16}},
     "sources-not-a-list": {"ic_sources": "a.nws"},
     "unknown-level": {"report_channels": ["Z501"]},
@@ -283,14 +291,43 @@ BAD_CONFIGS = {
 class TestRunSubcommand:
     @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
     def test_schema_errors_exit_2_before_running(self, tmp_path, small_grid,
-                                                 capsys, case):
+                                                 monkeypatch, capsys, case):
+        from nwpeval import experiment
         from tests.test_experiment import build_inputs
         labels = build_inputs(tmp_path, small_grid)
+        payload_reads = []
+        for name in ("read_archive", "ingest_raw"):
+            monkeypatch.setattr(experiment, name,
+                                lambda *a, _name=name, **k: payload_reads.append(_name))
         cfg = tmp_path / "exp.yaml"
         cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels, BAD_CONFIGS[case])))
         assert main(["run", "--config", str(cfg)]) == 2
+        assert payload_reads == []
         assert not (tmp_path / "out" / "run.log").exists()
         assert "nwpeval:" in capsys.readouterr().err
+
+    def test_layout_repeating_a_channel_exits_2(self, tmp_path, small_grid,
+                                                monkeypatch, capsys):
+        # all 69 channels plus MSLP again: 70 planes named, the dump holds 69
+        from nwpeval import experiment
+        from tests.test_experiment import build_inputs
+        labels = build_inputs(tmp_path, small_grid)
+        random_state(small_grid, seed=5).data.tofile(tmp_path / "raw.bin")
+        payload_reads = []
+        for name in ("read_archive", "ingest_raw"):
+            monkeypatch.setattr(experiment, name,
+                                lambda *a, _name=name, **k: payload_reads.append(_name))
+        order = [channel_name(*c) for c in CHANNELS] + ["MSLP"]
+        doc = run_doc(small_grid, labels, {"ic_sources": [
+            {"label": "raw", "path": "raw.bin",
+             "grid": {"nlat": 9, "nlon": 16, "dlat": 22.5, "dlon": 22.5},
+             "layout": {"channel_order": order}}]})
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert payload_reads == []
+        assert not (tmp_path / "out" / "run.log").exists()
+        assert "all 69 channels once" in capsys.readouterr().err
 
     def test_climatology_off_the_model_grid_exits_2(self, tmp_path, small_grid,
                                                      coarse_grid, monkeypatch, capsys):

@@ -227,6 +227,10 @@ class TestMemory:
         cfg = dataclasses.replace(make_config(tmp_path, grid, labels, leads=(24, 48, 72)),
                                   backend=backend, workers=1)
         state_bytes = len(CHANNELS) * grid.nlat * grid.nlon * 4
+        scored = []
+        evaluate_run = experiment.evaluate_run
+        monkeypatch.setattr(experiment, "evaluate_run", lambda lead, fc, *a:
+                            scored.append(fc.channels) or evaluate_run(lead, fc, *a))
         tracemalloc.start()
         try:
             report = run_experiment(cfg)
@@ -236,6 +240,8 @@ class TestMemory:
         assert report.failures == {}
         assert len(read_metric_csv(str(report.csv_path))) == 9 * 2 * 3 * 2
         assert peak < 2 * state_bytes
+        # each step's output is read as the report planes alone
+        assert scored == [cfg.report_channels] * 3
 
 
 class TestConfigValidation:

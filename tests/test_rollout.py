@@ -3,11 +3,14 @@ import json
 import logging
 import os
 import re
+import signal
 import stat
 import sys
 import textwrap
+import time
 import tracemalloc
 import weakref
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -15,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nwpeval import rollout
-from nwpeval.grids import GridSpec
+from nwpeval.archive import archive_bytes, write_archive
+from nwpeval.grids import CHANNELS, GridSpec, Var
 from nwpeval.rollout import (BackendSpec, RolloutError, UnreachableLeadError,
                              builtin_step, plan_for_leads, run_rollout,
                              schedule_steps)
@@ -411,6 +415,146 @@ class TestBackendSpec:
         with pytest.raises(ValueError):
             BackendSpec(kind="external-command")
 
+    @pytest.mark.parametrize("command", ["", "   "])
+    def test_blank_command_rejected(self, command):
+        with pytest.raises(ValueError, match="requires a command"):
+            BackendSpec(kind="external-command", command=command)
+
+    def test_command_must_be_found(self, tmp_path):
+        BackendSpec(kind="external-command", command=f"{sys.executable} -c 1").check_command()
+        BackendSpec().check_command()   # builtins have no command
+        for missing in ("no-such-nwpeval-backend --flag", str(tmp_path / "backend")):
+            with pytest.raises(ValueError, match="not an executable"):
+                BackendSpec(kind="external-command", command=missing).check_command()
+
     def test_empty_horizons(self):
         with pytest.raises(ValueError):
             BackendSpec(horizons=frozenset())
+
+
+@pytest.fixture
+def small_ic(small_grid, monkeypatch):
+    """A random IC on the 9x16 grid, made the grid external backends require."""
+    monkeypatch.setattr(GridSpec, "canonical", classmethod(lambda cls: small_grid))
+    return random_state(small_grid, seed=11)
+
+
+def step_script(path, step1="", step2=""):
+    """A copy backend that runs `step1` or `step2` (lines of Python, with
+    `a` the parsed arguments) after copying, according to the step."""
+    return write_copy_backend(path, textwrap.indent(textwrap.dedent(f"""\
+        if a.infile.endswith("step000.nws"):
+            {step1 or "pass"}
+        else:
+            {step2 or "pass"}
+        """), " " * 8).strip())
+
+
+def recorded_starts(monkeypatch):
+    """The Popen of every backend process run_rollout starts, in order."""
+    procs = []
+    start = rollout._start_backend
+    monkeypatch.setattr(rollout, "_start_backend",
+                        lambda *a: procs.append(start(*a)) or procs[-1])
+    return procs
+
+
+class TestPipelinedSteps:
+    """Step n+1 runs while step n is read, checked and emitted."""
+
+    def test_next_step_runs_during_emit(self, tmp_path, small_ic):
+        marker = tmp_path / "step2-started"
+        be = step_script(tmp_path / "backend.py",
+                         step2=f"open({str(marker)!r}, 'w').close()")
+        seen = []
+
+        def emit(lead, state):
+            deadline = time.monotonic() + 30
+            while lead == 24 and not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            seen.append((lead, marker.exists()))
+
+        run_rollout(small_ic, be, [24, 48], emit)
+        assert seen == [(24, True), (48, True)]
+
+    @pytest.mark.parametrize("failure", ["nan", "malformed", "grid", "emit"])
+    def test_failure_kills_and_reaps_the_running_step(self, tmp_path, small_ic,
+                                                      monkeypatch, failure):
+        # step 1 goes wrong; step 2 would take a minute unless killed
+        step1 = {
+            "nan": "f = open(a.out, 'r+b'); f.seek(-4, 2); "
+                   "f.write(struct.pack('<f', float('nan'))); f.close()",
+            "malformed": "open(a.out, 'wb').write(b'garbage')",
+            "grid": "from nwpeval.archive import read_archive, write_archive; "
+                    "from nwpeval.grids import GridSpec; s = read_archive(a.infile); "
+                    "g = GridSpec(nlat=9, nlon=8, dlat=22.5, dlon=45.0); "
+                    "write_archive(s.replace(grid=g, data=s.data[:, :, ::2]), a.out)",
+            "emit": "",
+        }[failure]
+        be = step_script(tmp_path / "backend.py", step1=step1,
+                         step2="import time; time.sleep(60)")
+        procs = recorded_starts(monkeypatch)
+
+        def emit(lead, state):
+            raise KeyError("emit failed")
+
+        t0 = time.monotonic()
+        with pytest.raises(KeyError if failure == "emit" else RolloutError,
+                           match={"nan": "NaN/Inf at step 1 .*V50", "malformed": "malformed",
+                                  "grid": "changed the grid", "emit": "emit failed"}[failure]):
+            run_rollout(small_ic, be, [24, 48], emit)
+        assert time.monotonic() - t0 < 30
+        assert [p.returncode for p in procs] == [0, -signal.SIGKILL]
+        step1_in = procs[0].args[procs[0].args.index("--in") + 1]
+        assert not os.path.exists(os.path.dirname(step1_in))   # temp dir removed
+
+    def test_emitted_states_hold_exactly_the_channels(self, tmp_path, small_ic):
+        channels = [(Var.Z, 500), (Var.MSLP, 0), (Var.T, 850)]
+        be = write_copy_backend(tmp_path / "backend.py")
+        series = rollout_series(small_ic, be, [0, 24, 48], channels=channels)
+        assert series[0][1] is small_ic   # lead 0 is the IC itself
+        for lead, state in series[1:]:
+            assert state.channels == tuple(channels)
+            for ch in channels:
+                assert np.array_equal(state.channel(*ch), small_ic.channel(*ch))
+
+    def test_builtin_states_are_emitted_whole(self, small_state):
+        series = rollout_series(small_state, BackendSpec(), [24],
+                                channels=[(Var.Z, 500)])
+        assert series[0][1].channels == CHANNELS
+
+    @pytest.mark.parametrize("stderr", [b"\xff\xfe", b"x" * (1 << 20) + b"\xff\xfe"],
+                             ids=["non-utf8", "chatty"])
+    def test_backend_output_never_fails_a_good_step(self, tmp_path, small_ic, stderr):
+        # 1 MiB is more than a pipe holds: a backend writing to an unread
+        # pipe would block before exiting
+        be = write_copy_backend(tmp_path / "backend.py",
+                                f"import sys; sys.stderr.buffer.write({stderr!r})")
+        assert [lead for lead, _ in rollout_series(small_ic, be, [24, 48])] == [24, 48]
+
+    def test_failing_backend_error_carries_replaced_stderr(self, tmp_path, small_ic):
+        be = write_copy_backend(tmp_path / "backend.py",
+                                "import sys; sys.stderr.buffer.write(b'bad \\xff\\n'); "
+                                "sys.exit(4)")
+        with pytest.raises(RolloutError, match="step 1 .*exit 4; stderr: bad \ufffd$"):
+            rollout_series(small_ic, be, [24])
+
+    def test_unstartable_backend_is_a_rollout_error(self, tmp_path, small_ic):
+        script = tmp_path / "backend.py"
+        script.write_text("#!/bin/sh\n")   # not executable
+        be = BackendSpec(kind="external-command", command=str(script), horizons={24})
+        with pytest.raises(RolloutError, match="failed to start at step 1"):
+            rollout_series(small_ic, be, [24])
+
+    def test_cli_writes_whole_forecasts(self, tmp_path, small_ic, capsys):
+        from nwpeval.cli import main
+        src = tmp_path / "ic.nws"
+        write_archive(small_ic, str(src))
+        be = write_copy_backend(tmp_path / "backend.py")
+        assert main(["rollout", "--in", str(src), "--out-dir", str(tmp_path / "fc"),
+                     "--lead", "48", "--backend", f"cmd:{be.command}"]) == 0
+        for lead in (24, 48):
+            expected = small_ic.replace(
+                valid_time=small_ic.valid_time + timedelta(hours=lead))
+            written = (tmp_path / "fc" / f"forecast_{lead:03d}h.nws").read_bytes()
+            assert written == archive_bytes(expected)
