@@ -17,8 +17,9 @@ Archive layout (all multi-byte values little-endian):
 The channel list must be the canonical 69-channel order; anything else is
 rejected on read. Each plane therefore sits at a fixed offset, so
 `read_archive(src, channels)` reads only the requested planes, one seek
-and `readinto` each. The result is a state of those planes alone, in the
-order asked for, named in its `channels`; `write_archive` refuses it.
+and `readinto` each (every plane when it is asked to check them all). The
+result is a state of those planes alone, in the order asked for, named in
+its `channels`; `write_archive` refuses it.
 """
 
 from __future__ import annotations
@@ -139,10 +140,11 @@ def read_archive(src: Union[BinaryIO, str],
     (variable, level), only those planes are kept, in that order. Either
     way the payload's size is checked against the end of the file first.
 
-    Without `finite`, the kept planes alone are read, one seek and readinto
-    each. With `finite`, every plane is read in one pass, those not kept
-    through one reused plane buffer, and a plane holding NaN/Inf raises
-    DataError naming it."""
+    The planes are visited in file order, one seek and readinto each: a
+    kept plane is read into its slot, a plane not kept is skipped, or with
+    `finite` read into one spare plane buffer. With `finite` a plane
+    holding NaN/Inf raises DataError naming it. A channel asked for twice
+    is read once and copied."""
     if isinstance(src, (str, bytes)):
         with open(src, "rb") as fh:
             return read_archive(fh, channels, finite)
@@ -157,39 +159,24 @@ def read_archive(src: Union[BinaryIO, str],
         raise FormatError("bytes follow the payload")
     channels = CHANNELS if channels is None else tuple(channels)
     data = np.empty((len(channels), grid.nlat, grid.nlon), dtype="<f4")
-    if finite:
-        _read_checked(src, start, data, channels)
-    else:
-        reads = [(start, data)] if channels == CHANNELS else [
-            (start + flat_channel_index(var, lvl) * plane.nbytes, plane)
-            for plane, (var, lvl) in zip(data, channels)]
-        for offset, buf in reads:
-            src.seek(offset)
-            if src.readinto(buf) != buf.nbytes:
-                raise TruncationError("file shrank while being read")
-    return StateSet(valid_time=valid_time, source_label=label, grid=grid, data=data,
-                    channels=channels)
-
-
-def _read_checked(src: BinaryIO, start: int, data: np.ndarray,
-                  channels: tuple) -> None:
-    """Read all 69 planes in file order, each into its slot of `data` or,
-    if not kept, into one spare plane; DataError on the first plane that
-    is not finite."""
     slot = {}
     for k, ch in enumerate(channels):
         slot.setdefault(ch, k)
-    spare = np.empty(data.shape[1:], dtype="<f4") if len(slot) < N_CHANNELS else None
-    src.seek(start)
-    for ch in CHANNELS:
+    spare = np.empty(grid.shape, dtype="<f4") if finite else None
+    for k, ch in enumerate(CHANNELS):
         buf = data[slot[ch]] if ch in slot else spare
+        if buf is None:
+            continue
+        src.seek(start + k * buf.nbytes)
         if src.readinto(buf) != buf.nbytes:
             raise TruncationError("file shrank while being read")
-        if not np.isfinite(buf).all():
+        if finite and not np.isfinite(buf).all():
             raise DataError(f"plane {channel_name(*ch)} contains NaN/Inf")
     for k, ch in enumerate(channels):
         if slot[ch] != k:   # asked for twice: copy the plane read
             data[k] = data[slot[ch]]
+    return StateSet(valid_time=valid_time, source_label=label, grid=grid, data=data,
+                    channels=channels)
 
 
 def read_header(src: Union[BinaryIO, str]) -> dict:

@@ -18,8 +18,8 @@ from . import __version__
 from .archive import (ArchiveError, RawDumpLayout, ingest_raw, read_archive,
                       read_header, write_archive)
 from .experiment import (ConfigError, TruthError, _parse_box, _parse_time,
-                         load_config, no_repeats, parse_channel, read_truth,
-                         run_experiment)
+                         check_pattern, load_config, no_repeats, parse_channel,
+                         read_truth, run_experiment)
 from .grids import DEFAULT_REGIONS, GridSpec, channel_name, validate_state
 from .plots import PlotInputError, emit_plots, write_metric_csv
 from .regrid import regrid_state
@@ -237,6 +237,8 @@ def _cmd_evaluate(args) -> int:
             channels = [parse_channel(c) for c in args.channels.split(",")]
         no_repeats("--leads", leads)
         no_repeats("--channels", [channel_name(*c) for c in channels])
+        check_pattern("--forecast-pattern", args.forecast_pattern, leads)
+        check_pattern("--truth-pattern", args.truth_pattern, leads)
     clim = read_archive(args.climatology, channels)   # the report planes only
     records, errors = [], []
     for lead in leads:

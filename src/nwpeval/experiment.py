@@ -97,6 +97,7 @@ class ExperimentConfig:
         if not self.lead_hours:
             raise ConfigError("lead_hours must not be empty")
         no_repeats("lead_hours", self.lead_hours)
+        check_pattern("truth", self.truth_pattern, self.lead_hours)
         no_repeats("report_channels", [channel_name(*c) for c in self.report_channels])
         try:
             plan_for_leads(self.lead_hours, self.backend.horizons)
@@ -104,6 +105,7 @@ class ExperimentConfig:
             raise ConfigError(f"lead_hours {sorted(set(self.lead_hours))}: {exc}") from None
         try:
             self.backend.check_command()
+            self.backend.check_grid(self.model_grid)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.workers is not None and self.workers < 1:
@@ -134,6 +136,17 @@ def no_repeats(what: str, values) -> None:
     """ConfigError if a lead or channel repeats: it would be scored twice."""
     if len(set(values)) != len(values):
         raise ConfigError(f"{what} repeats an entry: {', '.join(map(str, values))}")
+
+
+def check_pattern(what: str, pattern: str, leads) -> None:
+    """ConfigError if `pattern.format(lead=...)` fails for one of `leads`,
+    e.g. on a placeholder other than {lead}: found before any file is read."""
+    for lead in leads:
+        try:
+            pattern.format(lead=lead)
+        except (LookupError, ValueError, TypeError, AttributeError) as exc:
+            raise ConfigError(f"{what} pattern {pattern!r} cannot be filled with "
+                              f"lead={lead}: {exc!r}") from None
 
 
 def _parse_time(s: str) -> datetime:

@@ -32,41 +32,17 @@ class RegridPlan:
     cols1: np.ndarray = field(repr=False)
     wlon: np.ndarray = field(repr=False)   # weight on cols0, f64
 
-    def point_stencil(self, i: int, j: int):
-        """4 (source row, source col) indices and 4 weights for one
-        destination point. Weights are >= 0 and sum to 1."""
-        wy, wx = self.wlat[i], self.wlon[j]
-        idx = [(self.rows0[i], self.cols0[j]), (self.rows0[i], self.cols1[j]),
-               (self.rows1[i], self.cols0[j]), (self.rows1[i], self.cols1[j])]
-        w = [wy * wx, wy * (1.0 - wx), (1.0 - wy) * wx, (1.0 - wy) * (1.0 - wx)]
-        return idx, w
 
-
-def _bracket_lat(src: GridSpec, lats: np.ndarray):
-    # fractional row coordinate; rows run north to south
-    t = (src.lat_start - lats) / src.dlat
-    t = np.clip(t, 0.0, src.nlat - 1)
-    i0 = np.floor(t).astype(np.intp)
-    i0 = np.minimum(i0, src.nlat - 1)
-    i1 = np.minimum(i0 + 1, src.nlat - 1)
-    w0 = 1.0 - (t - i0)
-    return i0, i1, w0
-
-
-def _bracket_lon(src: GridSpec, lons: np.ndarray):
-    u = ((lons - src.lon_start) % 360.0) / src.dlon
-    if src.is_cyclic():
-        u = u % src.nlon
-        j0 = np.floor(u).astype(np.intp) % src.nlon
-        j1 = (j0 + 1) % src.nlon
-        w0 = 1.0 - (u - np.floor(u))
-    else:
-        u = np.clip(u, 0.0, src.nlon - 1)
-        j0 = np.floor(u).astype(np.intp)
-        j0 = np.minimum(j0, src.nlon - 1)
-        j1 = np.minimum(j0 + 1, src.nlon - 1)
-        w0 = 1.0 - (u - j0)
-    return j0, j1, w0
+def _bracket(t: np.ndarray, n: int, cyclic: bool):
+    """Bracketing indices (i0, i1) on an axis of n points, and the weight
+    on i0, for fractional coordinates t. A cyclic axis wraps modulo n;
+    otherwise t clamps to [0, n - 1], so past an edge all weight falls on
+    the edge point."""
+    t = t % n if cyclic else np.clip(t, 0.0, n - 1)
+    f = np.floor(t)
+    i0 = f.astype(np.intp) % n
+    i1 = (i0 + 1) % n if cyclic else np.minimum(i0 + 1, n - 1)
+    return i0, i1, 1.0 - (t - f)
 
 
 def build_plan(src: GridSpec, dst: GridSpec) -> RegridPlan:
@@ -74,46 +50,56 @@ def build_plan(src: GridSpec, dst: GridSpec) -> RegridPlan:
     destination point."""
     if src.nlat < 2 or src.nlon < 2:
         raise ValueError("source grid must have at least 2 rows and 2 columns")
-    rows0, rows1, wlat = _bracket_lat(src, dst.latitudes())
-    cols0, cols1, wlon = _bracket_lon(src, dst.longitudes())
+    # fractional source coordinates; rows run north to south
+    rows0, rows1, wlat = _bracket((src.lat_start - dst.latitudes()) / src.dlat,
+                                  src.nlat, cyclic=False)
+    cols0, cols1, wlon = _bracket(((dst.longitudes() - src.lon_start) % 360.0) / src.dlon,
+                                  src.nlon, cyclic=src.is_cyclic())
     return RegridPlan(source=src, destination=dst,
                       rows0=rows0, rows1=rows1, wlat=wlat,
                       cols0=cols0, cols1=cols1, wlon=wlon)
 
 
+def _lerp(v, i0, i1, w0, w1, axis, out, tmp) -> None:
+    """out = w0 * v[i0] + w1 * v[i1] along `axis`: the 1-D kernel of both
+    passes. take() runs with mode="clip" because mode="raise" copies into
+    a temporary first; build_plan's indices are in range, so clipping
+    changes nothing."""
+    np.take(v, i0, axis=axis, out=out, mode="clip")
+    np.multiply(w0, out, out=out)
+    np.take(v, i1, axis=axis, out=tmp, mode="clip")
+    np.multiply(w1, tmp, out=tmp)
+    np.add(out, tmp, out=out)
+
+
 def _apply_planes(plan: RegridPlan, planes: np.ndarray) -> np.ndarray:
-    """Interpolate a stack of planes, each through the same float64 work
-    buffers, allocated once. Per plane the operations and their order are
-    those of
+    """Interpolate a stack of planes in two passes of one 1-D kernel,
+    longitude first, through float64 work buffers allocated once. Per
+    plane this evaluates
 
-        v = plane.astype(float64); top, bot = v[rows0], v[rows1]
-        row_top = wx * top[:, cols0] + (1 - wx) * top[:, cols1]  (bot alike)
-        out = (wy * row_top + (1 - wy) * row_bot).astype(float32)
+        v = plane.astype(float64)
+        h = wx * v[:, cols0] + (1 - wx) * v[:, cols1]
+        out = (wy * h[rows0] + (1 - wy) * h[rows1]).astype(float32)
 
-    so the result is bitwise that expression's. take() runs with
-    mode="clip" because mode="raise" copies into a temporary first;
-    build_plan's indices are in range, so clipping changes nothing."""
+    so each output point is wy*(wx*v[i0,j0] + (1-wx)*v[i0,j1]) +
+    (1-wy)*(wx*v[i1,j0] + (1-wx)*v[i1,j1]) with its operands in that
+    order; interpolating latitude first would round differently."""
     src, dst = plan.source, plan.destination
     out = np.empty((len(planes),) + dst.shape, dtype=np.float32)
-    v = np.empty(src.shape)
-    top, bot = np.empty((2, dst.nlat, src.nlon))
-    row_top, row_bot, tmp = np.empty((3,) + dst.shape)
+    # one block for all work buffers, so that freeing it leaves no holes
+    # in the heap to raise the peak RSS of what follows
+    nv, nh = src.nlat * src.nlon, 2 * src.nlat * dst.nlon
+    work = np.empty(nv + nh + 2 * dst.nlat * dst.nlon)
+    v = work[:nv].reshape(src.shape)
+    h, h_tmp = work[nv:nv + nh].reshape(2, src.nlat, dst.nlon)
+    d, d_tmp = work[nv + nh:].reshape((2,) + dst.shape)
     wx, wy = plan.wlon, plan.wlat[:, np.newaxis]
     wx1, wy1 = 1.0 - wx, 1.0 - wy
     for plane, res in zip(planes, out):
         v[...] = plane
-        np.take(v, plan.rows0, axis=0, out=top, mode="clip")
-        np.take(v, plan.rows1, axis=0, out=bot, mode="clip")
-        for rows, acc in ((top, row_top), (bot, row_bot)):
-            np.take(rows, plan.cols0, axis=1, out=acc, mode="clip")
-            np.multiply(wx, acc, out=acc)
-            np.take(rows, plan.cols1, axis=1, out=tmp, mode="clip")
-            np.multiply(wx1, tmp, out=tmp)
-            np.add(acc, tmp, out=acc)
-        np.multiply(wy, row_top, out=row_top)
-        np.multiply(wy1, row_bot, out=row_bot)
-        np.add(row_top, row_bot, out=row_top)
-        res[...] = row_top
+        _lerp(v, plan.cols0, plan.cols1, wx, wx1, 1, h, h_tmp)
+        _lerp(h, plan.rows0, plan.rows1, wy, wy1, 0, d, d_tmp)
+        res[...] = d
     return out
 
 

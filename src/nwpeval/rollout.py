@@ -91,6 +91,12 @@ class BackendSpec:
                 raise ValueError(f"backend command {program!r} is not an "
                                  "executable file or on PATH")
 
+    def check_grid(self, grid: GridSpec) -> None:
+        """ValueError if an external backend would run off the canonical
+        721x1440 grid; the builtin surrogates run on any grid."""
+        if self.kind == "external-command" and grid != GridSpec.canonical():
+            raise ValueError("external backends require the canonical 721x1440 grid")
+
 
 def schedule_steps(lead: int, horizons) -> RolloutPlan:
     """Fewest-step decomposition of the lead into horizons.
@@ -224,9 +230,11 @@ def run_rollout(ic: StateSet, backend: BackendSpec, leads, emit,
     """
     wanted = {int(h) for h in leads}
     plan = plan_for_leads(wanted, backend.horizons)
+    try:
+        backend.check_grid(ic.grid)
+    except ValueError as exc:
+        raise RolloutError(str(exc)) from None
     external = backend.kind == "external-command"
-    if external and ic.grid != GridSpec.canonical():
-        raise RolloutError("external backends require the canonical 721x1440 grid")
 
     if 0 in wanted:
         emit(0, ic)

@@ -1,5 +1,6 @@
 import logging
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -77,13 +78,23 @@ class TestUsageErrors:
         ["evaluate", "--forecast-pattern", "{a}", "--truth-pattern", "{a}",
          "--climatology", "{a}", "--leads", "24", "--channels", "Z500,MSLP,Z500",
          "--out", "{out}"],
+        ["evaluate", "--forecast-pattern", "{a}", "--truth-pattern", "era5_{{leadh}}.nws",
+         "--climatology", "{a}", "--leads", "24", "--out", "{out}"],
     ], ids=["blend-width", "horizons-x", "horizons-0", "emit-every-0", "lead-0",
             "blank-command", "missing-command",
-            "valid-time", "leads-x", "leads-repeated", "channels-repeated"])
-    def test_bad_flag_value_exits_2_without_output(self, archive_path, tmp_path, argv):
+            "valid-time", "leads-x", "leads-repeated", "channels-repeated",
+            "pattern-placeholder"])
+    def test_bad_flag_value_exits_2_without_output(self, archive_path, tmp_path,
+                                                   monkeypatch, argv):
+        from nwpeval import cli
+        payload_reads = []
+        for name in ("read_archive", "ingest_raw"):
+            monkeypatch.setattr(cli, name,
+                                lambda *a, _name=name, **k: payload_reads.append(_name))
         out = tmp_path / "out"
         assert main([a.format(a=archive_path, out=out) for a in argv]) == 2
         assert not out.exists()
+        assert payload_reads == []
 
 
 class TestIngestRegrid:
@@ -285,6 +296,10 @@ BAD_CONFIGS = {
     "empty-region": {"regions": {"tiny": [12, 14, 22, 24]}},
     "repeated-lead": {"lead_hours": [24, 48, 24]},
     "repeated-channel": {"report_channels": ["MSLP", "Z500", "MSLP"]},
+    "truth-placeholder": {"truth": "truth_{lead}_{member}.nws"},
+    # the test grid is 9x16; an external backend needs 721x1440
+    "external-off-canonical": {"backend": {"kind": "external-command",
+                                           "command": f"{sys.executable} -c pass"}},
 }
 
 

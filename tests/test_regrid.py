@@ -13,6 +13,16 @@ def field_on(grid, values, var=Var.T2, level=0):
                  values=np.asarray(values, np.float32))
 
 
+def stencil(plan):
+    """The 4 (source row, source col) index grids and the 4 weights of
+    every destination point, from the plan's separable arrays."""
+    r0, r1 = plan.rows0[:, None], plan.rows1[:, None]
+    c0, c1 = plan.cols0[None, :], plan.cols1[None, :]
+    wy, wx = plan.wlat[:, None], plan.wlon[None, :]
+    return ([(r0, c0), (r0, c1), (r1, c0), (r1, c1)],
+            [wy * wx, wy * (1.0 - wx), (1.0 - wy) * wx, (1.0 - wy) * (1.0 - wx)])
+
+
 class TestBuildPlan:
     def test_identity_plan_weights(self):
         g = GridSpec.canonical()
@@ -29,6 +39,7 @@ class TestBuildPlan:
         plan = build_plan(src, dst)
         assert plan.cols0[0] == 1439
         assert plan.cols1[0] == 0
+        assert plan.wlon[0] == pytest.approx(0.4)   # 359.9 is 0.6 of the way to 360
 
     def test_pole_clamp(self):
         src = GridSpec(nlat=719, nlon=1440, lat_start=89.75, dlat=0.25,
@@ -47,12 +58,9 @@ class TestBuildPlan:
 
     def test_partition_of_unity(self, small_grid):
         dst = GridSpec(nlat=19, nlon=36, lat_start=90, dlat=10, lon_start=5, dlon=10)
-        plan = build_plan(small_grid, dst)
-        for i in range(0, dst.nlat, 3):
-            for j in range(0, dst.nlon, 5):
-                _, w = plan.point_stencil(i, j)
-                assert all(x >= 0.0 for x in w)
-                assert abs(sum(w) - 1.0) < 1e-12
+        _, w = stencil(build_plan(small_grid, dst))
+        assert all((x >= 0.0).all() for x in w)
+        assert np.max(np.abs(sum(w) - 1.0)) < 1e-12
 
 
 class TestApplyPlan:
@@ -86,11 +94,10 @@ class TestApplyPlan:
         plan = build_plan(small_grid, dst)
         vals = np.random.default_rng(1).standard_normal(small_grid.shape)
         out = apply_plan(plan, field_on(small_grid, vals))
-        for i in range(0, dst.nlat, 7):
-            for j in range(0, dst.nlon, 11):
-                idx, w = plan.point_stencil(i, j)
-                corners = [np.float32(vals[a, b]) for a, b in idx]
-                assert min(corners) - 1e-5 <= out.values[i, j] <= max(corners) + 1e-5
+        idx, _ = stencil(plan)
+        corners = np.stack([vals.astype(np.float32)[a, b] for a, b in idx])
+        assert (corners.min(axis=0) - 1e-5 <= out.values).all()
+        assert (out.values <= corners.max(axis=0) + 1e-5).all()
 
     def test_grid_mismatch(self, small_grid):
         dst = GridSpec(nlat=5, nlon=8, lat_start=90, dlat=45, lon_start=0, dlon=45)
@@ -152,7 +159,11 @@ def per_plane_expression(plan, values):
     # a source without pole rows: polar destination rows clamp
     (GridSpec(nlat=72, nlon=144, lat_start=88.75, dlat=2.5, lon_start=1.25, dlon=2.5),
      GridSpec(nlat=91, nlon=180, lat_start=90, dlat=2, lon_start=0, dlon=2)),
-], ids=["cyclic", "non-cyclic", "pole-clamped"])
+    # more source rows than destination rows: the longitude pass runs
+    # over every source row, the latitude pass picks from them
+    (GridSpec(nlat=361, nlon=720, lat_start=90, dlat=0.5, lon_start=0, dlon=0.5),
+     GridSpec(nlat=180, nlon=360, lat_start=89.7, dlat=1, lon_start=0.3, dlon=1)),
+], ids=["cyclic", "non-cyclic", "pole-clamped", "row-downsampling"])
 def test_bitwise_equal_to_the_per_plane_expression(src, dst):
     state = random_state(src, seed=21)
     plan = build_plan(src, dst)
