@@ -34,8 +34,8 @@ from typing import BinaryIO, Optional, Sequence, Union
 
 import numpy as np
 
-from .grids import (CHANNELS, N_CHANNELS, GridSpec, StateSet, Var,
-                    all_finite, channel_name, flat_channel_index)
+from .grids import (CHANNELS, N_CHANNELS, GridSpec, InvalidChannelError,
+                    StateSet, Var, channel_name, validate_state)
 
 log = logging.getLogger(__name__)
 
@@ -133,18 +133,46 @@ def _read_head(src: BinaryIO) -> tuple[GridSpec, datetime, str]:
     return grid, datetime.fromtimestamp(epoch, tz=timezone.utc), label
 
 
+def _read_planes(src: BinaryIO, start: int, grid: GridSpec, order: ChannelList,
+                 channels: ChannelList, finite: bool = False,
+                 flip: bool = False) -> np.ndarray:
+    """The planes of `channels`, in that order, from a payload at `start`
+    holding the planes of `order`: visited in file order, one seek and
+    readinto each, rows reversed with `flip`. A plane not kept is skipped,
+    or with `finite` read into a spare buffer; with `finite`, NaN/Inf in a
+    plane is a DataError naming it. A channel not in `order` is an
+    InvalidChannelError before any read; one asked for twice is copied."""
+    slot = {}
+    for k, ch in enumerate(channels):
+        if ch not in order:
+            raise InvalidChannelError(f"no channel {ch[0]} at level {ch[1]} in the file")
+        slot.setdefault(ch, k)
+    data = np.empty((len(channels), grid.nlat, grid.nlon), dtype="<f4")
+    spare = np.empty(grid.shape, dtype="<f4") if finite else None
+    for k, ch in enumerate(order):
+        buf = data[slot[ch]] if ch in slot else spare
+        if buf is None:
+            continue
+        src.seek(start + k * buf.nbytes)
+        if src.readinto(buf) != buf.nbytes:
+            raise TruncationError("file shrank while being read")
+        if flip:
+            buf[:] = buf[::-1]
+        if finite and not np.isfinite(buf).all():
+            raise DataError(f"plane {channel_name(*ch)} contains NaN/Inf")
+    for k, ch in enumerate(channels):
+        if slot[ch] != k:   # asked for twice: copy the plane read
+            data[k] = data[slot[ch]]
+    return data
+
+
 def read_archive(src: Union[BinaryIO, str],
                  channels: Optional[ChannelList] = None,
                  finite: bool = False) -> StateSet:
     """Exact inverse of write_archive. With `channels`, a list of
     (variable, level), only those planes are kept, in that order. Either
-    way the payload's size is checked against the end of the file first.
-
-    The planes are visited in file order, one seek and readinto each: a
-    kept plane is read into its slot, a plane not kept is skipped, or with
-    `finite` read into one spare plane buffer. With `finite` a plane
-    holding NaN/Inf raises DataError naming it. A channel asked for twice
-    is read once and copied."""
+    way the payload's size is checked against the end of the file first;
+    with `finite` every plane is checked for NaN/Inf (see _read_planes)."""
     if isinstance(src, (str, bytes)):
         with open(src, "rb") as fh:
             return read_archive(fh, channels, finite)
@@ -158,23 +186,7 @@ def read_archive(src: Union[BinaryIO, str],
     if size > expected:
         raise FormatError("bytes follow the payload")
     channels = CHANNELS if channels is None else tuple(channels)
-    data = np.empty((len(channels), grid.nlat, grid.nlon), dtype="<f4")
-    slot = {}
-    for k, ch in enumerate(channels):
-        slot.setdefault(ch, k)
-    spare = np.empty(grid.shape, dtype="<f4") if finite else None
-    for k, ch in enumerate(CHANNELS):
-        buf = data[slot[ch]] if ch in slot else spare
-        if buf is None:
-            continue
-        src.seek(start + k * buf.nbytes)
-        if src.readinto(buf) != buf.nbytes:
-            raise TruncationError("file shrank while being read")
-        if finite and not np.isfinite(buf).all():
-            raise DataError(f"plane {channel_name(*ch)} contains NaN/Inf")
-    for k, ch in enumerate(channels):
-        if slot[ch] != k:   # asked for twice: copy the plane read
-            data[k] = data[slot[ch]]
+    data = _read_planes(src, start, grid, CHANNELS, channels, finite)
     return StateSet(valid_time=valid_time, source_label=label, grid=grid, data=data,
                     channels=channels)
 
@@ -210,9 +222,7 @@ class RawDumpLayout:
         if isinstance(order, str):
             raise ValueError(f"unknown channel order {order!r}")
         order = tuple(order)
-        for var, lvl in order:
-            flat_channel_index(var, lvl)
-        if not len(order) == len(set(order)) == N_CHANNELS:
+        if len(order) != N_CHANNELS or set(order) != set(CHANNELS):
             raise ValueError("explicit channel order must cover all 69 channels once")
         object.__setattr__(self, "channel_order", order)
 
@@ -224,30 +234,26 @@ class LayoutError(ArchiveError):
 def ingest_raw(path: str, grid: GridSpec, layout: RawDumpLayout,
                valid_time: datetime, source_label: str,
                nan_policy: str = "error") -> StateSet:
-    """Load a raw dump into a canonical-order, north-first state.
+    """Load a raw dump into a canonical-order, north-first state, each
+    plane read into its canonical slot, so no second copy is made.
 
-    nan_policy: "error" raises on NaN in the payload, "warn" only logs.
-    The dump is read plane by plane into the state array, each plane into
-    its canonical slot, so no second copy of the state is made.
+    nan_policy: "error" raises DataError at the first plane holding
+    NaN/Inf, as soon as it is read; "warn" logs each such plane.
     """
-    data = np.empty((N_CHANNELS, grid.nlat, grid.nlon), dtype="<f4")
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        if size != data.nbytes:
+        if size != payload_size(grid):
             raise LayoutError(f"{path}: payload is {size} bytes, "
-                              f"layout requires {data.nbytes}")
-        for var, lvl in layout.channel_order:
-            plane = data[flat_channel_index(var, lvl)]
-            if fh.readinto(plane) != plane.nbytes:
-                raise LayoutError(f"{path}: file shrank while being read")
-            if layout.scan == "south-first":
-                plane[:] = plane[::-1]
-    if not all_finite(data):
-        if nan_policy == "error":
-            raise DataError(f"{path}: payload contains NaN/Inf")
-        log.warning("%s: payload contains NaN/Inf", path)
-    return StateSet(valid_time=valid_time, source_label=source_label,
-                    grid=grid, data=data)
+                              f"layout requires {payload_size(grid)}")
+        data = _read_planes(fh, 0, grid, layout.channel_order, CHANNELS,
+                            finite=nan_policy == "error",
+                            flip=layout.scan == "south-first")
+    state = StateSet(valid_time=valid_time, source_label=source_label,
+                     grid=grid, data=data)
+    if nan_policy != "error":
+        for msg in validate_state(state, check_ranges=False):
+            log.warning("%s: %s", path, msg)
+    return state
 
 
 def archive_bytes(state: StateSet) -> bytes:

@@ -212,6 +212,7 @@ def _cmd_rollout(args) -> int:
         # every multiple of --emit-every short of --lead, then --lead itself
         emit = [*range(args.emit_every, args.lead, args.emit_every), args.lead]
         plan_for_leads(emit, backend.horizons)   # unreachable lead: exit 2 before any read
+        backend.check_grid(read_header(args.infile)["grid"])   # an off-grid IC too
     outdir = Path(args.out_dir)
 
     def write(lead, state):

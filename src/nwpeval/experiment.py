@@ -23,8 +23,8 @@ import yaml
 
 from .archive import (ArchiveError, RawDumpLayout, ingest_raw, read_archive,
                       read_header)
-from .grids import (CHANNEL_INDEX, DEFAULT_REGIONS, GridSpec, RegionBox,
-                    StateSet, Var, channel_name)
+from .grids import (CHANNEL_BY_NAME, DEFAULT_REGIONS, GridSpec, RegionBox,
+                    StateSet, Var, _as_utc, channel_name)
 from .plots import emit_plots, write_metric_csv
 from .regrid import regrid_state
 from .rollout import BackendSpec, plan_for_leads, run_rollout
@@ -67,7 +67,7 @@ class ExperimentConfig:
     name: str
     init_time: datetime
     ic_sources: tuple[ICSource, ...]
-    truth_pattern: str                     # contains "{lead}"
+    truth_pattern: str                     # filled by str.format(lead=...)
     climatology_path: str
     backend: BackendSpec
     output_dir: str
@@ -92,12 +92,14 @@ class ExperimentConfig:
                 if ref not in source_labels:
                     raise ConfigError(f"scenario {sc.label!r} references "
                                       f"unknown source {ref!r}")
-        if "{lead}" not in self.truth_pattern:
-            raise ConfigError("truth pattern must contain a {lead} placeholder")
         if not self.lead_hours:
             raise ConfigError("lead_hours must not be empty")
         no_repeats("lead_hours", self.lead_hours)
         check_pattern("truth", self.truth_pattern, self.lead_hours)
+        paths = {self.truth_pattern.format(lead=h) for h in self.lead_hours}
+        if len(paths) < len(self.lead_hours):
+            raise ConfigError(f"truth pattern {self.truth_pattern!r} gives two leads "
+                              "the same path")
         no_repeats("report_channels", [channel_name(*c) for c in self.report_channels])
         try:
             plan_for_leads(self.lead_hours, self.backend.horizons)
@@ -115,12 +117,22 @@ class ExperimentConfig:
                 region_block(self.model_grid, box)   # built once, reused to score
             except EmptyMaskError:
                 raise ConfigError(f"region {name!r} selects no model-grid point") from None
+        init_time = _as_utc(self.init_time)   # the config does not normalise it
         for src in self.ic_sources:
             if not os.path.exists(src.path):
                 raise ConfigError(f"source {src.label!r}: missing file {src.path}")
-            if not src.path.endswith(".nws") and (src.grid is None or src.layout is None):
-                raise ConfigError(f"source {src.label!r}: raw dumps require "
-                                  "grid and layout")
+            if not src.path.endswith(".nws"):
+                if src.grid is None or src.layout is None:
+                    raise ConfigError(f"source {src.label!r}: raw dumps require "
+                                      "grid and layout")
+                continue
+            try:
+                valid_time = read_header(src.path)["valid_time"]
+            except ArchiveError as exc:
+                raise ConfigError(f"source {src.label!r}: {exc}") from None
+            if valid_time != init_time:
+                raise ConfigError(f"source {src.label!r} is valid at {valid_time}, "
+                                  f"not at init_time {init_time}")
         if not os.path.exists(self.climatology_path):
             raise ConfigError(f"missing climatology {self.climatology_path}")
         try:
@@ -165,17 +177,12 @@ def _parse_grid(d: dict) -> GridSpec:
 
 
 def parse_channel(name: str) -> tuple[Var, int]:
-    """'MSLP' -> (MSLP, 0); 'Z500' -> (Z, 500). A name off the canonical
-    channel list (e.g. 'Z501') is a ConfigError."""
-    for var in Var:
-        if var.is_surface:
-            if name == var.name:
-                return var, 0
-        elif name.startswith(var.name) and name[len(var.name):].isdigit():
-            level = int(name[len(var.name):])
-            if (var, level) in CHANNEL_INDEX:
-                return var, level
-    raise ConfigError(f"unknown channel {name!r}")
+    """The channel that channel_name calls `name`: 'MSLP' -> (MSLP, 0),
+    'Z500' -> (Z, 500). Any other name (e.g. 'Z501', 'Z0500') is a ConfigError."""
+    try:
+        return CHANNEL_BY_NAME[name]
+    except KeyError:
+        raise ConfigError(f"unknown channel {name!r}") from None
 
 
 def _parse_box(v) -> RegionBox:
@@ -321,26 +328,22 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     # validate() has checked the climatology's grid
     climatology = read_archive(config.climatology_path, channels)
 
-    ics: dict[str, StateSet] = {}
+    runs: dict[str, StateSet] = {}   # each run's IC, in config order
     failures: dict[str, str] = {}
     for src in config.ic_sources:
         try:
-            ics[src.label] = _load_source(src, config.init_time, config.model_grid)
+            runs[src.label] = _load_source(src, config.init_time, config.model_grid)
         except Exception as exc:
             failures[src.label] = f"ingest failed: {exc}"
-
-    runs: dict[str, StateSet] = dict(ics)   # in config order
-    for sc in config.splice_scenarios:
-        if sc.base_source not in ics or sc.donor_source not in ics:
+    for sc in config.splice_scenarios:   # sources only: validate() checked the names
+        if sc.base_source not in runs or sc.donor_source not in runs:
             failures[sc.label] = "base or donor source failed to load"
             continue
         try:
-            runs[sc.label] = splice_states(
-                ics[sc.base_source], ics[sc.donor_source], sc.spec,
-                allow_time_mismatch=True).replace(source_label=sc.label)
+            runs[sc.label] = splice_states(runs[sc.base_source], runs[sc.donor_source],
+                                           sc.spec).replace(source_label=sc.label)
         except Exception as exc:
             failures[sc.label] = f"splice failed: {exc}"
-    ics.clear()   # `runs` holds the only reference to each IC
     labels = list(runs)
 
     run_errors: dict[str, list[str]] = {}

@@ -79,6 +79,10 @@ def channel_name(variable: Var, level: int) -> str:
     return variable.name if variable.is_surface else f"{variable.name}{level}"
 
 
+# Display name -> channel, for every canonical channel: channel_name's inverse.
+CHANNEL_BY_NAME: dict[str, tuple[Var, int]] = {channel_name(*ch): ch for ch in CHANNELS}
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Regular lat/lon grid: row 0 at lat_start (northmost), stepping south
@@ -245,12 +249,6 @@ RANGE_CHECKS: dict[Var, tuple[float, float]] = {
     Var.U: (-150.0, 150.0),
     Var.V: (-150.0, 150.0),
 }
-
-
-def all_finite(data: np.ndarray) -> bool:
-    """True iff every value is finite. Checked plane by plane, so the
-    temporary is one plane of bools, not a bool array as large as the state."""
-    return all(np.isfinite(plane).all() for plane in data)
 
 
 def validate_state(state: StateSet, check_ranges: bool = True) -> list[str]:

@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .archive import DataError, read_archive, write_archive
-from .grids import CHANNELS, GridSpec, StateSet, all_finite
+from .grids import CHANNELS, GridSpec, StateSet, validate_state
 
 log = logging.getLogger(__name__)
 
@@ -251,9 +251,9 @@ def run_rollout(ic: StateSet, backend: BackendSpec, leads, emit,
             for n, (hours, lead) in enumerate(zip(plan.steps, cumulative), start=1):
                 if not external:
                     state = builtin_step(state, backend, hours)
-                    if not all_finite(state.data):
+                    if problems := validate_state(state, check_ranges=False):
                         raise RolloutError(f"backend produced NaN/Inf at step {n} "
-                                           f"(+{hours}h)")
+                                           f"(+{hours}h): {'; '.join(problems)}")
                 else:
                     del state   # on disk: hold one state while reading the next
                     if n == 1:

@@ -12,7 +12,7 @@ from nwpeval.archive import (DataError, FormatError, LayoutError,
                              ingest_raw, payload_size, read_archive,
                              read_header, write_archive)
 from nwpeval.grids import (CHANNELS, N_CHANNELS, GridSpec, InvalidChannelError,
-                           StateSet, Var, flat_channel_index)
+                           StateSet, Var, channel_name, flat_channel_index)
 from tests.conftest import random_state
 
 
@@ -184,6 +184,22 @@ class TestSubsetRead:
         with pytest.raises(InvalidChannelError):
             sub.channel(Var.Z, 501)
 
+    @pytest.mark.parametrize("channels", [[(Var.Z, 501), (Var.MSLP, 0)],
+                                          [(Var.T2, 0), (Var.MSLP, 500)]])
+    def test_subset_of_a_channel_not_held_reads_nothing(self, small_grid, channels):
+        # no plane in file order matches that slot: it used to be np.empty's
+        class Reader(io.BytesIO):
+            planes = 0
+
+            def readinto(self, buf):
+                self.planes += 1
+                return super().readinto(buf)
+
+        src = Reader(archive_bytes(random_state(small_grid, seed=16)))
+        with pytest.raises(InvalidChannelError, match="no channel"):
+            read_archive(src, channels)
+        assert src.planes == 0
+
     def test_write_rejects_a_subset_state(self, tmp_path, small_grid):
         s = random_state(small_grid, seed=15)
         sub = StateSet(valid_time=s.valid_time, source_label=s.source_label,
@@ -247,19 +263,42 @@ class TestIngestRaw:
             ingest_raw(str(path), small_grid, RawDumpLayout(),
                        valid_time=s.valid_time, source_label="x")
 
-    def test_nan_policy(self, tmp_path, small_grid):
+    def test_nan_policy(self, tmp_path, small_grid, caplog):
         s = random_state(small_grid, seed=14)
         data = s.data.copy()
         data[0, 0, 0] = np.nan
         path = tmp_path / "dump.bin"
         path.write_bytes(np.ascontiguousarray(data, dtype="<f4").tobytes())
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="plane MSLP contains NaN/Inf"):
             ingest_raw(str(path), small_grid, RawDumpLayout(),
                        valid_time=s.valid_time, source_label="x")
         out = ingest_raw(str(path), small_grid, RawDumpLayout(),
                          valid_time=s.valid_time, source_label="x",
                          nan_policy="warn")
         assert np.isnan(out.data[0, 0, 0])
+        assert "non-finite: MSLP contains NaN/Inf" in caplog.text
+
+    def test_nan_in_the_last_stored_plane_names_its_channel(self, tmp_path, small_grid,
+                                                            caplog):
+        # a south-first dump in a permuted order: the error names the
+        # canonical channel of the plane the NaN is stored in
+        s = random_state(small_grid, seed=17)
+        order = [CHANNELS[k] for k in np.random.default_rng(3).permutation(N_CHANNELS)]
+        stored = np.stack([s.channel(*ch)[::-1] for ch in order])
+        stored[-1, 0, 2] = np.nan   # stored row 0 is the southmost
+        path = tmp_path / "dump.bin"
+        path.write_bytes(np.ascontiguousarray(stored, dtype="<f4").tobytes())
+        layout = RawDumpLayout(channel_order=order, scan="south-first")
+        name = channel_name(*order[-1])
+        with pytest.raises(DataError, match=f"plane {name} contains NaN/Inf"):
+            ingest_raw(str(path), small_grid, layout, valid_time=s.valid_time,
+                       source_label="x")
+        out = ingest_raw(str(path), small_grid, layout, valid_time=s.valid_time,
+                         source_label="x", nan_policy="warn")
+        expected = s.data.copy()
+        expected[flat_channel_index(*order[-1]), -1, 2] = np.nan
+        assert np.array_equal(out.data, expected, equal_nan=True)
+        assert f"non-finite: {name} contains NaN/Inf" in caplog.text
 
 
 def test_read_header(tmp_path, small_grid):

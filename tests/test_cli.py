@@ -80,10 +80,13 @@ class TestUsageErrors:
          "--out", "{out}"],
         ["evaluate", "--forecast-pattern", "{a}", "--truth-pattern", "era5_{{leadh}}.nws",
          "--climatology", "{a}", "--leads", "24", "--out", "{out}"],
+        # the test grid is 9x16; an external backend needs 721x1440
+        ["rollout", "--in", "{a}", "--out-dir", "{out}", "--lead", "24",
+         "--backend", f"cmd:{sys.executable} -c pass"],
     ], ids=["blend-width", "horizons-x", "horizons-0", "emit-every-0", "lead-0",
             "blank-command", "missing-command",
             "valid-time", "leads-x", "leads-repeated", "channels-repeated",
-            "pattern-placeholder"])
+            "pattern-placeholder", "external-off-canonical"])
     def test_bad_flag_value_exits_2_without_output(self, archive_path, tmp_path,
                                                    monkeypatch, argv):
         from nwpeval import cli
@@ -297,6 +300,8 @@ BAD_CONFIGS = {
     "repeated-lead": {"lead_hours": [24, 48, 24]},
     "repeated-channel": {"report_channels": ["MSLP", "Z500", "MSLP"]},
     "truth-placeholder": {"truth": "truth_{lead}_{member}.nws"},
+    "truth-fixed-path": {"truth": "truth_24.nws", "lead_hours": [24, 48]},
+    "ic-time": {"init_time": "2023-06-07T00:00:00Z"},   # the ICs are at 06-06
     # the test grid is 9x16; an external backend needs 721x1440
     "external-off-canonical": {"backend": {"kind": "external-command",
                                            "command": f"{sys.executable} -c pass"}},
@@ -362,8 +367,8 @@ class TestRunSubcommand:
         assert "off the model grid" in capsys.readouterr().err
 
     def test_config_validated_once_per_run(self, tmp_path, small_grid, monkeypatch):
-        # one climatology header read; each region mask built once, for
-        # validate and scoring both
+        # one header read per input (the climatology and each .nws IC); each
+        # region mask built once, for validate and scoring both
         from nwpeval import experiment, verify
         from tests.test_experiment import build_inputs
         labels = build_inputs(tmp_path, small_grid)
@@ -376,7 +381,19 @@ class TestRunSubcommand:
         cfg = tmp_path / "exp.yaml"
         cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels)))
         assert main(["run", "--config", str(cfg)]) == 0
-        assert sorted(calls) == ["read_header", "region_mask", "region_mask"]
+        assert sorted(calls) == ["read_header"] * 3 + ["region_mask"] * 2
+
+    def test_truth_pattern_with_a_format_spec_runs(self, tmp_path, small_grid):
+        from tests.test_experiment import build_inputs
+        labels = build_inputs(tmp_path, small_grid)
+        for lead in (24, 48):
+            (tmp_path / f"truth_{lead}.nws").rename(tmp_path / f"truth_{lead:03d}.nws")
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels,
+                                              {"truth": "truth_{lead:03d}.nws"})))
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert "truth:" not in (tmp_path / "out" / "run.log").read_text()
+        assert len(read_metric_csv(str(tmp_path / "out" / "metrics.csv"))) == 2 * 9 * 2 * 2 * 2
 
     def test_lead_needing_smaller_steps_runs(self, tmp_path, small_grid):
         # {24, 18}: 36 h is 18 + 18; a largest-first split dead-ends at 12 h

@@ -2,7 +2,7 @@ import dataclasses
 import sys
 import textwrap
 import tracemalloc
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -146,8 +146,10 @@ class TestRunExperiment:
         assert f"{labels[0]}: lead 48: no truth state" in log
 
     def test_broken_source_does_not_abort_others(self, tmp_path, small_grid):
+        # a sound header passes validate(); the short payload fails that run only
         labels = build_inputs(tmp_path, small_grid)
-        (tmp_path / f"{labels[1]}.nws").write_bytes(b"garbage")
+        path = tmp_path / f"{labels[1]}.nws"
+        path.write_bytes(path.read_bytes()[:-5])
         report = run_experiment(make_config(tmp_path, small_grid, labels))
         assert labels[1] in report.failures
         rows = read_metric_csv(str(report.csv_path))
@@ -276,6 +278,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="missing file"):
             cfg.validate()
 
+    @pytest.mark.parametrize("init_time,ok", [
+        (datetime(2023, 6, 6), True),   # naive: taken as UTC
+        (datetime(2023, 6, 6, 2, tzinfo=timezone(timedelta(hours=2))), True),
+        (datetime(2023, 6, 6, 6, tzinfo=timezone.utc), False),
+    ])
+    def test_nws_ic_time_is_init_time_in_utc(self, tmp_path, small_grid, init_time, ok):
+        labels = build_inputs(tmp_path, small_grid)   # ICs valid at 2023-06-06 00Z
+        cfg = dataclasses.replace(make_config(tmp_path, small_grid, labels),
+                                  init_time=init_time)
+        if ok:
+            cfg.validate()
+        else:
+            with pytest.raises(ConfigError, match="'src0' is valid at 2023-06-06 00:00"):
+                cfg.validate()
+
+    def test_malformed_ic_header(self, tmp_path, small_grid):
+        labels = build_inputs(tmp_path, small_grid)
+        (tmp_path / f"{labels[1]}.nws").write_bytes(b"garbage!" * 64)
+        with pytest.raises(ConfigError, match=f"source '{labels[1]}': bad magic"):
+            make_config(tmp_path, small_grid, labels).validate()
+
     def test_malformed_climatology_header(self, tmp_path, small_grid):
         labels = build_inputs(tmp_path, small_grid)
         (tmp_path / "clim.nws").write_bytes(b"NWPSTAT1")
@@ -365,7 +388,9 @@ class TestParseChannel:
         assert parse_channel(name) == (var, level)
 
     def test_invalid(self):
-        with pytest.raises(ConfigError):
-            parse_channel("X9")
-        with pytest.raises(ConfigError):
-            parse_channel("Z")
+        for name in ("X9", "Z", "Z501", "Z0500", "MSLP0", "z500", " Z500"):
+            with pytest.raises(ConfigError, match="unknown channel"):
+                parse_channel(name)
+
+    def test_every_channel_name_round_trips(self):
+        assert [parse_channel(channel_name(*c)) for c in CHANNELS] == list(CHANNELS)

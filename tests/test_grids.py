@@ -4,8 +4,7 @@ import pytest
 import nwpeval
 from nwpeval.grids import (CHANNELS, N_CHANNELS, Field, GridSpec,
                            InvalidChannelError, RegionBox, StateSet, Var,
-                           all_finite, channel_name, flat_channel_index,
-                           validate_state)
+                           channel_name, flat_channel_index, validate_state)
 from nwpeval.synthetic import default_time
 
 
@@ -150,7 +149,12 @@ def test_public_names_resolve():
 @pytest.mark.parametrize("plane, value", [(None, 0.0), (0, np.inf), (N_CHANNELS - 1, np.nan),
                                           (N_CHANNELS // 2, -np.inf)])
 def test_all_finite_looks_at_every_plane(plane, value):
+    # the one NaN/Inf check of a state in memory names each bad plane
     data = np.zeros((N_CHANNELS, 3, 4), np.float32)
     if plane is not None:
         data[plane, 2, 3] = value
-    assert all_finite(data) == (plane is None)
+    state = StateSet(valid_time=default_time(), source_label="x",
+                     grid=GridSpec(nlat=3, nlon=4, dlat=45, dlon=90), data=data)
+    expected = [] if plane is None else [
+        f"non-finite: {channel_name(*CHANNELS[plane])} contains NaN/Inf"]
+    assert validate_state(state, check_ranges=False) == expected

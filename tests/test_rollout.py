@@ -194,6 +194,15 @@ class TestRunRollout:
                         lambda *a: emitted.append(a))
         assert steps == [] and emitted == []
 
+    @pytest.mark.parametrize("builtin", ["persistence", "advection"])
+    def test_inf_in_the_ic_names_its_plane(self, small_state, builtin):
+        data = small_state.data.copy()
+        data[CHANNELS.index((Var.T, 850)), 3, 5] = np.inf
+        with pytest.raises(RolloutError, match=r"NaN/Inf at step 1 \(\+24h\): "
+                                               "non-finite: T850 contains NaN/Inf$"):
+            rollout_series(small_state.replace(data=data),
+                           BackendSpec(builtin=builtin), [24])
+
     def test_off_plan_emit_rejected(self, small_state):
         with pytest.raises(UnreachableLeadError):
             rollout_series(small_state, BackendSpec(), [12])
