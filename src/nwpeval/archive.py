@@ -25,7 +25,6 @@ its `channels`; `write_archive` refuses it.
 from __future__ import annotations
 
 import io
-import logging
 import os
 import struct
 from dataclasses import asdict, dataclass
@@ -35,9 +34,7 @@ from typing import BinaryIO, Optional, Sequence, Union
 import numpy as np
 
 from .grids import (CHANNELS, N_CHANNELS, GridSpec, InvalidChannelError,
-                    StateSet, Var, channel_name, validate_state)
-
-log = logging.getLogger(__name__)
+                    StateSet, Var, channel_name)
 
 MAGIC = b"NWPSTAT1"
 VERSION = 1
@@ -140,21 +137,32 @@ def _read_planes(src: BinaryIO, start: int, grid: GridSpec, order: ChannelList,
     holding the planes of `order`: visited in file order, one seek and
     readinto each, rows reversed with `flip`. A plane not kept is skipped,
     or with `finite` read into a spare buffer; with `finite`, NaN/Inf in a
-    plane is a DataError naming it. A channel not in `order` is an
-    InvalidChannelError before any read; one asked for twice is copied."""
+    plane is a DataError naming it. Before any read, a channel not in
+    `order` is an InvalidChannelError, and a payload that does not end the
+    file a TruncationError naming the channel it ends in (short) or a
+    FormatError (long). A channel asked for twice is copied."""
     slot = {}
     for k, ch in enumerate(channels):
         if ch not in order:
             raise InvalidChannelError(f"no channel {ch[0]} at level {ch[1]} in the file")
         slot.setdefault(ch, k)
+    plane = grid.nlat * grid.nlon * 4
+    expected = len(order) * plane
+    size = src.seek(0, os.SEEK_END) - start
+    if size < expected:
+        raise TruncationError(f"payload truncated in channel "
+                              f"{channel_name(*order[size // plane])} "
+                              f"({size} of {expected} bytes)")
+    if size > expected:
+        raise FormatError("bytes follow the payload")
     data = np.empty((len(channels), grid.nlat, grid.nlon), dtype="<f4")
     spare = np.empty(grid.shape, dtype="<f4") if finite else None
     for k, ch in enumerate(order):
         buf = data[slot[ch]] if ch in slot else spare
         if buf is None:
             continue
-        src.seek(start + k * buf.nbytes)
-        if src.readinto(buf) != buf.nbytes:
+        src.seek(start + k * plane)
+        if src.readinto(buf) != plane:
             raise TruncationError("file shrank while being read")
         if flip:
             buf[:] = buf[::-1]
@@ -171,22 +179,14 @@ def read_archive(src: Union[BinaryIO, str],
                  finite: bool = False) -> StateSet:
     """Exact inverse of write_archive. With `channels`, a list of
     (variable, level), only those planes are kept, in that order. Either
-    way the payload's size is checked against the end of the file first;
-    with `finite` every plane is checked for NaN/Inf (see _read_planes)."""
+    way the payload's size is checked first; with `finite` every plane is
+    checked for NaN/Inf (see _read_planes)."""
     if isinstance(src, (str, bytes)):
         with open(src, "rb") as fh:
             return read_archive(fh, channels, finite)
     grid, valid_time, label = _read_head(src)
-    start, expected = src.tell(), payload_size(grid)
-    size = src.seek(0, os.SEEK_END) - start
-    if size < expected:
-        var, lvl = CHANNELS[size * N_CHANNELS // expected]
-        raise TruncationError(f"payload truncated in channel {channel_name(var, lvl)} "
-                              f"({size} of {expected} bytes)")
-    if size > expected:
-        raise FormatError("bytes follow the payload")
     channels = CHANNELS if channels is None else tuple(channels)
-    data = _read_planes(src, start, grid, CHANNELS, channels, finite)
+    data = _read_planes(src, src.tell(), grid, CHANNELS, channels, finite)
     return StateSet(valid_time=valid_time, source_label=label, grid=grid, data=data,
                     channels=channels)
 
@@ -227,33 +227,23 @@ class RawDumpLayout:
         object.__setattr__(self, "channel_order", order)
 
 
-class LayoutError(ArchiveError):
-    """Raw dump size does not match the declared layout."""
-
-
 def ingest_raw(path: str, grid: GridSpec, layout: RawDumpLayout,
                valid_time: datetime, source_label: str,
                nan_policy: str = "error") -> StateSet:
     """Load a raw dump into a canonical-order, north-first state, each
-    plane read into its canonical slot, so no second copy is made.
+    plane read into its canonical slot, so no second copy is made. A dump
+    of the wrong size is a TruncationError or FormatError (see _read_planes).
 
     nan_policy: "error" raises DataError at the first plane holding
-    NaN/Inf, as soon as it is read; "warn" logs each such plane.
+    NaN/Inf, as soon as it is read; "warn" returns the state as read, for
+    the caller to check with validate_state.
     """
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size != payload_size(grid):
-            raise LayoutError(f"{path}: payload is {size} bytes, "
-                              f"layout requires {payload_size(grid)}")
         data = _read_planes(fh, 0, grid, layout.channel_order, CHANNELS,
                             finite=nan_policy == "error",
                             flip=layout.scan == "south-first")
-    state = StateSet(valid_time=valid_time, source_label=source_label,
-                     grid=grid, data=data)
-    if nan_policy != "error":
-        for msg in validate_state(state, check_ranges=False):
-            log.warning("%s: %s", path, msg)
-    return state
+    return StateSet(valid_time=valid_time, source_label=source_label,
+                    grid=grid, data=data)
 
 
 def archive_bytes(state: StateSet) -> bytes:

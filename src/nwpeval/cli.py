@@ -18,8 +18,8 @@ from . import __version__
 from .archive import (ArchiveError, RawDumpLayout, ingest_raw, read_archive,
                       read_header, write_archive)
 from .experiment import (ConfigError, TruthError, _parse_box, _parse_time,
-                         check_pattern, load_config, no_repeats, parse_channel,
-                         read_truth, run_experiment)
+                         check_pattern, check_regions, load_config, no_repeats,
+                         parse_channel, read_truth, run_experiment)
 from .grids import DEFAULT_REGIONS, GridSpec, channel_name, validate_state
 from .plots import PlotInputError, emit_plots, write_metric_csv
 from .regrid import regrid_state
@@ -177,10 +177,8 @@ def _cmd_ingest(args) -> int:
         valid_time = _parse_time(args.valid_time)
     state = ingest_raw(args.infile, args.grid, layout, valid_time=valid_time,
                        source_label=args.label, nan_policy=args.nan)
-    if not args.skip_validation:
-        problems = validate_state(state)
-        for msg in problems:
-            log.warning("%s: %s", args.infile, msg)
+    for msg in validate_state(state, check_ranges=not args.skip_validation):
+        log.warning("%s: %s", args.infile, msg)
     write_archive(state, args.out)
     return 0
 
@@ -230,9 +228,10 @@ def _cmd_rollout(args) -> int:
 def _cmd_evaluate(args) -> int:
     with _usage():
         leads = [int(h) for h in args.leads.split(",")]
-        regions = {name: _parse_box(box.split(","))
-                   for name, _, box in (spec.partition("=") for spec in args.region)
-                   } or DEFAULT_REGIONS
+        named = [spec.partition("=") for spec in args.region]
+        no_repeats("--region", [name for name, _, _ in named])
+        regions = ({name: _parse_box(box.split(",")) for name, _, box in named}
+                   or DEFAULT_REGIONS)
         channels = DEFAULT_REPORT_CHANNELS
         if args.channels:
             channels = [parse_channel(c) for c in args.channels.split(",")]
@@ -240,6 +239,7 @@ def _cmd_evaluate(args) -> int:
         no_repeats("--channels", [channel_name(*c) for c in channels])
         check_pattern("--forecast-pattern", args.forecast_pattern, leads)
         check_pattern("--truth-pattern", args.truth_pattern, leads)
+        check_regions(read_header(args.climatology)["grid"], regions)
     clim = read_archive(args.climatology, channels)   # the report planes only
     records, errors = [], []
     for lead in leads:

@@ -112,11 +112,7 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
         if self.workers is not None and self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        for name, box in self.regions.items():
-            try:
-                region_block(self.model_grid, box)   # built once, reused to score
-            except EmptyMaskError:
-                raise ConfigError(f"region {name!r} selects no model-grid point") from None
+        check_regions(self.model_grid, self.regions)
         init_time = _as_utc(self.init_time)   # the config does not normalise it
         for src in self.ic_sources:
             if not os.path.exists(src.path):
@@ -148,6 +144,16 @@ def no_repeats(what: str, values) -> None:
     """ConfigError if a lead or channel repeats: it would be scored twice."""
     if len(set(values)) != len(values):
         raise ConfigError(f"{what} repeats an entry: {', '.join(map(str, values))}")
+
+
+def check_regions(grid: GridSpec, regions: dict) -> None:
+    """ConfigError if a region selects no point of `grid`. Each region's
+    block is built here once and reused to score."""
+    for name, box in regions.items():
+        try:
+            region_block(grid, box)
+        except EmptyMaskError:
+            raise ConfigError(f"region {name!r} selects no point of the grid") from None
 
 
 def check_pattern(what: str, pattern: str, leads) -> None:

@@ -13,6 +13,7 @@ import csv
 import math
 from pathlib import Path
 
+from .grids import CHANNELS, channel_name
 from .verify import MetricRecord
 
 CSV_COLUMNS = ["init_time", "source", "variable", "level", "region",
@@ -29,8 +30,8 @@ class PlotInputError(ValueError):
     """Malformed metric CSV."""
 
 
-def _channel_label(variable: str, level: str) -> str:
-    return variable if level == "0" else f"{variable}{level}"
+# (variable, level) as write_metric_csv spells them -> channel_name, per channel
+_CSV_CHANNELS = {(var.name, str(level)): channel_name(var, level) for var, level in CHANNELS}
 
 
 def read_metric_csv(path: str) -> list[dict]:
@@ -54,6 +55,9 @@ def read_metric_csv(path: str) -> list[dict]:
                 float(rec["value"])
             except ValueError:
                 raise PlotInputError(f"{path}:{lineno}: non-numeric lead or value")
+            if (rec["variable"], rec["level"]) not in _CSV_CHANNELS:
+                raise PlotInputError(f"{path}:{lineno}: unknown channel "
+                                     f"{rec['variable']!r} at level {rec['level']!r}")
             if rec["metric"] not in ("RMSE", "ACC"):
                 raise PlotInputError(f"{path}:{lineno}: unknown metric "
                                      f"{rec['metric']!r}")
@@ -177,7 +181,7 @@ def emit_plots(csv_path: str, output_dir: str) -> list[Path]:
     outdir.mkdir(parents=True, exist_ok=True)
     groups: dict[tuple[str, str, str], dict[str, list[tuple[int, str]]]] = {}
     for rec in rows:
-        chan = _channel_label(rec["variable"], rec["level"])
+        chan = _CSV_CHANNELS[(rec["variable"], rec["level"])]
         key = (chan, rec["region"], rec["metric"])
         groups.setdefault(key, {}).setdefault(rec["source"], []).append(
             (int(rec["lead_hours"]), rec["value"]))

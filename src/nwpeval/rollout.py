@@ -237,6 +237,8 @@ def run_rollout(ic: StateSet, backend: BackendSpec, leads, emit,
     external = backend.kind == "external-command"
 
     if 0 in wanted:
+        if problems := validate_state(ic, check_ranges=False):
+            raise RolloutError(f"the IC at lead 0 holds NaN/Inf: {'; '.join(problems)}")
         emit(0, ic)
     init_time, label = ic.valid_time, ic.source_label
     with tempfile.TemporaryDirectory(prefix="nwpeval-rollout-") as work:

@@ -1,10 +1,11 @@
 """Regional initial-condition concatenation: overwrite a box of a base
 global state with a donor state's values, optionally feathering the seam.
 
-The default hard splice (blend_width 0) copies donor values verbatim
-inside the box and leaves base values untouched elsewhere, so every
-output value is bitwise one of the two inputs. The default scope is
-upper-air channels only; the 4 surface channels come from the base.
+Planes are matched by channel, not by position. The default hard splice
+(blend_width 0) copies donor values verbatim inside the box and leaves
+base values untouched elsewhere, so every output value is bitwise one of
+the two inputs. The default scope is upper-air channels only; the 4
+surface channels come from the base.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (N_CHANNELS, N_SURFACE, GridMismatchError, RegionBox,
-                    StateSet, box_distance, region_mask)
+from .grids import GridMismatchError, RegionBox, StateSet, box_distance, region_mask
 
 
 class SpliceError(ValueError):
@@ -41,29 +41,29 @@ def splice_states(base: StateSet, donor: StateSet, spec: SpliceSpec,
                   allow_time_mismatch: bool = False) -> StateSet:
     """Splice the donor's in-scope channels into the base within the box.
 
-    With blend_width > 0, output = alpha*donor + (1-alpha)*base where
-    alpha falls linearly from 1 at the box edge to 0 at blend_width
-    degrees outside. The result's source_label is "<donor>pad<base>".
+    Each of the base's planes is matched with the donor's plane of the
+    same channel. Inside the box (region_mask) the output is the donor.
+    On the ring outside it, closer than blend_width degrees (box_distance),
+    output = alpha*donor + (1-alpha)*base, where alpha falls linearly from
+    1 at the box edge to 0 at blend_width degrees out. The result holds the
+    base's channels; its source_label is "<donor>pad<base>".
     """
     if base.grid != donor.grid:
         raise GridMismatchError("base and donor must share a grid")
     if base.valid_time != donor.valid_time and not allow_time_mismatch:
         raise SpliceError(f"valid_time mismatch: base {base.valid_time}, "
                           f"donor {donor.valid_time}")
-    first = 0 if spec.variable_scope == "all-channels" else N_SURFACE
+    mask = region_mask(base.grid, spec.region)
+    distance = box_distance(base.grid, spec.region)
+    ring = np.nonzero(~mask & (distance < spec.blend_width))   # empty when hard
+    alpha = 1.0 - distance[ring] / spec.blend_width
     out = base.data.copy()
-    if spec.blend_width == 0.0:
-        mask = region_mask(base.grid, spec.region)
-        for k in range(first, N_CHANNELS):
-            np.copyto(out[k], donor.data[k], where=mask)
-    else:
-        alpha = np.clip(1.0 - box_distance(base.grid, spec.region) / spec.blend_width,
-                        0.0, 1.0)
-        seam = alpha > 0.0
-        for k in range(first, N_CHANNELS):
-            mixed = (alpha * donor.data[k].astype(np.float64)
-                     + (1.0 - alpha) * base.data[k].astype(np.float64)).astype(np.float32)
-            np.copyto(out[k], mixed, where=seam)
-    return StateSet(valid_time=base.valid_time,
-                    source_label=f"{donor.source_label}pad{base.source_label}",
-                    grid=base.grid, data=out)
+    for plane, (var, level) in zip(out, base.channels):
+        if var.is_surface and spec.variable_scope == "upper-only":
+            continue
+        d = donor.channel(var, level)
+        np.copyto(plane, d, where=mask)
+        plane[ring] = (alpha * d[ring].astype(np.float64)
+                       + (1.0 - alpha) * plane[ring].astype(np.float64)).astype(np.float32)
+    return base.replace(source_label=f"{donor.source_label}pad{base.source_label}",
+                        data=out)

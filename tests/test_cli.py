@@ -83,10 +83,18 @@ class TestUsageErrors:
         # the test grid is 9x16; an external backend needs 721x1440
         ["rollout", "--in", "{a}", "--out-dir", "{out}", "--lead", "24",
          "--backend", f"cmd:{sys.executable} -c pass"],
+        # no point of the 22.5-degree test grid lies in the box
+        ["evaluate", "--forecast-pattern", "{a}", "--truth-pattern", "{a}",
+         "--climatology", "{a}", "--leads", "24", "--region", "tiny=1,2,1,2",
+         "--out", "{out}"],
+        ["evaluate", "--forecast-pattern", "{a}", "--truth-pattern", "{a}",
+         "--climatology", "{a}", "--leads", "24", "--region", "a=-90,90,0,360",
+         "--region", "a=-10,60,60,150", "--out", "{out}"],
     ], ids=["blend-width", "horizons-x", "horizons-0", "emit-every-0", "lead-0",
             "blank-command", "missing-command",
             "valid-time", "leads-x", "leads-repeated", "channels-repeated",
-            "pattern-placeholder", "external-off-canonical"])
+            "pattern-placeholder", "external-off-canonical", "region-empty",
+            "region-repeated"])
     def test_bad_flag_value_exits_2_without_output(self, archive_path, tmp_path,
                                                    monkeypatch, argv):
         from nwpeval import cli
@@ -113,6 +121,23 @@ class TestIngestRegrid:
                    "--skip-validation"])
         assert rc == 0
         assert np.array_equal(read_archive(str(out)).data, s.data)
+
+    @pytest.mark.parametrize("skip", [[], ["--skip-validation"]])
+    def test_ingest_nan_warn_logs_each_plane_once(self, tmp_path, small_grid, caplog,
+                                                  skip):
+        data = random_state(small_grid, seed=54).data.copy()
+        data[CHANNELS.index((Var.Z, 925)), 2, 3] = np.nan
+        raw = tmp_path / "dump.bin"
+        raw.write_bytes(np.ascontiguousarray(data, dtype="<f4").tobytes())
+        g = small_grid
+        with caplog.at_level(logging.WARNING):
+            assert main(["ingest", "--in", str(raw), "--out", str(tmp_path / "out.nws"),
+                         "--grid", f"{g.nlat},{g.nlon},{g.lat_start},{g.dlat},"
+                                   f"{g.lon_start},{g.dlon}",
+                         "--valid-time", "2023-06-06T00:00:00Z", "--label", "gfs",
+                         "--nan", "warn", *skip]) == 0
+        assert caplog.text.count("non-finite") == 1
+        assert f"{raw}: non-finite: Z925 contains NaN/Inf" in caplog.text
 
     def test_regrid_to_named_grid(self, archive_path, tmp_path):
         out = tmp_path / "regridded.nws"
@@ -415,6 +440,11 @@ class TestRunSubcommand:
         data = truth.data.copy()
         data[0, 0, 0] = np.nan   # MSLP at the north pole, outside east_asia
         write_archive(truth.replace(data=data), str(tmp_path / "truth_48.nws"))
+        # a climatology equal to the truth in T2: no T2 anomaly, so no ACC
+        clim = read_archive(str(tmp_path / "clim.nws"))
+        data = clim.data.copy()
+        data[CHANNELS.index((Var.T2, 0))] = truth.channel(Var.T2)
+        write_archive(clim.replace(data=data), str(tmp_path / "clim.nws"))
         cfg = tmp_path / "exp.yaml"
         cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels)))
         assert main(["run", "--config", str(cfg)]) == 0
@@ -424,6 +454,8 @@ class TestRunSubcommand:
         csv = (tmp_path / "out" / "metrics.csv").read_text()
         assert ",24,RMSE," in csv
         assert "MSLP,0,east_asia,48,RMSE," in csv and "MSLP,0,global,48," not in csv
+        assert "lead 24 T2 east_asia: anomaly variance too small" in log
+        assert ",T2,0,east_asia,24,RMSE," in csv and ",T2,0,east_asia,24,ACC," not in csv
         assert main(["evaluate", "--forecast-pattern", str(tmp_path / "src0.nws"),
                      "--truth-pattern", str(tmp_path / "truth_{lead}.nws"),
                      "--climatology", str(tmp_path / "clim.nws"), "--leads", "24,48",
@@ -439,3 +471,9 @@ class TestRunSubcommand:
         assert (tmp_path / "out" / "metrics.csv").exists()
         out = capsys.readouterr().out
         assert "config sha256" in out
+        # a source whose payload is short fails its run: exit 1, named on stderr
+        path = tmp_path / f"{labels[1]}.nws"
+        path.write_bytes(path.read_bytes()[:-5])
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert (f"FAILED {labels[1]}: ingest failed: payload truncated in channel V50"
+                in capsys.readouterr().err)

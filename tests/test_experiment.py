@@ -146,12 +146,16 @@ class TestRunExperiment:
         assert f"{labels[0]}: lead 48: no truth state" in log
 
     def test_broken_source_does_not_abort_others(self, tmp_path, small_grid):
-        # a sound header passes validate(); the short payload fails that run only
+        # a sound header passes validate(); the short payload fails that run
+        # and the splice it donates to, no other
         labels = build_inputs(tmp_path, small_grid)
         path = tmp_path / f"{labels[1]}.nws"
         path.write_bytes(path.read_bytes()[:-5])
-        report = run_experiment(make_config(tmp_path, small_grid, labels))
+        scenario = SpliceScenario(label="pad", base_source=labels[0],
+                                  donor_source=labels[1], spec=SpliceSpec(region=EAST_ASIA))
+        report = run_experiment(make_config(tmp_path, small_grid, labels, [scenario]))
         assert labels[1] in report.failures
+        assert report.failures["pad"] == "base or donor source failed to load"
         rows = read_metric_csv(str(report.csv_path))
         assert {r["source"] for r in rows} == {labels[0]}
 
@@ -344,7 +348,7 @@ class TestYamlConfig:
         snapshot = (tmp_path / "out" / "config_snapshot").read_bytes()
         assert snapshot == cfg_path.read_bytes()
 
-    def test_channel_order_by_name(self, tmp_path, small_grid):
+    def test_channel_order_by_name(self, tmp_path, small_grid, monkeypatch):
         # a raw dump stored in reversed channel order with south-first rows
         state = make_state(small_grid, seed=3, source_label="raw")
         (tmp_path / "raw.bin").write_bytes(
@@ -364,6 +368,15 @@ class TestYamlConfig:
         out = ingest_raw(src.path, src.grid, src.layout,
                          valid_time=state.valid_time, source_label="raw")
         assert np.array_equal(out.data, state.data)
+        # and run: validate accepts the dump, which is ingested into the run
+        ingested = []
+        monkeypatch.setattr(experiment, "ingest_raw", lambda *a, **k:
+                            ingested.append(ingest_raw(*a, **k)) or ingested[-1])
+        report = run_experiment(load_config(str(cfg_path)))
+        assert report.failures == {}
+        assert [(s.source_label, s.valid_time) for s in ingested] == [("raw", default_time())]
+        assert np.array_equal(ingested[0].data, state.data)
+        assert len(read_metric_csv(str(report.csv_path))) == 9 * 2 * 2
 
     def test_missing_key(self, tmp_path):
         p = tmp_path / "bad.yaml"

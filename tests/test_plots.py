@@ -68,6 +68,20 @@ class TestReadMetricCsv:
             read_metric_csv(str(p))
 
 
+    @pytest.mark.parametrize("variable,level", [("FOO", 7), ("Z", 501), ("T2", 2),
+                                                ("Z", "0500"), ("MSLP", "")])
+    def test_unknown_channel(self, tmp_path, variable, level):
+        # only a (variable, level) that write_metric_csv writes for a channel
+        from nwpeval.cli import main
+        p = tmp_path / "m.csv"
+        write_csv(p, [row("s", "T2", 0, "global", 24, "RMSE", 1.0),
+                      row("s", variable, level, "global", 24, "RMSE", 1.0)])
+        with pytest.raises(PlotInputError, match=":3: unknown channel"):
+            read_metric_csv(str(p))
+        assert main(["plot", "--csv", str(p), "--out-dir", str(tmp_path / "plots")]) == 2
+        assert not (tmp_path / "plots").exists()
+
+
 class TestEmitPlots:
     def test_one_file_per_channel_region_metric(self, tmp_path):
         rows = []

@@ -203,6 +203,16 @@ class TestRunRollout:
             rollout_series(small_state.replace(data=data),
                            BackendSpec(builtin=builtin), [24])
 
+    @pytest.mark.parametrize("builtin", ["persistence", "advection"])
+    def test_nan_ic_at_lead_0_raised_before_any_emit(self, small_state, builtin):
+        data = small_state.data.copy()
+        data[CHANNELS.index((Var.Q, 500)), 0, 0] = np.nan
+        emitted = []
+        with pytest.raises(RolloutError, match="lead 0.*non-finite: Q500 contains NaN/Inf$"):
+            run_rollout(small_state.replace(data=data), BackendSpec(builtin=builtin),
+                        [0, 24], lambda *a: emitted.append(a))
+        assert emitted == []
+
     def test_off_plan_emit_rejected(self, small_state):
         with pytest.raises(UnreachableLeadError):
             rollout_series(small_state, BackendSpec(), [12])

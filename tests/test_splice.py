@@ -1,9 +1,12 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nwpeval.grids import (EAST_ASIA, N_SURFACE, GridMismatchError, GridSpec,
+from nwpeval.archive import archive_bytes, read_archive
+from nwpeval.grids import (CHANNELS, EAST_ASIA, N_SURFACE, GridMismatchError, GridSpec,
                            RegionBox, Var, flat_channel_index)
 from nwpeval.splice import SpliceError, SpliceSpec, region_mask, splice_states
 from tests.conftest import random_state
@@ -212,6 +215,36 @@ class TestSpliceStates:
         # grid origin and box rotated, each point keeping its value: no change
         moved = [s.replace(grid=grid(rot)) for s in (base, donor)]
         np.testing.assert_array_equal(splice_states(*moved, spec(rot)).data, out)
+
+    @pytest.mark.parametrize("blend_width", [0.0, 5.0])
+    def test_planes_are_matched_by_channel(self, pair, blend_width):
+        # base and donor read in another order, or as a subset: each plane is
+        # spliced as in the canonical splice, and the result keeps the
+        # base's channels (surface planes stay the base's under upper-only)
+        base, donor = pair
+        spec = SpliceSpec(region=EAST_ASIA, blend_width=blend_width)
+        canonical = splice_states(base, donor, spec)
+        subset = CHANNELS[:4] + ((Var.Z, 500), (Var.Q, 50), (Var.T, 850), (Var.U, 1000),
+                                 (Var.V, 200))
+        for base_order, donor_order in ((CHANNELS[::-1], CHANNELS[::-1]),
+                                        (CHANNELS[::-1], CHANNELS),
+                                        (subset, CHANNELS[::-1]), (subset[::-1], subset)):
+            b, d = (read_archive(io.BytesIO(archive_bytes(s)), order)
+                    for s, order in ((base, base_order), (donor, donor_order)))
+            out = splice_states(b, d, spec)
+            assert out.channels == tuple(base_order)
+            for ch in base_order:
+                np.testing.assert_array_equal(out.channel(*ch), canonical.channel(*ch))
+
+    def test_blend_gives_the_donor_inside_the_box_over_a_nan_base(self, pair):
+        base, donor = pair
+        data = base.data.copy()
+        z500 = flat_channel_index(Var.Z, 500)
+        data[z500, 3, 4] = np.nan   # 22.5N 90E, inside east_asia
+        spec = SpliceSpec(region=EAST_ASIA, blend_width=5.0)
+        out = splice_states(base.replace(data=data), donor, spec)
+        assert out.data[z500, 3, 4] == donor.data[z500, 3, 4]
+        assert np.isfinite(out.data).all()
 
     def test_source_label(self, pair):
         base, donor = pair
