@@ -174,14 +174,14 @@ def _read_planes(src: BinaryIO, start: int, grid: GridSpec, order: ChannelList,
     return data
 
 
-def read_archive(src: Union[BinaryIO, str],
+def read_archive(src: Union[BinaryIO, str, os.PathLike],
                  channels: Optional[ChannelList] = None,
                  finite: bool = False) -> StateSet:
     """Exact inverse of write_archive. With `channels`, a list of
     (variable, level), only those planes are kept, in that order. Either
     way the payload's size is checked first; with `finite` every plane is
     checked for NaN/Inf (see _read_planes)."""
-    if isinstance(src, (str, bytes)):
+    if isinstance(src, (str, bytes, os.PathLike)):
         with open(src, "rb") as fh:
             return read_archive(fh, channels, finite)
     grid, valid_time, label = _read_head(src)

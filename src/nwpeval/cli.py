@@ -219,8 +219,8 @@ def _cmd_rollout(args) -> int:
         write_archive(state, str(path))
         print(f"lead {lead:4d}h -> {path}")
 
-    # the IC goes straight to run_rollout, which lets go of it after step 1
-    run_rollout(read_archive(args.infile), backend, emit, write,
+    # by path: an external step 1 reads --in itself, a builtin reads it whole
+    run_rollout(args.infile, backend, emit, write,
                 verify_determinism=args.verify_determinism)
     return 0
 

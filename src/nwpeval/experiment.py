@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union
 
 import yaml
 
@@ -287,14 +287,18 @@ class RunReport:
     failures: dict[str, str]
 
 
-def _load_source(src: ICSource, init_time: datetime,
-                 model_grid: GridSpec) -> StateSet:
-    if src.path.endswith(".nws"):
-        state = read_archive(src.path)
-        state = state.replace(source_label=src.label)
-    else:
+def _load_source(src: ICSource, init_time: datetime, model_grid: GridSpec,
+                 spliced: bool) -> Union[StateSet, str]:
+    """A source's IC on the model grid. An on-grid archive no splice uses is
+    returned as its path, for the rollout to read where it is: only its
+    header is read here, and its payload's size checked."""
+    if not src.path.endswith(".nws"):
         state = ingest_raw(src.path, src.grid, src.layout,
                            valid_time=init_time, source_label=src.label)
+    elif not spliced and read_archive(src.path, ()).grid == model_grid:
+        return src.path
+    else:
+        state = read_archive(src.path).replace(source_label=src.label)
     return regrid_state(state, model_grid)
 
 
@@ -334,11 +338,14 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     # validate() has checked the climatology's grid
     climatology = read_archive(config.climatology_path, channels)
 
-    runs: dict[str, StateSet] = {}   # each run's IC, in config order
+    runs: dict[str, Union[StateSet, str]] = {}   # each run's IC, in config order
     failures: dict[str, str] = {}
+    spliced = {ref for sc in config.splice_scenarios
+               for ref in (sc.base_source, sc.donor_source)}
     for src in config.ic_sources:
         try:
-            runs[src.label] = _load_source(src, config.init_time, config.model_grid)
+            runs[src.label] = _load_source(src, config.init_time, config.model_grid,
+                                           src.label in spliced)
         except Exception as exc:
             failures[src.label] = f"ingest failed: {exc}"
     for sc in config.splice_scenarios:   # sources only: validate() checked the names
@@ -362,12 +369,13 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             if lead not in truths:
                 errs.append(f"lead {lead}: no truth state")
                 return
-            r, e = evaluate_run(lead, state, truths[lead], climatology,
-                                config.regions, channels)
+            # an IC passed by path carries its header's label, not the run's
+            r, e = evaluate_run(lead, state.replace(source_label=label), truths[lead],
+                                climatology, config.regions, channels)
             recs.extend(r)
             errs.extend(e)
 
-        # hand the IC over: run_rollout lets go of it after the first step
+        # hand the IC over: run_rollout lets go of a state after the first step
         run_rollout(runs.pop(label), config.backend, config.lead_hours, score,
                     channels=channels)
         if errs:

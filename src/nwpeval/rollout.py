@@ -28,7 +28,7 @@ import tempfile
 from dataclasses import dataclass, field
 from datetime import timedelta
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -195,6 +195,21 @@ def _read_step(path: Path, step_no: int, step_hours: int, channels) -> StateSet:
     return out
 
 
+def _checked_ic(ic: Union[StateSet, Path], channels) -> StateSet:
+    """The IC to emit at lead 0: a state as it is, or the `channels` of an
+    archive; RolloutError if any of its 69 planes holds NaN/Inf."""
+    if isinstance(ic, StateSet):
+        problems = validate_state(ic, check_ranges=False)
+    else:
+        try:
+            return read_archive(ic, channels, finite=True)
+        except DataError as exc:
+            problems = [str(exc)]
+    if problems:
+        raise RolloutError(f"the IC at lead 0 holds NaN/Inf: {'; '.join(problems)}")
+    return ic
+
+
 def _sha256(path: Path) -> str:
     """Hex SHA-256 of a file, read into one reused 256 KiB buffer."""
     digest = hashlib.sha256()
@@ -205,45 +220,55 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def run_rollout(ic: StateSet, backend: BackendSpec, leads, emit,
-                verify_determinism: bool = False, channels=CHANNELS) -> None:
+def run_rollout(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, leads,
+                emit, verify_determinism: bool = False, channels=CHANNELS) -> None:
     """Drive the backend through the fewest steps that reach every lead and
     call emit(lead_hours, state) for each requested lead as soon as it is
     reached, in increasing order (lead 0 is the IC). The rollout keeps no
     emitted state, so emit copies out whatever it needs.
 
-    An unreachable lead, or an IC off the canonical 721x1440 grid that
-    external backends require, is raised before any step or emit. The IC is
-    written once, to step000.nws; step n reads step{n-1} and writes
-    step{n}. Once step n has exited 0, step{n-1} is deleted and step n+1
-    started; step n's output is then read, checked and emitted while the
-    backend computes. If that fails, or emit raises, the running step is
-    killed and reaped before the error propagates. Every state is checked
-    for NaN/Inf before it is emitted. Of an external step's output only
-    `channels` are kept (all 69 planes are checked); builtin states and
-    the IC are emitted whole. Of the IC only valid_time and source_label
-    are kept past step000.nws or the first builtin step, so a caller
-    holding no reference of its own gets its memory back then.
-    verify_determinism runs step 1 again into a file of its own, before
-    step 2 starts, and compares the two files' SHA-256, without reading
-    the repeat as a state.
+    The IC is a state or the path of an archive. A builtin backend reads a
+    path whole. Of a path under an external backend only the header is read
+    and the payload's size checked up front; step 1 reads the file itself,
+    which is never written, moved or deleted. An IC state is written once,
+    to step000.nws, for an external backend. An unreachable lead, or an IC off
+    the canonical 721x1440 grid that external backends require, is raised
+    before any step or emit. Step n reads step{n-1} and writes step{n}.
+    Once step n has exited 0, step{n-1} is deleted and step n+1 started;
+    step n's output is then read, checked and emitted while the backend
+    computes. If that fails, or emit raises, the running step is killed
+    and reaped before the error propagates. Every state is checked for
+    NaN/Inf (all 69 planes) before it is emitted. Of an external step's
+    output, and at lead 0 of an IC path it is handed, only `channels` are
+    kept; builtin states and an IC state are emitted whole. Of an IC state only
+    valid_time and source_label are kept past step000.nws or the first
+    builtin step, so a caller holding no reference of its own gets its
+    memory back then. verify_determinism runs step 1 again from the same
+    input into a file of its own, before step 2 starts, and compares the
+    two files' SHA-256, without reading the repeat as a state.
     """
     wanted = {int(h) for h in leads}
     plan = plan_for_leads(wanted, backend.horizons)
+    external = backend.kind == "external-command"
+    ic_path = None
+    if not isinstance(ic, StateSet):
+        # a builtin steps the IC in memory; an external step 1 reads the file
+        # where it is, so of it only the header is read (and the size checked)
+        ic_path = Path(ic) if external else None
+        ic = read_archive(ic, () if external else None)
     try:
         backend.check_grid(ic.grid)
     except ValueError as exc:
         raise RolloutError(str(exc)) from None
-    external = backend.kind == "external-command"
 
     if 0 in wanted:
-        if problems := validate_state(ic, check_ranges=False):
-            raise RolloutError(f"the IC at lead 0 holds NaN/Inf: {'; '.join(problems)}")
-        emit(0, ic)
+        emit(0, _checked_ic(ic_path or ic, channels))
     init_time, label = ic.valid_time, ic.source_label
     with tempfile.TemporaryDirectory(prefix="nwpeval-rollout-") as work:
         files = [Path(work) / f"step{n:03d}.nws" for n in range(len(plan.steps) + 1)]
-        if external and plan.steps:
+        if ic_path is not None:
+            files[0] = ic_path   # step 1 reads the caller's file where it is
+        elif external and plan.steps:
             write_archive(ic, str(files[0]))
         state = ic
         del ic   # `state` is the only reference left; the first step drops it
@@ -272,7 +297,8 @@ def run_rollout(ic: StateSet, backend: BackendSpec, leads, emit,
                             log.warning("backend is not deterministic: step-1 hashes "
                                         "%s vs %s", h1, h2)
                         repeat.unlink()
-                    files[n - 1].unlink(missing_ok=True)
+                    if files[n - 1] != ic_path:
+                        files[n - 1].unlink(missing_ok=True)
                     if n < len(plan.steps):
                         running = _start_backend(files[n], files[n + 1], backend,
                                                  plan.steps[n], n + 1)

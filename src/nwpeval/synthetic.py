@@ -63,15 +63,16 @@ def make_climatology(grid: GridSpec, seed: int = 99) -> StateSet:
 def perturb(state: StateSet, seed: int, amplitude: float = 1.0,
             source_label: str | None = None) -> StateSet:
     """Add channel-scaled Gaussian noise everywhere (an imperfect-analysis
-    surrogate). The noise for each channel scales with that variable's
-    natural magnitude so every channel is actually perturbed."""
+    surrogate). The noise for each plane scales with its own variable's
+    natural magnitude so every channel is actually perturbed; planes draw
+    their noise in the state's channel order."""
     rng = np.random.default_rng(seed)
     data = state.data.copy()
-    for k, (var, level) in enumerate(CHANNELS):
+    for plane, (var, _) in zip(data, state.channels):
         _, _, noise = _PROFILES[var]
-        data[k] += (amplitude * noise
-                    * rng.standard_normal(state.grid.shape)).astype(np.float32)
+        plane += (amplitude * noise
+                  * rng.standard_normal(state.grid.shape)).astype(np.float32)
         if var is Var.Q:
-            data[k] = np.clip(data[k], 0.0, 0.05)
+            np.clip(plane, 0.0, 0.05, out=plane)
     return state.replace(data=data,
                          source_label=source_label or state.source_label)

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 import yaml
 
-from nwpeval import experiment
-from nwpeval.archive import ingest_raw, write_archive
+from nwpeval import experiment, rollout
+from nwpeval.archive import ingest_raw, read_archive, write_archive
 from nwpeval.experiment import (ConfigError, ExperimentConfig, ICSource,
                                 SpliceScenario, load_config, parse_channel,
                                 run_experiment, write_metric_csv)
@@ -120,9 +120,10 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert report.failures == {}
         assert len(read_metric_csv(str(report.csv_path))) == 2 * 2 * 2 * 2 * 2
+        # the on-grid ICs are read here as headers only: the rollout takes their paths
         assert reads == [("truth_24.nws", channels, 2), ("truth_48.nws", channels, 2),
                          ("clim.nws", channels, 2),
-                         ("src0.nws", None, 69), ("src1.nws", None, 69)]
+                         ("src0.nws", (), 0), ("src1.nws", (), 0)]
 
     def test_missing_truth_is_per_lead_not_fatal(self, tmp_path, small_grid):
         labels = build_inputs(tmp_path, small_grid)
@@ -187,6 +188,48 @@ class TestRunExperiment:
         rows = read_metric_csv(str(report.csv_path))
         assert {r["source"] for r in rows} == {"src0"}
         assert len(rows) == 9 * 2 * 3 * 2
+
+    @pytest.mark.parametrize("truncated", [False, True])
+    def test_on_grid_ic_goes_to_the_backend_by_path(self, tmp_path, small_grid,
+                                                    monkeypatch, truncated):
+        # the backend's step 1 reads src0.nws itself, which is left as it was,
+        # and rows carry the run's label, not the header's; a short payload
+        # fails at load, before any backend process starts
+        monkeypatch.setattr(GridSpec, "canonical", classmethod(lambda cls: small_grid))
+        labels = build_inputs(tmp_path, small_grid, n_sources=1)
+        ic = tmp_path / "src0.nws"
+        write_archive(read_archive(str(ic)).replace(source_label="analysis"), str(ic))
+        if truncated:
+            ic.write_bytes(ic.read_bytes()[:-5])
+        before = ic.read_bytes()
+        starts = []
+        start = rollout._start_backend
+        monkeypatch.setattr(rollout, "_start_backend",
+                            lambda src, *a: starts.append(str(src)) or start(src, *a))
+        script = tmp_path / "backend.py"
+        script.write_text(textwrap.dedent("""\
+            import argparse, shutil
+            p = argparse.ArgumentParser()
+            p.add_argument("--in", dest="infile"); p.add_argument("--out")
+            p.add_argument("--step-hours")
+            a = p.parse_args()
+            shutil.copyfile(a.infile, a.out)
+            """))
+        backend = BackendSpec(kind="external-command",
+                              command=f"{sys.executable} {script}", horizons={24})
+        cfg = dataclasses.replace(make_config(tmp_path, small_grid, labels,
+                                              leads=(24, 48)), backend=backend)
+        report = run_experiment(cfg)
+        assert ic.read_bytes() == before
+        if truncated:
+            assert starts == []
+            assert "FAILED src0: ingest failed: payload truncated in channel V50" \
+                in report.log_path.read_text()
+            return
+        assert report.failures == {}
+        assert starts[0] == str(ic) and len(starts) == 2
+        rows = read_metric_csv(str(report.csv_path))
+        assert {r["source"] for r in rows} == {"src0"} and len(rows) == 9 * 2 * 2 * 2
 
 
 class TestMemory:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import logging
@@ -18,11 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nwpeval import rollout
-from nwpeval.archive import archive_bytes, write_archive
-from nwpeval.grids import CHANNELS, GridSpec, Var
+from nwpeval.archive import ArchiveError, archive_bytes, write_archive
+from nwpeval.grids import CHANNELS, DEFAULT_REGIONS, N_CHANNELS, GridSpec, Var
 from nwpeval.rollout import (BackendSpec, RolloutError, UnreachableLeadError,
                              builtin_step, plan_for_leads, run_rollout,
                              schedule_steps)
+from nwpeval.synthetic import make_climatology, make_state
+from nwpeval.verify import DEFAULT_REPORT_CHANNELS, evaluate_run
 from tests.conftest import random_state
 
 
@@ -565,15 +568,142 @@ class TestPipelinedSteps:
         with pytest.raises(RolloutError, match="failed to start at step 1"):
             rollout_series(small_ic, be, [24])
 
-    def test_cli_writes_whole_forecasts(self, tmp_path, small_ic, capsys):
+    def test_cli_writes_whole_forecasts(self, tmp_path, small_ic, capsys, monkeypatch):
         from nwpeval.cli import main
         src = tmp_path / "ic.nws"
         write_archive(small_ic, str(src))
+        before = src.read_bytes()
         be = write_copy_backend(tmp_path / "backend.py")
+        procs = recorded_starts(monkeypatch)
         assert main(["rollout", "--in", str(src), "--out-dir", str(tmp_path / "fc"),
-                     "--lead", "48", "--backend", f"cmd:{be.command}"]) == 0
+                     "--lead", "48", "--backend", f"cmd:{be.command}",
+                     "--verify-determinism"]) == 0
+        # --in goes to step 1 and its repeat as it is, and is left as it was
+        assert [in_arg(p) for p in procs[:2]] == [str(src)] * 2
+        assert src.read_bytes() == before
         for lead in (24, 48):
             expected = small_ic.replace(
                 valid_time=small_ic.valid_time + timedelta(hours=lead))
             written = (tmp_path / "fc" / f"forecast_{lead:03d}h.nws").read_bytes()
             assert written == archive_bytes(expected)
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def in_arg(proc):
+    return proc.args[proc.args.index("--in") + 1]
+
+
+class TestICPath:
+    """An IC archive handed over by path: step 1 reads the caller's file."""
+
+    @pytest.fixture
+    def ic_file(self, tmp_path, small_ic):
+        path = tmp_path / "ic.nws"
+        write_archive(small_ic, str(path))
+        return path
+
+    @pytest.mark.parametrize("case", ["ok", "verify", "step1-fails", "emit-raises"])
+    def test_file_is_step1_input_and_left_as_it_was(self, tmp_path, ic_file,
+                                                    monkeypatch, case):
+        digest = sha256_of(ic_file)
+        body = (f"import sys; sys.exit(3) if a.infile == {str(ic_file)!r} else None"
+                if case == "step1-fails" else "")
+        be = write_copy_backend(tmp_path / "backend.py", body)
+        procs = recorded_starts(monkeypatch)
+        leads = []
+
+        def emit(lead, state):
+            if case == "emit-raises":
+                raise KeyError("emit failed")
+            leads.append(lead)
+
+        if case in ("step1-fails", "emit-raises"):
+            with pytest.raises(RolloutError if case == "step1-fails" else KeyError):
+                run_rollout(ic_file, be, [24, 48, 72], emit)
+        else:
+            run_rollout(ic_file, be, [24, 48, 72], emit,
+                        verify_determinism=case == "verify")
+            assert leads == [24, 48, 72]
+        assert in_arg(procs[0]) == str(ic_file)
+        if case == "verify":
+            assert in_arg(procs[1]) == str(ic_file)   # the repeat reads it too
+        assert sha256_of(ic_file) == digest
+
+    def test_nan_in_a_plane_not_reported_fails_before_any_emit(self, tmp_path, small_ic,
+                                                               monkeypatch):
+        data = small_ic.data.copy()
+        data[CHANNELS.index((Var.T, 850)), 4, 7] = np.nan
+        path = tmp_path / "ic.nws"
+        write_archive(small_ic.replace(data=data), str(path))
+        procs = recorded_starts(monkeypatch)
+        emitted = []
+        with pytest.raises(RolloutError, match="lead 0 holds NaN/Inf: plane T850"):
+            run_rollout(path, write_copy_backend(tmp_path / "backend.py"), [0, 24],
+                        lambda *a: emitted.append(a), channels=[(Var.Z, 500)])
+        assert emitted == [] and procs == []
+
+    def test_truncated_file_fails_before_any_step(self, tmp_path, ic_file, monkeypatch):
+        ic_file.write_bytes(ic_file.read_bytes()[:-5])
+        procs = recorded_starts(monkeypatch)
+        with pytest.raises(ArchiveError, match="payload truncated"):
+            run_rollout(ic_file, write_copy_backend(tmp_path / "backend.py"), [24],
+                        lambda *a: None)
+        assert procs == []
+
+    @pytest.mark.parametrize("kind", ["external", "advection"])
+    def test_scores_match_the_ic_passed_as_a_state(self, tmp_path, small_grid,
+                                                   monkeypatch, kind):
+        monkeypatch.setattr(GridSpec, "canonical", classmethod(lambda cls: small_grid))
+        ic = make_state(small_grid, seed=21, source_label="ifs")
+        truth = make_state(small_grid, seed=22, source_label="era5")
+        clim = make_climatology(small_grid)
+        path = tmp_path / "ic.nws"
+        write_archive(ic, str(path))
+        if kind == "external":
+            be = write_copy_backend(tmp_path / "backend.py")
+        else:
+            be = BackendSpec(builtin="advection", horizons={24})
+
+        def scores(source):
+            rows = []
+
+            def emit(lead, state):
+                truth_now = truth.replace(valid_time=state.valid_time)
+                rows.append((lead, evaluate_run(lead, state, truth_now, clim,
+                                                DEFAULT_REGIONS)))
+            run_rollout(source, be, [0, 24, 48], emit,
+                        channels=DEFAULT_REPORT_CHANNELS)
+            return rows
+
+        by_state, by_path = scores(ic), scores(path)
+        assert [lead for lead, _ in by_path] == [0, 24, 48]
+        assert by_path == by_state
+        assert all(not errs and len(recs) == 9 * 2 * 2 for _, (recs, errs) in by_path)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="Python 3.10 keeps a call's arguments referenced by "
+                               "the caller until it returns")
+    def test_path_ic_is_never_loaded(self, tmp_path, monkeypatch):
+        # one 91x180 state is 4.3 MiB; the 9 report planes and the spare
+        # plane a checked read uses are 0.62 MiB
+        grid = GridSpec(nlat=91, nlon=180, lat_start=90.0, dlat=2.0,
+                        lon_start=0.0, dlon=2.0)
+        monkeypatch.setattr(GridSpec, "canonical", classmethod(lambda cls: grid))
+        path = tmp_path / "ic.nws"
+        write_archive(random_state(grid, seed=8), str(path))
+        state_bytes = N_CHANNELS * grid.nlat * grid.nlon * 4
+        be = write_copy_backend(tmp_path / "backend.py")
+        leads = []
+        tracemalloc.start()
+        try:
+            run_rollout(path, be, [0, 24, 48], lambda lead, state: leads.append(lead),
+                        channels=DEFAULT_REPORT_CHANNELS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert leads == [0, 24, 48]
+        # loading the IC would make this at least 1 state
+        assert peak < 0.5 * state_bytes
