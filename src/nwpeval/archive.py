@@ -191,11 +191,11 @@ def read_archive(src: Union[BinaryIO, str, os.PathLike],
                     channels=channels)
 
 
-def read_header(src: Union[BinaryIO, str]) -> dict:
+def read_header(src: Union[BinaryIO, str, os.PathLike]) -> dict:
     """Parse and check only the header; used by the CLI `inspect` subcommand
     and by config validation. Holds the grid's fields and the GridSpec
     itself under "grid"."""
-    if isinstance(src, (str, bytes)):
+    if isinstance(src, (str, bytes, os.PathLike)):
         with open(src, "rb") as fh:
             return read_header(fh)
     grid, valid_time, label = _read_head(src)
@@ -229,21 +229,24 @@ class RawDumpLayout:
 
 def ingest_raw(path: str, grid: GridSpec, layout: RawDumpLayout,
                valid_time: datetime, source_label: str,
-               nan_policy: str = "error") -> StateSet:
-    """Load a raw dump into a canonical-order, north-first state, each
-    plane read into its canonical slot, so no second copy is made. A dump
-    of the wrong size is a TruncationError or FormatError (see _read_planes).
+               nan_policy: str = "error", channels: ChannelList = CHANNELS) -> StateSet:
+    """Load a raw dump into a north-first state of `channels`, in that
+    order (all 69 in canonical order by default), each plane read into its
+    slot, so no second copy is made. A dump of the wrong size is a
+    TruncationError or FormatError (see _read_planes).
 
-    nan_policy: "error" raises DataError at the first plane holding
-    NaN/Inf, as soon as it is read; "warn" returns the state as read, for
-    the caller to check with validate_state.
+    nan_policy: "error" checks every plane of the dump, kept or not, and
+    raises DataError at the first holding NaN/Inf, as soon as it is read;
+    "warn" returns the state as read, for the caller to check with
+    validate_state.
     """
+    channels = tuple(channels)
     with open(path, "rb") as fh:
-        data = _read_planes(fh, 0, grid, layout.channel_order, CHANNELS,
+        data = _read_planes(fh, 0, grid, layout.channel_order, channels,
                             finite=nan_policy == "error",
                             flip=layout.scan == "south-first")
     return StateSet(valid_time=valid_time, source_label=source_label,
-                    grid=grid, data=data)
+                    grid=grid, data=data, channels=channels)
 
 
 def archive_bytes(state: StateSet) -> bytes:

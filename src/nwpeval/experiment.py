@@ -288,17 +288,18 @@ class RunReport:
 
 
 def _load_source(src: ICSource, init_time: datetime, model_grid: GridSpec,
-                 spliced: bool) -> Union[StateSet, str]:
-    """A source's IC on the model grid. An on-grid archive no splice uses is
-    returned as its path, for the rollout to read where it is: only its
-    header is read here, and its payload's size checked."""
+                 spliced: bool, reads) -> Union[StateSet, str]:
+    """A source's IC on the model grid, as the planes of `reads`; every
+    plane of the file is checked for NaN/Inf on the way. An on-grid archive
+    no splice uses is returned as its path, for the rollout to read where
+    it is: only its header is read here, and its payload's size checked."""
     if not src.path.endswith(".nws"):
-        state = ingest_raw(src.path, src.grid, src.layout,
-                           valid_time=init_time, source_label=src.label)
+        state = ingest_raw(src.path, src.grid, src.layout, valid_time=init_time,
+                           source_label=src.label, channels=reads)
     elif not spliced and read_archive(src.path, ()).grid == model_grid:
         return src.path
     else:
-        state = read_archive(src.path).replace(source_label=src.label)
+        state = read_archive(src.path, reads, finite=True).replace(source_label=src.label)
     return regrid_state(state, model_grid)
 
 
@@ -328,6 +329,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     outdir.mkdir(parents=True, exist_ok=True)
 
     grid, channels = config.model_grid, config.report_channels
+    reads = config.backend.reads(channels)   # the planes each IC is loaded as
     truths: dict[int, StateSet] = {}
     truth_errors: list[str] = []
     for lead in config.lead_hours:
@@ -345,7 +347,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     for src in config.ic_sources:
         try:
             runs[src.label] = _load_source(src, config.init_time, config.model_grid,
-                                           src.label in spliced)
+                                           src.label in spliced, reads)
         except Exception as exc:
             failures[src.label] = f"ingest failed: {exc}"
     for sc in config.splice_scenarios:   # sources only: validate() checked the names

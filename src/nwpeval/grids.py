@@ -237,6 +237,17 @@ class StateSet:
     def replace(self, **kwargs) -> "StateSet":
         return dataclasses.replace(self, **kwargs)
 
+    def subset(self, channels) -> "StateSet":
+        """The state of `channels` alone, in that order; itself if it holds
+        just those."""
+        channels = tuple(channels)
+        if channels == self.channels:
+            return self
+        data = np.empty((len(channels),) + self.grid.shape, dtype=np.float32)
+        for plane, ch in zip(data, channels):
+            plane[:] = self.channel(*ch)
+        return self.replace(data=data, channels=channels)
+
 
 # Sanity gates applied at ingestion (harness-chosen, not physical constants).
 RANGE_CHECKS: dict[Var, tuple[float, float]] = {

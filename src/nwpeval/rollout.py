@@ -97,6 +97,11 @@ class BackendSpec:
         if self.kind == "external-command" and grid != GridSpec.canonical():
             raise ValueError("external backends require the canonical 721x1440 grid")
 
+    def reads(self, report_channels) -> tuple:
+        """The planes a run of this backend needs: a builtin steps each plane
+        on its own, so the report channels; an external command all 69."""
+        return CHANNELS if self.kind == "external-command" else tuple(report_channels)
+
 
 def schedule_steps(lead: int, horizons) -> RolloutPlan:
     """Fewest-step decomposition of the lead into horizons.
@@ -195,9 +200,9 @@ def _read_step(path: Path, step_no: int, step_hours: int, channels) -> StateSet:
     return out
 
 
-def _checked_ic(ic: Union[StateSet, Path], channels) -> StateSet:
-    """The IC to emit at lead 0: a state as it is, or the `channels` of an
-    archive; RolloutError if any of its 69 planes holds NaN/Inf."""
+def _checked_ic(ic: Union[StateSet, str, os.PathLike], channels) -> StateSet:
+    """The `channels` of the IC, a state or the path of an archive;
+    RolloutError if any plane of it (all 69 of an archive) holds NaN/Inf."""
     if isinstance(ic, StateSet):
         problems = validate_state(ic, check_ranges=False)
     else:
@@ -207,7 +212,7 @@ def _checked_ic(ic: Union[StateSet, Path], channels) -> StateSet:
             problems = [str(exc)]
     if problems:
         raise RolloutError(f"the IC at lead 0 holds NaN/Inf: {'; '.join(problems)}")
-    return ic
+    return ic.subset(channels)
 
 
 def _sha256(path: Path) -> str:
@@ -227,35 +232,37 @@ def run_rollout(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, lea
     reached, in increasing order (lead 0 is the IC). The rollout keeps no
     emitted state, so emit copies out whatever it needs.
 
-    The IC is a state or the path of an archive. A builtin backend reads a
-    path whole. Of a path under an external backend only the header is read
-    and the payload's size checked up front; step 1 reads the file itself,
-    which is never written, moved or deleted. An IC state is written once,
-    to step000.nws, for an external backend. An unreachable lead, or an IC off
-    the canonical 721x1440 grid that external backends require, is raised
-    before any step or emit. Step n reads step{n-1} and writes step{n}.
-    Once step n has exited 0, step{n-1} is deleted and step n+1 started;
-    step n's output is then read, checked and emitted while the backend
-    computes. If that fails, or emit raises, the running step is killed
-    and reaped before the error propagates. Every state is checked for
-    NaN/Inf (all 69 planes) before it is emitted. Of an external step's
-    output, and at lead 0 of an IC path it is handed, only `channels` are
-    kept; builtin states and an IC state are emitted whole. Of an IC state only
-    valid_time and source_label are kept past step000.nws or the first
-    builtin step, so a caller holding no reference of its own gets its
+    Every emitted state holds `channels`, in that order. A builtin backend
+    steps each plane on its own, so it steps `channels` alone: an IC path is
+    read as `channels`, and an IC state holding other planes is cut down to
+    them, with every plane of either checked for NaN/Inf first. Of a path
+    under an external backend only the header is read and the payload's size
+    checked up front; step 1 reads the file itself, which is never written,
+    moved or deleted. An IC state is written once, to step000.nws, for an
+    external backend. An unreachable lead, or an IC off the canonical
+    721x1440 grid that external backends require, is raised before any step
+    or emit. Step n reads step{n-1} and writes step{n}. Once step n has
+    exited 0, step{n-1} is deleted and step n+1 started; step n's output is
+    then read, checked and emitted while the backend computes. If that
+    fails, or emit raises, the running step is killed and reaped before the
+    error propagates. Every state is checked for NaN/Inf before it is
+    emitted: all 69 planes of an archive, each plane of a state. Of an IC
+    state only valid_time and source_label are kept past step000.nws or the
+    first builtin step, so a caller holding no reference of its own gets its
     memory back then. verify_determinism runs step 1 again from the same
-    input into a file of its own, before step 2 starts, and compares the
-    two files' SHA-256, without reading the repeat as a state.
+    input into a file of its own, before step 2 starts, and compares the two
+    files' SHA-256, without reading the repeat as a state.
     """
     wanted = {int(h) for h in leads}
     plan = plan_for_leads(wanted, backend.horizons)
     external = backend.kind == "external-command"
-    ic_path = None
-    if not isinstance(ic, StateSet):
-        # a builtin steps the IC in memory; an external step 1 reads the file
-        # where it is, so of it only the header is read (and the size checked)
-        ic_path = Path(ic) if external else None
-        ic = read_archive(ic, () if external else None)
+    ic_path = None if isinstance(ic, StateSet) else Path(ic)
+    if external:
+        if ic_path is not None:
+            ic = read_archive(ic_path, ())   # step 1 reads the file where it is
+    elif ic_path is not None or ic.channels != tuple(channels):
+        # a builtin steps `channels` alone: every plane it drops is checked here
+        ic, ic_path = _checked_ic(ic, channels), None
     try:
         backend.check_grid(ic.grid)
     except ValueError as exc:

@@ -311,11 +311,12 @@ def test_read_header(tmp_path, small_grid):
     s = random_state(small_grid, seed=15, label="hdr-test")
     path = tmp_path / "state.nws"
     write_archive(s, str(path))
-    h = read_header(str(path))
-    assert h["nlat"] == small_grid.nlat
-    assert h["source_label"] == "hdr-test"
-    assert h["n_channels"] == N_CHANNELS
-    assert h["valid_time"] == s.valid_time
+    for src in (str(path), path):
+        h = read_header(src)
+        assert h["nlat"] == small_grid.nlat
+        assert h["source_label"] == "hdr-test"
+        assert h["n_channels"] == N_CHANNELS
+        assert h["valid_time"] == s.valid_time
 
 
 def test_read_header_checks_version_and_channels(small_grid):

@@ -8,17 +8,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nwpeval import experiment, rollout
-from nwpeval.archive import ingest_raw, read_archive, write_archive
+from nwpeval.archive import RawDumpLayout, ingest_raw, read_archive, write_archive
 from nwpeval.experiment import (ConfigError, ExperimentConfig, ICSource,
                                 SpliceScenario, load_config, parse_channel,
                                 run_experiment, write_metric_csv)
-from nwpeval.grids import CHANNELS, EAST_ASIA, GLOBAL, GridSpec, Var, channel_name
+from nwpeval.grids import (CHANNELS, EAST_ASIA, GLOBAL, GridSpec, RegionBox, Var,
+                           channel_name)
 from nwpeval.plots import PlotInputError, read_metric_csv
-from nwpeval.rollout import BackendSpec
-from nwpeval.splice import SpliceSpec
+from nwpeval.regrid import regrid_state
+from nwpeval.rollout import BackendSpec, builtin_step
+from nwpeval.splice import SpliceSpec, splice_states
 from nwpeval.synthetic import default_time, make_climatology, make_state, perturb
+from tests.conftest import random_state
 
 LEADS = tuple(range(24, 241, 24))
 
@@ -232,6 +237,145 @@ class TestRunExperiment:
         assert {r["source"] for r in rows} == {"src0"} and len(rows) == 9 * 2 * 2 * 2
 
 
+    @pytest.mark.parametrize("how", ["regridded", "spliced"])
+    def test_nan_in_a_plane_not_reported_fails_at_load(self, tmp_path, small_grid,
+                                                       coarse_grid, how):
+        # the NaN would reach no score, yet the source is refused as it is
+        # read, not blamed on the backend once stepped
+        labels = build_inputs(tmp_path, small_grid)
+        src = make_state(coarse_grid if how == "regridded" else small_grid, seed=4,
+                         source_label="bad")
+        data = src.data.copy()
+        data[CHANNELS.index((Var.T, 850)), 5, 7] = np.nan
+        write_archive(src.replace(data=data), str(tmp_path / "bad.nws"))
+        scenarios = []
+        if how == "spliced":
+            scenarios = [SpliceScenario(label="pad", base_source="bad",
+                                        donor_source=labels[0],
+                                        spec=SpliceSpec(region=EAST_ASIA))]
+        cfg = make_config(tmp_path, small_grid, labels + ["bad"], scenarios,
+                          leads=(24, 48))
+        report = run_experiment(cfg)
+        assert report.failures.pop("bad") == "ingest failed: plane T850 contains NaN/Inf"
+        assert report.failures == ({"pad": "base or donor source failed to load"}
+                                   if how == "spliced" else {})
+        assert "FAILED bad: ingest failed: plane T850 contains NaN/Inf" \
+            in report.log_path.read_text()
+        rows = read_metric_csv(str(report.csv_path))
+        assert {r["source"] for r in rows} == set(labels)
+
+
+def write_raw(state, path, layout):
+    """A headerless dump of `state` as `layout` stores it."""
+    planes = np.stack([state.channel(*ch) for ch in layout.channel_order])
+    if layout.scan == "south-first":
+        planes = planes[:, ::-1]
+    path.write_bytes(np.ascontiguousarray(planes, dtype="<f4").tobytes())
+
+
+class TestReportPlaneRun:
+    """A builtin run carries only the report planes, yet scores as if every
+    state were whole: the oracle reads all 69 planes of each source, then
+    regrids, splices, steps and scores them one call at a time."""
+
+    OFF_GRIDS = [GridSpec(nlat=7, nlon=12, lat_start=90.0, dlat=30.0,
+                          lon_start=0.0, dlon=30.0),
+                 GridSpec(nlat=13, nlon=20, lat_start=90.0, dlat=15.0,
+                          lon_start=0.0, dlon=18.0)]
+    BOXES = [EAST_ASIA, RegionBox(-50.0, 20.0, 200.0, 330.0),
+             RegionBox(30.0, 90.0, 0.0, 90.0)]
+
+    @settings(max_examples=12, deadline=None)
+    @given(builtin=st.sampled_from(["persistence", "advection"]),
+           cells=st.integers(1, 5), seed=st.integers(0, 10_000), data=st.data())
+    def test_scores_equal_a_whole_state_run(self, tmp_path_factory, builtin, cells,
+                                            seed, data):
+        tmp_path = tmp_path_factory.mktemp("run")
+        model = GridSpec(nlat=9, nlon=16, lat_start=90.0, dlat=22.5,
+                         lon_start=0.0, dlon=22.5)
+        init, leads = default_time(), (0, 24, 48)
+        n_report = data.draw(st.integers(1, 5))
+        report = tuple(data.draw(st.permutations(CHANNELS))[:n_report])
+        for lead in leads:
+            truth = random_state(model, seed + lead)
+            write_archive(truth.replace(valid_time=init + timedelta(hours=lead)),
+                          str(tmp_path / f"truth_{lead}.nws"))
+        write_archive(make_climatology(model), str(tmp_path / "clim.nws"))
+        # every kind of source: archive or raw dump, on or off the model grid
+        sources = []
+        for k, (kind, on_grid) in enumerate([("nws", True), ("nws", False),
+                                             ("raw", True), ("raw", False)]):
+            grid = model if on_grid else data.draw(st.sampled_from(self.OFF_GRIDS))
+            state = random_state(grid, seed + 100 + k, label=f"s{k}")
+            if kind == "nws":
+                path = tmp_path / f"s{k}.nws"
+                write_archive(state, str(path))
+                sources.append(ICSource(label=f"s{k}", path=str(path)))
+                continue
+            layout = RawDumpLayout(channel_order=data.draw(st.permutations(CHANNELS)),
+                                   scan=data.draw(st.sampled_from(["north-first",
+                                                                   "south-first"])))
+            path = tmp_path / f"s{k}.bin"
+            write_raw(state, path, layout)
+            sources.append(ICSource(label=f"s{k}", path=str(path), grid=grid,
+                                    layout=layout))
+        # both scopes, each hard and feathered; s0 is in no splice, so its
+        # on-grid archive goes to the rollout by path
+        scenarios = []
+        for scope in ("upper-only", "all-channels"):
+            for blend in (0.0, data.draw(st.floats(1.0, 60.0))):
+                base, donor = data.draw(st.permutations(["s1", "s2", "s3"]))[:2]
+                spec = SpliceSpec(region=data.draw(st.sampled_from(self.BOXES)),
+                                  variable_scope=scope, blend_width=blend)
+                scenarios.append(SpliceScenario(label=f"{scope}-{blend:g}",
+                                                base_source=base, donor_source=donor,
+                                                spec=spec))
+        backend = BackendSpec(builtin=builtin, advection_cells=cells, horizons={24})
+        cfg = ExperimentConfig(
+            name="subset", init_time=init, ic_sources=tuple(sources),
+            truth_pattern=str(tmp_path / "truth_{lead}.nws"),
+            climatology_path=str(tmp_path / "clim.nws"), backend=backend,
+            output_dir=str(tmp_path / "out"), lead_hours=leads,
+            splice_scenarios=tuple(scenarios), report_channels=report,
+            model_grid=model, workers=2)
+
+        scored = []
+        evaluate_run = experiment.evaluate_run
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiment, "evaluate_run", lambda lead, fc, *a:
+                       scored.append(fc.channels) or evaluate_run(lead, fc, *a))
+            run = run_experiment(cfg)
+        assert run.failures == {}
+        assert set(scored) == {report}   # the run carried the report planes alone
+
+        whole = {}
+        for src in sources:
+            if src.layout is None:
+                state = read_archive(src.path).replace(source_label=src.label)
+            else:
+                state = ingest_raw(src.path, src.grid, src.layout, valid_time=init,
+                                   source_label=src.label)
+            assert state.channels == CHANNELS
+            whole[src.label] = regrid_state(state, model)
+        for sc in scenarios:
+            spliced = splice_states(whole[sc.base_source], whole[sc.donor_source], sc.spec)
+            whole[sc.label] = spliced.replace(source_label=sc.label)
+        clim = read_archive(str(tmp_path / "clim.nws"))
+        want = []
+        for label, state in whole.items():
+            for lead in leads:
+                if lead:
+                    state = builtin_step(state, backend, 24)
+                truth = read_archive(str(tmp_path / f"truth_{lead}.nws"))
+                recs, errs = evaluate_run(lead, state, truth, clim, cfg.regions, report)
+                assert errs == []
+                want.extend(recs)
+        write_metric_csv(want, tmp_path / "want.csv")
+        assert run.csv_path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+        got = read_metric_csv(str(run.csv_path))
+        assert len(got) == len(whole) * len(leads) * len(report) * 2 * 2
+
+
 class TestMemory:
     def test_peak_does_not_grow_a_state_per_lead(self, tmp_path):
         # tracemalloc sees numpy buffers; one 37x72 state is 0.70 MiB
@@ -411,14 +555,17 @@ class TestYamlConfig:
         out = ingest_raw(src.path, src.grid, src.layout,
                          valid_time=state.valid_time, source_label="raw")
         assert np.array_equal(out.data, state.data)
-        # and run: validate accepts the dump, which is ingested into the run
+        # and run: validate accepts the dump, which a builtin run ingests as
+        # its report planes, in order, each bitwise that plane of the dump
         ingested = []
         monkeypatch.setattr(experiment, "ingest_raw", lambda *a, **k:
                             ingested.append(ingest_raw(*a, **k)) or ingested[-1])
-        report = run_experiment(load_config(str(cfg_path)))
+        cfg = load_config(str(cfg_path))
+        report = run_experiment(cfg)
         assert report.failures == {}
         assert [(s.source_label, s.valid_time) for s in ingested] == [("raw", default_time())]
-        assert np.array_equal(ingested[0].data, state.data)
+        assert ingested[0].channels == cfg.report_channels
+        assert np.array_equal(ingested[0].data, out.subset(cfg.report_channels).data)
         assert len(read_metric_csv(str(report.csv_path))) == 9 * 2 * 2
 
     def test_missing_key(self, tmp_path):

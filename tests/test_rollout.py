@@ -534,16 +534,46 @@ class TestPipelinedSteps:
         channels = [(Var.Z, 500), (Var.MSLP, 0), (Var.T, 850)]
         be = write_copy_backend(tmp_path / "backend.py")
         series = rollout_series(small_ic, be, [0, 24, 48], channels=channels)
-        assert series[0][1] is small_ic   # lead 0 is the IC itself
-        for lead, state in series[1:]:
+        assert [lead for lead, _ in series] == [0, 24, 48]
+        for lead, state in series:
             assert state.channels == tuple(channels)
             for ch in channels:
                 assert np.array_equal(state.channel(*ch), small_ic.channel(*ch))
 
-    def test_builtin_states_are_emitted_whole(self, small_state):
-        series = rollout_series(small_state, BackendSpec(), [24],
-                                channels=[(Var.Z, 500)])
-        assert series[0][1].channels == CHANNELS
+    @pytest.mark.parametrize("source", ["state", "path"])
+    @pytest.mark.parametrize("builtin", ["persistence", "advection"])
+    def test_builtin_states_hold_the_channels(self, tmp_path, small_state, source,
+                                              builtin):
+        channels = [(Var.Z, 500), (Var.MSLP, 0), (Var.T, 850)]
+        ic = small_state
+        if source == "path":
+            ic = tmp_path / "ic.nws"
+            write_archive(small_state, str(ic))
+        be = BackendSpec(builtin=builtin, horizons={24})
+        series = rollout_series(ic, be, [0, 24, 48], channels=channels)
+        assert [lead for lead, _ in series] == [0, 24, 48]
+        for lead, state in series:
+            assert state.channels == tuple(channels)
+            cells = 0 if builtin == "persistence" else lead // 24
+            for ch in channels:
+                assert np.array_equal(state.channel(*ch),
+                                      np.roll(small_state.channel(*ch), cells, axis=1))
+
+    @pytest.mark.parametrize("source", ["state", "path"])
+    def test_builtin_checks_every_plane_of_the_ic(self, tmp_path, small_state, source):
+        # a NaN in a plane the builtin does not step still fails the run,
+        # before any emit, as a fault of the IC and not of the backend
+        data = small_state.data.copy()
+        data[CHANNELS.index((Var.T, 850)), 4, 7] = np.nan
+        ic = small_state.replace(data=data)
+        if source == "path":
+            write_archive(ic, str(tmp_path / "ic.nws"))
+            ic = tmp_path / "ic.nws"
+        emitted = []
+        with pytest.raises(RolloutError, match="IC at lead 0 holds NaN/Inf: .*T850"):
+            run_rollout(ic, BackendSpec(), [24], lambda *a: emitted.append(a),
+                        channels=[(Var.Z, 500)])
+        assert emitted == []
 
     @pytest.mark.parametrize("stderr", [b"\xff\xfe", b"x" * (1 << 20) + b"\xff\xfe"],
                              ids=["non-utf8", "chatty"])
