@@ -80,8 +80,9 @@ class ExperimentConfig:
     snapshot_bytes: bytes = b""            # raw config file, for provenance
 
     def validate(self) -> None:
-        if not self.ic_sources:
-            raise ConfigError("ic_sources must not be empty")
+        for key in ("ic_sources", "lead_hours", "report_channels", "regions"):
+            if not getattr(self, key):   # an empty one would score nothing
+                raise ConfigError(f"{key} must not be empty")
         labels = [s.label for s in self.ic_sources]
         labels += [sc.label for sc in self.splice_scenarios]
         if len(set(labels)) != len(labels):
@@ -92,8 +93,6 @@ class ExperimentConfig:
                 if ref not in source_labels:
                     raise ConfigError(f"scenario {sc.label!r} references "
                                       f"unknown source {ref!r}")
-        if not self.lead_hours:
-            raise ConfigError("lead_hours must not be empty")
         no_repeats("lead_hours", self.lead_hours)
         check_pattern("truth", self.truth_pattern, self.lead_hours)
         paths = {self.truth_pattern.format(lead=h) for h in self.lead_hours}
@@ -299,17 +298,20 @@ def _load_source(src: ICSource, init_time: datetime, model_grid: GridSpec,
     elif not spliced and read_archive(src.path, ()).grid == model_grid:
         return src.path
     else:
-        state = read_archive(src.path, reads, finite=True).replace(source_label=src.label)
+        state = read_archive(src.path, reads, finite=True)
     return regrid_state(state, model_grid)
 
 
 def read_truth(pattern: str, lead: int, grid: GridSpec, channels) -> StateSet:
     """The truth at `lead`, read as a subset state of `channels`;
-    TruthError if its file is missing or it is not on `grid`."""
+    TruthError if its file is missing or unreadable, or not on `grid`."""
     path = pattern.format(lead=lead)
     if not os.path.exists(path):
         raise TruthError(f"lead {lead}: missing truth file {path}")
-    truth = read_archive(path, channels)   # the report planes only
+    try:
+        truth = read_archive(path, channels)   # the report planes only
+    except (ArchiveError, OSError) as exc:
+        raise TruthError(f"lead {lead}: truth {path}: {exc}") from None
     if truth.grid != grid:
         raise TruthError(f"lead {lead}: truth {truth.source_label} grid "
                          "does not match the forecast grid")
@@ -325,10 +327,14 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     runs; an invalid config aborts before any input is read.
     """
     config.validate()
+    grid, channels = config.model_grid, config.report_channels
+    try:   # validate() has checked its header; a short payload fails before any read
+        climatology = read_archive(config.climatology_path, channels)
+    except ArchiveError as exc:
+        raise ConfigError(f"climatology {config.climatology_path}: {exc}") from None
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    grid, channels = config.model_grid, config.report_channels
     reads = config.backend.reads(channels)   # the planes each IC is loaded as
     truths: dict[int, StateSet] = {}
     truth_errors: list[str] = []
@@ -337,8 +343,6 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             truths[lead] = read_truth(config.truth_pattern, lead, grid, channels)
         except TruthError as exc:
             truth_errors.append(str(exc))
-    # validate() has checked the climatology's grid
-    climatology = read_archive(config.climatology_path, channels)
 
     runs: dict[str, Union[StateSet, str]] = {}   # each run's IC, in config order
     failures: dict[str, str] = {}
@@ -356,7 +360,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             continue
         try:
             runs[sc.label] = splice_states(runs[sc.base_source], runs[sc.donor_source],
-                                           sc.spec).replace(source_label=sc.label)
+                                           sc.spec)
         except Exception as exc:
             failures[sc.label] = f"splice failed: {exc}"
     labels = list(runs)
@@ -371,7 +375,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             if lead not in truths:
                 errs.append(f"lead {lead}: no truth state")
                 return
-            # an IC passed by path carries its header's label, not the run's
+            # the run's label: an IC keeps its file's label through the rollout
             r, e = evaluate_run(lead, state.replace(source_label=label), truths[lead],
                                 climatology, config.regions, channels)
             recs.extend(r)

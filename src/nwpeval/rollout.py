@@ -203,16 +203,14 @@ def _read_step(path: Path, step_no: int, step_hours: int, channels) -> StateSet:
 def _checked_ic(ic: Union[StateSet, str, os.PathLike], channels) -> StateSet:
     """The `channels` of the IC, a state or the path of an archive;
     RolloutError if any plane of it (all 69 of an archive) holds NaN/Inf."""
-    if isinstance(ic, StateSet):
-        problems = validate_state(ic, check_ranges=False)
-    else:
-        try:
+    try:
+        if not isinstance(ic, StateSet):
             return read_archive(ic, channels, finite=True)
-        except DataError as exc:
-            problems = [str(exc)]
-    if problems:
-        raise RolloutError(f"the IC at lead 0 holds NaN/Inf: {'; '.join(problems)}")
-    return ic.subset(channels)
+        if problems := validate_state(ic, check_ranges=False):
+            raise DataError("; ".join(problems))
+        return ic.subset(channels)
+    except DataError as exc:
+        raise RolloutError(f"the IC at lead 0 holds NaN/Inf: {exc}") from None
 
 
 def _sha256(path: Path) -> str:
@@ -232,23 +230,24 @@ def run_rollout(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, lea
     reached, in increasing order (lead 0 is the IC). The rollout keeps no
     emitted state, so emit copies out whatever it needs.
 
-    Every emitted state holds `channels`, in that order. A builtin backend
-    steps each plane on its own, so it steps `channels` alone: an IC path is
-    read as `channels`, and an IC state holding other planes is cut down to
-    them, with every plane of either checked for NaN/Inf first. Of a path
-    under an external backend only the header is read and the payload's size
-    checked up front; step 1 reads the file itself, which is never written,
-    moved or deleted. An IC state is written once, to step000.nws, for an
-    external backend. An unreachable lead, or an IC off the canonical
-    721x1440 grid that external backends require, is raised before any step
-    or emit. Step n reads step{n-1} and writes step{n}. Once step n has
-    exited 0, step{n-1} is deleted and step n+1 started; step n's output is
-    then read, checked and emitted while the backend computes. If that
-    fails, or emit raises, the running step is killed and reaped before the
-    error propagates. Every state is checked for NaN/Inf before it is
-    emitted: all 69 planes of an archive, each plane of a state. Of an IC
-    state only valid_time and source_label are kept past step000.nws or the
-    first builtin step, so a caller holding no reference of its own gets its
+    Every emitted state holds `channels`, in that order, valid at the IC's
+    valid_time + its lead: nwpeval owns time, and ignores the valid_time an
+    external backend writes. An unreachable lead, or an IC off the canonical
+    721x1440 grid an external backend requires, is raised before any step or
+    emit. Under a builtin the IC, a state or a path, is checked once, up
+    front: cut to `channels` with every plane (all 69 of an archive) checked
+    for NaN/Inf, it is what lead 0 emits and step 1 moves. A builtin creates
+    no values, so its steps are not checked. Under an external backend only
+    a path's header is read, and its payload's size checked; step 1 reads
+    the file itself, which is never written, moved or deleted. A state is
+    written once, to step000.nws. Lead 0 and each step's output are read or
+    cut to `channels` with every plane checked. Step n reads step{n-1} and
+    writes step{n}. Once step n has exited 0, step{n-1} is deleted and step
+    n+1 started; step n's output is then read, checked and emitted while the
+    backend computes. If that fails, or emit raises, the running step is
+    killed and reaped before the error propagates. Of an IC state only
+    valid_time and source_label are kept past step000.nws or the first
+    builtin step, so a caller holding no reference of its own gets its
     memory back then. verify_determinism runs step 1 again from the same
     input into a file of its own, before step 2 starts, and compares the two
     files' SHA-256, without reading the repeat as a state.
@@ -256,20 +255,18 @@ def run_rollout(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, lea
     wanted = {int(h) for h in leads}
     plan = plan_for_leads(wanted, backend.horizons)
     external = backend.kind == "external-command"
-    ic_path = None if isinstance(ic, StateSet) else Path(ic)
-    if external:
-        if ic_path is not None:
-            ic = read_archive(ic_path, ())   # step 1 reads the file where it is
-    elif ic_path is not None or ic.channels != tuple(channels):
-        # a builtin steps `channels` alone: every plane it drops is checked here
-        ic, ic_path = _checked_ic(ic, channels), None
+    ic_path = None if isinstance(ic, StateSet) or not external else Path(ic)
+    if not external:
+        ic = _checked_ic(ic, channels)   # lead 0 emits it and step 1 moves it
+    elif ic_path is not None:
+        ic = read_archive(ic_path, ())   # step 1 reads the file where it is
     try:
         backend.check_grid(ic.grid)
     except ValueError as exc:
         raise RolloutError(str(exc)) from None
 
     if 0 in wanted:
-        emit(0, _checked_ic(ic_path or ic, channels))
+        emit(0, _checked_ic(ic_path or ic, channels) if external else ic)
     init_time, label = ic.valid_time, ic.source_label
     with tempfile.TemporaryDirectory(prefix="nwpeval-rollout-") as work:
         files = [Path(work) / f"step{n:03d}.nws" for n in range(len(plan.steps) + 1)]
@@ -285,9 +282,6 @@ def run_rollout(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, lea
             for n, (hours, lead) in enumerate(zip(plan.steps, cumulative), start=1):
                 if not external:
                     state = builtin_step(state, backend, hours)
-                    if problems := validate_state(state, check_ranges=False):
-                        raise RolloutError(f"backend produced NaN/Inf at step {n} "
-                                           f"(+{hours}h): {'; '.join(problems)}")
                 else:
                     del state   # on disk: hold one state while reading the next
                     if n == 1:

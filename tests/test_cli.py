@@ -265,6 +265,26 @@ class TestRolloutEvaluatePlot:
         rows = read_metric_csv(str(csv))
         assert len(rows) == 9 * 2 * 2 and {r["lead_hours"] for r in rows} == {"24"}
 
+    def test_evaluate_truncated_truth_is_per_lead(self, tmp_path, small_grid, caplog):
+        # a truth that cannot be read costs its lead, as a missing one does
+        for lead in (24, 48):
+            write_archive(make_state(small_grid, seed=57, source_label="gfs"),
+                          str(tmp_path / f"fc_{lead}.nws"))
+            write_archive(make_state(small_grid, seed=58, source_label="era5"),
+                          str(tmp_path / f"truth_{lead}.nws"))
+        truth = tmp_path / "truth_48.nws"
+        truth.write_bytes(truth.read_bytes()[:-7])
+        write_archive(make_climatology(small_grid), str(tmp_path / "clim.nws"))
+        csv = tmp_path / "metrics.csv"
+        with caplog.at_level(logging.WARNING):
+            assert main(["evaluate", "--forecast-pattern", str(tmp_path / "fc_{lead}.nws"),
+                         "--truth-pattern", str(tmp_path / "truth_{lead}.nws"),
+                         "--climatology", str(tmp_path / "clim.nws"),
+                         "--leads", "24,48", "--out", str(csv)]) == 1
+        assert f"lead 48: truth {truth}: payload truncated in channel V50" in caplog.text
+        rows = read_metric_csv(str(csv))
+        assert len(rows) == 9 * 2 * 2 and {r["lead_hours"] for r in rows} == {"24"}
+
     @pytest.mark.parametrize("lead,files", [
         ("12", ["forecast_012h.nws"]),
         ("30", ["forecast_024h.nws", "forecast_030h.nws"]),
@@ -324,6 +344,8 @@ BAD_CONFIGS = {
     "empty-region": {"regions": {"tiny": [12, 14, 22, 24]}},
     "repeated-lead": {"lead_hours": [24, 48, 24]},
     "repeated-channel": {"report_channels": ["MSLP", "Z500", "MSLP"]},
+    "empty-report-channels": {"report_channels": []},
+    "empty-regions": {"regions": {}},
     "truth-placeholder": {"truth": "truth_{lead}_{member}.nws"},
     "truth-fixed-path": {"truth": "truth_24.nws", "lead_hours": [24, 48]},
     "ic-time": {"init_time": "2023-06-07T00:00:00Z"},   # the ICs are at 06-06
@@ -390,6 +412,42 @@ class TestRunSubcommand:
         assert payload_reads == []
         assert not (tmp_path / "out" / "run.log").exists()
         assert "off the model grid" in capsys.readouterr().err
+
+    def test_truncated_climatology_exits_2(self, tmp_path, small_grid, monkeypatch,
+                                           capsys):
+        # its header passes validate(); its short payload is found before any
+        # payload is read and before the output directory is made
+        from nwpeval import experiment
+        from tests.test_experiment import build_inputs
+        labels = build_inputs(tmp_path, small_grid)
+        clim = tmp_path / "clim.nws"
+        clim.write_bytes(clim.read_bytes()[:-7])
+        reads = []
+        monkeypatch.setattr(experiment, "read_archive",
+                            lambda path, *a, _f=experiment.read_archive, **k:
+                            reads.append(Path(path).name) or _f(path, *a, **k))
+        monkeypatch.setattr(experiment, "ingest_raw", lambda *a, **k: reads.append(a))
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels)))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert reads == ["clim.nws"]
+        assert not (tmp_path / "out").exists()
+        assert (f"nwpeval: climatology {clim}: payload truncated in channel V50"
+                in capsys.readouterr().err)
+
+    def test_truncated_truth_costs_one_lead(self, tmp_path, small_grid):
+        from tests.test_experiment import build_inputs
+        labels = build_inputs(tmp_path, small_grid)
+        truth = tmp_path / "truth_48.nws"
+        truth.write_bytes(truth.read_bytes()[:-7])
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels)))
+        assert main(["run", "--config", str(cfg)]) == 0
+        log = (tmp_path / "out" / "run.log").read_text()
+        assert f"truth: lead 48: truth {truth}: payload truncated in channel V50" in log
+        assert f"{labels[0]}: lead 48: no truth state" in log
+        rows = read_metric_csv(str(tmp_path / "out" / "metrics.csv"))
+        assert len(rows) == 2 * 9 * 2 * 2 and {r["lead_hours"] for r in rows} == {"24"}
 
     def test_config_validated_once_per_run(self, tmp_path, small_grid, monkeypatch):
         # one header read per input (the climatology and each .nws IC); each

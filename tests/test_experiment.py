@@ -125,9 +125,10 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert report.failures == {}
         assert len(read_metric_csv(str(report.csv_path))) == 2 * 2 * 2 * 2 * 2
-        # the on-grid ICs are read here as headers only: the rollout takes their paths
-        assert reads == [("truth_24.nws", channels, 2), ("truth_48.nws", channels, 2),
-                         ("clim.nws", channels, 2),
+        # the climatology first, as a config input; the on-grid ICs are read
+        # here as headers only: the rollout takes their paths
+        assert reads == [("clim.nws", channels, 2),
+                         ("truth_24.nws", channels, 2), ("truth_48.nws", channels, 2),
                          ("src0.nws", (), 0), ("src1.nws", (), 0)]
 
     def test_missing_truth_is_per_lead_not_fatal(self, tmp_path, small_grid):
@@ -441,6 +442,17 @@ class TestConfigValidation:
     def test_empty_sources_rejected(self, tmp_path, small_grid):
         cfg = make_config(tmp_path, small_grid, [])
         with pytest.raises(ConfigError):
+            cfg.validate()
+
+    @pytest.mark.parametrize("key,empty", [("report_channels", ()), ("regions", {})],
+                             ids=["report_channels", "regions"])
+    def test_empty_report_channels_or_regions_rejected(self, tmp_path, small_grid,
+                                                       key, empty):
+        # either would give a metrics.csv of the header row alone
+        labels = build_inputs(tmp_path, small_grid)
+        cfg = dataclasses.replace(make_config(tmp_path, small_grid, labels),
+                                  **{key: empty})
+        with pytest.raises(ConfigError, match=f"^{key} must not be empty$"):
             cfg.validate()
 
     def test_duplicate_labels_rejected(self, tmp_path, small_grid):

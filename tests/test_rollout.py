@@ -199,9 +199,10 @@ class TestRunRollout:
 
     @pytest.mark.parametrize("builtin", ["persistence", "advection"])
     def test_inf_in_the_ic_names_its_plane(self, small_state, builtin):
+        # the IC holds exactly the default channels: still the IC's fault
         data = small_state.data.copy()
         data[CHANNELS.index((Var.T, 850)), 3, 5] = np.inf
-        with pytest.raises(RolloutError, match=r"NaN/Inf at step 1 \(\+24h\): "
+        with pytest.raises(RolloutError, match=r"^the IC at lead 0 holds NaN/Inf: "
                                                "non-finite: T850 contains NaN/Inf$"):
             rollout_series(small_state.replace(data=data),
                            BackendSpec(builtin=builtin), [24])
@@ -559,21 +560,30 @@ class TestPipelinedSteps:
                 assert np.array_equal(state.channel(*ch),
                                       np.roll(small_state.channel(*ch), cells, axis=1))
 
-    @pytest.mark.parametrize("source", ["state", "path"])
-    def test_builtin_checks_every_plane_of_the_ic(self, tmp_path, small_state, source):
-        # a NaN in a plane the builtin does not step still fails the run,
-        # before any emit, as a fault of the IC and not of the backend
+    @pytest.mark.parametrize("source", ["state", "path", "exact"])
+    def test_builtin_checks_every_plane_of_the_ic(self, tmp_path, small_state, source,
+                                                  monkeypatch):
+        # a NaN in any plane of the IC, stepped or not, fails the run before
+        # any step or emit, as a fault of the IC and not of the backend;
+        # lead 0 is not asked for
         data = small_state.data.copy()
         data[CHANNELS.index((Var.T, 850)), 4, 7] = np.nan
         ic = small_state.replace(data=data)
+        channels = [(Var.Z, 500)]
         if source == "path":
             write_archive(ic, str(tmp_path / "ic.nws"))
             ic = tmp_path / "ic.nws"
-        emitted = []
-        with pytest.raises(RolloutError, match="IC at lead 0 holds NaN/Inf: .*T850"):
-            run_rollout(ic, BackendSpec(), [24], lambda *a: emitted.append(a),
-                        channels=[(Var.Z, 500)])
-        assert emitted == []
+        elif source == "exact":   # a state of exactly `channels`
+            channels = [(Var.Z, 500), (Var.T, 850)]
+            ic = ic.subset(channels)
+        steps, emitted = [], []
+        monkeypatch.setattr(rollout, "builtin_step", lambda *a: steps.append(a))
+        for builtin in ("persistence", "advection"):
+            with pytest.raises(RolloutError, match="^the IC at lead 0 holds NaN/Inf: "
+                                                   ".*T850 contains NaN/Inf$"):
+                run_rollout(ic, BackendSpec(builtin=builtin), [24],
+                            lambda *a: emitted.append(a), channels=channels)
+        assert steps == [] and emitted == []
 
     @pytest.mark.parametrize("stderr", [b"\xff\xfe", b"x" * (1 << 20) + b"\xff\xfe"],
                              ids=["non-utf8", "chatty"])
