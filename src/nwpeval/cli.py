@@ -240,10 +240,21 @@ def _cmd_evaluate(args) -> int:
         check_pattern("--forecast-pattern", args.forecast_pattern, leads)
         check_pattern("--truth-pattern", args.truth_pattern, leads)
         check_regions(read_header(args.climatology)["grid"], regions)
-    clim = read_archive(args.climatology, channels)   # the report planes only
+    try:   # the report planes only; a short or long payload is a config error
+        clim = read_archive(args.climatology, channels)
+    except ArchiveError as exc:
+        raise ConfigError(f"climatology {args.climatology}: {exc}") from None
     records, errors = [], []
-    for lead in leads:
-        fc = read_archive(args.forecast_pattern.format(lead=lead), channels)
+    for lead in leads:   # a forecast or truth that cannot be read costs its lead
+        path = args.forecast_pattern.format(lead=lead)
+        try:
+            fc = read_archive(path, channels)
+        except FileNotFoundError:
+            errors.append(f"lead {lead}: missing forecast file {path}")
+            continue
+        except (ArchiveError, OSError) as exc:
+            errors.append(f"lead {lead}: forecast {path}: {exc}")
+            continue
         try:
             truth = read_truth(args.truth_pattern, lead, fc.grid, channels)
         except TruthError as exc:

@@ -366,6 +366,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     labels = list(runs)
 
     run_errors: dict[str, list[str]] = {}
+    var_o = {lead: {} for lead in truths}   # per lead, filled by the first run to score it
 
     def one_run(label: str) -> list[MetricRecord]:
         recs: list[MetricRecord] = []
@@ -377,7 +378,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
                 return
             # the run's label: an IC keeps its file's label through the rollout
             r, e = evaluate_run(lead, state.replace(source_label=label), truths[lead],
-                                climatology, config.regions, channels)
+                                climatology, config.regions, channels, var_o[lead])
             recs.extend(r)
             errs.extend(e)
 

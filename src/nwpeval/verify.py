@@ -75,13 +75,51 @@ def lat_weights(grid: GridSpec, mask: np.ndarray) -> np.ndarray:
     return w / total
 
 
+def _score_cell(f: np.ndarray, o: np.ndarray, c, w: np.ndarray,
+               work: np.ndarray, var_o=None):
+    """(rmse, (var_f, var_o, cov)) of one block, or (rmse, None) without
+    `c`, formed in place in C-contiguous views of `work`, a (4, >= f.size)
+    float64 scratch array. Each sum keeps the operand order of sum(w*d*d),
+    sum(w*af*af), sum(w*af*ao) or sum(w*ao*ao), so is bitwise theirs. A
+    given var_o is used, not recomputed."""
+    F, O, C, T = (row[:np.size(f)].reshape(np.shape(f)) for row in work)
+    np.copyto(F, f)
+    np.copyto(O, o)
+    np.subtract(F, O, out=C)   # d, in C's row until c is read
+    np.multiply(w, C, out=T)
+    T *= C
+    rmse = math.sqrt(np.sum(T))
+    if c is None:
+        return rmse, None
+    np.copyto(C, c)
+    F -= C                     # af
+    O -= C                     # ao
+    np.multiply(w, F, out=T)   # w*af
+    np.multiply(T, O, out=C)
+    cov = float(np.sum(C))
+    F *= T                     # af*(w*af), bitwise (w*af)*af
+    var_f = float(np.sum(F))
+    if var_o is None:
+        np.multiply(w, O, out=T)
+        T *= O
+        var_o = float(np.sum(T))
+    return rmse, (var_f, var_o, cov)
+
+
+def _acc(var_f: float, var_o: float, cov: float) -> float:
+    if var_f < ANOMALY_VARIANCE_FLOOR or var_o < ANOMALY_VARIANCE_FLOOR:
+        raise DegenerateAnomalyError(
+            f"anomaly variance too small (forecast {var_f:.3e}, truth {var_o:.3e})")
+    return cov / math.sqrt(var_f * var_o)
+
+
 def rmse_weighted(forecast: np.ndarray, truth: np.ndarray,
                   weights: np.ndarray) -> float:
     """sqrt(sum(w * (f - o)^2)) with float64 accumulation."""
     if forecast.shape != truth.shape:
         raise GridMismatchError(f"shape mismatch: {forecast.shape} vs {truth.shape}")
-    diff = forecast.astype(np.float64) - truth.astype(np.float64)
-    return float(math.sqrt(np.sum(weights * diff * diff)))
+    return _score_cell(forecast, truth, None, weights,
+                      np.empty((4, forecast.size)))[0]
 
 
 def acc_weighted(forecast: np.ndarray, truth: np.ndarray, clim: np.ndarray,
@@ -90,16 +128,8 @@ def acc_weighted(forecast: np.ndarray, truth: np.ndarray, clim: np.ndarray,
     if not forecast.shape == truth.shape == clim.shape:
         raise GridMismatchError(f"shape mismatch: {forecast.shape}, "
                                 f"{truth.shape}, {clim.shape}")
-    c = clim.astype(np.float64)
-    af = forecast.astype(np.float64) - c
-    ao = truth.astype(np.float64) - c
-    var_f = float(np.sum(weights * af * af))
-    var_o = float(np.sum(weights * ao * ao))
-    if var_f < ANOMALY_VARIANCE_FLOOR or var_o < ANOMALY_VARIANCE_FLOOR:
-        raise DegenerateAnomalyError(
-            f"anomaly variance too small (forecast {var_f:.3e}, truth {var_o:.3e})")
-    cov = float(np.sum(weights * af * ao))
-    return cov / math.sqrt(var_f * var_o)
+    return _acc(*_score_cell(forecast, truth, clim, weights,
+                            np.empty((4, forecast.size)))[1])
 
 
 def _report_value(var: Var, metric: str, value: float) -> float:
@@ -114,19 +144,27 @@ def region_block(grid: GridSpec, box: RegionBox):
     """(index, weights) of the box's block of rows and columns. region_mask
     is a Cartesian product of rows and columns, so the block holds exactly
     the region's points and lat_weights over the mask, cut to the block,
-    are its normalized weights. A whole-grid block indexes to a view.
-    EmptyMaskError if the box selects no grid point."""
+    are its normalized weights, held C-contiguous. Where the rows and the
+    columns are each one contiguous range (east_asia, global) the index is
+    a pair of slices, so a plane indexes to a view; columns that wrap round
+    the grid's edge, as those of a box that takes in 0 degrees through
+    lon_max 360 do, index as an np.ix_ gather, a copy. EmptyMaskError if
+    the box selects no grid point."""
     mask = region_mask(grid, box)
-    block = ((slice(None), slice(None)) if mask.all()
-             else np.ix_(mask.any(axis=1), mask.any(axis=0)))
-    weights = lat_weights(grid, mask)[block]
+    weights = lat_weights(grid, mask)
+    ranges = [np.flatnonzero(mask.any(axis=axis)) for axis in (1, 0)]
+    if all(ix[-1] - ix[0] + 1 == ix.size for ix in ranges):
+        block = tuple(slice(int(ix[0]), int(ix[-1]) + 1) for ix in ranges)
+    else:
+        block = np.ix_(*ranges)
+    weights = np.ascontiguousarray(weights[block])
     weights.flags.writeable = False
     return block, weights
 
 
 def evaluate_run(lead: int, forecast: StateSet, truth: StateSet,
                  climatology: StateSet, regions: dict[str, RegionBox],
-                 report_channels=DEFAULT_REPORT_CHANNELS
+                 report_channels=DEFAULT_REPORT_CHANNELS, var_o=None
                  ) -> tuple[list[MetricRecord], list[str]]:
     """Score the forecast at one lead against its truth.
 
@@ -135,23 +173,31 @@ def evaluate_run(lead: int, forecast: StateSet, truth: StateSet,
     channel. GridMismatchError if the truth or the climatology is off the
     forecast grid. Returns (records, errors); a non-finite RMSE or ACC is
     an error, not a row. Region blocks and weights are built once per
-    (grid, box), not once per call.
+    (grid, box), not once per call, and every cell is scored in one work
+    area per call. var_o, a dict that the calls scoring this lead against
+    the same truth and climatology may share, across threads too, holds
+    each cell's truth anomaly variance: read if there, else put in.
     """
     if truth.grid != forecast.grid or climatology.grid != forecast.grid:
         raise GridMismatchError("truth or climatology grid does not match the "
                                 "forecast grid")
     init_time = forecast.valid_time - timedelta(hours=lead)
     blocks = {name: region_block(forecast.grid, box) for name, box in regions.items()}
+    work = np.empty((4, max((w.size for _, w in blocks.values()), default=0)))
+    var_o = {} if var_o is None else var_o
     records: list[MetricRecord] = []
     errors: list[str] = []
     for var, level in report_channels:
         f, o, c = (s.channel(var, level) for s in (forecast, truth, climatology))
         for name, (block, w) in blocks.items():
             where = f"lead {lead} {channel_name(var, level)} {name}"
-            fb, ob = f[block], o[block]
-            values = {"RMSE": rmse_weighted(fb, ob, w)}
+            key = (var, level, name)
+            rmse, sums = _score_cell(f[block], o[block], c[block], w, work,
+                                     var_o.get(key))
+            var_o[key] = sums[1]
+            values = {"RMSE": rmse}
             try:
-                values["ACC"] = acc_weighted(fb, ob, c[block], w)
+                values["ACC"] = _acc(*sums)
             except DegenerateAnomalyError as exc:
                 errors.append(f"{where}: {exc}")
             for metric, value in values.items():

@@ -285,6 +285,55 @@ class TestRolloutEvaluatePlot:
         rows = read_metric_csv(str(csv))
         assert len(rows) == 9 * 2 * 2 and {r["lead_hours"] for r in rows} == {"24"}
 
+    @pytest.mark.parametrize("damage", ["missing", "truncated"])
+    def test_evaluate_bad_forecast_is_per_lead(self, tmp_path, small_grid, caplog,
+                                               damage):
+        # a forecast that is missing or cannot be read costs its lead, as a truth does
+        for lead in (24, 48):
+            write_archive(make_state(small_grid, seed=57, source_label="gfs"),
+                          str(tmp_path / f"fc_{lead}.nws"))
+            write_archive(make_state(small_grid, seed=58, source_label="era5"),
+                          str(tmp_path / f"truth_{lead}.nws"))
+        fc = tmp_path / "fc_48.nws"
+        if damage == "missing":
+            fc.unlink()
+            want = f"lead 48: missing forecast file {fc}"
+        else:
+            fc.write_bytes(fc.read_bytes()[:-7])
+            want = f"lead 48: forecast {fc}: payload truncated in channel V50"
+        write_archive(make_climatology(small_grid), str(tmp_path / "clim.nws"))
+        csv = tmp_path / "metrics.csv"
+        with caplog.at_level(logging.WARNING):
+            assert main(["evaluate", "--forecast-pattern", str(tmp_path / "fc_{lead}.nws"),
+                         "--truth-pattern", str(tmp_path / "truth_{lead}.nws"),
+                         "--climatology", str(tmp_path / "clim.nws"),
+                         "--leads", "24,48", "--out", str(csv)]) == 1
+        assert want in caplog.text
+        rows = read_metric_csv(str(csv))
+        assert len(rows) == 9 * 2 * 2 and {r["lead_hours"] for r in rows} == {"24"}
+
+    @pytest.mark.parametrize("damage,message", [
+        (lambda b: b[:-7], "payload truncated in channel V50"),
+        (lambda b: b + b"\0", "bytes follow the payload"),
+    ], ids=["short", "long"])
+    def test_evaluate_short_or_long_climatology_is_a_config_error(
+            self, tmp_path, small_grid, capsys, damage, message):
+        for lead in (24, 48):
+            write_archive(make_state(small_grid, seed=57, source_label="gfs"),
+                          str(tmp_path / f"fc_{lead}.nws"))
+            write_archive(make_state(small_grid, seed=58, source_label="era5"),
+                          str(tmp_path / f"truth_{lead}.nws"))
+        clim = tmp_path / "clim.nws"
+        write_archive(make_climatology(small_grid), str(clim))
+        clim.write_bytes(damage(clim.read_bytes()))
+        csv = tmp_path / "metrics.csv"
+        assert main(["evaluate", "--forecast-pattern", str(tmp_path / "fc_{lead}.nws"),
+                     "--truth-pattern", str(tmp_path / "truth_{lead}.nws"),
+                     "--climatology", str(clim), "--leads", "24,48",
+                     "--out", str(csv)]) == 2
+        assert f"climatology {clim}: {message}" in capsys.readouterr().err
+        assert not csv.exists()
+
     @pytest.mark.parametrize("lead,files", [
         ("12", ["forecast_012h.nws"]),
         ("30", ["forecast_024h.nws", "forecast_030h.nws"]),

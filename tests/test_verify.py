@@ -1,20 +1,23 @@
 import io
 import math
+import sys
+import threading
+from datetime import datetime
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nwpeval import verify
 from nwpeval.archive import archive_bytes, read_archive
 from nwpeval.grids import (CHANNELS, EAST_ASIA, GLOBAL, GridMismatchError,
-                           GridSpec, RegionBox, Var)
+                           GridSpec, RegionBox, StateSet, Var)
 from nwpeval.splice import region_mask
 from nwpeval.synthetic import make_climatology, make_state
 from nwpeval.verify import (DEFAULT_REPORT_CHANNELS, DegenerateAnomalyError,
                             EmptyMaskError, acc_weighted, evaluate_run,
-                            lat_weights, rmse_weighted)
+                            lat_weights, region_block, rmse_weighted)
 from tests.conftest import random_state
 
 
@@ -373,3 +376,144 @@ class TestReportPlanes:
                                                     "the forecast grid"):
             evaluate_run(24, fc, planes["truth"], planes["climatology"],
                          {"global": GLOBAL})
+
+
+def expression_scores(f, o, c, grid, box):
+    """RMSE and ACC of one cell by the plain expressions, each product a
+    fresh array, on an np.ix_ gather of the box's block: the sums
+    evaluate_run's kernel must equal bitwise. A degenerate ACC is its
+    error text."""
+    mask = region_mask(grid, box)
+    block = np.ix_(mask.any(axis=1), mask.any(axis=0))
+    w = lat_weights(grid, mask)[block]
+    fb, ob, cb = (x[block].astype(np.float64) for x in (f, o, c))
+    diff = fb - ob
+    af, ao = fb - cb, ob - cb
+    var_f = float(np.sum(w * af * af))
+    var_o = float(np.sum(w * ao * ao))
+    cov = float(np.sum(w * af * ao))
+    floor = verify.ANOMALY_VARIANCE_FLOOR
+    acc = (f"anomaly variance too small (forecast {var_f:.3e}, truth {var_o:.3e})"
+           if var_f < floor or var_o < floor else cov / math.sqrt(var_f * var_o))
+    return {"RMSE": float(math.sqrt(np.sum(w * diff * diff))), "ACC": acc}
+
+
+MSLP = ((Var.MSLP, 0),)
+
+
+def plane_state(values, grid, label):
+    return StateSet(valid_time=datetime(2023, 6, 6), source_label=label,
+                    grid=grid, data=values[np.newaxis], channels=MSLP)
+
+
+@st.composite
+def scoring_cases(draw):
+    """A grid with both poles, a box that may be pole-only or reach lon_max
+    360, and float32 planes of mixed magnitude, perhaps with a NaN or a
+    forecast equal to the climatology."""
+    nlat, nlon = draw(st.integers(2, 10)), draw(st.integers(2, 20))
+    dlon = 360.0 / nlon
+    grid = GridSpec(nlat=nlat, nlon=nlon, lat_start=90.0, dlat=180.0 / (nlat - 1),
+                    lon_start=draw(st.sampled_from([0.0, dlon / 2, 200.0])), dlon=dlon)
+    lat = draw(st.one_of(st.sampled_from([(90.0, 90.0), (-90.0, -90.0)]),
+                         st.tuples(st.floats(-90, 90), st.floats(-90, 90)).map(sorted)))
+    lon_min = draw(st.floats(0, 350))
+    lon_max = draw(st.one_of(st.just(360.0), st.floats(lon_min, 360)))
+    box = RegionBox(lat_min=lat[0], lat_max=lat[1], lon_min=lon_min, lon_max=lon_max)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f, o, c = (rng.standard_normal(grid.shape)
+               * 10.0 ** rng.integers(-4, 7, grid.shape) for _ in range(3))
+    f, o, c = (x.astype(np.float32) for x in (f, o, c))
+    case = draw(st.sampled_from(["plain", "nan-forecast", "nan-truth", "forecast-is-clim"]))
+    i, j = rng.integers(grid.nlat), rng.integers(grid.nlon)
+    if case == "nan-forecast":
+        f[i, j] = np.nan
+    elif case == "nan-truth":
+        o[i, j] = np.nan
+    elif case == "forecast-is-clim":
+        f = c.copy()
+    return grid, box, f, o, c
+
+
+class TestScoringKernel:
+    """evaluate_run scores each cell in one float64 work area per call, with
+    blocks taken as views where they can be; its values must be bitwise
+    those of the plain expressions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=scoring_cases())
+    def test_bitwise_equal_to_the_expressions(self, case):
+        grid, box, f, o, c = case
+        assume(region_mask(grid, box).any())
+        # global first: the box's cell reuses the work area sized for it
+        regions = {"global": GLOBAL, "box": box}
+        got, errors = evaluate_run(24, *(plane_state(x, grid, label) for x, label in
+                                         ((f, "fc"), (o, "truth"), (c, "clim"))),
+                                   regions, MSLP)
+        values = {(r.region, r.metric): r.value for r in got}
+        for name, rbox in regions.items():
+            for metric, want in expression_scores(f, o, c, grid, rbox).items():
+                where = f"lead 24 MSLP {name}"
+                if isinstance(want, str):
+                    assert f"{where}: {want}" in errors
+                    assert (name, metric) not in values
+                elif math.isfinite(want):
+                    assert values[(name, metric)] == want
+                else:
+                    assert f"{where}: {metric} is not finite ({want})" in errors
+                    assert (name, metric) not in values
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=scoring_cases())
+    def test_a_shared_var_o_memo_changes_no_score(self, case):
+        grid, box, f, o, c = case
+        assume(region_mask(grid, box).any())
+        regions = {"global": GLOBAL, "box": box}
+        truth, clim = plane_state(o, grid, "truth"), plane_state(c, grid, "clim")
+        forecasts = [plane_state(x, grid, "fc") for x in (f, f[::-1].copy(), f * 2, -f)]
+        want = [evaluate_run(24, fc, truth, clim, regions, MSLP) for fc in forecasts]
+        memo: dict = {}
+        assert [evaluate_run(24, fc, truth, clim, regions, MSLP, memo)
+                for fc in forecasts] == want
+        assert len(memo) == 2
+        # more threads than cores fill one memo at once, as run_experiment's
+        # workers do, switching often
+        memo, got = {}, [None] * len(forecasts)
+        start = threading.Barrier(len(forecasts), timeout=10)
+
+        def score(k):
+            start.wait()
+            got[k] = evaluate_run(24, forecasts[k], truth, clim, regions, MSLP, memo)
+
+        threads = [threading.Thread(target=score, args=(k,)) for k in range(len(forecasts))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want and len(memo) == 2
+
+
+class TestRegionBlock:
+    def test_contiguous_box_indexes_to_views(self, small_grid):
+        f = np.arange(small_grid.nlat * small_grid.nlon,
+                      dtype=np.float32).reshape(small_grid.shape)
+        for box in (GLOBAL, EAST_ASIA, RegionBox(90.0, 90.0, 0.0, 359.0)):
+            block, w = region_block(small_grid, box)
+            assert np.shares_memory(f[block], f)
+            assert w.flags.c_contiguous and w.shape == f[block].shape
+
+    def test_box_through_360_is_gathered(self, small_grid):
+        # lon_max 360 takes in 0 degrees: columns 0 and 14-15 of the 16
+        f = np.zeros(small_grid.shape, dtype=np.float32)
+        box = RegionBox(-45.0, 45.0, 315.0, 360.0)
+        block, w = region_block(small_grid, box)
+        assert not np.shares_memory(f[block], f)
+        assert f[block].shape == w.shape == (5, 3)
+        assert np.array_equal(w, lat_weights(small_grid, region_mask(small_grid, box))[
+            np.ix_(range(2, 7), [0, 14, 15])])
