@@ -74,14 +74,14 @@ def payload_size(grid: GridSpec) -> int:
     return N_CHANNELS * grid.nlat * grid.nlon * 4
 
 
-def write_archive(state: StateSet, dest: Union[BinaryIO, str]) -> None:
+def write_archive(state: StateSet, dest: Union[BinaryIO, str, os.PathLike]) -> None:
     """Serialize a state to an archive. Byte output is a pure function of
     the state: identical inputs give identical files. A state that does not
     hold all 69 channels in order is a ValueError, raised before any byte is written."""
     if state.channels != CHANNELS:
         raise ValueError(f"state holds {len(state.channels)} planes; an archive "
                          f"holds all {N_CHANNELS} in the canonical order")
-    if isinstance(dest, (str, bytes)):
+    if isinstance(dest, (str, bytes, os.PathLike)):
         with open(dest, "wb") as fh:
             write_archive(state, fh)
         return
@@ -229,21 +229,21 @@ class RawDumpLayout:
 
 def ingest_raw(path: str, grid: GridSpec, layout: RawDumpLayout,
                valid_time: datetime, source_label: str,
-               nan_policy: str = "error", channels: ChannelList = CHANNELS) -> StateSet:
+               finite: bool = True, channels: ChannelList = CHANNELS) -> StateSet:
     """Load a raw dump into a north-first state of `channels`, in that
     order (all 69 in canonical order by default), each plane read into its
     slot, so no second copy is made. A dump of the wrong size is a
     TruncationError or FormatError (see _read_planes).
 
-    nan_policy: "error" checks every plane of the dump, kept or not, and
-    raises DataError at the first holding NaN/Inf, as soon as it is read;
-    "warn" returns the state as read, for the caller to check with
-    validate_state.
+    finite, as in read_archive: every plane of the dump, kept or not, is
+    checked, and the first holding NaN/Inf is a DataError as soon as it is
+    read. Without it the state is returned as read, for the caller to
+    check with validate_state.
     """
     channels = tuple(channels)
     with open(path, "rb") as fh:
         data = _read_planes(fh, 0, grid, layout.channel_order, channels,
-                            finite=nan_policy == "error",
+                            finite=finite,
                             flip=layout.scan == "south-first")
     return StateSet(valid_time=valid_time, source_label=source_label,
                     grid=grid, data=data, channels=channels)

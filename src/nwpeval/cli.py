@@ -17,9 +17,9 @@ from pathlib import Path
 from . import __version__
 from .archive import (ArchiveError, RawDumpLayout, ingest_raw, read_archive,
                       read_header, write_archive)
-from .experiment import (ConfigError, TruthError, _parse_box, _parse_time,
+from .experiment import (ConfigError, InputError, _parse_box, _parse_time,
                          check_pattern, check_regions, load_config, no_repeats,
-                         parse_channel, read_truth, run_experiment)
+                         parse_channel, read_input, run_experiment)
 from .grids import DEFAULT_REGIONS, GridSpec, channel_name, validate_state
 from .plots import PlotInputError, emit_plots, write_metric_csv
 from .regrid import regrid_state
@@ -176,7 +176,7 @@ def _cmd_ingest(args) -> int:
         layout = RawDumpLayout(scan=args.scan)
         valid_time = _parse_time(args.valid_time)
     state = ingest_raw(args.infile, args.grid, layout, valid_time=valid_time,
-                       source_label=args.label, nan_policy=args.nan)
+                       source_label=args.label, finite=args.nan == "error")
     for msg in validate_state(state, check_ranges=not args.skip_validation):
         log.warning("%s: %s", args.infile, msg)
     write_archive(state, args.out)
@@ -216,7 +216,7 @@ def _cmd_rollout(args) -> int:
     def write(lead, state):
         outdir.mkdir(parents=True, exist_ok=True)
         path = outdir / f"forecast_{lead:03d}h.nws"
-        write_archive(state, str(path))
+        write_archive(state, path)
         print(f"lead {lead:4d}h -> {path}")
 
     # by path: an external step 1 reads --in itself, a builtin reads it whole
@@ -239,26 +239,19 @@ def _cmd_evaluate(args) -> int:
         no_repeats("--channels", [channel_name(*c) for c in channels])
         check_pattern("--forecast-pattern", args.forecast_pattern, leads)
         check_pattern("--truth-pattern", args.truth_pattern, leads)
-        check_regions(read_header(args.climatology)["grid"], regions)
-    try:   # the report planes only; a short or long payload is a config error
-        clim = read_archive(args.climatology, channels)
-    except ArchiveError as exc:
-        raise ConfigError(f"climatology {args.climatology}: {exc}") from None
+        # its header, and its payload's size: a short or long one is a usage error
+        grid = read_input("climatology", args.climatology, None).grid
+        check_regions(grid, regions)
+    clim = read_input("climatology", args.climatology, grid, channels)
     records, errors = [], []
-    for lead in leads:   # a forecast or truth that cannot be read costs its lead
-        path = args.forecast_pattern.format(lead=lead)
+    for lead in leads:   # a forecast or truth unread or off the grid costs its lead
         try:
-            fc = read_archive(path, channels)
-        except FileNotFoundError:
-            errors.append(f"lead {lead}: missing forecast file {path}")
-            continue
-        except (ArchiveError, OSError) as exc:
-            errors.append(f"lead {lead}: forecast {path}: {exc}")
-            continue
-        try:
-            truth = read_truth(args.truth_pattern, lead, fc.grid, channels)
-        except TruthError as exc:
-            errors.append(str(exc))
+            fc = read_input("forecast", args.forecast_pattern.format(lead=lead), grid,
+                            channels)
+            truth = read_input("truth", args.truth_pattern.format(lead=lead), grid,
+                               channels)
+        except InputError as exc:
+            errors.append(f"lead {lead}: {exc}")
             continue
         r, e = evaluate_run(lead, fc, truth, clim, regions, channels)
         records.extend(r)

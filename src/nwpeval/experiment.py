@@ -42,8 +42,8 @@ class ConfigError(ValueError):
     """The experiment config is invalid."""
 
 
-class TruthError(ValueError):
-    """A lead's truth file is missing or off the forecast grid."""
+class InputError(ValueError):
+    """A truth, forecast or climatology file is missing, unreadable or off the grid."""
 
 
 @dataclass(frozen=True)
@@ -104,11 +104,6 @@ class ExperimentConfig:
             plan_for_leads(self.lead_hours, self.backend.horizons)
         except ValueError as exc:
             raise ConfigError(f"lead_hours {sorted(set(self.lead_hours))}: {exc}") from None
-        try:
-            self.backend.check_command()
-            self.backend.check_grid(self.model_grid)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         if self.workers is not None and self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         check_regions(self.model_grid, self.regions)
@@ -128,15 +123,12 @@ class ExperimentConfig:
             if valid_time != init_time:
                 raise ConfigError(f"source {src.label!r} is valid at {valid_time}, "
                                   f"not at init_time {init_time}")
-        if not os.path.exists(self.climatology_path):
-            raise ConfigError(f"missing climatology {self.climatology_path}")
-        try:
-            clim_grid = read_header(self.climatology_path)["grid"]
-        except ArchiveError as exc:
-            raise ConfigError(f"climatology {self.climatology_path}: {exc}") from None
-        if clim_grid != self.model_grid:
-            raise ConfigError(f"climatology {self.climatology_path} is off the model "
-                              f"grid: {clim_grid} vs {self.model_grid}")
+        try:   # of the climatology, the header is read and the payload's size checked
+            self.backend.check_command()
+            self.backend.check_grid(self.model_grid)
+            read_input("climatology", self.climatology_path, self.model_grid)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def no_repeats(what: str, values) -> None:
@@ -215,6 +207,11 @@ def load_config(path: str) -> ExperimentConfig:
     def resolve(p: str) -> str:
         return str((base / p) if not os.path.isabs(p) else Path(p))
 
+    def a_list(d: dict, key: str, default):   # a string would be read as its characters
+        if not isinstance(value := d.get(key, default), (list, tuple)):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        return value
+
     try:
         version = int(doc.get("config_version", CONFIG_VERSION))
         if version != CONFIG_VERSION:
@@ -247,7 +244,7 @@ def load_config(path: str) -> ExperimentConfig:
             builtin=bd.get("builtin", "persistence"),
             advection_cells=int(bd.get("advection_cells", 1)),
             command=bd.get("command"),
-            horizons=frozenset(bd.get("horizons", [24])))
+            horizons=frozenset(a_list(bd, "horizons", [24])))
         regions = dict(DEFAULT_REGIONS)
         if "regions" in doc:
             regions = {str(k): _parse_box(v) for k, v in doc["regions"].items()}
@@ -262,7 +259,7 @@ def load_config(path: str) -> ExperimentConfig:
             climatology_path=resolve(str(doc["climatology"])),
             backend=backend,
             output_dir=resolve(str(doc["output_dir"])),
-            lead_hours=tuple(int(h) for h in doc.get("lead_hours", DEFAULT_LEADS)),
+            lead_hours=tuple(int(h) for h in a_list(doc, "lead_hours", DEFAULT_LEADS)),
             regions=regions,
             splice_scenarios=tuple(scenarios),
             report_channels=channels,
@@ -302,20 +299,22 @@ def _load_source(src: ICSource, init_time: datetime, model_grid: GridSpec,
     return regrid_state(state, model_grid)
 
 
-def read_truth(pattern: str, lead: int, grid: GridSpec, channels) -> StateSet:
-    """The truth at `lead`, read as a subset state of `channels`;
-    TruthError if its file is missing or unreadable, or not on `grid`."""
-    path = pattern.format(lead=lead)
-    if not os.path.exists(path):
-        raise TruthError(f"lead {lead}: missing truth file {path}")
+def read_input(what: str, path: str, grid: Optional[GridSpec],
+               channels=()) -> StateSet:
+    """The `channels` of the archive at `path`, which holds a truth, forecast
+    or climatology (`what`); with none, its header alone, and its payload's
+    size checked. InputError naming `what` and the file if the file is
+    missing, cannot be read (short, long or malformed), or is not on `grid`
+    (None: any grid)."""
     try:
-        truth = read_archive(path, channels)   # the report planes only
-    except (ArchiveError, OSError) as exc:
-        raise TruthError(f"lead {lead}: truth {path}: {exc}") from None
-    if truth.grid != grid:
-        raise TruthError(f"lead {lead}: truth {truth.source_label} grid "
-                         "does not match the forecast grid")
-    return truth
+        state = read_archive(path, channels)
+    except FileNotFoundError:
+        raise InputError(f"missing {what} file {path}") from None
+    except (ArchiveError, OSError, ValueError) as exc:   # a malformed grid or label too
+        raise InputError(f"{what} {path}: {exc}") from None
+    if grid is not None and state.grid != grid:
+        raise InputError(f"{what} {path} is off the grid: on {state.grid}, not {grid}")
+    return state
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
@@ -326,12 +325,9 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     Per-run failures are logged and recorded without aborting the other
     runs; an invalid config aborts before any input is read.
     """
-    config.validate()
+    config.validate()   # the climatology's header and payload size too
     grid, channels = config.model_grid, config.report_channels
-    try:   # validate() has checked its header; a short payload fails before any read
-        climatology = read_archive(config.climatology_path, channels)
-    except ArchiveError as exc:
-        raise ConfigError(f"climatology {config.climatology_path}: {exc}") from None
+    climatology = read_input("climatology", config.climatology_path, grid, channels)
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -340,9 +336,10 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     truth_errors: list[str] = []
     for lead in config.lead_hours:
         try:
-            truths[lead] = read_truth(config.truth_pattern, lead, grid, channels)
-        except TruthError as exc:
-            truth_errors.append(str(exc))
+            truths[lead] = read_input("truth", config.truth_pattern.format(lead=lead),
+                                      grid, channels)
+        except InputError as exc:
+            truth_errors.append(f"lead {lead}: {exc}")
 
     runs: dict[str, Union[StateSet, str]] = {}   # each run's IC, in config order
     failures: dict[str, str] = {}

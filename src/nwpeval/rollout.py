@@ -189,7 +189,7 @@ def _read_step(path: Path, step_no: int, step_hours: int, channels) -> StateSet:
     """Read one step's output, keeping `channels`; all 69 planes are
     checked for NaN/Inf on the way."""
     try:
-        out = read_archive(str(path), channels, finite=True)
+        out = read_archive(path, channels, finite=True)
     except DataError as exc:
         raise RolloutError(f"backend produced NaN/Inf at step {step_no} "
                            f"(+{step_hours}h): {exc}") from None
@@ -239,9 +239,11 @@ def run_rollout(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, lea
     for NaN/Inf, it is what lead 0 emits and step 1 moves. A builtin creates
     no values, so its steps are not checked. Under an external backend only
     a path's header is read, and its payload's size checked; step 1 reads
-    the file itself, which is never written, moved or deleted. A state is
-    written once, to step000.nws. Lead 0 and each step's output are read or
-    cut to `channels` with every plane checked. Step n reads step{n-1} and
+    the file itself, which is never written, moved or deleted. Should step
+    1's output then fail its check with lead 0 not asked for, every plane of
+    that file is checked first, so a NaN it holds is the IC's fault. A state
+    is written once, to step000.nws. Lead 0 and each step's output are read
+    or cut to `channels` with every plane checked. Step n reads step{n-1} and
     writes step{n}. Once step n has exited 0, step{n-1} is deleted and step
     n+1 started; step n's output is then read, checked and emitted while the
     backend computes. If that fails, or emit raises, the running step is
@@ -273,7 +275,7 @@ def run_rollout(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, lea
         if ic_path is not None:
             files[0] = ic_path   # step 1 reads the caller's file where it is
         elif external and plan.steps:
-            write_archive(ic, str(files[0]))
+            write_archive(ic, files[0])
         state = ic
         del ic   # `state` is the only reference left; the first step drops it
         running = None   # the backend process of the latest external step
@@ -303,7 +305,12 @@ def run_rollout(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, lea
                     if n < len(plan.steps):
                         running = _start_backend(files[n], files[n + 1], backend,
                                                  plan.steps[n], n + 1)
-                    state = _read_step(files[n], n, hours, channels)
+                    try:
+                        state = _read_step(files[n], n, hours, channels)
+                    except RolloutError:   # a NaN the IC path holds is its own fault
+                        if n == 1 and ic_path is not None and 0 not in wanted:
+                            _checked_ic(ic_path, ())
+                        raise
                 if lead in wanted:
                     emit(lead, state.replace(
                         valid_time=init_time + timedelta(hours=lead),

@@ -280,7 +280,7 @@ class TestIngestRaw:
                        valid_time=s.valid_time, source_label="x")
         out = ingest_raw(str(path), small_grid, RawDumpLayout(),
                          valid_time=s.valid_time, source_label="x",
-                         nan_policy="warn")
+                         finite=False)
         assert np.isnan(out.data[0, 0, 0])
         assert caplog.text == ""   # reported once, by the caller's validate_state
 
@@ -300,11 +300,19 @@ class TestIngestRaw:
             ingest_raw(str(path), small_grid, layout, valid_time=s.valid_time,
                        source_label="x")
         out = ingest_raw(str(path), small_grid, layout, valid_time=s.valid_time,
-                         source_label="x", nan_policy="warn")
+                         source_label="x", finite=False)
         expected = s.data.copy()
         expected[flat_channel_index(*order[-1]), -1, 2] = np.nan
         assert np.array_equal(out.data, expected, equal_nan=True)
         assert caplog.text == ""   # reported once, by the caller's validate_state
+
+
+def test_round_trip_through_a_path_object(tmp_path, small_grid):
+    s = random_state(small_grid, seed=18)
+    path = tmp_path / "state.nws"
+    write_archive(s, path)
+    assert path.read_bytes() == archive_bytes(s)
+    assert states_equal(read_archive(path), s)
 
 
 def test_read_header(tmp_path, small_grid):

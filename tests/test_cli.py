@@ -216,11 +216,20 @@ class TestRolloutEvaluatePlot:
         with caplog.at_level(logging.WARNING):
             assert main(argv) == 1
         assert {r["lead_hours"] for r in read_metric_csv(str(csv))} == {"24"}
-        assert "lead 48: truth era5 grid does not match the forecast grid" in caplog.text
-        # a climatology off the forecast grid stops the command before any output
+        assert (f"lead 48: truth {tmp_path / 'truth_48.nws'} is off the grid: "
+                f"on {coarse_grid}, not {small_grid}") in caplog.text
+        # a climatology off the forecasts' grid costs every lead, each
+        # warning naming its forecast file; the CSV is still written
         csv.unlink()
+        caplog.clear()
         write_archive(make_climatology(coarse_grid), str(tmp_path / "clim.nws"))
-        assert main(argv) == 1 and not csv.exists()
+        with caplog.at_level(logging.WARNING):
+            assert main(argv) == 1
+        assert read_metric_csv(str(csv)) == []
+        for lead in (24, 48):
+            assert caplog.text.count(f"lead {lead}: ") == 1
+            assert (f"lead {lead}: forecast {tmp_path / f'fc_{lead}.nws'} is off the "
+                    f"grid: on {small_grid}, not {coarse_grid}") in caplog.text
 
     def test_evaluate_reads_only_the_report_planes(self, tmp_path, small_grid,
                                                    monkeypatch):
@@ -244,8 +253,9 @@ class TestRolloutEvaluatePlot:
                      "--channels", "Z500,MSLP", "--out", str(csv)]) == 0
         assert len(read_metric_csv(str(csv))) == 2 * 2 * 2 * 2
         report = ((Var.Z, 500), (Var.MSLP, 0))
-        assert sorted(reads) == sorted((name, report) for name in (
-            "clim.nws", "fc_24.nws", "fc_48.nws", "truth_24.nws", "truth_48.nws"))
+        # and the climatology's header, with no plane, to check the regions on
+        assert sorted(reads) == sorted([("clim.nws", ())] + [(name, report) for name in (
+            "clim.nws", "fc_24.nws", "fc_48.nws", "truth_24.nws", "truth_48.nws")])
 
     def test_evaluate_missing_truth_is_per_lead(self, tmp_path, small_grid, caplog):
         # as in `nwpeval run`: a warning for that lead, the others scored, exit 1
@@ -392,6 +402,9 @@ BAD_CONFIGS = {
     "zero-workers": {"workers": 0},
     "empty-region": {"regions": {"tiny": [12, 14, 22, 24]}},
     "repeated-lead": {"lead_hours": [24, 48, 24]},
+    # would be leads 2 and 4, which 2 h steps reach
+    "leads-a-string": {"lead_hours": "24", "backend": {"horizons": [2]}},
+    "horizons-a-string": {"backend": {"horizons": "12"}},   # would be 1 h and 2 h
     "repeated-channel": {"report_channels": ["MSLP", "Z500", "MSLP"]},
     "empty-report-channels": {"report_channels": []},
     "empty-regions": {"regions": {}},
@@ -451,16 +464,19 @@ class TestRunSubcommand:
         from tests.test_experiment import build_inputs
         labels = build_inputs(tmp_path, small_grid)
         write_archive(make_climatology(coarse_grid), str(tmp_path / "clim.nws"))
-        payload_reads = []
-        for name in ("read_archive", "ingest_raw"):
-            monkeypatch.setattr(experiment, name,
-                                lambda *a, _name=name, **k: payload_reads.append(_name))
+        payload_reads = []   # a header read, with no channel, is let through
+        monkeypatch.setattr(experiment, "read_archive",
+                            lambda path, channels=None, _f=experiment.read_archive:
+                            _f(path, ()) if channels == () else payload_reads.append(path))
+        monkeypatch.setattr(experiment, "ingest_raw",
+                            lambda *a, **k: payload_reads.append(a))
         cfg = tmp_path / "exp.yaml"
         cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels)))
         assert main(["run", "--config", str(cfg)]) == 2
         assert payload_reads == []
         assert not (tmp_path / "out" / "run.log").exists()
-        assert "off the model grid" in capsys.readouterr().err
+        assert (f"nwpeval: climatology {tmp_path / 'clim.nws'} is off the grid: "
+                f"on {coarse_grid}, not {small_grid}") in capsys.readouterr().err
 
     def test_truncated_climatology_exits_2(self, tmp_path, small_grid, monkeypatch,
                                            capsys):
@@ -498,22 +514,52 @@ class TestRunSubcommand:
         rows = read_metric_csv(str(tmp_path / "out" / "metrics.csv"))
         assert len(rows) == 2 * 9 * 2 * 2 and {r["lead_hours"] for r in rows} == {"24"}
 
+    def test_nan_in_an_ic_handed_over_by_path_is_the_ics_fault(self, tmp_path, small_grid,
+                                                               monkeypatch, capsys):
+        # an on-grid, unspliced IC goes to an external backend by path; the
+        # NaN that the backend copies into step 1's output is laid on the IC
+        from nwpeval.grids import GridSpec
+        from tests.test_experiment import build_inputs
+        from tests.test_rollout import write_copy_backend
+        monkeypatch.setattr(GridSpec, "canonical", classmethod(lambda cls: small_grid))
+        labels = build_inputs(tmp_path, small_grid, n_sources=1)
+        ic = tmp_path / f"{labels[0]}.nws"
+        state = read_archive(ic)
+        data = state.data.copy()
+        data[CHANNELS.index((Var.T, 850)), 4, 7] = np.nan
+        write_archive(state.replace(data=data), ic)
+        be = write_copy_backend(tmp_path / "backend.py")
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels, {"backend": {
+            "kind": "external-command", "command": be.command}})))
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert (f"FAILED {labels[0]}: run failed: the IC at lead 0 holds NaN/Inf: "
+                "plane T850 contains NaN/Inf") in capsys.readouterr().err
+
     def test_config_validated_once_per_run(self, tmp_path, small_grid, monkeypatch):
-        # one header read per input (the climatology and each .nws IC); each
-        # region mask built once, for validate and scoring both
+        # validate reads one header per input: each .nws IC's with read_header,
+        # the climatology's with read_archive and no channel; _load_source
+        # reads each on-grid IC's header once more. Each region mask is built
+        # once, for validate and scoring both
         from nwpeval import experiment, verify
         from tests.test_experiment import build_inputs
         labels = build_inputs(tmp_path, small_grid)
-        calls = []
-        for module, name in ((experiment, "read_header"), (verify, "region_mask")):
-            original = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *a, _name=name, _f=original:
-                                calls.append(_name) or _f(*a))
+        headers, masks = [], []
+        read_header, read_archive = experiment.read_header, experiment.read_archive
+        monkeypatch.setattr(experiment, "read_header",
+                            lambda path: headers.append(Path(path).name) or read_header(path))
+        monkeypatch.setattr(experiment, "read_archive",
+                            lambda path, channels=None, **k:
+                            (channels == () and headers.append(Path(path).name))
+                            or read_archive(path, channels, **k))
+        monkeypatch.setattr(verify, "region_mask",
+                            lambda *a, _f=verify.region_mask: masks.append(a) or _f(*a))
         verify.region_block.cache_clear()
         cfg = tmp_path / "exp.yaml"
         cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels)))
         assert main(["run", "--config", str(cfg)]) == 0
-        assert sorted(calls) == ["read_header"] * 3 + ["region_mask"] * 2
+        assert sorted(headers) == sorted(["clim.nws"] + [f"{lb}.nws" for lb in labels] * 2)
+        assert len(masks) == 2
 
     def test_truth_pattern_with_a_format_spec_runs(self, tmp_path, small_grid):
         from tests.test_experiment import build_inputs

@@ -125,9 +125,10 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert report.failures == {}
         assert len(read_metric_csv(str(report.csv_path))) == 2 * 2 * 2 * 2 * 2
-        # the climatology first, as a config input; the on-grid ICs are read
-        # here as headers only: the rollout takes their paths
-        assert reads == [("clim.nws", channels, 2),
+        # the climatology first, as a config input: validate() reads its header
+        # and checks its payload's size; the on-grid ICs are read here as
+        # headers only: the rollout takes their paths
+        assert reads == [("clim.nws", (), 0), ("clim.nws", channels, 2),
                          ("truth_24.nws", channels, 2), ("truth_48.nws", channels, 2),
                          ("src0.nws", (), 0), ("src1.nws", (), 0)]
 
@@ -149,7 +150,9 @@ class TestRunExperiment:
         rows = read_metric_csv(str(report.csv_path))
         assert {int(r["lead_hours"]) for r in rows} == {24}
         log = report.log_path.read_text()
-        assert "truth: lead 48: truth era5 grid does not match the forecast grid" in log
+        truth = tmp_path / "truth_48.nws"
+        assert (f"truth: lead 48: truth {truth} is off the grid: on {coarse_grid}, "
+                f"not {small_grid}") in log
         assert f"{labels[0]}: lead 48: no truth state" in log
 
     def test_broken_source_does_not_abort_others(self, tmp_path, small_grid):
@@ -584,6 +587,20 @@ class TestYamlConfig:
         p = tmp_path / "bad.yaml"
         p.write_text("name: x\n")
         with pytest.raises(ConfigError, match="missing required key"):
+            load_config(str(p))
+
+    @pytest.mark.parametrize("key,override", [
+        ("lead_hours", {"lead_hours": "24"}),
+        ("horizons", {"backend": {"horizons": "12"}}),
+    ])
+    def test_a_string_for_a_list_names_the_key(self, tmp_path, key, override):
+        # iterated, "24" would be leads 2 and 4, "12" horizons of 1 h and 2 h
+        doc = {"init_time": "2023-06-06T00:00:00Z", "ic_sources": [],
+               "truth": "truth_{lead}.nws", "climatology": "clim.nws",
+               "output_dir": "out", **override}
+        p = tmp_path / "bad.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ConfigError, match=f"{key} must be a list, got '"):
             load_config(str(p))
 
     def test_invalid_yaml(self, tmp_path):
