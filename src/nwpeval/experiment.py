@@ -207,8 +207,8 @@ def load_config(path: str) -> ExperimentConfig:
     def resolve(p: str) -> str:
         return str((base / p) if not os.path.isabs(p) else Path(p))
 
-    def a_list(d: dict, key: str, default):   # a string would be read as its characters
-        if not isinstance(value := d.get(key, default), (list, tuple)):
+    def a_list(key: str, value):   # a string would be read as its characters
+        if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{key} must be a list, got {value!r}")
         return value
 
@@ -217,7 +217,7 @@ def load_config(path: str) -> ExperimentConfig:
         if version != CONFIG_VERSION:
             raise ConfigError(f"unsupported config_version {version}")
         sources = []
-        for s in doc["ic_sources"] or []:
+        for s in a_list("ic_sources", doc["ic_sources"] or []):
             layout = None
             if "layout" in s:
                 ld = s["layout"] or {}
@@ -244,13 +244,16 @@ def load_config(path: str) -> ExperimentConfig:
             builtin=bd.get("builtin", "persistence"),
             advection_cells=int(bd.get("advection_cells", 1)),
             command=bd.get("command"),
-            horizons=frozenset(a_list(bd, "horizons", [24])))
+            horizons=frozenset(a_list("horizons", bd.get("horizons", [24]))))
         regions = dict(DEFAULT_REGIONS)
         if "regions" in doc:
+            if not isinstance(doc["regions"], dict):
+                raise ConfigError(f"regions must be a mapping, got {doc['regions']!r}")
             regions = {str(k): _parse_box(v) for k, v in doc["regions"].items()}
         channels = DEFAULT_REPORT_CHANNELS
         if "report_channels" in doc:
-            channels = tuple(parse_channel(str(c)) for c in doc["report_channels"])
+            channels = tuple(parse_channel(str(c))
+                             for c in a_list("report_channels", doc["report_channels"]))
         cfg = ExperimentConfig(
             name=str(doc.get("name", Path(path).stem)),
             init_time=_parse_time(str(doc["init_time"])),
@@ -259,7 +262,8 @@ def load_config(path: str) -> ExperimentConfig:
             climatology_path=resolve(str(doc["climatology"])),
             backend=backend,
             output_dir=resolve(str(doc["output_dir"])),
-            lead_hours=tuple(int(h) for h in a_list(doc, "lead_hours", DEFAULT_LEADS)),
+            lead_hours=tuple(int(h) for h in a_list("lead_hours",
+                                                    doc.get("lead_hours", DEFAULT_LEADS))),
             regions=regions,
             splice_scenarios=tuple(scenarios),
             report_channels=channels,
@@ -305,16 +309,19 @@ def read_input(what: str, path: str, grid: Optional[GridSpec],
     or climatology (`what`); with none, its header alone, and its payload's
     size checked. InputError naming `what` and the file if the file is
     missing, cannot be read (short, long or malformed), or is not on `grid`
-    (None: any grid)."""
+    (None: any grid). The grid is compared from the header, in the same
+    open as the read, so an off-grid file costs no plane read."""
     try:
-        state = read_archive(path, channels)
+        with open(path, "rb") as fh:
+            on = read_header(fh)["grid"]
+            if grid is None or on == grid:
+                fh.seek(0)
+                return read_archive(fh, channels)
     except FileNotFoundError:
         raise InputError(f"missing {what} file {path}") from None
     except (ArchiveError, OSError, ValueError) as exc:   # a malformed grid or label too
         raise InputError(f"{what} {path}: {exc}") from None
-    if grid is not None and state.grid != grid:
-        raise InputError(f"{what} {path} is off the grid: on {state.grid}, not {grid}")
-    return state
+    raise InputError(f"{what} {path} is off the grid: on {on}, not {grid}")
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:

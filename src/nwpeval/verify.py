@@ -75,35 +75,73 @@ def lat_weights(grid: GridSpec, mask: np.ndarray) -> np.ndarray:
     return w / total
 
 
+# np.sum adds a contiguous float64 array up a pairwise tree: a node of
+# n > 128 elements splits at n//2 - (n//2) % 8, and one of 128 or fewer is
+# summed in a single pass. A cell is scored in tiles that are the leaves of
+# that tree at LEAF elements, so LEAF must stay >= 128; a block of LEAF
+# elements or fewer is one tile.
+LEAF = 1 << 16
+
+
+def _work_area(shapes) -> np.ndarray:
+    """The (4, n) float64 scratch array _score_cell needs for blocks of
+    `shapes`: room for a whole block, or for a tile of LEAF elements and
+    the two rows it may cut."""
+    return np.empty((4, max((min(r * c, LEAF + 2 * c) for r, c in shapes), default=0)))
+
+
+def _pairwise(tile, start: int, n: int) -> np.ndarray:
+    """tile(start, n), the sums of elements [start, start + n) of a block,
+    at each leaf of numpy's pairwise-sum tree over those elements, added
+    back up the tree: bitwise the sums np.sum gives in one pass."""
+    if n <= LEAF:
+        return tile(start, n)
+    half = n // 2 - n // 2 % 8
+    return _pairwise(tile, start, half) + _pairwise(tile, start + half, n - half)
+
+
 def _score_cell(f: np.ndarray, o: np.ndarray, c, w: np.ndarray,
                work: np.ndarray, var_o=None):
-    """(rmse, (var_f, var_o, cov)) of one block, or (rmse, None) without
-    `c`, formed in place in C-contiguous views of `work`, a (4, >= f.size)
-    float64 scratch array. Each sum keeps the operand order of sum(w*d*d),
-    sum(w*af*af), sum(w*af*ao) or sum(w*ao*ao), so is bitwise theirs. A
-    given var_o is used, not recomputed."""
-    F, O, C, T = (row[:np.size(f)].reshape(np.shape(f)) for row in work)
-    np.copyto(F, f)
-    np.copyto(O, o)
-    np.subtract(F, O, out=C)   # d, in C's row until c is read
-    np.multiply(w, C, out=T)
-    T *= C
-    rmse = math.sqrt(np.sum(T))
+    """(rmse, (var_f, var_o, cov)) of one 2-D block, or (rmse, None)
+    without `c`. Each tile's rows are copied into C-contiguous views of
+    `work` (see _work_area), where the products are formed in place; each
+    tile sum keeps the operand order of sum(w*d*d), sum(w*af*af),
+    sum(w*af*ao) or sum(w*ao*ao), and the tiles are numpy's own, so every
+    sum is bitwise theirs. A given var_o is used, not recomputed."""
+    ncols = f.shape[1]
+
+    def tile(start: int, n: int) -> np.ndarray:
+        rows = slice(start // ncols, -(-(start + n) // ncols))   # the rows it touches
+        wr, cut = w[rows], slice(start % ncols, start % ncols + n)
+        F, O, C, T = work[:, :wr.size].reshape((4,) + wr.shape)
+        F_, _, C_, T_ = work[:, cut]   # the tile, flat
+        np.copyto(F, f[rows])
+        np.copyto(O, o[rows])
+        np.subtract(F, O, out=C)   # d, in C's row until c is read
+        np.multiply(wr, C, out=T)
+        T *= C
+        sums = [np.sum(T_)]
+        if c is not None:
+            np.copyto(C, c[rows])
+            F -= C                     # af
+            O -= C                     # ao
+            np.multiply(wr, F, out=T)  # w*af
+            np.multiply(T, O, out=C)
+            sums.append(np.sum(C_))    # cov, while C is still in cache
+            F *= T                     # af*(w*af), bitwise (w*af)*af
+            sums.append(np.sum(F_))
+            if var_o is None:
+                np.multiply(wr, O, out=T)
+                T *= O
+                sums.append(np.sum(T_))
+        return np.array(sums)
+
+    sums = _pairwise(tile, 0, f.size)
+    rmse = math.sqrt(sums[0])
     if c is None:
         return rmse, None
-    np.copyto(C, c)
-    F -= C                     # af
-    O -= C                     # ao
-    np.multiply(w, F, out=T)   # w*af
-    np.multiply(T, O, out=C)
-    cov = float(np.sum(C))
-    F *= T                     # af*(w*af), bitwise (w*af)*af
-    var_f = float(np.sum(F))
-    if var_o is None:
-        np.multiply(w, O, out=T)
-        T *= O
-        var_o = float(np.sum(T))
-    return rmse, (var_f, var_o, cov)
+    return rmse, (float(sums[2]), float(sums[3]) if var_o is None else var_o,
+                  float(sums[1]))
 
 
 def _acc(var_f: float, var_o: float, cov: float) -> float:
@@ -115,21 +153,22 @@ def _acc(var_f: float, var_o: float, cov: float) -> float:
 
 def rmse_weighted(forecast: np.ndarray, truth: np.ndarray,
                   weights: np.ndarray) -> float:
-    """sqrt(sum(w * (f - o)^2)) with float64 accumulation."""
+    """sqrt(sum(w * (f - o)^2)) with float64 accumulation, over 2-D fields."""
     if forecast.shape != truth.shape:
         raise GridMismatchError(f"shape mismatch: {forecast.shape} vs {truth.shape}")
     return _score_cell(forecast, truth, None, weights,
-                      np.empty((4, forecast.size)))[0]
+                      _work_area([forecast.shape]))[0]
 
 
 def acc_weighted(forecast: np.ndarray, truth: np.ndarray, clim: np.ndarray,
                  weights: np.ndarray) -> float:
-    """Weighted correlation of forecast and truth anomalies from clim."""
+    """Weighted correlation of forecast and truth anomalies from clim, over
+    2-D fields."""
     if not forecast.shape == truth.shape == clim.shape:
         raise GridMismatchError(f"shape mismatch: {forecast.shape}, "
                                 f"{truth.shape}, {clim.shape}")
     return _acc(*_score_cell(forecast, truth, clim, weights,
-                            np.empty((4, forecast.size)))[1])
+                            _work_area([forecast.shape]))[1])
 
 
 def _report_value(var: Var, metric: str, value: float) -> float:
@@ -183,7 +222,7 @@ def evaluate_run(lead: int, forecast: StateSet, truth: StateSet,
                                 "forecast grid")
     init_time = forecast.valid_time - timedelta(hours=lead)
     blocks = {name: region_block(forecast.grid, box) for name, box in regions.items()}
-    work = np.empty((4, max((w.size for _, w in blocks.values()), default=0)))
+    work = _work_area(w.shape for _, w in blocks.values())
     var_o = {} if var_o is None else var_o
     records: list[MetricRecord] = []
     errors: list[str] = []

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,3 +32,9 @@ def random_state(grid: GridSpec, seed: int, label: str = "rand") -> StateSet:
     data = rng.standard_normal((N_CHANNELS, grid.nlat, grid.nlon)).astype(np.float32)
     return StateSet(valid_time=default_time(), source_label=label,
                     grid=grid, data=data)
+
+
+def name_of(src) -> str:
+    """The file name of a path, or of a file opened by its path: what a spy
+    on an archive reader records."""
+    return Path(getattr(src, "name", src)).name

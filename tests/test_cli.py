@@ -12,7 +12,7 @@ from nwpeval.cli import main
 from nwpeval.grids import CHANNELS, GridSpec, Var, channel_name
 from nwpeval.plots import read_metric_csv
 from nwpeval.synthetic import make_climatology, make_state
-from tests.conftest import random_state
+from tests.conftest import name_of, random_state
 
 
 @pytest.fixture
@@ -244,7 +244,7 @@ class TestRolloutEvaluatePlot:
         for module in (cli, experiment):
             monkeypatch.setattr(module, "read_archive",
                                 lambda path, channels=None, _f=module.read_archive:
-                                reads.append((Path(path).name, tuple(channels or ())))
+                                reads.append((name_of(path), tuple(channels or ())))
                                 or _f(path, channels))
         csv = tmp_path / "metrics.csv"
         assert main(["evaluate", "--forecast-pattern", str(tmp_path / "fc_{lead}.nws"),
@@ -435,6 +435,21 @@ class TestRunSubcommand:
         assert not (tmp_path / "out" / "run.log").exists()
         assert "nwpeval:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("ic_sources", "a.nws", "ic_sources must be a list, got 'a.nws'"),
+        ("report_channels", "Z500", "report_channels must be a list, got 'Z500'"),
+        ("regions", "global", "regions must be a mapping, got 'global'")])
+    def test_a_string_for_a_list_or_mapping_exits_2_naming_its_key(
+            self, tmp_path, small_grid, capsys, key, value, message):
+        # not read as its characters: 'Z500' is no channel 'Z'
+        from tests.test_experiment import build_inputs
+        labels = build_inputs(tmp_path, small_grid)
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels, {key: value})))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert not (tmp_path / "out").exists()
+        assert f"nwpeval: {cfg}: {message}" in capsys.readouterr().err
+
     def test_layout_repeating_a_channel_exits_2(self, tmp_path, small_grid,
                                                 monkeypatch, capsys):
         # all 69 channels plus MSLP again: 70 planes named, the dump holds 69
@@ -490,7 +505,7 @@ class TestRunSubcommand:
         reads = []
         monkeypatch.setattr(experiment, "read_archive",
                             lambda path, *a, _f=experiment.read_archive, **k:
-                            reads.append(Path(path).name) or _f(path, *a, **k))
+                            reads.append(name_of(path)) or _f(path, *a, **k))
         monkeypatch.setattr(experiment, "ingest_raw", lambda *a, **k: reads.append(a))
         cfg = tmp_path / "exp.yaml"
         cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels)))
@@ -537,20 +552,22 @@ class TestRunSubcommand:
                 "plane T850 contains NaN/Inf") in capsys.readouterr().err
 
     def test_config_validated_once_per_run(self, tmp_path, small_grid, monkeypatch):
-        # validate reads one header per input: each .nws IC's with read_header,
-        # the climatology's with read_archive and no channel; _load_source
-        # reads each on-grid IC's header once more. Each region mask is built
-        # once, for validate and scoring both
+        # validate parses one header per .nws IC, with read_header, and the
+        # climatology's in read_input: with read_header for its grid, then
+        # with read_archive and no channel for its payload's size, in one
+        # open. read_input parses the climatology's and each truth's header
+        # again before their planes are read; _load_source each on-grid
+        # IC's. Each region mask is built once, for validate and scoring both
         from nwpeval import experiment, verify
         from tests.test_experiment import build_inputs
         labels = build_inputs(tmp_path, small_grid)
         headers, masks = [], []
         read_header, read_archive = experiment.read_header, experiment.read_archive
         monkeypatch.setattr(experiment, "read_header",
-                            lambda path: headers.append(Path(path).name) or read_header(path))
+                            lambda path: headers.append(name_of(path)) or read_header(path))
         monkeypatch.setattr(experiment, "read_archive",
                             lambda path, channels=None, **k:
-                            (channels == () and headers.append(Path(path).name))
+                            (channels == () and headers.append(name_of(path)))
                             or read_archive(path, channels, **k))
         monkeypatch.setattr(verify, "region_mask",
                             lambda *a, _f=verify.region_mask: masks.append(a) or _f(*a))
@@ -558,7 +575,8 @@ class TestRunSubcommand:
         cfg = tmp_path / "exp.yaml"
         cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels)))
         assert main(["run", "--config", str(cfg)]) == 0
-        assert sorted(headers) == sorted(["clim.nws"] + [f"{lb}.nws" for lb in labels] * 2)
+        assert sorted(headers) == sorted(["clim.nws"] * 3 + ["truth_24.nws", "truth_48.nws"]
+                                         + [f"{lb}.nws" for lb in labels] * 2)
         assert len(masks) == 2
 
     def test_truth_pattern_with_a_format_spec_runs(self, tmp_path, small_grid):

@@ -23,7 +23,7 @@ from nwpeval.regrid import regrid_state
 from nwpeval.rollout import BackendSpec, builtin_step
 from nwpeval.splice import SpliceSpec, splice_states
 from nwpeval.synthetic import default_time, make_climatology, make_state, perturb
-from tests.conftest import random_state
+from tests.conftest import name_of, random_state
 
 LEADS = tuple(range(24, 241, 24))
 
@@ -118,7 +118,7 @@ class TestRunExperiment:
 
         def spy(path, channels=None):
             state = read_archive(path, channels)
-            reads.append((Path(path).name, channels, state.data.shape[0]))
+            reads.append((name_of(path), channels, state.data.shape[0]))
             return state
 
         monkeypatch.setattr(experiment, "read_archive", spy)
@@ -141,11 +141,16 @@ class TestRunExperiment:
         assert "lead 48" in report.log_path.read_text()
 
     def test_truth_off_the_grid_is_logged_per_lead(self, tmp_path, small_grid,
-                                                   coarse_grid):
+                                                   coarse_grid, monkeypatch):
         labels = build_inputs(tmp_path, small_grid)
         write_archive(make_state(coarse_grid, seed=1, source_label="era5"),
                       str(tmp_path / "truth_48.nws"))
+        reads = []   # its header is read, and refused, before any plane is
+        monkeypatch.setattr(experiment, "read_archive",
+                            lambda src, channels=None, _f=experiment.read_archive:
+                            reads.append(name_of(src)) or _f(src, channels))
         report = run_experiment(make_config(tmp_path, small_grid, labels, leads=(24, 48)))
+        assert "truth_24.nws" in reads and "truth_48.nws" not in reads
         assert report.failures == {}
         rows = read_metric_csv(str(report.csv_path))
         assert {int(r["lead_hours"]) for r in rows} == {24}

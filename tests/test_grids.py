@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -144,6 +149,17 @@ def test_channel_names():
 def test_public_names_resolve():
     for name in nwpeval.__all__:
         assert getattr(nwpeval, name) is not None, name
+
+
+def test_the_archive_module_imports_alone():
+    # as a backend step that reads and writes archives imports it: the
+    # config parser and the pipeline's modules are not loaded
+    src = str(Path(nwpeval.__file__).parents[1])
+    code = ("import sys, nwpeval.archive; print(*sorted(m for m in sys.modules "
+            "if m == 'yaml' or m.startswith('nwpeval')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["nwpeval", "nwpeval.archive", "nwpeval.grids"]
 
 
 @pytest.mark.parametrize("plane, value", [(None, 0.0), (0, np.inf), (N_CHANNELS - 1, np.nan),

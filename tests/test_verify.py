@@ -1,7 +1,10 @@
+import gc
 import io
 import math
 import sys
 import threading
+import tracemalloc
+import weakref
 from datetime import datetime
 
 import numpy as np
@@ -407,11 +410,11 @@ def plane_state(values, grid, label):
 
 
 @st.composite
-def scoring_cases(draw):
+def scoring_cases(draw, max_nlat=10, max_nlon=20):
     """A grid with both poles, a box that may be pole-only or reach lon_max
     360, and float32 planes of mixed magnitude, perhaps with a NaN or a
     forecast equal to the climatology."""
-    nlat, nlon = draw(st.integers(2, 10)), draw(st.integers(2, 20))
+    nlat, nlon = draw(st.integers(2, max_nlat)), draw(st.integers(2, max_nlon))
     dlon = 360.0 / nlon
     grid = GridSpec(nlat=nlat, nlon=nlon, lat_start=90.0, dlat=180.0 / (nlat - 1),
                     lon_start=draw(st.sampled_from([0.0, dlon / 2, 200.0])), dlon=dlon)
@@ -435,33 +438,121 @@ def scoring_cases(draw):
     return grid, box, f, o, c
 
 
+def assert_scores_are_the_expressions(grid, box, f, o, c):
+    """evaluate_run's global and `box` cells, rows or errors, are bitwise
+    those of expression_scores."""
+    # global first: the box's cell reuses the work area sized for it
+    regions = {"global": GLOBAL, "box": box}
+    got, errors = evaluate_run(24, *(plane_state(x, grid, label) for x, label in
+                                     ((f, "fc"), (o, "truth"), (c, "clim"))),
+                               regions, MSLP)
+    values = {(r.region, r.metric): r.value for r in got}
+    for name, rbox in regions.items():
+        for metric, want in expression_scores(f, o, c, grid, rbox).items():
+            where = f"lead 24 MSLP {name}"
+            if isinstance(want, str):
+                assert f"{where}: {want}" in errors
+                assert (name, metric) not in values
+            elif math.isfinite(want):
+                assert values[(name, metric)] == want
+            else:
+                assert f"{where}: {metric} is not finite ({want})" in errors
+                assert (name, metric) not in values
+
+
+def score_planes(n, grid, seed):
+    """n float32 planes of the report channels on `grid`, as forecast, truth
+    and climatology states."""
+    rng = np.random.default_rng(seed)
+    return [StateSet(valid_time=datetime(2023, 6, 6), source_label=label, grid=grid,
+                     data=rng.standard_normal((n,) + grid.shape, dtype=np.float32),
+                     channels=DEFAULT_REPORT_CHANNELS[:n])
+            for label in ("fc", "truth", "clim")]
+
+
 class TestScoringKernel:
-    """evaluate_run scores each cell in one float64 work area per call, with
-    blocks taken as views where they can be; its values must be bitwise
-    those of the plain expressions."""
+    """evaluate_run scores each cell in tiles of at most verify.LEAF points
+    in one small float64 work area per call, with blocks taken as views
+    where they can be; its values must be bitwise those of the plain
+    expressions."""
 
     @settings(max_examples=150, deadline=None)
     @given(case=scoring_cases())
     def test_bitwise_equal_to_the_expressions(self, case):
         grid, box, f, o, c = case
         assume(region_mask(grid, box).any())
-        # global first: the box's cell reuses the work area sized for it
-        regions = {"global": GLOBAL, "box": box}
-        got, errors = evaluate_run(24, *(plane_state(x, grid, label) for x, label in
-                                         ((f, "fc"), (o, "truth"), (c, "clim"))),
-                                   regions, MSLP)
-        values = {(r.region, r.metric): r.value for r in got}
-        for name, rbox in regions.items():
-            for metric, want in expression_scores(f, o, c, grid, rbox).items():
-                where = f"lead 24 MSLP {name}"
-                if isinstance(want, str):
-                    assert f"{where}: {want}" in errors
-                    assert (name, metric) not in values
-                elif math.isfinite(want):
-                    assert values[(name, metric)] == want
-                else:
-                    assert f"{where}: {metric} is not finite ({want})" in errors
-                    assert (name, metric) not in values
+        assert_scores_are_the_expressions(grid, box, f, o, c)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=scoring_cases(max_nlat=40, max_nlon=90),
+           leaf=st.sampled_from([128, 136, 1000]))
+    def test_many_tiles_per_block_are_bitwise_one(self, case, leaf):
+        # numpy splits no node of 128 points or fewer, so 128 is the least
+        # LEAF; at these a block of up to 40x90 points is cut into up to 32
+        # tiles, most of them starting or ending inside a row
+        grid, box, f, o, c = case
+        assume(region_mask(grid, box).any())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "LEAF", leaf)
+            assert_scores_are_the_expressions(grid, box, f, o, c)
+
+    def test_canonical_grid_cells_are_the_expressions(self):
+        # at the real LEAF: global is 16 tiles, east_asia (281x361) 2
+        grid = GridSpec.canonical()
+        rng = np.random.default_rng(13)
+        f, o, c = (rng.standard_normal(grid.shape, dtype=np.float32) * scale
+                   for scale in (3.0, 2.0, 1.0))
+        assert_scores_are_the_expressions(grid, EAST_ASIA, f, o, c)
+
+    @pytest.mark.parametrize("shape", [(1, verify.LEAF - 1), (1, verify.LEAF),
+                                       (1, verify.LEAF + 1), (3, 43700), (181, 360),
+                                       (281, 361), (721, 1440)])
+    def test_np_sum_is_its_tiles_added_up_the_tree(self, shape):
+        # the kernel's sums are bitwise np.sum's only while numpy sums float64
+        # pairwise, as verify.LEAF's comment says: a numpy that sums
+        # otherwise fails here
+        rng = np.random.default_rng(shape[1])
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 7, shape)
+        flat, tiles = a.reshape(-1), []
+        got = verify._pairwise(lambda start, n: tiles.append(n) or
+                               np.array([np.sum(flat[start:start + n])]), 0, a.size)
+        assert got[0] == np.sum(a) == np.sum(flat)
+        assert sum(tiles) == a.size and max(tiles) <= verify.LEAF
+
+    def test_work_area_is_one_tile_not_the_block(self):
+        # 9 report planes on the canonical grid: a (4, global block) work
+        # area would be 31.7 MiB; a tile's is about 2 MiB
+        grid = GridSpec.canonical()
+        states = score_planes(9, grid, seed=14)
+        regions = {"global": GLOBAL, "east_asia": EAST_ASIA}
+        for box in regions.values():
+            region_block(grid, box)   # its weights are cached, made once per run
+        tracemalloc.start()
+        try:
+            records, errors = evaluate_run(24, *states, regions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert errors == [] and len(records) == 9 * 2 * 2
+        assert peak < 4 * 2**20
+
+    def test_a_scored_forecast_is_freed_on_return(self, monkeypatch):
+        # with no garbage collection, as between two collections in a run: a
+        # reference cycle through the kernel would keep each forecast alive
+        monkeypatch.setattr(verify, "LEAF", 128)
+        grid = GridSpec(nlat=19, nlon=36, lat_start=90.0, dlat=10.0, lon_start=0.0,
+                        dlon=10.0)
+        fc, truth, clim = score_planes(2, grid, seed=15)
+        refs = [weakref.ref(fc), weakref.ref(fc.data)]
+        gc.disable()
+        try:
+            records, _ = evaluate_run(24, fc, truth, clim, {"global": GLOBAL},
+                                      truth.channels)
+            del fc
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+        assert len(records) == 2 * 2
 
     @settings(max_examples=40, deadline=None)
     @given(case=scoring_cases())
