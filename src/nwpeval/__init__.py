@@ -21,7 +21,7 @@ _SOURCES = {
     "verify": ("MetricRecord", "acc_weighted", "evaluate_run", "lat_weights",
                "rmse_weighted"),
     "rollout": ("BackendSpec", "RolloutPlan", "builtin_step", "plan_for_leads",
-                "run_rollout", "schedule_steps"),
+                "rollout_states", "run_rollout", "schedule_steps"),
     "experiment": ("ExperimentConfig", "RunReport", "load_config", "run_experiment"),
     "plots": ("emit_plots",),
 }

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -27,7 +27,9 @@ from .grids import (CHANNEL_BY_NAME, DEFAULT_REGIONS, GridSpec, RegionBox,
                     StateSet, Var, _as_utc, channel_name)
 from .plots import emit_plots, write_metric_csv
 from .regrid import regrid_state
-from .rollout import BackendSpec, plan_for_leads, run_rollout
+from .rollout import BackendSpec, RolloutError, plan_for_leads, rollout_states
+# not called here: perfbench's tracer wraps experiment.run_rollout by name
+from .rollout import run_rollout  # noqa: F401
 from .splice import SpliceSpec, splice_states
 from .verify import (DEFAULT_REPORT_CHANNELS, EmptyMaskError, MetricRecord,
                      evaluate_run, region_block)
@@ -212,12 +214,18 @@ def load_config(path: str) -> ExperimentConfig:
             raise ConfigError(f"{key} must be a list, got {value!r}")
         return value
 
+    def a_mapping(key: str, value):   # a string has no keys to look up
+        if not isinstance(value, dict):
+            raise ConfigError(f"{key} must be a mapping, got {value!r}")
+        return value
+
     try:
         version = int(doc.get("config_version", CONFIG_VERSION))
         if version != CONFIG_VERSION:
             raise ConfigError(f"unsupported config_version {version}")
         sources = []
-        for s in a_list("ic_sources", doc["ic_sources"] or []):
+        for i, s in enumerate(a_list("ic_sources", doc["ic_sources"] or [])):
+            a_mapping(f"ic_sources[{i}]", s)
             layout = None
             if "layout" in s:
                 ld = s["layout"] or {}
@@ -231,14 +239,16 @@ def load_config(path: str) -> ExperimentConfig:
                 grid=_parse_grid(s["grid"]) if "grid" in s else None,
                 layout=layout))
         scenarios = []
-        for sc in doc.get("splice_scenarios", []) or []:
+        for i, sc in enumerate(a_list("splice_scenarios",
+                                      doc.get("splice_scenarios") or [])):
+            a_mapping(f"splice_scenarios[{i}]", sc)
             spec = SpliceSpec(region=_parse_box(sc["box"]),
                               variable_scope=sc.get("scope", "upper-only"),
                               blend_width=float(sc.get("blend_width", 0.0)))
             scenarios.append(SpliceScenario(
                 label=str(sc["label"]), base_source=str(sc["base_source"]),
                 donor_source=str(sc["donor_source"]), spec=spec))
-        bd = doc.get("backend", {}) or {}
+        bd = a_mapping("backend", doc.get("backend") or {})
         backend = BackendSpec(
             kind=bd.get("kind", "builtin"),
             builtin=bd.get("builtin", "persistence"),
@@ -247,9 +257,8 @@ def load_config(path: str) -> ExperimentConfig:
             horizons=frozenset(a_list("horizons", bd.get("horizons", [24]))))
         regions = dict(DEFAULT_REGIONS)
         if "regions" in doc:
-            if not isinstance(doc["regions"], dict):
-                raise ConfigError(f"regions must be a mapping, got {doc['regions']!r}")
-            regions = {str(k): _parse_box(v) for k, v in doc["regions"].items()}
+            regions = {str(k): _parse_box(v)
+                       for k, v in a_mapping("regions", doc["regions"]).items()}
         channels = DEFAULT_REPORT_CHANNELS
         if "report_channels" in doc:
             channels = tuple(parse_channel(str(c))
@@ -327,10 +336,14 @@ def read_input(what: str, path: str, grid: Optional[GridSpec],
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Execute every run in the matrix and assemble the report.
 
-    Each lead is scored as the rollout reaches it, against the report
-    planes of its truth, so a run holds one forecast state at a time.
-    Per-run failures are logged and recorded without aborting the other
-    runs; an invalid config aborts before any input is read.
+    The matrix goes lead by lead: one pool task per live run per lead moves
+    the run's rollout on to that lead and scores it against the report
+    planes of the lead's truth. The next lead's truth is read, and its tasks
+    queued, before this lead's tasks are waited on; each of them waits on
+    its run's task at this lead. So at most two truths and one state per run
+    are held, however many leads are asked for. Per-run failures are logged
+    and recorded without aborting the other runs; an invalid config aborts
+    before any input is read.
     """
     config.validate()   # the climatology's header and payload size too
     grid, channels = config.model_grid, config.report_channels
@@ -339,15 +352,6 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     outdir.mkdir(parents=True, exist_ok=True)
 
     reads = config.backend.reads(channels)   # the planes each IC is loaded as
-    truths: dict[int, StateSet] = {}
-    truth_errors: list[str] = []
-    for lead in config.lead_hours:
-        try:
-            truths[lead] = read_input("truth", config.truth_pattern.format(lead=lead),
-                                      grid, channels)
-        except InputError as exc:
-            truth_errors.append(f"lead {lead}: {exc}")
-
     runs: dict[str, Union[StateSet, str]] = {}   # each run's IC, in config order
     failures: dict[str, str] = {}
     spliced = {ref for sc in config.splice_scenarios
@@ -369,41 +373,69 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             failures[sc.label] = f"splice failed: {exc}"
     labels = list(runs)
 
-    run_errors: dict[str, list[str]] = {}
-    var_o = {lead: {} for lead in truths}   # per lead, filled by the first run to score it
+    rollouts = {label: rollout_states(runs.pop(label), config.backend, config.lead_hours,
+                                      channels=channels)
+                for label in labels}
+    run_records: dict[str, list[MetricRecord]] = {label: [] for label in labels}
+    run_errors: dict[str, list[str]] = {label: [] for label in labels}
+    truth_errors: list[str] = []
 
-    def one_run(label: str) -> list[MetricRecord]:
-        recs: list[MetricRecord] = []
-        errs: list[str] = []
+    def advance(label: str, lead: int, truth: Optional[StateSet], var_o: dict,
+                before: Optional[Future]) -> None:
+        if before is not None:
+            before.result()   # the run at the previous lead; its failure is this one's
+        states = rollouts[label]
+        try:
+            reached, state = next(states)
+            if reached != lead:
+                raise RolloutError(f"the rollout reached lead {reached}, not {lead}")
+            if truth is None:
+                run_errors[label].append(f"lead {lead}: no truth state")
+            else:
+                # the run's label: an IC keeps its file's label through the rollout
+                r, e = evaluate_run(lead, state.replace(source_label=label), truth,
+                                    climatology, config.regions, channels, var_o)
+                run_records[label].extend(r)
+                run_errors[label].extend(e)
+            # pause with the step started ahead ended: a backend process runs
+            # only inside a task, so no more than `workers` are ever alive
+            states.send(True)
+        except BaseException:
+            states.close()   # kills a step in flight before the worker moves on
+            raise
 
-        def score(lead: int, state: StateSet) -> None:
-            if lead not in truths:
-                errs.append(f"lead {lead}: no truth state")
-                return
-            # the run's label: an IC keeps its file's label through the rollout
-            r, e = evaluate_run(lead, state.replace(source_label=label), truths[lead],
-                                climatology, config.regions, channels, var_o[lead])
-            recs.extend(r)
-            errs.extend(e)
+    def queue(pool, lead: int, before: dict) -> dict[str, Future]:
+        """Read `lead`'s truth and queue a task for each run in `before`."""
+        try:
+            truth = read_input("truth", config.truth_pattern.format(lead=lead),
+                               grid, channels)
+        except InputError as exc:
+            truth_errors.append(f"lead {lead}: {exc}")
+            truth = None
+        var_o: dict = {}   # filled by the first run to score each cell of the lead
+        return {label: pool.submit(advance, label, lead, truth, var_o, fut)
+                for label, fut in before.items()}
 
-        # hand the IC over: run_rollout lets go of a state after the first step
-        run_rollout(runs.pop(label), config.backend, config.lead_hours, score,
-                    channels=channels)
-        if errs:
-            run_errors[label] = errs
-        return recs
-
-    records: list[MetricRecord] = []
-    if labels:
-        workers = min(config.workers or os.cpu_count() or 1, len(labels))
+    leads = sorted(config.lead_hours)
+    workers = min(config.workers or os.cpu_count() or 1, max(len(labels), 1))
+    try:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {label: pool.submit(one_run, label) for label in labels}
-        for label, fut in futures.items():
-            try:
-                records.extend(fut.result())
-            except Exception as exc:
-                failures[label] = f"run failed: {exc}"
-    del truths, climatology   # scored: free the inputs before output
+            pending = queue(pool, leads[0], dict.fromkeys(labels))
+            for next_lead in leads[1:] + [None]:
+                following = {} if next_lead is None else queue(pool, next_lead, pending)
+                for label, fut in pending.items():
+                    try:
+                        fut.result()
+                    except Exception as exc:   # the run loses its rows
+                        failures[label] = f"run failed: {exc}"
+                        del run_records[label], run_errors[label]
+                        following.pop(label, None)   # it fails with this one
+                pending = following
+    finally:
+        for states in rollouts.values():   # each holds its last state and step file
+            states.close()
+    del climatology   # scored: free the inputs before output
+    records = [r for recs in run_records.values() for r in recs]
 
     csv_path = outdir / "metrics.csv"
     write_metric_csv(records, csv_path)

@@ -1,8 +1,8 @@
 """Autoregressive forecast driver.
 
 Decomposes a requested lead time into backend step sizes, invokes the
-backend once per step, and hands each requested lead to a callback as
-soon as it is reached. Backends are either builtin desk-scale surrogates
+backend once per step, and yields each requested lead as soon as it is
+reached. Backends are either builtin desk-scale surrogates
 (persistence, eastward advection) or an external command speaking the
 subprocess protocol:
 
@@ -11,11 +11,12 @@ subprocess protocol:
 The external process reads the input archive, writes the forecast state
 for lead H as an archive on the same grid, and exits 0. Step n+1 starts
 as soon as step n has exited, and runs while nwpeval reads, checks and
-emits step n's output.
+yields step n's output.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import logging
@@ -28,7 +29,7 @@ import tempfile
 from dataclasses import dataclass, field
 from datetime import timedelta
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -223,20 +224,21 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def run_rollout(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, leads,
-                emit, verify_determinism: bool = False, channels=CHANNELS) -> None:
+def rollout_states(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, leads,
+                   verify_determinism: bool = False,
+                   channels=CHANNELS) -> Iterator[Optional[tuple[int, StateSet]]]:
     """Drive the backend through the fewest steps that reach every lead and
-    call emit(lead_hours, state) for each requested lead as soon as it is
+    yield (lead_hours, state) for each requested lead as soon as it is
     reached, in increasing order (lead 0 is the IC). The rollout keeps no
-    emitted state, so emit copies out whatever it needs.
+    yielded state, so the caller copies out whatever it needs.
 
-    Every emitted state holds `channels`, in that order, valid at the IC's
+    Every yielded state holds `channels`, in that order, valid at the IC's
     valid_time + its lead: nwpeval owns time, and ignores the valid_time an
     external backend writes. An unreachable lead, or an IC off the canonical
     721x1440 grid an external backend requires, is raised before any step or
-    emit. Under a builtin the IC, a state or a path, is checked once, up
+    yield. Under a builtin the IC, a state or a path, is checked once, up
     front: cut to `channels` with every plane (all 69 of an archive) checked
-    for NaN/Inf, it is what lead 0 emits and step 1 moves. A builtin creates
+    for NaN/Inf, it is what lead 0 yields and step 1 moves. A builtin creates
     no values, so its steps are not checked. Under an external backend only
     a path's header is read, and its payload's size checked; step 1 reads
     the file itself, which is never written, moved or deleted. Should step
@@ -245,12 +247,15 @@ def run_rollout(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, lea
     is written once, to step000.nws. Lead 0 and each step's output are read
     or cut to `channels` with every plane checked. Step n reads step{n-1} and
     writes step{n}. Once step n has exited 0, step{n-1} is deleted and step
-    n+1 started; step n's output is then read, checked and emitted while the
-    backend computes. If that fails, or emit raises, the running step is
-    killed and reaped before the error propagates. Of an IC state only
-    valid_time and source_label are kept past step000.nws or the first
-    builtin step, so a caller holding no reference of its own gets its
-    memory back then. verify_determinism runs step 1 again from the same
+    n+1 started; step n's output is then read, checked and yielded while the
+    backend computes. Sent True in place of next() at a yield, the rollout
+    waits there for the step started ahead to exit and yields None, so a
+    caller that pauses it that way leaves no backend process running; the
+    next next() goes on. If a check fails, or the generator is closed,
+    the running step is killed and reaped before the error propagates. Of an
+    IC state only valid_time and source_label are kept past step000.nws or
+    the first builtin step, so a caller holding no reference of its own gets
+    its memory back then. verify_determinism runs step 1 again from the same
     input into a file of its own, before step 2 starts, and compares the two
     files' SHA-256, without reading the repeat as a state.
     """
@@ -259,7 +264,7 @@ def run_rollout(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, lea
     external = backend.kind == "external-command"
     ic_path = None if isinstance(ic, StateSet) or not external else Path(ic)
     if not external:
-        ic = _checked_ic(ic, channels)   # lead 0 emits it and step 1 moves it
+        ic = _checked_ic(ic, channels)   # lead 0 yields it and step 1 moves it
     elif ic_path is not None:
         ic = read_archive(ic_path, ())   # step 1 reads the file where it is
     try:
@@ -268,7 +273,9 @@ def run_rollout(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, lea
         raise RolloutError(str(exc)) from None
 
     if 0 in wanted:
-        emit(0, _checked_ic(ic_path or ic, channels) if external else ic)
+        paused = yield 0, _checked_ic(ic_path or ic, channels) if external else ic
+        if paused:   # no step has started yet
+            yield
     init_time, label = ic.valid_time, ic.source_label
     with tempfile.TemporaryDirectory(prefix="nwpeval-rollout-") as work:
         files = [Path(work) / f"step{n:03d}.nws" for n in range(len(plan.steps) + 1)]
@@ -312,10 +319,25 @@ def run_rollout(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, lea
                             _checked_ic(ic_path, ())
                         raise
                 if lead in wanted:
-                    emit(lead, state.replace(
-                        valid_time=init_time + timedelta(hours=lead),
-                        source_label=label))
+                    paused = yield lead, state.replace(
+                        valid_time=init_time + timedelta(hours=lead), source_label=label)
+                    if paused:   # the step started ahead ends before the pause
+                        if running is not None:
+                            running.wait()
+                        yield
         finally:
             if running is not None:   # a no-op once the process has been waited for
                 running.kill()
                 running.wait()
+
+
+def run_rollout(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, leads,
+                emit, verify_determinism: bool = False, channels=CHANNELS) -> None:
+    """Call emit(lead_hours, state) for each state rollout_states yields;
+    if emit raises, the running step is killed and reaped first."""
+    states = rollout_states(ic, backend, leads, verify_determinism, channels)
+    del ic   # the rollout lets go of an IC state after its first step
+    with contextlib.closing(states):
+        for lead, state in states:
+            emit(lead, state)
+            del state   # held here, it would outlive the next step's read

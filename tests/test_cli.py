@@ -450,6 +450,27 @@ class TestRunSubcommand:
         assert not (tmp_path / "out").exists()
         assert f"nwpeval: {cfg}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("ic_sources", ["a.nws"], "ic_sources[0] must be a mapping, got 'a.nws'"),
+        ("splice_scenarios", ["pad"], "splice_scenarios[0] must be a mapping, got 'pad'"),
+        ("backend", "builtin", "backend must be a mapping, got 'builtin'")])
+    def test_an_entry_that_is_no_mapping_exits_2_naming_its_key(
+            self, tmp_path, small_grid, monkeypatch, capsys, key, value, message):
+        # not looked up as a string: 'string indices must be integers'
+        from nwpeval import experiment
+        from tests.test_experiment import build_inputs
+        labels = build_inputs(tmp_path, small_grid)
+        payload_reads = []
+        for name in ("read_archive", "ingest_raw"):
+            monkeypatch.setattr(experiment, name,
+                                lambda *a, _name=name, **k: payload_reads.append(_name))
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels, {key: value})))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert payload_reads == []
+        assert not (tmp_path / "out").exists()
+        assert f"nwpeval: {cfg}: {message}" in capsys.readouterr().err
+
     def test_layout_repeating_a_channel_exits_2(self, tmp_path, small_grid,
                                                 monkeypatch, capsys):
         # all 69 channels plus MSLP again: 70 planes named, the dump holds 69

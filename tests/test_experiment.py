@@ -1,6 +1,7 @@
 import dataclasses
 import sys
 import textwrap
+import threading
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -23,6 +24,7 @@ from nwpeval.regrid import regrid_state
 from nwpeval.rollout import BackendSpec, builtin_step
 from nwpeval.splice import SpliceSpec, splice_states
 from nwpeval.synthetic import default_time, make_climatology, make_state, perturb
+from nwpeval.verify import DEFAULT_REPORT_CHANNELS
 from tests.conftest import name_of, random_state
 
 LEADS = tuple(range(24, 241, 24))
@@ -82,6 +84,32 @@ class TestRunExperiment:
         for p in r2.plot_files:
             assert p.read_bytes() == first_svgs[p.name]
 
+    def test_outputs_do_not_depend_on_workers(self, tmp_path, small_grid):
+        # runs of one lead share its truth and var_o across threads; with more
+        # workers than cores and threads switched often, a lost update or a
+        # row scored at another lead would show as a difference
+        labels = build_inputs(tmp_path, small_grid, n_sources=4)
+        (tmp_path / "truth_72.nws").unlink()
+        scenario = SpliceScenario(label="pad", base_source=labels[0],
+                                  donor_source=labels[1], spec=SpliceSpec(region=EAST_ASIA))
+        outputs = []
+        for workers in (1, 5):
+            cfg = dataclasses.replace(make_config(tmp_path, small_grid, labels, [scenario],
+                                                  leads=LEADS[:5]),
+                                      output_dir=str(tmp_path / f"out{workers}"),
+                                      workers=workers)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                report = run_experiment(cfg)
+            finally:
+                sys.setswitchinterval(interval)
+            log = [line for line in report.log_path.read_text().splitlines()
+                   if not line.startswith("config sha256")]
+            outputs.append((report.csv_path.read_bytes(), log))
+        assert outputs[0] == outputs[1]
+        assert "src3: lead 72: no truth state" in outputs[0][1]
+
     def test_persistence_on_constant_truth_gives_zero_rmse(self, tmp_path, small_grid):
         truth = make_state(small_grid, seed=1, source_label="era5")
         for lead in LEADS:
@@ -127,10 +155,11 @@ class TestRunExperiment:
         assert len(read_metric_csv(str(report.csv_path))) == 2 * 2 * 2 * 2 * 2
         # the climatology first, as a config input: validate() reads its header
         # and checks its payload's size; the on-grid ICs are read here as
-        # headers only: the rollout takes their paths
+        # headers only: the rollout takes their paths; then each truth as the
+        # matrix reaches its lead
         assert reads == [("clim.nws", (), 0), ("clim.nws", channels, 2),
-                         ("truth_24.nws", channels, 2), ("truth_48.nws", channels, 2),
-                         ("src0.nws", (), 0), ("src1.nws", (), 0)]
+                         ("src0.nws", (), 0), ("src1.nws", (), 0),
+                         ("truth_24.nws", channels, 2), ("truth_48.nws", channels, 2)]
 
     def test_missing_truth_is_per_lead_not_fatal(self, tmp_path, small_grid):
         labels = build_inputs(tmp_path, small_grid)
@@ -139,6 +168,22 @@ class TestRunExperiment:
         rows = read_metric_csv(str(report.csv_path))
         assert {int(r["lead_hours"]) for r in rows} == set(LEADS) - {48}
         assert "lead 48" in report.log_path.read_text()
+
+    def test_a_rollout_off_the_lead_fails_its_run(self, tmp_path, small_grid, monkeypatch):
+        # a state scored against another lead's truth would be a wrong row
+        labels = build_inputs(tmp_path, small_grid)
+        real = experiment.rollout_states
+
+        def skipping(*args, **kwargs):
+            states = real(*args, **kwargs)
+            next(states)
+            yield from states
+
+        monkeypatch.setattr(experiment, "rollout_states", skipping)
+        report = run_experiment(make_config(tmp_path, small_grid, labels, leads=LEADS[:2]))
+        assert report.failures == {label: "run failed: the rollout reached lead 48, not 24"
+                                   for label in labels}
+        assert read_metric_csv(str(report.csv_path)) == []
 
     def test_truth_off_the_grid_is_logged_per_lead(self, tmp_path, small_grid,
                                                    coarse_grid, monkeypatch):
@@ -405,6 +450,27 @@ class TestMemory:
             assert report.failures == {}
         assert peaks[10] - peaks[2] < 2 * state_bytes
 
+    def test_peak_does_not_grow_with_leads(self, tmp_path):
+        # the matrix goes lead by lead, so 8 more leads add no truth to the
+        # peak; one 91x180 truth's report planes are 0.59 MB (at 37x72 the
+        # records of 8 more leads outweigh a truth)
+        grid = GridSpec(nlat=91, nlon=180, lat_start=90.0, dlat=2.0,
+                        lon_start=0.0, dlon=2.0)
+        labels = build_inputs(tmp_path, grid)
+        truth_bytes = len(DEFAULT_REPORT_CHANNELS) * grid.nlat * grid.nlon * 4
+        peaks = {}
+        for n in (2, 10):
+            cfg = dataclasses.replace(make_config(tmp_path, grid, labels, leads=LEADS[:n]),
+                                      output_dir=str(tmp_path / f"out{n}"), workers=1)
+            tracemalloc.start()
+            try:
+                report = run_experiment(cfg)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.failures == {}
+        assert peaks[10] - peaks[2] < truth_bytes
+
     @pytest.mark.skipif(sys.version_info < (3, 11),
                         reason="Python 3.10 keeps a call's arguments referenced by "
                                "the caller until it returns, so the IC outlives step 1")
@@ -444,6 +510,49 @@ class TestMemory:
         assert peak < 2 * state_bytes
         # each step's output is read as the report planes alone
         assert scored == [cfg.report_channels] * 3
+
+
+class TestProcessBudget:
+    @pytest.mark.parametrize("runs, workers", [(3, 1), (3, 2), (2, 2)])
+    def test_no_more_backend_processes_than_workers(self, tmp_path, small_grid,
+                                                    monkeypatch, runs, workers):
+        # each backend process holds a pid file while it runs and notes how
+        # many it sees; a step started ahead of a paused run would be one more
+        monkeypatch.setattr(GridSpec, "canonical", classmethod(lambda cls: small_grid))
+        labels = build_inputs(tmp_path, small_grid, n_sources=runs)
+        alive, seen = tmp_path / "alive", tmp_path / "seen"
+        alive.mkdir()
+        script = tmp_path / "backend.py"
+        script.write_text(textwrap.dedent(f"""\
+            import argparse, os, shutil, time
+            p = argparse.ArgumentParser()
+            p.add_argument("--in", dest="infile"); p.add_argument("--out")
+            p.add_argument("--step-hours")
+            a = p.parse_args()
+            me = os.path.join({str(alive)!r}, str(os.getpid()))
+            open(me, "w").close()
+            with open({str(seen)!r}, "a") as fh:
+                fh.write(f"{{len(os.listdir({str(alive)!r}))}}\\n")
+            time.sleep(0.3)   # time enough for another run's step to start
+            shutil.copyfile(a.infile, a.out)
+            os.remove(me)
+            """))
+        backend = BackendSpec(kind="external-command",
+                              command=f"{sys.executable} {script}", horizons={24})
+        cfg = dataclasses.replace(make_config(tmp_path, small_grid, labels,
+                                              leads=(24, 48, 72)),
+                                  backend=backend, workers=workers)
+        done = {}
+        thread = threading.Thread(target=lambda: done.update(report=run_experiment(cfg)),
+                                  daemon=True)
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive(), "run_experiment deadlocked"
+        assert done["report"].failures == {}
+        assert len(read_metric_csv(str(done["report"].csv_path))) == runs * 9 * 2 * 3 * 2
+        counts = [int(n) for n in seen.read_text().split()]
+        assert len(counts) == runs * 3
+        assert max(counts) <= workers
 
 
 class TestConfigValidation:

@@ -22,8 +22,8 @@ from nwpeval import rollout
 from nwpeval.archive import ArchiveError, archive_bytes, write_archive
 from nwpeval.grids import CHANNELS, DEFAULT_REGIONS, N_CHANNELS, GridSpec, Var
 from nwpeval.rollout import (BackendSpec, RolloutError, UnreachableLeadError,
-                             builtin_step, plan_for_leads, run_rollout,
-                             schedule_steps)
+                             builtin_step, plan_for_leads, rollout_states,
+                             run_rollout, schedule_steps)
 from nwpeval.synthetic import make_climatology, make_state
 from nwpeval.verify import DEFAULT_REPORT_CHANNELS, evaluate_run
 from tests.conftest import random_state
@@ -530,6 +530,40 @@ class TestPipelinedSteps:
         assert [p.returncode for p in procs] == [0, -signal.SIGKILL]
         step1_in = procs[0].args[procs[0].args.index("--in") + 1]
         assert not os.path.exists(os.path.dirname(step1_in))   # temp dir removed
+
+    def test_closing_a_paused_rollout_kills_the_step_started_ahead(
+            self, tmp_path, small_ic, monkeypatch):
+        # step 2 would take a minute; closing the generator paused at lead 24
+        # kills and reaps it, and removes the temp dir
+        be = step_script(tmp_path / "backend.py", step2="import time; time.sleep(60)")
+        procs = recorded_starts(monkeypatch)
+        states = rollout_states(small_ic, be, [24, 48])
+        assert next(states)[0] == 24
+        assert len(procs) == 2
+        t0 = time.monotonic()
+        states.close()
+        assert time.monotonic() - t0 < 30
+        assert [p.returncode for p in procs] == [0, -signal.SIGKILL]
+        step1_in = procs[0].args[procs[0].args.index("--in") + 1]
+        assert not os.path.exists(os.path.dirname(step1_in))
+
+    def test_sending_true_pauses_with_no_step_running(self, tmp_path, small_ic,
+                                                      monkeypatch):
+        # at each yield, send(True) returns None once the step started ahead
+        # has exited; the next next() goes on from there
+        be = step_script(tmp_path / "backend.py", step2="import time; time.sleep(0.5)")
+        procs = recorded_starts(monkeypatch)
+        states = rollout_states(small_ic, be, [0, 24, 48])
+        assert next(states)[0] == 0
+        assert states.send(True) is None
+        assert procs == []
+        assert next(states)[0] == 24
+        assert len(procs) == 2
+        assert states.send(True) is None
+        assert [p.poll() for p in procs] == [0, 0]
+        assert next(states)[0] == 48
+        assert states.send(True) is None
+        assert list(states) == []
 
     def test_emitted_states_hold_exactly_the_channels(self, tmp_path, small_ic):
         channels = [(Var.Z, 500), (Var.MSLP, 0), (Var.T, 850)]
