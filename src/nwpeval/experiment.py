@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -228,7 +228,7 @@ def load_config(path: str) -> ExperimentConfig:
             a_mapping(f"ic_sources[{i}]", s)
             layout = None
             if "layout" in s:
-                ld = s["layout"] or {}
+                ld = a_mapping(f"ic_sources[{i}].layout", s["layout"] or {})
                 order = ld.get("channel_order", "canonical")
                 if isinstance(order, list):
                     order = [parse_channel(str(c)) for c in order]
@@ -236,7 +236,8 @@ def load_config(path: str) -> ExperimentConfig:
                                        scan=ld.get("scan", "north-first"))
             sources.append(ICSource(
                 label=str(s["label"]), path=resolve(str(s["path"])),
-                grid=_parse_grid(s["grid"]) if "grid" in s else None,
+                grid=(_parse_grid(a_mapping(f"ic_sources[{i}].grid", s["grid"]))
+                      if "grid" in s else None),
                 layout=layout))
         scenarios = []
         for i, sc in enumerate(a_list("splice_scenarios",
@@ -276,7 +277,8 @@ def load_config(path: str) -> ExperimentConfig:
             regions=regions,
             splice_scenarios=tuple(scenarios),
             report_channels=channels,
-            model_grid=_parse_grid(doc["grid"]) if "grid" in doc else GridSpec.canonical(),
+            model_grid=(_parse_grid(a_mapping("grid", doc["grid"])) if "grid" in doc
+                        else GridSpec.canonical()),
             workers=int(doc["workers"]) if "workers" in doc else None,
             snapshot_bytes=raw_bytes)
     except KeyError as exc:
@@ -338,12 +340,15 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
 
     The matrix goes lead by lead: one pool task per live run per lead moves
     the run's rollout on to that lead and scores it against the report
-    planes of the lead's truth. The next lead's truth is read, and its tasks
-    queued, before this lead's tasks are waited on; each of them waits on
-    its run's task at this lead. So at most two truths and one state per run
-    are held, however many leads are asked for. Per-run failures are logged
-    and recorded without aborting the other runs; an invalid config aborts
-    before any input is read.
+    planes of the lead's truth. A lead's tasks are queued before its truth
+    is read, and each waits for the truth only once its run has stepped to
+    the lead, so the read overlaps the steps. The next lead is queued, and
+    its truth read, once the first of this lead's tasks is done; each of its
+    tasks waits on its run's task at this lead. So a single run has dropped
+    one truth before it reads the next, more runs hold at most two truths,
+    and every run holds one state, however many leads are asked for.
+    Per-run failures are logged and recorded without aborting the other
+    runs; an invalid config aborts before any input is read.
     """
     config.validate()   # the climatology's header and payload size too
     grid, channels = config.model_grid, config.report_channels
@@ -380,7 +385,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     run_errors: dict[str, list[str]] = {label: [] for label in labels}
     truth_errors: list[str] = []
 
-    def advance(label: str, lead: int, truth: Optional[StateSet], var_o: dict,
+    def advance(label: str, lead: int, read: Future, var_o: dict,
                 before: Optional[Future]) -> None:
         if before is not None:
             before.result()   # the run at the previous lead; its failure is this one's
@@ -389,6 +394,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             reached, state = next(states)
             if reached != lead:
                 raise RolloutError(f"the rollout reached lead {reached}, not {lead}")
+            truth = read.result()   # read while the run stepped
             if truth is None:
                 run_errors[label].append(f"lead {lead}: no truth state")
             else:
@@ -405,16 +411,22 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             raise
 
     def queue(pool, lead: int, before: dict) -> dict[str, Future]:
-        """Read `lead`'s truth and queue a task for each run in `before`."""
+        """Queue a task for each run in `before`, then read `lead`'s truth
+        into the Future they wait on: always resolved, so none waits forever."""
+        read: Future = Future()
+        var_o: dict = {}   # filled by the first run to score each cell of the lead
+        tasks = {label: pool.submit(advance, label, lead, read, var_o, fut)
+                 for label, fut in before.items()}
         try:
-            truth = read_input("truth", config.truth_pattern.format(lead=lead),
-                               grid, channels)
+            read.set_result(read_input("truth", config.truth_pattern.format(lead=lead),
+                                       grid, channels))
         except InputError as exc:
             truth_errors.append(f"lead {lead}: {exc}")
-            truth = None
-        var_o: dict = {}   # filled by the first run to score each cell of the lead
-        return {label: pool.submit(advance, label, lead, truth, var_o, fut)
-                for label, fut in before.items()}
+            read.set_result(None)
+        except BaseException as exc:
+            read.set_exception(exc)
+            raise
+        return tasks
 
     leads = sorted(config.lead_hours)
     workers = min(config.workers or os.cpu_count() or 1, max(len(labels), 1))
@@ -422,6 +434,9 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             pending = queue(pool, leads[0], dict.fromkeys(labels))
             for next_lead in leads[1:] + [None]:
+                # the next lead waits for one of this lead's tasks to end, so
+                # a single run drops this truth before the next is read
+                wait(pending.values(), return_when=FIRST_COMPLETED)
                 following = {} if next_lead is None else queue(pool, next_lead, pending)
                 for label, fut in pending.items():
                     try:

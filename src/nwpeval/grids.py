@@ -156,23 +156,33 @@ DEFAULT_REGIONS = {"global": GLOBAL, "east_asia": EAST_ASIA}
 _EPS = 1e-9
 
 
-def box_distance(grid: GridSpec, box: RegionBox) -> np.ndarray:
-    """Rectangular-degree distance to the box: max of the latitude and
-    longitude excursions, 0 inside. Longitude distance goes the short way
-    round the circle, so the seam at 0/360 degrees is no edge."""
+def _excursions(grid: GridSpec, box: RegionBox) -> tuple[np.ndarray, np.ndarray]:
+    """(dlat, dlon): how far in degrees each row's latitude and each
+    column's longitude lie outside the box's bounds, 0 inside. Longitude
+    distance goes the short way round the circle, so the seam at 0/360
+    degrees is no edge."""
     lats = grid.latitudes()
     lons = grid.longitudes()
     dlat = np.maximum(np.maximum(box.lat_min - lats, lats - box.lat_max), 0.0)
     inside = (lons >= box.lon_min) & (lons <= box.lon_max)
     dlon = np.where(inside, 0.0, np.minimum((box.lon_min - lons) % 360.0,
                                             (lons - box.lon_max) % 360.0))
+    return dlat, dlon
+
+
+def box_distance(grid: GridSpec, box: RegionBox) -> np.ndarray:
+    """Rectangular-degree distance to the box: max of the latitude and
+    longitude excursions (see _excursions), 0 inside."""
+    dlat, dlon = _excursions(grid, box)
     return np.maximum(dlat[:, np.newaxis], dlon[np.newaxis, :])
 
 
 def region_mask(grid: GridSpec, box: RegionBox) -> np.ndarray:
     """Boolean (nlat, nlon) mask, true iff the point lies inside the box,
-    bounds inclusive to 1e-9 degrees; lon_max 360 takes in 0 degrees."""
-    return box_distance(grid, box) <= _EPS
+    bounds inclusive to 1e-9 degrees; lon_max 360 takes in 0 degrees. The
+    product of a row and a column test: no float64 grid is formed."""
+    dlat, dlon = _excursions(grid, box)
+    return np.logical_and.outer(dlat <= _EPS, dlon <= _EPS)
 
 
 @dataclass(frozen=True)

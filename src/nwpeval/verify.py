@@ -59,20 +59,25 @@ class MetricRecord:
 def lat_weights(grid: GridSpec, mask: np.ndarray) -> np.ndarray:
     """cos(lat) weights over the mask, normalized to sum to 1.
 
-    A mask consisting only of pole points (cos = 0) falls back to uniform
-    weights so a single pole row stays evaluable.
+    A mask whose cos(lat) sums to 0 or less falls back to uniform weights,
+    so a single pole row stays evaluable: a row up to 1e-9 degrees past a
+    pole, as GridSpec allows, has cos < 0 (at exactly 90 degrees cos is
+    6e-17, so a pole row's weights are uniform anyway). Built in one
+    float64 array, bitwise where(mask, cos, 0) / its sum.
     """
     if mask.shape != grid.shape:
         raise GridMismatchError("mask shape does not match grid")
     if not mask.any():
         raise EmptyMaskError("mask selects no grid points")
-    w = np.cos(np.radians(grid.latitudes()))[:, np.newaxis] * np.ones(grid.nlon)
-    w = np.where(mask, w, 0.0)
-    total = w.sum(dtype=np.float64)
+    w = np.empty(grid.shape)
+    w[:] = np.cos(np.radians(grid.latitudes()))[:, np.newaxis]
+    np.copyto(w, 0.0, where=np.logical_not(mask))
+    total = w.sum()
     if total <= 0.0:
-        w = mask.astype(np.float64)
-        total = w.sum(dtype=np.float64)
-    return w / total
+        w[:] = mask
+        total = w.sum()
+    w /= total
+    return w
 
 
 # np.sum adds a contiguous float64 array up a pairwise tree: a node of

@@ -471,6 +471,33 @@ class TestRunSubcommand:
         assert not (tmp_path / "out").exists()
         assert f"nwpeval: {cfg}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry, message", [
+        (None, "grid must be a mapping, got 'canonical'"),
+        ({"grid": "canonical", "layout": {}},
+         "ic_sources[0].grid must be a mapping, got 'canonical'"),
+        ({"grid": {"nlat": 9, "nlon": 16}, "layout": "north-first"},
+         "ic_sources[0].layout must be a mapping, got 'north-first'")],
+        ids=["grid", "ic_sources[0].grid", "ic_sources[0].layout"])
+    def test_a_grid_or_layout_that_is_no_mapping_exits_2_naming_its_key(
+            self, tmp_path, small_grid, monkeypatch, capsys, entry, message):
+        # not looked up as a string: 'string indices must be integers' or
+        # "'str' object has no attribute 'get'"
+        from nwpeval import experiment
+        from tests.test_experiment import build_inputs
+        labels = build_inputs(tmp_path, small_grid)
+        payload_reads = []
+        for name in ("read_archive", "ingest_raw"):
+            monkeypatch.setattr(experiment, name,
+                                lambda *a, _name=name, **k: payload_reads.append(_name))
+        overrides = {"grid": "canonical"} if entry is None else {"ic_sources": [
+            dict({"label": "raw", "path": "raw.bin"}, **entry)]}
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels, overrides)))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert payload_reads == []
+        assert not (tmp_path / "out").exists()
+        assert f"nwpeval: {cfg}: {message}" in capsys.readouterr().err
+
     def test_layout_repeating_a_channel_exits_2(self, tmp_path, small_grid,
                                                 monkeypatch, capsys):
         # all 69 channels plus MSLP again: 70 planes named, the dump holds 69

@@ -2,6 +2,7 @@ import dataclasses
 import sys
 import textwrap
 import threading
+import time
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -430,6 +431,47 @@ class TestReportPlaneRun:
         assert len(got) == len(whole) * len(leads) * len(report) * 2 * 2
 
 
+COPY_BACKEND = textwrap.dedent("""\
+    import argparse, shutil
+    p = argparse.ArgumentParser()
+    p.add_argument("--in", dest="infile"); p.add_argument("--out")
+    p.add_argument("--step-hours")
+    a = p.parse_args()
+    shutil.copyfile(a.infile, a.out)
+    """)
+
+
+def copy_backend(tmp_path, monkeypatch, grid) -> BackendSpec:
+    """An external backend whose step copies its input, on `grid` taken as
+    the canonical grid."""
+    monkeypatch.setattr(GridSpec, "canonical", classmethod(lambda cls: grid))
+    script = tmp_path / "backend.py"
+    script.write_text(COPY_BACKEND)
+    return BackendSpec(kind="external-command", command=f"{sys.executable} {script}",
+                       horizons={24})
+
+
+def truth_lead(path) -> int:
+    return int(name_of(path)[len("truth_"):-len(".nws")])
+
+
+def run_in_thread(cfg, timeout=120):
+    """run_experiment(cfg) on a thread joined with `timeout`: (report, error)."""
+    done = {}
+
+    def target():
+        try:
+            done["report"] = run_experiment(cfg)
+        except BaseException as exc:
+            done["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout=timeout)
+    assert not thread.is_alive(), "run_experiment deadlocked"
+    return done.get("report"), done.get("error")
+
+
 class TestMemory:
     def test_peak_does_not_grow_a_state_per_lead(self, tmp_path):
         # tracemalloc sees numpy buffers; one 37x72 state is 0.70 MiB
@@ -479,21 +521,10 @@ class TestMemory:
         # array, finiteness checked plane by plane: one 91x180 state is 4.3 MiB
         grid = GridSpec(nlat=91, nlon=180, lat_start=90.0, dlat=2.0,
                         lon_start=0.0, dlon=2.0)
-        monkeypatch.setattr(GridSpec, "canonical", classmethod(lambda cls: grid))
         labels = build_inputs(tmp_path, grid, n_sources=1)
-        script = tmp_path / "backend.py"
-        script.write_text(textwrap.dedent("""\
-            import argparse, shutil
-            p = argparse.ArgumentParser()
-            p.add_argument("--in", dest="infile"); p.add_argument("--out")
-            p.add_argument("--step-hours")
-            a = p.parse_args()
-            shutil.copyfile(a.infile, a.out)
-            """))
-        backend = BackendSpec(kind="external-command",
-                              command=f"{sys.executable} {script}", horizons={24})
         cfg = dataclasses.replace(make_config(tmp_path, grid, labels, leads=(24, 48, 72)),
-                                  backend=backend, workers=1)
+                                  backend=copy_backend(tmp_path, monkeypatch, grid),
+                                  workers=1)
         state_bytes = len(CHANNELS) * grid.nlat * grid.nlon * 4
         scored = []
         evaluate_run = experiment.evaluate_run
@@ -542,17 +573,114 @@ class TestProcessBudget:
         cfg = dataclasses.replace(make_config(tmp_path, small_grid, labels,
                                               leads=(24, 48, 72)),
                                   backend=backend, workers=workers)
-        done = {}
-        thread = threading.Thread(target=lambda: done.update(report=run_experiment(cfg)),
-                                  daemon=True)
-        thread.start()
-        thread.join(timeout=120)
-        assert not thread.is_alive(), "run_experiment deadlocked"
-        assert done["report"].failures == {}
-        assert len(read_metric_csv(str(done["report"].csv_path))) == runs * 9 * 2 * 3 * 2
+        report, error = run_in_thread(cfg)
+        assert error is None and report.failures == {}
+        assert len(read_metric_csv(str(report.csv_path))) == runs * 9 * 2 * 3 * 2
         counts = [int(n) for n in seen.read_text().split()]
         assert len(counts) == runs * 3
         assert max(counts) <= workers
+
+
+class TestTruthRule:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", ["builtin", "external-command"])
+    def test_one_run_reads_a_truth_once_the_last_is_scored(self, tmp_path, small_grid,
+                                                           monkeypatch, kind, workers):
+        # a run alone at a lead drops its truth before the next is read; the
+        # sleep gives a read ahead time to happen while the lead is scored
+        labels = build_inputs(tmp_path, small_grid, n_sources=1)
+        cfg = dataclasses.replace(make_config(tmp_path, small_grid, labels,
+                                              leads=(24, 48, 72)), workers=workers)
+        if kind != "builtin":
+            cfg = dataclasses.replace(cfg, backend=copy_backend(tmp_path, monkeypatch,
+                                                                small_grid))
+        events, lock = [], threading.Lock()
+        read_input, evaluate_run = experiment.read_input, experiment.evaluate_run
+
+        def reading(what, path, *args):
+            if what == "truth":
+                with lock:
+                    events.append(("read", truth_lead(path)))
+            return read_input(what, path, *args)
+
+        def scoring(lead, *args):
+            result = evaluate_run(lead, *args)
+            time.sleep(0.05)
+            with lock:
+                events.append(("scored", lead))
+            return result
+
+        monkeypatch.setattr(experiment, "read_input", reading)
+        monkeypatch.setattr(experiment, "evaluate_run", scoring)
+        report, error = run_in_thread(cfg)
+        assert error is None and report.failures == {}
+        assert events == [("read", 24), ("scored", 24), ("read", 48), ("scored", 48),
+                          ("read", 72), ("scored", 72)]
+
+    def test_external_step_1_starts_before_any_truth_is_read(self, tmp_path, small_grid,
+                                                             monkeypatch):
+        # the read waits (up to 10 s) for step 1 to start: a truth read
+        # before the task is queued would wait it out
+        labels = build_inputs(tmp_path, small_grid, n_sources=1)
+        cfg = dataclasses.replace(make_config(tmp_path, small_grid, labels, leads=(24,)),
+                                  backend=copy_backend(tmp_path, monkeypatch, small_grid),
+                                  workers=1)
+        started, step_1_seen = [], []
+        start = rollout._start_backend
+        monkeypatch.setattr(rollout, "_start_backend",
+                            lambda *a: started.append(a) or start(*a))
+        read_input = experiment.read_input
+
+        def reading(what, path, *args):
+            if what == "truth":
+                deadline = time.monotonic() + 10
+                while not started and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                step_1_seen.append(bool(started))
+            return read_input(what, path, *args)
+
+        monkeypatch.setattr(experiment, "read_input", reading)
+        report, error = run_in_thread(cfg)
+        assert error is None and report.failures == {}
+        assert step_1_seen == [True]
+
+    @pytest.mark.parametrize("at_lead", [24, 48])
+    def test_a_failed_read_raises_without_a_hang(self, tmp_path, small_grid,
+                                                        monkeypatch, at_lead):
+        # the tasks waiting on that truth get its error too, so none waits forever
+        labels = build_inputs(tmp_path, small_grid, n_sources=3)
+        cfg = make_config(tmp_path, small_grid, labels, leads=(24, 48, 72))
+        read_input = experiment.read_input
+
+        def reading(what, path, *args):
+            if what == "truth" and truth_lead(path) == at_lead:
+                raise RuntimeError("disk on fire")
+            return read_input(what, path, *args)
+
+        monkeypatch.setattr(experiment, "read_input", reading)
+        report, error = run_in_thread(cfg, timeout=60)
+        assert report is None
+        assert isinstance(error, RuntimeError) and str(error) == "disk on fire"
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("kind", ["builtin", "external-command"])
+    def test_a_missing_truth_costs_its_lead_alone(self, tmp_path, small_grid, monkeypatch,
+                                                  kind, runs):
+        labels = build_inputs(tmp_path, small_grid, n_sources=runs)
+        (tmp_path / "truth_48.nws").unlink()
+        cfg = make_config(tmp_path, small_grid, labels, leads=(24, 48, 72))
+        if kind != "builtin":
+            cfg = dataclasses.replace(cfg, backend=copy_backend(tmp_path, monkeypatch,
+                                                                small_grid))
+        report, error = run_in_thread(cfg)
+        assert error is None and report.failures == {}
+        rows = read_metric_csv(str(report.csv_path))
+        assert len(rows) == runs * 9 * 2 * 2 * 2
+        assert {int(r["lead_hours"]) for r in rows} == {24, 72}
+        log = report.log_path.read_text()
+        assert f"truth: lead 48: missing truth file {tmp_path / 'truth_48.nws'}" in log
+        for label in labels:
+            assert f"{label}: lead 48: no truth state" in log
 
 
 class TestConfigValidation:

@@ -116,6 +116,38 @@ class TestLatWeights:
         assert abs(w.sum() - 1.0) < 1e-12
         assert (w[0] > 0).all()
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_bitwise_the_three_temporary_expression(self, data):
+        # a south row up to 1e-9 degrees past the pole, as GridSpec allows,
+        # has cos < 0: a mask of it alone sums <= 0 and takes the fallback
+        nlat, nlon = data.draw(st.integers(2, 12)), data.draw(st.integers(1, 16))
+        past = data.draw(st.sampled_from([0.0, 5e-10, 1e-9]))
+        grid = GridSpec(nlat=nlat, nlon=nlon, lat_start=90.0,
+                        dlat=(180.0 + past) / (nlat - 1), lon_start=0.0, dlon=360.0 / nlon)
+        kind = data.draw(st.sampled_from(["random", "north-pole", "south-pole", "poles"]))
+        if kind == "random":
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            mask = rng.random(grid.shape) < data.draw(st.floats(0.05, 1.0))
+            assume(mask.any())
+        else:
+            mask = np.zeros(grid.shape, bool)
+            mask[[0] if kind == "north-pole" else [-1] if kind == "south-pole"
+                 else [0, -1]] = True
+
+        # the expression lat_weights had: three full-grid float64 temporaries
+        w = np.cos(np.radians(grid.latitudes()))[:, np.newaxis] * np.ones(grid.nlon)
+        w = np.where(mask, w, 0.0)
+        total = w.sum(dtype=np.float64)
+        if total <= 0.0:
+            w = mask.astype(np.float64)
+            total = w.sum(dtype=np.float64)
+        want = w / total
+
+        got = lat_weights(grid, mask)
+        assert got.dtype == np.float64 and got.shape == grid.shape
+        assert got.tobytes() == want.tobytes()
+
 
 class TestRMSE:
     def test_zero_for_identical(self, small_grid):
@@ -608,3 +640,16 @@ class TestRegionBlock:
         assert f[block].shape == w.shape == (5, 3)
         assert np.array_equal(w, lat_weights(small_grid, region_mask(small_grid, box))[
             np.ix_(range(2, 7), [0, 14, 15])])
+
+    @pytest.mark.parametrize("box", [GLOBAL, EAST_ASIA], ids=["global", "east_asia"])
+    def test_canonical_weights_are_built_in_one_grid_array(self, box):
+        # one 721x1440 float64 array is 7.9 MiB; the mask and its complement
+        # 1 MiB each; four float64 temporaries took 16.8 MiB
+        grid = GridSpec.canonical()
+        tracemalloc.start()
+        try:
+            region_block.__wrapped__(grid, box)   # not the cached one
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
