@@ -18,8 +18,9 @@ from . import __version__
 from .archive import (ArchiveError, RawDumpLayout, ingest_raw, read_archive,
                       read_header, write_archive)
 from .experiment import (ConfigError, InputError, _parse_box, _parse_time,
-                         check_pattern, check_regions, load_config, no_repeats,
-                         parse_channel, read_input, run_experiment)
+                         check_pattern, check_regions, check_truth_pattern,
+                         load_config, no_repeats, parse_channel, read_input,
+                         run_experiment)
 from .grids import DEFAULT_REGIONS, GridSpec, channel_name, validate_state
 from .plots import PlotInputError, emit_plots, write_metric_csv
 from .regrid import regrid_state
@@ -64,8 +65,11 @@ def _grid_arg(s: str) -> GridSpec:
     if len(parts) != 6:
         raise argparse.ArgumentTypeError(
             "grid must be nlat,nlon,lat_start,dlat,lon_start,dlon")
-    return GridSpec(nlat=int(parts[0]), nlon=int(parts[1]), lat_start=parts[2],
-                    dlat=parts[3], lon_start=parts[4], dlon=parts[5])
+    try:
+        return GridSpec(nlat=parts[0], nlon=parts[1], lat_start=parts[2],
+                        dlat=parts[3], lon_start=parts[4], dlon=parts[5])
+    except ValueError as exc:   # argparse alone prints "invalid _grid_arg value"
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,7 +157,7 @@ def _usage():
 
 
 def _parse_backend(args) -> BackendSpec:
-    horizons = frozenset(int(h) for h in args.horizons.split(","))
+    horizons = args.horizons.split(",")   # BackendSpec makes each a whole number
     if args.backend.startswith("cmd:"):
         backend = BackendSpec(kind="external-command", command=args.backend[4:],
                               horizons=horizons)
@@ -238,7 +242,7 @@ def _cmd_evaluate(args) -> int:
         no_repeats("--leads", leads)
         no_repeats("--channels", [channel_name(*c) for c in channels])
         check_pattern("--forecast-pattern", args.forecast_pattern, leads)
-        check_pattern("--truth-pattern", args.truth_pattern, leads)
+        check_truth_pattern("--truth-pattern", args.truth_pattern, leads)
         # its header, and its payload's size: a short or long one is a usage error
         grid = read_input("climatology", args.climatology, None).grid
         check_regions(grid, regions)

@@ -24,7 +24,7 @@ import yaml
 from .archive import (ArchiveError, RawDumpLayout, ingest_raw, read_archive,
                       read_header)
 from .grids import (CHANNEL_BY_NAME, DEFAULT_REGIONS, GridSpec, RegionBox,
-                    StateSet, Var, _as_utc, channel_name)
+                    StateSet, Var, _as_utc, channel_name, whole_number)
 from .plots import emit_plots, write_metric_csv
 from .regrid import regrid_state
 from .rollout import BackendSpec, RolloutError, plan_for_leads, rollout_states
@@ -96,11 +96,7 @@ class ExperimentConfig:
                     raise ConfigError(f"scenario {sc.label!r} references "
                                       f"unknown source {ref!r}")
         no_repeats("lead_hours", self.lead_hours)
-        check_pattern("truth", self.truth_pattern, self.lead_hours)
-        paths = {self.truth_pattern.format(lead=h) for h in self.lead_hours}
-        if len(paths) < len(self.lead_hours):
-            raise ConfigError(f"truth pattern {self.truth_pattern!r} gives two leads "
-                              "the same path")
+        check_truth_pattern("truth", self.truth_pattern, self.lead_hours)
         no_repeats("report_channels", [channel_name(*c) for c in self.report_channels])
         try:
             plan_for_leads(self.lead_hours, self.backend.horizons)
@@ -140,9 +136,12 @@ def no_repeats(what: str, values) -> None:
 
 
 def check_regions(grid: GridSpec, regions: dict) -> None:
-    """ConfigError if a region selects no point of `grid`. Each region's
-    block is built here once and reused to score."""
+    """ConfigError if a region selects no point of `grid`, or its name holds
+    a '/', which no plot's file name can. Each region's block is built here
+    once and reused to score."""
     for name, box in regions.items():
+        if "/" in name:
+            raise ConfigError(f"region name {name!r} holds a '/'")
         try:
             region_block(grid, box)
         except EmptyMaskError:
@@ -160,6 +159,16 @@ def check_pattern(what: str, pattern: str, leads) -> None:
                               f"lead={lead}: {exc!r}") from None
 
 
+def check_truth_pattern(what: str, pattern: str, leads) -> None:
+    """check_pattern, and a ConfigError if `pattern` gives two of the
+    (distinct) `leads` one path, which would score a lead against another
+    lead's truth. A forecast pattern may do that: one file, such as the IC,
+    can be scored at every lead."""
+    check_pattern(what, pattern, leads)
+    if len({pattern.format(lead=lead) for lead in leads}) < len(leads):
+        raise ConfigError(f"{what} pattern {pattern!r} gives two leads the same path")
+
+
 def _parse_time(s: str) -> datetime:
     t = datetime.fromisoformat(s.replace("Z", "+00:00"))
     if t.tzinfo is None:
@@ -168,7 +177,7 @@ def _parse_time(s: str) -> datetime:
 
 
 def _parse_grid(d: dict) -> GridSpec:
-    return GridSpec(nlat=int(d["nlat"]), nlon=int(d["nlon"]),
+    return GridSpec(nlat=d["nlat"], nlon=d["nlon"],
                     lat_start=float(d.get("lat_start", 90.0)),
                     dlat=float(d.get("dlat", 0.25)),
                     lon_start=float(d.get("lon_start", 0.0)),
@@ -253,7 +262,7 @@ def load_config(path: str) -> ExperimentConfig:
         backend = BackendSpec(
             kind=bd.get("kind", "builtin"),
             builtin=bd.get("builtin", "persistence"),
-            advection_cells=int(bd.get("advection_cells", 1)),
+            advection_cells=whole_number("advection_cells", bd.get("advection_cells", 1)),
             command=bd.get("command"),
             horizons=frozenset(a_list("horizons", bd.get("horizons", [24]))))
         regions = dict(DEFAULT_REGIONS)
@@ -272,14 +281,14 @@ def load_config(path: str) -> ExperimentConfig:
             climatology_path=resolve(str(doc["climatology"])),
             backend=backend,
             output_dir=resolve(str(doc["output_dir"])),
-            lead_hours=tuple(int(h) for h in a_list("lead_hours",
-                                                    doc.get("lead_hours", DEFAULT_LEADS))),
+            lead_hours=tuple(whole_number("lead_hours", h) for h in a_list(
+                "lead_hours", doc.get("lead_hours", DEFAULT_LEADS))),
             regions=regions,
             splice_scenarios=tuple(scenarios),
             report_channels=channels,
             model_grid=(_parse_grid(a_mapping("grid", doc["grid"])) if "grid" in doc
                         else GridSpec.canonical()),
-            workers=int(doc["workers"]) if "workers" in doc else None,
+            workers=whole_number("workers", doc["workers"]) if "workers" in doc else None,
             snapshot_bytes=raw_bytes)
     except KeyError as exc:
         raise ConfigError(f"{path}: missing required key {exc}")

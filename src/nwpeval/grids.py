@@ -83,6 +83,19 @@ def channel_name(variable: Var, level: int) -> str:
 CHANNEL_BY_NAME: dict[str, tuple[Var, int]] = {channel_name(*ch): ch for ch in CHANNELS}
 
 
+def whole_number(what: str, value) -> int:
+    """`value` as an int, e.g. 24 from 24, 24.0 or "24"; ValueError naming
+    `what` if it has a fraction or is no number, where int() alone would
+    cut 24.5 to 24."""
+    try:
+        n = int(value)
+        if not isinstance(value, float) or n == value:
+            return n
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} must be a whole number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Regular lat/lon grid: row 0 at lat_start (northmost), stepping south
@@ -96,6 +109,8 @@ class GridSpec:
     dlon: float = 0.25
 
     def __post_init__(self):
+        object.__setattr__(self, "nlat", whole_number("nlat", self.nlat))
+        object.__setattr__(self, "nlon", whole_number("nlon", self.nlon))
         if self.nlat < 1 or self.nlon < 1:
             raise ValueError("grid must have at least one row and column")
         if self.dlat <= 0 or self.dlon <= 0:

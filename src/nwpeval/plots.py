@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+from html import escape   # xml.sax.saxutils would import urllib, +45 ms
 from pathlib import Path
 
 from .grids import CHANNELS, channel_name
@@ -66,20 +67,15 @@ def read_metric_csv(path: str) -> list[dict]:
 
 
 def write_metric_csv(records: list[MetricRecord], path: Path) -> None:
-    """Fixed column order; values at 9 significant digits."""
-    lines = [",".join(CSV_COLUMNS)]
-    for r in sorted(records, key=MetricRecord.sort_key):
-        lines.append(",".join([
-            r.init_time.strftime("%Y-%m-%dT%H:%M:%SZ"),
-            r.source_label,
-            r.variable.name,
-            str(r.level),
-            r.region,
-            str(r.lead_hours),
-            r.metric,
-            f"{r.value:.9g}",
-        ]))
-    path.write_text("\n".join(lines) + "\n")
+    """Fixed column order; values at 9 significant digits. A label or region
+    holding a comma or quote is quoted, so read_metric_csv reads it back."""
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(CSV_COLUMNS)
+        out.writerows([r.init_time.strftime("%Y-%m-%dT%H:%M:%SZ"), r.source_label,
+                       r.variable.name, r.level, r.region, r.lead_hours, r.metric,
+                       f"{r.value:.9g}"]
+                      for r in sorted(records, key=MetricRecord.sort_key))
 
 
 def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -132,7 +128,7 @@ def _render_svg(title: str, series: dict[str, list[tuple[int, str]]]) -> str:
                f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">')
     out.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
     out.append(f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" '
-               f'font-family="sans-serif" font-size="16">{title}</text>')
+               f'font-family="sans-serif" font-size="16">{escape(title)}</text>')
     # axes
     x0, y0 = MARGIN_L, HEIGHT - MARGIN_B
     out.append(f'<line x1="{x0}" y1="{MARGIN_T}" x2="{x0}" y2="{y0}" '
@@ -160,7 +156,7 @@ def _render_svg(title: str, series: dict[str, list[tuple[int, str]]]) -> str:
         coords = " ".join(f"{_fmt(sx(ld))},{_fmt(sy(float(v)))}" for ld, v in pts)
         data = " ".join(f"{ld}:{v}" for ld, v in pts)
         out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                   f'stroke-width="1.5" data-label="{label}" data-points="{data}"/>')
+                   f'stroke-width="1.5" data-label="{escape(label)}" data-points="{data}"/>')
         for ld, v in pts:
             out.append(f'<circle cx="{_fmt(sx(ld))}" cy="{_fmt(sy(float(v)))}" '
                        f'r="2.5" fill="{color}"/>')
@@ -169,7 +165,7 @@ def _render_svg(title: str, series: dict[str, list[tuple[int, str]]]) -> str:
         out.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
                    f'stroke="{color}" stroke-width="1.5"/>')
         out.append(f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-                   f'font-size="12">{label}</text>')
+                   f'font-size="12">{escape(label)}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

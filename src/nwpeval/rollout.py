@@ -34,7 +34,7 @@ from typing import Iterator, Optional, Union
 import numpy as np
 
 from .archive import DataError, read_archive, write_archive
-from .grids import CHANNELS, GridSpec, StateSet, validate_state
+from .grids import CHANNELS, GridSpec, StateSet, validate_state, whole_number
 
 log = logging.getLogger(__name__)
 
@@ -79,7 +79,8 @@ class BackendSpec:
             raise ValueError(f"unknown builtin backend {self.builtin!r}")
         if self.kind == "external-command" and not shlex.split(self.command or ""):
             raise ValueError("external backend requires a command")
-        object.__setattr__(self, "horizons", frozenset(int(h) for h in self.horizons))
+        object.__setattr__(self, "horizons",
+                           frozenset(whole_number("horizons", h) for h in self.horizons))
         if not self.horizons or min(self.horizons) < 1:
             raise ValueError("backend horizons must be one or more positive hours")
 

@@ -2,6 +2,7 @@ import logging
 import struct
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from nwpeval.grids import CHANNELS, GridSpec, Var, channel_name
 from nwpeval.plots import read_metric_csv
 from nwpeval.synthetic import make_climatology, make_state
 from tests.conftest import name_of, random_state
+
+SVG = "{http://www.w3.org/2000/svg}"
 
 
 @pytest.fixture
@@ -52,6 +55,17 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "did you mean" in capsys.readouterr().err
 
+    def test_a_fractional_grid_count_exits_2(self, archive_path, tmp_path, capsys):
+        # int() would cut 9.5 rows to 9 and write a 9-row archive
+        out = tmp_path / "out.nws"
+        with pytest.raises(SystemExit) as exc:
+            main(["ingest", "--in", str(archive_path), "--out", str(out),
+                  "--grid", "9.5,16,90,22.5,0,22.5",
+                  "--valid-time", "2023-06-06T00:00:00Z", "--label", "x"])
+        assert exc.value.code == 2
+        assert "nlat must be a whole number, got 9.5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_missing_config(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
 
@@ -90,11 +104,18 @@ class TestUsageErrors:
         ["evaluate", "--forecast-pattern", "{a}", "--truth-pattern", "{a}",
          "--climatology", "{a}", "--leads", "24", "--region", "a=-90,90,0,360",
          "--region", "a=-10,60,60,150", "--out", "{out}"],
+        # two leads, one truth: lead 48 would be scored against lead 24's
+        ["evaluate", "--forecast-pattern", "fc_{{lead}}.nws", "--truth-pattern", "{a}",
+         "--climatology", "{a}", "--leads", "24,48", "--out", "{out}"],
+        # a plot is named after its region, so a '/' would make a directory
+        ["evaluate", "--forecast-pattern", "{a}", "--truth-pattern", "{a}",
+         "--climatology", "{a}", "--leads", "24", "--region", "a/b=-90,90,0,360",
+         "--out", "{out}"],
     ], ids=["blend-width", "horizons-x", "horizons-0", "emit-every-0", "lead-0",
             "blank-command", "missing-command",
             "valid-time", "leads-x", "leads-repeated", "channels-repeated",
             "pattern-placeholder", "external-off-canonical", "region-empty",
-            "region-repeated"])
+            "region-repeated", "truth-fixed-path", "region-a-slash"])
     def test_bad_flag_value_exits_2_without_output(self, archive_path, tmp_path,
                                                    monkeypatch, argv):
         from nwpeval import cli
@@ -401,10 +422,13 @@ BAD_CONFIGS = {
     "regions-not-a-mapping": {"regions": [[-90, 90, 0, 360]]},
     "zero-workers": {"workers": 0},
     "empty-region": {"regions": {"tiny": [12, 14, 22, 24]}},
+    "region-a-slash": {"regions": {"a/b": [-90, 90, 0, 360]}},   # no plot file name
     "repeated-lead": {"lead_hours": [24, 48, 24]},
     # would be leads 2 and 4, which 2 h steps reach
     "leads-a-string": {"lead_hours": "24", "backend": {"horizons": [2]}},
     "horizons-a-string": {"backend": {"horizons": "12"}},   # would be 1 h and 2 h
+    "lead-a-fraction": {"lead_hours": [24.5, 48]},   # would be scored as lead 24
+    "horizon-a-fraction": {"backend": {"horizons": [24.9]}},   # would step 24 h
     "repeated-channel": {"report_channels": ["MSLP", "Z500", "MSLP"]},
     "empty-report-channels": {"report_channels": []},
     "empty-regions": {"regions": {}},
@@ -680,6 +704,32 @@ class TestRunSubcommand:
                      "--climatology", str(tmp_path / "clim.nws"), "--leads", "24,48",
                      "--out", str(tmp_path / "eval.csv")]) == 1
         assert "nan" not in (tmp_path / "eval.csv").read_text().lower()
+
+    def test_labels_and_regions_with_commas_and_quotes_round_trip(self, tmp_path,
+                                                                   small_grid):
+        # the CSV quotes them and the SVGs escape them, so both read back
+        from tests.test_experiment import build_inputs
+        build_inputs(tmp_path, small_grid)
+        labels = ["gfs,ifs", 'ifs "hres" <a&b>']
+        regions = {"asia,east": [-10, 60, 60, 150], "global": [-90, 90, 0, 360]}
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(yaml.safe_dump(run_doc(small_grid, [], {
+            "ic_sources": [{"label": lb, "path": f"src{n}.nws"}
+                           for n, lb in enumerate(labels)],
+            "regions": regions})))
+        assert main(["run", "--config", str(cfg)]) == 0
+        rows = read_metric_csv(str(tmp_path / "out" / "metrics.csv"))
+        assert len(rows) == 2 * 9 * 2 * 2 * 2
+        assert {r["source"] for r in rows} == set(labels)
+        assert {r["region"] for r in rows} == set(regions)
+        plots = sorted((tmp_path / "out" / "plots").iterdir())
+        assert len(plots) == 9 * 2 * 2
+        for path in plots:
+            svg = ElementTree.parse(path).getroot()
+            title = svg.find(f"{SVG}text").text
+            assert title.endswith(("(asia,east)", "(global)"))
+            assert [line.get("data-label") for line in svg.iter(f"{SVG}polyline")] == \
+                sorted(labels)
 
     def test_full_run(self, tmp_path, small_grid, capsys):
         from tests.test_experiment import build_inputs

@@ -845,6 +845,37 @@ class TestYamlConfig:
         with pytest.raises(ConfigError, match=f"{key} must be a list, got '"):
             load_config(str(p))
 
+    @pytest.mark.parametrize("key,override", [
+        ("lead_hours", {"lead_hours": [24.5, 48]}),
+        ("horizons", {"backend": {"horizons": [24.9]}}),
+        ("advection_cells", {"backend": {"advection_cells": 1.5}}),
+        ("workers", {"workers": 2.5}),
+        ("workers", {"workers": "two"}),
+        ("nlat", {"grid": {"nlat": 9.5, "nlon": 16}}),
+        ("nlon", {"ic_sources": [
+            {"label": "a", "path": "a.bin", "grid": {"nlat": 9, "nlon": 16.5}}]}),
+    ])
+    def test_a_fraction_names_the_key(self, tmp_path, key, override):
+        # int() would cut each of these to a whole number without a word
+        doc = {"init_time": "2023-06-06T00:00:00Z", "ic_sources": [],
+               "truth": "truth_{lead}.nws", "climatology": "clim.nws",
+               "output_dir": "out", **override}
+        p = tmp_path / "bad.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ConfigError, match=f"{key} must be a whole number, got "):
+            load_config(str(p))
+
+    def test_whole_numbers_in_any_spelling_load(self, tmp_path):
+        doc = {"init_time": "2023-06-06T00:00:00Z", "ic_sources": [],
+               "truth": "truth_{lead}.nws", "climatology": "clim.nws",
+               "output_dir": "out", "lead_hours": [24.0, "48"], "workers": 2.0,
+               "backend": {"horizons": [24.0]}}
+        p = tmp_path / "ok.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        cfg = load_config(str(p))
+        assert cfg.lead_hours == (24, 48) and cfg.workers == 2
+        assert cfg.backend.horizons == {24}
+
     def test_invalid_yaml(self, tmp_path):
         p = tmp_path / "bad.yaml"
         p.write_text("{::::")

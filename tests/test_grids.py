@@ -88,6 +88,13 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(nlat=10, nlon=4, lat_start=90, dlat=45, lon_start=0, dlon=90)
 
+    @pytest.mark.parametrize("nlat,nlon,key", [(9.5, 16, "nlat"), (9, 16.5, "nlon")])
+    def test_rejects_a_fractional_row_or_column_count(self, nlat, nlon, key):
+        # int() would cut 9.5 rows to 9
+        with pytest.raises(ValueError, match=f"{key} must be a whole number"):
+            GridSpec(nlat=nlat, nlon=nlon, dlat=22.5, dlon=22.5)
+        assert GridSpec(nlat=9.0, nlon=16.0, dlat=22.5, dlon=22.5).shape == (9, 16)
+
 
 class TestRegionBox:
     def test_bad_latitudes(self):

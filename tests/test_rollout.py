@@ -454,6 +454,12 @@ class TestBackendSpec:
         with pytest.raises(ValueError):
             BackendSpec(horizons=frozenset())
 
+    def test_a_fractional_horizon_is_not_cut(self):
+        # int() would make 24.9 a 24 h step
+        with pytest.raises(ValueError, match="horizons must be a whole number, got 24.9"):
+            BackendSpec(horizons=[24.9])
+        assert BackendSpec(horizons=[24.0, "6"]).horizons == {24, 6}
+
 
 @pytest.fixture
 def small_ic(small_grid, monkeypatch):
