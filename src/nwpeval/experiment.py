@@ -13,18 +13,21 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
+import threading
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Union
 
+import numpy as np
 import yaml
 
 from .archive import (ArchiveError, RawDumpLayout, ingest_raw, read_archive,
                       read_header)
-from .grids import (CHANNEL_BY_NAME, DEFAULT_REGIONS, GridSpec, RegionBox,
-                    StateSet, Var, _as_utc, channel_name, whole_number)
+from .grids import (CHANNEL_BY_NAME, DEFAULT_REGIONS, SURFACE_LEVEL, GridSpec,
+                    RegionBox, StateSet, Var, _as_utc, channel_name, whole_number)
 from .plots import emit_plots, write_metric_csv
 from .regrid import regrid_state
 from .rollout import BackendSpec, RolloutError, plan_for_leads, rollout_states
@@ -323,6 +326,18 @@ def _load_source(src: ICSource, init_time: datetime, model_grid: GridSpec,
     return regrid_state(state, model_grid)
 
 
+@contextmanager
+def _reading(what: str, path: str):
+    """InputError naming `what` and the file if `path` is missing or cannot
+    be read (short, long or malformed)."""
+    try:
+        yield
+    except FileNotFoundError:
+        raise InputError(f"missing {what} file {path}") from None
+    except (ArchiveError, OSError, ValueError) as exc:   # a malformed grid or label too
+        raise InputError(f"{what} {path}: {exc}") from None
+
+
 def read_input(what: str, path: str, grid: Optional[GridSpec],
                channels=()) -> StateSet:
     """The `channels` of the archive at `path`, which holds a truth, forecast
@@ -331,33 +346,85 @@ def read_input(what: str, path: str, grid: Optional[GridSpec],
     missing, cannot be read (short, long or malformed), or is not on `grid`
     (None: any grid). The grid is compared from the header, in the same
     open as the read, so an off-grid file costs no plane read."""
-    try:
-        with open(path, "rb") as fh:
-            on = read_header(fh)["grid"]
-            if grid is None or on == grid:
-                fh.seek(0)
-                return read_archive(fh, channels)
-    except FileNotFoundError:
-        raise InputError(f"missing {what} file {path}") from None
-    except (ArchiveError, OSError, ValueError) as exc:   # a malformed grid or label too
-        raise InputError(f"{what} {path}: {exc}") from None
+    with _reading(what, path), open(path, "rb") as fh:
+        on = read_header(fh)["grid"]
+        if grid is None or on == grid:
+            fh.seek(0)
+            return read_archive(fh, channels)
     raise InputError(f"{what} {path} is off the grid: on {on}, not {grid}")
+
+
+class PlaneReader:
+    """The truth or forecast (`what`) at `path`, read one plane at a time
+    from one open file. It stands in for the state in evaluate_run, which
+    looks each plane up once with channel(), so a scorer holds a plane or
+    two of it, not every report plane. Opening checks the file with
+    read_input: InputError if it is missing, unreadable or off `grid`.
+
+    Of `takers` scorers sharing it, the first to ask for a channel reads
+    its plane and the last drops it: each plane is read once, and held no
+    longer than the scorers need it. A plane read that fails is an
+    InputError, raised to every caller from then on. Safe to share across
+    threads; close() closes the file."""
+
+    def __init__(self, what: str, path: str, grid: Optional[GridSpec], takers: int = 1):
+        head = read_input(what, path, grid)
+        self.grid, self.valid_time = head.grid, head.valid_time
+        self.source_label = head.source_label
+        self._what, self._path, self._takers = what, path, takers
+        self._held: dict = {}   # channel -> [its plane, scorers yet to take it]
+        self._error: Optional[InputError] = None
+        self._lock = threading.Lock()
+        with _reading(what, path):
+            # unbuffered: a plane read, which parses the header again, reads
+            # just the bytes it asks for, not a whole buffer
+            self._fh = open(path, "rb", buffering=0)
+
+    def channel(self, variable: Var, level: int = SURFACE_LEVEL) -> np.ndarray:
+        key = (variable, level)
+        with self._lock:
+            if self._error is not None:
+                raise self._error
+            held = self._held.get(key)
+            if held is None:
+                try:
+                    with _reading(self._what, self._path):
+                        self._fh.seek(0)
+                        plane = read_archive(self._fh, (key,)).data[0]
+                except InputError as exc:
+                    self._error = exc
+                    self._held.clear()
+                    raise
+                held = self._held[key] = [plane, self._takers]
+            held[1] -= 1
+            if not held[1]:
+                del self._held[key]
+            return held[0]
+
+    def close(self) -> None:
+        with self._lock:
+            self._held.clear()
+            self._fh.close()
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Execute every run in the matrix and assemble the report.
 
     The matrix goes lead by lead: one pool task per live run per lead moves
-    the run's rollout on to that lead and scores it against the report
-    planes of the lead's truth. A lead's tasks are queued before its truth
-    is read, and each waits for the truth only once its run has stepped to
-    the lead, so the read overlaps the steps. The next lead is queued, and
-    its truth read, once the first of this lead's tasks is done; each of its
-    tasks waits on its run's task at this lead. So a single run has dropped
-    one truth before it reads the next, more runs hold at most two truths,
-    and every run holds one state, however many leads are asked for.
-    Per-run failures are logged and recorded without aborting the other
-    runs; an invalid config aborts before any input is read.
+    the run's rollout on to that lead and scores it against the lead's
+    truth. The lead's runs share one PlaneReader of the truth: each report
+    plane is read by the first task to score its channel and dropped once
+    every task at the lead has taken it, so a run alone at a lead holds one
+    or two truth planes, not all of them. A lead's tasks are queued before
+    its truth's header is checked, and each waits for the check only once
+    its run has stepped to the lead, so the check overlaps the steps. The
+    next lead is queued, and its truth checked, once the first of this
+    lead's tasks is done; each of its tasks waits on its run's task at this
+    lead. So every run holds one state, however many leads are asked for.
+    A truth that is missing, unreadable or off the grid, or whose plane
+    read fails, costs its lead alone. Per-run failures are logged and
+    recorded without aborting the other runs; an invalid config aborts
+    before any input is read.
     """
     config.validate()   # the climatology's header and payload size too
     grid, channels = config.model_grid, config.report_channels
@@ -392,7 +459,8 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
                 for label in labels}
     run_records: dict[str, list[MetricRecord]] = {label: [] for label in labels}
     run_errors: dict[str, list[str]] = {label: [] for label in labels}
-    truth_errors: list[str] = []
+    truth_errors: dict[int, str] = {}   # by lead
+    readers: dict[int, PlaneReader] = {}   # each queued lead's truth, until it is done
 
     def advance(label: str, lead: int, read: Future, var_o: dict,
                 before: Optional[Future]) -> None:
@@ -403,15 +471,20 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             reached, state = next(states)
             if reached != lead:
                 raise RolloutError(f"the rollout reached lead {reached}, not {lead}")
-            truth = read.result()   # read while the run stepped
+            truth = read.result()   # checked while the run stepped
+            if truth is not None:
+                try:
+                    # the run's label: an IC keeps its file's label through the rollout
+                    r, e = evaluate_run(lead, state.replace(source_label=label), truth,
+                                        climatology, config.regions, channels, var_o)
+                except InputError as exc:   # a plane read failed: no run scores the lead
+                    truth_errors.setdefault(lead, str(exc))
+                    truth = None
+                else:
+                    run_records[label].extend(r)
+                    run_errors[label].extend(e)
             if truth is None:
                 run_errors[label].append(f"lead {lead}: no truth state")
-            else:
-                # the run's label: an IC keeps its file's label through the rollout
-                r, e = evaluate_run(lead, state.replace(source_label=label), truth,
-                                    climatology, config.regions, channels, var_o)
-                run_records[label].extend(r)
-                run_errors[label].extend(e)
             # pause with the step started ahead ended: a backend process runs
             # only inside a task, so no more than `workers` are ever alive
             states.send(True)
@@ -420,17 +493,19 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             raise
 
     def queue(pool, lead: int, before: dict) -> dict[str, Future]:
-        """Queue a task for each run in `before`, then read `lead`'s truth
-        into the Future they wait on: always resolved, so none waits forever."""
+        """Queue a task for each run in `before`, then check `lead`'s truth
+        and open it for its planes, into the Future they wait on: always
+        resolved, so none waits forever."""
         read: Future = Future()
         var_o: dict = {}   # filled by the first run to score each cell of the lead
         tasks = {label: pool.submit(advance, label, lead, read, var_o, fut)
                  for label, fut in before.items()}
         try:
-            read.set_result(read_input("truth", config.truth_pattern.format(lead=lead),
-                                       grid, channels))
+            readers[lead] = PlaneReader("truth", config.truth_pattern.format(lead=lead),
+                                        grid, takers=len(tasks))
+            read.set_result(readers[lead])
         except InputError as exc:
-            truth_errors.append(f"lead {lead}: {exc}")
+            truth_errors[lead] = str(exc)
             read.set_result(None)
         except BaseException as exc:
             read.set_exception(exc)
@@ -442,9 +517,9 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     try:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             pending = queue(pool, leads[0], dict.fromkeys(labels))
-            for next_lead in leads[1:] + [None]:
+            for lead, next_lead in zip(leads, leads[1:] + [None]):
                 # the next lead waits for one of this lead's tasks to end, so
-                # a single run drops this truth before the next is read
+                # a single run is done with this truth before the next is opened
                 wait(pending.values(), return_when=FIRST_COMPLETED)
                 following = {} if next_lead is None else queue(pool, next_lead, pending)
                 for label, fut in pending.items():
@@ -454,8 +529,12 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
                         failures[label] = f"run failed: {exc}"
                         del run_records[label], run_errors[label]
                         following.pop(label, None)   # it fails with this one
+                if lead in readers:   # a failed run leaves the planes it never took
+                    readers.pop(lead).close()
                 pending = following
     finally:
+        for reader in readers.values():
+            reader.close()
         for states in rollouts.values():   # each holds its last state and step file
             states.close()
     del climatology   # scored: free the inputs before output
@@ -463,7 +542,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
 
     csv_path = outdir / "metrics.csv"
     write_metric_csv(records, csv_path)
-    plot_files = emit_plots(str(csv_path), str(outdir / "plots")) if records else []
+    plot_files = emit_plots(records, str(outdir / "plots")) if records else []
 
     snapshot = config.snapshot_bytes or repr(config).encode()
     (outdir / "config_snapshot").write_bytes(snapshot)
@@ -472,8 +551,8 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     log_lines = [f"experiment: {config.name}",
                  f"config sha256: {config_hash}",
                  f"runs: {', '.join(labels) or '(none)'}"]
-    for msg in truth_errors:
-        log_lines.append(f"truth: {msg}")
+    for lead, msg in sorted(truth_errors.items()):
+        log_lines.append(f"truth: lead {lead}: {msg}")
     for label, errs in sorted(run_errors.items()):
         for e in errs:
             log_lines.append(f"{label}: {e}")

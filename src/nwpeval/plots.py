@@ -13,6 +13,7 @@ import csv
 import math
 from html import escape   # xml.sax.saxutils would import urllib, +45 ms
 from pathlib import Path
+from typing import Union
 
 from .grids import CHANNELS, channel_name
 from .verify import MetricRecord
@@ -170,17 +171,23 @@ def _render_svg(title: str, series: dict[str, list[tuple[int, str]]]) -> str:
     return "\n".join(out) + "\n"
 
 
-def emit_plots(csv_path: str, output_dir: str) -> list[Path]:
-    """Write one SVG per (channel, region, metric) found in the table."""
-    rows = read_metric_csv(csv_path)
+def emit_plots(table: Union[str, list[MetricRecord]], output_dir: str) -> list[Path]:
+    """Write one SVG per (channel, region, metric) found in the table: the
+    metric CSV at a path, or the records it is written from, each value
+    then spelled as the CSV spells it."""
+    if isinstance(table, str):
+        rows = ((_CSV_CHANNELS[(rec["variable"], rec["level"])], rec["region"],
+                 rec["metric"], rec["source"], int(rec["lead_hours"]), rec["value"])
+                for rec in read_metric_csv(table))
+    else:
+        rows = ((channel_name(r.variable, r.level), r.region, r.metric, r.source_label,
+                 r.lead_hours, f"{r.value:.9g}") for r in table)
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     groups: dict[tuple[str, str, str], dict[str, list[tuple[int, str]]]] = {}
-    for rec in rows:
-        chan = _CSV_CHANNELS[(rec["variable"], rec["level"])]
-        key = (chan, rec["region"], rec["metric"])
-        groups.setdefault(key, {}).setdefault(rec["source"], []).append(
-            (int(rec["lead_hours"]), rec["value"]))
+    for chan, region, metric, label, lead, value in rows:
+        groups.setdefault((chan, region, metric), {}).setdefault(label, []).append(
+            (lead, value))
     written = []
     for (chan, region, metric) in sorted(groups):
         series = groups[(chan, region, metric)]

@@ -212,13 +212,13 @@ def evaluate_run(lead: int, forecast: StateSet, truth: StateSet,
                  ) -> tuple[list[MetricRecord], list[str]]:
     """Score the forecast at one lead against its truth.
 
-    forecast, truth and climatology are states, full or subset reads,
-    that hold every report channel; each plane is looked up by its
-    channel. GridMismatchError if the truth or the climatology is off the
-    forecast grid. Returns (records, errors); a non-finite RMSE or ACC is
-    an error, not a row. Region blocks and weights are built once per
-    (grid, box), not once per call, and every cell is scored in one work
-    area per call. var_o, a dict that the calls scoring this lead against
+    forecast, truth and climatology are states, full or subset reads, or
+    experiment.PlaneReaders, that hold every report channel; each plane
+    is looked up once, by its channel. GridMismatchError if the truth or
+    the climatology is off the forecast grid. Returns (records, errors); a
+    non-finite RMSE or ACC is an error, not a row. Region blocks and
+    weights are built once per (grid, box), not once per call, and every
+    cell is scored in one work area per call. var_o, a dict that the calls scoring this lead against
     the same truth and climatology may share, across threads too, holds
     each cell's truth anomaly variance: read if there, else put in.
     """

@@ -13,6 +13,7 @@ from nwpeval.cli import main
 from nwpeval.grids import CHANNELS, GridSpec, Var, channel_name
 from nwpeval.plots import read_metric_csv
 from nwpeval.synthetic import make_climatology, make_state
+from nwpeval.verify import DEFAULT_REPORT_CHANNELS
 from tests.conftest import name_of, random_state
 
 SVG = "{http://www.w3.org/2000/svg}"
@@ -274,9 +275,13 @@ class TestRolloutEvaluatePlot:
                      "--channels", "Z500,MSLP", "--out", str(csv)]) == 0
         assert len(read_metric_csv(str(csv))) == 2 * 2 * 2 * 2
         report = ((Var.Z, 500), (Var.MSLP, 0))
-        # and the climatology's header, with no plane, to check the regions on
-        assert sorted(reads) == sorted([("clim.nws", ())] + [(name, report) for name in (
-            "clim.nws", "fc_24.nws", "fc_48.nws", "truth_24.nws", "truth_48.nws")])
+        # the climatology's header, with no plane, to check the regions on,
+        # then its report planes; at each lead the forecast's and the truth's
+        # header, then each report plane of the two alone, as it is scored
+        names = [(f"fc_{lead}.nws", f"truth_{lead}.nws") for lead in (24, 48)]
+        assert reads == [("clim.nws", ()), ("clim.nws", report)] + [
+            read for pair in names for read in [(name, ()) for name in pair]
+            + [(name, (ch,)) for ch in report for name in pair]]
 
     def test_evaluate_missing_truth_is_per_lead(self, tmp_path, small_grid, caplog):
         # as in `nwpeval run`: a warning for that lead, the others scored, exit 1
@@ -313,6 +318,39 @@ class TestRolloutEvaluatePlot:
                          "--climatology", str(tmp_path / "clim.nws"),
                          "--leads", "24,48", "--out", str(csv)]) == 1
         assert f"lead 48: truth {truth}: payload truncated in channel V50" in caplog.text
+        rows = read_metric_csv(str(csv))
+        assert len(rows) == 9 * 2 * 2 and {r["lead_hours"] for r in rows} == {"24"}
+
+    @pytest.mark.parametrize("what", ["forecast", "truth"])
+    def test_evaluate_failed_plane_read_is_per_lead(self, tmp_path, small_grid, caplog,
+                                                    monkeypatch, what):
+        # a file cut short after its header is checked, before a plane is
+        # read, costs its lead as a truncated one does
+        from nwpeval import experiment
+        for lead in (24, 48):
+            write_archive(make_state(small_grid, seed=57, source_label="gfs"),
+                          str(tmp_path / f"forecast_{lead}.nws"))
+            write_archive(make_state(small_grid, seed=58, source_label="era5"),
+                          str(tmp_path / f"truth_{lead}.nws"))
+        write_archive(make_climatology(small_grid), str(tmp_path / "clim.nws"))
+        damaged = tmp_path / f"{what}_48.nws"
+        read_input = experiment.read_input
+
+        def reading(kind, path, *args):
+            state = read_input(kind, path, *args)
+            if path == str(damaged):
+                damaged.write_bytes(damaged.read_bytes()[:-7])
+            return state
+
+        monkeypatch.setattr(experiment, "read_input", reading)
+        csv = tmp_path / "metrics.csv"
+        with caplog.at_level(logging.WARNING):
+            assert main(["evaluate",
+                         "--forecast-pattern", str(tmp_path / "forecast_{lead}.nws"),
+                         "--truth-pattern", str(tmp_path / "truth_{lead}.nws"),
+                         "--climatology", str(tmp_path / "clim.nws"),
+                         "--leads", "24,48", "--out", str(csv)]) == 1
+        assert f"lead 48: {what} {damaged}: payload truncated in channel V50" in caplog.text
         rows = read_metric_csv(str(csv))
         assert len(rows) == 9 * 2 * 2 and {r["lead_hours"] for r in rows} == {"24"}
 
@@ -627,19 +665,23 @@ class TestRunSubcommand:
         # validate parses one header per .nws IC, with read_header, and the
         # climatology's in read_input: with read_header for its grid, then
         # with read_archive and no channel for its payload's size, in one
-        # open. read_input parses the climatology's and each truth's header
-        # again before their planes are read; _load_source each on-grid
-        # IC's. Each region mask is built once, for validate and scoring both
+        # open. read_input parses the climatology's header again before its
+        # planes are read, and each truth's twice as it checks it; _load_source
+        # parses each on-grid IC's. Each truth plane is read alone, once, its
+        # header parsed with it. Each region mask is built once, for validate
+        # and scoring both
         from nwpeval import experiment, verify
         from tests.test_experiment import build_inputs
         labels = build_inputs(tmp_path, small_grid)
-        headers, masks = [], []
+        headers, planes, masks = [], [], []
         read_header, read_archive = experiment.read_header, experiment.read_archive
         monkeypatch.setattr(experiment, "read_header",
                             lambda path: headers.append(name_of(path)) or read_header(path))
         monkeypatch.setattr(experiment, "read_archive",
                             lambda path, channels=None, **k:
                             (channels == () and headers.append(name_of(path)))
+                            or (name_of(path).startswith("truth") and channels
+                                and planes.append((name_of(path), channels)))
                             or read_archive(path, channels, **k))
         monkeypatch.setattr(verify, "region_mask",
                             lambda *a, _f=verify.region_mask: masks.append(a) or _f(*a))
@@ -647,8 +689,11 @@ class TestRunSubcommand:
         cfg = tmp_path / "exp.yaml"
         cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels)))
         assert main(["run", "--config", str(cfg)]) == 0
-        assert sorted(headers) == sorted(["clim.nws"] * 3 + ["truth_24.nws", "truth_48.nws"]
+        assert sorted(headers) == sorted(["clim.nws"] * 3
+                                         + ["truth_24.nws", "truth_48.nws"] * 2
                                          + [f"{lb}.nws" for lb in labels] * 2)
+        assert planes == [(f"truth_{lead}.nws", (ch,)) for lead in (24, 48)
+                          for ch in DEFAULT_REPORT_CHANNELS]
         assert len(masks) == 2
 
     def test_truth_pattern_with_a_format_spec_runs(self, tmp_path, small_grid):

@@ -1,9 +1,13 @@
 import dataclasses
+import struct
 import sys
 import textwrap
 import threading
 import time
 import tracemalloc
+import weakref
+from collections import Counter
+from contextlib import closing
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -14,18 +18,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nwpeval import experiment, rollout
-from nwpeval.archive import RawDumpLayout, ingest_raw, read_archive, write_archive
-from nwpeval.experiment import (ConfigError, ExperimentConfig, ICSource,
+from nwpeval.archive import (RawDumpLayout, archive_bytes, ingest_raw, read_archive,
+                            read_header, write_archive)
+from nwpeval.experiment import (ConfigError, ExperimentConfig, ICSource, PlaneReader,
                                 SpliceScenario, load_config, parse_channel,
                                 run_experiment, write_metric_csv)
-from nwpeval.grids import (CHANNELS, EAST_ASIA, GLOBAL, GridSpec, RegionBox, Var,
-                           channel_name)
+from nwpeval.grids import (CHANNELS, DEFAULT_REGIONS, EAST_ASIA, GLOBAL, GridSpec,
+                           RegionBox, StateSet, Var, channel_name)
 from nwpeval.plots import PlotInputError, read_metric_csv
 from nwpeval.regrid import regrid_state
 from nwpeval.rollout import BackendSpec, builtin_step
 from nwpeval.splice import SpliceSpec, splice_states
 from nwpeval.synthetic import default_time, make_climatology, make_state, perturb
-from nwpeval.verify import DEFAULT_REPORT_CHANNELS
+from nwpeval.verify import DEFAULT_REPORT_CHANNELS, evaluate_run, region_block
 from tests.conftest import name_of, random_state
 
 LEADS = tuple(range(24, 241, 24))
@@ -156,11 +161,13 @@ class TestRunExperiment:
         assert len(read_metric_csv(str(report.csv_path))) == 2 * 2 * 2 * 2 * 2
         # the climatology first, as a config input: validate() reads its header
         # and checks its payload's size; the on-grid ICs are read here as
-        # headers only: the rollout takes their paths; then each truth as the
-        # matrix reaches its lead
+        # headers only: the rollout takes their paths; then, as the matrix
+        # reaches each lead, its truth's header is checked and each report
+        # plane read once, by the first run to score it
+        truth = [[(f"truth_{lead}.nws", (), 0)]
+                 + [(f"truth_{lead}.nws", (ch,), 1) for ch in channels] for lead in (24, 48)]
         assert reads == [("clim.nws", (), 0), ("clim.nws", channels, 2),
-                         ("src0.nws", (), 0), ("src1.nws", (), 0),
-                         ("truth_24.nws", channels, 2), ("truth_48.nws", channels, 2)]
+                         ("src0.nws", (), 0), ("src1.nws", (), 0), *truth[0], *truth[1]]
 
     def test_missing_truth_is_per_lead_not_fatal(self, tmp_path, small_grid):
         labels = build_inputs(tmp_path, small_grid)
@@ -543,6 +550,56 @@ class TestMemory:
         assert scored == [cfg.report_channels] * 3
 
 
+    def test_scoring_a_canonical_lead_holds_two_truth_planes(self, tmp_path):
+        # one run's lead on the 721x1440 grid, scored as run_experiment scores
+        # a run alone at a lead: against a PlaneReader of the truth, which
+        # holds a plane or two of 4.0 MiB where the truth's 9 report planes
+        # were read whole; the work area is 2.1 MiB
+        grid, channels = GridSpec.canonical(), DEFAULT_REPORT_CHANNELS
+        valid = default_time() + timedelta(hours=24)
+        rng = np.random.default_rng(3)
+        truth, forecast, clim = (
+            StateSet(valid_time=valid, source_label=label, grid=grid, channels=channels,
+                     data=rng.standard_normal((len(channels),) + grid.shape,
+                                              dtype=np.float32))
+            for label in ("era5", "fc", "clim"))
+        path = tmp_path / "truth_24.nws"
+        write_sparse(truth, path)
+        for box in DEFAULT_REGIONS.values():   # built once per run, before any lead
+            region_block(grid, box)
+        tracemalloc.start()
+        try:
+            with closing(PlaneReader("truth", str(path), grid)) as reader:
+                got = evaluate_run(24, forecast, reader, clim, DEFAULT_REGIONS, channels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == evaluate_run(24, forecast, truth, clim, DEFAULT_REGIONS, channels)
+        assert len(got[0]) == 9 * 2 * 2 and got[1] == []
+        assert peak < 3 * grid.nlat * grid.nlon * 4
+
+
+def write_sparse(state, path):
+    """An archive of a state of report planes on a large grid, its other
+    planes left as holes that read as zeros and take no disk space: the
+    header of a one-point state on the same grid geometry, with nlat and
+    nlon (bytes 12-19) made the grid's, then each plane at its offset."""
+    g = state.grid
+    point = GridSpec(nlat=1, nlon=1, lat_start=g.lat_start, dlat=g.dlat,
+                     lon_start=g.lon_start, dlon=g.dlon)
+    head = bytearray(archive_bytes(make_state(point, seed=0, source_label=state.source_label)
+                                   .replace(valid_time=state.valid_time))[:-len(CHANNELS) * 4])
+    struct.pack_into("<II", head, 12, g.nlat, g.nlon)
+    plane = g.nlat * g.nlon * 4
+    with open(path, "wb") as fh:
+        fh.write(head)
+        for ch in state.channels:
+            fh.seek(len(head) + CHANNELS.index(ch) * plane)
+            fh.write(np.ascontiguousarray(state.channel(*ch), dtype="<f4"))
+        fh.truncate(len(head) + len(CHANNELS) * plane)
+    assert read_header(str(path))["grid"] == g
+
+
 class TestProcessBudget:
     @pytest.mark.parametrize("runs, workers", [(3, 1), (3, 2), (2, 2)])
     def test_no_more_backend_processes_than_workers(self, tmp_path, small_grid,
@@ -581,13 +638,27 @@ class TestProcessBudget:
         assert max(counts) <= workers
 
 
+def spy_truth_planes(monkeypatch, record):
+    """Call record(lead, channels, state) for each truth plane read."""
+    read_archive = experiment.read_archive
+
+    def spy(src, channels=None):
+        state = read_archive(src, channels)
+        if channels and name_of(src).startswith("truth_"):
+            record(truth_lead(src), channels, state)
+        return state
+
+    monkeypatch.setattr(experiment, "read_archive", spy)
+
+
 class TestTruthRule:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("kind", ["builtin", "external-command"])
     def test_one_run_reads_a_truth_once_the_last_is_scored(self, tmp_path, small_grid,
                                                            monkeypatch, kind, workers):
-        # a run alone at a lead drops its truth before the next is read; the
-        # sleep gives a read ahead time to happen while the lead is scored
+        # a run alone at a lead is done with its truth before the next is
+        # checked, and reads each plane as it scores; the sleep gives a check
+        # or read ahead time to happen while the lead is scored
         labels = build_inputs(tmp_path, small_grid, n_sources=1)
         cfg = dataclasses.replace(make_config(tmp_path, small_grid, labels,
                                               leads=(24, 48, 72)), workers=workers)
@@ -597,52 +668,136 @@ class TestTruthRule:
         events, lock = [], threading.Lock()
         read_input, evaluate_run = experiment.read_input, experiment.evaluate_run
 
+        def note(*event):
+            with lock:
+                events.append(event)
+
         def reading(what, path, *args):
             if what == "truth":
-                with lock:
-                    events.append(("read", truth_lead(path)))
+                note("checked", truth_lead(path))
             return read_input(what, path, *args)
 
         def scoring(lead, *args):
             result = evaluate_run(lead, *args)
             time.sleep(0.05)
-            with lock:
-                events.append(("scored", lead))
+            note("scored", lead)
             return result
 
         monkeypatch.setattr(experiment, "read_input", reading)
         monkeypatch.setattr(experiment, "evaluate_run", scoring)
+        spy_truth_planes(monkeypatch, lambda lead, channels, state: note("read", lead))
         report, error = run_in_thread(cfg)
         assert error is None and report.failures == {}
-        assert events == [("read", 24), ("scored", 24), ("read", 48), ("scored", 48),
-                          ("read", 72), ("scored", 72)]
+        assert events == [event for lead in (24, 48, 72) for event in (
+            [("checked", lead)] + [("read", lead)] * 9 + [("scored", lead)])]
 
     def test_external_step_1_starts_before_any_truth_is_read(self, tmp_path, small_grid,
                                                              monkeypatch):
-        # the read waits (up to 10 s) for step 1 to start: a truth read
-        # before the task is queued would wait it out
+        # the check waits (up to 10 s) for step 1 to start: a truth checked
+        # before the task is queued would wait it out; each plane is read
+        # after the step's output, as the run scores it
         labels = build_inputs(tmp_path, small_grid, n_sources=1)
         cfg = dataclasses.replace(make_config(tmp_path, small_grid, labels, leads=(24,)),
                                   backend=copy_backend(tmp_path, monkeypatch, small_grid),
                                   workers=1)
-        started, step_1_seen = [], []
-        start = rollout._start_backend
+        events = []
+        start, read_output = rollout._start_backend, rollout.read_archive
         monkeypatch.setattr(rollout, "_start_backend",
-                            lambda *a: started.append(a) or start(*a))
+                            lambda *a: events.append("started") or start(*a))
+        monkeypatch.setattr(rollout, "read_archive",   # its planes, not the IC's header
+                            lambda src, channels, **k: (channels and events.append("output"))
+                            or read_output(src, channels, **k))
         read_input = experiment.read_input
 
         def reading(what, path, *args):
             if what == "truth":
                 deadline = time.monotonic() + 10
-                while not started and time.monotonic() < deadline:
+                while "started" not in events and time.monotonic() < deadline:
                     time.sleep(0.01)
-                step_1_seen.append(bool(started))
+                events.append("checked" if "started" in events else "checked first")
             return read_input(what, path, *args)
 
         monkeypatch.setattr(experiment, "read_input", reading)
+        spy_truth_planes(monkeypatch, lambda *a: events.append("read"))
         report, error = run_in_thread(cfg)
         assert error is None and report.failures == {}
-        assert step_1_seen == [True]
+        assert "checked" in events
+        assert events[events.index("output"):].count("read") == 9 == events.count("read")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_each_truth_plane_is_read_once(self, tmp_path, small_grid, monkeypatch,
+                                           runs, workers):
+        # threads switched often: a plane read twice, or dropped before
+        # every run took it and read again, would show as a repeat
+        labels = build_inputs(tmp_path, small_grid, n_sources=runs)
+        cfg = dataclasses.replace(make_config(tmp_path, small_grid, labels,
+                                              leads=(24, 48, 72)), workers=workers)
+        reads, lock = [], threading.Lock()
+
+        def record(lead, channels, state):
+            with lock:
+                reads.append((lead, channels))
+
+        spy_truth_planes(monkeypatch, record)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report, error = run_in_thread(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert error is None and report.failures == {}
+        assert len(read_metric_csv(str(report.csv_path))) == runs * 9 * 2 * 3 * 2
+        assert Counter(reads) == Counter((lead, (ch,)) for lead in (24, 48, 72)
+                                         for ch in DEFAULT_REPORT_CHANNELS)
+
+    @pytest.mark.parametrize("kind", ["builtin", "external-command"])
+    def test_a_lone_run_holds_at_most_two_truth_planes(self, tmp_path, small_grid,
+                                                       monkeypatch, kind):
+        # each plane read is probed by a weak reference: when a plane is read,
+        # the planes still alive are the one being scored and itself
+        labels = build_inputs(tmp_path, small_grid, n_sources=1)
+        cfg = make_config(tmp_path, small_grid, labels, leads=(24, 48, 72))
+        if kind != "builtin":
+            cfg = dataclasses.replace(cfg, backend=copy_backend(tmp_path, monkeypatch,
+                                                                small_grid))
+        probes, held = [], []
+
+        def record(lead, channels, state):
+            probes.append(weakref.ref(state.data))
+            held.append(sum(len(p()) for p in probes if p() is not None))
+
+        spy_truth_planes(monkeypatch, record)
+        report, error = run_in_thread(cfg)
+        assert error is None and report.failures == {}
+        assert len(held) == 3 * 9 and max(held) <= 2
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_a_failed_plane_read_costs_its_lead_alone(self, tmp_path, small_grid,
+                                                      monkeypatch, runs):
+        # truth_48 is cut short after its header is checked, before a plane
+        # is read: every run loses that lead, none its run, and none hangs
+        labels = build_inputs(tmp_path, small_grid, n_sources=runs)
+        cfg = make_config(tmp_path, small_grid, labels, leads=(24, 48, 72))
+        truth = tmp_path / "truth_48.nws"
+        read_input = experiment.read_input
+
+        def reading(what, path, *args):
+            state = read_input(what, path, *args)
+            if path == str(truth):
+                truth.write_bytes(truth.read_bytes()[:-7])
+            return state
+
+        monkeypatch.setattr(experiment, "read_input", reading)
+        report, error = run_in_thread(cfg, timeout=60)
+        assert error is None and report.failures == {}
+        rows = read_metric_csv(str(report.csv_path))
+        assert len(rows) == runs * 9 * 2 * 2 * 2
+        assert {int(r["lead_hours"]) for r in rows} == {24, 72}
+        log = report.log_path.read_text()
+        assert f"truth: lead 48: truth {truth}: payload truncated in channel V50" in log
+        for label in labels:
+            assert f"{label}: lead 48: no truth state" in log
 
     @pytest.mark.parametrize("at_lead", [24, 48])
     def test_a_failed_read_raises_without_a_hang(self, tmp_path, small_grid,

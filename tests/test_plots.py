@@ -140,3 +140,25 @@ class TestEmitPlots:
         (a,) = emit_plots(str(p), str(tmp_path / "p1"))
         (b,) = emit_plots(str(p), str(tmp_path / "p2"))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_records_plot_as_the_csv_written_from_them(self, tmp_path):
+        # `nwpeval run` plots the records it holds: the SVGs are those of the
+        # CSV it writes from them, byte for byte, values spelled as it does
+        rng = random.Random(5)
+        records = [MetricRecord(init_time=default_time(), source_label=src,
+                                variable=var, level=level, region=region,
+                                lead_hours=lead, metric=metric,
+                                value=rng.choice([1 / 3, 1e-7, 123456789.123, -0.5])
+                                * rng.random())
+                   for src, (var, level), region, lead, metric in itertools.product(
+                       ('a,"b', "gfs"), ((Var.Z, 500), (Var.T2, 0)),
+                       ("global", "east_asia"), (120, 24, 48), ("RMSE", "ACC"))]
+        rng.shuffle(records)
+        p = tmp_path / "m.csv"
+        write_metric_csv(records, p)
+        from_csv = emit_plots(str(p), str(tmp_path / "csv"))
+        from_records = emit_plots(records, str(tmp_path / "records"))
+        assert [f.name for f in from_records] == [f.name for f in from_csv]
+        assert len(from_csv) == 2 * 2 * 2
+        for a, b in zip(from_csv, from_records):
+            assert a.read_bytes() == b.read_bytes()
