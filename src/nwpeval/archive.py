@@ -19,7 +19,8 @@ rejected on read. Each plane therefore sits at a fixed offset, so
 `read_archive(src, channels)` reads only the requested planes, one seek
 and `readinto` each (every plane when it is asked to check them all). The
 result is a state of those planes alone, in the order asked for, named in
-its `channels`; `write_archive` refuses it.
+its `channels`; `write_archive` refuses it. A `PlaneReader` keeps an
+archive open and reads one plane at a time, as a scorer asks for it.
 """
 
 from __future__ import annotations
@@ -27,14 +28,15 @@ from __future__ import annotations
 import io
 import os
 import struct
+import threading
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from typing import BinaryIO, Optional, Sequence, Union
+from typing import BinaryIO, Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .grids import (CHANNELS, N_CHANNELS, GridSpec, InvalidChannelError,
-                    StateSet, Var, channel_name)
+from .grids import (CHANNEL_INDEX, CHANNELS, N_CHANNELS, SURFACE_LEVEL, GridMismatchError,
+                    GridSpec, InvalidChannelError, StateSet, Var, channel_name)
 
 MAGIC = b"NWPSTAT1"
 VERSION = 1
@@ -130,22 +132,9 @@ def _read_head(src: BinaryIO) -> tuple[GridSpec, datetime, str]:
     return grid, datetime.fromtimestamp(epoch, tz=timezone.utc), label
 
 
-def _read_planes(src: BinaryIO, start: int, grid: GridSpec, order: ChannelList,
-                 channels: ChannelList, finite: bool = False,
-                 flip: bool = False) -> np.ndarray:
-    """The planes of `channels`, in that order, from a payload at `start`
-    holding the planes of `order`: visited in file order, one seek and
-    readinto each, rows reversed with `flip`. A plane not kept is skipped,
-    or with `finite` read into a spare buffer; with `finite`, NaN/Inf in a
-    plane is a DataError naming it. Before any read, a channel not in
-    `order` is an InvalidChannelError, and a payload that does not end the
-    file a TruncationError naming the channel it ends in (short) or a
-    FormatError (long). A channel asked for twice is copied."""
-    slot = {}
-    for k, ch in enumerate(channels):
-        if ch not in order:
-            raise InvalidChannelError(f"no channel {ch[0]} at level {ch[1]} in the file")
-        slot.setdefault(ch, k)
+def _check_payload(src: BinaryIO, start: int, grid: GridSpec, order: ChannelList) -> None:
+    """A TruncationError naming the channel it ends in if the payload at
+    `start`, planes of `order`, is short; a FormatError if bytes follow it."""
     plane = grid.nlat * grid.nlon * 4
     expected = len(order) * plane
     size = src.seek(0, os.SEEK_END) - start
@@ -155,19 +144,45 @@ def _read_planes(src: BinaryIO, start: int, grid: GridSpec, order: ChannelList,
                               f"({size} of {expected} bytes)")
     if size > expected:
         raise FormatError("bytes follow the payload")
+
+
+def _read_plane(src: BinaryIO, offset: int, buf: np.ndarray, channel,
+                finite: bool = False, flip: bool = False) -> None:
+    """Read the plane of `channel` at `offset` into `buf`, rows reversed with
+    `flip`; with `finite`, NaN/Inf in it is a DataError naming it."""
+    src.seek(offset)
+    if src.readinto(buf) != buf.nbytes:
+        raise TruncationError("file shrank while being read")
+    if flip:
+        buf[:] = buf[::-1]
+    if finite and not np.isfinite(buf).all():
+        raise DataError(f"plane {channel_name(*channel)} contains NaN/Inf")
+
+
+def _read_planes(src: BinaryIO, start: int, grid: GridSpec, order: ChannelList,
+                 channels: ChannelList, finite: bool = False,
+                 flip: bool = False) -> np.ndarray:
+    """The planes of `channels`, in that order, from a payload at `start`
+    holding the planes of `order`: visited in file order, one seek and
+    readinto each, rows reversed with `flip`. A plane not kept is skipped,
+    or with `finite` read into a spare buffer; with `finite`, NaN/Inf in a
+    plane is a DataError naming it. Before any read, a channel not in
+    `order` is an InvalidChannelError, and a payload that does not end the
+    file a TruncationError or FormatError (see _check_payload). A channel
+    asked for twice is copied."""
+    slot = {}
+    for k, ch in enumerate(channels):
+        if ch not in order:
+            raise InvalidChannelError(f"no channel {ch[0]} at level {ch[1]} in the file")
+        slot.setdefault(ch, k)
+    _check_payload(src, start, grid, order)
+    plane = grid.nlat * grid.nlon * 4
     data = np.empty((len(channels), grid.nlat, grid.nlon), dtype="<f4")
     spare = np.empty(grid.shape, dtype="<f4") if finite else None
     for k, ch in enumerate(order):
         buf = data[slot[ch]] if ch in slot else spare
-        if buf is None:
-            continue
-        src.seek(start + k * plane)
-        if src.readinto(buf) != plane:
-            raise TruncationError("file shrank while being read")
-        if flip:
-            buf[:] = buf[::-1]
-        if finite and not np.isfinite(buf).all():
-            raise DataError(f"plane {channel_name(*ch)} contains NaN/Inf")
+        if buf is not None:
+            _read_plane(src, start + k * plane, buf, ch, finite, flip)
     for k, ch in enumerate(channels):
         if slot[ch] != k:   # asked for twice: copy the plane read
             data[k] = data[slot[ch]]
@@ -201,6 +216,114 @@ def read_header(src: Union[BinaryIO, str, os.PathLike]) -> dict:
     grid, valid_time, label = _read_head(src)
     return {"version": VERSION, "grid": grid, **asdict(grid), "valid_time": valid_time,
             "source_label": label, "n_channels": N_CHANNELS}
+
+
+class PlaneReader:
+    """The archive at `path`, read one plane at a time from one open file.
+    It stands in for a state of `channels` in verify.evaluate_run, which
+    looks each plane up once with channel(), so a scorer holds a plane or
+    two of it, not every plane it scores; `unread` holds the channels of
+    `channels` whose planes no call has read yet.
+
+    Opening it opens the file once, unbuffered, and parses and checks the
+    header (magic, version, channel list, and that it is on `grid`, if
+    given) and the payload's size; the reader then has the header's grid,
+    valid_time and source_label. A plane is read at its offset, with no
+    header parsed again, once the payload's size has been checked again,
+    so a file cut short since its opening costs the read. With `finite`,
+    NaN/Inf in a plane read is a DataError naming it.
+
+    Of `takers` scorers sharing it, the first to ask for a channel reads
+    its plane and the last drops it: each plane is read once, and held no
+    longer than the scorers need it. An error opening or reading the file
+    (ArchiveError, OSError, GridMismatchError off `grid`, or another
+    ValueError) is raised as `fail(error)`, by default the error itself;
+    after a failed read every call raises it. Safe to share across
+    threads; close() closes the file.
+    """
+
+    def __init__(self, path: Union[str, os.PathLike], channels: ChannelList = CHANNELS,
+                 grid: Optional[GridSpec] = None, takers: int = 1, finite: bool = False,
+                 fail: Optional[Callable[[Exception], Exception]] = None):
+        self.path, self.channels = path, tuple(channels)
+        self.unread = set(self.channels)
+        self._takers, self._finite = takers, finite
+        self._fail = fail or (lambda exc: exc)
+        self._held: dict = {}   # channel -> [its plane, scorers yet to take it]
+        self._error: Optional[Exception] = None
+        self._lock = threading.Lock()
+        self._fh = None
+        try:
+            self._fh = open(path, "rb", buffering=0)   # a read reads just its bytes
+            self.grid, self.valid_time, self.source_label = _read_head(self._fh)
+            if grid is not None and self.grid != grid:
+                raise GridMismatchError(f"on {self.grid}, not {grid}")
+            self._start = self._fh.tell()
+            _check_payload(self._fh, self._start, self.grid, CHANNELS)
+        except (ArchiveError, OSError, ValueError) as exc:
+            self.close()
+            raise self._fail(exc) from None
+
+    def _read(self, channel, buf: np.ndarray) -> None:
+        """Read the plane of `channel` into `buf`; the caller holds the lock."""
+        if self._error is not None:
+            raise self._error
+        try:
+            _check_payload(self._fh, self._start, self.grid, CHANNELS)
+            _read_plane(self._fh, self._start + CHANNEL_INDEX[channel] * buf.nbytes, buf,
+                        channel, self._finite)
+        except (ArchiveError, OSError, ValueError) as exc:
+            self._error = self._fail(exc)
+            self._held.clear()
+            raise self._error from None
+        self.unread.discard(channel)
+
+    def channel(self, variable: Var, level: int = SURFACE_LEVEL) -> np.ndarray:
+        key = (variable, level)
+        with self._lock:
+            held = self._held.get(key)
+            if held is None:
+                plane = np.empty(self.grid.shape, dtype="<f4")
+                self._read(key, plane)
+                held = self._held[key] = [plane, self._takers]
+            held[1] -= 1
+            if not held[1]:
+                del self._held[key]
+            return held[0]
+
+    def check(self, channels) -> None:
+        """Read each plane of `channels`, in file order, into one spare
+        plane: with `finite`, a check that none holds NaN/Inf."""
+        spare = np.empty(self.grid.shape, dtype="<f4")
+        with self._lock:
+            for key in sorted(channels, key=CHANNEL_INDEX.__getitem__):
+                self._read(key, spare)
+
+    def subset(self, channels) -> StateSet:
+        """A state of `channels`, in that order, each plane read into it."""
+        channels = tuple(channels)
+        data = np.empty((len(channels),) + self.grid.shape, dtype="<f4")
+        with self._lock:
+            for plane, key in zip(data, channels):
+                self._read(key, plane)
+        return StateSet(valid_time=self.valid_time, source_label=self.source_label,
+                        grid=self.grid, data=data, channels=channels)
+
+    def replace(self, **fields) -> "PlaneReader":
+        """The reader with `valid_time` or `source_label` set in place of
+        the header's, as StateSet.replace gives a state so: whoever scores
+        either can label it the same way."""
+        for name, value in fields.items():
+            if name not in ("valid_time", "source_label"):
+                raise TypeError(f"a reader's {name} is the file's")
+            setattr(self, name, value)
+        return self
+
+    def close(self) -> None:
+        with self._lock:
+            self._held.clear()
+            if self._fh is not None:
+                self._fh.close()
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,10 @@ from pathlib import Path
 from . import __version__
 from .archive import (ArchiveError, RawDumpLayout, ingest_raw, read_archive,
                       read_header, write_archive)
-from .experiment import (ConfigError, InputError, PlaneReader, _parse_box,
-                         _parse_time, check_pattern, check_regions,
-                         check_truth_pattern, load_config, no_repeats,
-                         parse_channel, read_input, run_experiment)
+from .experiment import (ConfigError, InputError, _parse_box, _parse_time,
+                         check_pattern, check_regions, check_truth_pattern,
+                         load_config, no_repeats, open_input, parse_channel,
+                         read_input, run_experiment)
 from .grids import DEFAULT_REGIONS, GridSpec, channel_name, validate_state
 from .plots import PlotInputError, emit_plots, write_metric_csv
 from .regrid import regrid_state
@@ -251,10 +251,10 @@ def _cmd_evaluate(args) -> int:
     for lead in leads:   # a forecast or truth unread or off the grid costs its lead
         try:
             # read a plane at a time, as `nwpeval run` reads a truth
-            with closing(PlaneReader("forecast", args.forecast_pattern.format(lead=lead),
-                                     grid)) as fc, \
-                    closing(PlaneReader("truth", args.truth_pattern.format(lead=lead),
-                                        grid)) as truth:
+            with closing(open_input("forecast", args.forecast_pattern.format(lead=lead),
+                                    grid)) as fc, \
+                    closing(open_input("truth", args.truth_pattern.format(lead=lead),
+                                       grid)) as truth:
                 r, e = evaluate_run(lead, fc, truth, clim, regions, channels)
         except InputError as exc:
             errors.append(f"lead {lead}: {exc}")

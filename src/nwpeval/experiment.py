@@ -10,23 +10,21 @@ produce byte-identical CSV and SVG outputs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import os
-import threading
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Union
 
-import numpy as np
 import yaml
 
-from .archive import (ArchiveError, RawDumpLayout, ingest_raw, read_archive,
-                      read_header)
-from .grids import (CHANNEL_BY_NAME, DEFAULT_REGIONS, SURFACE_LEVEL, GridSpec,
+from .archive import (ArchiveError, PlaneReader, RawDumpLayout, ingest_raw,
+                      read_archive, read_header)
+from .grids import (CHANNEL_BY_NAME, DEFAULT_REGIONS, GridMismatchError, GridSpec,
                     RegionBox, StateSet, Var, _as_utc, channel_name, whole_number)
 from .plots import emit_plots, write_metric_csv
 from .regrid import regrid_state
@@ -326,16 +324,13 @@ def _load_source(src: ICSource, init_time: datetime, model_grid: GridSpec,
     return regrid_state(state, model_grid)
 
 
-@contextmanager
-def _reading(what: str, path: str):
-    """InputError naming `what` and the file if `path` is missing or cannot
-    be read (short, long or malformed)."""
-    try:
-        yield
-    except FileNotFoundError:
-        raise InputError(f"missing {what} file {path}") from None
-    except (ArchiveError, OSError, ValueError) as exc:   # a malformed grid or label too
-        raise InputError(f"{what} {path}: {exc}") from None
+def _input_error(what: str, path: str, exc: Exception) -> InputError:
+    """The InputError naming `what` and the file for a fault in reading it."""
+    if isinstance(exc, FileNotFoundError):
+        return InputError(f"missing {what} file {path}")
+    if isinstance(exc, GridMismatchError):
+        return InputError(f"{what} {path} is off the grid: {exc}")
+    return InputError(f"{what} {path}: {exc}")
 
 
 def read_input(what: str, path: str, grid: Optional[GridSpec],
@@ -346,65 +341,25 @@ def read_input(what: str, path: str, grid: Optional[GridSpec],
     missing, cannot be read (short, long or malformed), or is not on `grid`
     (None: any grid). The grid is compared from the header, in the same
     open as the read, so an off-grid file costs no plane read."""
-    with _reading(what, path), open(path, "rb") as fh:
-        on = read_header(fh)["grid"]
-        if grid is None or on == grid:
+    try:
+        with open(path, "rb") as fh:
+            on = read_header(fh)["grid"]
+            if grid is not None and on != grid:
+                raise GridMismatchError(f"on {on}, not {grid}")
             fh.seek(0)
             return read_archive(fh, channels)
-    raise InputError(f"{what} {path} is off the grid: on {on}, not {grid}")
+    except (ArchiveError, OSError, ValueError) as exc:   # a malformed grid or label too
+        raise _input_error(what, path, exc) from None
 
 
-class PlaneReader:
-    """The truth or forecast (`what`) at `path`, read one plane at a time
-    from one open file. It stands in for the state in evaluate_run, which
-    looks each plane up once with channel(), so a scorer holds a plane or
-    two of it, not every report plane. Opening checks the file with
-    read_input: InputError if it is missing, unreadable or off `grid`.
-
-    Of `takers` scorers sharing it, the first to ask for a channel reads
-    its plane and the last drops it: each plane is read once, and held no
-    longer than the scorers need it. A plane read that fails is an
-    InputError, raised to every caller from then on. Safe to share across
-    threads; close() closes the file."""
-
-    def __init__(self, what: str, path: str, grid: Optional[GridSpec], takers: int = 1):
-        head = read_input(what, path, grid)
-        self.grid, self.valid_time = head.grid, head.valid_time
-        self.source_label = head.source_label
-        self._what, self._path, self._takers = what, path, takers
-        self._held: dict = {}   # channel -> [its plane, scorers yet to take it]
-        self._error: Optional[InputError] = None
-        self._lock = threading.Lock()
-        with _reading(what, path):
-            # unbuffered: a plane read, which parses the header again, reads
-            # just the bytes it asks for, not a whole buffer
-            self._fh = open(path, "rb", buffering=0)
-
-    def channel(self, variable: Var, level: int = SURFACE_LEVEL) -> np.ndarray:
-        key = (variable, level)
-        with self._lock:
-            if self._error is not None:
-                raise self._error
-            held = self._held.get(key)
-            if held is None:
-                try:
-                    with _reading(self._what, self._path):
-                        self._fh.seek(0)
-                        plane = read_archive(self._fh, (key,)).data[0]
-                except InputError as exc:
-                    self._error = exc
-                    self._held.clear()
-                    raise
-                held = self._held[key] = [plane, self._takers]
-            held[1] -= 1
-            if not held[1]:
-                del self._held[key]
-            return held[0]
-
-    def close(self) -> None:
-        with self._lock:
-            self._held.clear()
-            self._fh.close()
+def open_input(what: str, path: str, grid: Optional[GridSpec],
+               takers: int = 1) -> PlaneReader:
+    """A PlaneReader of the truth or forecast (`what`) at `path`, shared by
+    `takers` scorers, to read one plane at a time as they score. InputError
+    naming `what` and the file if the file is missing, cannot be read or is
+    not on `grid`, on opening or, from then on, on a plane read."""
+    return PlaneReader(path, grid=grid, takers=takers,
+                       fail=functools.partial(_input_error, what, path))
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
@@ -414,8 +369,11 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     the run's rollout on to that lead and scores it against the lead's
     truth. The lead's runs share one PlaneReader of the truth: each report
     plane is read by the first task to score its channel and dropped once
-    every task at the lead has taken it, so a run alone at a lead holds one
-    or two truth planes, not all of them. A lead's tasks are queued before
+    every task at the lead has taken it. An external run scores the reader
+    of its step's output that the rollout yields, a plane at a time. So a
+    run alone at a lead holds one or two planes each of forecast and truth,
+    not all of them. A step output's plane that holds NaN/Inf, found as it
+    is scored, fails its run. A lead's tasks are queued before
     its truth's header is checked, and each waits for the check only once
     its run has stepped to the lead, so the check overlaps the steps. The
     next lead is queued, and its truth checked, once the first of this
@@ -501,8 +459,8 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         tasks = {label: pool.submit(advance, label, lead, read, var_o, fut)
                  for label, fut in before.items()}
         try:
-            readers[lead] = PlaneReader("truth", config.truth_pattern.format(lead=lead),
-                                        grid, takers=len(tasks))
+            readers[lead] = open_input("truth", config.truth_pattern.format(lead=lead),
+                                       grid, takers=len(tasks))
             read.set_result(readers[lead])
         except InputError as exc:
             truth_errors[lead] = str(exc)

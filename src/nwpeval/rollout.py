@@ -10,8 +10,8 @@ subprocess protocol:
 
 The external process reads the input archive, writes the forecast state
 for lead H as an archive on the same grid, and exits 0. Step n+1 starts
-as soon as step n has exited, and runs while nwpeval reads, checks and
-yields step n's output.
+as soon as step n has exited, and runs while nwpeval checks step n's
+output and hands it, as a reader of its planes, to be scored.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from .archive import DataError, read_archive, write_archive
-from .grids import CHANNELS, GridSpec, StateSet, validate_state, whole_number
+from .archive import DataError, PlaneReader, read_archive, write_archive
+from .grids import (CHANNELS, GridMismatchError, GridSpec, StateSet, validate_state,
+                    whole_number)
 
 log = logging.getLogger(__name__)
 
@@ -187,18 +188,32 @@ def _finish_backend(proc: subprocess.Popen, dest: Path, step_hours: int,
                            + (f"; stderr: {tail}" if tail else ""))
 
 
-def _read_step(path: Path, step_no: int, step_hours: int, channels) -> StateSet:
-    """Read one step's output, keeping `channels`; all 69 planes are
-    checked for NaN/Inf on the way."""
+def _open_step(path: Path, step_no: int, step_hours: int, channels,
+               ic_path: Optional[Path]) -> PlaneReader:
+    """One step's output, open for the planes of `channels`, which it checks
+    for NaN/Inf as it reads each; every other plane is read and checked
+    here. Any fault of the file, found now or as a plane is read, is a
+    RolloutError: unless `ic_path`, step 1's input, holds NaN/Inf, which is
+    then the IC's fault."""
+    def fail(exc: Exception) -> RolloutError:
+        if ic_path is not None:
+            try:
+                _checked_ic(ic_path, ())
+            except RolloutError as ic_error:
+                return ic_error
+        if isinstance(exc, DataError):
+            return RolloutError(f"backend produced NaN/Inf at step {step_no} "
+                                f"(+{step_hours}h): {exc}")
+        if isinstance(exc, GridMismatchError):
+            return RolloutError(f"backend changed the grid at step {step_no}")
+        return RolloutError(f"backend wrote a malformed archive at step {step_no}: {exc}")
+
+    out = PlaneReader(path, channels, GridSpec.canonical(), finite=True, fail=fail)
     try:
-        out = read_archive(path, channels, finite=True)
-    except DataError as exc:
-        raise RolloutError(f"backend produced NaN/Inf at step {step_no} "
-                           f"(+{step_hours}h): {exc}") from None
-    except Exception as exc:
-        raise RolloutError(f"backend wrote a malformed archive at step {step_no}: {exc}")
-    if out.grid != GridSpec.canonical():
-        raise RolloutError(f"backend changed the grid at step {step_no}")
+        out.check(ch for ch in CHANNELS if ch not in out.channels)
+    except BaseException:
+        out.close()
+        raise
     return out
 
 
@@ -227,11 +242,15 @@ def _sha256(path: Path) -> str:
 
 def rollout_states(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, leads,
                    verify_determinism: bool = False,
-                   channels=CHANNELS) -> Iterator[Optional[tuple[int, StateSet]]]:
+                   channels=CHANNELS
+                   ) -> Iterator[Optional[tuple[int, Union[StateSet, PlaneReader]]]]:
     """Drive the backend through the fewest steps that reach every lead and
     yield (lead_hours, state) for each requested lead as soon as it is
     reached, in increasing order (lead 0 is the IC). The rollout keeps no
-    yielded state, so the caller copies out whatever it needs.
+    yielded state, so the caller copies out whatever it needs. Under an
+    external backend a step's state is a PlaneReader of its output file,
+    closed once the rollout is resumed: its scorer holds a plane or two of
+    it at a time, never all of `channels`.
 
     Every yielded state holds `channels`, in that order, valid at the IC's
     valid_time + its lead: nwpeval owns time, and ignores the valid_time an
@@ -245,11 +264,16 @@ def rollout_states(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, 
     the file itself, which is never written, moved or deleted. Should step
     1's output then fail its check with lead 0 not asked for, every plane of
     that file is checked first, so a NaN it holds is the IC's fault. A state
-    is written once, to step000.nws. Lead 0 and each step's output are read
-    or cut to `channels` with every plane checked. Step n reads step{n-1} and
-    writes step{n}. Once step n has exited 0, step{n-1} is deleted and step
-    n+1 started; step n's output is then read, checked and yielded while the
-    backend computes. Sent True in place of next() at a yield, the rollout
+    is written once, to step000.nws. Lead 0 is read or cut to `channels`
+    with every plane checked. Every plane of a step's output is read once
+    and checked before it is used: the planes a reader yields are checked as
+    its scorer first asks for each, those the scorer leaves unread once the
+    rollout is resumed, and every other plane before the yield, through one
+    spare plane. Step n reads step{n-1} and writes step{n}. Once step n has
+    exited 0, step{n-1} is deleted and step n+1 started; step n's output is
+    then checked and yielded while the backend computes. A fault found in
+    it, then or as its scorer reads a plane, is a RolloutError. Sent True
+    in place of next() at a yield, the rollout
     waits there for the step started ahead to exit and yields None, so a
     caller that pauses it that way leaves no backend process running; the
     next next() goes on. If a check fails, or the generator is closed,
@@ -287,6 +311,7 @@ def rollout_states(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, 
         state = ic
         del ic   # `state` is the only reference left; the first step drops it
         running = None   # the backend process of the latest external step
+        out = None   # the reader of the latest external step's output
         cumulative = itertools.accumulate(plan.steps)
         try:
             for n, (hours, lead) in enumerate(zip(plan.steps, cumulative), start=1):
@@ -313,20 +338,24 @@ def rollout_states(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, 
                     if n < len(plan.steps):
                         running = _start_backend(files[n], files[n + 1], backend,
                                                  plan.steps[n], n + 1)
-                    try:
-                        state = _read_step(files[n], n, hours, channels)
-                    except RolloutError:   # a NaN the IC path holds is its own fault
-                        if n == 1 and ic_path is not None and 0 not in wanted:
-                            _checked_ic(ic_path, ())
-                        raise
+                    # a NaN a path IC holds, if lead 0 did not check it, is its own fault
+                    blame = ic_path if n == 1 and 0 not in wanted else None
+                    state = out = _open_step(files[n], n, hours,
+                                             channels if lead in wanted else (), blame)
                 if lead in wanted:
                     paused = yield lead, state.replace(
                         valid_time=init_time + timedelta(hours=lead), source_label=label)
+                    if out is not None:   # the planes its scorer left unread are checked still
+                        out.check(out.unread)
                     if paused:   # the step started ahead ends before the pause
                         if running is not None:
                             running.wait()
                         yield
+                if out is not None:
+                    out.close()
         finally:
+            if out is not None:
+                out.close()
             if running is not None:   # a no-op once the process has been waited for
                 running.kill()
                 running.wait()
@@ -334,11 +363,13 @@ def rollout_states(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, 
 
 def run_rollout(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, leads,
                 emit, verify_determinism: bool = False, channels=CHANNELS) -> None:
-    """Call emit(lead_hours, state) for each state rollout_states yields;
-    if emit raises, the running step is killed and reaped first."""
+    """Call emit(lead_hours, state) for each state rollout_states yields,
+    a step's reader read whole: every state emit gets holds all of
+    `channels`, checked. If emit raises, the running step is killed and
+    reaped first."""
     states = rollout_states(ic, backend, leads, verify_determinism, channels)
     del ic   # the rollout lets go of an IC state after its first step
     with contextlib.closing(states):
         for lead, state in states:
-            emit(lead, state)
+            emit(lead, state.subset(channels))
             del state   # held here, it would outlive the next step's read

@@ -213,7 +213,7 @@ def evaluate_run(lead: int, forecast: StateSet, truth: StateSet,
     """Score the forecast at one lead against its truth.
 
     forecast, truth and climatology are states, full or subset reads, or
-    experiment.PlaneReaders, that hold every report channel; each plane
+    archive.PlaneReaders, that hold every report channel; each plane
     is looked up once, by its channel. GridMismatchError if the truth or
     the climatology is off the forecast grid. Returns (records, errors); a
     non-finite RMSE or ACC is an error, not a row. Region blocks and

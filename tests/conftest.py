@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nwpeval.archive import PlaneReader
 from nwpeval.grids import N_CHANNELS, GridSpec, StateSet
 from nwpeval.synthetic import default_time, make_state
 
@@ -38,3 +39,21 @@ def name_of(src) -> str:
     """The file name of a path, or of a file opened by its path: what a spy
     on an archive reader records."""
     return Path(getattr(src, "name", src)).name
+
+
+def spy_plane_reader(monkeypatch, record):
+    """Call record(path, channels, plane) as each archive.PlaneReader opens
+    its file to check the header (channels (), plane None) and after it has
+    read each plane (that channel alone, and the array it was read into)."""
+    init, read = PlaneReader.__init__, PlaneReader._read
+
+    def opening(self, path, *args, **kwargs):
+        record(path, (), None)
+        init(self, path, *args, **kwargs)
+
+    def reading(self, channel, buf):
+        read(self, channel, buf)
+        record(self.path, (channel,), buf)
+
+    monkeypatch.setattr(PlaneReader, "__init__", opening)
+    monkeypatch.setattr(PlaneReader, "_read", reading)

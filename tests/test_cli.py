@@ -1,6 +1,7 @@
 import logging
 import struct
 import sys
+from collections import Counter
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -14,7 +15,7 @@ from nwpeval.grids import CHANNELS, GridSpec, Var, channel_name
 from nwpeval.plots import read_metric_csv
 from nwpeval.synthetic import make_climatology, make_state
 from nwpeval.verify import DEFAULT_REPORT_CHANNELS
-from tests.conftest import name_of, random_state
+from tests.conftest import name_of, random_state, spy_plane_reader
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -268,6 +269,8 @@ class TestRolloutEvaluatePlot:
                                 lambda path, channels=None, _f=module.read_archive:
                                 reads.append((name_of(path), tuple(channels or ())))
                                 or _f(path, channels))
+        spy_plane_reader(monkeypatch, lambda path, channels, plane:
+                         reads.append((name_of(path), channels)))
         csv = tmp_path / "metrics.csv"
         assert main(["evaluate", "--forecast-pattern", str(tmp_path / "fc_{lead}.nws"),
                      "--truth-pattern", str(tmp_path / "truth_{lead}.nws"),
@@ -326,7 +329,7 @@ class TestRolloutEvaluatePlot:
                                                     monkeypatch, what):
         # a file cut short after its header is checked, before a plane is
         # read, costs its lead as a truncated one does
-        from nwpeval import experiment
+        from nwpeval import cli
         for lead in (24, 48):
             write_archive(make_state(small_grid, seed=57, source_label="gfs"),
                           str(tmp_path / f"forecast_{lead}.nws"))
@@ -334,15 +337,15 @@ class TestRolloutEvaluatePlot:
                           str(tmp_path / f"truth_{lead}.nws"))
         write_archive(make_climatology(small_grid), str(tmp_path / "clim.nws"))
         damaged = tmp_path / f"{what}_48.nws"
-        read_input = experiment.read_input
+        open_input = cli.open_input
 
-        def reading(kind, path, *args):
-            state = read_input(kind, path, *args)
+        def opening(kind, path, *args):
+            reader = open_input(kind, path, *args)
             if path == str(damaged):
                 damaged.write_bytes(damaged.read_bytes()[:-7])
-            return state
+            return reader
 
-        monkeypatch.setattr(experiment, "read_input", reading)
+        monkeypatch.setattr(cli, "open_input", opening)
         csv = tmp_path / "metrics.csv"
         with caplog.at_level(logging.WARNING):
             assert main(["evaluate",
@@ -666,23 +669,32 @@ class TestRunSubcommand:
         # climatology's in read_input: with read_header for its grid, then
         # with read_archive and no channel for its payload's size, in one
         # open. read_input parses the climatology's header again before its
-        # planes are read, and each truth's twice as it checks it; _load_source
-        # parses each on-grid IC's. Each truth plane is read alone, once, its
-        # header parsed with it. Each region mask is built once, for validate
-        # and scoring both
-        from nwpeval import experiment, verify
+        # planes are read; _load_source parses each on-grid IC's. Each truth
+        # is opened once, by the PlaneReader that checks its header, and
+        # each of its planes read alone, once, with no header parsed again.
+        # Each region mask is built once, for validate and scoring both
+        from nwpeval import archive, experiment, verify
         from tests.test_experiment import build_inputs
         labels = build_inputs(tmp_path, small_grid)
-        headers, planes, masks = [], [], []
+        headers, planes, masks, parsed = [], [], [], Counter()
         read_header, read_archive = experiment.read_header, experiment.read_archive
         monkeypatch.setattr(experiment, "read_header",
                             lambda path: headers.append(name_of(path)) or read_header(path))
         monkeypatch.setattr(experiment, "read_archive",
                             lambda path, channels=None, **k:
                             (channels == () and headers.append(name_of(path)))
-                            or (name_of(path).startswith("truth") and channels
-                                and planes.append((name_of(path), channels)))
                             or read_archive(path, channels, **k))
+
+        def reader_reads(path, channels, plane):
+            if channels:
+                planes.append((name_of(path), channels))
+            else:
+                headers.append(name_of(path))
+
+        spy_plane_reader(monkeypatch, reader_reads)
+        monkeypatch.setattr(archive, "_read_head",
+                            lambda src, _f=archive._read_head:
+                            parsed.update([name_of(src)]) or _f(src))
         monkeypatch.setattr(verify, "region_mask",
                             lambda *a, _f=verify.region_mask: masks.append(a) or _f(*a))
         verify.region_block.cache_clear()
@@ -690,10 +702,11 @@ class TestRunSubcommand:
         cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels)))
         assert main(["run", "--config", str(cfg)]) == 0
         assert sorted(headers) == sorted(["clim.nws"] * 3
-                                         + ["truth_24.nws", "truth_48.nws"] * 2
+                                         + ["truth_24.nws", "truth_48.nws"]
                                          + [f"{lb}.nws" for lb in labels] * 2)
         assert planes == [(f"truth_{lead}.nws", (ch,)) for lead in (24, 48)
                           for ch in DEFAULT_REPORT_CHANNELS]
+        assert parsed["truth_24.nws"] == parsed["truth_48.nws"] == 1
         assert len(masks) == 2
 
     def test_truth_pattern_with_a_format_spec_runs(self, tmp_path, small_grid):

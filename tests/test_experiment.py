@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import signal
 import struct
 import sys
 import textwrap
@@ -20,8 +22,8 @@ from hypothesis import strategies as st
 from nwpeval import experiment, rollout
 from nwpeval.archive import (RawDumpLayout, archive_bytes, ingest_raw, read_archive,
                             read_header, write_archive)
-from nwpeval.experiment import (ConfigError, ExperimentConfig, ICSource, PlaneReader,
-                                SpliceScenario, load_config, parse_channel,
+from nwpeval.experiment import (ConfigError, ExperimentConfig, ICSource, SpliceScenario,
+                                load_config, open_input, parse_channel,
                                 run_experiment, write_metric_csv)
 from nwpeval.grids import (CHANNELS, DEFAULT_REGIONS, EAST_ASIA, GLOBAL, GridSpec,
                            RegionBox, StateSet, Var, channel_name)
@@ -31,7 +33,7 @@ from nwpeval.rollout import BackendSpec, builtin_step
 from nwpeval.splice import SpliceSpec, splice_states
 from nwpeval.synthetic import default_time, make_climatology, make_state, perturb
 from nwpeval.verify import DEFAULT_REPORT_CHANNELS, evaluate_run, region_block
-from tests.conftest import name_of, random_state
+from tests.conftest import name_of, random_state, spy_plane_reader
 
 LEADS = tuple(range(24, 241, 24))
 
@@ -156,6 +158,8 @@ class TestRunExperiment:
             return state
 
         monkeypatch.setattr(experiment, "read_archive", spy)
+        spy_plane_reader(monkeypatch, lambda path, channels, plane:
+                         reads.append((name_of(path), channels, len(channels))))
         report = run_experiment(cfg)
         assert report.failures == {}
         assert len(read_metric_csv(str(report.csv_path))) == 2 * 2 * 2 * 2 * 2
@@ -199,9 +203,8 @@ class TestRunExperiment:
         write_archive(make_state(coarse_grid, seed=1, source_label="era5"),
                       str(tmp_path / "truth_48.nws"))
         reads = []   # its header is read, and refused, before any plane is
-        monkeypatch.setattr(experiment, "read_archive",
-                            lambda src, channels=None, _f=experiment.read_archive:
-                            reads.append(name_of(src)) or _f(src, channels))
+        spy_plane_reader(monkeypatch, lambda path, channels, plane:
+                         channels and reads.append(name_of(path)))
         report = run_experiment(make_config(tmp_path, small_grid, labels, leads=(24, 48)))
         assert "truth_24.nws" in reads and "truth_48.nws" not in reads
         assert report.failures == {}
@@ -569,7 +572,7 @@ class TestMemory:
             region_block(grid, box)
         tracemalloc.start()
         try:
-            with closing(PlaneReader("truth", str(path), grid)) as reader:
+            with closing(open_input("truth", str(path), grid)) as reader:
                 got = evaluate_run(24, forecast, reader, clim, DEFAULT_REGIONS, channels)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -577,6 +580,39 @@ class TestMemory:
         assert got == evaluate_run(24, forecast, truth, clim, DEFAULT_REGIONS, channels)
         assert len(got[0]) == 9 * 2 * 2 and got[1] == []
         assert peak < 3 * grid.nlat * grid.nlon * 4
+
+
+    def test_scoring_a_canonical_external_lead_holds_two_planes_of_each(self, tmp_path):
+        # an external run's lead on the 721x1440 grid, scored as run_experiment
+        # scores a run alone at a lead: the step's output, opened and checked
+        # as the rollout yields it, against a reader of the truth. Each holds
+        # a plane or two of 4.0 MiB, where the step's 9 report planes were
+        # read whole; the work area is 2.1 MiB
+        grid, channels = GridSpec.canonical(), DEFAULT_REPORT_CHANNELS
+        valid = default_time() + timedelta(hours=24)
+        rng = np.random.default_rng(5)
+        truth, forecast, clim = (
+            StateSet(valid_time=valid, source_label=label, grid=grid, channels=channels,
+                     data=rng.standard_normal((len(channels),) + grid.shape,
+                                              dtype=np.float32))
+            for label in ("era5", "fc", "clim"))
+        write_sparse(truth, tmp_path / "truth_24.nws")
+        write_sparse(forecast, tmp_path / "step001.nws")
+        for box in DEFAULT_REGIONS.values():   # built once per run, before any lead
+            region_block(grid, box)
+        tracemalloc.start()
+        try:
+            with closing(rollout._open_step(tmp_path / "step001.nws", 1, 24, channels,
+                                            None)) as fc, \
+                    closing(open_input("truth", str(tmp_path / "truth_24.nws"),
+                                       grid)) as reader:
+                got = evaluate_run(24, fc, reader, clim, DEFAULT_REGIONS, channels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == evaluate_run(24, forecast, truth, clim, DEFAULT_REGIONS, channels)
+        assert len(got[0]) == 9 * 2 * 2 and got[1] == []
+        assert peak < 5 * grid.nlat * grid.nlon * 4
 
 
 def write_sparse(state, path):
@@ -639,16 +675,12 @@ class TestProcessBudget:
 
 
 def spy_truth_planes(monkeypatch, record):
-    """Call record(lead, channels, state) for each truth plane read."""
-    read_archive = experiment.read_archive
+    """Call record(lead, channels, plane) for each truth plane read."""
+    def spy(path, channels, plane):
+        if channels and name_of(path).startswith("truth_"):
+            record(truth_lead(path), channels, plane)
 
-    def spy(src, channels=None):
-        state = read_archive(src, channels)
-        if channels and name_of(src).startswith("truth_"):
-            record(truth_lead(src), channels, state)
-        return state
-
-    monkeypatch.setattr(experiment, "read_archive", spy)
+    spy_plane_reader(monkeypatch, spy)
 
 
 class TestTruthRule:
@@ -666,16 +698,15 @@ class TestTruthRule:
             cfg = dataclasses.replace(cfg, backend=copy_backend(tmp_path, monkeypatch,
                                                                 small_grid))
         events, lock = [], threading.Lock()
-        read_input, evaluate_run = experiment.read_input, experiment.evaluate_run
+        open_input, evaluate_run = experiment.open_input, experiment.evaluate_run
 
         def note(*event):
             with lock:
                 events.append(event)
 
-        def reading(what, path, *args):
-            if what == "truth":
-                note("checked", truth_lead(path))
-            return read_input(what, path, *args)
+        def opening(what, path, *args, **kwargs):
+            note("checked", truth_lead(path))
+            return open_input(what, path, *args, **kwargs)
 
         def scoring(lead, *args):
             result = evaluate_run(lead, *args)
@@ -683,7 +714,7 @@ class TestTruthRule:
             note("scored", lead)
             return result
 
-        monkeypatch.setattr(experiment, "read_input", reading)
+        monkeypatch.setattr(experiment, "open_input", opening)
         monkeypatch.setattr(experiment, "evaluate_run", scoring)
         spy_truth_planes(monkeypatch, lambda lead, channels, state: note("read", lead))
         report, error = run_in_thread(cfg)
@@ -701,23 +732,21 @@ class TestTruthRule:
                                   backend=copy_backend(tmp_path, monkeypatch, small_grid),
                                   workers=1)
         events = []
-        start, read_output = rollout._start_backend, rollout.read_archive
+        start, open_step = rollout._start_backend, rollout._open_step
         monkeypatch.setattr(rollout, "_start_backend",
                             lambda *a: events.append("started") or start(*a))
-        monkeypatch.setattr(rollout, "read_archive",   # its planes, not the IC's header
-                            lambda src, channels, **k: (channels and events.append("output"))
-                            or read_output(src, channels, **k))
-        read_input = experiment.read_input
+        monkeypatch.setattr(rollout, "_open_step",   # opened and checked
+                            lambda *a: events.append("output") or open_step(*a))
+        open_input = experiment.open_input
 
-        def reading(what, path, *args):
-            if what == "truth":
-                deadline = time.monotonic() + 10
-                while "started" not in events and time.monotonic() < deadline:
-                    time.sleep(0.01)
-                events.append("checked" if "started" in events else "checked first")
-            return read_input(what, path, *args)
+        def opening(what, path, *args, **kwargs):
+            deadline = time.monotonic() + 10
+            while "started" not in events and time.monotonic() < deadline:
+                time.sleep(0.01)
+            events.append("checked" if "started" in events else "checked first")
+            return open_input(what, path, *args, **kwargs)
 
-        monkeypatch.setattr(experiment, "read_input", reading)
+        monkeypatch.setattr(experiment, "open_input", opening)
         spy_truth_planes(monkeypatch, lambda *a: events.append("read"))
         report, error = run_in_thread(cfg)
         assert error is None and report.failures == {}
@@ -735,7 +764,7 @@ class TestTruthRule:
                                               leads=(24, 48, 72)), workers=workers)
         reads, lock = [], threading.Lock()
 
-        def record(lead, channels, state):
+        def record(lead, channels, plane):
             with lock:
                 reads.append((lead, channels))
 
@@ -763,9 +792,9 @@ class TestTruthRule:
                                                                 small_grid))
         probes, held = [], []
 
-        def record(lead, channels, state):
-            probes.append(weakref.ref(state.data))
-            held.append(sum(len(p()) for p in probes if p() is not None))
+        def record(lead, channels, plane):
+            probes.append(weakref.ref(plane))
+            held.append(sum(p() is not None for p in probes))
 
         spy_truth_planes(monkeypatch, record)
         report, error = run_in_thread(cfg)
@@ -780,15 +809,15 @@ class TestTruthRule:
         labels = build_inputs(tmp_path, small_grid, n_sources=runs)
         cfg = make_config(tmp_path, small_grid, labels, leads=(24, 48, 72))
         truth = tmp_path / "truth_48.nws"
-        read_input = experiment.read_input
+        open_input = experiment.open_input
 
-        def reading(what, path, *args):
-            state = read_input(what, path, *args)
+        def opening(what, path, *args, **kwargs):
+            reader = open_input(what, path, *args, **kwargs)
             if path == str(truth):
                 truth.write_bytes(truth.read_bytes()[:-7])
-            return state
+            return reader
 
-        monkeypatch.setattr(experiment, "read_input", reading)
+        monkeypatch.setattr(experiment, "open_input", opening)
         report, error = run_in_thread(cfg, timeout=60)
         assert error is None and report.failures == {}
         rows = read_metric_csv(str(report.csv_path))
@@ -805,14 +834,14 @@ class TestTruthRule:
         # the tasks waiting on that truth get its error too, so none waits forever
         labels = build_inputs(tmp_path, small_grid, n_sources=3)
         cfg = make_config(tmp_path, small_grid, labels, leads=(24, 48, 72))
-        read_input = experiment.read_input
+        open_input = experiment.open_input
 
-        def reading(what, path, *args):
-            if what == "truth" and truth_lead(path) == at_lead:
+        def opening(what, path, *args, **kwargs):
+            if truth_lead(path) == at_lead:
                 raise RuntimeError("disk on fire")
-            return read_input(what, path, *args)
+            return open_input(what, path, *args, **kwargs)
 
-        monkeypatch.setattr(experiment, "read_input", reading)
+        monkeypatch.setattr(experiment, "open_input", opening)
         report, error = run_in_thread(cfg, timeout=60)
         assert report is None
         assert isinstance(error, RuntimeError) and str(error) == "disk on fire"
@@ -836,6 +865,98 @@ class TestTruthRule:
         assert f"truth: lead 48: missing truth file {tmp_path / 'truth_48.nws'}" in log
         for label in labels:
             assert f"{label}: lead 48: no truth state" in log
+
+
+def nan_backend(tmp_path, monkeypatch, grid, label, channel, sleep=0.0):
+    """A copy backend on `grid`, taken as the canonical grid, that writes a
+    NaN into `channel`'s plane of `label`'s step-1 output and, for `label`,
+    sleeps `sleep` seconds in each later step."""
+    monkeypatch.setattr(GridSpec, "canonical", classmethod(lambda cls: grid))
+    plane = grid.nlat * grid.nlon * 4
+    script = tmp_path / "backend.py"
+    script.write_text(COPY_BACKEND + textwrap.dedent(f"""\
+        import os, struct, time
+        from nwpeval.archive import read_header
+        if read_header(a.infile)["source_label"] == {label!r}:
+            if a.infile.endswith({label + ".nws"!r}):
+                with open(a.out, "r+b") as out:
+                    start = os.path.getsize(a.out) - {len(CHANNELS) * plane}
+                    out.seek(start + {CHANNELS.index(channel) * plane + 4 * 5})
+                    out.write(struct.pack("<f", float("nan")))
+            else:
+                time.sleep({sleep})
+        """))
+    return BackendSpec(kind="external-command", command=f"{sys.executable} {script}",
+                       horizons={24})
+
+
+class TestNaNInAStepOutput:
+    """An external step's output is checked plane by plane: its report
+    planes as they are scored, every other plane before."""
+
+    @pytest.mark.parametrize("where", ["report", "other", "report-unscored"])
+    def test_fails_that_run_alone(self, tmp_path, small_grid, monkeypatch, where):
+        # src1's step 1 writes a NaN, into Z500 (scored) or T850 (not); with
+        # "report-unscored" lead 24 has no truth, so Z500 is never scored.
+        # src1's step 2, started ahead, would take a minute unless killed
+        channel = (Var.T, 850) if where == "other" else (Var.Z, 500)
+        labels = build_inputs(tmp_path, small_grid, n_sources=2)
+        if where == "report-unscored":
+            (tmp_path / "truth_24.nws").unlink()
+        cfg = dataclasses.replace(
+            make_config(tmp_path, small_grid, labels, leads=(24, 48, 72)),
+            backend=nan_backend(tmp_path, monkeypatch, small_grid, "src1", channel,
+                                sleep=60))
+        scored, procs = [], []
+        evaluate_run, start = experiment.evaluate_run, rollout._start_backend
+        monkeypatch.setattr(experiment, "evaluate_run", lambda lead, fc, *a, **k:
+                            scored.append((fc.source_label, lead))
+                            or evaluate_run(lead, fc, *a, **k))
+        monkeypatch.setattr(rollout, "_start_backend",
+                            lambda *a: procs.append(start(*a)) or procs[-1])
+        t0 = time.monotonic()
+        report, error = run_in_thread(cfg)
+        assert error is None and time.monotonic() - t0 < 30
+        assert report.failures == {"src1": "run failed: backend produced NaN/Inf at step 1 "
+                                           f"(+24h): plane {channel_name(*channel)} "
+                                           "contains NaN/Inf"}
+        rows = read_metric_csv(str(report.csv_path))
+        scored_leads = (48, 72) if where == "report-unscored" else (24, 48, 72)
+        assert {r["source"] for r in rows} == {"src0"}
+        assert len(rows) == 9 * 2 * len(scored_leads) * 2
+        # a report plane fails as it is scored; any other plane, or a report
+        # plane left unscored, before src1 scores its lead
+        assert [lead for label, lead in scored if label == "src1"] == \
+            ([24] if where == "report" else [])
+        def arg(proc, flag):
+            return proc.args[proc.args.index(flag) + 1]
+
+        (step1,) = [p for p in procs if arg(p, "--in") == str(tmp_path / "src1.nws")]
+        (step2,) = [p for p in procs if arg(p, "--in") == arg(step1, "--out")]
+        assert step2.returncode == -signal.SIGKILL   # killed and reaped
+        assert all(p.returncode is not None for p in procs)
+        assert not os.path.exists(os.path.dirname(arg(step1, "--out")))   # temp dir removed
+
+    @pytest.mark.parametrize("channel", [(Var.Z, 500), (Var.T, 850)],
+                             ids=["Z500", "T850"])
+    def test_a_nan_copied_from_an_ic_path_is_the_ics_fault(self, tmp_path, small_grid,
+                                                            monkeypatch, channel):
+        # the IC goes to the backend by path, lead 0 unasked: a NaN the step
+        # copies from it, in a plane scored or not, is laid on the IC
+        labels = build_inputs(tmp_path, small_grid, n_sources=2)
+        ic = tmp_path / "src1.nws"
+        state = read_archive(str(ic))
+        data = state.data.copy()
+        data[CHANNELS.index(channel), 4, 7] = np.nan
+        write_archive(state.replace(data=data), str(ic))
+        cfg = dataclasses.replace(make_config(tmp_path, small_grid, labels,
+                                              leads=(24, 48)),
+                                  backend=copy_backend(tmp_path, monkeypatch, small_grid))
+        report = run_experiment(cfg)
+        assert report.failures == {"src1": "run failed: the IC at lead 0 holds NaN/Inf: "
+                                           f"plane {channel_name(*channel)} contains NaN/Inf"}
+        rows = read_metric_csv(str(report.csv_path))
+        assert {r["source"] for r in rows} == {"src0"} and len(rows) == 9 * 2 * 2 * 2
 
 
 class TestConfigValidation:
