@@ -15,12 +15,14 @@ Archive layout (all multi-byte values little-endian):
                  row 0 = northmost latitude; nothing may follow it
 
 The channel list must be the canonical 69-channel order; anything else is
-rejected on read. Each plane therefore sits at a fixed offset, so
-`read_archive(src, channels)` reads only the requested planes, one seek
-and `readinto` each (every plane when it is asked to check them all). The
-result is a state of those planes alone, in the order asked for, named in
-its `channels`; `write_archive` refuses it. A `PlaneReader` keeps an
-archive open and reads one plane at a time, as a scorer asks for it.
+rejected on read. Each plane therefore sits at a fixed offset. Every plane
+is read through one plane source, a `PlaneReader`: it opens an archive, or a
+raw dump of a given `RawDumpLayout`, checks the payload's size, and reads
+a plane at its offset with one seek and `readinto`, as a scorer asks for
+it (`channel`) or for a state at once (`subset`), which is what
+`read_archive(src, channels)` and `ingest_raw` are. Such a state holds the
+planes asked for alone, in that order, named in its `channels`;
+`write_archive` refuses it.
 """
 
 from __future__ import annotations
@@ -29,13 +31,14 @@ import io
 import os
 import struct
 import threading
+from contextlib import closing
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import BinaryIO, Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .grids import (CHANNEL_INDEX, CHANNELS, N_CHANNELS, SURFACE_LEVEL, GridMismatchError,
+from .grids import (CHANNELS, N_CHANNELS, SURFACE_LEVEL, GridMismatchError,
                     GridSpec, InvalidChannelError, StateSet, Var, channel_name)
 
 MAGIC = b"NWPSTAT1"
@@ -146,64 +149,15 @@ def _check_payload(src: BinaryIO, start: int, grid: GridSpec, order: ChannelList
         raise FormatError("bytes follow the payload")
 
 
-def _read_plane(src: BinaryIO, offset: int, buf: np.ndarray, channel,
-                finite: bool = False, flip: bool = False) -> None:
-    """Read the plane of `channel` at `offset` into `buf`, rows reversed with
-    `flip`; with `finite`, NaN/Inf in it is a DataError naming it."""
-    src.seek(offset)
-    if src.readinto(buf) != buf.nbytes:
-        raise TruncationError("file shrank while being read")
-    if flip:
-        buf[:] = buf[::-1]
-    if finite and not np.isfinite(buf).all():
-        raise DataError(f"plane {channel_name(*channel)} contains NaN/Inf")
-
-
-def _read_planes(src: BinaryIO, start: int, grid: GridSpec, order: ChannelList,
-                 channels: ChannelList, finite: bool = False,
-                 flip: bool = False) -> np.ndarray:
-    """The planes of `channels`, in that order, from a payload at `start`
-    holding the planes of `order`: visited in file order, one seek and
-    readinto each, rows reversed with `flip`. A plane not kept is skipped,
-    or with `finite` read into a spare buffer; with `finite`, NaN/Inf in a
-    plane is a DataError naming it. Before any read, a channel not in
-    `order` is an InvalidChannelError, and a payload that does not end the
-    file a TruncationError or FormatError (see _check_payload). A channel
-    asked for twice is copied."""
-    slot = {}
-    for k, ch in enumerate(channels):
-        if ch not in order:
-            raise InvalidChannelError(f"no channel {ch[0]} at level {ch[1]} in the file")
-        slot.setdefault(ch, k)
-    _check_payload(src, start, grid, order)
-    plane = grid.nlat * grid.nlon * 4
-    data = np.empty((len(channels), grid.nlat, grid.nlon), dtype="<f4")
-    spare = np.empty(grid.shape, dtype="<f4") if finite else None
-    for k, ch in enumerate(order):
-        buf = data[slot[ch]] if ch in slot else spare
-        if buf is not None:
-            _read_plane(src, start + k * plane, buf, ch, finite, flip)
-    for k, ch in enumerate(channels):
-        if slot[ch] != k:   # asked for twice: copy the plane read
-            data[k] = data[slot[ch]]
-    return data
-
-
 def read_archive(src: Union[BinaryIO, str, os.PathLike],
                  channels: Optional[ChannelList] = None,
                  finite: bool = False) -> StateSet:
     """Exact inverse of write_archive. With `channels`, a list of
     (variable, level), only those planes are kept, in that order. Either
     way the payload's size is checked first; with `finite` every plane is
-    checked for NaN/Inf (see _read_planes)."""
-    if isinstance(src, (str, bytes, os.PathLike)):
-        with open(src, "rb") as fh:
-            return read_archive(fh, channels, finite)
-    grid, valid_time, label = _read_head(src)
-    channels = CHANNELS if channels is None else tuple(channels)
-    data = _read_planes(src, src.tell(), grid, CHANNELS, channels, finite)
-    return StateSet(valid_time=valid_time, source_label=label, grid=grid, data=data,
-                    channels=channels)
+    checked for NaN/Inf (see PlaneReader.subset)."""
+    with closing(PlaneReader(src, finite=finite)) as reader:
+        return reader.subset(CHANNELS if channels is None else channels)
 
 
 def read_header(src: Union[BinaryIO, str, os.PathLike]) -> dict:
@@ -219,67 +173,105 @@ def read_header(src: Union[BinaryIO, str, os.PathLike]) -> dict:
 
 
 class PlaneReader:
-    """The archive at `path`, read one plane at a time from one open file.
-    It stands in for a state of `channels` in verify.evaluate_run, which
-    looks each plane up once with channel(), so a scorer holds a plane or
-    two of it, not every plane it scores; `unread` holds the channels of
-    `channels` whose planes no call has read yet.
+    """The planes of one open file, read one at a time: an archive, or with
+    `layout` a raw dump. `src` is a path, which the reader opens unbuffered
+    and close() closes, or an open binary file, which close() leaves open.
+    It stands in for a state in verify.evaluate_run, which looks each plane
+    up once with channel(), so a scorer holds a plane or two of it, not
+    every plane it scores; subset() reads a state's planes at once.
+    `unread` holds the channels whose planes no call has read yet.
 
-    Opening it opens the file once, unbuffered, and parses and checks the
-    header (magic, version, channel list, and that it is on `grid`, if
-    given) and the payload's size; the reader then has the header's grid,
-    valid_time and source_label. A plane is read at its offset, with no
-    header parsed again, once the payload's size has been checked again,
-    so a file cut short since its opening costs the read. With `finite`,
-    NaN/Inf in a plane read is a DataError naming it.
+    An archive's header is parsed and checked (magic, version, channel
+    list, and that it is on `grid`, if given), and gives the reader its
+    grid, valid_time and source_label; its payload follows the header. A
+    raw dump has no header: it is on `grid`, its payload starts where
+    `src` stands and holds the planes of `layout.channel_order`, rows
+    reversed if `layout.scan` is "south-first", and the reader has
+    `valid_time` and `source_label`. The payload's size is checked on
+    opening and again before each plane is read at its offset, so a file
+    cut short since its opening costs the read. With `finite`, NaN/Inf in
+    a plane read is a DataError naming it. A channel the file does not
+    hold is an InvalidChannelError, raised before any read.
 
     Of `takers` scorers sharing it, the first to ask for a channel reads
     its plane and the last drops it: each plane is read once, and held no
     longer than the scorers need it. An error opening or reading the file
     (ArchiveError, OSError, GridMismatchError off `grid`, or another
-    ValueError) is raised as `fail(error)`, by default the error itself;
-    after a failed read every call raises it. Safe to share across
-    threads; close() closes the file.
+    ValueError), or a channel it does not hold, is raised as `fail(error)`,
+    by default the error itself; after a failed read every call raises it.
+    Safe to share across threads.
     """
 
-    def __init__(self, path: Union[str, os.PathLike], channels: ChannelList = CHANNELS,
+    def __init__(self, src: Union[BinaryIO, str, os.PathLike],
                  grid: Optional[GridSpec] = None, takers: int = 1, finite: bool = False,
-                 fail: Optional[Callable[[Exception], Exception]] = None):
-        self.path, self.channels = path, tuple(channels)
-        self.unread = set(self.channels)
+                 fail: Optional[Callable[[Exception], Exception]] = None,
+                 layout: Optional[RawDumpLayout] = None,
+                 valid_time: Optional[datetime] = None, source_label: str = ""):
+        self.path = src
         self._takers, self._finite = takers, finite
         self._fail = fail or (lambda exc: exc)
         self._held: dict = {}   # channel -> [its plane, scorers yet to take it]
         self._error: Optional[Exception] = None
         self._lock = threading.Lock()
-        self._fh = None
+        self._own, self._fh = isinstance(src, (str, bytes, os.PathLike)), None
         try:
-            self._fh = open(path, "rb", buffering=0)   # a read reads just its bytes
-            self.grid, self.valid_time, self.source_label = _read_head(self._fh)
-            if grid is not None and self.grid != grid:
-                raise GridMismatchError(f"on {self.grid}, not {grid}")
+            self._fh = open(src, "rb", buffering=0) if self._own else src
+            if layout is None:
+                self.grid, self.valid_time, self.source_label = _read_head(self._fh)
+                if grid is not None and self.grid != grid:
+                    raise GridMismatchError(f"on {self.grid}, not {grid}")
+                self._order, self._flip = CHANNELS, False
+            else:
+                self.grid, self.valid_time, self.source_label = grid, valid_time, source_label
+                self._order, self._flip = layout.channel_order, layout.scan == "south-first"
+            self._index = {ch: k for k, ch in enumerate(self._order)}
+            self.unread = set(self._order)
             self._start = self._fh.tell()
-            _check_payload(self._fh, self._start, self.grid, CHANNELS)
+            _check_payload(self._fh, self._start, self.grid, self._order)
         except (ArchiveError, OSError, ValueError) as exc:
             self.close()
             raise self._fail(exc) from None
+
+    def _require(self, channels) -> None:
+        """Raise fail(InvalidChannelError) for a channel of `channels` the
+        file does not hold."""
+        for ch in channels:
+            if ch not in self._index:
+                raise self._fail(InvalidChannelError(
+                    f"no channel {ch[0]} at level {ch[1]} in the file")) from None
 
     def _read(self, channel, buf: np.ndarray) -> None:
         """Read the plane of `channel` into `buf`; the caller holds the lock."""
         if self._error is not None:
             raise self._error
         try:
-            _check_payload(self._fh, self._start, self.grid, CHANNELS)
-            _read_plane(self._fh, self._start + CHANNEL_INDEX[channel] * buf.nbytes, buf,
-                        channel, self._finite)
+            _check_payload(self._fh, self._start, self.grid, self._order)
+            self._fh.seek(self._start + self._index[channel] * buf.nbytes)
+            if self._fh.readinto(buf) != buf.nbytes:
+                raise TruncationError("file shrank while being read")
+            if self._flip:
+                buf[:] = buf[::-1]
+            if self._finite and not np.isfinite(buf).all():
+                raise DataError(f"plane {channel_name(*channel)} contains NaN/Inf")
         except (ArchiveError, OSError, ValueError) as exc:
             self._error = self._fail(exc)
             self._held.clear()
             raise self._error from None
         self.unread.discard(channel)
 
+    def _fill(self, slot: dict, spare) -> None:
+        """Read the plane of each channel of `slot` into its buffer there,
+        and of each other channel of `spare` into one spare plane, visiting
+        them in file order."""
+        with self._lock:
+            visit = sorted(set(slot).union(spare), key=self._index.__getitem__)
+            buf = np.empty(self.grid.shape, dtype="<f4") if len(visit) > len(slot) else None
+            for ch in visit:
+                self._read(ch, slot.get(ch, buf))
+
     def channel(self, variable: Var, level: int = SURFACE_LEVEL) -> np.ndarray:
         key = (variable, level)
+        self._require((key,))
         with self._lock:
             held = self._held.get(key)
             if held is None:
@@ -294,18 +286,24 @@ class PlaneReader:
     def check(self, channels) -> None:
         """Read each plane of `channels`, in file order, into one spare
         plane: with `finite`, a check that none holds NaN/Inf."""
-        spare = np.empty(self.grid.shape, dtype="<f4")
-        with self._lock:
-            for key in sorted(channels, key=CHANNEL_INDEX.__getitem__):
-                self._read(key, spare)
+        self._fill({}, channels)
 
     def subset(self, channels) -> StateSet:
-        """A state of `channels`, in that order, each plane read into it."""
+        """A state of `channels`, in that order: each plane is read into its
+        slot and, with `finite`, each other plane no call has read yet into
+        one spare plane, in file order, so a DataError names the first
+        plane in the file that holds NaN/Inf. A channel asked for twice is
+        read once and copied."""
         channels = tuple(channels)
+        self._require(channels)
         data = np.empty((len(channels),) + self.grid.shape, dtype="<f4")
-        with self._lock:
-            for plane, key in zip(data, channels):
-                self._read(key, plane)
+        slot: dict = {}
+        for k, ch in enumerate(channels):
+            slot.setdefault(ch, k)
+        self._fill({ch: data[k] for ch, k in slot.items()}, self.unread if self._finite else ())
+        for k, ch in enumerate(channels):
+            if slot[ch] != k:   # asked for twice: copy the plane read
+                data[k] = data[slot[ch]]
         return StateSet(valid_time=self.valid_time, source_label=self.source_label,
                         grid=self.grid, data=data, channels=channels)
 
@@ -320,9 +318,10 @@ class PlaneReader:
         return self
 
     def close(self) -> None:
+        """Close the file, if the reader opened it."""
         with self._lock:
             self._held.clear()
-            if self._fh is not None:
+            if self._own and self._fh is not None:
                 self._fh.close()
 
 
@@ -354,22 +353,15 @@ def ingest_raw(path: str, grid: GridSpec, layout: RawDumpLayout,
                valid_time: datetime, source_label: str,
                finite: bool = True, channels: ChannelList = CHANNELS) -> StateSet:
     """Load a raw dump into a north-first state of `channels`, in that
-    order (all 69 in canonical order by default), each plane read into its
-    slot, so no second copy is made. A dump of the wrong size is a
-    TruncationError or FormatError (see _read_planes).
-
-    finite, as in read_archive: every plane of the dump, kept or not, is
-    checked, and the first holding NaN/Inf is a DataError as soon as it is
-    read. Without it the state is returned as read, for the caller to
-    check with validate_state.
+    order (all 69 in canonical order by default), as read_archive loads an
+    archive: a dump of the wrong size is a TruncationError or FormatError,
+    and with `finite` every plane of the dump, kept or not, is checked, the
+    first holding NaN/Inf a DataError as soon as it is read. Without it the
+    state is returned as read, for the caller to check with validate_state.
     """
-    channels = tuple(channels)
-    with open(path, "rb") as fh:
-        data = _read_planes(fh, 0, grid, layout.channel_order, channels,
-                            finite=finite,
-                            flip=layout.scan == "south-first")
-    return StateSet(valid_time=valid_time, source_label=source_label,
-                    grid=grid, data=data, channels=channels)
+    with closing(PlaneReader(path, grid, finite=finite, layout=layout,
+                             valid_time=valid_time, source_label=source_label)) as reader:
+        return reader.subset(channels)
 
 
 def archive_bytes(state: StateSet) -> bytes:

@@ -20,7 +20,7 @@ from .archive import (ArchiveError, RawDumpLayout, ingest_raw, read_archive,
 from .experiment import (ConfigError, InputError, _parse_box, _parse_time,
                          check_pattern, check_regions, check_truth_pattern,
                          load_config, no_repeats, open_input, parse_channel,
-                         read_input, run_experiment)
+                         run_experiment)
 from .grids import DEFAULT_REGIONS, GridSpec, channel_name, validate_state
 from .plots import PlotInputError, emit_plots, write_metric_csv
 from .regrid import regrid_state
@@ -244,17 +244,18 @@ def _cmd_evaluate(args) -> int:
         check_pattern("--forecast-pattern", args.forecast_pattern, leads)
         check_truth_pattern("--truth-pattern", args.truth_pattern, leads)
         # its header, and its payload's size: a short or long one is a usage error
-        grid = read_input("climatology", args.climatology, None).grid
-        check_regions(grid, regions)
-    clim = read_input("climatology", args.climatology, grid, channels)
+        reader = open_input("climatology", args.climatology, None)
+    with closing(reader):
+        check_regions(reader.grid, regions)   # a ConfigError: exit 2
+        clim = reader.subset(channels)
     records, errors = [], []
     for lead in leads:   # a forecast or truth unread or off the grid costs its lead
         try:
             # read a plane at a time, as `nwpeval run` reads a truth
             with closing(open_input("forecast", args.forecast_pattern.format(lead=lead),
-                                    grid)) as fc, \
+                                    clim.grid)) as fc, \
                     closing(open_input("truth", args.truth_pattern.format(lead=lead),
-                                       grid)) as truth:
+                                       clim.grid)) as truth:
                 r, e = evaluate_run(lead, fc, truth, clim, regions, channels)
         except InputError as exc:
             errors.append(f"lead {lead}: {exc}")

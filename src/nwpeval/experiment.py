@@ -15,6 +15,7 @@ import hashlib
 import logging
 import os
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from contextlib import closing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -125,7 +126,7 @@ class ExperimentConfig:
         try:   # of the climatology, the header is read and the payload's size checked
             self.backend.check_command()
             self.backend.check_grid(self.model_grid)
-            read_input("climatology", self.climatology_path, self.model_grid)
+            open_input("climatology", self.climatology_path, self.model_grid).close()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -333,31 +334,15 @@ def _input_error(what: str, path: str, exc: Exception) -> InputError:
     return InputError(f"{what} {path}: {exc}")
 
 
-def read_input(what: str, path: str, grid: Optional[GridSpec],
-               channels=()) -> StateSet:
-    """The `channels` of the archive at `path`, which holds a truth, forecast
-    or climatology (`what`); with none, its header alone, and its payload's
-    size checked. InputError naming `what` and the file if the file is
-    missing, cannot be read (short, long or malformed), or is not on `grid`
-    (None: any grid). The grid is compared from the header, in the same
-    open as the read, so an off-grid file costs no plane read."""
-    try:
-        with open(path, "rb") as fh:
-            on = read_header(fh)["grid"]
-            if grid is not None and on != grid:
-                raise GridMismatchError(f"on {on}, not {grid}")
-            fh.seek(0)
-            return read_archive(fh, channels)
-    except (ArchiveError, OSError, ValueError) as exc:   # a malformed grid or label too
-        raise _input_error(what, path, exc) from None
-
-
 def open_input(what: str, path: str, grid: Optional[GridSpec],
                takers: int = 1) -> PlaneReader:
-    """A PlaneReader of the truth or forecast (`what`) at `path`, shared by
-    `takers` scorers, to read one plane at a time as they score. InputError
-    naming `what` and the file if the file is missing, cannot be read or is
-    not on `grid`, on opening or, from then on, on a plane read."""
+    """A PlaneReader of the truth, forecast or climatology (`what`) at
+    `path`, shared by `takers` scorers, to read one plane at a time as they
+    score, or a subset at once. InputError naming `what` and the file if the
+    file is missing, cannot be read (short, long or malformed) or is not on
+    `grid` (None: any grid), on opening or, from then on, on a plane read.
+    The grid is compared from the header, so an off-grid file costs no
+    plane read."""
     return PlaneReader(path, grid=grid, takers=takers,
                        fail=functools.partial(_input_error, what, path))
 
@@ -386,7 +371,8 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     """
     config.validate()   # the climatology's header and payload size too
     grid, channels = config.model_grid, config.report_channels
-    climatology = read_input("climatology", config.climatology_path, grid, channels)
+    with closing(open_input("climatology", config.climatology_path, grid)) as clim:
+        climatology = clim.subset(channels)
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 

@@ -208,9 +208,9 @@ def _open_step(path: Path, step_no: int, step_hours: int, channels,
             return RolloutError(f"backend changed the grid at step {step_no}")
         return RolloutError(f"backend wrote a malformed archive at step {step_no}: {exc}")
 
-    out = PlaneReader(path, channels, GridSpec.canonical(), finite=True, fail=fail)
+    out = PlaneReader(path, GridSpec.canonical(), finite=True, fail=fail)
     try:
-        out.check(ch for ch in CHANNELS if ch not in out.channels)
+        out.check(ch for ch in CHANNELS if ch not in channels)
     except BaseException:
         out.close()
         raise

@@ -57,3 +57,13 @@ def spy_plane_reader(monkeypatch, record):
 
     monkeypatch.setattr(PlaneReader, "__init__", opening)
     monkeypatch.setattr(PlaneReader, "_read", reading)
+
+
+def spy_payload_reads(monkeypatch) -> list:
+    """The (file name, channel) of each plane an archive.PlaneReader reads
+    from now on: every payload read, of an archive or a raw dump, by
+    read_archive, ingest_raw or a reader itself. A header read adds none."""
+    reads = []
+    spy_plane_reader(monkeypatch, lambda path, channels, plane:
+                     channels and reads.append((name_of(path), *channels)))
+    return reads

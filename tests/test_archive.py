@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nwpeval.archive import (DataError, FormatError, RawDumpLayout, TruncationError,
-                             UnsupportedLayoutError, archive_bytes,
+from nwpeval import archive
+from nwpeval.archive import (DataError, FormatError, PlaneReader, RawDumpLayout,
+                             TruncationError, UnsupportedLayoutError, archive_bytes,
                              ingest_raw, payload_size, read_archive,
                              read_header, write_archive)
 from nwpeval.grids import (CHANNELS, N_CHANNELS, GridSpec, InvalidChannelError,
@@ -18,6 +19,16 @@ from tests.conftest import random_state
 def states_equal(a, b) -> bool:
     return (a.valid_time == b.valid_time and a.source_label == b.source_label
             and a.grid == b.grid and np.array_equal(a.data, b.data))
+
+
+class CountingFile(io.BytesIO):
+    """An archive in memory that counts its plane reads (readinto calls)."""
+    planes = 0
+
+    def readinto(self, buf):
+        self.planes += 1
+        return super().readinto(buf)
+
 
 
 class TestRoundTrip:
@@ -183,21 +194,36 @@ class TestSubsetRead:
         with pytest.raises(InvalidChannelError):
             sub.channel(Var.Z, 501)
 
-    @pytest.mark.parametrize("channels", [[(Var.Z, 501), (Var.MSLP, 0)],
-                                          [(Var.T2, 0), (Var.MSLP, 500)]])
-    def test_subset_of_a_channel_not_held_reads_nothing(self, small_grid, channels):
-        # no plane in file order matches that slot: it used to be np.empty's
-        class Reader(io.BytesIO):
-            planes = 0
-
-            def readinto(self, buf):
-                self.planes += 1
-                return super().readinto(buf)
-
-        src = Reader(archive_bytes(random_state(small_grid, seed=16)))
+    @pytest.mark.parametrize("read, channels", [
+        pytest.param(read_archive, [(Var.Z, 501), (Var.MSLP, 0)], id="channels0"),
+        pytest.param(read_archive, [(Var.T2, 0), (Var.MSLP, 500)], id="channels1"),
+        pytest.param(lambda src, channels: PlaneReader(src).subset(channels),
+                     [(Var.T2, 0), (Var.MSLP, 500)], id="reader-subset"),
+        pytest.param(lambda src, channels: PlaneReader(src).channel(*channels[0]),
+                     [(Var.Z, 501)], id="reader-channel")])
+    def test_subset_of_a_channel_not_held_reads_nothing(self, small_grid, read, channels):
+        # no plane in file order matches that slot: it used to be np.empty's,
+        # and a PlaneReader's KeyError
+        src = CountingFile(archive_bytes(random_state(small_grid, seed=16)))
         with pytest.raises(InvalidChannelError, match="no channel"):
-            read_archive(src, channels)
+            read(src, channels)
         assert src.planes == 0
+
+    @pytest.mark.parametrize("read, planes", [
+        (read_archive, 2),
+        (lambda src, channels: PlaneReader(src).subset(channels), 2),
+        (lambda src, channels: read_archive(src, channels, finite=True), N_CHANNELS)],
+        ids=["read_archive", "reader-subset", "finite"])
+    def test_a_channel_asked_for_twice_is_read_once(self, small_grid, read, planes):
+        # and copied; with finite every other plane is read once, into a spare
+        s = random_state(small_grid, seed=17)
+        src = CountingFile(archive_bytes(s))
+        channels = [(Var.Z, 500), (Var.MSLP, 0), (Var.Z, 500)]
+        sub = read(src, channels)
+        assert src.planes == planes
+        assert sub.channels == tuple(channels)
+        for plane, ch in zip(sub.data, channels):
+            assert np.array_equal(plane, s.channel(*ch))
 
     def test_write_rejects_a_subset_state(self, tmp_path, small_grid):
         s = random_state(small_grid, seed=15)
@@ -336,3 +362,32 @@ def test_read_header_checks_version_and_channels(small_grid):
     raw[66:70], raw[70:74] = raw[70:74], raw[66:70]
     with pytest.raises(UnsupportedLayoutError):
         read_header(io.BytesIO(bytes(raw)))
+
+
+class TestFileOwnership:
+    def test_a_callers_open_file_is_left_open(self, tmp_path, small_grid):
+        path = tmp_path / "state.nws"
+        write_archive(random_state(small_grid, seed=19), path)
+        with open(path, "rb") as fh:
+            for read in (read_archive, read_header, lambda src: PlaneReader(src).close()):
+                fh.seek(0)
+                read(fh)
+                assert not fh.closed
+
+    @pytest.mark.parametrize("damage", ["none", "bad-magic", "truncated"])
+    @pytest.mark.parametrize("read", [read_archive, read_header])
+    def test_a_file_opened_by_its_path_is_closed(self, tmp_path, small_grid, monkeypatch,
+                                                 read, damage):
+        raw = archive_bytes(random_state(small_grid, seed=20))
+        raw = {"none": raw, "bad-magic": b"X" + raw[1:], "truncated": raw[:-7]}[damage]
+        path = tmp_path / "state.nws"
+        path.write_bytes(raw)
+        opened = []
+        monkeypatch.setattr(archive, "open", lambda *a, **k: opened.append(open(*a, **k))
+                            or opened[-1], raising=False)
+        if damage == "none" or (damage == "truncated" and read is read_header):
+            read(path)   # a header read does not look at the payload
+        else:
+            with pytest.raises((FormatError, TruncationError)):
+                read(path)
+        assert len(opened) == 1 and opened[0].closed

@@ -15,7 +15,7 @@ from nwpeval.grids import CHANNELS, GridSpec, Var, channel_name
 from nwpeval.plots import read_metric_csv
 from nwpeval.synthetic import make_climatology, make_state
 from nwpeval.verify import DEFAULT_REPORT_CHANNELS
-from tests.conftest import name_of, random_state, spy_plane_reader
+from tests.conftest import name_of, random_state, spy_payload_reads, spy_plane_reader
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -120,11 +120,7 @@ class TestUsageErrors:
             "region-repeated", "truth-fixed-path", "region-a-slash"])
     def test_bad_flag_value_exits_2_without_output(self, archive_path, tmp_path,
                                                    monkeypatch, argv):
-        from nwpeval import cli
-        payload_reads = []
-        for name in ("read_archive", "ingest_raw"):
-            monkeypatch.setattr(cli, name,
-                                lambda *a, _name=name, **k: payload_reads.append(_name))
+        payload_reads = spy_payload_reads(monkeypatch)
         out = tmp_path / "out"
         assert main([a.format(a=archive_path, out=out) for a in argv]) == 2
         assert not out.exists()
@@ -256,7 +252,6 @@ class TestRolloutEvaluatePlot:
 
     def test_evaluate_reads_only_the_report_planes(self, tmp_path, small_grid,
                                                    monkeypatch):
-        from nwpeval import cli, experiment
         for lead in (24, 48):
             write_archive(make_state(small_grid, seed=59, source_label="gfs"),
                           str(tmp_path / f"fc_{lead}.nws"))
@@ -264,11 +259,6 @@ class TestRolloutEvaluatePlot:
                           str(tmp_path / f"truth_{lead}.nws"))
         write_archive(make_climatology(small_grid), str(tmp_path / "clim.nws"))
         reads = []
-        for module in (cli, experiment):
-            monkeypatch.setattr(module, "read_archive",
-                                lambda path, channels=None, _f=module.read_archive:
-                                reads.append((name_of(path), tuple(channels or ())))
-                                or _f(path, channels))
         spy_plane_reader(monkeypatch, lambda path, channels, plane:
                          reads.append((name_of(path), channels)))
         csv = tmp_path / "metrics.csv"
@@ -279,10 +269,11 @@ class TestRolloutEvaluatePlot:
         assert len(read_metric_csv(str(csv))) == 2 * 2 * 2 * 2
         report = ((Var.Z, 500), (Var.MSLP, 0))
         # the climatology's header, with no plane, to check the regions on,
-        # then its report planes; at each lead the forecast's and the truth's
-        # header, then each report plane of the two alone, as it is scored
+        # then its report planes, in file order, in the same open; at each
+        # lead the forecast's and the truth's header, then each report plane
+        # of the two alone, as it is scored
         names = [(f"fc_{lead}.nws", f"truth_{lead}.nws") for lead in (24, 48)]
-        assert reads == [("clim.nws", ()), ("clim.nws", report)] + [
+        assert reads == [("clim.nws", ())] + [("clim.nws", (ch,)) for ch in report[::-1]] + [
             read for pair in names for read in [(name, ()) for name in pair]
             + [(name, (ch,)) for ch in report for name in pair]]
 
@@ -486,13 +477,9 @@ class TestRunSubcommand:
     @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
     def test_schema_errors_exit_2_before_running(self, tmp_path, small_grid,
                                                  monkeypatch, capsys, case):
-        from nwpeval import experiment
         from tests.test_experiment import build_inputs
         labels = build_inputs(tmp_path, small_grid)
-        payload_reads = []
-        for name in ("read_archive", "ingest_raw"):
-            monkeypatch.setattr(experiment, name,
-                                lambda *a, _name=name, **k: payload_reads.append(_name))
+        payload_reads = spy_payload_reads(monkeypatch)
         cfg = tmp_path / "exp.yaml"
         cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels, BAD_CONFIGS[case])))
         assert main(["run", "--config", str(cfg)]) == 2
@@ -522,13 +509,9 @@ class TestRunSubcommand:
     def test_an_entry_that_is_no_mapping_exits_2_naming_its_key(
             self, tmp_path, small_grid, monkeypatch, capsys, key, value, message):
         # not looked up as a string: 'string indices must be integers'
-        from nwpeval import experiment
         from tests.test_experiment import build_inputs
         labels = build_inputs(tmp_path, small_grid)
-        payload_reads = []
-        for name in ("read_archive", "ingest_raw"):
-            monkeypatch.setattr(experiment, name,
-                                lambda *a, _name=name, **k: payload_reads.append(_name))
+        payload_reads = spy_payload_reads(monkeypatch)
         cfg = tmp_path / "exp.yaml"
         cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels, {key: value})))
         assert main(["run", "--config", str(cfg)]) == 2
@@ -547,13 +530,9 @@ class TestRunSubcommand:
             self, tmp_path, small_grid, monkeypatch, capsys, entry, message):
         # not looked up as a string: 'string indices must be integers' or
         # "'str' object has no attribute 'get'"
-        from nwpeval import experiment
         from tests.test_experiment import build_inputs
         labels = build_inputs(tmp_path, small_grid)
-        payload_reads = []
-        for name in ("read_archive", "ingest_raw"):
-            monkeypatch.setattr(experiment, name,
-                                lambda *a, _name=name, **k: payload_reads.append(_name))
+        payload_reads = spy_payload_reads(monkeypatch)
         overrides = {"grid": "canonical"} if entry is None else {"ic_sources": [
             dict({"label": "raw", "path": "raw.bin"}, **entry)]}
         cfg = tmp_path / "exp.yaml"
@@ -566,14 +545,10 @@ class TestRunSubcommand:
     def test_layout_repeating_a_channel_exits_2(self, tmp_path, small_grid,
                                                 monkeypatch, capsys):
         # all 69 channels plus MSLP again: 70 planes named, the dump holds 69
-        from nwpeval import experiment
         from tests.test_experiment import build_inputs
         labels = build_inputs(tmp_path, small_grid)
         random_state(small_grid, seed=5).data.tofile(tmp_path / "raw.bin")
-        payload_reads = []
-        for name in ("read_archive", "ingest_raw"):
-            monkeypatch.setattr(experiment, name,
-                                lambda *a, _name=name, **k: payload_reads.append(_name))
+        payload_reads = spy_payload_reads(monkeypatch)
         order = [channel_name(*c) for c in CHANNELS] + ["MSLP"]
         doc = run_doc(small_grid, labels, {"ic_sources": [
             {"label": "raw", "path": "raw.bin",
@@ -588,16 +563,10 @@ class TestRunSubcommand:
 
     def test_climatology_off_the_model_grid_exits_2(self, tmp_path, small_grid,
                                                      coarse_grid, monkeypatch, capsys):
-        from nwpeval import experiment
         from tests.test_experiment import build_inputs
         labels = build_inputs(tmp_path, small_grid)
         write_archive(make_climatology(coarse_grid), str(tmp_path / "clim.nws"))
-        payload_reads = []   # a header read, with no channel, is let through
-        monkeypatch.setattr(experiment, "read_archive",
-                            lambda path, channels=None, _f=experiment.read_archive:
-                            _f(path, ()) if channels == () else payload_reads.append(path))
-        monkeypatch.setattr(experiment, "ingest_raw",
-                            lambda *a, **k: payload_reads.append(a))
+        payload_reads = spy_payload_reads(monkeypatch)   # a header read adds none
         cfg = tmp_path / "exp.yaml"
         cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels)))
         assert main(["run", "--config", str(cfg)]) == 2
@@ -610,20 +579,17 @@ class TestRunSubcommand:
                                            capsys):
         # its header passes validate(); its short payload is found before any
         # payload is read and before the output directory is made
-        from nwpeval import experiment
         from tests.test_experiment import build_inputs
         labels = build_inputs(tmp_path, small_grid)
         clim = tmp_path / "clim.nws"
         clim.write_bytes(clim.read_bytes()[:-7])
-        reads = []
-        monkeypatch.setattr(experiment, "read_archive",
-                            lambda path, *a, _f=experiment.read_archive, **k:
-                            reads.append(name_of(path)) or _f(path, *a, **k))
-        monkeypatch.setattr(experiment, "ingest_raw", lambda *a, **k: reads.append(a))
+        reads = []   # each file a reader opens, and each plane it reads
+        spy_plane_reader(monkeypatch, lambda path, channels, plane:
+                         reads.append((name_of(path), channels)))
         cfg = tmp_path / "exp.yaml"
         cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels)))
         assert main(["run", "--config", str(cfg)]) == 2
-        assert reads == ["clim.nws"]
+        assert reads == [("clim.nws", ())]
         assert not (tmp_path / "out").exists()
         assert (f"nwpeval: climatology {clim}: payload truncated in channel V50"
                 in capsys.readouterr().err)
@@ -666,24 +632,20 @@ class TestRunSubcommand:
 
     def test_config_validated_once_per_run(self, tmp_path, small_grid, monkeypatch):
         # validate parses one header per .nws IC, with read_header, and the
-        # climatology's in read_input: with read_header for its grid, then
-        # with read_archive and no channel for its payload's size, in one
-        # open. read_input parses the climatology's header again before its
-        # planes are read; _load_source parses each on-grid IC's. Each truth
-        # is opened once, by the PlaneReader that checks its header, and
-        # each of its planes read alone, once, with no header parsed again.
-        # Each region mask is built once, for validate and scoring both
+        # climatology's, opening it to check its grid and payload size; the
+        # climatology is opened once more to read its planes. _load_source
+        # opens each on-grid IC for its header, and the rollout opens it
+        # again to read and check its 69 planes, each once. Each truth is
+        # opened once, by the PlaneReader that checks its header, and each
+        # of its planes read alone, once, with no header parsed again. Each
+        # region mask is built once, for validate and scoring both
         from nwpeval import archive, experiment, verify
         from tests.test_experiment import build_inputs
         labels = build_inputs(tmp_path, small_grid)
         headers, planes, masks, parsed = [], [], [], Counter()
-        read_header, read_archive = experiment.read_header, experiment.read_archive
+        read_header = experiment.read_header
         monkeypatch.setattr(experiment, "read_header",
                             lambda path: headers.append(name_of(path)) or read_header(path))
-        monkeypatch.setattr(experiment, "read_archive",
-                            lambda path, channels=None, **k:
-                            (channels == () and headers.append(name_of(path)))
-                            or read_archive(path, channels, **k))
 
         def reader_reads(path, channels, plane):
             if channels:
@@ -701,12 +663,23 @@ class TestRunSubcommand:
         cfg = tmp_path / "exp.yaml"
         cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels)))
         assert main(["run", "--config", str(cfg)]) == 0
-        assert sorted(headers) == sorted(["clim.nws"] * 3
+        assert sorted(headers) == sorted(["clim.nws"] * 2
                                          + ["truth_24.nws", "truth_48.nws"]
-                                         + [f"{lb}.nws" for lb in labels] * 2)
-        assert planes == [(f"truth_{lead}.nws", (ch,)) for lead in (24, 48)
-                          for ch in DEFAULT_REPORT_CHANNELS]
+                                         + [f"{lb}.nws" for lb in labels] * 3)
+        assert [p for p in planes if p[0].startswith("truth_")] == [
+            (f"truth_{lead}.nws", (ch,)) for lead in (24, 48)
+            for ch in DEFAULT_REPORT_CHANNELS]
+        read = {}   # each file's planes, in the order read
+        for name, channels in planes:
+            read.setdefault(name, []).extend(channels)
+        assert read == {"clim.nws": sorted(DEFAULT_REPORT_CHANNELS, key=CHANNELS.index),
+                        "truth_24.nws": list(DEFAULT_REPORT_CHANNELS),
+                        "truth_48.nws": list(DEFAULT_REPORT_CHANNELS),
+                        **{f"{lb}.nws": list(CHANNELS) for lb in labels}}
         assert parsed["truth_24.nws"] == parsed["truth_48.nws"] == 1
+        assert parsed["clim.nws"] == 2
+        for lb in labels:
+            assert parsed[f"{lb}.nws"] == 3
         assert len(masks) == 2
 
     def test_truth_pattern_with_a_format_spec_runs(self, tmp_path, small_grid):

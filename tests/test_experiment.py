@@ -150,28 +150,28 @@ class TestRunExperiment:
         cfg = dataclasses.replace(make_config(tmp_path, small_grid, labels, leads=(24, 48)),
                                   report_channels=channels)
         reads = []
-        read_archive = experiment.read_archive
-
-        def spy(path, channels=None):
-            state = read_archive(path, channels)
-            reads.append((name_of(path), channels, state.data.shape[0]))
-            return state
-
-        monkeypatch.setattr(experiment, "read_archive", spy)
         spy_plane_reader(monkeypatch, lambda path, channels, plane:
                          reads.append((name_of(path), channels, len(channels))))
         report = run_experiment(cfg)
         assert report.failures == {}
         assert len(read_metric_csv(str(report.csv_path))) == 2 * 2 * 2 * 2 * 2
-        # the climatology first, as a config input: validate() reads its header
-        # and checks its payload's size; the on-grid ICs are read here as
-        # headers only: the rollout takes their paths; then, as the matrix
-        # reaches each lead, its truth's header is checked and each report
-        # plane read once, by the first run to score it
+        # the climatology first, as a config input: validate() checks its
+        # header and payload size, then it is opened again for its report
+        # planes, read in file order; the on-grid ICs are opened here for
+        # their headers only: the rollout takes their paths; then, as the
+        # matrix reaches each lead, its truth's header is checked and each
+        # report plane read once, by the first run to score it
         truth = [[(f"truth_{lead}.nws", (), 0)]
                  + [(f"truth_{lead}.nws", (ch,), 1) for ch in channels] for lead in (24, 48)]
-        assert reads == [("clim.nws", (), 0), ("clim.nws", channels, 2),
-                         ("src0.nws", (), 0), ("src1.nws", (), 0), *truth[0], *truth[1]]
+        clim = [("clim.nws", (ch,), 1) for ch in sorted(channels, key=CHANNELS.index)]
+        assert [r for r in reads if not r[0].startswith("src")] == [
+            ("clim.nws", (), 0), ("clim.nws", (), 0), *clim, *truth[0], *truth[1]]
+        # each IC: its header, then, in the run's worker, every plane once
+        # as the builtin rollout checks it
+        for label in labels:
+            assert [r for r in reads if r[0] == f"{label}.nws"] == [
+                (f"{label}.nws", (), 0)] * 2 + [(f"{label}.nws", (ch,), 1) for ch in CHANNELS]
+        assert [r[0] for r in reads if r[0].startswith("src")][:2] == ["src0.nws", "src1.nws"]
 
     def test_missing_truth_is_per_lead_not_fatal(self, tmp_path, small_grid):
         labels = build_inputs(tmp_path, small_grid)
@@ -539,7 +539,7 @@ class TestMemory:
         scored = []
         evaluate_run = experiment.evaluate_run
         monkeypatch.setattr(experiment, "evaluate_run", lambda lead, fc, *a:
-                            scored.append(fc.channels) or evaluate_run(lead, fc, *a))
+                            scored.append(set(fc.unread)) or evaluate_run(lead, fc, *a))
         tracemalloc.start()
         try:
             report = run_experiment(cfg)
@@ -549,8 +549,9 @@ class TestMemory:
         assert report.failures == {}
         assert len(read_metric_csv(str(report.csv_path))) == 9 * 2 * 3 * 2
         assert peak < 2 * state_bytes
-        # each step's output is read as the report planes alone
-        assert scored == [cfg.report_channels] * 3
+        # each step's output is read as the report planes alone: every other
+        # plane is checked before it is scored
+        assert scored == [set(cfg.report_channels)] * 3
 
 
     def test_scoring_a_canonical_lead_holds_two_truth_planes(self, tmp_path):
@@ -705,7 +706,8 @@ class TestTruthRule:
                 events.append(event)
 
         def opening(what, path, *args, **kwargs):
-            note("checked", truth_lead(path))
+            if what == "truth":   # the climatology is opened by the same name
+                note("checked", truth_lead(path))
             return open_input(what, path, *args, **kwargs)
 
         def scoring(lead, *args):
@@ -740,10 +742,11 @@ class TestTruthRule:
         open_input = experiment.open_input
 
         def opening(what, path, *args, **kwargs):
-            deadline = time.monotonic() + 10
-            while "started" not in events and time.monotonic() < deadline:
-                time.sleep(0.01)
-            events.append("checked" if "started" in events else "checked first")
+            if what == "truth":   # the climatology is opened by the same name
+                deadline = time.monotonic() + 10
+                while "started" not in events and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                events.append("checked" if "started" in events else "checked first")
             return open_input(what, path, *args, **kwargs)
 
         monkeypatch.setattr(experiment, "open_input", opening)
@@ -837,7 +840,7 @@ class TestTruthRule:
         open_input = experiment.open_input
 
         def opening(what, path, *args, **kwargs):
-            if truth_lead(path) == at_lead:
+            if what == "truth" and truth_lead(path) == at_lead:
                 raise RuntimeError("disk on fire")
             return open_input(what, path, *args, **kwargs)
 
