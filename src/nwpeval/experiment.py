@@ -14,9 +14,9 @@ import functools
 import hashlib
 import logging
 import os
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Union
@@ -40,6 +40,11 @@ log = logging.getLogger(__name__)
 
 CONFIG_VERSION = 1
 DEFAULT_LEADS = tuple(range(24, 241, 24))
+# the keys of the config and of a splice scenario; other keys are dataclass fields
+CONFIG_KEYS = ("config_version", "name", "init_time", "grid", "ic_sources", "truth",
+               "climatology", "backend", "lead_hours", "regions", "splice_scenarios",
+               "report_channels", "output_dir", "workers")
+SPLICE_KEYS = ("label", "base_source", "donor_source", "box", "scope", "blend_width")
 
 
 class ConfigError(ValueError):
@@ -116,6 +121,9 @@ class ExperimentConfig:
                     raise ConfigError(f"source {src.label!r}: raw dumps require "
                                       "grid and layout")
                 continue
+            if src.grid is not None or src.layout is not None:
+                raise ConfigError(f"source {src.label!r}: a .nws archive takes no grid "
+                                  "or layout: its header gives both")
             try:
                 valid_time = read_header(src.path)["valid_time"]
             except ArchiveError as exc:
@@ -178,14 +186,6 @@ def _parse_time(s: str) -> datetime:
     return t.astimezone(timezone.utc)
 
 
-def _parse_grid(d: dict) -> GridSpec:
-    return GridSpec(nlat=d["nlat"], nlon=d["nlon"],
-                    lat_start=float(d.get("lat_start", 90.0)),
-                    dlat=float(d.get("dlat", 0.25)),
-                    lon_start=float(d.get("lon_start", 0.0)),
-                    dlon=float(d.get("dlon", 0.25)))
-
-
 def parse_channel(name: str) -> tuple[Var, int]:
     """The channel that channel_name calls `name`: 'MSLP' -> (MSLP, 0),
     'Z500' -> (Z, 500). Any other name (e.g. 'Z501', 'Z0500') is a ConfigError."""
@@ -225,48 +225,51 @@ def load_config(path: str) -> ExperimentConfig:
             raise ConfigError(f"{key} must be a list, got {value!r}")
         return value
 
-    def a_mapping(key: str, value):   # a string has no keys to look up
+    def a_mapping(where: str, value, keys=None):   # a string has no keys to look up
         if not isinstance(value, dict):
-            raise ConfigError(f"{key} must be a mapping, got {value!r}")
+            raise ConfigError(f"{where} must be a mapping, got {value!r}")
+        if unknown := [key for key in value if keys is not None and key not in keys]:
+            raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
         return value
 
+    def build(cls, where: str, value, **convert):
+        """A `cls` from the mapping at `where`, each key a field of it, the
+        value of a key in `convert` passed through its function first."""
+        declared = fields(cls)
+        a_mapping(where, value, [f.name for f in declared])
+        for f in declared:
+            if f.name not in value and f.default is f.default_factory is MISSING:
+                raise ConfigError(f"missing required key {f.name!r} in {where}")
+        return cls(**{k: convert[k](v) if k in convert else v for k, v in value.items()})
+
+    def channel_order(order):   # "canonical", or a list of channel names
+        return [parse_channel(str(c)) for c in order] if isinstance(order, list) else order
+
     try:
+        a_mapping("the config", doc, CONFIG_KEYS)
         version = int(doc.get("config_version", CONFIG_VERSION))
         if version != CONFIG_VERSION:
             raise ConfigError(f"unsupported config_version {version}")
         sources = []
         for i, s in enumerate(a_list("ic_sources", doc["ic_sources"] or [])):
-            a_mapping(f"ic_sources[{i}]", s)
-            layout = None
-            if "layout" in s:
-                ld = a_mapping(f"ic_sources[{i}].layout", s["layout"] or {})
-                order = ld.get("channel_order", "canonical")
-                if isinstance(order, list):
-                    order = [parse_channel(str(c)) for c in order]
-                layout = RawDumpLayout(channel_order=order,
-                                       scan=ld.get("scan", "north-first"))
-            sources.append(ICSource(
-                label=str(s["label"]), path=resolve(str(s["path"])),
-                grid=(_parse_grid(a_mapping(f"ic_sources[{i}].grid", s["grid"]))
-                      if "grid" in s else None),
-                layout=layout))
+            where = f"ic_sources[{i}]"
+            sources.append(build(
+                ICSource, where, s, label=str, path=lambda p: resolve(str(p)),
+                grid=lambda g: build(GridSpec, f"{where}.grid", g),
+                layout=lambda ld: build(RawDumpLayout, f"{where}.layout", ld or {},
+                                        channel_order=channel_order)))
         scenarios = []
         for i, sc in enumerate(a_list("splice_scenarios",
                                       doc.get("splice_scenarios") or [])):
-            a_mapping(f"splice_scenarios[{i}]", sc)
+            a_mapping(f"splice_scenarios[{i}]", sc, SPLICE_KEYS)
             spec = SpliceSpec(region=_parse_box(sc["box"]),
                               variable_scope=sc.get("scope", "upper-only"),
                               blend_width=float(sc.get("blend_width", 0.0)))
             scenarios.append(SpliceScenario(
                 label=str(sc["label"]), base_source=str(sc["base_source"]),
                 donor_source=str(sc["donor_source"]), spec=spec))
-        bd = a_mapping("backend", doc.get("backend") or {})
-        backend = BackendSpec(
-            kind=bd.get("kind", "builtin"),
-            builtin=bd.get("builtin", "persistence"),
-            advection_cells=whole_number("advection_cells", bd.get("advection_cells", 1)),
-            command=bd.get("command"),
-            horizons=frozenset(a_list("horizons", bd.get("horizons", [24]))))
+        backend = build(BackendSpec, "backend", doc.get("backend") or {},
+                        horizons=functools.partial(a_list, "horizons"))
         regions = dict(DEFAULT_REGIONS)
         if "regions" in doc:
             regions = {str(k): _parse_box(v)
@@ -288,7 +291,7 @@ def load_config(path: str) -> ExperimentConfig:
             regions=regions,
             splice_scenarios=tuple(scenarios),
             report_channels=channels,
-            model_grid=(_parse_grid(a_mapping("grid", doc["grid"])) if "grid" in doc
+            model_grid=(build(GridSpec, "grid", doc["grid"]) if "grid" in doc
                         else GridSpec.canonical()),
             workers=whole_number("workers", doc["workers"]) if "workers" in doc else None,
             snapshot_bytes=raw_bytes)
@@ -358,12 +361,12 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     of its step's output that the rollout yields, a plane at a time. So a
     run alone at a lead holds one or two planes each of forecast and truth,
     not all of them. A step output's plane that holds NaN/Inf, found as it
-    is scored, fails its run. A lead's tasks are queued before
-    its truth's header is checked, and each waits for the check only once
-    its run has stepped to the lead, so the check overlaps the steps. The
-    next lead is queued, and its truth checked, once the first of this
-    lead's tasks is done; each of its tasks waits on its run's task at this
-    lead. So every run holds one state, however many leads are asked for.
+    is scored, fails its run. A lead's truth is checked (its header and
+    payload size) and opened as its tasks are queued, one lead ahead: the
+    next lead is queued before this lead's tasks are collected, and each of
+    its tasks waits on its run's task at this lead. So at most two truths
+    are open, their planes read only as runs score them, and every run
+    holds one state, however many leads are asked for.
     A truth that is missing, unreadable or off the grid, or whose plane
     read fails, costs its lead alone. Per-run failures are logged and
     recorded without aborting the other runs; an invalid config aborts
@@ -406,7 +409,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     truth_errors: dict[int, str] = {}   # by lead
     readers: dict[int, PlaneReader] = {}   # each queued lead's truth, until it is done
 
-    def advance(label: str, lead: int, read: Future, var_o: dict,
+    def advance(label: str, lead: int, truth: Optional[PlaneReader], var_o: dict,
                 before: Optional[Future]) -> None:
         if before is not None:
             before.result()   # the run at the previous lead; its failure is this one's
@@ -415,7 +418,6 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             reached, state = next(states)
             if reached != lead:
                 raise RolloutError(f"the rollout reached lead {reached}, not {lead}")
-            truth = read.result()   # checked while the run stepped
             if truth is not None:
                 try:
                     # the run's label: an IC keeps its file's label through the rollout
@@ -437,24 +439,17 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             raise
 
     def queue(pool, lead: int, before: dict) -> dict[str, Future]:
-        """Queue a task for each run in `before`, then check `lead`'s truth
-        and open it for its planes, into the Future they wait on: always
-        resolved, so none waits forever."""
-        read: Future = Future()
-        var_o: dict = {}   # filled by the first run to score each cell of the lead
-        tasks = {label: pool.submit(advance, label, lead, read, var_o, fut)
-                 for label, fut in before.items()}
+        """Check `lead`'s truth and open it for its planes, then queue a task
+        for each run in `before` to score it."""
         try:
-            readers[lead] = open_input("truth", config.truth_pattern.format(lead=lead),
-                                       grid, takers=len(tasks))
-            read.set_result(readers[lead])
+            truth = readers[lead] = open_input(
+                "truth", config.truth_pattern.format(lead=lead), grid, takers=len(before))
         except InputError as exc:
             truth_errors[lead] = str(exc)
-            read.set_result(None)
-        except BaseException as exc:
-            read.set_exception(exc)
-            raise
-        return tasks
+            truth = None
+        var_o: dict = {}   # filled by the first run to score each cell of the lead
+        return {label: pool.submit(advance, label, lead, truth, var_o, fut)
+                for label, fut in before.items()}
 
     leads = sorted(config.lead_hours)
     workers = min(config.workers or os.cpu_count() or 1, max(len(labels), 1))
@@ -462,9 +457,6 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             pending = queue(pool, leads[0], dict.fromkeys(labels))
             for lead, next_lead in zip(leads, leads[1:] + [None]):
-                # the next lead waits for one of this lead's tasks to end, so
-                # a single run is done with this truth before the next is opened
-                wait(pending.values(), return_when=FIRST_COMPLETED)
                 following = {} if next_lead is None else queue(pool, next_lead, pending)
                 for label, fut in pending.items():
                     try:

@@ -85,14 +85,15 @@ CHANNEL_BY_NAME: dict[str, tuple[Var, int]] = {channel_name(*ch): ch for ch in C
 
 def whole_number(what: str, value) -> int:
     """`value` as an int, e.g. 24 from 24, 24.0 or "24"; ValueError naming
-    `what` if it has a fraction or is no number, where int() alone would
-    cut 24.5 to 24."""
-    try:
-        n = int(value)
-        if not isinstance(value, float) or n == value:
-            return n
-    except (TypeError, ValueError, OverflowError):
-        pass
+    `what` if it has a fraction, is a bool or is no number, where int()
+    alone would cut 24.5 to 24 and read True as 1."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            n = int(value)
+            if not isinstance(value, float) or n == value:
+                return n
+        except (TypeError, ValueError, OverflowError):
+            pass
     raise ValueError(f"{what} must be a whole number, got {value!r}")
 
 
@@ -109,8 +110,10 @@ class GridSpec:
     dlon: float = 0.25
 
     def __post_init__(self):
-        object.__setattr__(self, "nlat", whole_number("nlat", self.nlat))
-        object.__setattr__(self, "nlon", whole_number("nlon", self.nlon))
+        for name in ("nlat", "nlon"):
+            object.__setattr__(self, name, whole_number(name, getattr(self, name)))
+        for name in ("lat_start", "dlat", "lon_start", "dlon"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.nlat < 1 or self.nlon < 1:
             raise ValueError("grid must have at least one row and column")
         if self.dlat <= 0 or self.dlon <= 0:

@@ -80,6 +80,8 @@ class BackendSpec:
             raise ValueError(f"unknown builtin backend {self.builtin!r}")
         if self.kind == "external-command" and not shlex.split(self.command or ""):
             raise ValueError("external backend requires a command")
+        object.__setattr__(self, "advection_cells",
+                           whole_number("advection_cells", self.advection_cells))
         object.__setattr__(self, "horizons",
                            frozenset(whole_number("horizons", h) for h in self.horizons))
         if not self.horizons or min(self.horizons) < 1:
@@ -264,8 +266,9 @@ def rollout_states(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, 
     the file itself, which is never written, moved or deleted. Should step
     1's output then fail its check with lead 0 not asked for, every plane of
     that file is checked first, so a NaN it holds is the IC's fault. A state
-    is written once, to step000.nws. Lead 0 is read or cut to `channels`
-    with every plane checked. Every plane of a step's output is read once
+    is checked up front, every plane, and written once, to step000.nws. Lead
+    0 is read or cut to `channels` with every plane checked. Every plane of
+    a step's output is read once
     and checked before it is used: the planes a reader yields are checked as
     its scorer first asks for each, those the scorer leaves unread once the
     rollout is resumed, and every other plane before the yield, through one
@@ -288,17 +291,17 @@ def rollout_states(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, 
     plan = plan_for_leads(wanted, backend.horizons)
     external = backend.kind == "external-command"
     ic_path = None if isinstance(ic, StateSet) or not external else Path(ic)
-    if not external:
-        ic = _checked_ic(ic, channels)   # lead 0 yields it and step 1 moves it
-    elif ic_path is not None:
+    if ic_path is not None:
         ic = read_archive(ic_path, ())   # step 1 reads the file where it is
+    else:   # lead 0 yields it, and step 1 moves it or reads it as written
+        ic = _checked_ic(ic, ic.channels if external else channels)
     try:
         backend.check_grid(ic.grid)
     except ValueError as exc:
         raise RolloutError(str(exc)) from None
 
     if 0 in wanted:
-        paused = yield 0, _checked_ic(ic_path or ic, channels) if external else ic
+        paused = yield 0, _checked_ic(ic_path, channels) if ic_path else ic.subset(channels)
         if paused:   # no step has started yet
             yield
     init_time, label = ic.valid_time, ic.source_label

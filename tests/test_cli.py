@@ -470,6 +470,27 @@ BAD_CONFIGS = {
     # the test grid is 9x16; an external backend needs 721x1440
     "external-off-canonical": {"backend": {"kind": "external-command",
                                            "command": f"{sys.executable} -c pass"}},
+    "workers-a-bool": {"workers": True},   # would be 1 worker
+    "lead-a-bool": {"lead_hours": [True], "backend": {"horizons": [1]}},   # lead 1
+    # a key no part of the schema reads would be ignored: each of these
+    # would run with its default
+    "unknown-key": {"lead_hour": [6]},   # the 10 default leads
+    "unknown-grid-key": {"grid": {"nlat": 9, "nlon": 16, "lat_strat": 80,
+                                  "dlat": 22.5, "dlon": 22.5}},   # lat_start 90
+    "unknown-source-key": {"ic_sources": [{"label": "src0", "path": "src0.nws",
+                                           "format": "raw"}]},
+    "unknown-layout-key": {"ic_sources": [{"label": "raw", "path": "raw.bin",
+                                           "grid": {"nlat": 9, "nlon": 16, "dlat": 22.5,
+                                                    "dlon": 22.5},
+                                           "layout": {"sacn": "south-first"}}]},
+    "unknown-splice-key": {"splice_scenarios": scenario(blend=5)},   # a hard splice
+    "unknown-backend-key": {"backend": {"kind": "builtin", "builtin": "advection",
+                                        "advection_cell": 3}},   # 1 cell a step
+    # an archive's header gives its grid and layout: one given too is unused
+    "nws-source-grid": {"ic_sources": [{"label": "src0", "path": "src0.nws",
+                                        "grid": {"nlat": 9, "nlon": 16}}]},
+    "nws-source-layout": {"ic_sources": [{"label": "src0", "path": "src0.nws",
+                                          "layout": {"scan": "south-first"}}]},
 }
 
 
@@ -518,6 +539,35 @@ class TestRunSubcommand:
         assert payload_reads == []
         assert not (tmp_path / "out").exists()
         assert f"nwpeval: {cfg}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case, message", [
+        ("unknown-key", "unknown key 'lead_hour' in the config"),
+        ("unknown-grid-key", "unknown key 'lat_strat' in grid"),
+        ("unknown-source-key", "unknown key 'format' in ic_sources[0]"),
+        ("unknown-layout-key", "unknown key 'sacn' in ic_sources[0].layout"),
+        ("unknown-splice-key", "unknown key 'blend' in splice_scenarios[0]"),
+        ("unknown-backend-key", "unknown key 'advection_cell' in backend")])
+    def test_an_unknown_key_exits_2_naming_it_and_where_it_is(
+            self, tmp_path, small_grid, capsys, case, message):
+        from tests.test_experiment import build_inputs
+        labels = build_inputs(tmp_path, small_grid)
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels, BAD_CONFIGS[case])))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert not (tmp_path / "out").exists()
+        assert f"nwpeval: {cfg}: {message}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["nws-source-grid", "nws-source-layout"])
+    def test_a_grid_or_layout_on_an_archive_exits_2(self, tmp_path, small_grid, capsys,
+                                                    case):
+        from tests.test_experiment import build_inputs
+        labels = build_inputs(tmp_path, small_grid)
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels, BAD_CONFIGS[case])))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert not (tmp_path / "out").exists()
+        assert ("nwpeval: source 'src0': a .nws archive takes no grid or layout: "
+                "its header gives both") in capsys.readouterr().err
 
     @pytest.mark.parametrize("entry, message", [
         (None, "grid must be a mapping, got 'canonical'"),

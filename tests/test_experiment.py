@@ -158,14 +158,20 @@ class TestRunExperiment:
         # the climatology first, as a config input: validate() checks its
         # header and payload size, then it is opened again for its report
         # planes, read in file order; the on-grid ICs are opened here for
-        # their headers only: the rollout takes their paths; then, as the
-        # matrix reaches each lead, its truth's header is checked and each
-        # report plane read once, by the first run to score it
-        truth = [[(f"truth_{lead}.nws", (), 0)]
-                 + [(f"truth_{lead}.nws", (ch,), 1) for ch in channels] for lead in (24, 48)]
+        # their headers only: the rollout takes their paths; then each
+        # truth's header is checked, a lead ahead and in lead order, and
+        # each report plane read once, by the first run to score it
         clim = [("clim.nws", (ch,), 1) for ch in sorted(channels, key=CHANNELS.index)]
-        assert [r for r in reads if not r[0].startswith("src")] == [
-            ("clim.nws", (), 0), ("clim.nws", (), 0), *clim, *truth[0], *truth[1]]
+        assert [r for r in reads if not r[0].startswith(("src", "truth_"))] == [
+            ("clim.nws", (), 0), ("clim.nws", (), 0), *clim]
+        assert reads.index(clim[-1]) < min(k for k, r in enumerate(reads)
+                                           if r[0].startswith("truth_"))
+        for lead in (24, 48):
+            assert [r for r in reads if r[0] == f"truth_{lead}.nws"] == [
+                (f"truth_{lead}.nws", (), 0),
+                *((f"truth_{lead}.nws", (ch,), 1) for ch in channels)]
+        assert [r[0] for r in reads if r[0].startswith("truth_") and not r[2]] == [
+            "truth_24.nws", "truth_48.nws"]
         # each IC: its header, then, in the run's worker, every plane once
         # as the builtin rollout checks it
         for label in labels:
@@ -689,9 +695,9 @@ class TestTruthRule:
     @pytest.mark.parametrize("kind", ["builtin", "external-command"])
     def test_one_run_reads_a_truth_once_the_last_is_scored(self, tmp_path, small_grid,
                                                            monkeypatch, kind, workers):
-        # a run alone at a lead is done with its truth before the next is
-        # checked, and reads each plane as it scores; the sleep gives a check
-        # or read ahead time to happen while the lead is scored
+        # a run alone reads each plane of a lead's truth as it scores it, and
+        # the next lead's planes only once this lead is scored; the sleep
+        # gives a read ahead time to happen while the lead is scored
         labels = build_inputs(tmp_path, small_grid, n_sources=1)
         cfg = dataclasses.replace(make_config(tmp_path, small_grid, labels,
                                               leads=(24, 48, 72)), workers=workers)
@@ -721,14 +727,17 @@ class TestTruthRule:
         spy_truth_planes(monkeypatch, lambda lead, channels, state: note("read", lead))
         report, error = run_in_thread(cfg)
         assert error is None and report.failures == {}
-        assert events == [event for lead in (24, 48, 72) for event in (
-            [("checked", lead)] + [("read", lead)] * 9 + [("scored", lead)])]
+        for lead in (24, 48, 72):
+            assert [event for event in events if event[1] == lead] == (
+                [("checked", lead)] + [("read", lead)] * 9 + [("scored", lead)])
+        for lead, next_lead in ((24, 48), (48, 72)):
+            assert events.index(("scored", lead)) < events.index(("read", next_lead))
 
     def test_external_step_1_starts_before_any_truth_is_read(self, tmp_path, small_grid,
                                                              monkeypatch):
-        # the check waits (up to 10 s) for step 1 to start: a truth checked
-        # before the task is queued would wait it out; each plane is read
-        # after the step's output, as the run scores it
+        # the truth's header is checked as the lead is queued; each of its
+        # planes is read after step 1 has started and its output is opened,
+        # as the run scores it
         labels = build_inputs(tmp_path, small_grid, n_sources=1)
         cfg = dataclasses.replace(make_config(tmp_path, small_grid, labels, leads=(24,)),
                                   backend=copy_backend(tmp_path, monkeypatch, small_grid),
@@ -739,21 +748,10 @@ class TestTruthRule:
                             lambda *a: events.append("started") or start(*a))
         monkeypatch.setattr(rollout, "_open_step",   # opened and checked
                             lambda *a: events.append("output") or open_step(*a))
-        open_input = experiment.open_input
-
-        def opening(what, path, *args, **kwargs):
-            if what == "truth":   # the climatology is opened by the same name
-                deadline = time.monotonic() + 10
-                while "started" not in events and time.monotonic() < deadline:
-                    time.sleep(0.01)
-                events.append("checked" if "started" in events else "checked first")
-            return open_input(what, path, *args, **kwargs)
-
-        monkeypatch.setattr(experiment, "open_input", opening)
         spy_truth_planes(monkeypatch, lambda *a: events.append("read"))
         report, error = run_in_thread(cfg)
         assert error is None and report.failures == {}
-        assert "checked" in events
+        assert events.index("started") < events.index("output") < events.index("read")
         assert events[events.index("output"):].count("read") == 9 == events.count("read")
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -834,7 +832,8 @@ class TestTruthRule:
     @pytest.mark.parametrize("at_lead", [24, 48])
     def test_a_failed_read_raises_without_a_hang(self, tmp_path, small_grid,
                                                         monkeypatch, at_lead):
-        # the tasks waiting on that truth get its error too, so none waits forever
+        # raised as that lead is queued, before its tasks exist: the pool
+        # ends the tasks already queued, none of which waits on a truth
         labels = build_inputs(tmp_path, small_grid, n_sources=3)
         cfg = make_config(tmp_path, small_grid, labels, leads=(24, 48, 72))
         open_input = experiment.open_input
@@ -848,6 +847,46 @@ class TestTruthRule:
         report, error = run_in_thread(cfg, timeout=60)
         assert report is None
         assert isinstance(error, RuntimeError) and str(error) == "disk on fire"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_at_most_two_truths_are_open(self, tmp_path, small_grid, monkeypatch,
+                                         runs, workers):
+        # each truth opened counts one up, and its reader's close one down;
+        # the sleep gives a truth opened ahead time to be opened early
+        labels = build_inputs(tmp_path, small_grid, n_sources=runs)
+        cfg = dataclasses.replace(make_config(tmp_path, small_grid, labels),
+                                  workers=workers)
+        opened, open_now, lock = [], [], threading.Lock()
+        open_input, evaluate_run = experiment.open_input, experiment.evaluate_run
+
+        def opening(what, path, *args, **kwargs):
+            reader = open_input(what, path, *args, **kwargs)
+            if what == "truth":   # the climatology is opened by the same name
+                close = reader.close
+
+                def closing():
+                    with lock:
+                        if reader in open_now:
+                            open_now.remove(reader)
+                    close()
+
+                reader.close = closing
+                with lock:
+                    open_now.append(reader)
+                    opened.append(len(open_now))
+            return reader
+
+        def scoring(*args):
+            time.sleep(0.01)
+            return evaluate_run(*args)
+
+        monkeypatch.setattr(experiment, "open_input", opening)
+        monkeypatch.setattr(experiment, "evaluate_run", scoring)
+        report, error = run_in_thread(cfg)
+        assert error is None and report.failures == {}
+        assert len(read_metric_csv(str(report.csv_path))) == runs * 9 * 2 * 10 * 2
+        assert len(opened) == len(LEADS) and max(opened) == 2 and open_now == []
 
     @pytest.mark.parametrize("runs", [1, 3])
     @pytest.mark.parametrize("kind", ["builtin", "external-command"])
@@ -1104,6 +1143,23 @@ class TestYamlConfig:
         assert np.array_equal(ingested[0].data, out.subset(cfg.report_channels).data)
         assert len(read_metric_csv(str(report.csv_path))) == 9 * 2 * 2
 
+    def test_the_readme_example_loads(self, tmp_path):
+        # the example config of README's "Experiment config" section, as it is
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("## Experiment config", 1)[1].split("```yaml\n", 1)[1]
+        p = tmp_path / "exp.yaml"
+        p.write_text(example.split("```", 1)[0])
+        cfg = load_config(str(p))
+        assert cfg.name == "june-6-case" and cfg.model_grid == GridSpec.canonical()
+        assert [(s.label, s.grid, s.layout) for s in cfg.ic_sources] == [
+            ("gfs", None, None),
+            ("ifs", GridSpec(nlat=721, nlon=1440), RawDumpLayout())]
+        assert cfg.lead_hours == LEADS and cfg.backend == BackendSpec()
+        assert set(cfg.regions) == {"global", "east_asia"}
+        assert [(sc.label, sc.spec.blend_width) for sc in cfg.splice_scenarios] == [
+            ("ifspadgfs", 0.0)]
+        assert cfg.report_channels == DEFAULT_REPORT_CHANNELS and cfg.workers == 4
+
     def test_missing_key(self, tmp_path):
         p = tmp_path / "bad.yaml"
         p.write_text("name: x\n")
@@ -1133,6 +1189,9 @@ class TestYamlConfig:
         ("nlat", {"grid": {"nlat": 9.5, "nlon": 16}}),
         ("nlon", {"ic_sources": [
             {"label": "a", "path": "a.bin", "grid": {"nlat": 9, "nlon": 16.5}}]}),
+        ("workers", {"workers": True}),   # `workers: yes` would be 1
+        ("lead_hours", {"lead_hours": [True]}),   # would be lead 1
+        ("horizons", {"backend": {"horizons": [True]}}),
     ])
     def test_a_fraction_names_the_key(self, tmp_path, key, override):
         # int() would cut each of these to a whole number without a word

@@ -725,22 +725,28 @@ class TestICPath:
                         lambda *a: emitted.append(a), channels=[(Var.Z, 500)])
         assert emitted == [] and procs == []
 
-    def test_nan_the_backend_carries_is_the_ics_fault(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("form, fault, steps", [
+        ("path", "plane T850 contains NaN/Inf", 1),
+        ("state", "non-finite: T850 contains NaN/Inf", 0)], ids=["path", "state"])
+    def test_nan_the_backend_carries_is_the_ics_fault(self, tmp_path, monkeypatch,
+                                                      form, fault, steps):
         # lead 0 not asked for: the IC path's planes are checked only once
-        # step 1's output has failed its check, and the error names the IC
+        # step 1's output has failed its check, a state's, in memory, before
+        # it is written for step 1; either way the error names the IC
         grid = GridSpec(nlat=19, nlon=36, lat_start=90.0, dlat=10.0,
                         lon_start=0.0, dlon=10.0)
         monkeypatch.setattr(GridSpec, "canonical", classmethod(lambda cls: grid))
         data = random_state(grid, seed=9).data.copy()
         data[CHANNELS.index((Var.T, 850)), 4, 7] = np.nan
-        path = tmp_path / "ic.nws"
-        write_archive(random_state(grid, seed=9).replace(data=data), path)
+        ic = state = random_state(grid, seed=9).replace(data=data)
+        if form == "path":
+            ic = tmp_path / "ic.nws"
+            write_archive(state, ic)
         be = write_copy_backend(tmp_path / "backend.py")
         procs = recorded_starts(monkeypatch)
-        with pytest.raises(RolloutError, match="^the IC at lead 0 holds NaN/Inf: "
-                                               "plane T850 contains NaN/Inf$"):
-            run_rollout(path, be, [24], lambda *a: None)
-        assert len(procs) == 1
+        with pytest.raises(RolloutError, match=f"^the IC at lead 0 holds NaN/Inf: {fault}$"):
+            run_rollout(ic, be, [24], lambda *a: None)
+        assert len(procs) == steps
 
     def test_truncated_file_fails_before_any_step(self, tmp_path, ic_file, monkeypatch):
         ic_file.write_bytes(ic_file.read_bytes()[:-5])
