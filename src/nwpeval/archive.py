@@ -286,6 +286,8 @@ class PlaneReader:
     def check(self, channels) -> None:
         """Read each plane of `channels`, in file order, into one spare
         plane: with `finite`, a check that none holds NaN/Inf."""
+        channels = tuple(channels)
+        self._require(channels)
         self._fill({}, channels)
 
     def subset(self, channels) -> StateSet:

@@ -17,7 +17,7 @@ import os
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import MISSING, dataclass, field, fields
-from datetime import datetime, timezone
+from datetime import datetime
 from pathlib import Path
 from typing import Optional, Union
 
@@ -129,7 +129,7 @@ class ExperimentConfig:
                                   "or layout: its header gives both")
             try:
                 header = read_header(src.path)
-            except ArchiveError as exc:
+            except (ArchiveError, OSError) as exc:
                 raise ConfigError(f"source {src.label!r}: {exc}") from None
             native[src.label] = header["grid"]
             if header["valid_time"] != init_time:
@@ -190,10 +190,7 @@ def check_truth_pattern(what: str, pattern: str, leads) -> None:
 
 
 def _parse_time(s: str) -> datetime:
-    t = datetime.fromisoformat(s.replace("Z", "+00:00"))
-    if t.tzinfo is None:
-        t = t.replace(tzinfo=timezone.utc)
-    return t.astimezone(timezone.utc)
+    return _as_utc(datetime.fromisoformat(s))
 
 
 def parse_channel(name: str) -> tuple[Var, int]:

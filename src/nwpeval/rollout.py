@@ -247,12 +247,8 @@ def _checked_ic(ic: Union[StateSet, str, os.PathLike], channels) -> StateSet:
 
 def _sha256(path: Path) -> str:
     """Hex SHA-256 of a file, read into one reused 256 KiB buffer."""
-    digest = hashlib.sha256()
-    buf = memoryview(bytearray(1 << 18))
     with open(path, "rb") as fh:
-        while n := fh.readinto(buf):
-            digest.update(buf[:n])
-    return digest.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def rollout_states(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, leads,

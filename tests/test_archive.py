@@ -200,7 +200,9 @@ class TestSubsetRead:
         pytest.param(lambda src, channels: PlaneReader(src).subset(channels),
                      [(Var.T2, 0), (Var.MSLP, 500)], id="reader-subset"),
         pytest.param(lambda src, channels: PlaneReader(src).channel(*channels[0]),
-                     [(Var.Z, 501)], id="reader-channel")])
+                     [(Var.Z, 501)], id="reader-channel"),
+        pytest.param(lambda src, channels: PlaneReader(src).check(channels),
+                     [(Var.Z, 501)], id="reader-check")])
     def test_subset_of_a_channel_not_held_reads_nothing(self, small_grid, read, channels):
         # no plane in file order matches that slot: it used to be np.empty's,
         # and a PlaneReader's KeyError

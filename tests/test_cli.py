@@ -68,6 +68,27 @@ class TestUsageErrors:
         assert "nlat must be a whole number, got 9.5" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_grid_of_five_numbers_exits_2(self, archive_path, tmp_path, monkeypatch,
+                                            capsys):
+        payload_reads = spy_payload_reads(monkeypatch)
+        out = tmp_path / "out.nws"
+        with pytest.raises(SystemExit) as exc:
+            main(["ingest", "--in", str(archive_path), "--out", str(out),
+                  "--grid", "1,2,3,4,5", "--valid-time", "2023-06-06T00:00:00Z",
+                  "--label", "x"])
+        assert exc.value.code == 2
+        assert "grid must be nlat,nlon,lat_start,dlat,lon_start,dlon" in capsys.readouterr().err
+        assert not out.exists()
+        assert payload_reads == []
+
+    def test_plot_of_an_empty_csv_exits_2(self, tmp_path, capsys):
+        csv = tmp_path / "metrics.csv"
+        csv.write_text("")
+        out = tmp_path / "plots"
+        assert main(["plot", "--csv", str(csv), "--out-dir", str(out)]) == 2
+        assert f"nwpeval: {csv}: empty file\n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_missing_config(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
 
@@ -496,6 +517,16 @@ BAD_CONFIGS = {
                                         "grid": {"nlat": 9, "nlon": 16}}]},
     "nws-source-layout": {"ic_sources": [{"label": "src0", "path": "src0.nws",
                                           "layout": {"scan": "south-first"}}]},
+    "config-version": {"config_version": 2},
+    "grid-without-nlat": {"grid": {"nlon": 16, "dlat": 22.5, "dlon": 22.5}},
+    "zero-dlat": {"grid": {"nlat": 9, "nlon": 16, "dlat": 0, "dlon": 22.5}},
+    "lon-start-360": {"grid": {"nlat": 9, "nlon": 16, "lon_start": 360,
+                               "dlat": 22.5, "dlon": 22.5}},
+    "builtin-pangu": {"backend": {"builtin": "pangu"}},
+    # a file that exists and is no archive: the config itself
+    "raw-source-without-grid": {"ic_sources": [{"label": "r", "path": "exp.yaml"}]},
+    # a directory the test makes: its header cannot be read
+    "nws-source-a-directory": {"ic_sources": [{"label": "a", "path": "dir.nws"}]},
 }
 
 
@@ -505,6 +536,7 @@ class TestRunSubcommand:
                                                  monkeypatch, capsys, case):
         from tests.test_experiment import build_inputs
         labels = build_inputs(tmp_path, small_grid)
+        (tmp_path / "dir.nws").mkdir()
         payload_reads = spy_payload_reads(monkeypatch)
         cfg = tmp_path / "exp.yaml"
         cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels, BAD_CONFIGS[case])))
@@ -512,6 +544,34 @@ class TestRunSubcommand:
         assert payload_reads == []
         assert not (tmp_path / "out" / "run.log").exists()
         assert "nwpeval:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case, message", [
+        ("config-version", "unsupported config_version 2"),
+        ("grid-without-nlat", "missing required key 'nlat' in grid"),
+        ("zero-dlat", "grid: dlat and dlon must be positive"),
+        ("lon-start-360", "grid: lon_start must lie in [0, 360)"),
+        ("builtin-pangu", "backend: unknown builtin backend 'pangu'"),
+        ("raw-source-without-grid", "source 'r': raw dumps require grid and layout"),
+        ("nws-source-a-directory", "source 'a': [Errno 21] Is a directory")])
+    def test_a_config_error_exits_2_naming_its_cause(self, tmp_path, small_grid,
+                                                     monkeypatch, capsys, case, message):
+        from tests.test_experiment import build_inputs
+        labels = build_inputs(tmp_path, small_grid)
+        (tmp_path / "dir.nws").mkdir()
+        payload_reads = spy_payload_reads(monkeypatch)
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels, BAD_CONFIGS[case])))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert payload_reads == []
+        assert not (tmp_path / "out").exists()
+        assert message in capsys.readouterr().err
+
+    def test_a_config_that_is_a_list_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(yaml.safe_dump([{"name": "cli-run"}]))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert not (tmp_path / "out").exists()
+        assert f"nwpeval: {cfg}: config must be a mapping\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value, message", [
         ("ic_sources", "a.nws", "ic_sources must be a list, got 'a.nws'"),

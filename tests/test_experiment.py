@@ -529,9 +529,6 @@ class TestMemory:
             assert report.failures == {}
         assert peaks[10] - peaks[2] < truth_bytes
 
-    @pytest.mark.skipif(sys.version_info < (3, 11),
-                        reason="Python 3.10 keeps a call's arguments referenced by "
-                               "the caller until it returns, so the IC outlives step 1")
     def test_external_run_holds_under_two_states(self, tmp_path, monkeypatch):
         # IC handed over and dropped once on disk, archive written from the
         # array, finiteness checked plane by plane: one 91x180 state is 4.3 MiB
@@ -1213,6 +1210,21 @@ class TestYamlConfig:
         cfg = load_config(str(p))
         assert cfg.lead_hours == (24, 48) and cfg.workers == 2
         assert cfg.backend.horizons == {24}
+
+    @pytest.mark.parametrize("spelling", ["2023-06-06T00:00:00Z", "2023-06-06T00:00:00",
+                                          "2023-06-06T03:00:00+03:00", "2023-06-06"])
+    @pytest.mark.parametrize("quoted", [True, False], ids=["string", "yaml-timestamp"])
+    def test_init_time_spellings_load_as_utc(self, tmp_path, spelling, quoted):
+        # unquoted, YAML reads each as a date or a datetime of its own; a
+        # time with no offset is UTC
+        doc = {"ic_sources": [], "truth": "truth_{lead}.nws", "climatology": "clim.nws",
+               "output_dir": "out"}
+        p = tmp_path / "ok.yaml"
+        p.write_text(f"init_time: {repr(spelling) if quoted else spelling}\n"
+                     + yaml.safe_dump(doc))
+        init_time = load_config(str(p)).init_time
+        assert init_time == datetime(2023, 6, 6, tzinfo=timezone.utc)
+        assert init_time.tzinfo == timezone.utc
 
     def test_invalid_yaml(self, tmp_path):
         p = tmp_path / "bad.yaml"

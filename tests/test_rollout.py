@@ -283,9 +283,6 @@ class TestRunRollout:
             rollout_series(small_state, BackendSpec(), [24], verify_determinism=True)
         assert not any("not deterministic" in r.message for r in caplog.records)
 
-    @pytest.mark.skipif(sys.version_info < (3, 11),
-                        reason="Python 3.10 keeps a call's arguments referenced by "
-                               "the caller until it returns")
     @pytest.mark.parametrize("kind", ["persistence", "advection", "external"])
     def test_ic_released_after_the_first_step(self, tmp_path, small_grid,
                                               monkeypatch, kind):
@@ -842,9 +839,6 @@ class TestICPath:
         assert by_path == by_state
         assert all(not errs and len(recs) == 9 * 2 * 2 for _, (recs, errs) in by_path)
 
-    @pytest.mark.skipif(sys.version_info < (3, 11),
-                        reason="Python 3.10 keeps a call's arguments referenced by "
-                               "the caller until it returns")
     def test_path_ic_is_never_loaded(self, tmp_path, monkeypatch):
         # one 91x180 state is 4.3 MiB; the 9 report planes and the spare
         # plane a checked read uses are 0.62 MiB
