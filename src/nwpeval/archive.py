@@ -173,33 +173,20 @@ def read_header(src: Union[BinaryIO, str, os.PathLike]) -> dict:
 
 
 class PlaneReader:
-    """The planes of one open file, read one at a time: an archive, or with
-    `layout` a raw dump. `src` is a path, which the reader opens unbuffered
-    and close() closes, or an open binary file, which close() leaves open.
-    It stands in for a state in verify.evaluate_run, which looks each plane
-    up once with channel(), so a scorer holds a plane or two of it, not
-    every plane it scores; subset() reads a state's planes at once.
-    `unread` holds the channels whose planes no call has read yet.
-
-    An archive's header is parsed and checked (magic, version, channel
-    list, and that it is on `grid`, if given), and gives the reader its
-    grid, valid_time and source_label; its payload follows the header. A
-    raw dump has no header: it is on `grid`, its payload starts where
-    `src` stands and holds the planes of `layout.channel_order`, rows
-    reversed if `layout.scan` is "south-first", and the reader has
-    `valid_time` and `source_label`. The payload's size is checked on
-    opening and again before each plane is read at its offset, so a file
-    cut short since its opening costs the read. With `finite`, NaN/Inf in
-    a plane read is a DataError naming it. A channel the file does not
-    hold is an InvalidChannelError, raised before any read.
-
-    Of `takers` scorers sharing it, the first to ask for a channel reads
-    its plane and the last drops it: each plane is read once, and held no
-    longer than the scorers need it. An error opening or reading the file
-    (ArchiveError, OSError, GridMismatchError off `grid`, or another
-    ValueError), or a channel it does not hold, is raised as `fail(error)`,
-    by default the error itself; after a failed read every call raises it.
-    Safe to share across threads.
+    """The planes of one file, read one at a time (`channel`) or as a state
+    (`subset`): an archive, its header checked (on `grid`, if given), or
+    with `layout` a raw dump on `grid` whose payload starts where `src`
+    stands. `src` is a path, which the reader opens unbuffered and close()
+    closes, or an open binary file, which close() leaves open. The reader
+    has the file's grid, valid_time and source_label, and `unread`, the
+    channels no call has read yet. Of `takers` callers of channel(), the
+    first to ask for a plane reads it and the last drops it. With `finite`,
+    NaN/Inf in a plane read is a DataError. An error opening or reading
+    the file (ArchiveError, OSError, GridMismatchError off `grid`, or
+    another ValueError), or an InvalidChannelError for a channel it does
+    not hold, raised before any read, is raised as `fail(error)`, the error
+    itself by default; after a failed read every call raises it. Safe to
+    share across threads.
     """
 
     def __init__(self, src: Union[BinaryIO, str, os.PathLike],

@@ -232,6 +232,8 @@ def _cmd_rollout(args) -> int:
 def _cmd_evaluate(args) -> int:
     with _usage():
         leads = [int(h) for h in args.leads.split(",")]
+        if negative := [h for h in leads if h < 0]:   # as `run` refuses it
+            raise ValueError(f"--leads: lead {negative[0]} must be >= 0")
         named = [spec.partition("=") for spec in args.region]
         no_repeats("--region", [name for name, _, _ in named])
         regions = ({name: _parse_box(box.split(",")) for name, _, box in named}

@@ -368,27 +368,12 @@ def open_input(what: str, path: str, grid: Optional[GridSpec],
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
-    """Execute every run in the matrix and assemble the report.
-
-    The matrix goes lead by lead: one pool task per live run per lead moves
-    the run's rollout on to that lead and scores it against the lead's
-    truth. The lead's runs share one PlaneReader of the truth: each report
-    plane is read by the first task to score its channel and dropped once
-    every task at the lead has taken it. An external run scores the reader
-    of its step's output that the rollout yields, a plane at a time. So a
-    run alone at a lead holds one or two planes each of forecast and truth,
-    not all of them. A step output's plane that holds NaN/Inf, found as it
-    is scored, fails its run. A lead's truth is checked (its header and
-    payload size) and opened as its tasks are queued, one lead ahead: the
-    next lead is queued before this lead's tasks are collected, and each of
-    its tasks waits on its run's task at this lead. So at most two truths
-    are open, their planes read only as runs score them, and every run
-    holds one state, however many leads are asked for.
-    A truth that is missing, unreadable or off the grid, or whose plane
-    read fails, costs its lead alone. Per-run failures are logged and
-    recorded without aborting the other runs; an invalid config aborts
-    before any input is read.
-    """
+    """Run every run of the matrix, lead by lead, and write metrics.csv, the
+    plots drawn from it, config_snapshot and run.log to the output
+    directory. An invalid config is a ConfigError raised before any input
+    is read. A run that fails is logged and named in the report's
+    `failures`, and the other runs go on; a truth that cannot be read costs
+    its lead alone. What a run holds in memory: see README."""
     config.validate()   # the climatology's header and payload size too
     grid, channels = config.model_grid, config.report_channels
     with closing(open_input("climatology", config.climatology_path, grid)) as clim:
@@ -495,7 +480,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
 
     csv_path = outdir / "metrics.csv"
     write_metric_csv(records, csv_path)
-    plot_files = emit_plots(records, str(outdir / "plots")) if records else []
+    plot_files = emit_plots(str(csv_path), str(outdir / "plots")) if records else []
 
     snapshot = config.snapshot_bytes or repr(config).encode()
     (outdir / "config_snapshot").write_bytes(snapshot)

@@ -13,7 +13,7 @@ import csv
 import math
 from html import escape   # xml.sax.saxutils would import urllib, +45 ms
 from pathlib import Path
-from typing import Union
+from typing import Iterator
 
 from .grids import CHANNELS, channel_name
 from .verify import MetricRecord
@@ -36,9 +36,9 @@ class PlotInputError(ValueError):
 _CSV_CHANNELS = {(var.name, str(level)): channel_name(var, level) for var, level in CHANNELS}
 
 
-def read_metric_csv(path: str) -> list[dict]:
-    """Parse the metric table, validating the schema row by row."""
-    rows = []
+def _metric_rows(path: str) -> Iterator[dict]:
+    """The metric table's rows, one dict each, validating the schema row by
+    row: a malformed row is a PlotInputError naming the file and line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -63,8 +63,15 @@ def read_metric_csv(path: str) -> list[dict]:
             if rec["metric"] not in ("RMSE", "ACC"):
                 raise PlotInputError(f"{path}:{lineno}: unknown metric "
                                      f"{rec['metric']!r}")
-            rows.append(rec)
-    return rows
+            if "/" in rec["region"]:   # no plot's file name can hold it
+                raise PlotInputError(f"{path}:{lineno}: region {rec['region']!r} "
+                                     "holds a '/'")
+            yield rec
+
+
+def read_metric_csv(path: str) -> list[dict]:
+    """Parse the metric table, validating the schema row by row."""
+    return list(_metric_rows(path))
 
 
 def write_metric_csv(records: list[MetricRecord], path: Path) -> None:
@@ -171,23 +178,17 @@ def _render_svg(title: str, series: dict[str, list[tuple[int, str]]]) -> str:
     return "\n".join(out) + "\n"
 
 
-def emit_plots(table: Union[str, list[MetricRecord]], output_dir: str) -> list[Path]:
-    """Write one SVG per (channel, region, metric) found in the table: the
-    metric CSV at a path, or the records it is written from, each value
-    then spelled as the CSV spells it."""
-    if isinstance(table, str):
-        rows = ((_CSV_CHANNELS[(rec["variable"], rec["level"])], rec["region"],
-                 rec["metric"], rec["source"], int(rec["lead_hours"]), rec["value"])
-                for rec in read_metric_csv(table))
-    else:
-        rows = ((channel_name(r.variable, r.level), r.region, r.metric, r.source_label,
-                 r.lead_hours, f"{r.value:.9g}") for r in table)
+def emit_plots(csv_path: str, output_dir: str) -> list[Path]:
+    """Write one SVG per (channel, region, metric) of the metric CSV at
+    `csv_path`, each value spelled as the CSV spells it. The rows are read
+    one at a time, all of them before any SVG is written."""
+    groups: dict[tuple[str, str, str], dict[str, list[tuple[int, str]]]] = {}
+    for rec in _metric_rows(csv_path):
+        key = (_CSV_CHANNELS[(rec["variable"], rec["level"])], rec["region"], rec["metric"])
+        groups.setdefault(key, {}).setdefault(rec["source"], []).append(
+            (int(rec["lead_hours"]), rec["value"]))
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    groups: dict[tuple[str, str, str], dict[str, list[tuple[int, str]]]] = {}
-    for chan, region, metric, label, lead, value in rows:
-        groups.setdefault((chan, region, metric), {}).setdefault(label, []).append(
-            (lead, value))
     written = []
     for (chan, region, metric) in sorted(groups):
         series = groups[(chan, region, metric)]

@@ -255,50 +255,21 @@ def rollout_states(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, 
                    verify_determinism: bool = False,
                    channels=CHANNELS
                    ) -> Iterator[Optional[tuple[int, Union[StateSet, PlaneReader]]]]:
-    """Drive the backend through the fewest steps that reach every lead and
-    yield (lead_hours, state) for each requested lead as soon as it is
-    reached, in increasing order (lead 0 is the IC). A yielded state is
-    valid until the rollout is resumed, so the caller copies out whatever it
-    needs. Under a builtin every state yielded holds one array, the IC's
-    planes cut to `channels`, which each step moves in place: an IC state
-    passed here belongs to the rollout, and the array of one holding just
-    `channels` is moved itself once lead 0 is yielded. Under an external backend a step's state is a PlaneReader of
-    its output file, closed once the rollout is resumed: its scorer holds a
-    plane or two of it at a time, never all of `channels`.
-
-    Every yielded state holds `channels`, in that order, valid at the IC's
-    valid_time + its lead: nwpeval owns time, and ignores the valid_time an
-    external backend writes. An unreachable lead, or an IC off the canonical
-    721x1440 grid an external backend requires, is raised before any step or
-    yield. Under a builtin the IC, a state or a path, is checked once, up
-    front: cut to `channels` with every plane (all 69 of an archive) checked
-    for NaN/Inf, it is what lead 0 yields and step 1 moves. A builtin creates
-    no values, so its steps are not checked. Under an external backend only
-    a path's header is read, and its payload's size checked; step 1 reads
-    the file itself, which is never written, moved or deleted. Should step
-    1's output then fail its check with lead 0 not asked for, every plane of
-    that file is checked first, so a NaN it holds is the IC's fault. A state
-    is checked up front, every plane, and written once, to step000.nws. Lead
-    0 is read or cut to `channels` with every plane checked. Every plane of
-    a step's output is read once
-    and checked before it is used: the planes a reader yields are checked as
-    its scorer first asks for each, those the scorer leaves unread once the
-    rollout is resumed, and every other plane before the yield, through one
-    spare plane. Step n reads step{n-1} and writes step{n}. Once step n has
-    exited 0, step{n-1} is deleted and step n+1 started; step n's output is
-    then checked and yielded while the backend computes. A fault found in
-    it, then or as its scorer reads a plane, is a RolloutError. Sent True
-    in place of next() at a yield, the rollout
-    waits there for the step started ahead to exit and yields None, so a
-    caller that pauses it that way leaves no backend process running; the
-    next next() goes on. If a check fails, or the generator is closed,
-    the running step is killed and reaped before the error propagates. Of an
-    IC state under an external backend only valid_time and source_label are
-    kept past step000.nws, so a caller holding no reference of its own gets
-    its memory back then; under a builtin its planes, cut to `channels`, are
-    the run's state to the end. verify_determinism runs step 1 again from
-    the same input into a file of its own, before step 2 starts, and
-    compares the two files' SHA-256, without reading the repeat as a state.
+    """Drive the backend through the fewest steps that reach every lead,
+    and yield (lead_hours, state) for each requested lead in increasing
+    order, lead 0 being the IC. `ic` is a state, which belongs to the
+    rollout from then on, or the path of an archive, which is never
+    written, moved or deleted. Each state holds `channels`, in that order,
+    valid at the IC's valid_time + its lead with the IC's label, and is
+    valid until the rollout is resumed: under an external backend it is a
+    PlaneReader of the step's output, closed then. Sent True in place of
+    next() at a yield, the rollout waits for the step started ahead to exit
+    and yields None. An unreachable lead (ValueError), or an IC off the
+    canonical grid an external backend requires (RolloutError), is raised
+    before any step; NaN/Inf in the IC or a step's output, or a failed
+    step, is a RolloutError. Closing the generator, or an error, kills and
+    reaps the running step. verify_determinism repeats step 1 and warns if
+    the two outputs' SHA-256 differ. See README "External backend protocol".
     """
     wanted = {int(h) for h in leads}
     plan = plan_for_leads(wanted, backend.horizons)

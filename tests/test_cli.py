@@ -89,6 +89,18 @@ class TestUsageErrors:
         assert f"nwpeval: {csv}: empty file\n" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_evaluate_refuses_a_negative_lead_before_reading_a_file(self, tmp_path,
+                                                                    capsys):
+        # as `nwpeval run` refuses lead_hours: [-24]; no input exists, so the
+        # lead is refused before the climatology is opened
+        out = tmp_path / "metrics.csv"
+        assert main(["evaluate", "--forecast-pattern", str(tmp_path / "fc_{lead}.nws"),
+                     "--truth-pattern", str(tmp_path / "truth_{lead}.nws"),
+                     "--climatology", str(tmp_path / "clim.nws"),
+                     "--leads=24,-24", "--out", str(out)]) == 2
+        assert "nwpeval: --leads: lead -24 must be >= 0\n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_missing_config(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
 
@@ -544,6 +556,26 @@ class TestRunSubcommand:
         assert payload_reads == []
         assert not (tmp_path / "out" / "run.log").exists()
         assert "nwpeval:" in capsys.readouterr().err
+
+    def test_run_plots_are_those_plot_draws_from_its_csv(self, tmp_path, small_grid):
+        # a run draws its plots from the metrics.csv it writes, so `nwpeval
+        # plot` on that file gives the same SVGs, byte for byte
+        from tests.test_experiment import build_inputs
+        labels = build_inputs(tmp_path, small_grid)
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels, {
+            "splice_scenarios": scenario(label='pad "east"'),
+            "regions": {"global": [-90, 90, 0, 360], "east, asia": [-10, 60, 60, 150]}})))
+        assert main(["run", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        assert main(["plot", "--csv", str(out / "metrics.csv"),
+                     "--out-dir", str(tmp_path / "replot")]) == 0
+        run_svgs = sorted(out.joinpath("plots").iterdir())
+        assert len(run_svgs) == 9 * 2 * 2
+        assert [p.name for p in run_svgs] == sorted(
+            p.name for p in (tmp_path / "replot").iterdir())
+        for p in run_svgs:
+            assert p.read_bytes() == (tmp_path / "replot" / p.name).read_bytes()
 
     @pytest.mark.parametrize("case, message", [
         ("config-version", "unsupported config_version 2"),

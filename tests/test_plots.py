@@ -1,10 +1,11 @@
 import itertools
 import random
 import re
+from html import escape
 
 import pytest
 
-from nwpeval.grids import Var
+from nwpeval.grids import Var, channel_name
 from nwpeval.plots import (PlotInputError, emit_plots, read_metric_csv,
                            write_metric_csv)
 from nwpeval.synthetic import default_time
@@ -142,8 +143,9 @@ class TestEmitPlots:
         assert a.read_bytes() == b.read_bytes()
 
     def test_records_plot_as_the_csv_written_from_them(self, tmp_path):
-        # `nwpeval run` plots the records it holds: the SVGs are those of the
-        # CSV it writes from them, byte for byte, values spelled as it does
+        # `nwpeval run` plots the CSV it writes from its records: each vertex
+        # carries a record's value as the CSV spells it, labels and regions
+        # with commas and quotes included
         rng = random.Random(5)
         records = [MetricRecord(init_time=default_time(), source_label=src,
                                 variable=var, level=level, region=region,
@@ -152,13 +154,33 @@ class TestEmitPlots:
                                 * rng.random())
                    for src, (var, level), region, lead, metric in itertools.product(
                        ('a,"b', "gfs"), ((Var.Z, 500), (Var.T2, 0)),
-                       ("global", "east_asia"), (120, 24, 48), ("RMSE", "ACC"))]
+                       ("global", "east, asia"), (120, 24, 48), ("RMSE", "ACC"))]
         rng.shuffle(records)
         p = tmp_path / "m.csv"
         write_metric_csv(records, p)
-        from_csv = emit_plots(str(p), str(tmp_path / "csv"))
-        from_records = emit_plots(records, str(tmp_path / "records"))
-        assert [f.name for f in from_records] == [f.name for f in from_csv]
-        assert len(from_csv) == 2 * 2 * 2
-        for a, b in zip(from_csv, from_records):
-            assert a.read_bytes() == b.read_bytes()
+        files = emit_plots(str(p), str(tmp_path / "csv"))
+        assert len(files) == 2 * 2 * 2
+        points = {}
+        for svg in files:
+            for label, data in re.findall(r'data-label="([^"]*)" data-points="([^"]*)"',
+                                          svg.read_text()):
+                points[svg.name, label] = data
+        expected = {}
+        for r in sorted(records, key=lambda r: r.lead_hours):
+            key = (f"{channel_name(r.variable, r.level)}_{r.region}_{r.metric}.svg",
+                   escape(r.source_label))
+            expected.setdefault(key, []).append(f"{r.lead_hours}:{r.value:.9g}")
+        assert points == {key: " ".join(pts) for key, pts in expected.items()}
+
+    def test_a_region_holding_a_slash_is_refused_before_any_plot(self, tmp_path, capsys):
+        # its plot's file name would name a directory; the rows before it
+        # are good, and still no SVG is written
+        from nwpeval.cli import main
+        p = tmp_path / "m.csv"
+        write_csv(p, [row("s", "MSLP", 0, "global", 24, "ACC", 0.5),
+                      row("s", "MSLP", 0, "east/asia", 24, "ACC", 0.5)])
+        with pytest.raises(PlotInputError, match=":3: region 'east/asia' holds a '/'"):
+            read_metric_csv(str(p))
+        assert main(["plot", "--csv", str(p), "--out-dir", str(tmp_path / "p")]) == 2
+        assert f"nwpeval: {p}:3: region 'east/asia'" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
