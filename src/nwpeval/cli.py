@@ -248,7 +248,7 @@ def _cmd_evaluate(args) -> int:
         # its header, and its payload's size: a short or long one is a usage error
         reader = open_input("climatology", args.climatology, None)
     with closing(reader):
-        check_regions(reader.grid, regions)   # a ConfigError: exit 2
+        check_regions(reader.grid, regions, channels)   # a ConfigError: exit 2
         clim = reader.subset(channels)
     records, errors = [], []
     for lead in leads:   # a forecast or truth unread or off the grid costs its lead

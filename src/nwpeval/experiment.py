@@ -28,7 +28,7 @@ from .archive import (ArchiveError, PlaneReader, RawDumpLayout, ingest_raw,
 from .grids import (CHANNEL_BY_NAME, DEFAULT_REGIONS, GridMismatchError, GridSpec,
                     RegionBox, StateSet, Var, _as_utc, channel_name, covers,
                     degrees, whole_number)
-from .plots import emit_plots, write_metric_csv
+from .plots import emit_plots, name_fault, write_metric_csv
 from .regrid import regrid_state
 from .rollout import BackendSpec, RolloutError, plan_for_leads, rollout_states
 # not called here: perfbench's tracer wraps experiment.run_rollout by name
@@ -97,6 +97,9 @@ class ExperimentConfig:
         labels += [sc.label for sc in self.splice_scenarios]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"run labels are not unique: {labels}")
+        for label in labels:   # written into each of its rows of metrics.csv
+            if fault := name_fault("run label", label):
+                raise ConfigError(fault)
         source_labels = {s.label for s in self.ic_sources}
         for sc in self.splice_scenarios:
             for ref in (sc.base_source, sc.donor_source):
@@ -112,7 +115,7 @@ class ExperimentConfig:
             raise ConfigError(f"lead_hours {sorted(set(self.lead_hours))}: {exc}") from None
         if self.workers is not None and self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        check_regions(self.model_grid, self.regions)
+        check_regions(self.model_grid, self.regions, self.report_channels)
         init_time = _as_utc(self.init_time)   # the config does not normalise it
         native = {}   # each source's own grid, from the config or its header
         for src in self.ic_sources:
@@ -155,13 +158,15 @@ def no_repeats(what: str, values) -> None:
         raise ConfigError(f"{what} repeats an entry: {', '.join(map(str, values))}")
 
 
-def check_regions(grid: GridSpec, regions: dict) -> None:
-    """ConfigError if a region selects no point of `grid`, or its name holds
-    a '/', which no plot's file name can. Each region's block is built here
+def check_regions(grid: GridSpec, regions: dict, channels) -> None:
+    """ConfigError if a region selects no point of `grid`, or its name
+    cannot be written to the metric table and the file names of its plots
+    of `channels` (plots.name_fault). Each region's block is built here
     once and reused to score."""
+    names = [channel_name(*c) for c in channels]
     for name, box in regions.items():
-        if "/" in name:
-            raise ConfigError(f"region name {name!r} holds a '/'")
+        if fault := name_fault("region", name, names):
+            raise ConfigError(fault)
         try:
             region_block(grid, box)
         except EmptyMaskError:
@@ -480,8 +485,6 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
 
     csv_path = outdir / "metrics.csv"
     write_metric_csv(records, csv_path)
-    plot_files = emit_plots(str(csv_path), str(outdir / "plots")) if records else []
-
     snapshot = config.snapshot_bytes or repr(config).encode()
     (outdir / "config_snapshot").write_bytes(snapshot)
     config_hash = hashlib.sha256(snapshot).hexdigest()
@@ -501,6 +504,8 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     for line in log_lines:
         log.info("%s", line)
 
+    # after the log, so a plot that cannot be drawn leaves the run explained
+    plot_files = emit_plots(str(csv_path), str(outdir / "plots")) if records else []
     return RunReport(csv_path=csv_path, log_path=log_path,
                      plot_files=plot_files, config_hash=config_hash,
                      failures=failures)

@@ -13,13 +13,15 @@ import csv
 import math
 from html import escape   # xml.sax.saxutils would import urllib, +45 ms
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .grids import CHANNELS, channel_name
 from .verify import MetricRecord
 
 CSV_COLUMNS = ["init_time", "source", "variable", "level", "region",
                "lead_hours", "metric", "value"]
+METRICS = ("RMSE", "ACC")
+NAME_MAX = 255   # bytes in a file name, on Linux's file systems
 
 WIDTH, HEIGHT = 640, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
@@ -36,37 +38,78 @@ class PlotInputError(ValueError):
 _CSV_CHANNELS = {(var.name, str(level)): channel_name(var, level) for var, level in CHANNELS}
 
 
+def svg_name(chan: str, region: str, metric: str) -> str:
+    """The file name of the plot of one channel, region and metric."""
+    return f"{chan}_{region}_{metric}.svg"
+
+
+def name_fault(what: str, name: str, channels=None, metrics=METRICS) -> Optional[str]:
+    """Why `name`, a run label or, given the `channels` (channel_name
+    spellings) it is plotted for, a region, cannot be written; None if it
+    can. A name must be text UTF-8 can encode, with no carriage return,
+    which the CSV writer leaves unquoted. A region is also part of the file
+    name of each of its plots (svg_name), which cannot hold a '/' or a NUL
+    byte, or be over NAME_MAX bytes long."""
+    try:
+        name.encode()
+    except UnicodeEncodeError:
+        return f"{what} {name!r} cannot be encoded as UTF-8"
+    if "\r" in name:
+        return f"{what} {name!r} holds a carriage return"
+    if channels is None:   # a run label names no file
+        return None
+    for char, said in (("/", "a '/'"), ("\0", "a NUL byte")):
+        if char in name:
+            return f"{what} {name!r} holds {said}"
+    longest = max((len(svg_name(c, name, m).encode()) for c in channels for m in metrics),
+                  default=0)
+    if longest > NAME_MAX:
+        return f"{what} {name!r} gives a plot a file name of {longest} bytes, over {NAME_MAX}"
+    return None
+
+
 def _metric_rows(path: str) -> Iterator[dict]:
     """The metric table's rows, one dict each, validating the schema row by
-    row: a malformed row is a PlotInputError naming the file and line."""
-    with open(path, newline="") as fh:
+    row: a malformed row, or one the CSV reader cannot parse, is a
+    PlotInputError naming the file and line; a file that is not UTF-8 is
+    one naming the file."""
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise PlotInputError(f"{path}: empty file")
-        if header != CSV_COLUMNS:
-            raise PlotInputError(f"{path}:1: bad header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(CSV_COLUMNS):
-                raise PlotInputError(f"{path}:{lineno}: expected "
-                                     f"{len(CSV_COLUMNS)} columns, got {len(row)}")
-            rec = dict(zip(CSV_COLUMNS, row))
-            try:
-                int(rec["lead_hours"])
-                float(rec["value"])
-            except ValueError:
-                raise PlotInputError(f"{path}:{lineno}: non-numeric lead or value")
-            if (rec["variable"], rec["level"]) not in _CSV_CHANNELS:
-                raise PlotInputError(f"{path}:{lineno}: unknown channel "
-                                     f"{rec['variable']!r} at level {rec['level']!r}")
-            if rec["metric"] not in ("RMSE", "ACC"):
-                raise PlotInputError(f"{path}:{lineno}: unknown metric "
-                                     f"{rec['metric']!r}")
-            if "/" in rec["region"]:   # no plot's file name can hold it
-                raise PlotInputError(f"{path}:{lineno}: region {rec['region']!r} "
-                                     "holds a '/'")
-            yield rec
+            yield from _checked_rows(path, reader)
+        except UnicodeDecodeError as exc:
+            raise PlotInputError(f"{path}: not UTF-8 text: {exc}") from None
+        except csv.Error as exc:
+            raise PlotInputError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def _checked_rows(path: str, reader) -> Iterator[dict]:
+    """The rows of a CSV reader of the metric table at `path`, as dicts."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise PlotInputError(f"{path}: empty file")
+    if header != CSV_COLUMNS:
+        raise PlotInputError(f"{path}:1: bad header {header}")
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(CSV_COLUMNS):
+            raise PlotInputError(f"{path}:{lineno}: expected "
+                                 f"{len(CSV_COLUMNS)} columns, got {len(row)}")
+        rec = dict(zip(CSV_COLUMNS, row))
+        try:
+            int(rec["lead_hours"])
+            float(rec["value"])
+        except ValueError:
+            raise PlotInputError(f"{path}:{lineno}: non-numeric lead or value")
+        if (rec["variable"], rec["level"]) not in _CSV_CHANNELS:
+            raise PlotInputError(f"{path}:{lineno}: unknown channel "
+                                 f"{rec['variable']!r} at level {rec['level']!r}")
+        if rec["metric"] not in METRICS:
+            raise PlotInputError(f"{path}:{lineno}: unknown metric {rec['metric']!r}")
+        chan = _CSV_CHANNELS[(rec["variable"], rec["level"])]
+        if fault := name_fault("region", rec["region"], [chan], [rec["metric"]]):
+            raise PlotInputError(f"{path}:{lineno}: {fault}")
+        yield rec
 
 
 def read_metric_csv(path: str) -> list[dict]:
@@ -77,7 +120,7 @@ def read_metric_csv(path: str) -> list[dict]:
 def write_metric_csv(records: list[MetricRecord], path: Path) -> None:
     """Fixed column order; values at 9 significant digits. A label or region
     holding a comma or quote is quoted, so read_metric_csv reads it back."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(CSV_COLUMNS)
         out.writerows([r.init_time.strftime("%Y-%m-%dT%H:%M:%SZ"), r.source_label,
@@ -194,7 +237,7 @@ def emit_plots(csv_path: str, output_dir: str) -> list[Path]:
         series = groups[(chan, region, metric)]
         title = f"{chan} {metric} ({region})"
         svg = _render_svg(title, series)
-        path = outdir / f"{chan}_{region}_{metric}.svg"
-        path.write_text(svg)
+        path = outdir / svg_name(chan, region, metric)
+        path.write_text(svg, encoding="utf-8")
         written.append(path)
     return written

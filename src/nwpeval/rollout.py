@@ -273,79 +273,74 @@ def rollout_states(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, 
     """
     wanted = {int(h) for h in leads}
     plan = plan_for_leads(wanted, backend.horizons)
-    external = backend.kind == "external-command"
-    ic_path = None if isinstance(ic, StateSet) or not external else Path(ic)
+    if backend.kind == "builtin":   # a step moves the run's planes; lead 0 is step 0
+        state = _checked_ic(ic, channels)
+        del ic   # `state` is the only reference left; a step replaces it
+        for hours, lead in zip((0,) + plan.steps, itertools.accumulate((0,) + plan.steps)):
+            state = builtin_step(state, backend, hours) if hours else state
+            if lead in wanted and (yield lead, state):
+                yield   # paused: no step runs between yields
+        return
+
+    ic_path = None if isinstance(ic, StateSet) else Path(ic)
     if ic_path is not None:
         ic = read_archive(ic_path, ())   # step 1 reads the file where it is
-    else:   # lead 0 yields it, and step 1 moves it or reads it as written
-        ic = _checked_ic(ic, ic.channels if external else channels)
+    else:   # lead 0 yields it, and step 1 reads it as written
+        ic = _checked_ic(ic, ic.channels)
     try:
         backend.check_grid(ic.grid)
     except ValueError as exc:
         raise RolloutError(str(exc)) from None
-
     if 0 in wanted:
         paused = yield 0, _checked_ic(ic_path, channels) if ic_path else ic.subset(channels)
         if paused:   # no step has started yet
             yield
+    if not plan.steps:
+        return
     init_time, label = ic.valid_time, ic.source_label
     with tempfile.TemporaryDirectory(prefix="nwpeval-rollout-") as work:
         files = [Path(work) / f"step{n:03d}.nws" for n in range(len(plan.steps) + 1)]
         if ic_path is not None:
             files[0] = ic_path   # step 1 reads the caller's file where it is
-        elif external and plan.steps:
+        else:
             write_archive(ic, files[0])
-        state = ic
-        del ic   # `state` is the only reference left; a step replaces it
-        running = None   # the backend process of the latest external step
-        out = None   # the reader of the latest external step's output
+        del ic   # on disk: hold one state while reading the next
+        # the backend process of the latest step, started ahead of its reader
+        running = _start_backend(files[0], files[1], backend, plan.steps[0], 1)
         cumulative = itertools.accumulate(plan.steps)
         try:
             for n, (hours, lead) in enumerate(zip(plan.steps, cumulative), start=1):
-                if not external:
-                    state = builtin_step(state, backend, hours)
-                else:
-                    del state   # on disk: hold one state while reading the next
-                    if n == 1:
-                        running = _start_backend(files[0], files[1], backend, hours, n)
-                    _finish_backend(running, files[n], hours, n)
-                    if verify_determinism and n == 1:
-                        # repeat into its own file (step 2 reads step001.nws);
-                        # hashed, never read: equal hashes mean checked bytes
-                        repeat = Path(work) / "repeat001.nws"
-                        running = _start_backend(files[0], repeat, backend, hours, n)
-                        _finish_backend(running, repeat, hours, n)
-                        h1, h2 = _sha256(files[1]), _sha256(repeat)
-                        if h1 != h2:
-                            log.warning("backend is not deterministic: step-1 hashes "
-                                        "%s vs %s", h1, h2)
-                        repeat.unlink()
-                    if files[n - 1] != ic_path:
-                        files[n - 1].unlink(missing_ok=True)
-                    if n < len(plan.steps):
-                        running = _start_backend(files[n], files[n + 1], backend,
-                                                 plan.steps[n], n + 1)
-                    # a NaN a path IC holds, if lead 0 did not check it, is its own fault
-                    blame = ic_path if n == 1 and 0 not in wanted else None
-                    state = out = _open_step(files[n], n, hours,
-                                             channels if lead in wanted else (), blame)
-                if lead in wanted:
-                    paused = yield lead, state.replace(
-                        valid_time=init_time + timedelta(hours=lead), source_label=label)
-                    if out is not None:   # the planes its scorer left unread are checked still
-                        out.check(out.unread)
-                    if paused:   # the step started ahead ends before the pause
-                        if running is not None:
+                _finish_backend(running, files[n], hours, n)
+                if verify_determinism and n == 1:
+                    # repeat into its own file (step 2 reads step001.nws);
+                    # hashed, never read: equal hashes mean checked bytes
+                    repeat = Path(work) / "repeat001.nws"
+                    running = _start_backend(files[0], repeat, backend, hours, n)
+                    _finish_backend(running, repeat, hours, n)
+                    h1, h2 = _sha256(files[1]), _sha256(repeat)
+                    if h1 != h2:
+                        log.warning("backend is not deterministic: step-1 hashes "
+                                    "%s vs %s", h1, h2)
+                    repeat.unlink()
+                if files[n - 1] != ic_path:
+                    files[n - 1].unlink(missing_ok=True)
+                if n < len(plan.steps):
+                    running = _start_backend(files[n], files[n + 1], backend,
+                                             plan.steps[n], n + 1)
+                # a NaN a path IC holds, if lead 0 did not check it, is its own fault
+                blame = ic_path if n == 1 and 0 not in wanted else None
+                with contextlib.closing(_open_step(
+                        files[n], n, hours, channels if lead in wanted else (), blame)) as out:
+                    if lead in wanted:
+                        paused = yield lead, out.replace(
+                            valid_time=init_time + timedelta(hours=lead), source_label=label)
+                        out.check(out.unread)   # the planes its scorer left unread
+                        if paused:   # the step started ahead ends before the pause
                             running.wait()
-                        yield
-                if out is not None:
-                    out.close()
-        finally:
-            if out is not None:
-                out.close()
-            if running is not None:   # a no-op once the process has been waited for
-                running.kill()
-                running.wait()
+                            yield
+        finally:   # a no-op once the process has been waited for
+            running.kill()
+            running.wait()
 
 
 def run_rollout(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, leads,

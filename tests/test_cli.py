@@ -146,11 +146,18 @@ class TestUsageErrors:
         ["evaluate", "--forecast-pattern", "{a}", "--truth-pattern", "{a}",
          "--climatology", "{a}", "--leads", "24", "--region", "a/b=-90,90,0,360",
          "--out", "{out}"],
+        ["evaluate", "--forecast-pattern", "{a}", "--truth-pattern", "{a}",
+         "--climatology", "{a}", "--leads", "24", "--region", "a\rb=-90,90,0,360",
+         "--out", "{out}"],
+        ["evaluate", "--forecast-pattern", "{a}", "--truth-pattern", "{a}",
+         "--climatology", "{a}", "--leads", "24", "--region", "r" * 250 + "=-90,90,0,360",
+         "--out", "{out}"],
     ], ids=["blend-width", "horizons-x", "horizons-0", "emit-every-0", "lead-0",
             "blank-command", "missing-command",
             "valid-time", "leads-x", "leads-repeated", "channels-repeated",
             "pattern-placeholder", "external-off-canonical", "region-empty",
-            "region-repeated", "truth-fixed-path", "region-a-slash"])
+            "region-repeated", "truth-fixed-path", "region-a-slash", "region-a-cr",
+            "region-too-long"])
     def test_bad_flag_value_exits_2_without_output(self, archive_path, tmp_path,
                                                    monkeypatch, argv):
         payload_reads = spy_payload_reads(monkeypatch)
@@ -488,6 +495,14 @@ BAD_CONFIGS = {
     "zero-workers": {"workers": 0},
     "empty-region": {"regions": {"tiny": [12, 14, 22, 24]}},
     "region-a-slash": {"regions": {"a/b": [-90, 90, 0, 360]}},   # no plot file name
+    # a NUL or a name over 255 bytes cannot name a plot's file; the CSV
+    # writer leaves a carriage return unquoted, so its row reads as two;
+    # UTF-8 cannot encode a lone surrogate
+    "region-a-nul": {"regions": {"glo\0bal": [-90, 90, 0, 360]}},
+    "region-a-cr": {"regions": {"a\rb": [-90, 90, 0, 360]}},
+    "region-too-long": {"regions": {"r" * 250: [-90, 90, 0, 360]}},
+    "label-a-cr": {"splice_scenarios": scenario(label="a\rb")},
+    "label-a-surrogate": {"splice_scenarios": scenario(label="a\ud800b")},
     "repeated-lead": {"lead_hours": [24, 48, 24]},
     # would be leads 2 and 4, which 2 h steps reach
     "leads-a-string": {"lead_hours": "24", "backend": {"horizons": [2]}},
@@ -584,7 +599,12 @@ class TestRunSubcommand:
         ("lon-start-360", "grid: lon_start must lie in [0, 360)"),
         ("builtin-pangu", "backend: unknown builtin backend 'pangu'"),
         ("raw-source-without-grid", "source 'r': raw dumps require grid and layout"),
-        ("nws-source-a-directory", "source 'a': [Errno 21] Is a directory")])
+        ("nws-source-a-directory", "source 'a': [Errno 21] Is a directory"),
+        ("region-a-nul", "region 'glo\\x00bal' holds a NUL byte"),
+        ("region-a-cr", "region 'a\\rb' holds a carriage return"),
+        ("region-too-long", "gives a plot a file name of 264 bytes, over 255"),
+        ("label-a-cr", "run label 'a\\rb' holds a carriage return"),
+        ("label-a-surrogate", "run label 'a\\ud800b' cannot be encoded as UTF-8")])
     def test_a_config_error_exits_2_naming_its_cause(self, tmp_path, small_grid,
                                                      monkeypatch, capsys, case, message):
         from tests.test_experiment import build_inputs
@@ -597,6 +617,25 @@ class TestRunSubcommand:
         assert payload_reads == []
         assert not (tmp_path / "out").exists()
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, rc", [(0, 0), (1, 2)])
+    def test_a_region_may_name_plots_of_255_bytes(self, tmp_path, small_grid, capsys,
+                                                  extra, rc):
+        # 'Z500_' + the region + '_RMSE.svg' is the longest name of its plots;
+        # the limit is on bytes, and 'é' is two
+        from tests.test_experiment import build_inputs
+        labels = build_inputs(tmp_path, small_grid)
+        region = "é" * 120 + "r" * (1 + extra)
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels, {
+            "regions": {region: [-90, 90, 0, 360]}})))
+        assert main(["run", "--config", str(cfg)]) == rc
+        svg = tmp_path / "out" / "plots" / f"Z500_{region}_RMSE.svg"
+        if rc == 0:
+            assert len(svg.name.encode()) == 255 and svg.exists()
+        else:
+            assert "gives a plot a file name of 256 bytes" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_a_config_that_is_a_list_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "exp.yaml"

@@ -236,6 +236,31 @@ class TestRunExperiment:
         rows = read_metric_csv(str(report.csv_path))
         assert {r["source"] for r in rows} == {labels[0]}
 
+    def test_a_failed_plot_leaves_the_log_and_snapshot(self, tmp_path, small_grid,
+                                                       monkeypatch):
+        # run.log and config_snapshot are written before the plots, so a run
+        # whose plots cannot be drawn still explains itself
+        labels = build_inputs(tmp_path, small_grid)
+        cfg = make_config(tmp_path, small_grid, labels, [SpliceScenario(
+            label="pad", base_source=labels[0], donor_source=labels[1],
+            spec=SpliceSpec(region=EAST_ASIA))])
+        expected = run_experiment(cfg)
+        log_bytes = expected.log_path.read_bytes()
+        snapshot = (tmp_path / "out" / "config_snapshot").read_bytes()
+        for name in ("run.log", "config_snapshot"):
+            (tmp_path / "out" / name).unlink()
+
+        def no_plots(csv_path, output_dir):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(experiment, "emit_plots", no_plots)
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(cfg)
+        log = (tmp_path / "out" / "run.log").read_bytes()
+        assert log == log_bytes
+        assert f"runs: {', '.join(labels + ['pad'])}\n".encode() in log
+        assert (tmp_path / "out" / "config_snapshot").read_bytes() == snapshot
+
     def test_failed_external_step_gives_no_rows(self, tmp_path, small_grid,
                                                  monkeypatch):
         # src1's backend fails at step 2, after lead 24 was emitted and scored

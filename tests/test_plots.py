@@ -172,15 +172,47 @@ class TestEmitPlots:
             expected.setdefault(key, []).append(f"{r.lead_hours}:{r.value:.9g}")
         assert points == {key: " ".join(pts) for key, pts in expected.items()}
 
-    def test_a_region_holding_a_slash_is_refused_before_any_plot(self, tmp_path, capsys):
-        # its plot's file name would name a directory; the rows before it
-        # are good, and still no SVG is written
+    @pytest.mark.parametrize("region, message", [
+        ("east/asia", "'east/asia' holds a '/'"),
+        ("glo\0bal", "'glo\\x00bal' holds a NUL byte"),
+        ('"a\rb"', "'a\\rb' holds a carriage return"),   # quoted: one field
+        ("é" * 122, "gives a plot a file name of 257 bytes, over 255")],
+        ids=["slash", "nul", "carriage-return", "257-bytes"])
+    def test_a_region_that_cannot_name_a_plot_is_refused_before_any(self, tmp_path,
+                                                                   capsys, region,
+                                                                   message):
+        # the rows before it are good, and still no SVG is written
         from nwpeval.cli import main
         p = tmp_path / "m.csv"
         write_csv(p, [row("s", "MSLP", 0, "global", 24, "ACC", 0.5),
-                      row("s", "MSLP", 0, "east/asia", 24, "ACC", 0.5)])
-        with pytest.raises(PlotInputError, match=":3: region 'east/asia' holds a '/'"):
+                      row("s", "MSLP", 0, region, 24, "ACC", 0.5)])
+        with pytest.raises(PlotInputError, match=f":3: region .*{re.escape(message)}$"):
             read_metric_csv(str(p))
         assert main(["plot", "--csv", str(p), "--out-dir", str(tmp_path / "p")]) == 2
-        assert f"nwpeval: {p}:3: region 'east/asia'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"nwpeval: {p}:3: region ") and err.endswith(f"{message}\n")
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("metric, rc", [("ACC", 0), ("RMSE", 2)])
+    def test_a_plot_file_name_may_be_255_bytes(self, tmp_path, metric, rc):
+        # 'MSLP_' + 242 bytes + '_ACC.svg' is 255 bytes, with '_RMSE.svg'
+        # 256: a row is checked against the file name its own plot gets
+        from nwpeval.cli import main
+        region = "é" * 120 + "r" * 2
+        p = tmp_path / "m.csv"
+        write_csv(p, [row("s", "MSLP", 0, region, 24, metric, 0.5)])
+        assert main(["plot", "--csv", str(p), "--out-dir", str(tmp_path / "p")]) == rc
+        assert (tmp_path / "p" / f"MSLP_{region}_{metric}.svg").exists() == (rc == 0)
+
+    @pytest.mark.parametrize("content, message", [
+        (b"\xff" + HEADER.encode(), ": not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+        (HEADER.encode() + b'a,"' + b"x" * (1 << 18) + b'"\n',
+         ":2: field larger than field limit")], ids=["not-utf-8", "huge-field"])
+    def test_a_csv_that_cannot_be_read_exits_2_naming_it(self, tmp_path, capsys,
+                                                         content, message):
+        from nwpeval.cli import main
+        p = tmp_path / "m.csv"
+        p.write_bytes(content)
+        assert main(["plot", "--csv", str(p), "--out-dir", str(tmp_path / "p")]) == 2
+        assert f"nwpeval: {p}{message}" in capsys.readouterr().err
         assert not (tmp_path / "p").exists()

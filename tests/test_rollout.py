@@ -7,6 +7,7 @@ import re
 import signal
 import stat
 import sys
+import tempfile
 import textwrap
 import time
 import tracemalloc
@@ -297,6 +298,35 @@ class TestRunRollout:
         run_rollout(ics.pop(), be, [0, 24, 48],
                     lambda lead, state: alive.append((lead, ic() is not None)))
         assert alive == [(0, True), (24, False), (48, False)]
+
+
+class TestBuiltinLoop:
+    """A builtin rollout moves the run's own state, step by step, on no file."""
+
+    @pytest.mark.parametrize("source", ["state", "path"])
+    def test_pauses_at_every_lead_and_steps_as_np_roll(self, tmp_path, small_state,
+                                                       monkeypatch, source):
+        def no_temp_dir(*args, **kwargs):
+            raise AssertionError("a builtin rollout opened a temporary directory")
+
+        expected, t0 = small_state.data.copy(), small_state.valid_time
+        ic = small_state
+        if source == "path":
+            ic = tmp_path / "ic.nws"
+            write_archive(small_state, str(ic))
+        monkeypatch.setattr(tempfile, "TemporaryDirectory", no_temp_dir)
+        be = BackendSpec(builtin="advection", advection_cells=3, horizons={24, 6})
+        # steps (6, 24, 24, 6, 6, 6): the steps taken by each lead
+        stepped = {0: 0, 6: 1, 30: 2, 72: 6}
+        states = rollout_states(ic, be, [72, 0, 30, 6])
+        for lead, steps in stepped.items():
+            reached, state = next(states)
+            assert reached == lead
+            assert state.valid_time == t0 + timedelta(hours=lead)
+            assert state.source_label == small_state.source_label
+            assert np.array_equal(state.data, np.roll(expected, 3 * steps, axis=2))
+            assert states.send(True) is None   # a pause, and next() goes on
+        assert list(states) == []
 
 
 def write_backend_script(path, body):
