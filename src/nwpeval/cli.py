@@ -21,8 +21,8 @@ from .experiment import (ConfigError, InputError, _parse_box, _parse_time,
                          check_pattern, check_regions, check_truth_pattern,
                          load_config, no_repeats, open_input, parse_channel,
                          run_experiment)
-from .grids import DEFAULT_REGIONS, GridSpec, channel_name, validate_state
-from .plots import PlotInputError, emit_plots, write_metric_csv
+from .grids import CHANNELS, DEFAULT_REGIONS, GridSpec, channel_name, validate_state
+from .plots import PlotInputError, emit_plots, name_fault, write_metric_csv
 from .regrid import regrid_state
 from .rollout import BackendSpec, RolloutError, plan_for_leads, run_rollout
 from .splice import SpliceSpec, splice_states
@@ -179,6 +179,8 @@ def _cmd_ingest(args) -> int:
     with _usage():
         layout = RawDumpLayout(scan=args.scan)
         valid_time = _parse_time(args.valid_time)
+        if fault := name_fault("--label", args.label):   # evaluate writes it in each row
+            raise ValueError(fault)
     state = ingest_raw(args.infile, args.grid, layout, valid_time=valid_time,
                        source_label=args.label, finite=args.nan == "error")
     for msg in validate_state(state, check_ranges=not args.skip_validation):
@@ -216,16 +218,14 @@ def _cmd_rollout(args) -> int:
         plan_for_leads(emit, backend.horizons)   # unreachable lead: exit 2 before any read
         backend.check_grid(read_header(args.infile)["grid"])   # an off-grid IC too
     outdir = Path(args.out_dir)
-
-    def write(lead, state):
-        outdir.mkdir(parents=True, exist_ok=True)
-        path = outdir / f"forecast_{lead:03d}h.nws"
-        write_archive(state, path)
-        print(f"lead {lead:4d}h -> {path}")
-
     # by path: an external step 1 reads --in itself, a builtin reads it whole
-    run_rollout(args.infile, backend, emit, write,
-                verify_determinism=args.verify_determinism)
+    with closing(run_rollout(args.infile, backend, emit,
+                             verify_determinism=args.verify_determinism)) as states:
+        for lead, state in states:   # every plane read and checked before it is written
+            outdir.mkdir(parents=True, exist_ok=True)
+            path = outdir / f"forecast_{lead:03d}h.nws"
+            write_archive(state.subset(CHANNELS), path)
+            print(f"lead {lead:4d}h -> {path}")
     return 0
 
 
@@ -252,12 +252,14 @@ def _cmd_evaluate(args) -> int:
         clim = reader.subset(channels)
     records, errors = [], []
     for lead in leads:   # a forecast or truth unread or off the grid costs its lead
+        forecast = args.forecast_pattern.format(lead=lead)
         try:
             # read a plane at a time, as `nwpeval run` reads a truth
-            with closing(open_input("forecast", args.forecast_pattern.format(lead=lead),
-                                    clim.grid)) as fc, \
+            with closing(open_input("forecast", forecast, clim.grid)) as fc, \
                     closing(open_input("truth", args.truth_pattern.format(lead=lead),
                                        clim.grid)) as truth:
+                if fault := name_fault("label", fc.source_label):   # each of its rows holds it
+                    raise InputError(f"forecast {forecast}: {fault}")
                 r, e = evaluate_run(lead, fc, truth, clim, regions, channels)
         except InputError as exc:
             errors.append(f"lead {lead}: {exc}")
@@ -311,7 +313,8 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return _HANDLERS[args.cmd](args)
-    except (ConfigError, PlotInputError, FileNotFoundError) as exc:
+    except (ConfigError, PlotInputError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError) as exc:
         print(f"nwpeval: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (ArchiveError, RolloutError, ValueError, OSError) as exc:

@@ -30,9 +30,7 @@ from .grids import (CHANNEL_BY_NAME, DEFAULT_REGIONS, GridMismatchError, GridSpe
                     degrees, whole_number)
 from .plots import emit_plots, name_fault, write_metric_csv
 from .regrid import regrid_state
-from .rollout import BackendSpec, RolloutError, plan_for_leads, rollout_states
-# not called here: perfbench's tracer wraps experiment.run_rollout by name
-from .rollout import run_rollout  # noqa: F401
+from .rollout import BackendSpec, RolloutError, plan_for_leads, run_rollout
 from .splice import SpliceSpec, splice_states
 from .verify import (DEFAULT_REPORT_CHANNELS, EmptyMaskError, MetricRecord,
                      evaluate_run, region_block)
@@ -408,8 +406,8 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             failures[sc.label] = f"splice failed: {exc}"
     labels = list(runs)
 
-    rollouts = {label: rollout_states(runs.pop(label), config.backend, config.lead_hours,
-                                      channels=channels)
+    rollouts = {label: run_rollout(runs.pop(label), config.backend, config.lead_hours,
+                                   channels=channels)
                 for label in labels}
     run_records: dict[str, list[MetricRecord]] = {label: [] for label in labels}
     run_errors: dict[str, list[str]] = {label: [] for label in labels}

@@ -44,7 +44,7 @@ def svg_name(chan: str, region: str, metric: str) -> str:
 
 
 def name_fault(what: str, name: str, channels=None, metrics=METRICS) -> Optional[str]:
-    """Why `name`, a run label or, given the `channels` (channel_name
+    """Why `name`, a run or source label or, given the `channels` (channel_name
     spellings) it is plotted for, a region, cannot be written; None if it
     can. A name must be text UTF-8 can encode, with no carriage return,
     which the CSV writer leaves unquoted. A region is also part of the file
@@ -56,7 +56,7 @@ def name_fault(what: str, name: str, channels=None, metrics=METRICS) -> Optional
         return f"{what} {name!r} cannot be encoded as UTF-8"
     if "\r" in name:
         return f"{what} {name!r} holds a carriage return"
-    if channels is None:   # a run label names no file
+    if channels is None:   # a label names no file
         return None
     for char, said in (("/", "a '/'"), ("\0", "a NUL byte")):
         if char in name:

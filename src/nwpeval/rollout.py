@@ -251,10 +251,9 @@ def _sha256(path: Path) -> str:
         return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
-def rollout_states(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, leads,
-                   verify_determinism: bool = False,
-                   channels=CHANNELS
-                   ) -> Iterator[Optional[tuple[int, Union[StateSet, PlaneReader]]]]:
+def run_rollout(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, leads,
+                verify_determinism: bool = False, channels=CHANNELS
+                ) -> Iterator[Optional[tuple[int, Union[StateSet, PlaneReader]]]]:
     """Drive the backend through the fewest steps that reach every lead,
     and yield (lead_hours, state) for each requested lead in increasing
     order, lead 0 being the IC. `ic` is a state, which belongs to the
@@ -341,19 +340,3 @@ def rollout_states(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, 
         finally:   # a no-op once the process has been waited for
             running.kill()
             running.wait()
-
-
-def run_rollout(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, leads,
-                emit, verify_determinism: bool = False, channels=CHANNELS) -> None:
-    """Call emit(lead_hours, state) for each state rollout_states yields,
-    a step's reader read whole: every state emit gets holds all of
-    `channels`, checked, and is valid until emit returns: a builtin's next
-    step moves its planes in place. An IC state belongs to the rollout, as
-    in rollout_states. If emit raises, the running step is killed and
-    reaped first."""
-    states = rollout_states(ic, backend, leads, verify_determinism, channels)
-    del ic   # the rollout holds the IC state, or lets it go after its first step
-    with contextlib.closing(states):
-        for lead, state in states:
-            emit(lead, state.subset(channels))
-            del state   # held here, it would outlive the next step's read

@@ -120,6 +120,9 @@ class TestUsageErrors:
          "--backend", "cmd:no-such-nwpeval-backend --flag"],
         ["ingest", "--in", "{a}", "--out", "{out}", "--grid", "9,16,90,22.5,0,22.5",
          "--valid-time", "notatime", "--label", "x"],
+        # the label is written in each row that scores the archive
+        ["ingest", "--in", "{a}", "--out", "{out}", "--grid", "9,16,90,22.5,0,22.5",
+         "--valid-time", "2023-06-06T00:00:00Z", "--label", "a\rb"],
         ["evaluate", "--forecast-pattern", "{a}", "--truth-pattern", "{a}",
          "--climatology", "{a}", "--leads", "24,x", "--out", "{out}"],
         ["evaluate", "--forecast-pattern", "{a}", "--truth-pattern", "{a}",
@@ -154,7 +157,7 @@ class TestUsageErrors:
          "--out", "{out}"],
     ], ids=["blend-width", "horizons-x", "horizons-0", "emit-every-0", "lead-0",
             "blank-command", "missing-command",
-            "valid-time", "leads-x", "leads-repeated", "channels-repeated",
+            "valid-time", "label-a-cr", "leads-x", "leads-repeated", "channels-repeated",
             "pattern-placeholder", "external-off-canonical", "region-empty",
             "region-repeated", "truth-fixed-path", "region-a-slash", "region-a-cr",
             "region-too-long"])
@@ -165,6 +168,29 @@ class TestUsageErrors:
         assert main([a.format(a=archive_path, out=out) for a in argv]) == 2
         assert not out.exists()
         assert payload_reads == []
+
+    @pytest.mark.parametrize("path", ["directory", "through-a-file"])
+    @pytest.mark.parametrize("argv", [
+        ["inspect", "{p}"],
+        ["run", "--config", "{p}"],
+        ["plot", "--csv", "{p}", "--out-dir", "{out}"],
+        ["regrid", "--in", "{p}", "--out", "{out}"],
+        ["splice", "--base", "{p}", "--donor", "{a}", "--box", "-10,60,60,150",
+         "--out", "{out}"],
+        ["ingest", "--in", "{p}", "--out", "{out}", "--grid", "9,16,90,22.5,0,22.5",
+         "--valid-time", "2023-06-06T00:00:00Z", "--label", "x"],
+        ["rollout", "--in", "{p}", "--out-dir", "{out}", "--lead", "24"],
+        ["evaluate", "--forecast-pattern", "{a}", "--truth-pattern", "{a}",
+         "--climatology", "{p}", "--leads", "24", "--out", "{out}"],
+    ], ids=lambda argv: argv[0])
+    def test_a_path_no_file_can_be_at_exits_2_naming_it(self, archive_path, tmp_path,
+                                                        capsys, argv, path):
+        # as a missing file does: [Errno 21] Is a directory, [Errno 20] Not a directory
+        bad = tmp_path if path == "directory" else archive_path / "x"
+        out = tmp_path / "out"
+        assert main([a.format(p=bad, a=archive_path, out=out) for a in argv]) == 2
+        assert str(bad) in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestIngestRegrid:
@@ -388,10 +414,11 @@ class TestRolloutEvaluatePlot:
         rows = read_metric_csv(str(csv))
         assert len(rows) == 9 * 2 * 2 and {r["lead_hours"] for r in rows} == {"24"}
 
-    @pytest.mark.parametrize("damage", ["missing", "truncated"])
+    @pytest.mark.parametrize("damage", ["missing", "truncated", "label-a-cr"])
     def test_evaluate_bad_forecast_is_per_lead(self, tmp_path, small_grid, caplog,
                                                damage):
-        # a forecast that is missing or cannot be read costs its lead, as a truth does
+        # a forecast that is missing, cannot be read, or whose label cannot be
+        # written in a row of the CSV costs its lead, as a truth does
         for lead in (24, 48):
             write_archive(make_state(small_grid, seed=57, source_label="gfs"),
                           str(tmp_path / f"fc_{lead}.nws"))
@@ -401,9 +428,12 @@ class TestRolloutEvaluatePlot:
         if damage == "missing":
             fc.unlink()
             want = f"lead 48: missing forecast file {fc}"
-        else:
+        elif damage == "truncated":
             fc.write_bytes(fc.read_bytes()[:-7])
             want = f"lead 48: forecast {fc}: payload truncated in channel V50"
+        else:
+            write_archive(make_state(small_grid, seed=57, source_label="a\rb"), str(fc))
+            want = f"lead 48: forecast {fc}: label 'a\\rb' holds a carriage return"
         write_archive(make_climatology(small_grid), str(tmp_path / "clim.nws"))
         csv = tmp_path / "metrics.csv"
         with caplog.at_level(logging.WARNING):
@@ -414,6 +444,7 @@ class TestRolloutEvaluatePlot:
         assert want in caplog.text
         rows = read_metric_csv(str(csv))
         assert len(rows) == 9 * 2 * 2 and {r["lead_hours"] for r in rows} == {"24"}
+        assert main(["plot", "--csv", str(csv), "--out-dir", str(tmp_path / "plots")]) == 0
 
     @pytest.mark.parametrize("damage,message", [
         (lambda b: b[:-7], "payload truncated in channel V50"),
@@ -928,6 +959,21 @@ class TestRunSubcommand:
         for lb in labels:
             assert parsed[f"{lb}.nws"] == 3
         assert len(masks) == 2
+
+    def test_each_run_drives_one_rollout(self, tmp_path, small_grid, monkeypatch):
+        # as perfbench's tracer wraps it: by its name in experiment
+        from nwpeval import experiment
+        from tests.test_experiment import build_inputs
+        labels = build_inputs(tmp_path, small_grid)
+        calls = []
+        monkeypatch.setattr(experiment, "run_rollout",
+                            lambda *a, _f=experiment.run_rollout, **k:
+                            calls.append(True) or _f(*a, **k))
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(yaml.safe_dump(run_doc(small_grid, labels,
+                                              {"splice_scenarios": scenario()})))
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert len(calls) == len(labels) + 1
 
     def test_truth_pattern_with_a_format_spec_runs(self, tmp_path, small_grid):
         from tests.test_experiment import build_inputs

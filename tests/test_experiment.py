@@ -190,14 +190,14 @@ class TestRunExperiment:
     def test_a_rollout_off_the_lead_fails_its_run(self, tmp_path, small_grid, monkeypatch):
         # a state scored against another lead's truth would be a wrong row
         labels = build_inputs(tmp_path, small_grid)
-        real = experiment.rollout_states
+        real = experiment.run_rollout
 
         def skipping(*args, **kwargs):
             states = real(*args, **kwargs)
             next(states)
             yield from states
 
-        monkeypatch.setattr(experiment, "rollout_states", skipping)
+        monkeypatch.setattr(experiment, "run_rollout", skipping)
         report = run_experiment(make_config(tmp_path, small_grid, labels, leads=LEADS[:2]))
         assert report.failures == {label: "run failed: the rollout reached lead 48, not 24"
                                    for label in labels}

@@ -12,6 +12,7 @@ import textwrap
 import time
 import tracemalloc
 import weakref
+from contextlib import closing, nullcontext
 from datetime import timedelta
 
 import numpy as np
@@ -23,21 +24,20 @@ from nwpeval import rollout
 from nwpeval.archive import ArchiveError, archive_bytes, write_archive
 from nwpeval.grids import CHANNELS, DEFAULT_REGIONS, N_CHANNELS, GridSpec, StateSet, Var
 from nwpeval.rollout import (BackendSpec, RolloutError, UnreachableLeadError,
-                             builtin_step, plan_for_leads, rollout_states,
-                             run_rollout, schedule_steps)
+                             builtin_step, plan_for_leads, run_rollout, schedule_steps)
 from nwpeval.synthetic import default_time, make_climatology, make_state
 from nwpeval.verify import DEFAULT_REPORT_CHANNELS, evaluate_run
 from tests.conftest import random_state
 
 
-def rollout_series(ic, backend, leads, **kwargs):
-    """The (lead, state) pairs run_rollout emits, in emit order, each state
-    with a copy of its planes: a builtin's next step moves them in place."""
+def rollout_series(ic, backend, leads, channels=CHANNELS, **kwargs):
+    """The (lead, state) pairs run_rollout yields, in order, each state read
+    whole into a copy of its planes: a builtin's next step moves them in place."""
     series = []
-    run_rollout(ic, backend, leads,
-                lambda lead, state: series.append(
-                    (lead, state.replace(data=state.data.copy()))),
-                **kwargs)
+    with closing(run_rollout(ic, backend, leads, channels=channels, **kwargs)) as states:
+        for lead, state in states:
+            whole = state.subset(channels)
+            series.append((lead, whole.replace(data=whole.data.copy())))
     return series
 
 
@@ -218,7 +218,7 @@ class TestRunRollout:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            states = rollout_states(ic, be, range(0, 61, 6), channels=channels)
+            states = run_rollout(ic, be, range(0, 61, 6), channels=channels)
             del ic
             for lead, state in states:
                 arrays.append((lead, state.data))
@@ -237,22 +237,18 @@ class TestRunRollout:
         assert np.array_equal(series[0][1].data, small_state.data)
 
     def test_emits_in_increasing_lead_order(self, small_state):
-        series = []
-        result = run_rollout(small_state, BackendSpec(horizons={24, 6}),
-                             [72, 0, 30, 6, 30],
-                             lambda lead, state: series.append((lead, state)))
-        assert result is None
+        series = list(run_rollout(small_state, BackendSpec(horizons={24, 6}),
+                                  [72, 0, 30, 6, 30]))
         assert [lead for lead, _ in series] == [0, 6, 30, 72]
         assert series[0][1] is small_state
 
     def test_unreachable_lead_raised_before_any_step_or_emit(self, small_state,
                                                              monkeypatch):
-        steps, emitted = [], []
+        steps = []
         monkeypatch.setattr(rollout, "builtin_step", lambda *a: steps.append(a))
         with pytest.raises(UnreachableLeadError):
-            run_rollout(small_state, BackendSpec(), [0, 24, 36],
-                        lambda *a: emitted.append(a))
-        assert steps == [] and emitted == []
+            next(run_rollout(small_state, BackendSpec(), [0, 24, 36]))
+        assert steps == []
 
     @pytest.mark.parametrize("builtin", ["persistence", "advection"])
     def test_inf_in_the_ic_names_its_plane(self, small_state, builtin):
@@ -268,11 +264,9 @@ class TestRunRollout:
     def test_nan_ic_at_lead_0_raised_before_any_emit(self, small_state, builtin):
         data = small_state.data.copy()
         data[CHANNELS.index((Var.Q, 500)), 0, 0] = np.nan
-        emitted = []
         with pytest.raises(RolloutError, match="lead 0.*non-finite: Q500 contains NaN/Inf$"):
-            run_rollout(small_state.replace(data=data), BackendSpec(builtin=builtin),
-                        [0, 24], lambda *a: emitted.append(a))
-        assert emitted == []
+            next(run_rollout(small_state.replace(data=data), BackendSpec(builtin=builtin),
+                             [0, 24]))
 
     def test_off_plan_emit_rejected(self, small_state):
         with pytest.raises(UnreachableLeadError):
@@ -295,8 +289,9 @@ class TestRunRollout:
         ics = [random_state(small_grid, seed=3)]   # pop() hands over the only reference
         ic = weakref.ref(ics[0])
         alive = []
-        run_rollout(ics.pop(), be, [0, 24, 48],
-                    lambda lead, state: alive.append((lead, ic() is not None)))
+        for lead, state in run_rollout(ics.pop(), be, [0, 24, 48]):
+            alive.append((lead, ic() is not None))
+            del state   # held here, the IC would outlive step 1
         assert alive == [(0, True), (24, False), (48, False)]
 
 
@@ -318,7 +313,7 @@ class TestBuiltinLoop:
         be = BackendSpec(builtin="advection", advection_cells=3, horizons={24, 6})
         # steps (6, 24, 24, 6, 6, 6): the steps taken by each lead
         stepped = {0: 0, 6: 1, 30: 2, 72: 6}
-        states = rollout_states(ic, be, [72, 0, 30, 6])
+        states = run_rollout(ic, be, [72, 0, 30, 6])
         for lead, steps in stepped.items():
             reached, state = next(states)
             assert reached == lead
@@ -405,10 +400,9 @@ class TestExternalBackend:
         calls = tmp_path / "calls"
         be = write_copy_backend(tmp_path / "backend.py",
                                 f"open({str(calls)!r}, 'a').write('step')")
-        emitted = []
         with pytest.raises(RolloutError, match="canonical"):
-            run_rollout(small_state, be, [0, 24], lambda *a: emitted.append(a))
-        assert emitted == [] and not calls.exists()
+            next(run_rollout(small_state, be, [0, 24]))
+        assert not calls.exists()
 
     def test_nonzero_exit_names_step(self, tmp_path, canonical_like_state):
         script = tmp_path / "backend.py"
@@ -493,11 +487,10 @@ class TestExternalBackend:
         be = write_copy_backend(tmp_path / "backend.py")
         ic = random_state(grid, seed=6)
         state_bytes = ic.data.nbytes
-        leads = []
         tracemalloc.start()
         try:
-            run_rollout(ic, be, [24, 48], lambda lead, state: leads.append(lead),
-                        verify_determinism=True)
+            leads = [lead for lead, _ in run_rollout(ic, be, [24, 48],
+                                                     verify_determinism=True)]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -572,21 +565,18 @@ def recorded_starts(monkeypatch):
 
 
 class TestPipelinedSteps:
-    """Step n+1 runs while step n is read, checked and emitted."""
+    """Step n+1 runs while step n is read, checked and yielded."""
 
     def test_next_step_runs_during_emit(self, tmp_path, small_ic):
         marker = tmp_path / "step2-started"
         be = step_script(tmp_path / "backend.py",
                          step2=f"open({str(marker)!r}, 'w').close()")
         seen = []
-
-        def emit(lead, state):
+        for lead, _ in run_rollout(small_ic, be, [24, 48]):
             deadline = time.monotonic() + 30
             while lead == 24 and not marker.exists() and time.monotonic() < deadline:
                 time.sleep(0.01)
             seen.append((lead, marker.exists()))
-
-        run_rollout(small_ic, be, [24, 48], emit)
         assert seen == [(24, True), (48, True)]
 
     @pytest.mark.parametrize("failure", ["nan", "malformed", "grid", "emit"])
@@ -606,15 +596,14 @@ class TestPipelinedSteps:
         be = step_script(tmp_path / "backend.py", step1=step1,
                          step2="import time; time.sleep(60)")
         procs = recorded_starts(monkeypatch)
-
-        def emit(lead, state):
-            raise KeyError("emit failed")
-
         t0 = time.monotonic()
         with pytest.raises(KeyError if failure == "emit" else RolloutError,
                            match={"nan": "NaN/Inf at step 1 .*V50", "malformed": "malformed",
                                   "grid": "changed the grid", "emit": "emit failed"}[failure]):
-            run_rollout(small_ic, be, [24, 48], emit)
+            with closing(run_rollout(small_ic, be, [24, 48])) as states:
+                for _, state in states:   # a reader read whole, as nwpeval rollout does
+                    state.subset(CHANNELS)
+                    raise KeyError("emit failed")
         assert time.monotonic() - t0 < 30
         assert [p.returncode for p in procs] == [0, -signal.SIGKILL]
         step1_in = procs[0].args[procs[0].args.index("--in") + 1]
@@ -626,7 +615,7 @@ class TestPipelinedSteps:
         # kills and reaps it, and removes the temp dir
         be = step_script(tmp_path / "backend.py", step2="import time; time.sleep(60)")
         procs = recorded_starts(monkeypatch)
-        states = rollout_states(small_ic, be, [24, 48])
+        states = run_rollout(small_ic, be, [24, 48])
         assert next(states)[0] == 24
         assert len(procs) == 2
         t0 = time.monotonic()
@@ -642,7 +631,7 @@ class TestPipelinedSteps:
         # has exited; the next next() goes on from there
         be = step_script(tmp_path / "backend.py", step2="import time; time.sleep(0.5)")
         procs = recorded_starts(monkeypatch)
-        states = rollout_states(small_ic, be, [0, 24, 48])
+        states = run_rollout(small_ic, be, [0, 24, 48])
         assert next(states)[0] == 0
         assert states.send(True) is None
         assert procs == []
@@ -699,14 +688,13 @@ class TestPipelinedSteps:
         elif source == "exact":   # a state of exactly `channels`
             channels = [(Var.Z, 500), (Var.T, 850)]
             ic = ic.subset(channels)
-        steps, emitted = [], []
+        steps = []
         monkeypatch.setattr(rollout, "builtin_step", lambda *a: steps.append(a))
         for builtin in ("persistence", "advection"):
             with pytest.raises(RolloutError, match="^the IC at lead 0 holds NaN/Inf: "
                                                    ".*T850 contains NaN/Inf$"):
-                run_rollout(ic, BackendSpec(builtin=builtin), [24],
-                            lambda *a: emitted.append(a), channels=channels)
-        assert steps == [] and emitted == []
+                next(run_rollout(ic, BackendSpec(builtin=builtin), [24], channels=channels))
+        assert steps == []
 
     @pytest.mark.parametrize("stderr", [b"\xff\xfe", b"x" * (1 << 20) + b"\xff\xfe"],
                              ids=["non-utf8", "chatty"])
@@ -750,6 +738,38 @@ class TestPipelinedSteps:
             written = (tmp_path / "fc" / f"forecast_{lead:03d}h.nws").read_bytes()
             assert written == archive_bytes(expected)
 
+    def test_cli_writes_whole_advected_forecasts(self, tmp_path, small_state):
+        from nwpeval.cli import main
+        src = tmp_path / "ic.nws"
+        write_archive(small_state, str(src))
+        assert main(["rollout", "--in", str(src), "--out-dir", str(tmp_path / "fc"),
+                     "--lead", "48", "--backend", "advection",
+                     "--advection-cells", "2"]) == 0
+        for lead in (24, 48):
+            expected = small_state.replace(
+                valid_time=small_state.valid_time + timedelta(hours=lead),
+                data=np.roll(small_state.data, 2 * lead // 24, axis=2))
+            written = (tmp_path / "fc" / f"forecast_{lead:03d}h.nws").read_bytes()
+            assert written == archive_bytes(expected)
+
+    def test_cli_fails_on_nan_in_a_plane_no_scorer_reads(self, tmp_path, small_ic, capsys):
+        # nwpeval rollout reads and checks every plane of a step's output
+        # before it writes it: T850 is no report channel
+        from nwpeval.cli import main
+        src = tmp_path / "ic.nws"
+        write_archive(small_ic, str(src))
+        from_end = (N_CHANNELS - CHANNELS.index((Var.T, 850))) * small_ic.data[0].nbytes
+        be = write_copy_backend(tmp_path / "backend.py",   # at step 2
+                                f"if a.infile != {str(src)!r}: f = open(a.out, 'r+b'); "
+                                f"f.seek(-{from_end}, 2); "
+                                "f.write(struct.pack('<f', float('nan'))); f.close()")
+        fc = tmp_path / "fc"
+        assert main(["rollout", "--in", str(src), "--out-dir", str(fc), "--lead", "48",
+                     "--backend", f"cmd:{be.command}"]) == 1
+        assert ("NaN/Inf at step 2 (+24h): plane T850 contains NaN/Inf"
+                in capsys.readouterr().err)
+        assert sorted(p.name for p in fc.iterdir()) == ["forecast_024h.nws"]
+
 
 def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -777,18 +797,15 @@ class TestICPath:
         be = write_copy_backend(tmp_path / "backend.py", body)
         procs = recorded_starts(monkeypatch)
         leads = []
-
-        def emit(lead, state):
-            if case == "emit-raises":
-                raise KeyError("emit failed")
-            leads.append(lead)
-
-        if case in ("step1-fails", "emit-raises"):
-            with pytest.raises(RolloutError if case == "step1-fails" else KeyError):
-                run_rollout(ic_file, be, [24, 48, 72], emit)
-        else:
-            run_rollout(ic_file, be, [24, 48, 72], emit,
-                        verify_determinism=case == "verify")
+        raises = {"step1-fails": RolloutError, "emit-raises": KeyError}.get(case)
+        with pytest.raises(raises) if raises else nullcontext():
+            with closing(run_rollout(ic_file, be, [24, 48, 72],
+                                     verify_determinism=case == "verify")) as states:
+                for lead, _ in states:
+                    if case == "emit-raises":
+                        raise KeyError("emit failed")
+                    leads.append(lead)
+        if raises is None:
             assert leads == [24, 48, 72]
         assert in_arg(procs[0]) == str(ic_file)
         if case == "verify":
@@ -802,11 +819,10 @@ class TestICPath:
         path = tmp_path / "ic.nws"
         write_archive(small_ic.replace(data=data), str(path))
         procs = recorded_starts(monkeypatch)
-        emitted = []
         with pytest.raises(RolloutError, match="lead 0 holds NaN/Inf: plane T850"):
-            run_rollout(path, write_copy_backend(tmp_path / "backend.py"), [0, 24],
-                        lambda *a: emitted.append(a), channels=[(Var.Z, 500)])
-        assert emitted == [] and procs == []
+            next(run_rollout(path, write_copy_backend(tmp_path / "backend.py"), [0, 24],
+                             channels=[(Var.Z, 500)]))
+        assert procs == []
 
     @pytest.mark.parametrize("form, fault, steps", [
         ("path", "plane T850 contains NaN/Inf", 1),
@@ -828,15 +844,14 @@ class TestICPath:
         be = write_copy_backend(tmp_path / "backend.py")
         procs = recorded_starts(monkeypatch)
         with pytest.raises(RolloutError, match=f"^the IC at lead 0 holds NaN/Inf: {fault}$"):
-            run_rollout(ic, be, [24], lambda *a: None)
+            list(run_rollout(ic, be, [24]))
         assert len(procs) == steps
 
     def test_truncated_file_fails_before_any_step(self, tmp_path, ic_file, monkeypatch):
         ic_file.write_bytes(ic_file.read_bytes()[:-5])
         procs = recorded_starts(monkeypatch)
         with pytest.raises(ArchiveError, match="payload truncated"):
-            run_rollout(ic_file, write_copy_backend(tmp_path / "backend.py"), [24],
-                        lambda *a: None)
+            next(run_rollout(ic_file, write_copy_backend(tmp_path / "backend.py"), [24]))
         assert procs == []
 
     @pytest.mark.parametrize("kind", ["external", "advection"])
@@ -854,15 +869,10 @@ class TestICPath:
             be = BackendSpec(builtin="advection", horizons={24})
 
         def scores(source):
-            rows = []
-
-            def emit(lead, state):
-                truth_now = truth.replace(valid_time=state.valid_time)
-                rows.append((lead, evaluate_run(lead, state, truth_now, clim,
-                                                DEFAULT_REGIONS)))
-            run_rollout(source, be, [0, 24, 48], emit,
-                        channels=DEFAULT_REPORT_CHANNELS)
-            return rows
+            return [(lead, evaluate_run(lead, state, truth.replace(valid_time=state.valid_time),
+                                        clim, DEFAULT_REGIONS))
+                    for lead, state in run_rollout(source, be, [0, 24, 48],
+                                                   channels=DEFAULT_REPORT_CHANNELS)]
 
         by_state, by_path = scores(ic), scores(path)
         assert [lead for lead, _ in by_path] == [0, 24, 48]
@@ -879,11 +889,10 @@ class TestICPath:
         write_archive(random_state(grid, seed=8), str(path))
         state_bytes = N_CHANNELS * grid.nlat * grid.nlon * 4
         be = write_copy_backend(tmp_path / "backend.py")
-        leads = []
         tracemalloc.start()
         try:
-            run_rollout(path, be, [0, 24, 48], lambda lead, state: leads.append(lead),
-                        channels=DEFAULT_REPORT_CHANNELS)
+            leads = [lead for lead, _ in run_rollout(path, be, [0, 24, 48],
+                                                     channels=DEFAULT_REPORT_CHANNELS)]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
