@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import logging
+import os
 import re
 import sys
 from contextlib import closing, contextmanager
@@ -218,11 +219,11 @@ def _cmd_rollout(args) -> int:
         plan_for_leads(emit, backend.horizons)   # unreachable lead: exit 2 before any read
         backend.check_grid(read_header(args.infile)["grid"])   # an off-grid IC too
     outdir = Path(args.out_dir)
+    outdir.mkdir(parents=True, exist_ok=True)   # a file in its way: exit 2 before any step
     # by path: an external step 1 reads --in itself, a builtin reads it whole
     with closing(run_rollout(args.infile, backend, emit,
                              verify_determinism=args.verify_determinism)) as states:
         for lead, state in states:   # every plane read and checked before it is written
-            outdir.mkdir(parents=True, exist_ok=True)
             path = outdir / f"forecast_{lead:03d}h.nws"
             write_archive(state.subset(CHANNELS), path)
             print(f"lead {lead:4d}h -> {path}")
@@ -288,8 +289,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    files = emit_plots(args.csv, args.out_dir)
-    for f in files:
+    for f in emit_plots(args.csv, args.out_dir):
         print(f)
     return 0
 
@@ -312,9 +312,12 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
+        out = getattr(args, "out", None)   # each --out names a file: checked before any read
+        if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+            raise ConfigError(f"--out {out}: not a file in an existing directory")
         return _HANDLERS[args.cmd](args)
-    except (ConfigError, PlotInputError, FileNotFoundError, IsADirectoryError,
-            NotADirectoryError) as exc:
+    except (ConfigError, PlotInputError, FileNotFoundError, FileExistsError,
+            IsADirectoryError, NotADirectoryError) as exc:
         print(f"nwpeval: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (ArchiveError, RolloutError, ValueError, OSError) as exc:

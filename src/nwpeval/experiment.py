@@ -113,6 +113,9 @@ class ExperimentConfig:
             raise ConfigError(f"lead_hours {sorted(set(self.lead_hours))}: {exc}") from None
         if self.workers is not None and self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        out = Path(self.output_dir)   # made with its parents; what exists must be directories
+        if not (made := next(p for p in (out, *out.parents) if p.exists())).is_dir():
+            raise ConfigError(f"output_dir {out}: {made} is not a directory")
         check_regions(self.model_grid, self.regions, self.report_channels)
         init_time = _as_utc(self.init_time)   # the config does not normalise it
         native = {}   # each source's own grid, from the config or its header

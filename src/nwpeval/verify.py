@@ -88,13 +88,6 @@ def lat_weights(grid: GridSpec, mask: np.ndarray) -> np.ndarray:
 LEAF = 1 << 16
 
 
-def _work_area(shapes) -> np.ndarray:
-    """The (4, n) float64 scratch array _score_cell needs for blocks of
-    `shapes`: room for a whole block, or for a tile of LEAF elements and
-    the two rows it may cut."""
-    return np.empty((4, max((min(r * c, LEAF + 2 * c) for r, c in shapes), default=0)))
-
-
 def _pairwise(tile, start: int, n: int) -> np.ndarray:
     """tile(start, n), the sums of elements [start, start + n) of a block,
     at each leaf of numpy's pairwise-sum tree over those elements, added
@@ -105,14 +98,14 @@ def _pairwise(tile, start: int, n: int) -> np.ndarray:
     return _pairwise(tile, start, half) + _pairwise(tile, start + half, n - half)
 
 
-def _score_cell(f: np.ndarray, o: np.ndarray, c, w: np.ndarray,
+def _score_cell(f: np.ndarray, o: np.ndarray, c: np.ndarray, w: np.ndarray,
                work: np.ndarray, var_o=None):
-    """(rmse, (var_f, var_o, cov)) of one 2-D block, or (rmse, None)
-    without `c`. Each tile's rows are copied into C-contiguous views of
-    `work` (see _work_area), where the products are formed in place; each
-    tile sum keeps the operand order of sum(w*d*d), sum(w*af*af),
-    sum(w*af*ao) or sum(w*ao*ao), and the tiles are numpy's own, so every
-    sum is bitwise theirs. A given var_o is used, not recomputed."""
+    """(rmse, (var_f, var_o, cov)) of one 2-D block. Each tile's rows are
+    copied into C-contiguous views of `work`, where the products are formed
+    in place; each tile sum keeps the operand order of sum(w*d*d),
+    sum(w*af*af), sum(w*af*ao) or sum(w*ao*ao), and the tiles are numpy's
+    own, so every sum is bitwise the one rmse_weighted or acc_weighted
+    forms. A given var_o is used, not recomputed."""
     ncols = f.shape[1]
 
     def tile(start: int, n: int) -> np.ndarray:
@@ -126,27 +119,23 @@ def _score_cell(f: np.ndarray, o: np.ndarray, c, w: np.ndarray,
         np.multiply(wr, C, out=T)
         T *= C
         sums = [np.sum(T_)]
-        if c is not None:
-            np.copyto(C, c[rows])
-            F -= C                     # af
-            O -= C                     # ao
-            np.multiply(wr, F, out=T)  # w*af
-            np.multiply(T, O, out=C)
-            sums.append(np.sum(C_))    # cov, while C is still in cache
-            F *= T                     # af*(w*af), bitwise (w*af)*af
-            sums.append(np.sum(F_))
-            if var_o is None:
-                np.multiply(wr, O, out=T)
-                T *= O
-                sums.append(np.sum(T_))
+        np.copyto(C, c[rows])
+        F -= C                     # af
+        O -= C                     # ao
+        np.multiply(wr, F, out=T)  # w*af
+        np.multiply(T, O, out=C)
+        sums.append(np.sum(C_))    # cov, while C is still in cache
+        F *= T                     # af*(w*af), bitwise (w*af)*af
+        sums.append(np.sum(F_))
+        if var_o is None:
+            np.multiply(wr, O, out=T)
+            T *= O
+            sums.append(np.sum(T_))
         return np.array(sums)
 
     sums = _pairwise(tile, 0, f.size)
-    rmse = math.sqrt(sums[0])
-    if c is None:
-        return rmse, None
-    return rmse, (float(sums[2]), float(sums[3]) if var_o is None else var_o,
-                  float(sums[1]))
+    var_f, cov = float(sums[2]), float(sums[1])
+    return math.sqrt(sums[0]), (var_f, float(sums[3]) if var_o is None else var_o, cov)
 
 
 def _acc(var_f: float, var_o: float, cov: float) -> float:
@@ -158,22 +147,25 @@ def _acc(var_f: float, var_o: float, cov: float) -> float:
 
 def rmse_weighted(forecast: np.ndarray, truth: np.ndarray,
                   weights: np.ndarray) -> float:
-    """sqrt(sum(w * (f - o)^2)) with float64 accumulation, over 2-D fields."""
+    """sqrt(sum(w * (f - o)^2)) over 2-D fields, in float64: the plain
+    expression whose value evaluate_run's kernel gives bitwise."""
     if forecast.shape != truth.shape:
         raise GridMismatchError(f"shape mismatch: {forecast.shape} vs {truth.shape}")
-    return _score_cell(forecast, truth, None, weights,
-                      _work_area([forecast.shape]))[0]
+    d = forecast.astype(np.float64) - truth
+    return math.sqrt(np.sum(weights * d * d))
 
 
 def acc_weighted(forecast: np.ndarray, truth: np.ndarray, clim: np.ndarray,
                  weights: np.ndarray) -> float:
     """Weighted correlation of forecast and truth anomalies from clim, over
-    2-D fields."""
+    2-D fields, in float64: the plain expressions whose value evaluate_run's
+    kernel gives bitwise."""
     if not forecast.shape == truth.shape == clim.shape:
         raise GridMismatchError(f"shape mismatch: {forecast.shape}, "
                                 f"{truth.shape}, {clim.shape}")
-    return _acc(*_score_cell(forecast, truth, clim, weights,
-                            _work_area([forecast.shape]))[1])
+    af = forecast.astype(np.float64) - clim
+    ao = truth.astype(np.float64) - clim
+    return _acc(*(float(np.sum(weights * a * b)) for a, b in ((af, af), (ao, ao), (af, ao))))
 
 
 def _report_value(var: Var, metric: str, value: float) -> float:
@@ -227,7 +219,9 @@ def evaluate_run(lead: int, forecast: StateSet, truth: StateSet,
                                 "forecast grid")
     init_time = forecast.valid_time - timedelta(hours=lead)
     blocks = {name: region_block(forecast.grid, box) for name, box in regions.items()}
-    work = _work_area(w.shape for _, w in blocks.values())
+    # room for a whole block, or for a tile of LEAF elements and the two rows it may cut
+    work = np.empty((4, max((min(w.size, LEAF + 2 * w.shape[1]) for _, w in blocks.values()),
+                            default=0)))
     var_o = {} if var_o is None else var_o
     records: list[MetricRecord] = []
     errors: list[str] = []

@@ -2,6 +2,7 @@ import logging
 import struct
 import sys
 from collections import Counter
+from datetime import timedelta
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -12,8 +13,8 @@ import yaml
 from nwpeval.archive import read_archive, read_header, write_archive
 from nwpeval.cli import main
 from nwpeval.grids import CHANNELS, GridSpec, Var, channel_name
-from nwpeval.plots import read_metric_csv
-from nwpeval.synthetic import make_climatology, make_state
+from nwpeval.plots import read_metric_csv, write_metric_csv
+from nwpeval.synthetic import default_time, make_climatology, make_state
 from nwpeval.verify import DEFAULT_REPORT_CHANNELS
 from tests.conftest import name_of, random_state, spy_payload_reads, spy_plane_reader
 
@@ -191,6 +192,43 @@ class TestUsageErrors:
         assert main([a.format(p=bad, a=archive_path, out=out) for a in argv]) == 2
         assert str(bad) in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("through", [False, True], ids=["taken", "through-a-file"])
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "--in", "{a}", "--out", "{out}", "--grid", "9,16,90,22.5,0,22.5",
+         "--valid-time", "2023-06-06T00:00:00Z", "--label", "x"],
+        ["regrid", "--in", "{a}", "--out", "{out}"],
+        ["splice", "--base", "{a}", "--donor", "{a}", "--box", "-10,60,60,150",
+         "--out", "{out}"],
+        ["evaluate", "--forecast-pattern", "{a}", "--truth-pattern", "{a}",
+         "--climatology", "{a}", "--leads", "24", "--out", "{out}"],
+        ["rollout", "--in", "{a}", "--out-dir", "{out}", "--lead", "48"],
+        ["plot", "--csv", "{csv}", "--out-dir", "{out}"],
+    ], ids=lambda argv: argv[0])
+    def test_an_output_path_taken_or_through_a_file_exits_2_before_any_read(
+            self, archive_path, tmp_path, monkeypatch, capsys, argv, through):
+        # a --out that is a directory, an --out-dir that is a file, or either
+        # one through a file: refused naming it, with no plane read and no
+        # file written (rollout exited 1 after its first lead, plot exited 1,
+        # and regrid, splice and evaluate read their inputs first)
+        csv = tmp_path / "metrics.csv"
+        write_metric_csv([], csv)
+        taken = tmp_path / "taken"   # a directory for a --out, a file for an --out-dir
+        if "--out" in argv:
+            taken.mkdir()
+        else:
+            taken.write_bytes(b"")
+        bad = archive_path / "x" if through else taken
+
+        def tree():
+            return {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+
+        before = tree()
+        payload_reads = spy_payload_reads(monkeypatch)
+        assert main([a.format(a=archive_path, csv=csv, out=bad) for a in argv]) == 2
+        assert str(bad) in capsys.readouterr().err
+        assert payload_reads == []
+        assert tree() == before
 
 
 class TestIngestRegrid:
@@ -535,6 +573,8 @@ BAD_CONFIGS = {
     "label-a-cr": {"splice_scenarios": scenario(label="a\rb")},
     "label-a-surrogate": {"splice_scenarios": scenario(label="a\ud800b")},
     "repeated-lead": {"lead_hours": [24, 48, 24]},
+    "output-dir-a-file": {"output_dir": "clim.nws"},
+    "output-dir-through-a-file": {"output_dir": "clim.nws/out"},
     # would be leads 2 and 4, which 2 h steps reach
     "leads-a-string": {"lead_hours": "24", "backend": {"horizons": [2]}},
     "horizons-a-string": {"backend": {"horizons": "12"}},   # would be 1 h and 2 h
@@ -635,7 +675,9 @@ class TestRunSubcommand:
         ("region-a-cr", "region 'a\\rb' holds a carriage return"),
         ("region-too-long", "gives a plot a file name of 264 bytes, over 255"),
         ("label-a-cr", "run label 'a\\rb' holds a carriage return"),
-        ("label-a-surrogate", "run label 'a\\ud800b' cannot be encoded as UTF-8")])
+        ("label-a-surrogate", "run label 'a\\ud800b' cannot be encoded as UTF-8"),
+        ("output-dir-a-file", "clim.nws is not a directory"),
+        ("output-dir-through-a-file", "clim.nws/out: ")])
     def test_a_config_error_exits_2_naming_its_cause(self, tmp_path, small_grid,
                                                      monkeypatch, capsys, case, message):
         from tests.test_experiment import build_inputs
@@ -1070,3 +1112,124 @@ class TestRunSubcommand:
         assert main(["run", "--config", str(cfg)]) == 1
         assert (f"FAILED {labels[1]}: ingest failed: payload truncated in channel V50"
                 in capsys.readouterr().err)
+
+
+class TestRunIsTheStageCommands:
+    """`nwpeval run` prepares, rolls out and scores its ICs by its own code
+    path; the stage commands, chained, must reach the same ICs and rows."""
+
+    MODEL = GridSpec(nlat=19, nlon=36, lat_start=90.0, dlat=10.0, lon_start=0.0,
+                     dlon=10.0)
+    COARSE = GridSpec(nlat=10, nlon=18, lat_start=90.0, dlat=20.0, lon_start=0.0,
+                      dlon=20.0)
+    BOX = "-10,60,60,150"
+    # (label, base, donor, extra splice flags); a label is <donor>pad<base>,
+    # as splice_states names its output and `evaluate` labels its rows
+    SPLICES = [("ifspadgfs", "gfs", "ifs", []),
+               ("gfspadifs", "ifs", "gfs", ["--blend-width", "20", "--scope",
+                                            "all-channels"])]
+
+    def write_inputs(self, tmp_path):
+        """gfs, a .nws on a coarser grid; ifs, a south-first raw dump in the
+        canonical channel order; era, a .nws on the model grid; and the
+        truths at leads 24 and 48 and the climatology."""
+        t0 = default_time()
+        write_archive(make_state(self.COARSE, seed=61, source_label="gfs"),
+                      str(tmp_path / "gfs.nws"))
+        ifs = make_state(self.MODEL, seed=62, source_label="ifs")
+        (tmp_path / "ifs.bin").write_bytes(
+            np.ascontiguousarray(ifs.data[:, ::-1], dtype="<f4").tobytes())
+        write_archive(make_state(self.MODEL, seed=63, source_label="era"),
+                      str(tmp_path / "era.nws"))
+        for lead in (24, 48):
+            write_archive(make_state(self.MODEL, seed=64 + lead, source_label="truth",
+                                     valid_time=t0 + timedelta(hours=lead)),
+                          str(tmp_path / f"truth_{lead}.nws"))
+        write_archive(make_climatology(self.MODEL), str(tmp_path / "clim.nws"))
+
+    def run_doc(self, backend):
+        g = self.MODEL
+        grid = {"nlat": g.nlat, "nlon": g.nlon, "lat_start": g.lat_start,
+                "dlat": g.dlat, "lon_start": g.lon_start, "dlon": g.dlon}
+        return {
+            "name": "stages", "init_time": "2023-06-06T00:00:00Z", "grid": grid,
+            "ic_sources": [{"label": "gfs", "path": "gfs.nws"},
+                           {"label": "ifs", "path": "ifs.bin", "grid": grid,
+                            "layout": {"scan": "south-first"}},
+                           {"label": "era", "path": "era.nws"}],
+            "splice_scenarios": [
+                {"label": label, "base_source": base, "donor_source": donor,
+                 "box": [float(x) for x in self.BOX.split(",")],
+                 **({"blend_width": 20, "scope": "all-channels"} if flags else {})}
+                for label, base, donor, flags in self.SPLICES],
+            "truth": "truth_{lead}.nws", "climatology": "clim.nws",
+            "lead_hours": [24, 48], "output_dir": "out", "workers": 2,
+            "backend": backend}
+
+    @pytest.mark.parametrize("kind", ["advection", "copy"])
+    def test_ics_and_rows_equal_the_stage_commands(self, tmp_path, monkeypatch, kind):
+        from nwpeval import experiment
+        from tests.test_rollout import write_copy_backend
+        monkeypatch.setattr(GridSpec, "canonical", classmethod(lambda cls: self.MODEL))
+        self.write_inputs(tmp_path)
+        if kind == "copy":
+            command = write_copy_backend(tmp_path / "backend.py").command
+            backend, flags = ({"kind": "external-command", "command": command},
+                              ["--backend", f"cmd:{command}"])
+        else:
+            backend, flags = {"builtin": "advection"}, ["--backend", "advection"]
+
+        # `nwpeval run`, keeping each IC as it is handed to its rollout
+        ics = []
+        start = experiment.run_rollout
+
+        def keep(ic, *args, **kwargs):
+            ics.append(ic if isinstance(ic, str) else ic.replace(data=ic.data.copy()))
+            return start(ic, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_rollout", keep)
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(yaml.safe_dump(self.run_doc(backend)))
+        assert main(["run", "--config", str(cfg)]) == 0
+
+        # the stage commands, run by run
+        d = tmp_path
+        model = ",".join(f"{v:g}" for v in (self.MODEL.nlat, self.MODEL.nlon,
+                                            self.MODEL.lat_start, self.MODEL.dlat,
+                                            self.MODEL.lon_start, self.MODEL.dlon))
+        assert main(["regrid", "--in", str(d / "gfs.nws"), "--out", str(d / "gfs_m.nws"),
+                     "--grid", model]) == 0
+        assert main(["ingest", "--in", str(d / "ifs.bin"), "--out", str(d / "ifs_m.nws"),
+                     "--grid", model, "--scan", "south-first", "--label", "ifs",
+                     "--valid-time", "2023-06-06T00:00:00Z"]) == 0
+        stage_ics = {"gfs": d / "gfs_m.nws", "ifs": d / "ifs_m.nws", "era": d / "era.nws"}
+        for label, base, donor, extra in self.SPLICES:
+            stage_ics[label] = d / f"{label}.nws"
+            assert main(["splice", "--base", str(stage_ics[base]), "--donor",
+                         str(stage_ics[donor]), "--box", self.BOX,
+                         "--out", str(stage_ics[label]), *extra]) == 0
+        rows = []
+        for label, path in stage_ics.items():
+            assert main(["rollout", "--in", str(path), "--out-dir", str(d / f"fc_{label}"),
+                         "--lead", "48", *flags]) == 0
+            assert main(["evaluate", "--forecast-pattern",
+                         str(d / f"fc_{label}" / "forecast_{lead:03d}h.nws"),
+                         "--truth-pattern", str(d / "truth_{lead}.nws"),
+                         "--climatology", str(d / "clim.nws"), "--leads", "24,48",
+                         "--out", str(d / f"{label}.csv")]) == 0
+            rows += (d / f"{label}.csv").read_text().splitlines()[1:]
+
+        # each IC bitwise; under a builtin, run holds the report planes alone
+        assert len(ics) == len(stage_ics)
+        for ic, (label, path) in zip(ics, stage_ics.items()):
+            if isinstance(ic, str):   # an on-grid source no splice takes
+                assert ic == str(path)
+                continue
+            stage = read_archive(str(path))
+            assert ic.channels == (CHANNELS if kind == "copy" else DEFAULT_REPORT_CHANNELS)
+            assert (ic.source_label, ic.grid, ic.valid_time) == \
+                (label, stage.grid, stage.valid_time)
+            assert ic.data.tobytes() == stage.subset(ic.channels).data.tobytes(), label
+        run_rows = (d / "out" / "metrics.csv").read_text().splitlines()
+        assert sorted(run_rows[1:]) == sorted(rows)
+        assert len(rows) == len(stage_ics) * 9 * 2 * 2 * 2

@@ -414,23 +414,19 @@ class TestReportPlanes:
 
 
 def expression_scores(f, o, c, grid, box):
-    """RMSE and ACC of one cell by the plain expressions, each product a
-    fresh array, on an np.ix_ gather of the box's block: the sums
+    """RMSE and ACC of one cell by rmse_weighted and acc_weighted, the plain
+    float64 expressions, on an np.ix_ gather of the box's block: the values
     evaluate_run's kernel must equal bitwise. A degenerate ACC is its
     error text."""
     mask = region_mask(grid, box)
     block = np.ix_(mask.any(axis=1), mask.any(axis=0))
     w = lat_weights(grid, mask)[block]
-    fb, ob, cb = (x[block].astype(np.float64) for x in (f, o, c))
-    diff = fb - ob
-    af, ao = fb - cb, ob - cb
-    var_f = float(np.sum(w * af * af))
-    var_o = float(np.sum(w * ao * ao))
-    cov = float(np.sum(w * af * ao))
-    floor = verify.ANOMALY_VARIANCE_FLOOR
-    acc = (f"anomaly variance too small (forecast {var_f:.3e}, truth {var_o:.3e})"
-           if var_f < floor or var_o < floor else cov / math.sqrt(var_f * var_o))
-    return {"RMSE": float(math.sqrt(np.sum(w * diff * diff))), "ACC": acc}
+    fb, ob, cb = (x[block] for x in (f, o, c))
+    try:
+        acc = acc_weighted(fb, ob, cb, w)
+    except DegenerateAnomalyError as exc:
+        acc = str(exc)
+    return {"RMSE": rmse_weighted(fb, ob, w), "ACC": acc}
 
 
 MSLP = ((Var.MSLP, 0),)
