@@ -39,7 +39,7 @@ from typing import BinaryIO, Callable, Optional, Sequence, Union
 import numpy as np
 
 from .grids import (CHANNELS, N_CHANNELS, SURFACE_LEVEL, GridMismatchError,
-                    GridSpec, InvalidChannelError, StateSet, Var, channel_name)
+                    GridSpec, InvalidChannelError, StateSet, Var, channel_name, plane_fault)
 
 MAGIC = b"NWPSTAT1"
 VERSION = 1
@@ -238,8 +238,8 @@ class PlaneReader:
                 raise TruncationError("file shrank while being read")
             if self._flip:
                 buf[:] = buf[::-1]
-            if self._finite and not np.isfinite(buf).all():
-                raise DataError(f"plane {channel_name(*channel)} contains NaN/Inf")
+            if self._finite and (fault := plane_fault(channel, buf)):
+                raise DataError(fault)
         except (ArchiveError, OSError, ValueError) as exc:
             self._error = self._fail(exc)
             self._held.clear()
@@ -346,7 +346,7 @@ def ingest_raw(path: str, grid: GridSpec, layout: RawDumpLayout,
     archive: a dump of the wrong size is a TruncationError or FormatError,
     and with `finite` every plane of the dump, kept or not, is checked, the
     first holding NaN/Inf a DataError as soon as it is read. Without it the
-    state is returned as read, for the caller to check with validate_state.
+    state is returned as read, for the caller to check with plane_fault.
     """
     with closing(PlaneReader(path, grid, finite=finite, layout=layout,
                              valid_time=valid_time, source_label=source_label)) as reader:

@@ -22,7 +22,7 @@ from .experiment import (ConfigError, InputError, _parse_box, _parse_time,
                          check_pattern, check_regions, check_truth_pattern,
                          load_config, no_repeats, open_input, parse_channel,
                          run_experiment)
-from .grids import CHANNELS, DEFAULT_REGIONS, GridSpec, channel_name, validate_state
+from .grids import CHANNELS, DEFAULT_REGIONS, GridSpec, channel_name, plane_fault
 from .plots import PlotInputError, emit_plots, name_fault, write_metric_csv
 from .regrid import regrid_state
 from .rollout import BackendSpec, RolloutError, plan_for_leads, run_rollout
@@ -184,8 +184,9 @@ def _cmd_ingest(args) -> int:
             raise ValueError(fault)
     state = ingest_raw(args.infile, args.grid, layout, valid_time=valid_time,
                        source_label=args.label, finite=args.nan == "error")
-    for msg in validate_state(state, check_ranges=not args.skip_validation):
-        log.warning("%s: %s", args.infile, msg)
+    for channel, plane in zip(state.channels, state.data):
+        if fault := plane_fault(channel, plane, ranges=not args.skip_validation):
+            log.warning("%s: %s", args.infile, fault)
     write_archive(state, args.out)
     return 0
 

@@ -323,23 +323,17 @@ RANGE_CHECKS: dict[Var, tuple[float, float]] = {
 }
 
 
-def validate_state(state: StateSet, check_ranges: bool = True) -> list[str]:
-    """Return a list of violation messages; empty means the state is clean.
-
-    Checks NaN/Inf and per-channel physical ranges, plane by plane over
-    the state's channels. Range checks can be disabled (e.g. for raw
-    backend outputs).
-    """
-    problems: list[str] = []
-    for (var, level), plane in zip(state.channels, state.data):
-        name = channel_name(var, level)
-        if not np.isfinite(plane).all():
-            problems.append(f"non-finite: {name} contains NaN/Inf")
-            continue
-        if check_ranges and var in RANGE_CHECKS:
-            lo, hi = RANGE_CHECKS[var]
-            pmin, pmax = float(plane.min()), float(plane.max())
-            if pmin < lo or pmax > hi:
-                problems.append(f"range: {name} in [{pmin:.6g}, {pmax:.6g}] "
-                                f"outside [{lo:g}, {hi:g}]")
-    return problems
+def plane_fault(channel: tuple[Var, int], plane: np.ndarray, ranges=False) -> str | None:
+    """Why `plane`, the values of `channel`, cannot be used, or None: it
+    holds NaN/Inf or, with `ranges`, a value outside the channel's
+    RANGE_CHECKS bounds. The one test of a plane, whether it is read,
+    ingested or handed over in memory."""
+    if not np.isfinite(plane).all():
+        return f"plane {channel_name(*channel)} contains NaN/Inf"
+    if ranges and channel[0] in RANGE_CHECKS:
+        lo, hi = RANGE_CHECKS[channel[0]]
+        pmin, pmax = float(plane.min()), float(plane.max())
+        if pmin < lo or pmax > hi:
+            return (f"range: {channel_name(*channel)} in [{pmin:.6g}, {pmax:.6g}] "
+                    f"outside [{lo:g}, {hi:g}]")
+    return None

@@ -98,9 +98,11 @@ def _checked_rows(path: str, reader) -> Iterator[dict]:
         rec = dict(zip(CSV_COLUMNS, row))
         try:
             int(rec["lead_hours"])
-            float(rec["value"])
+            value = float(rec["value"])
         except ValueError:
             raise PlotInputError(f"{path}:{lineno}: non-numeric lead or value")
+        if not math.isfinite(value):
+            raise PlotInputError(f"{path}:{lineno}: value {rec['value']!r} is not finite")
         if (rec["variable"], rec["level"]) not in _CSV_CHANNELS:
             raise PlotInputError(f"{path}:{lineno}: unknown channel "
                                  f"{rec['variable']!r} at level {rec['level']!r}")
@@ -137,14 +139,14 @@ def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     mag = 10.0 ** math.floor(math.log10(raw))
     for m in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= m * mag:
-            step = m * mag
             break
-    start = math.floor(lo / step) * step
-    ticks = []
-    t = start
+    step = m * mag
+    ticks, t = [], math.floor(lo / step) * step
     while t <= hi + step * 0.5:
         if t >= lo - step * 0.5:
             ticks.append(t)
+        if t + step == t:   # a step under half of t's ULP: t would stand still
+            break
         t += step
     return ticks
 
@@ -159,9 +161,9 @@ def _render_svg(title: str, series: dict[str, list[tuple[int, str]]]) -> str:
     values = [float(v) for pts in series.values() for _, v in pts]
     vlo, vhi = min(values), max(values)
     yticks = _nice_ticks(vlo, vhi)
-    ylo, yhi = min(yticks[0], vlo), max(yticks[-1], vhi)
-    if yhi == ylo:
-        ylo, yhi = ylo - 1.0, yhi + 1.0
+    ylo, yhi = min(vlo, *yticks), max(vhi, *yticks)
+    if not math.isfinite(yhi - ylo):
+        raise OverflowError("the axis spans more than float64 holds")
     xlo, xhi = leads[0], leads[-1]
     if xhi == xlo:
         xlo, xhi = xlo - 1, xhi + 1
@@ -224,20 +226,22 @@ def _render_svg(title: str, series: dict[str, list[tuple[int, str]]]) -> str:
 def emit_plots(csv_path: str, output_dir: str) -> list[Path]:
     """Write one SVG per (channel, region, metric) of the metric CSV at
     `csv_path`, each value spelled as the CSV spells it. The rows are read
-    one at a time, all of them before any SVG is written."""
+    one at a time, and every SVG is drawn before any is written."""
     groups: dict[tuple[str, str, str], dict[str, list[tuple[int, str]]]] = {}
     for rec in _metric_rows(csv_path):
         key = (_CSV_CHANNELS[(rec["variable"], rec["level"])], rec["region"], rec["metric"])
         groups.setdefault(key, {}).setdefault(rec["source"], []).append(
             (int(rec["lead_hours"]), rec["value"]))
+    drawn = []
+    for (chan, region, metric), series in sorted(groups.items()):
+        title = f"{chan} {metric} ({region})"
+        try:
+            drawn.append((svg_name(chan, region, metric), _render_svg(title, series)))
+        except (ArithmeticError, ValueError):   # overflow or underflow scaling the axis
+            raise PlotInputError(f"{csv_path}: cannot draw {title}: its values span "
+                                 "a range float64 cannot scale") from None
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for (chan, region, metric) in sorted(groups):
-        series = groups[(chan, region, metric)]
-        title = f"{chan} {metric} ({region})"
-        svg = _render_svg(title, series)
-        path = outdir / svg_name(chan, region, metric)
-        path.write_text(svg, encoding="utf-8")
-        written.append(path)
-    return written
+    for name, svg in drawn:
+        (outdir / name).write_text(svg, encoding="utf-8")
+    return [outdir / name for name, _ in drawn]

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Iterator, Optional, Union
 
 from .archive import DataError, PlaneReader, read_archive, write_archive
-from .grids import (CHANNELS, GridMismatchError, GridSpec, StateSet, validate_state,
+from .grids import (CHANNELS, GridMismatchError, GridSpec, StateSet, plane_fault,
                     whole_number)
 
 log = logging.getLogger(__name__)
@@ -234,12 +234,13 @@ def _open_step(path: Path, step_no: int, step_hours: int, channels,
 
 def _checked_ic(ic: Union[StateSet, str, os.PathLike], channels) -> StateSet:
     """The `channels` of the IC, a state or the path of an archive;
-    RolloutError if any plane of it (all 69 of an archive) holds NaN/Inf."""
+    RolloutError naming its first plane, in channel order, that holds NaN/Inf."""
     try:
         if not isinstance(ic, StateSet):
             return read_archive(ic, channels, finite=True)
-        if problems := validate_state(ic, check_ranges=False):
-            raise DataError("; ".join(problems))
+        for channel, plane in zip(ic.channels, ic.data):
+            if fault := plane_fault(channel, plane):
+                raise DataError(fault)
         return ic.subset(channels)
     except DataError as exc:
         raise RolloutError(f"the IC at lead 0 holds NaN/Inf: {exc}") from None

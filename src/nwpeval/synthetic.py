@@ -1,8 +1,8 @@
 """Synthetic states and climatologies for tests and desk-scale runs.
 
 Generated fields are smooth (large-scale sinusoids plus small noise) and
-stay inside the ingestion sanity ranges, so validate_state returns a
-clean report for them.
+stay inside the ingestion sanity ranges, so plane_fault finds no fault
+in any of their planes, ranges included.
 """
 
 from __future__ import annotations

@@ -310,7 +310,7 @@ class TestIngestRaw:
                          valid_time=s.valid_time, source_label="x",
                          finite=False)
         assert np.isnan(out.data[0, 0, 0])
-        assert caplog.text == ""   # reported once, by the caller's validate_state
+        assert caplog.text == ""   # reported once, by the caller's plane_fault
 
     def test_nan_in_the_last_stored_plane_names_its_channel(self, tmp_path, small_grid,
                                                             caplog):
@@ -332,7 +332,7 @@ class TestIngestRaw:
         expected = s.data.copy()
         expected[flat_channel_index(*order[-1]), -1, 2] = np.nan
         assert np.array_equal(out.data, expected, equal_nan=True)
-        assert caplog.text == ""   # reported once, by the caller's validate_state
+        assert caplog.text == ""   # reported once, by the caller's plane_fault
 
 
 def test_round_trip_through_a_path_object(tmp_path, small_grid):

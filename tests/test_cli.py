@@ -259,8 +259,10 @@ class TestIngestRegrid:
                                    f"{g.lon_start},{g.dlon}",
                          "--valid-time", "2023-06-06T00:00:00Z", "--label", "gfs",
                          "--nan", "warn", *skip]) == 0
-        assert caplog.text.count("non-finite") == 1
-        assert f"{raw}: non-finite: Z925 contains NaN/Inf" in caplog.text
+        assert caplog.text.count("contains NaN/Inf") == 1
+        assert f"{raw}: plane Z925 contains NaN/Inf" in caplog.text
+        # random values break the MSLP, T and Q ranges: warned of unless skipped
+        assert (f"{raw}: range: MSLP in " in caplog.text) == (not skip)
 
     def test_regrid_to_named_grid(self, archive_path, tmp_path):
         out = tmp_path / "regridded.nws"

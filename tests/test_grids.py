@@ -11,7 +11,7 @@ import nwpeval
 from nwpeval.grids import (CHANNELS, N_CHANNELS, Field, GridSpec,
                            InvalidChannelError, RegionBox, StateSet, Var,
                            channel_name, covers, degrees, flat_channel_index,
-                           validate_state)
+                           plane_fault)
 from nwpeval.synthetic import default_time
 
 
@@ -165,34 +165,33 @@ class TestStateSet:
                                   small_state.data[k])
 
 
-class TestValidateState:
+class TestPlaneFault:
     def test_plausible_synthetic_state_is_clean(self, small_state):
-        assert validate_state(small_state) == []
+        for ranges in (False, True):
+            assert [plane_fault(ch, plane, ranges) for ch, plane
+                    in zip(small_state.channels, small_state.data)] == [None] * N_CHANNELS
 
-    def test_zero_temperature_flagged(self, small_state):
-        data = small_state.data.copy()
-        data[flat_channel_index(Var.T2, 0)] = 0.0
-        bad = small_state.replace(data=data)
-        report = validate_state(bad)
-        assert any("T2" in msg and msg.startswith("range") for msg in report)
+    def test_zero_temperature_is_a_range_fault_only_with_ranges(self, small_grid):
+        plane = np.zeros(small_grid.shape, np.float32)
+        assert plane_fault((Var.T2, 0), plane) is None
+        assert plane_fault((Var.T2, 0), plane, ranges=True) == \
+            "range: T2 in [0, 0] outside [150, 350]"
+
+    def test_range_fault_names_the_planes_extremes(self, small_grid):
+        plane = np.full(small_grid.shape, 250.0, np.float32)
+        plane[0, 0], plane[-1, -1] = 140.5, 351.25
+        assert plane_fault((Var.T, 850), plane, ranges=True) == \
+            "range: T850 in [140.5, 351.25] outside [150, 350]"
+
+    def test_channel_without_bounds_has_no_range_fault(self, small_grid):
+        plane = np.full(small_grid.shape, 1e9, np.float32)
+        assert plane_fault((Var.Z, 500), plane, ranges=True) is None
 
     def test_channel_count_violation(self, small_grid):
         # a 68-plane array under the canonical 69-channel list is refused
         with pytest.raises(ValueError, match="does not hold 69 channels"):
             StateSet(valid_time=default_time(), source_label="x", grid=small_grid,
                      data=np.zeros((68,) + small_grid.shape, np.float32))
-
-    def test_nan_flagged(self, small_state):
-        data = small_state.data.copy()
-        data[20, 0, 0] = np.nan
-        report = validate_state(small_state.replace(data=data))
-        assert any(msg.startswith("non-finite") for msg in report)
-
-    def test_range_checks_can_be_disabled(self, small_state):
-        data = small_state.data.copy()
-        data[flat_channel_index(Var.T2, 0)] = 0.0
-        bad = small_state.replace(data=data)
-        assert validate_state(bad, check_ranges=False) == []
 
 
 def test_channel_names():
@@ -211,15 +210,15 @@ def test_the_archive_module_imports_alone():
     assert out.stdout.split() == ["nwpeval", "nwpeval.archive", "nwpeval.grids"]
 
 
-@pytest.mark.parametrize("plane, value", [(None, 0.0), (0, np.inf), (N_CHANNELS - 1, np.nan),
-                                          (N_CHANNELS // 2, -np.inf)])
-def test_all_finite_looks_at_every_plane(plane, value):
-    # the one NaN/Inf check of a state in memory names each bad plane
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("plane", [0, N_CHANNELS // 2, N_CHANNELS - 1])
+@pytest.mark.parametrize("at", [(0, 0), (1, 2), (2, 3)])
+def test_plane_fault_looks_at_every_value(plane, value, at):
+    # the one NaN/Inf test of a plane names it, and only it
     data = np.zeros((N_CHANNELS, 3, 4), np.float32)
-    if plane is not None:
-        data[plane, 2, 3] = value
-    state = StateSet(valid_time=default_time(), source_label="x",
-                     grid=GridSpec(nlat=3, nlon=4, dlat=45, dlon=90), data=data)
-    expected = [] if plane is None else [
-        f"non-finite: {channel_name(*CHANNELS[plane])} contains NaN/Inf"]
-    assert validate_state(state, check_ranges=False) == expected
+    data[(plane,) + at] = value
+    expected = [None] * N_CHANNELS
+    expected[plane] = f"plane {channel_name(*CHANNELS[plane])} contains NaN/Inf"
+    assert [plane_fault(ch, p) for ch, p in zip(CHANNELS, data)] == expected
+    # with ranges too, before any range fault (zeros are out of MSLP's and T's)
+    assert plane_fault(CHANNELS[plane], data[plane], ranges=True) == expected[plane]

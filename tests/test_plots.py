@@ -1,10 +1,15 @@
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
 from html import escape
+from pathlib import Path
 
 import pytest
 
+import nwpeval
 from nwpeval.grids import Var, channel_name
 from nwpeval.plots import (PlotInputError, emit_plots, read_metric_csv,
                            write_metric_csv)
@@ -216,3 +221,48 @@ class TestEmitPlots:
         assert main(["plot", "--csv", str(p), "--out-dir", str(tmp_path / "p")]) == 2
         assert f"nwpeval: {p}{message}" in capsys.readouterr().err
         assert not (tmp_path / "p").exists()
+
+
+def z500_rows(tmp_path, first, second):
+    """A two-row CSV of Z500 global RMSE at leads 24 and 48."""
+    p = tmp_path / "m.csv"
+    write_csv(p, [row("gfs", "Z", 500, "global", 24, "RMSE", first),
+                  row("gfs", "Z", 500, "global", 48, "RMSE", second)])
+    return p
+
+
+class TestValuesAnAxisCannotScale:
+    @pytest.mark.parametrize("first, second, line", [
+        ("nan", "1", 2), ("1", "inf", 3), ("-inf", "1", 2)])
+    def test_a_value_that_is_not_finite_exits_2_naming_its_line(
+            self, tmp_path, capsys, first, second, line):
+        from nwpeval.cli import main
+        p = z500_rows(tmp_path, first, second)
+        assert main(["plot", "--csv", str(p), "--out-dir", str(tmp_path / "p")]) == 2
+        bad = first if line == 2 else second
+        assert capsys.readouterr().err == f"nwpeval: {p}:{line}: value {bad!r} is not finite\n"
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("first, second", [("1e308", "-1e308"), ("0", "5e-324")],
+                             ids=["overflow", "underflow"])
+    def test_a_span_float64_cannot_scale_exits_2_naming_the_file(
+            self, tmp_path, capsys, first, second):
+        from nwpeval.cli import main
+        p = z500_rows(tmp_path, first, second)
+        assert main(["plot", "--csv", str(p), "--out-dir", str(tmp_path / "p")]) == 2
+        assert capsys.readouterr().err == (f"nwpeval: {p}: cannot draw Z500 RMSE (global): "
+                                           "its values span a range float64 cannot scale\n")
+        assert not (tmp_path / "p").exists()
+
+    def test_values_one_ulp_apart_are_drawn(self, tmp_path):
+        # a tick step under half the ULP of 1e16 once left the tick loop
+        # standing still: run in a child with a time limit, so a hang fails
+        p = z500_rows(tmp_path, "1e16", "1.0000000000000002e16")
+        src = str(Path(nwpeval.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-m", "nwpeval.cli", "plot", "--csv", str(p),
+                              "--out-dir", str(tmp_path / "p")], capture_output=True,
+                             text=True, timeout=30, env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == 0, out.stderr
+        svg = (tmp_path / "p" / "Z500_global_RMSE.svg").read_text()
+        assert 'data-points="24:1e16 48:1.0000000000000002e16"' in svg
+        assert "nan" not in svg and "inf" not in svg

@@ -256,15 +256,35 @@ class TestRunRollout:
         data = small_state.data.copy()
         data[CHANNELS.index((Var.T, 850)), 3, 5] = np.inf
         with pytest.raises(RolloutError, match=r"^the IC at lead 0 holds NaN/Inf: "
-                                               "non-finite: T850 contains NaN/Inf$"):
+                                               "plane T850 contains NaN/Inf$"):
             rollout_series(small_state.replace(data=data),
                            BackendSpec(builtin=builtin), [24])
+
+    @pytest.mark.parametrize("form, first", [("path", "V10"), ("state", "V10"),
+                                             ("reordered", "T850")])
+    def test_ic_with_two_bad_planes_names_the_first(self, tmp_path, small_state, form,
+                                                    first):
+        # as a path's read names the first bad plane in the file, a state's
+        # check names the first in the state's own channel order
+        data = small_state.data.copy()
+        data[CHANNELS.index((Var.T, 850)), 3, 5] = np.nan
+        data[CHANNELS.index((Var.V10, 0)), 8, 15] = -np.inf
+        ic = small_state.replace(data=data)
+        if form == "path":
+            write_archive(ic, str(tmp_path / "ic.nws"))
+            ic = tmp_path / "ic.nws"
+        elif form == "reordered":
+            ic = ic.subset([(Var.T, 850), (Var.Z, 500), (Var.V10, 0)])
+        with pytest.raises(RolloutError, match=r"^the IC at lead 0 holds NaN/Inf: "
+                                               f"plane {first} contains NaN/Inf$"):
+            next(run_rollout(ic, BackendSpec(), [24], channels=[(Var.Z, 500)]))
 
     @pytest.mark.parametrize("builtin", ["persistence", "advection"])
     def test_nan_ic_at_lead_0_raised_before_any_emit(self, small_state, builtin):
         data = small_state.data.copy()
         data[CHANNELS.index((Var.Q, 500)), 0, 0] = np.nan
-        with pytest.raises(RolloutError, match="lead 0.*non-finite: Q500 contains NaN/Inf$"):
+        with pytest.raises(RolloutError, match="^the IC at lead 0 holds NaN/Inf: "
+                                               "plane Q500 contains NaN/Inf$"):
             next(run_rollout(small_state.replace(data=data), BackendSpec(builtin=builtin),
                              [0, 24]))
 
@@ -824,14 +844,14 @@ class TestICPath:
                              channels=[(Var.Z, 500)]))
         assert procs == []
 
-    @pytest.mark.parametrize("form, fault, steps", [
-        ("path", "plane T850 contains NaN/Inf", 1),
-        ("state", "non-finite: T850 contains NaN/Inf", 0)], ids=["path", "state"])
+    @pytest.mark.parametrize("form, steps", [("path", 1), ("state", 0)],
+                             ids=["path", "state"])
     def test_nan_the_backend_carries_is_the_ics_fault(self, tmp_path, monkeypatch,
-                                                      form, fault, steps):
+                                                      form, steps):
         # lead 0 not asked for: the IC path's planes are checked only once
         # step 1's output has failed its check, a state's, in memory, before
-        # it is written for step 1; either way the error names the IC
+        # it is written for step 1; either way the error names the IC's
+        # plane in the same words
         grid = GridSpec(nlat=19, nlon=36, lat_start=90.0, dlat=10.0,
                         lon_start=0.0, dlon=10.0)
         monkeypatch.setattr(GridSpec, "canonical", classmethod(lambda cls: grid))
@@ -843,7 +863,8 @@ class TestICPath:
             write_archive(state, ic)
         be = write_copy_backend(tmp_path / "backend.py")
         procs = recorded_starts(monkeypatch)
-        with pytest.raises(RolloutError, match=f"^the IC at lead 0 holds NaN/Inf: {fault}$"):
+        with pytest.raises(RolloutError, match="^the IC at lead 0 holds NaN/Inf: "
+                                               "plane T850 contains NaN/Inf$"):
             list(run_rollout(ic, be, [24]))
         assert len(procs) == steps
 
