@@ -178,22 +178,22 @@ class PlaneReader:
     with `layout` a raw dump on `grid` whose payload starts where `src`
     stands. `src` is a path, which the reader opens unbuffered and close()
     closes, or an open binary file, which close() leaves open. The reader
-    has the file's grid, valid_time and source_label, and `unread`, the
-    channels no call has read yet. Of `takers` callers of channel(), the
-    first to ask for a plane reads it and the last drops it. With `finite`,
-    NaN/Inf in a plane read is a DataError. An error opening or reading
-    the file (ArchiveError, OSError, GridMismatchError off `grid`, or
-    another ValueError), or an InvalidChannelError for a channel it does
-    not hold, raised before any read, is raised as `fail(error)`, the error
-    itself by default; after a failed read every call raises it. Safe to
-    share across threads.
+    has the file's grid, valid_time and source_label (the last two those
+    given, if given), and `unread`, the channels no call has read yet. Of
+    `takers` callers of channel(), the first to ask for a plane reads it and
+    the last drops it. With `finite`, NaN/Inf in a plane read is a
+    DataError. An error opening or reading the file (ArchiveError, OSError,
+    GridMismatchError off `grid`, or another ValueError), or an
+    InvalidChannelError for a channel it does not hold, raised before any
+    read, is raised as `fail(error)`, the error itself by default; after a
+    failed read every call raises it. Safe to share across threads.
     """
 
     def __init__(self, src: Union[BinaryIO, str, os.PathLike],
                  grid: Optional[GridSpec] = None, takers: int = 1, finite: bool = False,
                  fail: Optional[Callable[[Exception], Exception]] = None,
                  layout: Optional[RawDumpLayout] = None,
-                 valid_time: Optional[datetime] = None, source_label: str = ""):
+                 valid_time: Optional[datetime] = None, source_label: Optional[str] = None):
         self.path = src
         self._takers, self._finite = takers, finite
         self._fail = fail or (lambda exc: exc)
@@ -204,13 +204,15 @@ class PlaneReader:
         try:
             self._fh = open(src, "rb", buffering=0) if self._own else src
             if layout is None:
-                self.grid, self.valid_time, self.source_label = _read_head(self._fh)
+                self.grid, file_time, file_label = _read_head(self._fh)
                 if grid is not None and self.grid != grid:
                     raise GridMismatchError(f"on {self.grid}, not {grid}")
                 self._order, self._flip = CHANNELS, False
             else:
-                self.grid, self.valid_time, self.source_label = grid, valid_time, source_label
+                self.grid, file_time, file_label = grid, None, ""
                 self._order, self._flip = layout.channel_order, layout.scan == "south-first"
+            self.valid_time = file_time if valid_time is None else valid_time
+            self.source_label = file_label if source_label is None else source_label
             self._index = {ch: k for k, ch in enumerate(self._order)}
             self.unread = set(self._order)
             self._start = self._fh.tell()
@@ -295,16 +297,6 @@ class PlaneReader:
                 data[k] = data[slot[ch]]
         return StateSet(valid_time=self.valid_time, source_label=self.source_label,
                         grid=self.grid, data=data, channels=channels)
-
-    def replace(self, **fields) -> "PlaneReader":
-        """The reader with `valid_time` or `source_label` set in place of
-        the header's, as StateSet.replace gives a state so: whoever scores
-        either can label it the same way."""
-        for name, value in fields.items():
-            if name not in ("valid_time", "source_label"):
-                raise TypeError(f"a reader's {name} is the file's")
-            setattr(self, name, value)
-        return self
 
     def close(self) -> None:
         """Close the file, if the reader opened it."""

@@ -23,11 +23,10 @@ from typing import Optional, Union
 
 import yaml
 
-from .archive import (ArchiveError, PlaneReader, RawDumpLayout, ingest_raw,
-                      read_archive, read_header)
+from .archive import ArchiveError, PlaneReader, RawDumpLayout, ingest_raw, read_archive
 from .grids import (CHANNEL_BY_NAME, DEFAULT_REGIONS, GridMismatchError, GridSpec,
                     RegionBox, StateSet, Var, _as_utc, channel_name, covers,
-                    degrees, whole_number)
+                    covers_grid, degrees, whole_number)
 from .plots import emit_plots, name_fault, write_metric_csv
 from .regrid import regrid_state
 from .rollout import BackendSpec, RolloutError, plan_for_leads, run_rollout
@@ -87,7 +86,9 @@ class ExperimentConfig:
     workers: Optional[int] = None         # default: min(runs, CPU count)
     snapshot_bytes: bytes = b""            # raw config file, for provenance
 
-    def validate(self) -> None:
+    def validate(self) -> dict[str, GridSpec]:
+        """ConfigError on the first rule the config breaks, found before any
+        payload is read; else each source's own grid, by its label."""
         for key in ("ic_sources", "lead_hours", "report_channels", "regions"):
             if not getattr(self, key):   # an empty one would score nothing
                 raise ConfigError(f"{key} must not be empty")
@@ -117,40 +118,49 @@ class ExperimentConfig:
         if not (made := next(p for p in (out, *out.parents) if p.exists())).is_dir():
             raise ConfigError(f"output_dir {out}: {made} is not a directory")
         check_regions(self.model_grid, self.regions, self.report_channels)
-        init_time = _as_utc(self.init_time)   # the config does not normalise it
-        native = {}   # each source's own grid, from the config or its header
-        for src in self.ic_sources:
-            if not os.path.exists(src.path):
-                raise ConfigError(f"source {src.label!r}: missing file {src.path}")
-            if not src.path.endswith(".nws"):
-                if src.grid is None or src.layout is None:
-                    raise ConfigError(f"source {src.label!r}: raw dumps require "
-                                      "grid and layout")
-                native[src.label] = src.grid
-                continue
-            if src.grid is not None or src.layout is not None:
-                raise ConfigError(f"source {src.label!r}: a .nws archive takes no grid "
-                                  "or layout: its header gives both")
-            try:
-                header = read_header(src.path)
-            except (ArchiveError, OSError) as exc:
-                raise ConfigError(f"source {src.label!r}: {exc}") from None
-            native[src.label] = header["grid"]
-            if header["valid_time"] != init_time:
-                raise ConfigError(f"source {src.label!r} is valid at "
-                                  f"{header['valid_time']}, not at init_time {init_time}")
-        for sc in self.splice_scenarios:   # else edge values would be spliced in
-            spec = sc.spec
-            if not covers(native[sc.donor_source], spec.region, spec.blend_width):
-                raise ConfigError(f"scenario {sc.label!r}: donor {sc.donor_source!r} "
-                                  "does not cover the box plus blend_width "
-                                  f"({spec.blend_width:g} degrees) on its own grid")
         try:   # of the climatology, the header is read and the payload's size checked
             self.backend.check_command()
             self.backend.check_grid(self.model_grid)
             open_input("climatology", self.climatology_path, self.model_grid).close()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        init_time = _as_utc(self.init_time)   # the config does not normalise it
+        native = {}   # each source's own grid, from the config or its header
+        for src in self.ic_sources:
+            if not os.path.exists(src.path):
+                raise ConfigError(f"source {src.label!r}: missing file {src.path}")
+            raw = not src.path.endswith(".nws")
+            if raw and (src.grid is None or src.layout is None):
+                raise ConfigError(f"source {src.label!r}: raw dumps require grid and layout")
+            if not raw and (src.grid is not None or src.layout is not None):
+                raise ConfigError(f"source {src.label!r}: a .nws archive takes no grid "
+                                  "or layout: its header gives both")
+            try:   # its header, if any, and its payload's size: no plane is read
+                with closing(PlaneReader(src.path, src.grid, layout=src.layout)) as reader:
+                    native[src.label], valid_time = reader.grid, reader.valid_time
+            except (ArchiveError, OSError, ValueError) as exc:
+                raise ConfigError(f"source {src.label!r}: {exc}") from None
+            if not raw and valid_time != init_time:
+                raise ConfigError(f"source {src.label!r} is valid at "
+                                  f"{valid_time}, not at init_time {init_time}")
+        bases = {sc.base_source: sc.label for sc in self.splice_scenarios}
+        donors = {sc.donor_source for sc in self.splice_scenarios}
+        for label, native_grid in native.items():   # else edge values would be scored
+            if covers_grid(native_grid, self.model_grid):
+                continue
+            if label in bases:
+                raise ConfigError(f"source {label!r} does not cover the model grid, so it "
+                                  f"cannot be the base of scenario {bases[label]!r}")
+            if label not in donors:
+                raise ConfigError(f"source {label!r} does not cover the model grid and no "
+                                  "splice takes it as a donor: it would be scored as a run")
+        for sc in self.splice_scenarios:   # else edge values would be spliced in
+            spec = sc.spec
+            if not covers(native[sc.donor_source], spec.region, spec.blend_width):
+                raise ConfigError(f"scenario {sc.label!r}: donor {sc.donor_source!r} "
+                                  "does not cover the box plus blend_width "
+                                  f"({spec.blend_width:g} degrees) on its own grid")
+        return native
 
 
 def no_repeats(what: str, values) -> None:
@@ -335,16 +345,16 @@ class RunReport:
     failures: dict[str, str]
 
 
-def _load_source(src: ICSource, init_time: datetime, model_grid: GridSpec,
-                 spliced: bool, reads) -> Union[StateSet, str]:
+def _load_source(src: ICSource, native: GridSpec, init_time: datetime,
+                 model_grid: GridSpec, spliced: bool, reads) -> Union[StateSet, str]:
     """A source's IC on the model grid, as the planes of `reads`; every
-    plane of the file is checked for NaN/Inf on the way. An on-grid archive
-    no splice uses is returned as its path, for the rollout to read where
-    it is: only its header is read here, and its payload's size checked."""
+    plane of the file is checked for NaN/Inf on the way. An archive on the
+    model grid (its `native` grid, as validate found it) that no splice
+    uses is returned as its path, unread, for the rollout to read where it is."""
     if not src.path.endswith(".nws"):
         state = ingest_raw(src.path, src.grid, src.layout, valid_time=init_time,
                            source_label=src.label, channels=reads)
-    elif not spliced and read_archive(src.path, ()).grid == model_grid:
+    elif not spliced and native == model_grid:
         return src.path
     else:
         state = read_archive(src.path, reads, finite=True)
@@ -380,7 +390,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     is read. A run that fails is logged and named in the report's
     `failures`, and the other runs go on; a truth that cannot be read costs
     its lead alone. What a run holds in memory: see README."""
-    config.validate()   # the climatology's header and payload size too
+    native = config.validate()   # the climatology's and sources' headers and sizes too
     grid, channels = config.model_grid, config.report_channels
     with closing(open_input("climatology", config.climatology_path, grid)) as clim:
         climatology = clim.subset(channels)
@@ -394,7 +404,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
                for ref in (sc.base_source, sc.donor_source)}
     for src in config.ic_sources:
         try:
-            runs[src.label] = _load_source(src, config.init_time, config.model_grid,
+            runs[src.label] = _load_source(src, native[src.label], config.init_time, grid,
                                            src.label in spliced, reads)
         except Exception as exc:
             failures[src.label] = f"ingest failed: {exc}"
@@ -407,10 +417,14 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
                                            sc.spec)
         except Exception as exc:
             failures[sc.label] = f"splice failed: {exc}"
+    # a source short of the model grid is a splice donor alone (validate)
+    donors_only = [s.label for s in config.ic_sources if not covers_grid(native[s.label], grid)]
+    for label in donors_only:
+        runs.pop(label, None)
     labels = list(runs)
 
     rollouts = {label: run_rollout(runs.pop(label), config.backend, config.lead_hours,
-                                   channels=channels)
+                                   channels=channels, label=label)
                 for label in labels}
     run_records: dict[str, list[MetricRecord]] = {label: [] for label in labels}
     run_errors: dict[str, list[str]] = {label: [] for label in labels}
@@ -428,9 +442,8 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
                 raise RolloutError(f"the rollout reached lead {reached}, not {lead}")
             if truth is not None:
                 try:
-                    # the run's label: an IC keeps its file's label through the rollout
-                    r, e = evaluate_run(lead, state.replace(source_label=label), truth,
-                                        climatology, config.regions, channels, var_o)
+                    r, e = evaluate_run(lead, state, truth, climatology, config.regions,
+                                        channels, var_o)
                 except InputError as exc:   # a plane read failed: no run scores the lead
                     truth_errors.setdefault(lead, str(exc))
                     truth = None
@@ -493,6 +506,9 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     log_lines = [f"experiment: {config.name}",
                  f"config sha256: {config_hash}",
                  f"runs: {', '.join(labels) or '(none)'}"]
+    for label in donors_only:
+        log_lines.append(f"{label}: a splice donor only: it does not cover the model "
+                         "grid, so it is not rolled out or scored")
     for lead, msg in sorted(truth_errors.items()):
         log_lines.append(f"truth: lead {lead}: {msg}")
     for label, errs in sorted(run_errors.items()):

@@ -218,22 +218,36 @@ def region_mask(grid: GridSpec, box: RegionBox) -> np.ndarray:
     return np.logical_and.outer(dlat <= _EPS, dlon <= _EPS)
 
 
-def covers(grid: GridSpec, box: RegionBox, margin: float = 0.0) -> bool:
-    """True if the grid's points span the box widened by `margin` degrees
-    on every side, its latitudes cut to [-90, 90]: the rows reach from its
-    south edge to its north edge and, unless the grid is cyclic, the columns
-    from its west edge east to its east edge, across 0/360 degrees if need
-    be. Regridding fills a point past the grid's span with an edge value."""
-    south = grid.lat_start - (grid.nlat - 1) * grid.dlat
-    if (grid.lat_start < min(box.lat_max + margin, 90.0) - 1e-6
-            or south > max(box.lat_min - margin, -90.0) + 1e-6):
+def _spans(grid: GridSpec, north: float, south: float, west: float, width: float) -> bool:
+    """True if the grid's rows reach from `south` to `north`, cut to [-90,
+    90], and, unless the grid is cyclic, its columns from `west` east over
+    `width` degrees, across 0/360 degrees if need be."""
+    if (grid.lat_start < min(north, 90.0) - 1e-6
+            or grid.lat_start - (grid.nlat - 1) * grid.dlat > max(south, -90.0) + 1e-6):
         return False
     if grid.is_cyclic():
         return True
-    # degrees east of the grid's first column to the widened box's west edge
-    west = (box.lon_min - margin - grid.lon_start + 1e-6) % 360.0 - 1e-6
-    width = box.lon_max - box.lon_min + 2.0 * margin
+    # degrees east of the grid's first column to `west`
+    west = (west - grid.lon_start + 1e-6) % 360.0 - 1e-6
     return west + width <= (grid.nlon - 1) * grid.dlon + 1e-6
+
+
+def covers(grid: GridSpec, box: RegionBox, margin: float = 0.0) -> bool:
+    """True if the grid's points span the box widened by `margin` degrees
+    on every side, its latitudes cut to [-90, 90]. Regridding fills a point
+    past the grid's span with an edge value."""
+    return _spans(grid, box.lat_max + margin, box.lat_min - margin, box.lon_min - margin,
+                  box.lon_max - box.lon_min + 2.0 * margin)
+
+
+def covers_grid(grid: GridSpec, model: GridSpec) -> bool:
+    """True if `grid` covers the `model` grid: its rows reach within one of
+    its own row steps of the model's first and last rows, so a global grid
+    that stops half a step short of the poles covers it, and it is cyclic
+    or its columns span the model's."""
+    south = model.lat_start - (model.nlat - 1) * model.dlat
+    return _spans(grid, model.lat_start - grid.dlat, south + grid.dlat, model.lon_start,
+                  (model.nlon - 1) * model.dlon)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import shutil
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
-from datetime import timedelta
+from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
@@ -204,12 +204,12 @@ def _finish_backend(proc: subprocess.Popen, dest: Path, step_hours: int,
 
 
 def _open_step(path: Path, step_no: int, step_hours: int, channels,
-               ic_path: Optional[Path]) -> PlaneReader:
-    """One step's output, open for the planes of `channels`, which it checks
-    for NaN/Inf as it reads each; every other plane is read and checked
-    here. Any fault of the file, found now or as a plane is read, is a
-    RolloutError: unless `ic_path`, step 1's input, holds NaN/Inf, which is
-    then the IC's fault."""
+               ic_path: Optional[Path], valid_time: datetime, label: str) -> PlaneReader:
+    """One step's output, dated `valid_time` and labelled `label`, open for
+    the planes of `channels`, which it checks for NaN/Inf as it reads each;
+    every other plane is read and checked here. Any fault of the file, found
+    now or as a plane is read, is a RolloutError: unless `ic_path`, step 1's
+    input, holds NaN/Inf, which is then the IC's fault."""
     def fail(exc: Exception) -> RolloutError:
         if ic_path is not None:
             try:
@@ -223,7 +223,8 @@ def _open_step(path: Path, step_no: int, step_hours: int, channels,
             return RolloutError(f"backend changed the grid at step {step_no}")
         return RolloutError(f"backend wrote a malformed archive at step {step_no}: {exc}")
 
-    out = PlaneReader(path, GridSpec.canonical(), finite=True, fail=fail)
+    out = PlaneReader(path, GridSpec.canonical(), finite=True, fail=fail,
+                      valid_time=valid_time, source_label=label)
     try:
         out.check(ch for ch in CHANNELS if ch not in channels)
     except BaseException:
@@ -253,29 +254,31 @@ def _sha256(path: Path) -> str:
 
 
 def run_rollout(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, leads,
-                verify_determinism: bool = False, channels=CHANNELS
+                verify_determinism: bool = False, channels=CHANNELS, label: Optional[str] = None
                 ) -> Iterator[Optional[tuple[int, Union[StateSet, PlaneReader]]]]:
     """Drive the backend through the fewest steps that reach every lead,
     and yield (lead_hours, state) for each requested lead in increasing
     order, lead 0 being the IC. `ic` is a state, which belongs to the
     rollout from then on, or the path of an archive, which is never
     written, moved or deleted. Each state holds `channels`, in that order,
-    valid at the IC's valid_time + its lead with the IC's label, and is
-    valid until the rollout is resumed: under an external backend it is a
-    PlaneReader of the step's output, closed then. Sent True in place of
-    next() at a yield, the rollout waits for the step started ahead to exit
-    and yields None. An unreachable lead (ValueError), or an IC off the
-    canonical grid an external backend requires (RolloutError), is raised
-    before any step; NaN/Inf in the IC or a step's output, or a failed
-    step, is a RolloutError. Closing the generator, or an error, kills and
-    reaps the running step. verify_determinism repeats step 1 and warns if
-    the two outputs' SHA-256 differ. See README "External backend protocol".
+    valid at the IC's valid_time + its lead, labelled `label` (the IC's own
+    label by default), and is valid until the rollout is resumed: under an
+    external backend it is a PlaneReader of the step's output, closed then.
+    Sent True in place of next() at a yield, the rollout waits for the step
+    started ahead to exit and yields None. An unreachable lead (ValueError),
+    or an IC off the canonical grid an external backend requires
+    (RolloutError), is raised before any step; NaN/Inf in the IC or a
+    step's output, or a failed step, is a RolloutError. Closing the
+    generator, or an error, kills and reaps the running step.
+    verify_determinism repeats step 1 and warns if the two outputs' SHA-256
+    differ. See README "External backend protocol".
     """
     wanted = {int(h) for h in leads}
     plan = plan_for_leads(wanted, backend.horizons)
     if backend.kind == "builtin":   # a step moves the run's planes; lead 0 is step 0
         state = _checked_ic(ic, channels)
         del ic   # `state` is the only reference left; a step replaces it
+        state = state if label is None else state.replace(source_label=label)
         for hours, lead in zip((0,) + plan.steps, itertools.accumulate((0,) + plan.steps)):
             state = builtin_step(state, backend, hours) if hours else state
             if lead in wanted and (yield lead, state):
@@ -291,13 +294,14 @@ def run_rollout(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, lea
         backend.check_grid(ic.grid)
     except ValueError as exc:
         raise RolloutError(str(exc)) from None
+    init_time, label = ic.valid_time, ic.source_label if label is None else label
     if 0 in wanted:
-        paused = yield 0, _checked_ic(ic_path, channels) if ic_path else ic.subset(channels)
+        paused = yield 0, (_checked_ic(ic_path, channels) if ic_path
+                           else ic.subset(channels)).replace(source_label=label)
         if paused:   # no step has started yet
             yield
     if not plan.steps:
         return
-    init_time, label = ic.valid_time, ic.source_label
     with tempfile.TemporaryDirectory(prefix="nwpeval-rollout-") as work:
         files = [Path(work) / f"step{n:03d}.nws" for n in range(len(plan.steps) + 1)]
         if ic_path is not None:
@@ -330,10 +334,10 @@ def run_rollout(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, lea
                 # a NaN a path IC holds, if lead 0 did not check it, is its own fault
                 blame = ic_path if n == 1 and 0 not in wanted else None
                 with contextlib.closing(_open_step(
-                        files[n], n, hours, channels if lead in wanted else (), blame)) as out:
+                        files[n], n, hours, channels if lead in wanted else (), blame,
+                        init_time + timedelta(hours=lead), label)) as out:
                     if lead in wanted:
-                        paused = yield lead, out.replace(
-                            valid_time=init_time + timedelta(hours=lead), source_label=label)
+                        paused = yield lead, out
                         out.check(out.unread)   # the planes its scorer left unread
                         if paused:   # the step started ahead ends before the pause
                             running.wait()

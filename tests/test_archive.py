@@ -1,5 +1,7 @@
 import io
 import struct
+from contextlib import closing
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -393,3 +395,19 @@ class TestFileOwnership:
             with pytest.raises((FormatError, TruncationError)):
                 read(path)
         assert len(opened) == 1 and opened[0].closed
+
+
+@pytest.mark.parametrize("given", [False, True])
+def test_a_reader_reports_the_time_and_label_it_is_given(tmp_path, small_grid, given):
+    # given, they replace the header's, as a raw dump's are given; in the
+    # reader and in every state it reads
+    state = random_state(small_grid, seed=21, label="analysis")
+    path = tmp_path / "state.nws"
+    write_archive(state, path)
+    later = state.valid_time + timedelta(hours=24)
+    kwargs = {"valid_time": later, "source_label": "run"} if given else {}
+    expected = (later, "run") if given else (state.valid_time, "analysis")
+    with closing(PlaneReader(path, **kwargs)) as reader:
+        subset = reader.subset(CHANNELS[:2])
+        assert (reader.valid_time, reader.source_label) == expected
+        assert (subset.valid_time, subset.source_label) == expected

@@ -953,21 +953,17 @@ class TestRunSubcommand:
                 "plane T850 contains NaN/Inf") in capsys.readouterr().err
 
     def test_config_validated_once_per_run(self, tmp_path, small_grid, monkeypatch):
-        # validate parses one header per .nws IC, with read_header, and the
-        # climatology's, opening it to check its grid and payload size; the
-        # climatology is opened once more to read its planes. _load_source
-        # opens each on-grid IC for its header, and the rollout opens it
-        # again to read and check its 69 planes, each once. Each truth is
-        # opened once, by the PlaneReader that checks its header, and each
-        # of its planes read alone, once, with no header parsed again. Each
-        # region mask is built once, for validate and scoring both
-        from nwpeval import archive, experiment, verify
+        # validate opens the climatology and each IC to check its header and
+        # payload size; the climatology is opened once more to read its
+        # planes, and the rollout opens each on-grid IC again to read and
+        # check its 69 planes, each once. Each truth is opened once, by the
+        # PlaneReader that checks its header, and each of its planes read
+        # alone, once, with no header parsed again. Each region mask is
+        # built once, for validate and scoring both
+        from nwpeval import archive, verify
         from tests.test_experiment import build_inputs
         labels = build_inputs(tmp_path, small_grid)
         headers, planes, masks, parsed = [], [], [], Counter()
-        read_header = experiment.read_header
-        monkeypatch.setattr(experiment, "read_header",
-                            lambda path: headers.append(name_of(path)) or read_header(path))
 
         def reader_reads(path, channels, plane):
             if channels:
@@ -987,7 +983,7 @@ class TestRunSubcommand:
         assert main(["run", "--config", str(cfg)]) == 0
         assert sorted(headers) == sorted(["clim.nws"] * 2
                                          + ["truth_24.nws", "truth_48.nws"]
-                                         + [f"{lb}.nws" for lb in labels] * 3)
+                                         + [f"{lb}.nws" for lb in labels] * 2)
         assert [p for p in planes if p[0].startswith("truth_")] == [
             (f"truth_{lead}.nws", (ch,)) for lead in (24, 48)
             for ch in DEFAULT_REPORT_CHANNELS]
@@ -1001,7 +997,7 @@ class TestRunSubcommand:
         assert parsed["truth_24.nws"] == parsed["truth_48.nws"] == 1
         assert parsed["clim.nws"] == 2
         for lb in labels:
-            assert parsed[f"{lb}.nws"] == 3
+            assert parsed[f"{lb}.nws"] == 2
         assert len(masks) == 2
 
     def test_each_run_drives_one_rollout(self, tmp_path, small_grid, monkeypatch):
@@ -1099,7 +1095,7 @@ class TestRunSubcommand:
             assert [line.get("data-label") for line in svg.iter(f"{SVG}polyline")] == \
                 sorted(labels)
 
-    def test_full_run(self, tmp_path, small_grid, capsys):
+    def test_full_run(self, tmp_path, small_grid, monkeypatch, capsys):
         from tests.test_experiment import build_inputs
         labels = build_inputs(tmp_path, small_grid)
         cfg = tmp_path / "exp.yaml"
@@ -1108,12 +1104,106 @@ class TestRunSubcommand:
         assert (tmp_path / "out" / "metrics.csv").exists()
         out = capsys.readouterr().out
         assert "config sha256" in out
-        # a source whose payload is short fails its run: exit 1, named on stderr
+        # a source whose payload is short is a config error: exit 2, named
+        # on stderr, before any payload is read or run.log written
         path = tmp_path / f"{labels[1]}.nws"
         path.write_bytes(path.read_bytes()[:-5])
-        assert main(["run", "--config", str(cfg)]) == 1
-        assert (f"FAILED {labels[1]}: ingest failed: payload truncated in channel V50"
+        (tmp_path / "out" / "run.log").unlink()
+        payload_reads = spy_payload_reads(monkeypatch)
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert (f"nwpeval: source {labels[1]!r}: payload truncated in channel V50"
                 in capsys.readouterr().err)
+        assert payload_reads == []
+        assert not (tmp_path / "out" / "run.log").exists()
+
+
+class TestSourceCover:
+    """A source that covers only part of the model grid is read as a splice
+    donor alone; as a run, or a splice base, it is a config error."""
+
+    MODEL = GridSpec(nlat=19, nlon=36, lat_start=90.0, dlat=10.0, lon_start=0.0,
+                     dlon=10.0)
+    CAP = GridSpec(nlat=5, nlon=36, lat_start=90.0, dlat=10.0, lon_start=0.0,
+                   dlon=10.0)   # 90..50 N
+    POLES_OFF = GridSpec(nlat=18, nlon=36, lat_start=85.0, dlat=10.0, lon_start=0.0,
+                         dlon=10.0)   # 85..-85 N: half a step short of each pole
+
+    def write_config(self, tmp_path, sources, splices):
+        t0 = default_time()
+        for seed, (label, grid) in enumerate(sources.items(), start=71):
+            write_archive(make_state(grid, seed=seed, source_label=label),
+                          str(tmp_path / f"{label}.nws"))
+        write_archive(make_state(self.MODEL, seed=70, source_label="truth",
+                                 valid_time=t0 + timedelta(hours=24)),
+                      str(tmp_path / "truth_24.nws"))
+        write_archive(make_climatology(self.MODEL), str(tmp_path / "clim.nws"))
+        doc = run_doc(self.MODEL, list(sources), {"lead_hours": [24], "splice_scenarios": [
+            {"label": f"{donor}pad{base}", "base_source": base, "donor_source": donor,
+             "box": [60, 80, 0, 360]} for base, donor in splices]})
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        return cfg
+
+    def test_a_donor_short_of_the_model_grid_is_no_run(self, tmp_path):
+        cfg = self.write_config(tmp_path, {"gfs": self.MODEL, "cap": self.CAP},
+                                [("gfs", "cap")])
+        assert main(["run", "--config", str(cfg)]) == 0
+        rows = read_metric_csv(str(tmp_path / "out" / "metrics.csv"))
+        assert {r["source"] for r in rows} == {"gfs", "cappadgfs"}
+        log = (tmp_path / "out" / "run.log").read_text().splitlines()
+        assert "runs: gfs, cappadgfs" in log
+        assert ("cap: a splice donor only: it does not cover the model grid, so it is "
+                "not rolled out or scored") in log
+
+    @pytest.mark.parametrize("splices, message", [
+        ([], "source 'cap' does not cover the model grid and no splice takes it as a "
+             "donor: it would be scored as a run"),
+        ([("cap", "gfs")], "source 'cap' does not cover the model grid, so it cannot "
+                           "be the base of scenario 'gfspadcap'")],
+        ids=["unused", "base"])
+    def test_a_source_short_of_the_model_grid_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                      splices, message):
+        cfg = self.write_config(tmp_path, {"gfs": self.MODEL, "cap": self.CAP}, splices)
+        payload_reads = spy_payload_reads(monkeypatch)
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert payload_reads == []
+        assert not (tmp_path / "out").exists()
+        assert f"nwpeval: {message}" in capsys.readouterr().err
+
+    def test_a_global_source_without_pole_rows_is_a_run(self, tmp_path):
+        cfg = self.write_config(tmp_path, {"gfs": self.MODEL, "mid": self.POLES_OFF}, [])
+        assert main(["run", "--config", str(cfg)]) == 0
+        rows = read_metric_csv(str(tmp_path / "out" / "metrics.csv"))
+        assert Counter(r["source"] for r in rows) == {"gfs": 36, "mid": 36}
+
+
+class TestSourceSize:
+    """validate opens every IC source, raw dumps included, for its header and
+    payload size: a short or long one exits 2 before any payload is read."""
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda b: b[:-7], "payload truncated in channel V50"),
+        (lambda b: b + b"\0", "bytes follow the payload")], ids=["short", "long"])
+    @pytest.mark.parametrize("kind", ["archive", "raw"])
+    def test_a_source_of_the_wrong_size_exits_2(self, tmp_path, small_grid, monkeypatch,
+                                                capsys, kind, damage, message):
+        from tests.test_experiment import build_inputs
+        labels = build_inputs(tmp_path, small_grid)
+        raw = make_state(small_grid, seed=5, source_label="raw")
+        (tmp_path / "raw.bin").write_bytes(np.ascontiguousarray(raw.data, "<f4").tobytes())
+        path, label = ((tmp_path / "raw.bin", "raw") if kind == "raw"
+                       else (tmp_path / f"{labels[1]}.nws", labels[1]))
+        path.write_bytes(damage(path.read_bytes()))
+        doc = run_doc(small_grid, labels)
+        doc["ic_sources"].append({"label": "raw", "path": "raw.bin",
+                                  "grid": doc["grid"], "layout": {}})
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        payload_reads = spy_payload_reads(monkeypatch)
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert payload_reads == []
+        assert not (tmp_path / "out").exists()
+        assert f"nwpeval: source {label!r}: {message}" in capsys.readouterr().err
 
 
 class TestRunIsTheStageCommands:

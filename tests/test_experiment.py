@@ -33,7 +33,7 @@ from nwpeval.rollout import BackendSpec, builtin_step
 from nwpeval.splice import SpliceSpec, splice_states
 from nwpeval.synthetic import default_time, make_climatology, make_state, perturb
 from nwpeval.verify import DEFAULT_REPORT_CHANNELS, evaluate_run, region_block
-from tests.conftest import name_of, random_state, spy_plane_reader
+from tests.conftest import name_of, random_state, spy_payload_reads, spy_plane_reader
 
 LEADS = tuple(range(24, 241, 24))
 
@@ -157,7 +157,7 @@ class TestRunExperiment:
         assert len(read_metric_csv(str(report.csv_path))) == 2 * 2 * 2 * 2 * 2
         # the climatology first, as a config input: validate() checks its
         # header and payload size, then it is opened again for its report
-        # planes, read in file order; the on-grid ICs are opened here for
+        # planes, read in file order; validate() opens the on-grid ICs for
         # their headers only: the rollout takes their paths; then each
         # truth's header is checked, a lead ahead and in lead order, and
         # each report plane read once, by the first run to score it
@@ -223,11 +223,14 @@ class TestRunExperiment:
         assert f"{labels[0]}: lead 48: no truth state" in log
 
     def test_broken_source_does_not_abort_others(self, tmp_path, small_grid):
-        # a sound header passes validate(); the short payload fails that run
+        # validate() reads no plane, so a NaN passes it; it fails that run
         # and the splice it donates to, no other
         labels = build_inputs(tmp_path, small_grid)
         path = tmp_path / f"{labels[1]}.nws"
-        path.write_bytes(path.read_bytes()[:-5])
+        src = read_archive(str(path))
+        data = src.data.copy()
+        data[CHANNELS.index((Var.T, 850)), 5, 7] = np.nan
+        write_archive(src.replace(data=data), str(path))
         scenario = SpliceScenario(label="pad", base_source=labels[0],
                                   donor_source=labels[1], spec=SpliceSpec(region=EAST_ASIA))
         report = run_experiment(make_config(tmp_path, small_grid, labels, [scenario]))
@@ -295,7 +298,7 @@ class TestRunExperiment:
                                                     monkeypatch, truncated):
         # the backend's step 1 reads src0.nws itself, which is left as it was,
         # and rows carry the run's label, not the header's; a short payload
-        # fails at load, before any backend process starts
+        # is a config error, before any payload is read or backend started
         monkeypatch.setattr(GridSpec, "canonical", classmethod(lambda cls: small_grid))
         labels = build_inputs(tmp_path, small_grid, n_sources=1)
         ic = tmp_path / "src0.nws"
@@ -320,13 +323,16 @@ class TestRunExperiment:
                               command=f"{sys.executable} {script}", horizons={24})
         cfg = dataclasses.replace(make_config(tmp_path, small_grid, labels,
                                               leads=(24, 48)), backend=backend)
+        if truncated:
+            payload_reads = spy_payload_reads(monkeypatch)
+            with pytest.raises(ConfigError,
+                               match="source 'src0': payload truncated in channel V50"):
+                run_experiment(cfg)
+            assert ic.read_bytes() == before
+            assert starts == [] and payload_reads == []
+            return
         report = run_experiment(cfg)
         assert ic.read_bytes() == before
-        if truncated:
-            assert starts == []
-            assert "FAILED src0: ingest failed: payload truncated in channel V50" \
-                in report.log_path.read_text()
-            return
         assert report.failures == {}
         assert starts[0] == str(ic) and len(starts) == 2
         rows = read_metric_csv(str(report.csv_path))
@@ -632,7 +638,7 @@ class TestMemory:
         tracemalloc.start()
         try:
             with closing(rollout._open_step(tmp_path / "step001.nws", 1, 24, channels,
-                                            None)) as fc, \
+                                            None, valid, "fc")) as fc, \
                     closing(open_input("truth", str(tmp_path / "truth_24.nws"),
                                        grid)) as reader:
                 got = evaluate_run(24, fc, reader, clim, DEFAULT_REGIONS, channels)

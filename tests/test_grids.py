@@ -10,7 +10,7 @@ import pytest
 import nwpeval
 from nwpeval.grids import (CHANNELS, N_CHANNELS, Field, GridSpec,
                            InvalidChannelError, RegionBox, StateSet, Var,
-                           channel_name, covers, degrees, flat_channel_index,
+                           channel_name, covers, covers_grid, degrees, flat_channel_index,
                            plane_fault)
 from nwpeval.synthetic import default_time
 
@@ -141,6 +141,40 @@ class TestCovers:
         wide = GridSpec(nlat=9, nlon=15, dlat=22.5, dlon=22.5)   # 0..315 E
         assert not covers(wide, RegionBox(lat_min=-10, lat_max=60, lon_min=0,
                                           lon_max=360))
+
+
+class TestCoversGrid:
+    # the 19x36 model grid at 10 degrees, poles included
+    MODEL = GridSpec(nlat=19, nlon=36, lat_start=90.0, dlat=10.0, lon_start=0.0, dlon=10.0)
+
+    @pytest.mark.parametrize("grid, covering", [
+        (MODEL, True),
+        # 85..-85 N: half a step short of each pole
+        (GridSpec(nlat=18, nlon=36, lat_start=85.0, dlat=10.0, dlon=10.0), True),
+        # 80..-80 N: one step short, the most a source may fall short
+        (GridSpec(nlat=17, nlon=36, lat_start=80.0, dlat=10.0, dlon=10.0), True),
+        # 75..-75 N: more than one of its steps short
+        (GridSpec(nlat=16, nlon=36, lat_start=75.0, dlat=10.0, dlon=10.0), False),
+        # 90..50 N: a cap
+        (GridSpec(nlat=5, nlon=36, lat_start=90.0, dlat=10.0, dlon=10.0), False),
+        # 20-degree rows 80..-80 N: within one of its own steps
+        (GridSpec(nlat=9, nlon=18, lat_start=80.0, dlat=20.0, dlon=20.0), True),
+        # 0..340 E: not cyclic, and short of the model's 350 E column
+        (GridSpec(nlat=19, nlon=35, lat_start=90.0, dlat=10.0, dlon=10.0), False)],
+        ids=["same", "half-step-short", "one-step-short", "too-short", "cap",
+             "coarser", "columns-short"])
+    def test_rows_within_one_step_and_every_column(self, grid, covering):
+        assert covers_grid(grid, self.MODEL) == covering
+
+    def test_columns_that_span_a_regional_model_grid(self):
+        # a model grid 60..150 E on columns 45..180 E, and on 90..180 E
+        model = GridSpec(nlat=5, nlon=10, lat_start=60.0, dlat=10.0, lon_start=60.0,
+                         dlon=10.0)
+        wide = GridSpec(nlat=7, nlon=10, lat_start=70.0, dlat=10.0, lon_start=45.0,
+                        dlon=15.0)
+        east = GridSpec(nlat=7, nlon=10, lat_start=70.0, dlat=10.0, lon_start=90.0,
+                        dlon=15.0)
+        assert covers_grid(wide, model) and not covers_grid(east, model)
 
 
 class TestRegionBox:

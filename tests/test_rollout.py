@@ -525,6 +525,32 @@ class TestExternalBackend:
             rollout_series(canonical_like_state, be, [24])
 
 
+class TestLabels:
+    """run_rollout alone names and dates the states it yields."""
+
+    @pytest.mark.parametrize("label", ["run", None])
+    @pytest.mark.parametrize("source", ["state", "path"])
+    @pytest.mark.parametrize("kind", ["advection", "external"])
+    def test_every_state_is_labelled_and_valid_at_init_plus_lead(
+            self, tmp_path, small_grid, small_state, monkeypatch, kind, source, label):
+        # the copy backend leaves its input's header, the IC's time and
+        # label, on every step's output
+        monkeypatch.setattr(GridSpec, "canonical", classmethod(lambda cls: small_grid))
+        if kind == "external":
+            be = write_copy_backend(tmp_path / "backend.py")
+        else:
+            be = BackendSpec(builtin="advection", horizons={24})
+        t0, ic_label = small_state.valid_time, small_state.source_label
+        ic = small_state
+        if source == "path":
+            ic = tmp_path / "ic.nws"
+            write_archive(small_state, str(ic))
+        seen = [(lead, state.source_label, state.valid_time)
+                for lead, state in run_rollout(ic, be, [0, 24, 48], label=label)]
+        assert seen == [(lead, label or ic_label, t0 + timedelta(hours=lead))
+                        for lead in (0, 24, 48)]
+
+
 class TestBackendSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
