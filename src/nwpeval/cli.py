@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import hashlib
 import logging
 import os
 import re
@@ -16,13 +17,14 @@ from contextlib import closing, contextmanager
 from pathlib import Path
 
 from . import __version__
-from .archive import (ArchiveError, RawDumpLayout, ingest_raw, read_archive,
+from .archive import (ArchiveError, PlaneReader, RawDumpLayout, ingest_raw, read_archive,
                       read_header, write_archive)
 from .experiment import (ConfigError, InputError, _parse_box, _parse_time,
                          check_pattern, check_regions, check_truth_pattern,
                          load_config, no_repeats, open_input, parse_channel,
                          run_experiment)
-from .grids import CHANNELS, DEFAULT_REGIONS, GridSpec, channel_name, plane_fault
+from .grids import (CHANNELS, DEFAULT_REGIONS, GridSpec, channel_name, covers_grid,
+                    plane_fault)
 from .plots import PlotInputError, emit_plots, name_fault, write_metric_csv
 from .regrid import regrid_state
 from .rollout import BackendSpec, RolloutError, plan_for_leads, run_rollout
@@ -194,6 +196,9 @@ def _cmd_ingest(args) -> int:
 def _cmd_regrid(args) -> int:
     state = read_archive(args.infile)
     dst = args.grid or GridSpec.canonical()
+    if not covers_grid(state.grid, dst):   # a splice donor's use: written all the same
+        log.warning("%s does not cover the grid: rows and columns past its span "
+                    "repeat its edge", args.infile)
     write_archive(regrid_state(state, dst), args.out)
     return 0
 
@@ -202,12 +207,20 @@ def _cmd_splice(args) -> int:
     with _usage():
         spec = SpliceSpec(region=_parse_box(args.box.split(",")),
                           variable_scope=args.scope, blend_width=args.blend_width)
-    base = read_archive(args.base)
-    donor = read_archive(args.donor)
-    out = splice_states(base, donor, spec,
-                        allow_time_mismatch=args.allow_time_mismatch)
+    with closing(PlaneReader(args.base)) as base, closing(PlaneReader(args.donor)) as donor:
+        for key in ("grid",) if args.allow_time_mismatch else ("grid", "valid_time"):
+            if getattr(base, key) != getattr(donor, key):   # before either payload is read
+                raise ConfigError(f"--base {args.base} and --donor {args.donor} differ in "
+                                  f"{key}: {getattr(base, key)} against {getattr(donor, key)}")
+        out = splice_states(base.subset(CHANNELS), donor.subset(CHANNELS), spec,
+                            allow_time_mismatch=args.allow_time_mismatch)
     write_archive(out, args.out)
     return 0
+
+
+def _sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def _cmd_rollout(args) -> int:
@@ -217,17 +230,27 @@ def _cmd_rollout(args) -> int:
             raise ValueError("--lead and --emit-every must be >= 1")
         # every multiple of --emit-every short of --lead, then --lead itself
         emit = [*range(args.emit_every, args.lead, args.emit_every), args.lead]
-        plan_for_leads(emit, backend.horizons)   # unreachable lead: exit 2 before any read
+        first = plan_for_leads(emit, backend.horizons).steps[0]   # an unreachable lead: exit 2
         backend.check_grid(read_header(args.infile)["grid"])   # an off-grid IC too
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)   # a file in its way: exit 2 before any step
+    # an external step 1's output is hashed, and so is a repeat of it after the rollout
+    verify = args.verify_determinism and backend.kind == "external-command"
+    hashes = []
     # by path: an external step 1 reads --in itself, a builtin reads it whole
-    with closing(run_rollout(args.infile, backend, emit,
-                             verify_determinism=args.verify_determinism)) as states:
+    with closing(run_rollout(args.infile, backend, emit + [first] * verify)) as states:
         for lead, state in states:   # every plane read and checked before it is written
-            path = outdir / f"forecast_{lead:03d}h.nws"
-            write_archive(state.subset(CHANNELS), path)
-            print(f"lead {lead:4d}h -> {path}")
+            if verify and lead == first:
+                hashes.append(_sha256(state.path))
+            if lead in emit:
+                path = outdir / f"forecast_{lead:03d}h.nws"
+                write_archive(state.subset(CHANNELS), path)
+                print(f"lead {lead:4d}h -> {path}")
+    if verify:   # the repeat's output is hashed at its yield and never read
+        with closing(run_rollout(args.infile, backend, [first])) as repeat:
+            hashes.append(_sha256(next(repeat)[1].path))
+        if hashes[0] != hashes[1]:
+            log.warning("backend is not deterministic: step-1 hashes %s vs %s", *hashes)
     return 0
 
 

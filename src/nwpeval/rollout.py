@@ -10,14 +10,13 @@ subprocess protocol:
 
 The external process reads the input archive, writes the forecast state
 for lead H as an archive on the same grid, and exits 0. Step n+1 starts
-as soon as step n has exited, and runs while nwpeval checks step n's
-output and hands it, as a reader of its planes, to be scored.
+as soon as step n has exited, and runs while nwpeval hands step n's
+output, as a reader of its planes, to be scored and checks the rest.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import itertools
 import logging
 import math
@@ -203,13 +202,12 @@ def _finish_backend(proc: subprocess.Popen, dest: Path, step_hours: int,
                            + (f"; stderr: {tail}" if tail else ""))
 
 
-def _open_step(path: Path, step_no: int, step_hours: int, channels,
-               ic_path: Optional[Path], valid_time: datetime, label: str) -> PlaneReader:
-    """One step's output, dated `valid_time` and labelled `label`, open for
-    the planes of `channels`, which it checks for NaN/Inf as it reads each;
-    every other plane is read and checked here. Any fault of the file, found
-    now or as a plane is read, is a RolloutError: unless `ic_path`, step 1's
-    input, holds NaN/Inf, which is then the IC's fault."""
+def _open_step(path: Path, step_no: int, step_hours: int, ic_path: Optional[Path],
+               valid_time: datetime, label: str) -> PlaneReader:
+    """A reader of one step's output, dated `valid_time` and labelled
+    `label`: its header, grid and size checked, no plane read. A fault of
+    the file, now or as a plane is read (NaN/Inf too), is a RolloutError,
+    unless `ic_path`, step 1's input, holds NaN/Inf: then the IC's fault."""
     def fail(exc: Exception) -> RolloutError:
         if ic_path is not None:
             try:
@@ -223,14 +221,8 @@ def _open_step(path: Path, step_no: int, step_hours: int, channels,
             return RolloutError(f"backend changed the grid at step {step_no}")
         return RolloutError(f"backend wrote a malformed archive at step {step_no}: {exc}")
 
-    out = PlaneReader(path, GridSpec.canonical(), finite=True, fail=fail,
-                      valid_time=valid_time, source_label=label)
-    try:
-        out.check(ch for ch in CHANNELS if ch not in channels)
-    except BaseException:
-        out.close()
-        raise
-    return out
+    return PlaneReader(path, GridSpec.canonical(), finite=True, fail=fail,
+                       valid_time=valid_time, source_label=label)
 
 
 def _checked_ic(ic: Union[StateSet, str, os.PathLike], channels) -> StateSet:
@@ -247,14 +239,8 @@ def _checked_ic(ic: Union[StateSet, str, os.PathLike], channels) -> StateSet:
         raise RolloutError(f"the IC at lead 0 holds NaN/Inf: {exc}") from None
 
 
-def _sha256(path: Path) -> str:
-    """Hex SHA-256 of a file, read into one reused 256 KiB buffer."""
-    with open(path, "rb") as fh:
-        return hashlib.file_digest(fh, "sha256").hexdigest()
-
-
 def run_rollout(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, leads,
-                verify_determinism: bool = False, channels=CHANNELS, label: Optional[str] = None
+                channels=CHANNELS, label: Optional[str] = None
                 ) -> Iterator[Optional[tuple[int, Union[StateSet, PlaneReader]]]]:
     """Drive the backend through the fewest steps that reach every lead,
     and yield (lead_hours, state) for each requested lead in increasing
@@ -268,10 +254,10 @@ def run_rollout(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, lea
     started ahead to exit and yields None. An unreachable lead (ValueError),
     or an IC off the canonical grid an external backend requires
     (RolloutError), is raised before any step; NaN/Inf in the IC or a
-    step's output, or a failed step, is a RolloutError. Closing the
-    generator, or an error, kills and reaps the running step.
-    verify_determinism repeats step 1 and warns if the two outputs' SHA-256
-    differ. See README "External backend protocol".
+    step's output, or a failed step, is a RolloutError: a step's planes are
+    checked as they are read, and once the rollout is resumed, those its
+    caller left unread. Closing the generator, or an error, kills and reaps
+    the running step. See README "External backend protocol".
     """
     wanted = {int(h) for h in leads}
     plan = plan_for_leads(wanted, backend.horizons)
@@ -315,17 +301,6 @@ def run_rollout(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, lea
         try:
             for n, (hours, lead) in enumerate(zip(plan.steps, cumulative), start=1):
                 _finish_backend(running, files[n], hours, n)
-                if verify_determinism and n == 1:
-                    # repeat into its own file (step 2 reads step001.nws);
-                    # hashed, never read: equal hashes mean checked bytes
-                    repeat = Path(work) / "repeat001.nws"
-                    running = _start_backend(files[0], repeat, backend, hours, n)
-                    _finish_backend(running, repeat, hours, n)
-                    h1, h2 = _sha256(files[1]), _sha256(repeat)
-                    if h1 != h2:
-                        log.warning("backend is not deterministic: step-1 hashes "
-                                    "%s vs %s", h1, h2)
-                    repeat.unlink()
                 if files[n - 1] != ic_path:
                     files[n - 1].unlink(missing_ok=True)
                 if n < len(plan.steps):
@@ -333,15 +308,14 @@ def run_rollout(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, lea
                                              plan.steps[n], n + 1)
                 # a NaN a path IC holds, if lead 0 did not check it, is its own fault
                 blame = ic_path if n == 1 and 0 not in wanted else None
-                with contextlib.closing(_open_step(
-                        files[n], n, hours, channels if lead in wanted else (), blame,
-                        init_time + timedelta(hours=lead), label)) as out:
-                    if lead in wanted:
-                        paused = yield lead, out
-                        out.check(out.unread)   # the planes its scorer left unread
-                        if paused:   # the step started ahead ends before the pause
-                            running.wait()
-                            yield
+                with contextlib.closing(_open_step(files[n], n, hours, blame,
+                                                   init_time + timedelta(hours=lead),
+                                                   label)) as out:
+                    paused = lead in wanted and (yield lead, out)
+                    out.check(out.unread)   # every plane its caller left unread
+                    if paused:   # the step started ahead ends before the pause
+                        running.wait()
+                        yield
         finally:   # a no-op once the process has been waited for
             running.kill()
             running.wait()

@@ -1,6 +1,8 @@
 import logging
+import re
 import struct
 import sys
+import threading
 from collections import Counter
 from datetime import timedelta
 from pathlib import Path
@@ -273,7 +275,51 @@ class TestIngestRegrid:
         assert (h["nlat"], h["nlon"]) == (19, 36)
 
 
+    @pytest.mark.parametrize("source, warned", [
+        (GridSpec(nlat=5, nlon=36, lat_start=90.0, dlat=10.0, lon_start=0.0, dlon=10.0),
+         True),   # 90..50 N
+        (GridSpec(nlat=9, nlon=16, lat_start=90.0, dlat=22.5, lon_start=0.0, dlon=22.5),
+         False)], ids=["cap", "global"])
+    def test_regrid_warns_of_a_source_short_of_the_grid(self, tmp_path, caplog, source,
+                                                        warned):
+        # a partial source is a splice donor: written all the same
+        src, out = tmp_path / "src.nws", tmp_path / "out.nws"
+        write_archive(random_state(source, seed=55), str(src))
+        with caplog.at_level(logging.WARNING):
+            assert main(["regrid", "--in", str(src), "--out", str(out),
+                         "--grid", "19,36,90,10,0,10"]) == 0
+        assert [r.getMessage() for r in caplog.records] == (
+            [f"{src} does not cover the grid: rows and columns past its span repeat "
+             "its edge"] if warned else [])
+        assert read_header(str(out))["grid"] == GridSpec(nlat=19, nlon=36, lat_start=90.0,
+                                                         dlat=10.0, lon_start=0.0,
+                                                         dlon=10.0)
+
+
 class TestSplice:
+    @pytest.mark.parametrize("allow", [False, True], ids=["strict", "allow-time"])
+    @pytest.mark.parametrize("differ", ["grid", "valid_time"])
+    def test_inputs_checked_before_either_payload_is_read(self, tmp_path, small_grid,
+                                                          coarse_grid, monkeypatch, capsys,
+                                                          differ, allow):
+        base = random_state(small_grid, seed=56, label="a")
+        donor = (random_state(coarse_grid, seed=57, label="b") if differ == "grid" else
+                 base.replace(valid_time=base.valid_time + timedelta(hours=6)))
+        bp, dp, op = (tmp_path / n for n in ("base.nws", "donor.nws", "out.nws"))
+        write_archive(base, str(bp))
+        write_archive(donor, str(dp))
+        payload_reads = spy_payload_reads(monkeypatch)
+        rc = main(["splice", "--base", str(bp), "--donor", str(dp), "--box",
+                   "-10,60,60,150", "--out", str(op)] + ["--allow-time-mismatch"] * allow)
+        if allow and differ == "valid_time":
+            assert rc == 0 and op.exists()
+            return
+        assert rc == 2 and not op.exists()
+        assert payload_reads == []
+        assert (f"nwpeval: --base {bp} and --donor {dp} differ in {differ}: "
+                f"{getattr(base, differ)} against {getattr(donor, differ)}"
+                in capsys.readouterr().err)
+
     def test_splice_label_and_values(self, tmp_path, small_grid, capsys):
         base = random_state(small_grid, seed=52, label="a")
         donor = random_state(small_grid, seed=53, label="b")
@@ -1325,3 +1371,79 @@ class TestRunIsTheStageCommands:
         run_rows = (d / "out" / "metrics.csv").read_text().splitlines()
         assert sorted(run_rows[1:]) == sorted(rows)
         assert len(rows) == len(stage_ics) * 9 * 2 * 2 * 2
+
+
+class TestStepOutputReads:
+    """Each plane of each step output is read once: by its scorer, or by the
+    rollout's check of the planes its caller left unread. Opening a step's
+    output reads none."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """Per step output (step001.nws on), the number of times it was
+        opened, and of reads of each of its planes."""
+        opened, planes, lock = Counter(), Counter(), threading.Lock()
+
+        def record(path, channels, plane):
+            if re.fullmatch(r"step0*[1-9]\d*\.nws", name_of(path)):
+                with lock:
+                    (planes if channels else opened)[(str(path), *channels)] += 1
+
+        spy_plane_reader(monkeypatch, record)
+        return opened, planes
+
+    def assert_once(self, reads, outputs):
+        opened, planes = reads
+        assert len(opened) == outputs and set(opened.values()) == {1}
+        assert planes == Counter({(path, ch): 1 for (path,) in opened for ch in CHANNELS})
+
+    def test_opening_a_step_output_reads_no_plane(self, tmp_path, small_grid, monkeypatch,
+                                                  reads):
+        from nwpeval import rollout
+        monkeypatch.setattr(GridSpec, "canonical", classmethod(lambda cls: small_grid))
+        path = tmp_path / "step001.nws"
+        write_archive(random_state(small_grid, seed=61), str(path))
+        rollout._open_step(path, 1, 24, None, default_time(), "fc").close()
+        assert reads == (Counter({(str(path),): 1}), Counter())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run(self, tmp_path, small_grid, monkeypatch, reads, workers):
+        # lead 48 is no lead asked for: its step's planes are all checked unscored
+        from tests.test_rollout import write_copy_backend
+        monkeypatch.setattr(GridSpec, "canonical", classmethod(lambda cls: small_grid))
+        truth = make_state(small_grid, seed=62, source_label="era5")
+        for lead in (24, 72):
+            write_archive(truth.replace(valid_time=truth.valid_time + timedelta(hours=lead)),
+                          str(tmp_path / f"truth_{lead}.nws"))
+        write_archive(make_climatology(small_grid), str(tmp_path / "clim.nws"))
+        for n in range(2):
+            write_archive(make_state(small_grid, seed=63 + n, source_label=f"src{n}"),
+                          str(tmp_path / f"src{n}.nws"))
+        command = write_copy_backend(tmp_path / "backend.py").command
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(yaml.safe_dump(run_doc(small_grid, ["src0", "src1"], {
+            "lead_hours": [24, 72], "workers": workers, "splice_scenarios": scenario(),
+            "backend": {"kind": "external-command", "command": command}})))
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert len(read_metric_csv(str(tmp_path / "out" / "metrics.csv"))) == 3 * 9 * 2 * 2 * 2
+        self.assert_once(reads, 3 * 3)
+
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_rollout(self, tmp_path, small_grid, monkeypatch, reads, verify):
+        # step 1, at lead 24, is no lead emitted; with --verify-determinism
+        # it is hashed, and its repeat's output is opened and never read
+        from tests.test_rollout import recorded_starts, write_copy_backend
+        monkeypatch.setattr(GridSpec, "canonical", classmethod(lambda cls: small_grid))
+        write_archive(random_state(small_grid, seed=64), str(tmp_path / "ic.nws"))
+        command = write_copy_backend(tmp_path / "backend.py").command
+        procs = recorded_starts(monkeypatch)
+        assert main(["rollout", "--in", str(tmp_path / "ic.nws"), "--out-dir",
+                     str(tmp_path / "fc"), "--lead", "72", "--emit-every", "48",
+                     "--backend", f"cmd:{command}"] + ["--verify-determinism"] * verify) == 0
+        assert sorted(p.name for p in (tmp_path / "fc").iterdir()) == [
+            "forecast_048h.nws", "forecast_072h.nws"]
+        opened, planes = reads
+        if verify:
+            repeat = procs[-1].args[procs[-1].args.index("--out") + 1]
+            assert opened.pop((repeat,)) == 1
+        self.assert_once(reads, 3)

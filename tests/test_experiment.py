@@ -187,22 +187,6 @@ class TestRunExperiment:
         assert {int(r["lead_hours"]) for r in rows} == set(LEADS) - {48}
         assert "lead 48" in report.log_path.read_text()
 
-    def test_a_rollout_off_the_lead_fails_its_run(self, tmp_path, small_grid, monkeypatch):
-        # a state scored against another lead's truth would be a wrong row
-        labels = build_inputs(tmp_path, small_grid)
-        real = experiment.run_rollout
-
-        def skipping(*args, **kwargs):
-            states = real(*args, **kwargs)
-            next(states)
-            yield from states
-
-        monkeypatch.setattr(experiment, "run_rollout", skipping)
-        report = run_experiment(make_config(tmp_path, small_grid, labels, leads=LEADS[:2]))
-        assert report.failures == {label: "run failed: the rollout reached lead 48, not 24"
-                                   for label in labels}
-        assert read_metric_csv(str(report.csv_path)) == []
-
     def test_truth_off_the_grid_is_logged_per_lead(self, tmp_path, small_grid,
                                                    coarse_grid, monkeypatch):
         labels = build_inputs(tmp_path, small_grid)
@@ -583,9 +567,9 @@ class TestMemory:
         assert report.failures == {}
         assert len(read_metric_csv(str(report.csv_path))) == 9 * 2 * 3 * 2
         assert peak < 2 * state_bytes
-        # each step's output is read as the report planes alone: every other
-        # plane is checked before it is scored
-        assert scored == [set(cfg.report_channels)] * 3
+        # each step's output is scored unread: its report planes are read as
+        # they are scored, every other plane is checked after
+        assert scored == [set(CHANNELS)] * 3
 
 
     def test_scoring_a_canonical_lead_holds_two_truth_planes(self, tmp_path):
@@ -619,8 +603,8 @@ class TestMemory:
 
     def test_scoring_a_canonical_external_lead_holds_two_planes_of_each(self, tmp_path):
         # an external run's lead on the 721x1440 grid, scored as run_experiment
-        # scores a run alone at a lead: the step's output, opened and checked
-        # as the rollout yields it, against a reader of the truth. Each holds
+        # scores a run alone at a lead: the step's output, opened as the
+        # rollout yields it, against a reader of the truth. Each holds
         # a plane or two of 4.0 MiB, where the step's 9 report planes were
         # read whole; the work area is 2.1 MiB
         grid, channels = GridSpec.canonical(), DEFAULT_REPORT_CHANNELS
@@ -637,8 +621,8 @@ class TestMemory:
             region_block(grid, box)
         tracemalloc.start()
         try:
-            with closing(rollout._open_step(tmp_path / "step001.nws", 1, 24, channels,
-                                            None, valid, "fc")) as fc, \
+            with closing(rollout._open_step(tmp_path / "step001.nws", 1, 24, None, valid,
+                                            "fc")) as fc, \
                     closing(open_input("truth", str(tmp_path / "truth_24.nws"),
                                        grid)) as reader:
                 got = evaluate_run(24, fc, reader, clim, DEFAULT_REGIONS, channels)
@@ -774,7 +758,7 @@ class TestTruthRule:
         start, open_step = rollout._start_backend, rollout._open_step
         monkeypatch.setattr(rollout, "_start_backend",
                             lambda *a: events.append("started") or start(*a))
-        monkeypatch.setattr(rollout, "_open_step",   # opened and checked
+        monkeypatch.setattr(rollout, "_open_step",   # its header checked
                             lambda *a: events.append("output") or open_step(*a))
         spy_truth_planes(monkeypatch, lambda *a: events.append("read"))
         report, error = run_in_thread(cfg)
@@ -962,7 +946,7 @@ def nan_backend(tmp_path, monkeypatch, grid, label, channel, sleep=0.0):
 
 class TestNaNInAStepOutput:
     """An external step's output is checked plane by plane: its report
-    planes as they are scored, every other plane before."""
+    planes as they are scored, every other plane once the run has scored it."""
 
     @pytest.mark.parametrize("where", ["report", "other", "report-unscored"])
     def test_fails_that_run_alone(self, tmp_path, small_grid, monkeypatch, where):
@@ -995,9 +979,9 @@ class TestNaNInAStepOutput:
         assert {r["source"] for r in rows} == {"src0"}
         assert len(rows) == 9 * 2 * len(scored_leads) * 2
         # a report plane fails as it is scored; any other plane, or a report
-        # plane left unscored, before src1 scores its lead
+        # plane left unscored, once src1 has scored its lead, if it has a truth
         assert [lead for label, lead in scored if label == "src1"] == \
-            ([24] if where == "report" else [])
+            ([] if where == "report-unscored" else [24])
         def arg(proc, flag):
             return proc.args[proc.args.index(flag) + 1]
 

@@ -292,12 +292,6 @@ class TestRunRollout:
         with pytest.raises(UnreachableLeadError):
             rollout_series(small_state, BackendSpec(), [12])
 
-    def test_determinism_hashes(self, small_state, caplog):
-        import logging
-        with caplog.at_level(logging.WARNING):
-            rollout_series(small_state, BackendSpec(), [24], verify_determinism=True)
-        assert not any("not deterministic" in r.message for r in caplog.records)
-
     @pytest.mark.parametrize("kind", ["persistence", "advection", "external"])
     def test_ic_released_after_the_first_step(self, tmp_path, small_grid,
                                               monkeypatch, kind):
@@ -461,62 +455,21 @@ class TestExternalBackend:
         with pytest.raises(RolloutError, match="NaN"):
             rollout_series(canonical_like_state, be, [24])
 
-    @pytest.mark.parametrize("verify", [False, True])
-    def test_steps_chain_their_files(self, tmp_path, canonical_like_state, caplog,
-                                     verify):
+    def test_steps_chain_their_files(self, tmp_path, canonical_like_state):
         # each step logs [--in, --out, number of .nws files beside --out]
         calls = tmp_path / "calls.jsonl"
         be = write_copy_backend(
             tmp_path / "backend.py",
             f"open({str(calls)!r}, 'a').write(json.dumps([a.infile, a.out, "
             "sum(f.endswith('.nws') for f in os.listdir(os.path.dirname(a.out)))]) + '\\n')")
-        with caplog.at_level(logging.WARNING):
-            series = rollout_series(canonical_like_state, be, [24, 48, 72],
-                                    verify_determinism=verify)
+        series = rollout_series(canonical_like_state, be, [24, 48, 72])
         assert [lead for lead, _ in series] == [24, 48, 72]
-        assert not any("not deterministic" in r.message for r in caplog.records)
         steps = [json.loads(line) for line in calls.read_text().splitlines()]
-        if verify:
-            repeat_in, repeat_out, repeat_files = steps.pop(1)
-            assert repeat_in == steps[0][0] and repeat_out != steps[0][1]
-            assert repeat_files == 3
         assert len(steps) == 3
         for (_, prev_out, _), (cur_in, _, _) in zip(steps, steps[1:]):
             assert cur_in == prev_out
         assert max(files for _, _, files in steps) == 2
         assert not os.path.exists(os.path.dirname(steps[0][0]))
-
-    def test_noisy_backend_fails_determinism_check(self, tmp_path,
-                                                   canonical_like_state, caplog):
-        # overwrites the last value of each output with a random one
-        be = write_copy_backend(
-            tmp_path / "backend.py",
-            "f = open(a.out, 'r+b'); f.seek(-4, 2); "
-            "f.write(struct.pack('<f', random.random())); f.close()")
-        with caplog.at_level(logging.WARNING):
-            rollout_series(canonical_like_state, be, [24], verify_determinism=True)
-        (msg,) = [r.message for r in caplog.records if "not deterministic" in r.message]
-        h1, h2 = re.findall(r"\b[0-9a-f]{64}\b", msg)
-        assert h1 != h2
-
-    def test_determinism_repeat_is_hashed_not_read(self, tmp_path, monkeypatch):
-        # one 91x180 state is 4.3 MiB; the IC is allocated before tracing starts
-        grid = GridSpec(nlat=91, nlon=180, lat_start=90.0, dlat=2.0,
-                        lon_start=0.0, dlon=2.0)
-        monkeypatch.setattr(GridSpec, "canonical", classmethod(lambda cls: grid))
-        be = write_copy_backend(tmp_path / "backend.py")
-        ic = random_state(grid, seed=6)
-        state_bytes = ic.data.nbytes
-        tracemalloc.start()
-        try:
-            leads = [lead for lead, _ in run_rollout(ic, be, [24, 48],
-                                                     verify_determinism=True)]
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert leads == [24, 48]
-        # reading the repeat as a state would make this 2 states
-        assert peak < 1.25 * state_bytes
 
     def test_bytes_after_the_output_archive(self, tmp_path, canonical_like_state):
         be = write_copy_backend(tmp_path / "backend.py",
@@ -775,8 +728,9 @@ class TestPipelinedSteps:
         assert main(["rollout", "--in", str(src), "--out-dir", str(tmp_path / "fc"),
                      "--lead", "48", "--backend", f"cmd:{be.command}",
                      "--verify-determinism"]) == 0
-        # --in goes to step 1 and its repeat as it is, and is left as it was
-        assert [in_arg(p) for p in procs[:2]] == [str(src)] * 2
+        # --in goes to step 1, and to its repeat after the rollout, as it is,
+        # and is left as it was
+        assert [in_arg(p) for p in procs[::2]] == [str(src)] * 2 and len(procs) == 3
         assert src.read_bytes() == before
         for lead in (24, 48):
             expected = small_ic.replace(
@@ -817,6 +771,80 @@ class TestPipelinedSteps:
         assert sorted(p.name for p in fc.iterdir()) == ["forecast_024h.nws"]
 
 
+class TestVerifyDeterminism:
+    """nwpeval rollout --verify-determinism runs step 1 again from --in once
+    the rollout is done, and compares the SHA-256 of the two outputs."""
+
+    def rollout(self, tmp_path, backend, out, emit_every="24", verify=True):
+        from nwpeval.cli import main
+        return main(["rollout", "--in", str(tmp_path / "ic.nws"), "--out-dir",
+                     str(tmp_path / out), "--lead", "48", "--emit-every", emit_every,
+                     "--backend", backend] + ["--verify-determinism"] * verify)
+
+    def forecasts(self, path):
+        return {p.name: p.read_bytes() for p in path.iterdir()}
+
+    @pytest.mark.parametrize("emit_every", ["24", "48"], ids=["step1-emitted", "not"])
+    def test_one_more_step_and_the_same_forecasts(self, tmp_path, small_ic, monkeypatch,
+                                                  caplog, emit_every):
+        write_archive(small_ic, str(tmp_path / "ic.nws"))
+        be = f"cmd:{write_copy_backend(tmp_path / 'backend.py').command}"
+        procs = recorded_starts(monkeypatch)
+        assert self.rollout(tmp_path, be, "plain", emit_every, verify=False) == 0
+        plain = len(procs)
+        with caplog.at_level(logging.WARNING):
+            assert self.rollout(tmp_path, be, "verified", emit_every) == 0
+        assert not any("not deterministic" in r.message for r in caplog.records)
+        assert len(procs) == 2 * plain + 1
+        repeat = procs[-1]   # from --in, into a temporary directory of its own
+        assert in_arg(repeat) == str(tmp_path / "ic.nws")
+        out = repeat.args[repeat.args.index("--out") + 1]
+        assert not os.path.exists(os.path.dirname(out))
+        assert self.forecasts(tmp_path / "verified") == self.forecasts(tmp_path / "plain")
+        assert len(self.forecasts(tmp_path / "plain")) == 48 // int(emit_every)
+
+    def test_a_noisy_backend_is_warned_of_after_the_rollout(self, tmp_path, small_ic):
+        # overwrites the last value of each output with a random one; the
+        # warning comes once every forecast is written
+        write_archive(small_ic, str(tmp_path / "ic.nws"))
+        be = write_copy_backend(
+            tmp_path / "backend.py",
+            "f = open(a.out, 'r+b'); f.seek(-4, 2); "
+            "f.write(struct.pack('<f', random.random())); f.close()")
+        fc, warned = tmp_path / "fc", []
+
+        class Note(logging.Handler):
+            def emit(self, record):
+                if record.levelno == logging.WARNING:
+                    warned.append((record.getMessage(), sorted(os.listdir(fc))))
+
+        note = Note()
+        logging.getLogger("nwpeval").addHandler(note)
+        try:
+            assert self.rollout(tmp_path, f"cmd:{be.command}", "fc") == 0
+        finally:
+            logging.getLogger("nwpeval").removeHandler(note)
+        ((msg, written),) = warned
+        assert msg.startswith("backend is not deterministic: step-1 hashes ")
+        h1, h2 = re.findall(r"\b[0-9a-f]{64}\b", msg)
+        assert h1 != h2
+        assert written == ["forecast_024h.nws", "forecast_048h.nws"]
+
+    @pytest.mark.parametrize("builtin", ["persistence", "advection"])
+    def test_a_builtin_is_not_repeated(self, tmp_path, small_state, monkeypatch, caplog,
+                                       builtin):
+        # a builtin writes no step file to hash
+        write_archive(small_state, str(tmp_path / "ic.nws"))
+        steps = []
+        step = rollout.builtin_step
+        monkeypatch.setattr(rollout, "builtin_step", lambda *a: steps.append(a) or step(*a))
+        with caplog.at_level(logging.WARNING):
+            assert self.rollout(tmp_path, builtin, "verified") == 0
+        assert not caplog.records and len(steps) == 2
+        assert self.rollout(tmp_path, builtin, "plain", verify=False) == 0
+        assert self.forecasts(tmp_path / "verified") == self.forecasts(tmp_path / "plain")
+
+
 def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -834,7 +862,7 @@ class TestICPath:
         write_archive(small_ic, str(path))
         return path
 
-    @pytest.mark.parametrize("case", ["ok", "verify", "step1-fails", "emit-raises"])
+    @pytest.mark.parametrize("case", ["ok", "step1-fails", "emit-raises"])
     def test_file_is_step1_input_and_left_as_it_was(self, tmp_path, ic_file,
                                                     monkeypatch, case):
         digest = sha256_of(ic_file)
@@ -845,8 +873,7 @@ class TestICPath:
         leads = []
         raises = {"step1-fails": RolloutError, "emit-raises": KeyError}.get(case)
         with pytest.raises(raises) if raises else nullcontext():
-            with closing(run_rollout(ic_file, be, [24, 48, 72],
-                                     verify_determinism=case == "verify")) as states:
+            with closing(run_rollout(ic_file, be, [24, 48, 72])) as states:
                 for lead, _ in states:
                     if case == "emit-raises":
                         raise KeyError("emit failed")
@@ -854,8 +881,6 @@ class TestICPath:
         if raises is None:
             assert leads == [24, 48, 72]
         assert in_arg(procs[0]) == str(ic_file)
-        if case == "verify":
-            assert in_arg(procs[1]) == str(ic_file)   # the repeat reads it too
         assert sha256_of(ic_file) == digest
 
     def test_nan_in_a_plane_not_reported_fails_before_any_emit(self, tmp_path, small_ic,
