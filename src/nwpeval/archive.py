@@ -21,8 +21,9 @@ raw dump of a given `RawDumpLayout`, checks the payload's size, and reads
 a plane at its offset with one seek and `readinto`, as a scorer asks for
 it (`channel`) or for a state at once (`subset`), which is what
 `read_archive(src, channels)` and `ingest_raw` are. Such a state holds the
-planes asked for alone, in that order, named in its `channels`;
-`write_archive` refuses it.
+planes asked for alone, in that order, named in its `channels`.
+`write_archive` writes a state or a reader whose `channels` are all 69 in
+order, a plane at a time, and refuses any other.
 """
 
 from __future__ import annotations
@@ -80,16 +81,24 @@ def payload_size(grid: GridSpec) -> int:
     return N_CHANNELS * grid.nlat * grid.nlon * 4
 
 
-def write_archive(state: StateSet, dest: Union[BinaryIO, str, os.PathLike]) -> None:
-    """Serialize a state to an archive. Byte output is a pure function of
-    the state: identical inputs give identical files. A state that does not
-    hold all 69 channels in order is a ValueError, raised before any byte is written."""
+def write_archive(state: Union[StateSet, PlaneReader],
+                  dest: Union[BinaryIO, str, os.PathLike]) -> None:
+    """Serialize a state, or the planes of a PlaneReader, to an archive,
+    one plane at a time through `channel()`. Byte output is a pure function
+    of the planes: identical inputs give identical files. A source whose
+    `channels` are not all 69 in order is a ValueError, raised before any
+    byte is written. A file `dest` names is removed if it cannot be
+    finished, as when a plane read fails."""
     if state.channels != CHANNELS:
         raise ValueError(f"state holds {len(state.channels)} planes; an archive "
                          f"holds all {N_CHANNELS} in the canonical order")
     if isinstance(dest, (str, bytes, os.PathLike)):
         with open(dest, "wb") as fh:
-            write_archive(state, fh)
+            try:
+                write_archive(state, fh)
+            except BaseException:
+                os.remove(dest)
+                raise
         return
     label = state.source_label.encode("utf-8")
     if len(label) > 0xFFFF:
@@ -102,7 +111,8 @@ def write_archive(state: StateSet, dest: Union[BinaryIO, str, os.PathLike]) -> N
     dest.write(label)
     dest.write(_U32.pack(N_CHANNELS))
     dest.write(_CANONICAL_DESCRIPTORS)
-    dest.write(np.ascontiguousarray(state.data, dtype="<f4"))   # no bytes copy
+    for channel in CHANNELS:
+        dest.write(np.ascontiguousarray(state.channel(*channel), dtype="<f4"))   # no bytes copy
 
 
 def _read_exact(src: BinaryIO, n: int, what: str) -> bytes:
@@ -179,7 +189,8 @@ class PlaneReader:
     stands. `src` is a path, which the reader opens unbuffered and close()
     closes, or an open binary file, which close() leaves open. The reader
     has the file's grid, valid_time and source_label (the last two those
-    given, if given), and `unread`, the channels no call has read yet. Of
+    given, if given), `channels`, those the file holds in its order, and
+    `unread`, the channels no call has read yet. Of
     `takers` callers of channel(), the first to ask for a plane reads it and
     the last drops it. With `finite`, NaN/Inf in a plane read is a
     DataError. An error opening or reading the file (ArchiveError, OSError,
@@ -207,16 +218,16 @@ class PlaneReader:
                 self.grid, file_time, file_label = _read_head(self._fh)
                 if grid is not None and self.grid != grid:
                     raise GridMismatchError(f"on {self.grid}, not {grid}")
-                self._order, self._flip = CHANNELS, False
+                self.channels, self._flip = CHANNELS, False
             else:
                 self.grid, file_time, file_label = grid, None, ""
-                self._order, self._flip = layout.channel_order, layout.scan == "south-first"
+                self.channels, self._flip = layout.channel_order, layout.scan == "south-first"
             self.valid_time = file_time if valid_time is None else valid_time
             self.source_label = file_label if source_label is None else source_label
-            self._index = {ch: k for k, ch in enumerate(self._order)}
-            self.unread = set(self._order)
+            self._index = {ch: k for k, ch in enumerate(self.channels)}
+            self.unread = set(self.channels)
             self._start = self._fh.tell()
-            _check_payload(self._fh, self._start, self.grid, self._order)
+            _check_payload(self._fh, self._start, self.grid, self.channels)
         except (ArchiveError, OSError, ValueError) as exc:
             self.close()
             raise self._fail(exc) from None
@@ -234,7 +245,7 @@ class PlaneReader:
         if self._error is not None:
             raise self._error
         try:
-            _check_payload(self._fh, self._start, self.grid, self._order)
+            _check_payload(self._fh, self._start, self.grid, self.channels)
             self._fh.seek(self._start + self._index[channel] * buf.nbytes)
             if self._fh.readinto(buf) != buf.nbytes:
                 raise TruncationError("file shrank while being read")

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import difflib
-import hashlib
 import logging
 import os
 import re
@@ -212,13 +211,15 @@ def _cmd_splice(args) -> int:
             if getattr(base, key) != getattr(donor, key):   # before either payload is read
                 raise ConfigError(f"--base {args.base} and --donor {args.donor} differ in "
                                   f"{key}: {getattr(base, key)} against {getattr(donor, key)}")
-        out = splice_states(base.subset(CHANNELS), donor.subset(CHANNELS), spec,
+        # each donor plane is read as the splice looks it up, then dropped
+        out = splice_states(base.subset(CHANNELS), donor, spec,
                             allow_time_mismatch=args.allow_time_mismatch)
     write_archive(out, args.out)
     return 0
 
 
 def _sha256(path) -> str:
+    import hashlib   # here, not at the top: it maps OpenSSL's libcrypto for this hash alone
     with open(path, "rb") as fh:
         return hashlib.file_digest(fh, "sha256").hexdigest()
 
@@ -239,12 +240,12 @@ def _cmd_rollout(args) -> int:
     hashes = []
     # by path: an external step 1 reads --in itself, a builtin reads it whole
     with closing(run_rollout(args.infile, backend, emit + [first] * verify)) as states:
-        for lead, state in states:   # every plane read and checked before it is written
+        for lead, state in states:   # each plane read, checked and written in turn
             if verify and lead == first:
                 hashes.append(_sha256(state.path))
             if lead in emit:
                 path = outdir / f"forecast_{lead:03d}h.nws"
-                write_archive(state.subset(CHANNELS), path)
+                write_archive(state, path)
                 print(f"lead {lead:4d}h -> {path}")
     if verify:   # the repeat's output is hashed at its yield and never read
         with closing(run_rollout(args.infile, backend, [first])) as repeat:

@@ -11,7 +11,6 @@ produce byte-identical CSV and SVG outputs.
 from __future__ import annotations
 
 import functools
-import hashlib
 import logging
 import os
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -499,6 +498,9 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     write_metric_csv(records, csv_path)
     snapshot = config.snapshot_bytes or repr(config).encode()
     (outdir / "config_snapshot").write_bytes(snapshot)
+    # imported here: hashlib maps OpenSSL's libcrypto, about 3.5 MiB
+    # resident, for this one hash, taken once every lead is scored
+    import hashlib
     config_hash = hashlib.sha256(snapshot).hexdigest()
 
     log_lines = [f"experiment: {config.name}",

@@ -44,11 +44,13 @@ def splice_states(base: StateSet, donor: StateSet, spec: SpliceSpec,
     """Splice the donor's in-scope channels into the base within the box.
 
     Each of the base's planes is matched with the donor's plane of the
-    same channel. Inside the box (region_mask) the output is the donor.
-    On the ring outside it, closer than blend_width degrees (box_distance),
-    output = alpha*donor + (1-alpha)*base, where alpha falls linearly from
-    1 at the box edge to 0 at blend_width degrees out. The result holds the
-    base's channels; its source_label is "<donor>pad<base>".
+    same channel, looked up with `channel()` one at a time, so the donor
+    may be an archive.PlaneReader as well as a state. Inside the box
+    (region_mask) the output is the donor. On the ring outside it, closer
+    than blend_width degrees (box_distance), output = alpha*donor +
+    (1-alpha)*base, where alpha falls linearly from 1 at the box edge to 0
+    at blend_width degrees out. The result holds the base's channels; its
+    source_label is "<donor>pad<base>".
     """
     if base.grid != donor.grid:
         raise GridMismatchError("base and donor must share a grid")

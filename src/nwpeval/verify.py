@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
@@ -37,7 +38,7 @@ class DegenerateAnomalyError(ValueError):
     """Anomaly variance too small for a meaningful correlation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetricRecord:
     """One row of the metric report. Q-channel RMSE values are reported
     in g/kg (stored specific humidity is kg/kg)."""
@@ -138,6 +139,19 @@ def _score_cell(f: np.ndarray, o: np.ndarray, c: np.ndarray, w: np.ndarray,
     return math.sqrt(sums[0]), (var_f, float(sums[3]) if var_o is None else var_o, cov)
 
 
+_thread = threading.local()
+
+
+def _work_area(size: int) -> np.ndarray:
+    """This thread's scoring work area, 4 rows of at least `size` float64
+    elements: one per thread, kept for the thread's life and regrown only
+    when a block needs more room. _score_cell only slices it."""
+    work = getattr(_thread, "work", None)
+    if work is None or work.shape[1] < size:
+        work = _thread.work = np.empty((4, size))
+    return work
+
+
 def _acc(var_f: float, var_o: float, cov: float) -> float:
     if var_f < ANOMALY_VARIANCE_FLOOR or var_o < ANOMALY_VARIANCE_FLOOR:
         raise DegenerateAnomalyError(
@@ -210,9 +224,10 @@ def evaluate_run(lead: int, forecast: StateSet, truth: StateSet,
     the climatology is off the forecast grid. Returns (records, errors); a
     non-finite RMSE or ACC is an error, not a row. Region blocks and
     weights are built once per (grid, box), not once per call, and every
-    cell is scored in one work area per call. var_o, a dict that the calls scoring this lead against
-    the same truth and climatology may share, across threads too, holds
-    each cell's truth anomaly variance: read if there, else put in.
+    cell is scored in its thread's work area (_work_area). var_o, a dict
+    that the calls scoring this lead against the same truth and
+    climatology may share, across threads too, holds each cell's truth
+    anomaly variance: read if there, else put in.
     """
     if truth.grid != forecast.grid or climatology.grid != forecast.grid:
         raise GridMismatchError("truth or climatology grid does not match the "
@@ -220,8 +235,8 @@ def evaluate_run(lead: int, forecast: StateSet, truth: StateSet,
     init_time = forecast.valid_time - timedelta(hours=lead)
     blocks = {name: region_block(forecast.grid, box) for name, box in regions.items()}
     # room for a whole block, or for a tile of LEAF elements and the two rows it may cut
-    work = np.empty((4, max((min(w.size, LEAF + 2 * w.shape[1]) for _, w in blocks.values()),
-                            default=0)))
+    work = _work_area(max((min(w.size, LEAF + 2 * w.shape[1]) for _, w in blocks.values()),
+                          default=0))
     var_o = {} if var_o is None else var_o
     records: list[MetricRecord] = []
     errors: list[str] = []

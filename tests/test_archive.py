@@ -243,6 +243,48 @@ class TestSubsetRead:
         assert not path.exists()
 
 
+class TestWriteFromAReader:
+    """write_archive writes a PlaneReader's planes one at a time, as it
+    writes a state's."""
+
+    def test_bytes_are_the_states_and_each_plane_is_read_once(self, small_grid):
+        s = random_state(small_grid, seed=16, label="ifs")
+        src = CountingFile(archive_bytes(s))
+        reader = PlaneReader(src, finite=True)
+        assert reader.channels == CHANNELS
+        out = io.BytesIO()
+        write_archive(reader, out)
+        assert out.getvalue() == archive_bytes(s)
+        assert src.planes == N_CHANNELS and reader.unread == set()
+
+    def test_a_reader_in_another_order_is_refused_before_any_byte(self, tmp_path,
+                                                                  small_grid):
+        s = random_state(small_grid, seed=17)
+        order = CHANNELS[::-1]
+        raw = tmp_path / "dump.bin"
+        raw.write_bytes(np.stack([s.channel(*ch) for ch in order]).astype("<f4").tobytes())
+        with closing(PlaneReader(str(raw), small_grid,
+                                 layout=RawDumpLayout(channel_order=order),
+                                 valid_time=s.valid_time, source_label="raw")) as reader:
+            assert reader.channels == order
+            path = tmp_path / "out.nws"
+            with pytest.raises(ValueError, match="canonical order"):
+                write_archive(reader, str(path))
+            assert not path.exists() and reader.unread == set(CHANNELS)
+
+    def test_a_file_it_cannot_finish_is_removed(self, tmp_path, small_grid):
+        # NaN in T850, past the header and the planes before it
+        s = random_state(small_grid, seed=18)
+        data = s.data.copy()
+        data[CHANNELS.index((Var.T, 850)), 4, 5] = np.nan
+        src, path = tmp_path / "in.nws", tmp_path / "out.nws"
+        write_archive(s.replace(data=data), str(src))
+        with closing(PlaneReader(str(src), finite=True)) as reader:
+            with pytest.raises(DataError, match="T850"):
+                write_archive(reader, str(path))
+        assert not path.exists()
+
+
 class TestIngestRaw:
     def _payload(self, state) -> bytes:
         return np.ascontiguousarray(state.data, dtype="<f4").tobytes()

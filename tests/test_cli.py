@@ -1,8 +1,11 @@
 import logging
+import os
 import re
 import struct
+import subprocess
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from datetime import timedelta
 from pathlib import Path
@@ -12,10 +15,11 @@ import numpy as np
 import pytest
 import yaml
 
-from nwpeval.archive import read_archive, read_header, write_archive
+from nwpeval.archive import archive_bytes, read_archive, read_header, write_archive
 from nwpeval.cli import main
-from nwpeval.grids import CHANNELS, GridSpec, Var, channel_name
+from nwpeval.grids import CHANNELS, N_CHANNELS, GridSpec, RegionBox, Var, channel_name
 from nwpeval.plots import read_metric_csv, write_metric_csv
+from nwpeval.splice import SpliceSpec, splice_states
 from nwpeval.synthetic import default_time, make_climatology, make_state
 from nwpeval.verify import DEFAULT_REPORT_CHANNELS
 from tests.conftest import name_of, random_state, spy_payload_reads, spy_plane_reader
@@ -29,6 +33,21 @@ def archive_path(tmp_path, small_grid):
     p = tmp_path / "state.nws"
     write_archive(s, str(p))
     return p
+
+
+class TestImportFootprint:
+    """Importing the CLI or the experiment module loads no _hashlib, which
+    maps OpenSSL's libcrypto: hashlib is imported where a hash is taken."""
+
+    @pytest.mark.parametrize("module", ["nwpeval.cli", "nwpeval.experiment"])
+    def test_import_leaves_hashlib_out(self, module):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", f"import sys, {module}; print('_hashlib' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+            timeout=60)
+        assert (out.returncode, out.stdout) == (0, "False\n"), out.stderr
 
 
 class TestInspect:
@@ -319,6 +338,33 @@ class TestSplice:
         assert (f"nwpeval: --base {bp} and --donor {dp} differ in {differ}: "
                 f"{getattr(base, differ)} against {getattr(donor, differ)}"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("scope", ["upper-only", "all-channels"])
+    def test_each_donor_plane_is_read_once(self, tmp_path, monkeypatch, scope):
+        # one 91x180 state is 4.3 MiB: the base read whole and the output
+        # are two, and the donor is read a plane at a time, each plane in
+        # scope once; upper-only reads no surface plane of the donor
+        grid = GridSpec(nlat=91, nlon=180, lat_start=90.0, dlat=2.0, lon_start=0.0,
+                        dlon=2.0)
+        base = random_state(grid, seed=58, label="a")
+        donor = random_state(grid, seed=59, label="b")
+        bp, dp, op = (tmp_path / n for n in ("base.nws", "donor.nws", "out.nws"))
+        write_archive(base, str(bp))
+        write_archive(donor, str(dp))
+        payload_reads = spy_payload_reads(monkeypatch)
+        tracemalloc.start()
+        try:
+            assert main(["splice", "--base", str(bp), "--donor", str(dp), "--box",
+                         "-10,60,60,150", "--out", str(op), "--scope", scope]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        in_scope = [ch for ch in CHANNELS if scope == "all-channels" or not ch[0].is_surface]
+        assert Counter(ch for name, ch in payload_reads if name == "donor.nws") == \
+            Counter(in_scope)
+        spec = SpliceSpec(region=RegionBox(-10.0, 60.0, 60.0, 150.0), variable_scope=scope)
+        assert op.read_bytes() == archive_bytes(splice_states(base, donor, spec))
+        assert peak < 2.5 * N_CHANNELS * grid.nlat * grid.nlon * 4   # the donor whole: 3
 
     def test_splice_label_and_values(self, tmp_path, small_grid, capsys):
         base = random_state(small_grid, seed=52, label="a")

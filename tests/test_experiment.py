@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import signal
 import struct
@@ -80,6 +81,14 @@ class TestRunExperiment:
         rows = read_metric_csv(str(report.csv_path))
         assert len(rows) == 2 * 9 * 2 * 10 * 2
         assert len(report.plot_files) == 9 * 2 * 2
+
+    def test_logged_config_hash_is_the_snapshots(self, tmp_path, small_grid):
+        labels = build_inputs(tmp_path, small_grid, n_sources=1)
+        report = run_experiment(make_config(tmp_path, small_grid, labels, leads=LEADS[:1]))
+        snapshot = (tmp_path / "out" / "config_snapshot").read_bytes()
+        assert report.config_hash == hashlib.sha256(snapshot).hexdigest()
+        assert f"config sha256: {report.config_hash}" in \
+            report.log_path.read_text().splitlines()
 
     def test_rerun_is_byte_identical(self, tmp_path, small_grid):
         labels = build_inputs(tmp_path, small_grid)

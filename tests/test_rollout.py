@@ -752,9 +752,35 @@ class TestPipelinedSteps:
             written = (tmp_path / "fc" / f"forecast_{lead:03d}h.nws").read_bytes()
             assert written == archive_bytes(expected)
 
+    def test_cli_never_reads_a_step_output_whole(self, tmp_path, monkeypatch):
+        # one 91x180 state is 4.3 MiB, one plane 64 KiB: nwpeval rollout
+        # reads each step's output a plane at a time as it writes it, and
+        # step 1 reads --in where it is
+        from nwpeval.cli import main
+        grid = GridSpec(nlat=91, nlon=180, lat_start=90.0, dlat=2.0,
+                        lon_start=0.0, dlon=2.0)
+        monkeypatch.setattr(GridSpec, "canonical", classmethod(lambda cls: grid))
+        ic = random_state(grid, seed=9)
+        write_archive(ic, str(tmp_path / "ic.nws"))
+        be = write_copy_backend(tmp_path / "backend.py")
+        tracemalloc.start()
+        try:
+            assert main(["rollout", "--in", str(tmp_path / "ic.nws"), "--out-dir",
+                         str(tmp_path / "fc"), "--lead", "48",
+                         "--backend", f"cmd:{be.command}"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for lead in (24, 48):
+            written = (tmp_path / "fc" / f"forecast_{lead:03d}h.nws").read_bytes()
+            assert written == archive_bytes(
+                ic.replace(valid_time=ic.valid_time + timedelta(hours=lead)))
+        # a step output read whole would make this at least 1 state
+        assert peak < 0.5 * N_CHANNELS * grid.nlat * grid.nlon * 4
+
     def test_cli_fails_on_nan_in_a_plane_no_scorer_reads(self, tmp_path, small_ic, capsys):
-        # nwpeval rollout reads and checks every plane of a step's output
-        # before it writes it: T850 is no report channel
+        # nwpeval rollout checks every plane of a step's output as it writes
+        # it, and removes the file a bad plane stops: T850 is no report channel
         from nwpeval.cli import main
         src = tmp_path / "ic.nws"
         write_archive(small_ic, str(src))

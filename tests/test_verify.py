@@ -279,6 +279,12 @@ class TestEvaluateRun:
         assert errors == []
         assert len(records) == 9 * 2 * 10 * 2
 
+    def test_records_hold_no_dict(self, small_grid):
+        # a run holds every record until its CSV is written: 8,640 on desk
+        fc, truth, clim = score_planes(1, small_grid, seed=17)
+        records, _ = evaluate_run(24, fc, truth, clim, {"global": GLOBAL}, fc.channels)
+        assert len(records) == 2 and not any(hasattr(r, "__dict__") for r in records)
+
     def test_perfect_forecast_scores(self, small_grid):
         seeds = [60, 61, 62]
         fc = self._series(small_grid, seeds)
@@ -500,7 +506,7 @@ def score_planes(n, grid, seed):
 
 class TestScoringKernel:
     """evaluate_run scores each cell in tiles of at most verify.LEAF points
-    in one small float64 work area per call, with blocks taken as views
+    in one small float64 work area per thread, with blocks taken as views
     where they can be; its values must be bitwise those of the plain
     expressions."""
 
@@ -563,6 +569,67 @@ class TestScoringKernel:
             tracemalloc.stop()
         assert errors == [] and len(records) == 9 * 2 * 2
         assert peak < 4 * 2**20
+
+    def test_one_work_area_per_thread_regrown_for_a_larger_block(self, monkeypatch):
+        # thread 0 scores small, small, large, small: one area for the two
+        # small grids, regrown for the large one and kept for the small one
+        # after it; threads 1 and 2 score the small grid beside it, each in
+        # an area of its own. More threads than cores, switched often, and
+        # every value bitwise the plain expressions', in a larger area too
+        small = GridSpec(nlat=19, nlon=36, lat_start=90.0, dlat=10.0, lon_start=0.0,
+                         dlon=10.0)
+        large = GridSpec(nlat=91, nlon=180, lat_start=90.0, dlat=2.0, lon_start=0.0,
+                         dlon=2.0)
+        regions = {"global": GLOBAL, "east_asia": EAST_ASIA}
+        rng = np.random.default_rng(16)
+        planes = {g: [rng.standard_normal(g.shape, dtype=np.float32) for _ in range(3)]
+                  for g in (small, large)}
+        want = {g: {(name, metric): value for name, box in regions.items()
+                    for metric, value in expression_scores(*planes[g], g, box).items()}
+                for g in planes}
+        areas: dict = {}   # thread name -> the work area of each cell, in order
+        score_cell = verify._score_cell
+
+        def spy(f, o, c, w, work, var_o=None):
+            areas.setdefault(threading.current_thread().name, []).append(work)
+            return score_cell(f, o, c, w, work, var_o)
+
+        monkeypatch.setattr(verify, "_score_cell", spy)
+        orders = [[small, small, large, small], [small], [small]]
+        got = [[] for _ in orders]
+        start = threading.Barrier(len(orders), timeout=10)
+
+        def score(k):
+            start.wait()
+            for grid in orders[k]:
+                records, errors = evaluate_run(24, *(plane_state(x, grid, label) for x, label
+                                                     in zip(planes[grid], ("fc", "truth", "clim"))),
+                                               regions, MSLP)
+                got[k].append((grid, errors, {(r.region, r.metric): r.value for r in records}))
+
+        threads = [threading.Thread(target=score, args=(k,), name=f"scorer{k}")
+                   for k in range(len(orders))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(errors == [] and values == want[grid]
+                   for calls in got for grid, errors, values in calls)
+        cells = len(regions)   # per call: one report channel in each region
+        first, regrown = areas["scorer0"][0], areas["scorer0"][2 * cells]
+        assert all(a is first for a in areas["scorer0"][:2 * cells])
+        assert all(a is regrown for a in areas["scorer0"][2 * cells:])
+        assert len(areas["scorer0"]) == 4 * cells and regrown.shape[1] > first.shape[1]
+        others = [areas[f"scorer{k}"] for k in (1, 2)]
+        assert all(len(a) == cells and all(w is a[0] for w in a) for a in others)
+        assert len({id(w) for w in (first, regrown, others[0][0], others[1][0])}) == 4
+        assert first.shape[1] == small.nlat * small.nlon   # sized for the block alone
 
     def test_a_scored_forecast_is_freed_on_return(self, monkeypatch):
         # with no garbage collection, as between two collections in a run: a
