@@ -170,14 +170,11 @@ def read_archive(src: Union[BinaryIO, str, os.PathLike],
         return reader.subset(CHANNELS if channels is None else channels)
 
 
-def read_header(src: Union[BinaryIO, str, os.PathLike]) -> dict:
-    """Parse and check only the header; used by the CLI `inspect` subcommand
-    and by config validation. Holds the grid's fields and the GridSpec
-    itself under "grid"."""
-    if isinstance(src, (str, bytes, os.PathLike)):
-        with open(src, "rb") as fh:
-            return read_header(fh)
-    grid, valid_time, label = _read_head(src)
+def read_header(path: Union[str, os.PathLike]) -> dict:
+    """Parse and check only the header of the archive at `path`, for `inspect`
+    and config validation: the grid's fields, and the GridSpec itself under "grid"."""
+    with open(path, "rb") as fh:
+        grid, valid_time, label = _read_head(fh)
     return {"version": VERSION, "grid": grid, **asdict(grid), "valid_time": valid_time,
             "source_label": label, "n_channels": N_CHANNELS}
 

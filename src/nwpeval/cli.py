@@ -16,18 +16,18 @@ from contextlib import closing, contextmanager
 from pathlib import Path
 
 from . import __version__
-from .archive import (ArchiveError, PlaneReader, RawDumpLayout, ingest_raw, read_archive,
-                      read_header, write_archive)
+from .archive import (ArchiveError, PlaneReader, RawDumpLayout, ingest_raw, read_header,
+                      write_archive)
 from .experiment import (ConfigError, InputError, _parse_box, _parse_time,
                          check_pattern, check_regions, check_truth_pattern,
                          load_config, no_repeats, open_input, parse_channel,
                          run_experiment)
-from .grids import (CHANNELS, DEFAULT_REGIONS, GridSpec, channel_name, covers_grid,
-                    plane_fault)
+from .grids import (CHANNELS, DEFAULT_REGIONS, GridMismatchError, GridSpec, channel_name,
+                    covers_grid, plane_fault)
 from .plots import PlotInputError, emit_plots, name_fault, write_metric_csv
 from .regrid import regrid_state
 from .rollout import BackendSpec, RolloutError, plan_for_leads, run_rollout
-from .splice import SpliceSpec, splice_states
+from .splice import SpliceError, SpliceSpec, splice_states
 from .verify import DEFAULT_REPORT_CHANNELS, evaluate_run
 
 log = logging.getLogger(__name__)
@@ -193,12 +193,15 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_regrid(args) -> int:
-    state = read_archive(args.infile)
     dst = args.grid or GridSpec.canonical()
-    if not covers_grid(state.grid, dst):   # a splice donor's use: written all the same
-        log.warning("%s does not cover the grid: rows and columns past its span "
-                    "repeat its edge", args.infile)
-    write_archive(regrid_state(state, dst), args.out)
+    with closing(PlaneReader(args.infile)) as source:
+        if not covers_grid(source.grid, dst):   # a splice donor's use: written all the same
+            log.warning("%s does not cover the grid: rows and columns past its span "
+                        "repeat its edge", args.infile)
+        # a source already on dst comes back unread: subset() reads it, so
+        # every plane is read before --out, which may name --in, is opened
+        out = regrid_state(source, dst).subset(CHANNELS)
+    write_archive(out, args.out)
     return 0
 
 
@@ -207,14 +210,11 @@ def _cmd_splice(args) -> int:
         spec = SpliceSpec(region=_parse_box(args.box.split(",")),
                           variable_scope=args.scope, blend_width=args.blend_width)
     with closing(PlaneReader(args.base)) as base, closing(PlaneReader(args.donor)) as donor:
-        for key in ("grid",) if args.allow_time_mismatch else ("grid", "valid_time"):
-            if getattr(base, key) != getattr(donor, key):   # before either payload is read
-                raise ConfigError(f"--base {args.base} and --donor {args.donor} differ in "
-                                  f"{key}: {getattr(base, key)} against {getattr(donor, key)}")
-        # each donor plane is read as the splice looks it up, then dropped
-        out = splice_states(base.subset(CHANNELS), donor, spec,
-                            allow_time_mismatch=args.allow_time_mismatch)
-    write_archive(out, args.out)
+        try:   # grids and valid_times are compared before either payload is read
+            out = splice_states(base, donor, spec, args.allow_time_mismatch)
+        except (GridMismatchError, SpliceError) as exc:
+            raise ConfigError(f"--base {args.base} and --donor {args.donor} {exc}") from None
+    write_archive(out, args.out)   # every plane read, so --out may name an input
     return 0
 
 

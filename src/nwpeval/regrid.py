@@ -72,10 +72,10 @@ def _lerp(v, i0, i1, w0, w1, axis, out, tmp) -> None:
     np.add(out, tmp, out=out)
 
 
-def _apply_planes(plan: RegridPlan, planes: np.ndarray) -> np.ndarray:
-    """Interpolate a stack of planes in two passes of one 1-D kernel,
-    longitude first, through float64 work buffers allocated once. Per
-    plane this evaluates
+def _apply_planes(plan: RegridPlan, planes, n: int) -> np.ndarray:
+    """Interpolate `n` planes, taken from `planes` one at a time, in two
+    passes of one 1-D kernel, longitude first, through float64 work
+    buffers allocated once. Per plane this evaluates
 
         v = plane.astype(float64)
         h = wx * v[:, cols0] + (1 - wx) * v[:, cols1]
@@ -85,7 +85,7 @@ def _apply_planes(plan: RegridPlan, planes: np.ndarray) -> np.ndarray:
     (1-wy)*(wx*v[i1,j0] + (1-wx)*v[i1,j1]) with its operands in that
     order; interpolating latitude first would round differently."""
     src, dst = plan.source, plan.destination
-    out = np.empty((len(planes),) + dst.shape, dtype=np.float32)
+    out = np.empty((n,) + dst.shape, dtype=np.float32)
     # one block for all work buffers, so that freeing it leaves no holes
     # in the heap to raise the peak RSS of what follows
     nv, nh = src.nlat * src.nlon, 2 * src.nlat * dst.nlon
@@ -108,12 +108,15 @@ def apply_plan(plan: RegridPlan, fld: Field) -> Field:
     if fld.grid != plan.source:
         raise GridMismatchError("field grid does not match the plan's source grid")
     return Field(variable=fld.variable, level=fld.level, grid=plan.destination,
-                 values=_apply_planes(plan, fld.values[np.newaxis])[0])
+                 values=_apply_planes(plan, fld.values[np.newaxis], 1)[0])
 
 
-def regrid_state(state: StateSet, dst: GridSpec) -> StateSet:
-    """Regrid all planes with one shared plan; metadata and channels preserved."""
-    if state.grid == dst:
-        return state
-    return state.replace(grid=dst,
-                         data=_apply_planes(build_plan(state.grid, dst), state.data))
+def regrid_state(source, dst: GridSpec) -> StateSet:
+    """Regrid a state or an archive.PlaneReader, each plane read once through
+    `channel()`, with one plan, metadata and channels kept; one on `dst` comes back unread."""
+    if source.grid == dst:
+        return source
+    planes = (source.channel(*ch) for ch in source.channels)
+    data = _apply_planes(build_plan(source.grid, dst), planes, len(source.channels))
+    return StateSet(valid_time=source.valid_time, source_label=source.source_label, grid=dst,
+                    data=data, channels=source.channels)

@@ -43,31 +43,31 @@ def splice_states(base: StateSet, donor: StateSet, spec: SpliceSpec,
                   allow_time_mismatch: bool = False) -> StateSet:
     """Splice the donor's in-scope channels into the base within the box.
 
-    Each of the base's planes is matched with the donor's plane of the
-    same channel, looked up with `channel()` one at a time, so the donor
-    may be an archive.PlaneReader as well as a state. Inside the box
-    (region_mask) the output is the donor. On the ring outside it, closer
-    than blend_width degrees (box_distance), output = alpha*donor +
-    (1-alpha)*base, where alpha falls linearly from 1 at the box edge to 0
-    at blend_width degrees out. The result holds the base's channels; its
-    source_label is "<donor>pad<base>".
+    Grids and, unless allow_time_mismatch, valid_times are compared before
+    any plane is read. Each base plane and the donor's plane of its channel
+    are then read once through `channel()`, so either may be an archive.PlaneReader.
+    Inside the box (region_mask) the output is the donor. On the ring
+    outside it, closer than blend_width degrees (box_distance), output =
+    alpha*donor + (1-alpha)*base, where alpha falls linearly from 1 at the
+    box edge to 0 at blend_width degrees out. The result holds the base's
+    channels; its source_label is "<donor>pad<base>".
     """
     if base.grid != donor.grid:
-        raise GridMismatchError("base and donor must share a grid")
+        raise GridMismatchError(f"differ in grid: {base.grid} against {donor.grid}")
     if base.valid_time != donor.valid_time and not allow_time_mismatch:
-        raise SpliceError(f"valid_time mismatch: base {base.valid_time}, "
-                          f"donor {donor.valid_time}")
+        raise SpliceError(f"differ in valid_time: {base.valid_time} against {donor.valid_time}")
     mask = region_mask(base.grid, spec.region)
     distance = box_distance(base.grid, spec.region)
     ring = np.nonzero(~mask & (distance < spec.blend_width))   # empty when hard
     alpha = 1.0 - distance[ring] / spec.blend_width
-    out = base.data.copy()
+    out = np.empty((len(base.channels),) + base.grid.shape, dtype=np.float32)
     for plane, (var, level) in zip(out, base.channels):
+        plane[...] = base.channel(var, level)
         if var.is_surface and spec.variable_scope == "upper-only":
             continue
         d = donor.channel(var, level)
         np.copyto(plane, d, where=mask)
         plane[ring] = (alpha * d[ring].astype(np.float64)
                        + (1.0 - alpha) * plane[ring].astype(np.float64)).astype(np.float32)
-    return base.replace(source_label=f"{donor.source_label}pad{base.source_label}",
-                        data=out)
+    return StateSet(valid_time=base.valid_time, grid=base.grid, channels=base.channels,
+                    source_label=f"{donor.source_label}pad{base.source_label}", data=out)

@@ -19,6 +19,7 @@ from nwpeval.archive import archive_bytes, read_archive, read_header, write_arch
 from nwpeval.cli import main
 from nwpeval.grids import CHANNELS, N_CHANNELS, GridSpec, RegionBox, Var, channel_name
 from nwpeval.plots import read_metric_csv, write_metric_csv
+from nwpeval.regrid import regrid_state
 from nwpeval.splice import SpliceSpec, splice_states
 from nwpeval.synthetic import default_time, make_climatology, make_state
 from nwpeval.verify import DEFAULT_REPORT_CHANNELS
@@ -314,6 +315,29 @@ class TestIngestRegrid:
                                                          dlat=10.0, lon_start=0.0,
                                                          dlon=10.0)
 
+    def test_regrid_reads_the_input_a_plane_at_a_time(self, tmp_path, monkeypatch):
+        # each input plane is read once, as it is regridded: the command
+        # holds the output state, the regrid work area and two input planes
+        # (one regridded, the next read), where the input read whole would
+        # add 69 (4 output states); a third plane's room is for small objects
+        src = GridSpec(nlat=181, nlon=360, lat_start=90.0, dlat=1.0, lon_start=0.0, dlon=1.0)
+        dst = GridSpec(nlat=91, nlon=180, lat_start=90.0, dlat=2.0, lon_start=0.0, dlon=2.0)
+        state = random_state(src, seed=60, label="gfs")
+        ip, op = tmp_path / "in.nws", tmp_path / "out.nws"
+        write_archive(state, ip)
+        payload_reads = spy_payload_reads(monkeypatch)
+        tracemalloc.start()
+        try:
+            assert main(["regrid", "--in", str(ip), "--out", str(op),
+                         "--grid", "91,180,90,2,0,2"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert Counter(payload_reads) == Counter(("in.nws", ch) for ch in CHANNELS)
+        assert op.read_bytes() == archive_bytes(regrid_state(state, dst))
+        work = 8 * (src.nlat * src.nlon + 2 * src.nlat * dst.nlon + 2 * dst.nlat * dst.nlon)
+        assert peak < (N_CHANNELS * dst.nlat * dst.nlon + 3 * src.nlat * src.nlon) * 4 + work
+
 
 class TestSplice:
     @pytest.mark.parametrize("allow", [False, True], ids=["strict", "allow-time"])
@@ -341,9 +365,10 @@ class TestSplice:
 
     @pytest.mark.parametrize("scope", ["upper-only", "all-channels"])
     def test_each_donor_plane_is_read_once(self, tmp_path, monkeypatch, scope):
-        # one 91x180 state is 4.3 MiB: the base read whole and the output
-        # are two, and the donor is read a plane at a time, each plane in
-        # scope once; upper-only reads no surface plane of the donor
+        # one 91x180 state is 4.3 MiB: the output is one, and base and
+        # donor are read a plane at a time, each base plane once and each
+        # donor plane in scope once; upper-only reads no surface plane of
+        # the donor
         grid = GridSpec(nlat=91, nlon=180, lat_start=90.0, dlat=2.0, lon_start=0.0,
                         dlon=2.0)
         base = random_state(grid, seed=58, label="a")
@@ -362,9 +387,11 @@ class TestSplice:
         in_scope = [ch for ch in CHANNELS if scope == "all-channels" or not ch[0].is_surface]
         assert Counter(ch for name, ch in payload_reads if name == "donor.nws") == \
             Counter(in_scope)
+        assert Counter(ch for name, ch in payload_reads if name == "base.nws") == \
+            Counter(CHANNELS)
         spec = SpliceSpec(region=RegionBox(-10.0, 60.0, 60.0, 150.0), variable_scope=scope)
         assert op.read_bytes() == archive_bytes(splice_states(base, donor, spec))
-        assert peak < 2.5 * N_CHANNELS * grid.nlat * grid.nlon * 4   # the donor whole: 3
+        assert peak < 1.5 * N_CHANNELS * grid.nlat * grid.nlon * 4   # the base whole: 2
 
     def test_splice_label_and_values(self, tmp_path, small_grid, capsys):
         base = random_state(small_grid, seed=52, label="a")
@@ -377,6 +404,38 @@ class TestSplice:
         assert rc == 0
         assert main(["inspect", str(op)]) == 0
         assert "source_label: bpada" in capsys.readouterr().out
+
+
+class TestOutNamingAnInput:
+    """`regrid` and `splice` read every input plane before the output file
+    is opened, so an --out that names an input gets the right bytes."""
+
+    @pytest.mark.parametrize("grid", ["19,36,90,10,0,10", "9,16,90,22.5,0,22.5"],
+                             ids=["regridded", "on-its-grid"])
+    def test_regrid(self, tmp_path, small_grid, grid):
+        state = random_state(small_grid, seed=61, label="gfs")
+        path = tmp_path / "x.nws"
+        write_archive(state, path)
+        nlat, nlon, lat_start, dlat, lon_start, dlon = map(float, grid.split(","))
+        want = archive_bytes(regrid_state(state, GridSpec(nlat=nlat, nlon=nlon,
+                                                          lat_start=lat_start, dlat=dlat,
+                                                          lon_start=lon_start, dlon=dlon)))
+        assert main(["regrid", "--in", str(path), "--out", str(path), "--grid", grid]) == 0
+        assert path.read_bytes() == want
+
+    @pytest.mark.parametrize("named", ["base", "donor"])
+    def test_splice(self, tmp_path, coarse_grid, named):
+        base = random_state(coarse_grid, seed=62, label="a")
+        donor = random_state(coarse_grid, seed=63, label="b")
+        paths = {"base": tmp_path / "base.nws", "donor": tmp_path / "donor.nws"}
+        write_archive(base, paths["base"])
+        write_archive(donor, paths["donor"])
+        spec = SpliceSpec(region=RegionBox(-10.0, 60.0, 60.0, 150.0), blend_width=5.0)
+        want = archive_bytes(splice_states(base, donor, spec))
+        assert main(["splice", "--base", str(paths["base"]), "--donor", str(paths["donor"]),
+                     "--box", "-10,60,60,150", "--blend-width", "5",
+                     "--out", str(paths[named])]) == 0
+        assert paths[named].read_bytes() == want
 
 
 class TestRolloutEvaluatePlot:

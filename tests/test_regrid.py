@@ -1,11 +1,15 @@
+from collections import Counter
+from contextlib import closing
+
 import numpy as np
 import pytest
 
-from nwpeval.grids import (Field, GridMismatchError, GridSpec, Var,
+from nwpeval.archive import PlaneReader, read_archive, write_archive
+from nwpeval.grids import (CHANNELS, Field, GridMismatchError, GridSpec, Var,
                            flat_channel_index)
 from nwpeval.regrid import apply_plan, build_plan, regrid_state
 from nwpeval.synthetic import make_state
-from tests.conftest import random_state
+from tests.conftest import random_state, spy_payload_reads
 
 
 def field_on(grid, values, var=Var.T2, level=0):
@@ -134,6 +138,29 @@ class TestRegridState:
         out = regrid_state(s, GridSpec(nlat=9, nlon=16, lat_start=90, dlat=22.5,
                                        lon_start=0, dlon=22.5))
         assert np.isfinite(out.data).all()
+
+    def test_a_reader_is_regridded_as_its_state(self, tmp_path, monkeypatch, small_grid):
+        # each plane read once, through channel(), as it is regridded
+        path = tmp_path / "src.nws"
+        write_archive(random_state(small_grid, seed=5, label="gfs"), path)
+        dst = GridSpec(nlat=19, nlon=36, lat_start=90, dlat=10, lon_start=5, dlon=10)
+        want = regrid_state(read_archive(path), dst)
+        reads = spy_payload_reads(monkeypatch)
+        with closing(PlaneReader(path)) as reader:
+            out = regrid_state(reader, dst)
+        assert Counter(reads) == Counter(("src.nws", ch) for ch in CHANNELS)
+        assert (out.grid, out.valid_time, out.source_label, out.channels) == \
+            (want.grid, want.valid_time, want.source_label, want.channels)
+        assert out.data.tobytes() == want.data.tobytes()
+
+    def test_a_reader_on_the_grid_comes_back_unread(self, tmp_path, monkeypatch,
+                                                    small_grid):
+        path = tmp_path / "src.nws"
+        write_archive(random_state(small_grid, seed=6), path)
+        reads = spy_payload_reads(monkeypatch)
+        with closing(PlaneReader(path)) as reader:
+            assert regrid_state(reader, small_grid) is reader
+        assert reads == []
 
 
 def per_plane_expression(plan, values):

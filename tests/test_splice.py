@@ -1,15 +1,18 @@
 import io
+from collections import Counter
+from contextlib import closing
+from datetime import timedelta
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nwpeval.archive import archive_bytes, read_archive
+from nwpeval.archive import PlaneReader, archive_bytes, read_archive, write_archive
 from nwpeval.grids import (CHANNELS, EAST_ASIA, N_SURFACE, GridMismatchError, GridSpec,
                            RegionBox, Var, flat_channel_index)
 from nwpeval.splice import SpliceError, SpliceSpec, region_mask, splice_states
-from tests.conftest import random_state
+from tests.conftest import random_state, spy_payload_reads
 
 
 def mask_count_oracle(grid, box):
@@ -267,3 +270,46 @@ class TestSpliceStates:
         out = splice_states(base, donor, SpliceSpec(region=EAST_ASIA),
                             allow_time_mismatch=True)
         assert out.valid_time == base.valid_time
+
+
+class TestSpliceReaders:
+    """Base and donor as archive.PlaneReaders, each plane read as it is
+    spliced."""
+
+    @pytest.mark.parametrize("scope", ["upper-only", "all-channels"])
+    @pytest.mark.parametrize("blend_width", [0.0, 5.0], ids=["hard", "feathered"])
+    def test_readers_splice_as_their_states(self, tmp_path, monkeypatch, coarse_grid,
+                                            scope, blend_width):
+        # each base plane read once, and each donor plane in scope once
+        base = random_state(coarse_grid, seed=40, label="gfs")
+        donor = random_state(coarse_grid, seed=41, label="ifs")
+        for name, state in (("base.nws", base), ("donor.nws", donor)):
+            write_archive(state, tmp_path / name)
+        spec = SpliceSpec(region=EAST_ASIA, variable_scope=scope, blend_width=blend_width)
+        want = splice_states(base, donor, spec)
+        reads = spy_payload_reads(monkeypatch)
+        with closing(PlaneReader(tmp_path / "base.nws")) as b, \
+                closing(PlaneReader(tmp_path / "donor.nws")) as d:
+            out = splice_states(b, d, spec)
+        in_scope = [ch for ch in CHANNELS if scope == "all-channels" or not ch[0].is_surface]
+        assert Counter(reads) == Counter([("base.nws", ch) for ch in CHANNELS]
+                                         + [("donor.nws", ch) for ch in in_scope])
+        assert (out.grid, out.valid_time, out.source_label, out.channels) == \
+            (want.grid, want.valid_time, "ifspadgfs", want.channels)
+        assert out.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("differ", ["grid", "valid_time"])
+    def test_a_mismatch_is_raised_before_any_plane_is_read(self, tmp_path, monkeypatch,
+                                                           small_grid, coarse_grid, differ):
+        base = random_state(small_grid, seed=42, label="a")
+        donor = (random_state(coarse_grid, seed=43, label="b") if differ == "grid" else
+                 base.replace(valid_time=base.valid_time + timedelta(hours=6)))
+        for name, state in (("base.nws", base), ("donor.nws", donor)):
+            write_archive(state, tmp_path / name)
+        reads = spy_payload_reads(monkeypatch)
+        error = GridMismatchError if differ == "grid" else SpliceError
+        with closing(PlaneReader(tmp_path / "base.nws")) as b, \
+                closing(PlaneReader(tmp_path / "donor.nws")) as d:
+            with pytest.raises(error, match=f"^differ in {differ}: "):
+                splice_states(b, d, SpliceSpec(region=EAST_ASIA))
+        assert reads == []
