@@ -87,17 +87,20 @@ def write_archive(state: Union[StateSet, PlaneReader],
     one plane at a time through `channel()`. Byte output is a pure function
     of the planes: identical inputs give identical files. A source whose
     `channels` are not all 69 in order is a ValueError, raised before any
-    byte is written. A file `dest` names is removed if it cannot be
-    finished, as when a plane read fails."""
+    byte is written. A path `dest` is replaced by a whole archive alone: a
+    new file `<dest>.<pid>.part`, renamed onto it after the last plane and
+    removed on any failure, so `dest` may name the file `state` reads."""
     if state.channels != CHANNELS:
         raise ValueError(f"state holds {len(state.channels)} planes; an archive "
                          f"holds all {N_CHANNELS} in the canonical order")
     if isinstance(dest, (str, bytes, os.PathLike)):
-        with open(dest, "wb") as fh:
-            try:
+        with open(part := f"{os.fsdecode(dest)}.{os.getpid()}.part", "xb") as fh:
+            try:   # opened "xb": a taken name is a FileExistsError, not truncated
                 write_archive(state, fh)
+                fh.close()   # flushed before the rename
+                os.replace(part, dest)
             except BaseException:
-                os.remove(dest)
+                os.remove(part)
                 raise
         return
     label = state.source_label.encode("utf-8")

@@ -22,7 +22,7 @@ from .experiment import (ConfigError, InputError, _parse_box, _parse_time,
                          check_pattern, check_regions, check_truth_pattern,
                          load_config, no_repeats, open_input, parse_channel,
                          run_experiment)
-from .grids import (CHANNELS, DEFAULT_REGIONS, GridMismatchError, GridSpec, channel_name,
+from .grids import (DEFAULT_REGIONS, GridMismatchError, GridSpec, channel_name,
                     covers_grid, plane_fault)
 from .plots import PlotInputError, emit_plots, name_fault, write_metric_csv
 from .regrid import regrid_state
@@ -198,10 +198,7 @@ def _cmd_regrid(args) -> int:
         if not covers_grid(source.grid, dst):   # a splice donor's use: written all the same
             log.warning("%s does not cover the grid: rows and columns past its span "
                         "repeat its edge", args.infile)
-        # a source already on dst comes back unread: subset() reads it, so
-        # every plane is read before --out, which may name --in, is opened
-        out = regrid_state(source, dst).subset(CHANNELS)
-    write_archive(out, args.out)
+        write_archive(regrid_state(source, dst), args.out)   # on dst: each plane as read
     return 0
 
 
@@ -214,7 +211,7 @@ def _cmd_splice(args) -> int:
             out = splice_states(base, donor, spec, args.allow_time_mismatch)
         except (GridMismatchError, SpliceError) as exc:
             raise ConfigError(f"--base {args.base} and --donor {args.donor} {exc}") from None
-    write_archive(out, args.out)   # every plane read, so --out may name an input
+    write_archive(out, args.out)
     return 0
 
 

@@ -73,9 +73,9 @@ def _lerp(v, i0, i1, w0, w1, axis, out, tmp) -> None:
 
 
 def _apply_planes(plan: RegridPlan, planes, n: int) -> np.ndarray:
-    """Interpolate `n` planes, taken from `planes` one at a time, in two
-    passes of one 1-D kernel, longitude first, through float64 work
-    buffers allocated once. Per plane this evaluates
+    """Interpolate `n` planes, taken one at a time from the iterator
+    `planes`, in two passes of one 1-D kernel, longitude first, through
+    float64 work buffers allocated once. Per plane this evaluates
 
         v = plane.astype(float64)
         h = wx * v[:, cols0] + (1 - wx) * v[:, cols1]
@@ -95,8 +95,8 @@ def _apply_planes(plan: RegridPlan, planes, n: int) -> np.ndarray:
     d, d_tmp = work[nv + nh:].reshape((2,) + dst.shape)
     wx, wy = plan.wlon, plan.wlat[:, np.newaxis]
     wx1, wy1 = 1.0 - wx, 1.0 - wy
-    for plane, res in zip(planes, out):
-        v[...] = plane
+    for res in out:   # next(): no name holds the last plane while the next is read
+        v[...] = next(planes)
         _lerp(v, plan.cols0, plan.cols1, wx, wx1, 1, h, h_tmp)
         _lerp(h, plan.rows0, plan.rows1, wy, wy1, 0, d, d_tmp)
         res[...] = d
@@ -108,7 +108,7 @@ def apply_plan(plan: RegridPlan, fld: Field) -> Field:
     if fld.grid != plan.source:
         raise GridMismatchError("field grid does not match the plan's source grid")
     return Field(variable=fld.variable, level=fld.level, grid=plan.destination,
-                 values=_apply_planes(plan, fld.values[np.newaxis], 1)[0])
+                 values=_apply_planes(plan, iter(fld.values[np.newaxis]), 1)[0])
 
 
 def regrid_state(source, dst: GridSpec) -> StateSet:

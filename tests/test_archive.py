@@ -1,4 +1,5 @@
 import io
+import os
 import struct
 from contextlib import closing
 from datetime import timedelta
@@ -283,6 +284,53 @@ class TestWriteFromAReader:
             with pytest.raises(DataError, match="T850"):
                 write_archive(reader, str(path))
         assert not path.exists()
+
+    def test_a_file_it_cannot_finish_over_is_left_as_it_was(self, tmp_path, small_grid):
+        # the archive goes to a part file beside the earlier one, removed
+        # once the NaN in T850 fails the write
+        s = random_state(small_grid, seed=18)
+        data = s.data.copy()
+        data[CHANNELS.index((Var.T, 850)), 4, 5] = np.nan
+        src, path = tmp_path / "in.nws", tmp_path / "out.nws"
+        write_archive(s.replace(data=data), str(src))
+        write_archive(random_state(small_grid, seed=19), str(path))
+        before = path.read_bytes()
+        with closing(PlaneReader(str(src), finite=True)) as reader:
+            with pytest.raises(DataError, match="T850"):
+                write_archive(reader, str(path))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.nws", "out.nws"]
+
+    def test_a_failed_rename_leaves_the_file_and_no_part(self, tmp_path, small_grid,
+                                                          monkeypatch):
+        path = tmp_path / "out.nws"
+        path.write_bytes(b"an earlier run")
+
+        def refuse(src, dst):
+            raise PermissionError(f"cannot rename {src}")
+
+        monkeypatch.setattr(archive.os, "replace", refuse)
+        with pytest.raises(PermissionError, match="cannot rename"):
+            write_archive(random_state(small_grid, seed=20), path)
+        assert path.read_bytes() == b"an earlier run"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_a_taken_part_name_is_refused_and_left_as_it_was(self, tmp_path, small_grid):
+        path = tmp_path / "out.nws"
+        part = tmp_path / f"out.nws.{os.getpid()}.part"
+        part.write_bytes(b"not this call's")
+        with pytest.raises(FileExistsError):
+            write_archive(random_state(small_grid, seed=21), path)
+        assert part.read_bytes() == b"not this call's" and not path.exists()
+
+    def test_a_symlink_is_replaced_not_written_through(self, tmp_path, small_grid):
+        s = random_state(small_grid, seed=22)
+        target, link = tmp_path / "target.nws", tmp_path / "link.nws"
+        target.write_bytes(b"kept")
+        link.symlink_to(target)
+        write_archive(s, link)
+        assert not link.is_symlink() and link.read_bytes() == archive_bytes(s)
+        assert target.read_bytes() == b"kept"
 
 
 class TestIngestRaw:

@@ -338,6 +338,27 @@ class TestIngestRegrid:
         work = 8 * (src.nlat * src.nlon + 2 * src.nlat * dst.nlon + 2 * dst.nlat * dst.nlon)
         assert peak < (N_CHANNELS * dst.nlat * dst.nlon + 3 * src.nlat * src.nlon) * 4 + work
 
+    def test_regrid_on_the_grid_writes_each_plane_as_it_is_read(self, tmp_path,
+                                                                 monkeypatch):
+        # a source already on the grid is written back a plane at a time:
+        # each plane read once, and no state held; a plane of room goes to
+        # the file buffer and small objects
+        grid = GridSpec(nlat=181, nlon=360, lat_start=90.0, dlat=1.0, lon_start=0.0,
+                        dlon=1.0)
+        ip, op = tmp_path / "in.nws", tmp_path / "out.nws"
+        write_archive(random_state(grid, seed=64, label="ifs"), ip)
+        payload_reads = spy_payload_reads(monkeypatch)
+        tracemalloc.start()
+        try:
+            assert main(["regrid", "--in", str(ip), "--out", str(op),
+                         "--grid", "181,360,90,1,0,1"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert payload_reads == [("in.nws", ch) for ch in CHANNELS]
+        assert op.read_bytes() == ip.read_bytes()
+        assert peak < 3 * grid.nlat * grid.nlon * 4
+
 
 class TestSplice:
     @pytest.mark.parametrize("allow", [False, True], ids=["strict", "allow-time"])
@@ -407,8 +428,9 @@ class TestSplice:
 
 
 class TestOutNamingAnInput:
-    """`regrid` and `splice` read every input plane before the output file
-    is opened, so an --out that names an input gets the right bytes."""
+    """`write_archive` replaces --out only with a whole archive, renamed onto
+    it after the last plane is read, so an --out that names an input gets
+    the right bytes."""
 
     @pytest.mark.parametrize("grid", ["19,36,90,10,0,10", "9,16,90,22.5,0,22.5"],
                              ids=["regridded", "on-its-grid"])
@@ -436,6 +458,17 @@ class TestOutNamingAnInput:
                      "--box", "-10,60,60,150", "--blend-width", "5",
                      "--out", str(paths[named])]) == 0
         assert paths[named].read_bytes() == want
+
+    def test_ingest(self, tmp_path, small_grid):
+        state = random_state(small_grid, seed=65, label="ifs")
+        path = tmp_path / "x.bin"
+        path.write_bytes(np.ascontiguousarray(state.data, dtype="<f4").tobytes())
+        g = small_grid
+        assert main(["ingest", "--in", str(path), "--out", str(path),
+                     "--grid", f"{g.nlat},{g.nlon},{g.lat_start},{g.dlat},{g.lon_start},{g.dlon}",
+                     "--valid-time", "2023-06-06T00:00:00Z", "--label", "ifs",
+                     "--skip-validation"]) == 0
+        assert path.read_bytes() == archive_bytes(state)   # valid at default_time()
 
 
 class TestRolloutEvaluatePlot:

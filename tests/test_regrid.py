@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from contextlib import closing
 
@@ -152,6 +153,26 @@ class TestRegridState:
         assert (out.grid, out.valid_time, out.source_label, out.channels) == \
             (want.grid, want.valid_time, want.source_label, want.channels)
         assert out.data.tobytes() == want.data.tobytes()
+
+    def test_a_reader_is_regridded_holding_one_input_plane(self, tmp_path):
+        # 0.5 to 1 degree: the output, the work area and the plane being
+        # regridded; the last plane is dropped before the next is read, and
+        # half a plane (0.5 MiB) is room for small objects
+        src = GridSpec(nlat=361, nlon=720, lat_start=90.0, dlat=0.5, lon_start=0.0,
+                       dlon=0.5)
+        dst = GridSpec(nlat=181, nlon=360, lat_start=90.0, dlat=1.0, lon_start=0.0,
+                       dlon=1.0)
+        path = tmp_path / "src.nws"
+        write_archive(random_state(src, seed=8, label="gfs"), path)
+        with closing(PlaneReader(path)) as reader:
+            tracemalloc.start()
+            try:
+                out = regrid_state(reader, dst)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        work = 8 * (src.nlat * src.nlon + 2 * src.nlat * dst.nlon + 2 * dst.nlat * dst.nlon)
+        assert peak < out.data.nbytes + work + 1.5 * src.nlat * src.nlon * 4
 
     def test_a_reader_on_the_grid_comes_back_unread(self, tmp_path, monkeypatch,
                                                     small_grid):
