@@ -33,7 +33,7 @@ import os
 import struct
 import threading
 from contextlib import closing
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import BinaryIO, Callable, Optional, Sequence, Union
 
@@ -171,15 +171,6 @@ def read_archive(src: Union[BinaryIO, str, os.PathLike],
     checked for NaN/Inf (see PlaneReader.subset)."""
     with closing(PlaneReader(src, finite=finite)) as reader:
         return reader.subset(CHANNELS if channels is None else channels)
-
-
-def read_header(path: Union[str, os.PathLike]) -> dict:
-    """Parse and check only the header of the archive at `path`, for `inspect`
-    and config validation: the grid's fields, and the GridSpec itself under "grid"."""
-    with open(path, "rb") as fh:
-        grid, valid_time, label = _read_head(fh)
-    return {"version": VERSION, "grid": grid, **asdict(grid), "valid_time": valid_time,
-            "source_label": label, "n_channels": N_CHANNELS}
 
 
 class PlaneReader:

@@ -34,7 +34,7 @@ class Var(enum.Enum):
 
     @property
     def is_surface(self) -> bool:
-        return self in (Var.MSLP, Var.U10, Var.V10, Var.T2)
+        return self in SURFACE_VARS
 
 
 SURFACE_VARS = (Var.MSLP, Var.U10, Var.V10, Var.T2)

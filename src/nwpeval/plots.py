@@ -76,42 +76,37 @@ def _metric_rows(path: str) -> Iterator[dict]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            yield from _checked_rows(path, reader)
+            header = next(reader, None)
+            if header is None:
+                raise PlotInputError(f"{path}: empty file")
+            if header != CSV_COLUMNS:
+                raise PlotInputError(f"{path}:1: bad header {header}")
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(CSV_COLUMNS):
+                    raise PlotInputError(f"{path}:{lineno}: expected "
+                                         f"{len(CSV_COLUMNS)} columns, got {len(row)}")
+                rec = dict(zip(CSV_COLUMNS, row))
+                try:
+                    int(rec["lead_hours"])
+                    value = float(rec["value"])
+                except ValueError:
+                    raise PlotInputError(f"{path}:{lineno}: non-numeric lead or value")
+                if not math.isfinite(value):
+                    raise PlotInputError(f"{path}:{lineno}: value {rec['value']!r} "
+                                         "is not finite")
+                if (rec["variable"], rec["level"]) not in _CSV_CHANNELS:
+                    raise PlotInputError(f"{path}:{lineno}: unknown channel "
+                                         f"{rec['variable']!r} at level {rec['level']!r}")
+                if rec["metric"] not in METRICS:
+                    raise PlotInputError(f"{path}:{lineno}: unknown metric {rec['metric']!r}")
+                chan = _CSV_CHANNELS[(rec["variable"], rec["level"])]
+                if fault := name_fault("region", rec["region"], [chan], [rec["metric"]]):
+                    raise PlotInputError(f"{path}:{lineno}: {fault}")
+                yield rec
         except UnicodeDecodeError as exc:
             raise PlotInputError(f"{path}: not UTF-8 text: {exc}") from None
         except csv.Error as exc:
             raise PlotInputError(f"{path}:{reader.line_num}: {exc}") from None
-
-
-def _checked_rows(path: str, reader) -> Iterator[dict]:
-    """The rows of a CSV reader of the metric table at `path`, as dicts."""
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise PlotInputError(f"{path}: empty file")
-    if header != CSV_COLUMNS:
-        raise PlotInputError(f"{path}:1: bad header {header}")
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != len(CSV_COLUMNS):
-            raise PlotInputError(f"{path}:{lineno}: expected "
-                                 f"{len(CSV_COLUMNS)} columns, got {len(row)}")
-        rec = dict(zip(CSV_COLUMNS, row))
-        try:
-            int(rec["lead_hours"])
-            value = float(rec["value"])
-        except ValueError:
-            raise PlotInputError(f"{path}:{lineno}: non-numeric lead or value")
-        if not math.isfinite(value):
-            raise PlotInputError(f"{path}:{lineno}: value {rec['value']!r} is not finite")
-        if (rec["variable"], rec["level"]) not in _CSV_CHANNELS:
-            raise PlotInputError(f"{path}:{lineno}: unknown channel "
-                                 f"{rec['variable']!r} at level {rec['level']!r}")
-        if rec["metric"] not in METRICS:
-            raise PlotInputError(f"{path}:{lineno}: unknown metric {rec['metric']!r}")
-        chan = _CSV_CHANNELS[(rec["variable"], rec["level"])]
-        if fault := name_fault("region", rec["region"], [chan], [rec["metric"]]):
-            raise PlotInputError(f"{path}:{lineno}: {fault}")
-        yield rec
 
 
 def read_metric_csv(path: str) -> list[dict]:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import yaml
 
-from nwpeval.archive import archive_bytes, read_archive, read_header, write_archive
+from nwpeval.archive import archive_bytes, read_archive, write_archive
 from nwpeval.cli import main
 from nwpeval.grids import CHANNELS, N_CHANNELS, GridSpec, RegionBox, Var, channel_name
 from nwpeval.plots import read_metric_csv, write_metric_csv
@@ -54,18 +54,38 @@ class TestImportFootprint:
 class TestInspect:
     def test_prints_header(self, archive_path, capsys):
         assert main(["inspect", str(archive_path)]) == 0
-        out = capsys.readouterr().out
-        assert "source_label: gfs" in out
-        assert "n_channels: 69" in out
+        assert capsys.readouterr().out == (
+            "version: 1\nnlat: 9\nnlon: 16\nlat_start: 90.0\ndlat: 22.5\n"
+            "lon_start: 0.0\ndlon: 22.5\nvalid_time: 2023-06-06 00:00:00+00:00\n"
+            "source_label: gfs\nn_channels: 69\n")
 
     def test_missing_file(self, tmp_path):
         assert main(["inspect", str(tmp_path / "nope.nws")]) == 2
 
-    def test_unsupported_version(self, archive_path):
+    def test_unsupported_version(self, archive_path, capsys):
         raw = bytearray(archive_path.read_bytes())
         raw[8:12] = struct.pack("<I", 2)
         archive_path.write_bytes(bytes(raw))
         assert main(["inspect", str(archive_path)]) == 1
+        assert "unsupported version 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage, message", [
+        ("channels", "channel list is not the canonical 69-channel order"),
+        ("short", "payload truncated in channel V50"),
+        ("long", "bytes follow the payload")])
+    def test_a_file_every_command_refuses_exits_1(self, archive_path, small_grid, capsys,
+                                                   damage, message):
+        # its channel list and payload size are judged as a read of a plane judges them
+        raw = bytearray(archive_path.read_bytes())
+        if damage == "channels":   # the first two descriptors swapped
+            off = len(raw) - N_CHANNELS * (small_grid.nlat * small_grid.nlon + 1) * 4
+            raw[off:off + 4], raw[off + 4:off + 8] = raw[off + 4:off + 8], raw[off:off + 4]
+        archive_path.write_bytes({"channels": raw, "short": raw[:-7],
+                                  "long": raw + b"\0\0"}[damage])
+        assert main(["inspect", str(archive_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 class TestUsageErrors:
@@ -291,8 +311,7 @@ class TestIngestRegrid:
         rc = main(["regrid", "--in", str(archive_path), "--out", str(out),
                    "--grid", "19,36,90,10,0,10"])
         assert rc == 0
-        h = read_header(str(out))
-        assert (h["nlat"], h["nlon"]) == (19, 36)
+        assert read_archive(str(out), ()).grid.shape == (19, 36)
 
 
     @pytest.mark.parametrize("source, warned", [
@@ -311,9 +330,9 @@ class TestIngestRegrid:
         assert [r.getMessage() for r in caplog.records] == (
             [f"{src} does not cover the grid: rows and columns past its span repeat "
              "its edge"] if warned else [])
-        assert read_header(str(out))["grid"] == GridSpec(nlat=19, nlon=36, lat_start=90.0,
-                                                         dlat=10.0, lon_start=0.0,
-                                                         dlon=10.0)
+        assert read_archive(str(out), ()).grid == GridSpec(nlat=19, nlon=36, lat_start=90.0,
+                                                           dlat=10.0, lon_start=0.0,
+                                                           dlon=10.0)
 
     def test_regrid_reads_the_input_a_plane_at_a_time(self, tmp_path, monkeypatch):
         # each input plane is read once, as it is regridded: the command
@@ -701,6 +720,30 @@ class TestRolloutEvaluatePlot:
         assert main(["rollout", "--in", str(archive_path), "--out-dir", str(fdir),
                      "--lead", lead, "--emit-every", "24", "--horizons", "24,6"]) == 0
         assert sorted(p.name for p in fdir.iterdir()) == files
+
+    @pytest.mark.parametrize("backend", ["persistence", "external"])
+    def test_rollout_of_a_short_in_exits_1_before_any_step(self, archive_path, tmp_path,
+                                                           small_grid, monkeypatch, capsys,
+                                                           backend):
+        # refused as every other command refuses it: before --out-dir is made
+        # or a backend starts; an external one would find --in on its grid
+        from nwpeval import cli
+        monkeypatch.setattr(GridSpec, "canonical", classmethod(lambda cls: small_grid))
+        started, rollout = [], cli.run_rollout
+        monkeypatch.setattr(cli, "run_rollout",
+                            lambda *a, **k: started.append(a) or rollout(*a, **k))
+        marker = tmp_path / "started"
+        if backend == "external":
+            script = tmp_path / "backend.py"
+            script.write_text(f"open({str(marker)!r}, 'w').close()\n")
+            backend = f"cmd:{sys.executable} {script}"
+        archive_path.write_bytes(archive_path.read_bytes()[:-7])
+        fdir = tmp_path / "fc"
+        assert main(["rollout", "--in", str(archive_path), "--out-dir", str(fdir),
+                     "--lead", "24", "--backend", backend]) == 1
+        assert "payload truncated in channel V50" in capsys.readouterr().err
+        assert not fdir.exists()
+        assert started == [] and not marker.exists()
 
 
 def run_doc(grid, labels, overrides=()):
