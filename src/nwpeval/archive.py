@@ -33,7 +33,7 @@ import os
 import struct
 import threading
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import BinaryIO, Callable, Optional, Sequence, Union
 
@@ -171,6 +171,16 @@ def read_archive(src: Union[BinaryIO, str, os.PathLike],
     checked for NaN/Inf (see PlaneReader.subset)."""
     with closing(PlaneReader(src, finite=finite)) as reader:
         return reader.subset(CHANNELS if channels is None else channels)
+
+
+def read_header(path: Union[str, os.PathLike]) -> dict:
+    """The header of the archive at `path`, judged by PlaneReader as every
+    command judges it (header, channel list and payload size): the grid's
+    fields, and the GridSpec itself under "grid"."""
+    with closing(PlaneReader(path)) as reader:
+        return {"version": VERSION, "grid": reader.grid, **asdict(reader.grid),
+                "valid_time": reader.valid_time, "source_label": reader.source_label,
+                "n_channels": len(reader.channels)}
 
 
 class PlaneReader:

@@ -13,11 +13,10 @@ import os
 import re
 import sys
 from contextlib import closing, contextmanager
-from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .archive import (VERSION, ArchiveError, PlaneReader, RawDumpLayout, ingest_raw,
+from .archive import (ArchiveError, PlaneReader, RawDumpLayout, ingest_raw, read_header,
                       write_archive)
 from .experiment import (ConfigError, InputError, _parse_box, _parse_time,
                          check_pattern, check_regions, check_truth_pattern,
@@ -171,12 +170,10 @@ def _parse_backend(args) -> BackendSpec:
 
 
 def _cmd_inspect(args) -> int:
-    # judged as every command judges it: header, channel list and payload size
-    with closing(PlaneReader(args.file)) as reader:
-        header = {"version": VERSION, **asdict(reader.grid), "valid_time": reader.valid_time,
-                  "source_label": reader.source_label, "n_channels": len(reader.channels)}
-    for key, value in header.items():
-        print(f"{key}: {value}")
+    h = read_header(args.file)   # a short or long file: exit 1
+    for key in ("version", "nlat", "nlon", "lat_start", "dlat", "lon_start",
+                "dlon", "valid_time", "source_label", "n_channels"):
+        print(f"{key}: {h[key]}")
     return 0
 
 
@@ -232,8 +229,8 @@ def _cmd_rollout(args) -> int:
         # every multiple of --emit-every short of --lead, then --lead itself
         emit = [*range(args.emit_every, args.lead, args.emit_every), args.lead]
         first = plan_for_leads(emit, backend.horizons).steps[0]   # an unreachable lead: exit 2
-        with closing(PlaneReader(args.infile)) as ic:   # a short or long IC: exit 1
-            backend.check_grid(ic.grid)   # an off-grid IC: exit 2 too
+        # a short or long IC: exit 1; an off-grid one: exit 2 too
+        backend.check_grid(read_header(args.infile)["grid"])
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)   # a file in its way: exit 2 before any step
     # an external step 1's output is hashed, and so is a repeat of it after the rollout

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from nwpeval import archive
 from nwpeval.archive import (DataError, FormatError, PlaneReader, RawDumpLayout,
                              TruncationError, UnsupportedLayoutError, archive_bytes,
-                             ingest_raw, payload_size, read_archive, write_archive)
+                             ingest_raw, payload_size, read_archive,
+                             read_header, write_archive)
 from nwpeval.grids import (CHANNELS, N_CHANNELS, GridSpec, InvalidChannelError,
                            StateSet, Var, channel_name, flat_channel_index)
 from tests.conftest import random_state
@@ -434,6 +435,32 @@ def test_round_trip_through_a_path_object(tmp_path, small_grid):
     assert states_equal(read_archive(path), s)
 
 
+def test_read_header(tmp_path, small_grid):
+    s = random_state(small_grid, seed=15, label="hdr-test")
+    path = tmp_path / "state.nws"
+    write_archive(s, str(path))
+    for src in (str(path), path):
+        h = read_header(src)
+        assert h["nlat"] == small_grid.nlat
+        assert h["source_label"] == "hdr-test"
+        assert h["n_channels"] == N_CHANNELS
+        assert h["valid_time"] == s.valid_time
+
+
+def test_read_header_checks_version_and_channels(tmp_path, small_grid):
+    path = tmp_path / "state.nws"
+    raw = bytearray(archive_bytes(random_state(small_grid, seed=16)))
+    raw[8:12] = struct.pack("<I", 2)
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match="version 2"):
+        read_header(path)
+    raw = bytearray(archive_bytes(random_state(small_grid, seed=16, label="")))
+    raw[66:70], raw[70:74] = raw[70:74], raw[66:70]
+    path.write_bytes(raw)
+    with pytest.raises(UnsupportedLayoutError):
+        read_header(path)
+
+
 class TestFileOwnership:
     def test_a_callers_open_file_is_left_open(self, tmp_path, small_grid):
         path = tmp_path / "state.nws"
@@ -445,8 +472,9 @@ class TestFileOwnership:
                 assert not fh.closed
 
     @pytest.mark.parametrize("damage", ["none", "bad-magic", "truncated"])
+    @pytest.mark.parametrize("read", [read_archive, read_header])
     def test_a_file_opened_by_its_path_is_closed(self, tmp_path, small_grid, monkeypatch,
-                                                 damage):
+                                                 read, damage):
         raw = archive_bytes(random_state(small_grid, seed=20))
         raw = {"none": raw, "bad-magic": b"X" + raw[1:], "truncated": raw[:-7]}[damage]
         path = tmp_path / "state.nws"
@@ -455,10 +483,10 @@ class TestFileOwnership:
         monkeypatch.setattr(archive, "open", lambda *a, **k: opened.append(open(*a, **k))
                             or opened[-1], raising=False)
         if damage == "none":
-            read_archive(path)
+            read(path)
         else:
             with pytest.raises((FormatError, TruncationError)):
-                read_archive(path)
+                read(path)
         assert len(opened) == 1 and opened[0].closed
 
 

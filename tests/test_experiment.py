@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from nwpeval import experiment, rollout
 from nwpeval.archive import (RawDumpLayout, archive_bytes, ingest_raw, read_archive,
-                            write_archive)
+                            read_header, write_archive)
 from nwpeval.experiment import (ConfigError, ExperimentConfig, ICSource, SpliceScenario,
                                 load_config, open_input, parse_channel,
                                 run_experiment, write_metric_csv)
@@ -265,12 +265,12 @@ class TestRunExperiment:
         script = tmp_path / "backend.py"
         script.write_text(textwrap.dedent(f"""\
             import argparse, shutil, sys
-            from nwpeval.archive import read_archive
+            from nwpeval.archive import read_header
             p = argparse.ArgumentParser()
             p.add_argument("--in", dest="infile"); p.add_argument("--out")
             p.add_argument("--step-hours")
             a = p.parse_args()
-            if read_archive(a.infile, ()).source_label == "src1" and \\
+            if read_header(a.infile)["source_label"] == "src1" and \\
                     a.infile.endswith("step001.nws"):
                 sys.exit("no step 2 for src1")
             shutil.copyfile(a.infile, a.out)
@@ -661,7 +661,7 @@ def write_sparse(state, path):
             fh.seek(len(head) + CHANNELS.index(ch) * plane)
             fh.write(np.ascontiguousarray(state.channel(*ch), dtype="<f4"))
         fh.truncate(len(head) + len(CHANNELS) * plane)
-    assert read_archive(str(path), ()).grid == g
+    assert read_header(str(path))["grid"] == g
 
 
 class TestProcessBudget:
@@ -939,8 +939,8 @@ def nan_backend(tmp_path, monkeypatch, grid, label, channel, sleep=0.0):
     script = tmp_path / "backend.py"
     script.write_text(COPY_BACKEND + textwrap.dedent(f"""\
         import os, struct, time
-        from nwpeval.archive import read_archive
-        if read_archive(a.infile, ()).source_label == {label!r}:
+        from nwpeval.archive import read_header
+        if read_header(a.infile)["source_label"] == {label!r}:
             if a.infile.endswith({label + ".nws"!r}):
                 with open(a.out, "r+b") as out:
                     start = os.path.getsize(a.out) - {len(CHANNELS) * plane}
