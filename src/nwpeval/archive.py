@@ -15,7 +15,7 @@ Archive layout (all multi-byte values little-endian):
                  row 0 = northmost latitude; nothing may follow it
 
 The channel list must be the canonical 69-channel order; anything else is
-rejected on read. Each plane therefore sits at a fixed offset. Every plane
+a FormatError. Each plane therefore sits at a fixed offset. Every plane
 is read through one plane source, a `PlaneReader`: it opens an archive, or a
 raw dump of a given `RawDumpLayout`, checks the payload's size, and reads
 a plane at its offset with one seek and `readinto`, as a scorer asks for
@@ -61,15 +61,11 @@ class ArchiveError(Exception):
 
 
 class FormatError(ArchiveError):
-    """Bad magic, version, or header structure."""
+    """Bad magic, version, header structure or channel list."""
 
 
 class TruncationError(ArchiveError):
     """Payload shorter than the header promises."""
-
-
-class UnsupportedLayoutError(ArchiveError):
-    """Channel list is not the canonical order."""
 
 
 class DataError(ArchiveError):
@@ -142,7 +138,7 @@ def _read_head(src: BinaryIO) -> tuple[GridSpec, datetime, str]:
     if (n_channels != N_CHANNELS   # before a read of any other count's descriptors
             or _read_exact(src, 4 * N_CHANNELS, "channel descriptors")
             != _CANONICAL_DESCRIPTORS):
-        raise UnsupportedLayoutError("channel list is not the canonical 69-channel order")
+        raise FormatError("channel list is not the canonical 69-channel order")
     grid = GridSpec(nlat=nlat, nlon=nlon, lat_start=lat_start, dlat=dlat,
                     lon_start=lon_start, dlon=dlon)
     return grid, datetime.fromtimestamp(epoch, tz=timezone.utc), label
@@ -260,16 +256,6 @@ class PlaneReader:
             raise self._error from None
         self.unread.discard(channel)
 
-    def _fill(self, slot: dict, spare) -> None:
-        """Read the plane of each channel of `slot` into its buffer there,
-        and of each other channel of `spare` into one spare plane, visiting
-        them in file order."""
-        with self._lock:
-            visit = sorted(set(slot).union(spare), key=self._index.__getitem__)
-            buf = np.empty(self.grid.shape, dtype="<f4") if len(visit) > len(slot) else None
-            for ch in visit:
-                self._read(ch, slot.get(ch, buf))
-
     def channel(self, variable: Var, level: int = SURFACE_LEVEL) -> np.ndarray:
         key = (variable, level)
         self._require((key,))
@@ -284,26 +270,25 @@ class PlaneReader:
                 del self._held[key]
             return held[0]
 
-    def check(self, channels) -> None:
-        """Read each plane of `channels`, in file order, into one spare
-        plane: with `finite`, a check that none holds NaN/Inf."""
-        channels = tuple(channels)
-        self._require(channels)
-        self._fill({}, channels)
-
     def subset(self, channels) -> StateSet:
         """A state of `channels`, in that order: each plane is read into its
         slot and, with `finite`, each other plane no call has read yet into
         one spare plane, in file order, so a DataError names the first
-        plane in the file that holds NaN/Inf. A channel asked for twice is
-        read once and copied."""
+        plane in the file that holds NaN/Inf; `subset(())` is that check
+        alone, and without `finite` reads nothing. A channel asked for twice
+        is read once and copied."""
         channels = tuple(channels)
         self._require(channels)
         data = np.empty((len(channels),) + self.grid.shape, dtype="<f4")
         slot: dict = {}
         for k, ch in enumerate(channels):
             slot.setdefault(ch, k)
-        self._fill({ch: data[k] for ch, k in slot.items()}, self.unread if self._finite else ())
+        with self._lock:
+            visit = sorted(set(slot).union(self.unread if self._finite else ()),
+                           key=self._index.__getitem__)
+            spare = np.empty(self.grid.shape, dtype="<f4") if len(visit) > len(slot) else None
+            for ch in visit:
+                self._read(ch, data[slot[ch]] if ch in slot else spare)
         for k, ch in enumerate(channels):
             if slot[ch] != k:   # asked for twice: copy the plane read
                 data[k] = data[slot[ch]]

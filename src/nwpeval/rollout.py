@@ -312,7 +312,7 @@ def run_rollout(ic: Union[StateSet, str, os.PathLike], backend: BackendSpec, lea
                                                    init_time + timedelta(hours=lead),
                                                    label)) as out:
                     paused = lead in wanted and (yield lead, out)
-                    out.check(out.unread)   # every plane its caller left unread
+                    out.subset(())   # every plane its caller left unread
                     if paused:   # the step started ahead ends before the pause
                         running.wait()
                         yield

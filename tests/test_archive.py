@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 from nwpeval import archive
 from nwpeval.archive import (DataError, FormatError, PlaneReader, RawDumpLayout,
-                             TruncationError, UnsupportedLayoutError, archive_bytes,
-                             ingest_raw, payload_size, read_archive,
-                             read_header, write_archive)
+                             TruncationError, archive_bytes, ingest_raw, payload_size,
+                             read_archive, read_header, write_archive)
 from nwpeval.grids import (CHANNELS, N_CHANNELS, GridSpec, InvalidChannelError,
                            StateSet, Var, channel_name, flat_channel_index)
 from tests.conftest import random_state
@@ -122,7 +121,7 @@ class TestErrors:
         # swap the first two channel descriptors (after 60+2+0+4 bytes)
         off = 66
         raw[off:off + 4], raw[off + 4:off + 8] = raw[off + 4:off + 8], raw[off:off + 4]
-        with pytest.raises(UnsupportedLayoutError):
+        with pytest.raises(FormatError, match="channel list is not the canonical"):
             read_archive(io.BytesIO(bytes(raw)))
 
     def test_bad_version(self, small_grid):
@@ -203,9 +202,7 @@ class TestSubsetRead:
         pytest.param(lambda src, channels: PlaneReader(src).subset(channels),
                      [(Var.T2, 0), (Var.MSLP, 500)], id="reader-subset"),
         pytest.param(lambda src, channels: PlaneReader(src).channel(*channels[0]),
-                     [(Var.Z, 501)], id="reader-channel"),
-        pytest.param(lambda src, channels: PlaneReader(src).check(channels),
-                     [(Var.Z, 501)], id="reader-check")])
+                     [(Var.Z, 501)], id="reader-channel")])
     def test_subset_of_a_channel_not_held_reads_nothing(self, small_grid, read, channels):
         # no plane in file order matches that slot: it used to be np.empty's,
         # and a PlaneReader's KeyError
@@ -242,6 +239,61 @@ class TestSubsetRead:
         with pytest.raises(ValueError):
             write_archive(sub, str(path))
         assert not path.exists()
+
+
+class TestSubsetOfNoChannels:
+    """`subset(())` keeps no plane: on a `finite` reader it checks each plane
+    no call has read yet, and on another it reads nothing."""
+
+    class PlaneLog(io.BytesIO):
+        """An archive in memory that logs the channel of each plane read."""
+
+        def __init__(self, raw: bytes, grid: GridSpec):
+            super().__init__(raw)
+            self.plane = grid.nlat * grid.nlon * 4
+            self.start = len(raw) - payload_size(grid)
+            self.planes = []
+
+        def readinto(self, buf):
+            self.planes.append(CHANNELS[(self.tell() - self.start) // self.plane])
+            return super().readinto(buf)
+
+    def test_a_finite_reader_reads_each_unread_plane_once_in_file_order(self, small_grid):
+        src = self.PlaneLog(archive_bytes(random_state(small_grid, seed=23)), small_grid)
+        reader = PlaneReader(src, finite=True)
+        taken = [(Var.T, 850), (Var.Z, 500)]   # asked for out of file order
+        for ch in taken:
+            reader.channel(*ch)
+        assert src.planes == taken
+        state = reader.subset(())
+        assert src.planes[2:] == [ch for ch in CHANNELS if ch not in taken]
+        assert state.channels == () and state.data.shape == (0,) + small_grid.shape
+        assert reader.unread == set()
+        reader.subset(())
+        assert len(src.planes) == N_CHANNELS
+
+    def test_a_nan_names_the_first_unread_plane_in_file_order_that_holds_one(self,
+                                                                            small_grid):
+        s = random_state(small_grid, seed=24)
+        data = s.data.copy()
+        for k in (40, 10):   # both after the plane read first
+            data[k, 2, 3] = np.nan
+        src = self.PlaneLog(archive_bytes(s.replace(data=data)), small_grid)
+        reader = PlaneReader(src, finite=True)
+        reader.channel(*CHANNELS[5])
+        with pytest.raises(DataError, match=f"plane {channel_name(*CHANNELS[10])} contains"):
+            reader.subset(())
+        assert src.planes == [CHANNELS[5]] + [ch for ch in CHANNELS[:11] if ch != CHANNELS[5]]
+
+    def test_a_reader_without_finite_reads_no_plane(self, small_grid):
+        s = random_state(small_grid, seed=25)
+        data = s.data.copy()
+        data[10, 2, 3] = np.nan
+        src = self.PlaneLog(archive_bytes(s.replace(data=data)), small_grid)
+        reader = PlaneReader(src)
+        state = reader.subset(())
+        assert src.planes == [] and state.channels == ()
+        assert reader.unread == set(CHANNELS)
 
 
 class TestWriteFromAReader:
@@ -457,7 +509,7 @@ def test_read_header_checks_version_and_channels(tmp_path, small_grid):
     raw = bytearray(archive_bytes(random_state(small_grid, seed=16, label="")))
     raw[66:70], raw[70:74] = raw[70:74], raw[66:70]
     path.write_bytes(raw)
-    with pytest.raises(UnsupportedLayoutError):
+    with pytest.raises(FormatError, match="channel list is not the canonical"):
         read_header(path)
 
 
