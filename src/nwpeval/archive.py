@@ -329,15 +329,14 @@ class RawDumpLayout:
 
 def ingest_raw(path: str, grid: GridSpec, layout: RawDumpLayout,
                valid_time: datetime, source_label: str,
-               finite: bool = True, channels: ChannelList = CHANNELS) -> StateSet:
+               channels: ChannelList = CHANNELS) -> StateSet:
     """Load a raw dump into a north-first state of `channels`, in that
     order (all 69 in canonical order by default), as read_archive loads an
     archive: a dump of the wrong size is a TruncationError or FormatError,
-    and with `finite` every plane of the dump, kept or not, is checked, the
-    first holding NaN/Inf a DataError as soon as it is read. Without it the
-    state is returned as read, for the caller to check with plane_fault.
+    and every plane of the dump, kept or not, is checked, the first holding
+    NaN/Inf a DataError as soon as it is read.
     """
-    with closing(PlaneReader(path, grid, finite=finite, layout=layout,
+    with closing(PlaneReader(path, grid, finite=True, layout=layout,
                              valid_time=valid_time, source_label=source_label)) as reader:
         return reader.subset(channels)
 

@@ -16,8 +16,7 @@ from contextlib import closing, contextmanager
 from pathlib import Path
 
 from . import __version__
-from .archive import (ArchiveError, PlaneReader, RawDumpLayout, ingest_raw, read_header,
-                      write_archive)
+from .archive import ArchiveError, PlaneReader, RawDumpLayout, read_header, write_archive
 from .experiment import (ConfigError, InputError, _parse_box, _parse_time,
                          check_pattern, check_regions, check_truth_pattern,
                          load_config, no_repeats, open_input, parse_channel,
@@ -25,9 +24,9 @@ from .experiment import (ConfigError, InputError, _parse_box, _parse_time,
 from .grids import (DEFAULT_REGIONS, GridMismatchError, GridSpec, channel_name,
                     covers_grid, plane_fault)
 from .plots import PlotInputError, emit_plots, name_fault, write_metric_csv
-from .regrid import regrid_state
+from .regrid import Regridded
 from .rollout import BackendSpec, RolloutError, plan_for_leads, run_rollout
-from .splice import SpliceError, SpliceSpec, splice_states
+from .splice import SpliceError, SpliceSpec, Spliced
 from .verify import DEFAULT_REPORT_CHANNELS, evaluate_run
 
 log = logging.getLogger(__name__)
@@ -183,12 +182,13 @@ def _cmd_ingest(args) -> int:
         valid_time = _parse_time(args.valid_time)
         if fault := name_fault("--label", args.label):   # evaluate writes it in each row
             raise ValueError(fault)
-    state = ingest_raw(args.infile, args.grid, layout, valid_time=valid_time,
-                       source_label=args.label, finite=args.nan == "error")
-    for channel, plane in zip(state.channels, state.data):
-        if fault := plane_fault(channel, plane, ranges=not args.skip_validation):
-            log.warning("%s: %s", args.infile, fault)
-    write_archive(state, args.out)
+    with closing(PlaneReader(args.infile, args.grid, finite=args.nan == "error", layout=layout,
+                             valid_time=valid_time, source_label=args.label)) as dump:
+        for channel in dump.channels:   # every fault told before a byte is written
+            if fault := plane_fault(channel, dump.channel(*channel),
+                                    ranges=not args.skip_validation):
+                log.warning("%s: %s", args.infile, fault)
+        write_archive(dump, args.out)   # the dump read again, a plane at a time
     return 0
 
 
@@ -198,7 +198,7 @@ def _cmd_regrid(args) -> int:
         if not covers_grid(source.grid, dst):   # a splice donor's use: written all the same
             log.warning("%s does not cover the grid: rows and columns past its span "
                         "repeat its edge", args.infile)
-        write_archive(regrid_state(source, dst), args.out)   # on dst: each plane as read
+        write_archive(source if source.grid == dst else Regridded(source, dst), args.out)
     return 0
 
 
@@ -208,10 +208,10 @@ def _cmd_splice(args) -> int:
                           variable_scope=args.scope, blend_width=args.blend_width)
     with closing(PlaneReader(args.base)) as base, closing(PlaneReader(args.donor)) as donor:
         try:   # grids and valid_times are compared before either payload is read
-            out = splice_states(base, donor, spec, args.allow_time_mismatch)
+            out = Spliced(base, donor, spec, args.allow_time_mismatch)
         except (GridMismatchError, SpliceError) as exc:
             raise ConfigError(f"--base {args.base} and --donor {args.donor} {exc}") from None
-    write_archive(out, args.out)
+        write_archive(out, args.out)
     return 0
 
 

@@ -316,12 +316,20 @@ class StateSet:
         """The state of `channels` alone, in that order; itself if it holds
         just those."""
         channels = tuple(channels)
-        if channels == self.channels:
-            return self
-        data = np.empty((len(channels),) + self.grid.shape, dtype=np.float32)
-        for plane, ch in zip(data, channels):
-            plane[:] = self.channel(*ch)
-        return self.replace(data=data, channels=channels)
+        return self if channels == self.channels else gather(self, channels)
+
+
+def gather(source, channels) -> StateSet:
+    """The state of `channels`, in that order, each plane copied from
+    `source.channel()` as it is asked for: a state, an archive.PlaneReader,
+    a regrid.Regridded or a splice.Spliced. It has the source's grid,
+    valid_time and source_label."""
+    channels = tuple(channels)
+    data = np.empty((len(channels),) + source.grid.shape, dtype=np.float32)
+    for plane, ch in zip(data, channels):
+        plane[...] = source.channel(*ch)
+    return StateSet(valid_time=source.valid_time, source_label=source.source_label,
+                    grid=source.grid, data=data, channels=channels)
 
 
 # Sanity gates applied at ingestion (harness-chosen, not physical constants).

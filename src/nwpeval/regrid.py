@@ -1,11 +1,16 @@
 """Bilinear interpolation between regular lat/lon grids.
 
 Interpolation is separable in (lat, lon). Longitude brackets wrap modulo
-360 when the source grid covers the full circle; otherwise they clamp to
-the edge columns. Destination latitudes poleward of the source's extreme
-rows clamp to the nearest row, collapsing the stencil to 1D longitude
-interpolation. Weights are computed and applied in float64; field data
-stays float32.
+360 when the source grid covers the full circle; otherwise a destination
+column past the source's span takes the nearer edge column, by angular
+distance (the east one on a tie). Destination latitudes poleward of the
+source's extreme rows clamp to the nearest row, collapsing the stencil to
+1D longitude interpolation. Weights are computed and applied in float64;
+field data stays float32.
+
+`Regridded(source, grid)` is a source regridded a plane at a time, as
+`channel()` asks for each: `nwpeval regrid` writes one, plane by plane,
+and `regrid_state` gathers one into a state.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import Field, GridMismatchError, GridSpec, StateSet
+from .grids import SURFACE_LEVEL, Field, GridMismatchError, GridSpec, StateSet, Var, gather
 
 
 @dataclass(frozen=True)
@@ -53,8 +58,10 @@ def build_plan(src: GridSpec, dst: GridSpec) -> RegridPlan:
     # fractional source coordinates; rows run north to south
     rows0, rows1, wlat = _bracket((src.lat_start - dst.latitudes()) / src.dlat,
                                   src.nlat, cyclic=False)
-    cols0, cols1, wlon = _bracket(((dst.longitudes() - src.lon_start) % 360.0) / src.dlon,
-                                  src.nlon, cyclic=src.is_cyclic())
+    east = (dst.longitudes() - src.lon_start) % 360.0   # degrees east of column 0
+    if not src.is_cyclic():   # past the span, nearer column 0 than the last: column 0
+        east = np.where(east - (src.nlon - 1) * src.dlon > 360.0 - east, 0.0, east)
+    cols0, cols1, wlon = _bracket(east / src.dlon, src.nlon, cyclic=src.is_cyclic())
     return RegridPlan(source=src, destination=dst,
                       rows0=rows0, rows1=rows1, wlat=wlat,
                       cols0=cols0, cols1=cols1, wlon=wlon)
@@ -72,10 +79,11 @@ def _lerp(v, i0, i1, w0, w1, axis, out, tmp) -> None:
     np.add(out, tmp, out=out)
 
 
-def _apply_planes(plan: RegridPlan, planes, n: int) -> np.ndarray:
-    """Interpolate `n` planes, taken one at a time from the iterator
-    `planes`, in two passes of one 1-D kernel, longitude first, through
-    float64 work buffers allocated once. Per plane this evaluates
+def _interpolator(plan: RegridPlan):
+    """A function that interpolates a plane onto the plan's destination
+    grid, in two passes of one 1-D kernel, longitude first, through float64
+    work buffers allocated here once, into one float32 plane, which it
+    returns and its next call overwrites. Per plane this evaluates
 
         v = plane.astype(float64)
         h = wx * v[:, cols0] + (1 - wx) * v[:, cols1]
@@ -85,7 +93,6 @@ def _apply_planes(plan: RegridPlan, planes, n: int) -> np.ndarray:
     (1-wy)*(wx*v[i1,j0] + (1-wx)*v[i1,j1]) with its operands in that
     order; interpolating latitude first would round differently."""
     src, dst = plan.source, plan.destination
-    out = np.empty((n,) + dst.shape, dtype=np.float32)
     # one block for all work buffers, so that freeing it leaves no holes
     # in the heap to raise the peak RSS of what follows
     nv, nh = src.nlat * src.nlon, 2 * src.nlat * dst.nlon
@@ -95,12 +102,32 @@ def _apply_planes(plan: RegridPlan, planes, n: int) -> np.ndarray:
     d, d_tmp = work[nv + nh:].reshape((2,) + dst.shape)
     wx, wy = plan.wlon, plan.wlat[:, np.newaxis]
     wx1, wy1 = 1.0 - wx, 1.0 - wy
-    for res in out:   # next(): no name holds the last plane while the next is read
-        v[...] = next(planes)
+    out = np.empty(dst.shape, dtype=np.float32)
+
+    def interpolate(plane: np.ndarray) -> np.ndarray:
+        v[...] = plane
         _lerp(v, plan.cols0, plan.cols1, wx, wx1, 1, h, h_tmp)
         _lerp(h, plan.rows0, plan.rows1, wy, wy1, 0, d, d_tmp)
-        res[...] = d
-    return out
+        out[...] = d
+        return out
+    return interpolate
+
+
+class Regridded:
+    """`source`, a state or any other plane source, regridded onto `grid`:
+    channel() reads the source's plane and interpolates it through one plan
+    and one _interpolator, both kept for the view's life, so the plane it
+    returns is overwritten by its next call. The source's planes are not
+    written. The view has the source's channels, valid_time and
+    source_label. Not safe to share across threads."""
+
+    def __init__(self, source, grid: GridSpec):
+        self._source, self.grid, self.channels = source, grid, source.channels
+        self.valid_time, self.source_label = source.valid_time, source.source_label
+        self._interpolate = _interpolator(build_plan(source.grid, grid))
+
+    def channel(self, variable: Var, level: int = SURFACE_LEVEL) -> np.ndarray:
+        return self._interpolate(self._source.channel(variable, level))
 
 
 def apply_plan(plan: RegridPlan, fld: Field) -> Field:
@@ -108,15 +135,10 @@ def apply_plan(plan: RegridPlan, fld: Field) -> Field:
     if fld.grid != plan.source:
         raise GridMismatchError("field grid does not match the plan's source grid")
     return Field(variable=fld.variable, level=fld.level, grid=plan.destination,
-                 values=_apply_planes(plan, iter(fld.values[np.newaxis]), 1)[0])
+                 values=_interpolator(plan)(fld.values))
 
 
 def regrid_state(source, dst: GridSpec) -> StateSet:
-    """Regrid a state or an archive.PlaneReader, each plane read once through
-    `channel()`, with one plan, metadata and channels kept; one on `dst` comes back unread."""
-    if source.grid == dst:
-        return source
-    planes = (source.channel(*ch) for ch in source.channels)
-    data = _apply_planes(build_plan(source.grid, dst), planes, len(source.channels))
-    return StateSet(valid_time=source.valid_time, source_label=source.source_label, grid=dst,
-                    data=data, channels=source.channels)
+    """A state or any other plane source regridded onto `dst` as a state,
+    each plane read once through `channel()`; one on `dst` comes back unread."""
+    return source if source.grid == dst else gather(Regridded(source, dst), source.channels)

@@ -6,6 +6,10 @@ Planes are matched by channel, not by position. The default hard splice
 base values untouched elsewhere, so every output value is bitwise one of
 the two inputs. The default scope is upper-air channels only; the 4
 surface channels come from the base.
+
+`Spliced(base, donor, spec)` is the splice a plane at a time, as
+`channel()` asks for each: `nwpeval splice` writes one, plane by plane,
+and `splice_states` gathers one into a state.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (GridMismatchError, RegionBox, StateSet, box_distance, degrees,
-                    region_mask)
+from .grids import (SURFACE_LEVEL, GridMismatchError, RegionBox, StateSet, Var, box_distance,
+                    degrees, gather, region_mask)
 
 
 class SpliceError(ValueError):
@@ -39,35 +43,51 @@ class SpliceSpec:
             raise ValueError("blend_width must be >= 0")
 
 
-def splice_states(base: StateSet, donor: StateSet, spec: SpliceSpec,
-                  allow_time_mismatch: bool = False) -> StateSet:
-    """Splice the donor's in-scope channels into the base within the box.
-
-    Grids and, unless allow_time_mismatch, valid_times are compared before
-    any plane is read. Each base plane and the donor's plane of its channel
-    are then read once through `channel()`, so either may be an archive.PlaneReader.
+class Spliced:
+    """The base with the donor's in-scope channels spliced in within the
+    box, a plane at a time: base and donor are states or any other plane
+    sources. Grids and, unless allow_time_mismatch, valid_times are compared
+    here, before any plane is read, and the mask, ring and alpha are built
+    once. channel() copies the base's plane into the view's one float32
+    plane, which it returns and the next call overwrites, and splices the
+    donor's plane of that channel in; neither source's plane is written.
     Inside the box (region_mask) the output is the donor. On the ring
     outside it, closer than blend_width degrees (box_distance), output =
     alpha*donor + (1-alpha)*base, where alpha falls linearly from 1 at the
-    box edge to 0 at blend_width degrees out. The result holds the base's
-    channels; its source_label is "<donor>pad<base>".
+    box edge to 0 at blend_width degrees out. The view has the base's grid,
+    valid_time and channels; its source_label is "<donor>pad<base>". Not
+    safe to share across threads.
     """
-    if base.grid != donor.grid:
-        raise GridMismatchError(f"differ in grid: {base.grid} against {donor.grid}")
-    if base.valid_time != donor.valid_time and not allow_time_mismatch:
-        raise SpliceError(f"differ in valid_time: {base.valid_time} against {donor.valid_time}")
-    mask = region_mask(base.grid, spec.region)
-    distance = box_distance(base.grid, spec.region)
-    ring = np.nonzero(~mask & (distance < spec.blend_width))   # empty when hard
-    alpha = 1.0 - distance[ring] / spec.blend_width
-    out = np.empty((len(base.channels),) + base.grid.shape, dtype=np.float32)
-    for plane, (var, level) in zip(out, base.channels):
-        plane[...] = base.channel(var, level)
-        if var.is_surface and spec.variable_scope == "upper-only":
-            continue
-        d = donor.channel(var, level)
-        np.copyto(plane, d, where=mask)
+
+    def __init__(self, base, donor, spec: SpliceSpec, allow_time_mismatch: bool = False):
+        if base.grid != donor.grid:
+            raise GridMismatchError(f"differ in grid: {base.grid} against {donor.grid}")
+        if base.valid_time != donor.valid_time and not allow_time_mismatch:
+            raise SpliceError(f"differ in valid_time: {base.valid_time} against "
+                              f"{donor.valid_time}")
+        self._base, self._donor, self._spec = base, donor, spec
+        self.grid, self.valid_time, self.channels = base.grid, base.valid_time, base.channels
+        self.source_label = f"{donor.source_label}pad{base.source_label}"
+        self._mask = region_mask(base.grid, spec.region)
+        distance = box_distance(base.grid, spec.region)
+        self._ring = np.nonzero(~self._mask & (distance < spec.blend_width))   # empty when hard
+        self._alpha = 1.0 - distance[self._ring] / spec.blend_width
+        self._out = np.empty(base.grid.shape, dtype=np.float32)
+
+    def channel(self, variable: Var, level: int = SURFACE_LEVEL) -> np.ndarray:
+        plane, ring, alpha = self._out, self._ring, self._alpha
+        plane[...] = self._base.channel(variable, level)
+        if variable.is_surface and self._spec.variable_scope == "upper-only":
+            return plane
+        d = self._donor.channel(variable, level)
+        np.copyto(plane, d, where=self._mask)
         plane[ring] = (alpha * d[ring].astype(np.float64)
                        + (1.0 - alpha) * plane[ring].astype(np.float64)).astype(np.float32)
-    return StateSet(valid_time=base.valid_time, grid=base.grid, channels=base.channels,
-                    source_label=f"{donor.source_label}pad{base.source_label}", data=out)
+        return plane
+
+
+def splice_states(base, donor, spec: SpliceSpec, allow_time_mismatch: bool = False) -> StateSet:
+    """The Spliced view of base and donor gathered into a state of the
+    base's channels: each base plane, and the donor's plane of its channel,
+    read once through `channel()`."""
+    return gather(Spliced(base, donor, spec, allow_time_mismatch), base.channels)

@@ -450,9 +450,10 @@ class TestIngestRaw:
         with pytest.raises(DataError, match="plane MSLP contains NaN/Inf"):
             ingest_raw(str(path), small_grid, RawDumpLayout(),
                        valid_time=s.valid_time, source_label="x")
-        out = ingest_raw(str(path), small_grid, RawDumpLayout(),
-                         valid_time=s.valid_time, source_label="x",
-                         finite=False)
+        # a reader without `finite` reads the dump as stored
+        with closing(PlaneReader(str(path), small_grid, layout=RawDumpLayout(),
+                                 valid_time=s.valid_time, source_label="x")) as reader:
+            out = reader.subset(CHANNELS)
         assert np.isnan(out.data[0, 0, 0])
         assert caplog.text == ""   # reported once, by the caller's plane_fault
 
@@ -471,8 +472,9 @@ class TestIngestRaw:
         with pytest.raises(DataError, match=f"plane {name} contains NaN/Inf"):
             ingest_raw(str(path), small_grid, layout, valid_time=s.valid_time,
                        source_label="x")
-        out = ingest_raw(str(path), small_grid, layout, valid_time=s.valid_time,
-                         source_label="x", finite=False)
+        with closing(PlaneReader(str(path), small_grid, layout=layout,
+                                 valid_time=s.valid_time, source_label="x")) as reader:
+            out = reader.subset(CHANNELS)
         expected = s.data.copy()
         expected[flat_channel_index(*order[-1]), -1, 2] = np.nan
         assert np.array_equal(out.data, expected, equal_nan=True)

@@ -306,6 +306,47 @@ class TestIngestRegrid:
         # random values break the MSLP, T and Q ranges: warned of unless skipped
         assert (f"{raw}: range: MSLP in " in caplog.text) == (not skip)
 
+    def test_ingest_reads_the_dump_twice_a_plane_at_a_time(self, tmp_path, monkeypatch):
+        # each plane is read once for the warnings and once as it is
+        # written, in file order: the command holds the plane read and its
+        # NaN/Inf mask, where the dump read whole would add 69 planes; a
+        # plane's room is for small objects
+        grid = GridSpec(nlat=181, nlon=360, lat_start=90.0, dlat=1.0, lon_start=0.0,
+                        dlon=1.0)
+        state = random_state(grid, seed=66, label="ifs")
+        raw, op = tmp_path / "dump.bin", tmp_path / "out.nws"
+        raw.write_bytes(np.ascontiguousarray(state.data, dtype="<f4").tobytes())
+        payload_reads = spy_payload_reads(monkeypatch)
+        tracemalloc.start()
+        try:
+            assert main(["ingest", "--in", str(raw), "--out", str(op),
+                         "--grid", "181,360,90,1,0,1", "--valid-time",
+                         "2023-06-06T00:00:00Z", "--label", "ifs"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert payload_reads == [("dump.bin", ch) for ch in CHANNELS] * 2
+        assert op.read_bytes() == archive_bytes(state)
+        assert peak < 2.5 * grid.nlat * grid.nlon * 4
+
+    def test_ingest_nan_error_fails_after_the_warnings_of_earlier_planes(
+            self, tmp_path, small_grid, caplog, capsys):
+        # the warnings pass reads in file order: MSLP, stored first, is
+        # warned of before Z925's NaN fails the command, and nothing is written
+        data = random_state(small_grid, seed=54).data.copy()
+        data[CHANNELS.index((Var.Z, 925)), 2, 3] = np.nan
+        raw, out = tmp_path / "dump.bin", tmp_path / "out.nws"
+        raw.write_bytes(np.ascontiguousarray(data, dtype="<f4").tobytes())
+        g = small_grid
+        with caplog.at_level(logging.WARNING):
+            assert main(["ingest", "--in", str(raw), "--out", str(out),
+                         "--grid", f"{g.nlat},{g.nlon},{g.lat_start},{g.dlat},"
+                                   f"{g.lon_start},{g.dlon}",
+                         "--valid-time", "2023-06-06T00:00:00Z", "--label", "gfs"]) == 1
+        assert f"{raw}: range: MSLP in " in caplog.text
+        assert "nwpeval: plane Z925 contains NaN/Inf" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dump.bin"]
+
     def test_regrid_to_named_grid(self, archive_path, tmp_path):
         out = tmp_path / "regridded.nws"
         rc = main(["regrid", "--in", str(archive_path), "--out", str(out),
@@ -336,10 +377,11 @@ class TestIngestRegrid:
                                                          dlon=10.0)
 
     def test_regrid_reads_the_input_a_plane_at_a_time(self, tmp_path, monkeypatch):
-        # each input plane is read once, as it is regridded: the command
-        # holds the output state, the regrid work area and two input planes
-        # (one regridded, the next read), where the input read whole would
-        # add 69 (4 output states); a third plane's room is for small objects
+        # each input plane is read once, as it is regridded, and written
+        # as it is made: the command holds the regrid work area, the view's
+        # output plane and the input plane being regridded, where the output
+        # state would add 69 output planes; a second input plane's room is
+        # for small objects
         src = GridSpec(nlat=181, nlon=360, lat_start=90.0, dlat=1.0, lon_start=0.0, dlon=1.0)
         dst = GridSpec(nlat=91, nlon=180, lat_start=90.0, dlat=2.0, lon_start=0.0, dlon=2.0)
         state = random_state(src, seed=60, label="gfs")
@@ -356,7 +398,7 @@ class TestIngestRegrid:
         assert Counter(payload_reads) == Counter(("in.nws", ch) for ch in CHANNELS)
         assert op.read_bytes() == archive_bytes(regrid_state(state, dst))
         work = 8 * (src.nlat * src.nlon + 2 * src.nlat * dst.nlon + 2 * dst.nlat * dst.nlon)
-        assert peak < (N_CHANNELS * dst.nlat * dst.nlon + 3 * src.nlat * src.nlon) * 4 + work
+        assert peak < (dst.nlat * dst.nlon + 2 * src.nlat * src.nlon) * 4 + work
 
     def test_regrid_on_the_grid_writes_each_plane_as_it_is_read(self, tmp_path,
                                                                  monkeypatch):
@@ -406,10 +448,10 @@ class TestSplice:
 
     @pytest.mark.parametrize("scope", ["upper-only", "all-channels"])
     def test_each_donor_plane_is_read_once(self, tmp_path, monkeypatch, scope):
-        # one 91x180 state is 4.3 MiB: the output is one, and base and
-        # donor are read a plane at a time, each base plane once and each
-        # donor plane in scope once; upper-only reads no surface plane of
-        # the donor
+        # base and donor are read a plane at a time, each base plane once
+        # and each donor plane in scope once, and each output plane is
+        # written as it is made; upper-only reads no surface plane of the
+        # donor
         grid = GridSpec(nlat=91, nlon=180, lat_start=90.0, dlat=2.0, lon_start=0.0,
                         dlon=2.0)
         base = random_state(grid, seed=58, label="a")
@@ -432,7 +474,10 @@ class TestSplice:
             Counter(CHANNELS)
         spec = SpliceSpec(region=RegionBox(-10.0, 60.0, 60.0, 150.0), variable_scope=scope)
         assert op.read_bytes() == archive_bytes(splice_states(base, donor, spec))
-        assert peak < 1.5 * N_CHANNELS * grid.nlat * grid.nlon * 4   # the base whole: 2
+        # the view's plane, a plane of each input and, while the mask is
+        # built, the float64 distance to the box (two planes); two planes'
+        # room for small objects, where the output state would add 69
+        assert peak < 7 * grid.nlat * grid.nlon * 4
 
     def test_splice_label_and_values(self, tmp_path, small_grid, capsys):
         base = random_state(small_grid, seed=52, label="a")

@@ -219,3 +219,57 @@ def test_bitwise_equal_to_the_per_plane_expression(src, dst):
     assert regrid_state(state, dst).data.tobytes() == want.tobytes()
     fld = apply_plan(plan, state.field(Var.Z, 500))
     assert fld.values.tobytes() == want[flat_channel_index(Var.Z, 500)].tobytes()
+
+
+def bilinear_at(src, values, lat, lon):
+    """The value at (lat, lon) of a field on `src`, found point by point
+    from GridSpec.coords: bilinear between the bracketing rows and
+    columns; past the rows, the nearer edge row; past the columns of a
+    source short of the full circle, the nearer edge column by angular
+    distance. The oracle of build_plan's clamping."""
+    lats = [src.coords(i, 0)[0] for i in range(src.nlat)]
+    lons = [src.coords(0, j)[1] for j in range(src.nlon)]
+    if lat >= lats[0] or lat <= lats[-1]:
+        rows = [(0 if lat >= lats[0] else src.nlat - 1, 1.0)]
+    else:
+        i = max(k for k in range(src.nlat) if lats[k] >= lat)
+        w = (lat - lats[i + 1]) / (lats[i] - lats[i + 1])
+        rows = [(i, w), (i + 1, 1.0 - w)]
+    last = src.nlon if src.is_cyclic() else src.nlon - 1   # columns that open a bracket
+    cols = None
+    for j in range(last):
+        east = (lon - lons[j]) % 360.0
+        if east < src.dlon - 1e-9:
+            cols = [(j, 1.0 - east / src.dlon), ((j + 1) % src.nlon, east / src.dlon)]
+            break
+    if cols is None:   # past the span: the nearer edge, the east one on a tie
+        past_east, short_of_west = (lon - lons[-1]) % 360.0, (lons[0] - lon) % 360.0
+        cols = [(0 if short_of_west < past_east else src.nlon - 1, 1.0)]
+    return sum(wr * wc * float(values[i, j]) for i, wr in rows for j, wc in cols)
+
+
+@pytest.mark.parametrize("src", [
+    # 60-150 E, as the east_asia donor: 0-50 E is nearer 60 E than 150 E
+    GridSpec(nlat=21, nlon=31, lat_start=70, dlat=4, lon_start=60, dlon=3),
+    # across the 0/360 seam, 300 E to 30 E
+    GridSpec(nlat=12, nlon=21, lat_start=45, dlat=5, lon_start=300, dlon=3),
+    # the full circle: brackets wrap, no edge
+    GridSpec(nlat=19, nlon=24, lat_start=88, dlat=9, lon_start=7, dlon=15),
+], ids=["regional", "across-the-seam", "cyclic"])
+def test_regridded_equals_a_per_point_oracle(src):
+    dst = GridSpec(nlat=37, nlon=72, lat_start=90, dlat=5, lon_start=2.5, dlon=5)
+    state = random_state(src, seed=22)
+    out = regrid_state(state, dst)
+    for var, level in [(Var.MSLP, 0), (Var.Z, 500)]:
+        plane, got = state.channel(var, level), out.channel(var, level)
+        want = np.array([[bilinear_at(src, plane, *dst.coords(i, j))
+                          for j in range(dst.nlon)] for i in range(dst.nlat)])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
+
+
+def test_a_column_midway_between_the_edges_takes_the_east_one():
+    # 60-150 E: 285 E lies 135 degrees past 150 E and 135 short of 60 E
+    src = GridSpec(nlat=4, nlon=10, lat_start=30, dlat=10, lon_start=60, dlon=10)
+    dst = GridSpec(nlat=1, nlon=3, lat_start=0, dlat=1, lon_start=284, dlon=1)
+    plan = build_plan(src, dst)
+    assert plan.cols0.tolist() == [9, 9, 0] and plan.wlon.tolist() == [1.0, 1.0, 1.0]
