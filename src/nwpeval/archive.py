@@ -15,15 +15,8 @@ Archive layout (all multi-byte values little-endian):
                  row 0 = northmost latitude; nothing may follow it
 
 The channel list must be the canonical 69-channel order; anything else is
-a FormatError. Each plane therefore sits at a fixed offset. Every plane
-is read through one plane source, a `PlaneReader`: it opens an archive, or a
-raw dump of a given `RawDumpLayout`, checks the payload's size, and reads
-a plane at its offset with one seek and `readinto`, as a scorer asks for
-it (`channel`) or for a state at once (`subset`), which is what
-`read_archive(src, channels)` and `ingest_raw` are. Such a state holds the
-planes asked for alone, in that order, named in its `channels`.
-`write_archive` writes a state or a reader whose `channels` are all 69 in
-order, a plane at a time, and refuses any other.
+a FormatError. Each plane therefore sits at a fixed offset, and every plane
+is read through `PlaneReader`.
 """
 
 from __future__ import annotations
@@ -161,10 +154,8 @@ def _check_payload(src: BinaryIO, start: int, grid: GridSpec, order: ChannelList
 def read_archive(src: Union[BinaryIO, str, os.PathLike],
                  channels: Optional[ChannelList] = None,
                  finite: bool = False) -> StateSet:
-    """Exact inverse of write_archive. With `channels`, a list of
-    (variable, level), only those planes are kept, in that order. Either
-    way the payload's size is checked first; with `finite` every plane is
-    checked for NaN/Inf (see PlaneReader.subset)."""
+    """Exact inverse of write_archive: `PlaneReader(src, finite=finite)`'s
+    subset of `channels` (all 69 by default), its faults as the reader's."""
     with closing(PlaneReader(src, finite=finite)) as reader:
         return reader.subset(CHANNELS if channels is None else channels)
 
@@ -181,20 +172,21 @@ def read_header(path: Union[str, os.PathLike]) -> dict:
 
 class PlaneReader:
     """The planes of one file, read one at a time (`channel`) or as a state
-    (`subset`): an archive, its header checked (on `grid`, if given), or
-    with `layout` a raw dump on `grid` whose payload starts where `src`
-    stands. `src` is a path, which the reader opens unbuffered and close()
-    closes, or an open binary file, which close() leaves open. The reader
-    has the file's grid, valid_time and source_label (the last two those
-    given, if given), `channels`, those the file holds in its order, and
-    `unread`, the channels no call has read yet. Of
-    `takers` callers of channel(), the first to ask for a plane reads it and
-    the last drops it. With `finite`, NaN/Inf in a plane read is a
-    DataError. An error opening or reading the file (ArchiveError, OSError,
-    GridMismatchError off `grid`, or another ValueError), or an
-    InvalidChannelError for a channel it does not hold, raised before any
-    read, is raised as `fail(error)`, the error itself by default; after a
-    failed read every call raises it. Safe to share across threads.
+    (`subset`): an archive, its header checked (on `grid`, if given), or with
+    `layout` a raw dump on `grid` whose payload starts where `src` stands.
+    `src` is a path, opened unbuffered and closed by close(), or an open
+    binary file, which close() leaves open. The payload's size is checked on
+    opening and before each plane read (a TruncationError naming the channel
+    it ends in, or a FormatError for bytes after it). The reader has the
+    file's grid, valid_time and source_label (the last two those given, if
+    given), `channels`, those the file holds in its order, and `unread`, the
+    channels no call has read yet. Of `takers` callers of channel(), the
+    first to ask for a plane reads it and the last drops it. With `finite`,
+    NaN/Inf in a plane read is a DataError. An error opening or reading the
+    file (ArchiveError, OSError, GridMismatchError off `grid`, or another
+    ValueError), or an InvalidChannelError for a channel it does not hold,
+    raised before any read, is raised as `fail(error)`, the error itself by
+    default; after a failed read every call raises it. Thread-safe.
     """
 
     def __init__(self, src: Union[BinaryIO, str, os.PathLike],
@@ -275,25 +267,20 @@ class PlaneReader:
         slot and, with `finite`, each other plane no call has read yet into
         one spare plane, in file order, so a DataError names the first
         plane in the file that holds NaN/Inf; `subset(())` is that check
-        alone, and without `finite` reads nothing. A channel asked for twice
-        is read once and copied."""
+        alone, and without `finite` reads nothing."""
         channels = tuple(channels)
         self._require(channels)
-        data = np.empty((len(channels),) + self.grid.shape, dtype="<f4")
-        slot: dict = {}
-        for k, ch in enumerate(channels):
-            slot.setdefault(ch, k)
+        state = StateSet(valid_time=self.valid_time, source_label=self.source_label,
+                         grid=self.grid, channels=channels,   # refuses a channel twice
+                         data=np.empty((len(channels),) + self.grid.shape, dtype="<f4"))
+        slot = {ch: k for k, ch in enumerate(state.channels)}
         with self._lock:
             visit = sorted(set(slot).union(self.unread if self._finite else ()),
                            key=self._index.__getitem__)
             spare = np.empty(self.grid.shape, dtype="<f4") if len(visit) > len(slot) else None
             for ch in visit:
-                self._read(ch, data[slot[ch]] if ch in slot else spare)
-        for k, ch in enumerate(channels):
-            if slot[ch] != k:   # asked for twice: copy the plane read
-                data[k] = data[slot[ch]]
-        return StateSet(valid_time=self.valid_time, source_label=self.source_label,
-                        grid=self.grid, data=data, channels=channels)
+                self._read(ch, state.data[slot[ch]] if ch in slot else spare)
+        return state
 
     def close(self) -> None:
         """Close the file, if the reader opened it."""
@@ -330,12 +317,8 @@ class RawDumpLayout:
 def ingest_raw(path: str, grid: GridSpec, layout: RawDumpLayout,
                valid_time: datetime, source_label: str,
                channels: ChannelList = CHANNELS) -> StateSet:
-    """Load a raw dump into a north-first state of `channels`, in that
-    order (all 69 in canonical order by default), as read_archive loads an
-    archive: a dump of the wrong size is a TruncationError or FormatError,
-    and every plane of the dump, kept or not, is checked, the first holding
-    NaN/Inf a DataError as soon as it is read.
-    """
+    """The dump's north-first state of `channels` (all 69 by default): a
+    finite PlaneReader of it with `layout`, its faults as the reader's."""
     with closing(PlaneReader(path, grid, finite=True, layout=layout,
                              valid_time=valid_time, source_label=source_label)) as reader:
         return reader.subset(channels)

@@ -385,10 +385,14 @@ def open_input(what: str, path: str, grid: Optional[GridSpec],
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Run every run of the matrix, lead by lead, and write metrics.csv, the
     plots drawn from it, config_snapshot and run.log to the output
-    directory. An invalid config is a ConfigError raised before any input
-    is read. A run that fails is logged and named in the report's
-    `failures`, and the other runs go on; a truth that cannot be read costs
-    its lead alone. What a run holds in memory: see README."""
+    directory; return the RunReport. An invalid config is a ConfigError
+    raised before any input is read. A run that fails is logged and named
+    in the report's `failures`, and the other runs go on; a truth that
+    cannot be read costs its lead alone. Each lead's truth is opened one
+    lead ahead, as its tasks are queued (one per run, each waiting for its
+    run at the lead before), so at most two truths are open; each truth
+    plane is read once per lead, by the first run to score it, and dropped
+    once every run at the lead has taken it."""
     native = config.validate()   # the climatology's and sources' headers and sizes too
     grid, channels = config.model_grid, config.report_channels
     with closing(open_input("climatology", config.climatology_path, grid)) as clim:

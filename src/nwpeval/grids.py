@@ -279,8 +279,9 @@ class StateSet:
 
     `data` is a (len(channels), nlat, nlon) float32 array of the planes of
     `channels`, in that order: all 69 canonical channels by default, or those
-    a subset read (`read_archive(src, channels)`) asked for. `channel()` and
-    `field()` look a plane up by its channel; asked for one it lacks, they fail.
+    a subset read (`read_archive(src, channels)`) asked for; a channel named
+    twice is a ValueError. `channel()` and `field()` look a plane up by its
+    channel; asked for one it lacks, they fail.
     """
 
     valid_time: datetime
@@ -292,6 +293,9 @@ class StateSet:
     def __post_init__(self):
         object.__setattr__(self, "valid_time", _as_utc(self.valid_time))
         object.__setattr__(self, "channels", tuple(self.channels))
+        if len(set(self.channels)) < len(self.channels):
+            twice = next(ch for ch in self.channels if self.channels.count(ch) > 1)
+            raise ValueError(f"state names channel {channel_name(*twice)} twice")
         d = np.ascontiguousarray(self.data, dtype=np.float32)
         if d.shape != (len(self.channels),) + self.grid.shape:
             raise ValueError(f"data shape {d.shape} does not hold {len(self.channels)} "
@@ -324,12 +328,12 @@ def gather(source, channels) -> StateSet:
     `source.channel()` as it is asked for: a state, an archive.PlaneReader,
     a regrid.Regridded or a splice.Spliced. It has the source's grid,
     valid_time and source_label."""
-    channels = tuple(channels)
-    data = np.empty((len(channels),) + source.grid.shape, dtype=np.float32)
-    for plane, ch in zip(data, channels):
+    state = StateSet(valid_time=source.valid_time, source_label=source.source_label,
+                     grid=source.grid, channels=channels,
+                     data=np.empty((len(channels),) + source.grid.shape, dtype=np.float32))
+    for plane, ch in zip(state.data, state.channels):
         plane[...] = source.channel(*ch)
-    return StateSet(valid_time=source.valid_time, source_label=source.source_label,
-                    grid=source.grid, data=data, channels=channels)
+    return state
 
 
 # Sanity gates applied at ingestion (harness-chosen, not physical constants).

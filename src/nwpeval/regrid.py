@@ -7,10 +7,6 @@ distance (the east one on a tie). Destination latitudes poleward of the
 source's extreme rows clamp to the nearest row, collapsing the stencil to
 1D longitude interpolation. Weights are computed and applied in float64;
 field data stays float32.
-
-`Regridded(source, grid)` is a source regridded a plane at a time, as
-`channel()` asks for each: `nwpeval regrid` writes one, plane by plane,
-and `regrid_state` gathers one into a state.
 """
 
 from __future__ import annotations

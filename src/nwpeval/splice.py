@@ -1,15 +1,5 @@
-"""Regional initial-condition concatenation: overwrite a box of a base
-global state with a donor state's values, optionally feathering the seam.
-
-Planes are matched by channel, not by position. The default hard splice
-(blend_width 0) copies donor values verbatim inside the box and leaves
-base values untouched elsewhere, so every output value is bitwise one of
-the two inputs. The default scope is upper-air channels only; the 4
-surface channels come from the base.
-
-`Spliced(base, donor, spec)` is the splice a plane at a time, as
-`channel()` asks for each: `nwpeval splice` writes one, plane by plane,
-and `splice_states` gathers one into a state.
+"""Regional initial-condition concatenation: a box of a base global state
+overwritten with a donor's values, the seam optionally feathered (Spliced).
 """
 
 from __future__ import annotations
@@ -44,19 +34,21 @@ class SpliceSpec:
 
 
 class Spliced:
-    """The base with the donor's in-scope channels spliced in within the
-    box, a plane at a time: base and donor are states or any other plane
-    sources. Grids and, unless allow_time_mismatch, valid_times are compared
-    here, before any plane is read, and the mask, ring and alpha are built
-    once. channel() copies the base's plane into the view's one float32
-    plane, which it returns and the next call overwrites, and splices the
-    donor's plane of that channel in; neither source's plane is written.
-    Inside the box (region_mask) the output is the donor. On the ring
-    outside it, closer than blend_width degrees (box_distance), output =
-    alpha*donor + (1-alpha)*base, where alpha falls linearly from 1 at the
-    box edge to 0 at blend_width degrees out. The view has the base's grid,
-    valid_time and channels; its source_label is "<donor>pad<base>". Not
-    safe to share across threads.
+    """The base with the donor's in-scope channels (upper-air alone under
+    upper-only) spliced in within the box, a plane at a time: base and donor
+    are states or any other plane sources. Grids and, unless
+    allow_time_mismatch, valid_times are compared here (GridMismatchError,
+    SpliceError), before any plane is read, and the mask, ring and alpha are
+    built once. channel() copies the base's plane into the view's one
+    float32 plane, which it returns and the next call overwrites, and
+    splices the donor's plane of that channel in; neither source's plane is
+    written. Inside the box (region_mask) the output is the donor, bitwise.
+    On the ring outside it, closer than blend_width degrees (box_distance),
+    output = alpha*donor + (1-alpha)*base, where alpha falls linearly from 1
+    at the box edge to 0 at blend_width degrees out; a hard splice
+    (blend_width 0) has no ring. The view has the base's grid, valid_time
+    and channels; its source_label is "<donor>pad<base>". Not safe to share
+    across threads.
     """
 
     def __init__(self, base, donor, spec: SpliceSpec, allow_time_mismatch: bool = False):

@@ -152,12 +152,16 @@ class TestRunExperiment:
         assert {r["source"] for r in rows} == set(labels) | {"donorpadbase"}
         assert len(rows) == 3 * 9 * 2 * 10 * 2
 
+    @pytest.mark.parametrize("kind", ["builtin", "external-command"])
     def test_truths_and_climatology_read_as_report_planes(self, tmp_path, small_grid,
-                                                          monkeypatch):
+                                                          monkeypatch, kind):
         labels = build_inputs(tmp_path, small_grid)
         channels = ((Var.Z, 500), (Var.T2, 0))
         cfg = dataclasses.replace(make_config(tmp_path, small_grid, labels, leads=(24, 48)),
                                   report_channels=channels)
+        if kind != "builtin":
+            cfg = dataclasses.replace(cfg, backend=copy_backend(tmp_path, monkeypatch,
+                                                                small_grid))
         reads = []
         spy_plane_reader(monkeypatch, lambda path, channels, plane:
                          reads.append((name_of(path), channels, len(channels))))
@@ -171,7 +175,7 @@ class TestRunExperiment:
         # truth's header is checked, a lead ahead and in lead order, and
         # each report plane read once, by the first run to score it
         clim = [("clim.nws", (ch,), 1) for ch in sorted(channels, key=CHANNELS.index)]
-        assert [r for r in reads if not r[0].startswith(("src", "truth_"))] == [
+        assert [r for r in reads if not r[0].startswith(("src", "truth_", "step"))] == [
             ("clim.nws", (), 0), ("clim.nws", (), 0), *clim]
         assert reads.index(clim[-1]) < min(k for k, r in enumerate(reads)
                                            if r[0].startswith("truth_"))
@@ -181,11 +185,14 @@ class TestRunExperiment:
                 *((f"truth_{lead}.nws", (ch,), 1) for ch in channels)]
         assert [r[0] for r in reads if r[0].startswith("truth_") and not r[2]] == [
             "truth_24.nws", "truth_48.nws"]
-        # each IC: its header, then, in the run's worker, every plane once
-        # as the builtin rollout checks it
+        # each IC: its header, in validate() and in the rollout, then, in the
+        # run's worker, every plane once as the builtin rollout checks it; an
+        # external backend's step 1 reads the file itself, so nwpeval reads
+        # none of its planes
         for label in labels:
+            planes = [(f"{label}.nws", (ch,), 1) for ch in CHANNELS] * (kind == "builtin")
             assert [r for r in reads if r[0] == f"{label}.nws"] == [
-                (f"{label}.nws", (), 0)] * 2 + [(f"{label}.nws", (ch,), 1) for ch in CHANNELS]
+                (f"{label}.nws", (), 0)] * 2 + planes
         assert [r[0] for r in reads if r[0].startswith("src")][:2] == ["src0.nws", "src1.nws"]
 
     def test_missing_truth_is_per_lead_not_fatal(self, tmp_path, small_grid):

@@ -642,6 +642,38 @@ class TestPipelinedSteps:
         assert states.send(True) is None
         assert list(states) == []
 
+    @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
+    @pytest.mark.parametrize("form", ["path", "state"])
+    def test_lead_0_alone_starts_no_step(self, tmp_path, small_ic, monkeypatch, form, nan):
+        # the IC's `channels`, every plane checked for NaN/Inf and the state
+        # labelled; no backend process starts and no temporary directory is made
+        data = small_ic.data.copy()
+        if nan:
+            data[CHANNELS.index((Var.T, 850)), 4, 7] = np.nan
+        ic = state = small_ic.replace(data=data)
+        if form == "path":
+            ic = tmp_path / "ic.nws"
+            write_archive(state, ic)
+        procs = recorded_starts(monkeypatch)
+        dirs = []
+        temporary = tempfile.TemporaryDirectory
+        monkeypatch.setattr(tempfile, "TemporaryDirectory",
+                            lambda *a, **k: dirs.append(k) or temporary(*a, **k))
+        channels = [(Var.Z, 500), (Var.MSLP, 0)]
+        states = run_rollout(ic, write_copy_backend(tmp_path / "backend.py"), [0],
+                             channels=channels, label="run")
+        if nan:
+            with pytest.raises(RolloutError, match="^the IC at lead 0 holds NaN/Inf: "
+                                                   "plane T850 contains NaN/Inf$"):
+                next(states)
+        else:
+            [(lead, out)] = list(states)
+            assert (lead, out.channels, out.source_label) == (0, tuple(channels), "run")
+            assert out.valid_time == small_ic.valid_time
+            for ch in channels:
+                assert np.array_equal(out.channel(*ch), small_ic.channel(*ch))
+        assert procs == [] and dirs == []
+
     def test_emitted_states_hold_exactly_the_channels(self, tmp_path, small_ic):
         channels = [(Var.Z, 500), (Var.MSLP, 0), (Var.T, 850)]
         be = write_copy_backend(tmp_path / "backend.py")
